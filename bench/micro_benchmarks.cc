@@ -1078,109 +1078,6 @@ void BM_VmDispatchBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_VmDispatchBaseline);
 
-// Window-merge A/B: canonicalising the per-worker push buffers at a window
-// barrier. Each worker's buffer is already sorted by drain index (events
-// buffer pushes in drain order), so two correct algorithms compete:
-// concatenate + stable_sort on the uint32 drain key (the shipping merge in
-// Simulation::RunWindow) versus a k-way streamed merge over the buffer heads
-// through a binary heap. Both produce the same canonical sequence; the live
-// queue insertion that follows is common to both and measured by
-// BM_EventLoop, so the kernel times only the canonicalisation.
-struct WindowMergeFixture {
-  struct MergeItem {
-    uint32_t drain;
-    SimTime time;
-  };
-  static constexpr int kWorkers = 4;
-  static constexpr size_t kPushesPerWorker = 256;
-
-  std::vector<std::vector<MergeItem>> buffers;
-  std::vector<MergeItem> merged;
-
-  WindowMergeFixture() {
-    uint64_t state = 0x9e3779b97f4a7c15ull;
-    buffers.resize(kWorkers);
-    for (int w = 0; w < kWorkers; ++w) {
-      buffers[static_cast<size_t>(w)].reserve(kPushesPerWorker);
-      for (size_t i = 0; i < kPushesPerWorker; ++i) {
-        // Post-window arrival times, scattered like jittered network delays;
-        // drain indices increasing per worker and congruent to the worker id,
-        // the shape a real window produces.
-        const SimTime time =
-            Milliseconds(10) + static_cast<SimTime>(SplitMix64(state) % Milliseconds(50));
-        const uint32_t drain = static_cast<uint32_t>(i) * kWorkers +
-                               static_cast<uint32_t>(w);
-        buffers[static_cast<size_t>(w)].push_back(MergeItem{drain, time});
-      }
-    }
-    merged.reserve(kWorkers * kPushesPerWorker);
-  }
-
-  uint64_t Checksum() const {
-    // Order-sensitive fold so the compiler cannot elide or reorder the merge.
-    uint64_t sum = 0;
-    for (const MergeItem& item : merged) {
-      sum = sum * 31 + item.drain + static_cast<uint64_t>(item.time);
-    }
-    return sum;
-  }
-
-  // The shipping merge: concatenate, then one bulk stable_sort on the key.
-  uint64_t MergeCurrent() {
-    merged.clear();
-    for (const auto& buffer : buffers) {
-      merged.insert(merged.end(), buffer.begin(), buffer.end());
-    }
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const MergeItem& a, const MergeItem& b) { return a.drain < b.drain; });
-    return Checksum();
-  }
-
-  // Baseline: k-way merge of the sorted buffers through a binary heap.
-  uint64_t MergeBaseline() {
-    merged.clear();
-    using Head = std::pair<uint32_t, int>;  // (head drain index, worker)
-    std::priority_queue<Head, std::vector<Head>, std::greater<>> heads;
-    std::array<size_t, kWorkers> cursor{};
-    for (int w = 0; w < kWorkers; ++w) {
-      heads.emplace(buffers[static_cast<size_t>(w)].front().drain, w);
-    }
-    while (!heads.empty()) {
-      const int w = heads.top().second;
-      heads.pop();
-      auto& buffer = buffers[static_cast<size_t>(w)];
-      merged.push_back(buffer[cursor[static_cast<size_t>(w)]]);
-      if (++cursor[static_cast<size_t>(w)] < buffer.size()) {
-        heads.emplace(buffer[cursor[static_cast<size_t>(w)]].drain, w);
-      }
-    }
-    for (size_t w = 0; w < kWorkers; ++w) {
-      cursor[w] = 0;
-    }
-    return Checksum();
-  }
-};
-
-void BM_WindowMerge(benchmark::State& state) {
-  WindowMergeFixture f;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.MergeCurrent());
-  }
-  state.SetItemsProcessed(state.iterations() * WindowMergeFixture::kWorkers *
-                          static_cast<int64_t>(WindowMergeFixture::kPushesPerWorker));
-}
-BENCHMARK(BM_WindowMerge);
-
-void BM_WindowMergeBaseline(benchmark::State& state) {
-  WindowMergeFixture f;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.MergeBaseline());
-  }
-  state.SetItemsProcessed(state.iterations() * WindowMergeFixture::kWorkers *
-                          static_cast<int64_t>(WindowMergeFixture::kPushesPerWorker));
-}
-BENCHMARK(BM_WindowMergeBaseline);
-
 void BM_TraceGeneration(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(NasdaqGafamTrace());
@@ -1307,17 +1204,6 @@ void WriteKernelSummary(const char* path) {
         MedianNsPerOp([&](size_t) { sink = f.Run(f.byte_program).gas_used; }, 20, 3);
     (void)sink;
     json += ", \"vm_dispatch\": " + KernelEntryJson(current, baseline);
-  }
-  {
-    WindowMergeFixture f;
-    volatile uint64_t sink = 0;
-    const double current =
-        MedianNsPerOp([&](size_t) { sink = f.MergeCurrent(); }, 500, 5);
-    WindowMergeFixture g;
-    const double baseline =
-        MedianNsPerOp([&](size_t) { sink = g.MergeBaseline(); }, 500, 5);
-    (void)sink;
-    json += ", \"window_merge\": " + KernelEntryJson(current, baseline);
   }
 
   json += "}";

@@ -22,7 +22,6 @@ Digest256 ChainLink(const Digest256& parent, const Block& block) {
 #endif
 
 void Ledger::Append(Block block) {
-  guard_.AssertAccess();
   // Heights come from per-protocol round counters, which skip numbers when a
   // round fails to seal (crashed leader, lost quorum) — so the chain is
   // strictly increasing, not contiguous.

@@ -13,7 +13,6 @@
 #include "src/chain/tx.h"
 #include "src/crypto/sha256.h"
 #include "src/support/check.h"
-#include "src/support/shard_guard.h"
 #include "src/support/time.h"
 
 namespace diablo {
@@ -57,12 +56,7 @@ class Ledger {
   // tests a cheap integrity check without hashing every transaction.
   Digest256 HeaderChainDigest() const;
 
-  // Checked build: window-time owner tag; Append asserts the caller runs on
-  // the owning shard (or serial). Bound by ChainContext::BindShardOwners.
-  shard_guard::ShardOwner& shard_owner() { return guard_; }
-
  private:
-  shard_guard::ShardOwner guard_;
   std::vector<Block> blocks_;
   size_t total_txs_ = 0;
   // Checked build: a parent-hash chain over the appended headers. Append

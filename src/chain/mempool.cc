@@ -71,7 +71,6 @@ void Mempool::HeapPopTop() {
 
 AdmitResult Mempool::Add(TxId id, uint32_t signer, SimTime ingress_time,
                          SimTime ready_time, TxId* evicted) {
-  guard_.AssertAccess();
   if (evicted != nullptr) {
     *evicted = kInvalidTx;
   }
@@ -151,7 +150,6 @@ void Mempool::CompactRingIfNeeded() {
 void Mempool::Requeue(const std::vector<TxId>& txs, const std::vector<uint32_t>& signers,
                       const std::vector<SimTime>& ingress,
                       const std::vector<SimTime>& ready) {
-  guard_.AssertAccess();
   for (size_t i = 0; i < txs.size(); ++i) {
     if (config_.per_signer_cap > 0) {
       if (static_cast<size_t>(signers[i]) >= signer_counts_.size()) {

@@ -28,7 +28,6 @@
 #include "src/chain/tx.h"
 #include "src/support/check.h"
 #include "src/support/rng.h"
-#include "src/support/shard_guard.h"
 #include "src/support/time.h"
 
 namespace diablo {
@@ -99,11 +98,6 @@ class Mempool {
   uint64_t admitted() const { return admitted_; }
   uint64_t rejected() const { return rejected_; }
   uint64_t evictions() const { return evictions_; }
-
-  // Checked build: window-time owner tag; Add/TakeReady/Requeue assert the
-  // caller runs on the owning shard (or serial). Bound by
-  // ChainContext::BindShardOwners.
-  shard_guard::ShardOwner& shard_owner() { return guard_; }
 
  private:
   // Lifecycle byte of a TxId. kGone covers everything that left the pool —
@@ -179,7 +173,6 @@ class Mempool {
 
   MempoolConfig config_;
   Rng* rng_;
-  shard_guard::ShardOwner guard_;
   std::vector<HeapEntry> heap_;
   // Struct-of-arrays side tables, indexed by TxId.
   std::vector<uint8_t> state_;    // TxState
@@ -200,7 +193,6 @@ template <typename GasFn, typename BytesFn, typename TakenOut, typename ExpiredO
 void Mempool::TakeReady(SimTime now, int64_t gas_budget, int64_t byte_budget,
                         size_t max_txs, GasFn gas_of, BytesFn bytes_of,
                         TakenOut* taken, ExpiredOut* expired) {
-  guard_.AssertAccess();
   int64_t gas = 0;
   int64_t bytes = 0;
   size_t taken_count = 0;

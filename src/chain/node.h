@@ -23,7 +23,6 @@
 #include "src/net/network.h"
 #include "src/sim/simulation.h"
 #include "src/support/arena.h"
-#include "src/support/shard_guard.h"
 
 namespace diablo {
 
@@ -132,69 +131,15 @@ class ChainContext {
   // Shared per-engine message-plane scratch: stage vectors, order-statistic
   // buffers and broadcast working memory, warm after the first round so
   // steady-state vote rounds allocate nothing.
-  MessagePlaneScratch* plane() {
-    guard_.AssertAccess();
-    return &plane_;
-  }
-  Rng& rng() {
-    guard_.AssertAccess();
-    return rng_;
-  }
+  MessagePlaneScratch* plane() { return &plane_; }
+  Rng& rng() { return rng_; }
   CostOracle& oracle() { return oracle_; }
 
   TxStore& txs() { return txs_; }
-  Mempool& mempool() {
-    guard_.AssertAccess();
-    return mempool_;
-  }
-  Ledger& ledger() {
-    guard_.AssertAccess();
-    return ledger_;
-  }
-  ChainStats& stats() {
-    guard_.AssertAccess();
-    return stats_;
-  }
+  Mempool& mempool() { return mempool_; }
+  Ledger& ledger() { return ledger_; }
+  ChainStats& stats() { return stats_; }
   const ChainStats& stats() const { return stats_; }
-
-  // --- engine sharding ----------------------------------------------------
-  // Routes the consensus engine's event chain onto one shard of the windowed
-  // parallel scheduler. The engine is the sole window-time owner of this
-  // context's state (rng, mempool, ledger, stats, block-tx pool, message
-  // plane) plus the network's shared stream, so pinning its entire event
-  // chain — round timers, slot ticks, view changes, and the submission
-  // arrivals that feed the mempool — to a single shard executes it in drain
-  // order on one worker, byte-identical to the serial loop. Engines may only
-  // shard when their minimum self-reschedule delay is at least the window
-  // lookahead (checked by the runner), otherwise the chain stays on the
-  // serial loop (the default: engine_shard_ = kSerialShard).
-  void EnableEngineSharding(uint32_t shard) { engine_shard_ = shard; }
-  bool engine_sharded() const { return engine_shard_ != kSerialShard; }
-  uint32_t engine_shard() const { return engine_shard_; }
-
-  // Checked build: tags this context's mutable state — rng, mempool, ledger,
-  // stats, message plane — plus the network's shared stream and counters
-  // with their window-time owner. `shard` is the engine's shard when the
-  // engine is sharded, kSerialShard when only the clients shard (the engine
-  // state is then serial-only and any windowed access to it is a bug).
-  // The runner calls this exactly when windowed workers are configured; an
-  // unbound guard (serial runs, legacy loop) allows everything.
-  void BindShardOwners(uint32_t shard) {
-    guard_.Bind(shard, "ChainContext");
-    mempool_.shard_owner().Bind(shard, "Mempool");
-    ledger_.shard_owner().Bind(shard, "Ledger");
-    net_->shard_owner().Bind(shard, "Network shared stream");
-  }
-
-  // Engine-owned scheduling: targets the engine's shard when sharding is
-  // enabled, the serial loop otherwise. Engines must route every
-  // self-reschedule through these two calls.
-  void ScheduleEngine(SimDuration delay, EventFn fn) {
-    sim_->ScheduleOn(engine_shard_, delay, std::move(fn));
-  }
-  void ScheduleEngineAt(SimTime time, EventFn fn) {
-    sim_->ScheduleAtOn(engine_shard_, time, std::move(fn));
-  }
 
   // Pre-sizes transaction storage, the mempool side tables and the block-tx
   // pool for a run expected to carry `expected_txs` transactions, so the
@@ -253,10 +198,7 @@ class ChainContext {
   }
 
   // Detection bookkeeping: one conflicting-proposal pair witnessed.
-  void RecordEquivocation() {
-    guard_.AssertAccess();
-    ++stats_.equivocations_seen;
-  }
+  void RecordEquivocation() { ++stats_.equivocations_seen; }
 
   // Applies the armed vote-stage adversaries to one round's arrival-delay
   // vector (indexed by node): withholding validators become kUnreachable
@@ -331,9 +273,6 @@ class ChainContext {
   std::function<void(TxId)> on_tx_complete;
 
  private:
-  uint32_t engine_shard_ = kSerialShard;
-  // Window-time owner of this context's mutable state (see BindShardOwners).
-  shard_guard::ShardOwner guard_;
   Simulation* sim_;
   Network* net_;
   DeploymentConfig deployment_;
@@ -380,14 +319,6 @@ class ConsensusEngine {
 
   // Begins block production; called once after the context is constructed.
   virtual void Start() = 0;
-
-  // Lower bound on the delay between any event of this engine's chain and
-  // the earliest event it schedules, over every code path (success, timeout,
-  // view change, skip). The windowed runner shards the engine only when this
-  // floor is at least the window lookahead — that is the engine-side
-  // conservatism condition: every self-reschedule then lands at or past the
-  // window end. Must be a constant derived from the chain parameters.
-  virtual SimDuration MinRescheduleDelay() const = 0;
 
  protected:
   ChainContext* ctx_;

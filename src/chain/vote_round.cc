@@ -196,11 +196,7 @@ WindowedScan ScanArrivalsWindowed(const PairwiseDelays& delays,
 std::atomic<uint64_t> g_select_tick{0};
 constexpr uint64_t kSelectCheckCadence = 257;
 
-// Single funnel for the cadence tick so the one deliberate global write
-// carries the one suppression (the windowed quorum kernels are
-// parallel-phase-reachable, and detlint D7 rightly flags the write).
 bool SelectCheckDue() {
-  // detlint: allow(D7, checked-build-only sampling tick: relaxed atomic that only decides when the read-only cross-check runs and never feeds back into results)
   return g_select_tick.fetch_add(1, std::memory_order_relaxed) % kSelectCheckCadence ==
          0;
 }

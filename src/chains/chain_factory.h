@@ -19,13 +19,6 @@ class ChainInstance {
   // Begins block production.
   void Start() { engine_->Start(); }
 
-  // Engine-sharding pass-throughs for the windowed parallel runner: the
-  // engine's reschedule floor gates eligibility (it must be at least the
-  // window lookahead), and enabling routes the whole engine event chain —
-  // plus the submission arrivals that feed its mempool — onto `shard`.
-  SimDuration MinRescheduleDelay() const { return engine_->MinRescheduleDelay(); }
-  void EnableEngineSharding(uint32_t shard) { ctx_->EnableEngineSharding(shard); }
-
   ChainContext& context() { return *ctx_; }
   const ChainParams& params() const { return ctx_->params(); }
 

@@ -12,21 +12,9 @@ AlgorandEngine::AlgorandEngine(ChainContext* ctx)
     : ConsensusEngine(ctx), seed_(ctx->rng().NextU64()) {}
 
 void AlgorandEngine::Start() {
-  ctx_->ScheduleEngine(ctx_->params().block_interval, [this] { Round(); });
+  ctx_->sim()->Schedule(ctx_->params().block_interval, [this] { Round(); });
 }
 
-// Floor over every reschedule path: failed rounds wait three step timeouts
-// (the BA* recovery floor) and certified rounds at least one block interval.
-SimDuration AlgorandEngine::MinRescheduleDelay() const {
-  return std::min(ctx_->params().step_timeout * 3, ctx_->params().block_interval);
-}
-
-// Runs on the engine's shard when engine sharding is enabled: the engine is
-// the sole window-time owner of the chain context (mempool, ledger, stats,
-// message plane, the context and network RNG streams), and every reschedule
-// below goes through ScheduleEngine/ScheduleEngineAt with a delay at or
-// above MinRescheduleDelay().
-// detlint: parallel-phase(begin, algorand-engine)
 void AlgorandEngine::Round() {
   const SimTime t0 = ctx_->sim()->Now();
   const ChainParams& params = ctx_->params();
@@ -46,7 +34,7 @@ void AlgorandEngine::Round() {
   if (ctx_->NodeDown(proposer)) {
     ++ctx_->stats().view_changes;
     ++height_;
-    ctx_->ScheduleEngine(params.step_timeout * 3, [this] { Round(); });
+    ctx_->sim()->Schedule(params.step_timeout * 3, [this] { Round(); });
     return;
   }
 
@@ -57,7 +45,7 @@ void AlgorandEngine::Round() {
     ctx_->RecordEquivocation();
     ++ctx_->stats().view_changes;
     ++height_;
-    ctx_->ScheduleEngine(params.step_timeout * 3, [this] { Round(); });
+    ctx_->sim()->Schedule(params.step_timeout * 3, [this] { Round(); });
     return;
   }
 
@@ -159,7 +147,7 @@ void AlgorandEngine::Round() {
     ctx_->AbandonBlock(built, t0 + params.step_timeout * 3);
     ++ctx_->stats().view_changes;
     ++height_;
-    ctx_->ScheduleEngine(params.step_timeout * 3, [this] { Round(); });
+    ctx_->sim()->Schedule(params.step_timeout * 3, [this] { Round(); });
     return;
   }
 
@@ -169,8 +157,7 @@ void AlgorandEngine::Round() {
   ++height_;
 
   const SimTime next = std::max(final_time, t0 + params.block_interval);
-  ctx_->ScheduleEngineAt(next, [this] { Round(); });
+  ctx_->sim()->ScheduleAt(next, [this] { Round(); });
 }
-// detlint: parallel-phase(end)
 
 }  // namespace diablo

@@ -15,7 +15,6 @@ class AlgorandEngine : public ConsensusEngine {
   explicit AlgorandEngine(ChainContext* ctx);
 
   void Start() override;
-  SimDuration MinRescheduleDelay() const override;
 
  private:
   void Round();

@@ -10,21 +10,9 @@ AvalancheEngine::AvalancheEngine(ChainContext* ctx)
     : ConsensusEngine(ctx), rng_(ctx->sim()->ForkRng()) {}
 
 void AvalancheEngine::Start() {
-  ctx_->ScheduleEngine(ctx_->params().block_interval, [this] { ProduceBlock(); });
+  ctx_->sim()->Schedule(ctx_->params().block_interval, [this] { ProduceBlock(); });
 }
 
-// Floor over every reschedule path: production is throttled to at least one
-// block interval, whether or not a proposer was found.
-SimDuration AvalancheEngine::MinRescheduleDelay() const {
-  return ctx_->params().block_interval;
-}
-
-// Runs on the engine's shard when engine sharding is enabled: the engine is
-// the sole window-time owner of the chain context (mempool, ledger, stats,
-// message plane, the context and network RNG streams), and every reschedule
-// below goes through ScheduleEngine/ScheduleEngineAt with a delay at or
-// above MinRescheduleDelay().
-// detlint: parallel-phase(begin, avalanche-engine)
 SimDuration AvalancheEngine::DecisionTime(int node, bool conflicted) {
   const ChainParams& params = ctx_->params();
   const int n = ctx_->node_count();
@@ -87,7 +75,7 @@ void AvalancheEngine::ProduceBlock() {
     }
   }
   if (proposer < 0) {
-    ctx_->ScheduleEngine(params.block_interval, [this] { ProduceBlock(); });
+    ctx_->sim()->Schedule(params.block_interval, [this] { ProduceBlock(); });
     return;
   }
 
@@ -119,8 +107,7 @@ void AvalancheEngine::ProduceBlock() {
   // Throttled production: at least block_interval (≥ 1.9 s) between blocks,
   // and never before the previous decision completed.
   const SimTime next = std::max(t0 + params.block_interval, final_time);
-  ctx_->ScheduleEngineAt(next, [this] { ProduceBlock(); });
+  ctx_->sim()->ScheduleAt(next, [this] { ProduceBlock(); });
 }
-// detlint: parallel-phase(end)
 
 }  // namespace diablo

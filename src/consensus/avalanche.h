@@ -17,7 +17,6 @@ class AvalancheEngine : public ConsensusEngine {
   explicit AvalancheEngine(ChainContext* ctx);
 
   void Start() override;
-  SimDuration MinRescheduleDelay() const override;
 
  private:
   void ProduceBlock();

@@ -6,21 +6,9 @@
 namespace diablo {
 
 void CliqueEngine::Start() {
-  ctx_->ScheduleEngine(ctx_->params().block_interval, [this] { ProduceBlock(); });
+  ctx_->sim()->Schedule(ctx_->params().block_interval, [this] { ProduceBlock(); });
 }
 
-// Floor over every reschedule path: the out-of-turn wiggle waits half a
-// block interval, everything else at least a full one.
-SimDuration CliqueEngine::MinRescheduleDelay() const {
-  return ctx_->params().block_interval / 2;
-}
-
-// Runs on the engine's shard when engine sharding is enabled: the engine is
-// the sole window-time owner of the chain context (mempool, ledger, stats,
-// message plane, the context and network RNG streams), and every reschedule
-// below goes through ScheduleEngine/ScheduleEngineAt with a delay at or
-// above MinRescheduleDelay().
-// detlint: parallel-phase(begin, clique-engine)
 void CliqueEngine::ProduceBlock() {
   const SimTime t0 = ctx_->sim()->Now();
   const int n = ctx_->node_count();
@@ -35,7 +23,7 @@ void CliqueEngine::ProduceBlock() {
                                64) == kUnreachable) {
     ++height_;
     ++ctx_->stats().view_changes;
-    ctx_->ScheduleEngine(ctx_->params().block_interval / 2, [this] { ProduceBlock(); });
+    ctx_->sim()->Schedule(ctx_->params().block_interval / 2, [this] { ProduceBlock(); });
     return;
   }
 
@@ -75,8 +63,7 @@ void CliqueEngine::ProduceBlock() {
 
   ++height_;
   const SimTime next = std::max(t0 + ctx_->params().block_interval, t0 + build_time);
-  ctx_->ScheduleEngineAt(next, [this] { ProduceBlock(); });
+  ctx_->sim()->ScheduleAt(next, [this] { ProduceBlock(); });
 }
-// detlint: parallel-phase(end)
 
 }  // namespace diablo

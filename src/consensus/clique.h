@@ -16,7 +16,6 @@ class CliqueEngine : public ConsensusEngine {
   explicit CliqueEngine(ChainContext* ctx) : ConsensusEngine(ctx) {}
 
   void Start() override;
-  SimDuration MinRescheduleDelay() const override;
 
  private:
   struct PendingBlock {

@@ -9,21 +9,9 @@ DbftEngine::DbftEngine(ChainContext* ctx)
     : ConsensusEngine(ctx), rng_(ctx->sim()->ForkRng()) {}
 
 void DbftEngine::Start() {
-  ctx_->ScheduleEngine(ctx_->params().block_interval, [this] { Round(); });
+  ctx_->sim()->Schedule(ctx_->params().block_interval, [this] { Round(); });
 }
 
-// Floor over every reschedule path: a missed superblock quorum waits
-// round_timeout, a decided one at least one block interval.
-SimDuration DbftEngine::MinRescheduleDelay() const {
-  return std::min(ctx_->params().round_timeout, ctx_->params().block_interval);
-}
-
-// Runs on the engine's shard when engine sharding is enabled: the engine is
-// the sole window-time owner of the chain context (mempool, ledger, stats,
-// message plane, the context and network RNG streams), and every reschedule
-// below goes through ScheduleEngine/ScheduleEngineAt with a delay at or
-// above MinRescheduleDelay().
-// detlint: parallel-phase(begin, dbft-engine)
 void DbftEngine::Round() {
   const SimTime t0 = ctx_->sim()->Now();
   const ChainParams& params = ctx_->params();
@@ -96,7 +84,7 @@ void DbftEngine::Round() {
     // return to the pool for the next round.
     ctx_->AbandonBlock(built, t0 + params.round_timeout);
     ++ctx_->stats().view_changes;
-    ctx_->ScheduleEngine(params.round_timeout, [this] { Round(); });
+    ctx_->sim()->Schedule(params.round_timeout, [this] { Round(); });
     return;
   }
 
@@ -107,10 +95,8 @@ void DbftEngine::Round() {
   ++height_;
 
   const SimTime next = std::max(final_time, t0 + params.block_interval);
-  ctx_->ScheduleEngineAt(next, [this] { Round(); });
+  ctx_->sim()->ScheduleAt(next, [this] { Round(); });
 }
-
-// detlint: parallel-phase(end)
 
 ChainParams RedBellyParams() {
   ChainParams p;

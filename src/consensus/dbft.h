@@ -16,7 +16,6 @@ class DbftEngine : public ConsensusEngine {
   explicit DbftEngine(ChainContext* ctx);
 
   void Start() override;
-  SimDuration MinRescheduleDelay() const override;
 
  private:
   void Round();

@@ -6,22 +6,9 @@
 namespace diablo {
 
 void HotStuffEngine::Start() {
-  ctx_->ScheduleEngine(ctx_->params().block_interval, [this] { Round(); });
+  ctx_->sim()->Schedule(ctx_->params().block_interval, [this] { Round(); });
 }
 
-// Floor over every reschedule path: pacemaker view changes wait
-// round_timeout and a certified round schedules at or past t0 +
-// block_interval.
-SimDuration HotStuffEngine::MinRescheduleDelay() const {
-  return std::min(ctx_->params().round_timeout, ctx_->params().block_interval);
-}
-
-// Runs on the engine's shard when engine sharding is enabled: the engine is
-// the sole window-time owner of the chain context (mempool, ledger, stats,
-// message plane, the context and network RNG streams), and every reschedule
-// below goes through ScheduleEngine/ScheduleEngineAt with a delay at or
-// above MinRescheduleDelay().
-// detlint: parallel-phase(begin, hotstuff-engine)
 void HotStuffEngine::Round() {
   const SimTime t0 = ctx_->sim()->Now();
   const ChainParams& params = ctx_->params();
@@ -36,7 +23,7 @@ void HotStuffEngine::Round() {
   if (ctx_->NodeDown(leader)) {
     ++ctx_->stats().view_changes;
     ++round_;
-    ctx_->ScheduleEngine(params.round_timeout, [this] { Round(); });
+    ctx_->sim()->Schedule(params.round_timeout, [this] { Round(); });
     return;
   }
 
@@ -47,7 +34,7 @@ void HotStuffEngine::Round() {
     ctx_->RecordEquivocation();
     ++ctx_->stats().view_changes;
     ++round_;
-    ctx_->ScheduleEngine(params.round_timeout, [this] { Round(); });
+    ctx_->sim()->Schedule(params.round_timeout, [this] { Round(); });
     return;
   }
 
@@ -57,7 +44,7 @@ void HotStuffEngine::Round() {
   if (pool_scan > params.round_timeout) {
     ++ctx_->stats().view_changes;
     ++round_;
-    ctx_->ScheduleEngine(params.round_timeout, [this] { Round(); });
+    ctx_->sim()->Schedule(params.round_timeout, [this] { Round(); });
     return;
   }
 
@@ -92,7 +79,7 @@ void HotStuffEngine::Round() {
     ctx_->AbandonBlock(built, t0 + params.round_timeout);
     ++ctx_->stats().view_changes;
     ++round_;
-    ctx_->ScheduleEngine(params.round_timeout, [this] { Round(); });
+    ctx_->sim()->Schedule(params.round_timeout, [this] { Round(); });
     return;
   }
 
@@ -111,8 +98,7 @@ void HotStuffEngine::Round() {
   }
 
   const SimTime next = std::max(round_end, t0 + params.block_interval);
-  ctx_->ScheduleEngineAt(next, [this] { Round(); });
+  ctx_->sim()->ScheduleAt(next, [this] { Round(); });
 }
-// detlint: parallel-phase(end)
 
 }  // namespace diablo

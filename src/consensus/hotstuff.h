@@ -18,7 +18,6 @@ class HotStuffEngine : public ConsensusEngine {
   explicit HotStuffEngine(ChainContext* ctx) : ConsensusEngine(ctx) {}
 
   void Start() override;
-  SimDuration MinRescheduleDelay() const override;
 
  private:
   struct PendingBlock {

@@ -6,23 +6,9 @@
 namespace diablo {
 
 void IbftEngine::Start() {
-  ctx_->ScheduleEngine(ctx_->params().block_interval, [this] { Round(); });
+  ctx_->sim()->Schedule(ctx_->params().block_interval, [this] { Round(); });
 }
 
-// Floor over every reschedule path: view changes (leader down, equivocation,
-// no quorum) wait round_timeout, the saturation backoff never shrinks below
-// round_timeout, and a successful round schedules at or past t0 +
-// block_interval.
-SimDuration IbftEngine::MinRescheduleDelay() const {
-  return std::min(ctx_->params().round_timeout, ctx_->params().block_interval);
-}
-
-// Runs on the engine's shard when engine sharding is enabled: the engine is
-// the sole window-time owner of the chain context (mempool, ledger, stats,
-// message plane, the context and network RNG streams), and every reschedule
-// below goes through ScheduleEngine/ScheduleEngineAt with a delay at or
-// above MinRescheduleDelay().
-// detlint: parallel-phase(begin, ibft-engine)
 void IbftEngine::Round() {
   const SimTime t0 = ctx_->sim()->Now();
   const ChainParams& params = ctx_->params();
@@ -34,7 +20,7 @@ void IbftEngine::Round() {
   if (ctx_->NodeDown(leader)) {
     ++ctx_->stats().view_changes;
     ++round_;
-    ctx_->ScheduleEngine(params.round_timeout, [this] { Round(); });
+    ctx_->sim()->Schedule(params.round_timeout, [this] { Round(); });
     return;
   }
 
@@ -45,7 +31,7 @@ void IbftEngine::Round() {
     ctx_->RecordEquivocation();
     ++ctx_->stats().view_changes;
     ++round_;
-    ctx_->ScheduleEngine(params.round_timeout, [this] { Round(); });
+    ctx_->sim()->Schedule(params.round_timeout, [this] { Round(); });
     return;
   }
 
@@ -61,7 +47,7 @@ void IbftEngine::Round() {
     consecutive_failures_ = std::min(consecutive_failures_ + 1, 6);
     const SimDuration backoff =
         SaturatingBackoff(params.round_timeout, consecutive_failures_);
-    ctx_->ScheduleEngine(backoff, [this] { Round(); });
+    ctx_->sim()->Schedule(backoff, [this] { Round(); });
     return;
   }
   consecutive_failures_ = 0;
@@ -108,7 +94,7 @@ void IbftEngine::Round() {
     ctx_->AbandonBlock(built, t0 + params.round_timeout);
     ++ctx_->stats().view_changes;
     ++round_;
-    ctx_->ScheduleEngine(params.round_timeout, [this] { Round(); });
+    ctx_->sim()->Schedule(params.round_timeout, [this] { Round(); });
     return;
   }
 
@@ -118,8 +104,7 @@ void IbftEngine::Round() {
   round_ = 0;
 
   const SimTime next = std::max(final_time, t0 + params.block_interval);
-  ctx_->ScheduleEngineAt(next, [this] { Round(); });
+  ctx_->sim()->ScheduleAt(next, [this] { Round(); });
 }
-// detlint: parallel-phase(end)
 
 }  // namespace diablo

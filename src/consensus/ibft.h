@@ -15,7 +15,6 @@ class IbftEngine : public ConsensusEngine {
   explicit IbftEngine(ChainContext* ctx) : ConsensusEngine(ctx) {}
 
   void Start() override;
-  SimDuration MinRescheduleDelay() const override;
 
  private:
   void Round();

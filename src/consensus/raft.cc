@@ -6,21 +6,9 @@
 namespace diablo {
 
 void RaftEngine::Start() {
-  ctx_->ScheduleEngine(ctx_->params().block_interval, [this] { Round(); });
+  ctx_->sim()->Schedule(ctx_->params().block_interval, [this] { Round(); });
 }
 
-// Floor over every reschedule path: elections wait round_timeout and a
-// committed round schedules at or past t0 + block_interval.
-SimDuration RaftEngine::MinRescheduleDelay() const {
-  return std::min(ctx_->params().round_timeout, ctx_->params().block_interval);
-}
-
-// Runs on the engine's shard when engine sharding is enabled: the engine is
-// the sole window-time owner of the chain context (mempool, ledger, stats,
-// message plane, the context and network RNG streams), and every reschedule
-// below goes through ScheduleEngine/ScheduleEngineAt with a delay at or
-// above MinRescheduleDelay().
-// detlint: parallel-phase(begin, raft-engine)
 void RaftEngine::Round() {
   const SimTime t0 = ctx_->sim()->Now();
   const ChainParams& params = ctx_->params();
@@ -33,7 +21,7 @@ void RaftEngine::Round() {
   if (ctx_->NodeDown(leader_)) {
     ++ctx_->stats().view_changes;
     leader_ = (leader_ + 1) % n;
-    ctx_->ScheduleEngine(params.round_timeout, [this] { Round(); });
+    ctx_->sim()->Schedule(params.round_timeout, [this] { Round(); });
     return;
   }
 
@@ -72,7 +60,7 @@ void RaftEngine::Round() {
     ctx_->AbandonBlock(built, t0 + params.round_timeout);
     ++ctx_->stats().view_changes;
     leader_ = (leader_ + 1) % n;
-    ctx_->ScheduleEngine(params.round_timeout, [this] { Round(); });
+    ctx_->sim()->Schedule(params.round_timeout, [this] { Round(); });
     return;
   }
 
@@ -81,8 +69,7 @@ void RaftEngine::Round() {
   ++height_;
 
   const SimTime next = std::max(final_time, t0 + params.block_interval);
-  ctx_->ScheduleEngineAt(next, [this] { Round(); });
+  ctx_->sim()->ScheduleAt(next, [this] { Round(); });
 }
-// detlint: parallel-phase(end)
 
 }  // namespace diablo

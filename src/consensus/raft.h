@@ -16,7 +16,6 @@ class RaftEngine : public ConsensusEngine {
   explicit RaftEngine(ChainContext* ctx) : ConsensusEngine(ctx) {}
 
   void Start() override;
-  SimDuration MinRescheduleDelay() const override;
 
  private:
   void Round();

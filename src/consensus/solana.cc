@@ -6,21 +6,9 @@
 namespace diablo {
 
 void SolanaEngine::Start() {
-  ctx_->ScheduleEngine(ctx_->params().slot_duration, [this] { Slot(); });
+  ctx_->sim()->Schedule(ctx_->params().slot_duration, [this] { Slot(); });
 }
 
-// PoH ticks on a fixed cadence: every path reschedules exactly one slot
-// ahead.
-SimDuration SolanaEngine::MinRescheduleDelay() const {
-  return ctx_->params().slot_duration;
-}
-
-// Runs on the engine's shard when engine sharding is enabled: the engine is
-// the sole window-time owner of the chain context (mempool, ledger, stats,
-// message plane, the context and network RNG streams), and every reschedule
-// below goes through ScheduleEngine/ScheduleEngineAt with a delay at or
-// above MinRescheduleDelay().
-// detlint: parallel-phase(begin, solana-engine)
 void SolanaEngine::Slot() {
   const SimTime t0 = ctx_->sim()->Now();
   const ChainParams& params = ctx_->params();
@@ -38,7 +26,7 @@ void SolanaEngine::Slot() {
                                64) == kUnreachable) {
     ++ctx_->stats().view_changes;
     ++slot_;
-    ctx_->ScheduleEngineAt(t0 + params.slot_duration, [this] { Slot(); });
+    ctx_->sim()->ScheduleAt(t0 + params.slot_duration, [this] { Slot(); });
     return;
   }
 
@@ -70,8 +58,7 @@ void SolanaEngine::Slot() {
 
   ++slot_;
   // PoH keeps ticking: the next slot starts on schedule no matter what.
-  ctx_->ScheduleEngineAt(t0 + params.slot_duration, [this] { Slot(); });
+  ctx_->sim()->ScheduleAt(t0 + params.slot_duration, [this] { Slot(); });
 }
-// detlint: parallel-phase(end)
 
 }  // namespace diablo

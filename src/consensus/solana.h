@@ -15,7 +15,6 @@ class SolanaEngine : public ConsensusEngine {
   explicit SolanaEngine(ChainContext* ctx) : ConsensusEngine(ctx) {}
 
   void Start() override;
-  SimDuration MinRescheduleDelay() const override;
 
  private:
   void Slot();

@@ -12,10 +12,10 @@ namespace {
 // enabled, failed write submissions rotate endpoints and back off
 // exponentially until the attempt budget runs out.
 //
-// Each client owns its delay-jitter stream (rng_, forked once at creation):
-// Trigger runs inside the windowed scheduler's parallel phase when cell
-// workers are enabled, where drawing from the network's shared generator
-// would race and break the canonical draw order.
+// Each client owns its delay-jitter stream (rng_, forked once at creation)
+// and samples through Network::DelaySampleFrom, so client jitter stays off
+// the network's shared stream. Drawing it from the shared stream would shift
+// every engine-side delay sample and move the golden report hashes.
 class SimClient : public BlockchainClient {
  public:
   SimClient(ChainInstance* chain, HostId client_host, std::vector<int> endpoints,
@@ -27,7 +27,6 @@ class SimClient : public BlockchainClient {
         stats_(stats),
         rng_(rng) {}
 
-  // detlint: parallel-phase(begin, client-trigger)
   void Trigger(TxId encoded, SimTime submit_time) override {
     ChainContext& ctx = chain_->context();
     Transaction& tx = ctx.txs().at(encoded);
@@ -79,20 +78,11 @@ class SimClient : public BlockchainClient {
       return;
     }
 
-    // The arrival event mutates engine-owned state (mempool, the context and
-    // network RNG streams) and schedules nothing itself, so it rides the
-    // engine's shard when engine sharding is enabled — that is what moves
-    // the dominant one-event-per-transaction cost off the serial loop. With
-    // engine sharding off this is a plain serial ScheduleAt, as before.
-    // Conservatism of this push: `delay` is a real link sample (at least the
-    // window span by the lookahead bound) or the 500 ms unreachable
-    // fallback, which the runner caps the span at when clients shard.
     const SimTime arrival = submit_time + delay;
-    ctx.ScheduleEngineAt(arrival, [&ctx, encoded, endpoint, arrival] {
+    ctx.sim()->ScheduleAt(arrival, [&ctx, encoded, endpoint, arrival] {
       ctx.SubmitAtEndpoint(encoded, endpoint, arrival);
     });
   }
-  // detlint: parallel-phase(end)
 
  private:
   // One submission attempt issued at `now`. Endpoints rotate per attempt,
@@ -115,7 +105,6 @@ class SimClient : public BlockchainClient {
       return;
     }
     const SimTime arrival = now + delay;
-    // detlint: allow(D8, retry clients run with client sharding disabled — RetryPolicy forces engine-only sharding, so this path executes on the serial shard by construction)
     ctx.sim()->ScheduleAt(arrival, [this, encoded, endpoint, attempt, arrival] {
       ChainContext& c = chain_->context();
       if (c.SubmitAtEndpoint(encoded, endpoint, arrival, /*drop_on_reject=*/false)) {
@@ -143,7 +132,6 @@ class SimClient : public BlockchainClient {
       return;
     }
     const SimTime next = known_at + policy_->BackoffAfter(attempt);
-    // detlint: allow(D8, retry clients run with client sharding disabled — RetryPolicy forces engine-only sharding, so this path executes on the serial shard by construction)
     ctx.sim()->ScheduleAt(next, [this, encoded, attempt, next] {
       Attempt(encoded, attempt + 1, next);
     });
@@ -155,7 +143,7 @@ class SimClient : public BlockchainClient {
   size_t next_endpoint_ = 0;
   const RetryPolicy* policy_;
   ClientStats* stats_;
-  Rng rng_;  // owned jitter stream; safe to draw from inside a parallel phase
+  Rng rng_;  // owned jitter stream (see the class comment)
 };
 
 }  // namespace

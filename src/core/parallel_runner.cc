@@ -33,44 +33,17 @@ int ParallelRunner::JobsFromEnv() {
   return ThreadPool::HardwareConcurrency();
 }
 
-int ParallelRunner::CellWorkersFromEnv() {
-  const char* raw = std::getenv("DIABLO_CELL_WORKERS");
-  if (raw != nullptr) {
-    int64_t value = 0;
-    if (ParseInt64(raw, &value) && value > 0) {
-      return static_cast<int>(std::min<int64_t>(value, 64));
-    }
-  }
-  return 0;
-}
-
-int ParallelRunner::PoolThreadsFor(int jobs, int cell_workers, size_t cells) {
-  // Split the job budget across the two layers first, then clamp by how
-  // many cells can actually run at once.
-  int budget = jobs;
-  if (cell_workers > 1) {
-    budget = std::max(1, jobs / cell_workers);
-  }
-  return std::min<int>(budget, static_cast<int>(std::max<size_t>(cells, 1)));
-}
-
 std::vector<RunResult> ParallelRunner::Run(std::vector<ExperimentCell> cells) {
   // detlint: allow(D2, wall time feeds only RunnerStats::wall_seconds, a profiling observable outside every report)
   const auto start = std::chrono::steady_clock::now();
   std::vector<RunResult> results(cells.size());
 
-  // Nested-parallelism budget: when each cell spins up its own windowed
-  // worker pool (DIABLO_CELL_WORKERS > 1), divide the job budget between the
-  // two layers instead of oversubscribing jobs × workers threads.
-  const int pool_threads =
-      PoolThreadsFor(jobs_, CellWorkersFromEnv(), cells.size());
-
-  if (pool_threads == 1 || cells.size() <= 1) {
+  if (jobs_ == 1 || cells.size() <= 1) {
     for (size_t i = 0; i < cells.size(); ++i) {
       results[i] = cells[i].run();
     }
   } else {
-    ThreadPool pool(pool_threads);
+    ThreadPool pool(std::min<int>(jobs_, static_cast<int>(cells.size())));
     std::vector<std::future<void>> futures;
     futures.reserve(cells.size());
     for (size_t i = 0; i < cells.size(); ++i) {

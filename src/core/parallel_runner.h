@@ -61,26 +61,6 @@ class ParallelRunner {
   // back to the hardware concurrency.
   static int JobsFromEnv();
 
-  // DIABLO_CELL_WORKERS from the environment: the intra-cell windowed
-  // scheduler's worker count (see Simulation::ConfigureCellWorkers). Unset,
-  // empty or invalid values mean 0 — intra-cell parallelism disabled, the
-  // legacy single-threaded loop. Output is byte-identical at every setting;
-  // only the thread budget changes.
-  static int CellWorkersFromEnv();
-
-  // Pool size for dispatching `cells` cells under a budget of `jobs` threads
-  // when each cell spins up `cell_workers` windowed workers of its own. The
-  // job budget is divided between the two layers *before* clamping by the
-  // cell count, so pool_threads × cell_workers never exceeds jobs (except
-  // the unavoidable floor of one cell in flight when jobs < cell_workers).
-  // Clamping by the cell count first divided the wrong quantity: 3 cells on
-  // jobs=16 with cell_workers=4 came out as min(16,3)/4 → 1 pool thread —
-  // one cell at a time on a budget that affords all three — and the
-  // division then re-derived the split from the cell count rather than the
-  // job budget, so the product drifted from the budget on every small
-  // matrix.
-  static int PoolThreadsFor(int jobs, int cell_workers, size_t cells);
-
  private:
   int jobs_;
   RunnerStats stats_;

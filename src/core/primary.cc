@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/core/interface.h"
-#include "src/core/parallel_runner.h"
 #include "src/core/results.h"
 #include "src/core/secondary.h"
 #include "src/fault/injector.h"
@@ -269,77 +268,6 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
              StrFormat("primary: %zu txs over %zu s on %s/%s (%zu streams)", total_txs,
                        duration, params.name.c_str(), setup_.deployment.c_str(),
                        streams.size()));
-
-  // Intra-cell parallelism (DIABLO_CELL_WORKERS): run the consensus engine's
-  // rounds and the secondaries' submission batches on a windowed worker pool,
-  // with the network's minimum link delay as the conservative lookahead.
-  // Eligibility is split per shard owner:
-  //  - The engine shards when its reschedule floor covers the lookahead, so
-  //    every engine self-reschedule lands at or past the window edge. The
-  //    engine shard also receives the one-shot submission arrivals
-  //    (interface.cc), which mutate only engine-owned state.
-  //  - Clients shard unless a retry policy or a loss schedule routes their
-  //    submissions through shared mutable state (loss draws against the
-  //    fault stream, client retry stats); those paths stay serial.
-  // Fault mutations themselves are serial events — they publish at window
-  // barriers against the frozen per-window snapshot — so faulted runs shard
-  // too. Output is byte-identical at every worker count.
-  const int cell_workers = ParallelRunner::CellWorkersFromEnv();
-  if (cell_workers > 0) {
-    bool any_loss = false;
-    for (const FaultEvent& event : setup_.faults.events) {
-      any_loss = any_loss || event.kind == FaultKind::kLoss;
-    }
-    const bool clients_shardable = !setup_.retry.enabled() && !any_loss;
-    SimDuration lookahead = net.MinLinkDelay();
-    if (clients_shardable && !setup_.faults.empty()) {
-      // Under crash/partition schedules a sharded client's unreachable
-      // submission falls back to a 500 ms arrival push (interface.cc); the
-      // window span must stay at or below that floor.
-      lookahead = std::min(lookahead, Milliseconds(500));
-    }
-    const SimDuration engine_floor = chain->MinRescheduleDelay();
-    const bool engine_shardable = lookahead > 0 && engine_floor >= lookahead;
-    if (lookahead > 0 && (clients_shardable || engine_shardable)) {
-      sim.ConfigureCellWorkers(cell_workers, lookahead);
-      if (engine_shardable) {
-        chain->EnableEngineSharding(0);
-      }
-      // Checked build: tag the engine-owned mutable state with its
-      // window-time owner — shard 0 when the engine shards, serial-only when
-      // just the clients do — so any cross-shard access aborts instead of
-      // silently racing.
-      chain->context().BindShardOwners(engine_shardable ? 0u : kSerialShard);
-      if (clients_shardable) {
-        for (const auto& secondary : secondaries) {
-          secondary->EnableSharding();
-        }
-      }
-      if (net.HasDelaySpikeWindows()) {
-        // Active delay spikes raise the true minimum link delay, so the
-        // window span may widen to the spiked minimum — but never beyond the
-        // floors that bound sharded pushes: the engine's reschedule floor
-        // and the clients' 500 ms unreachable fallback. The second probe
-        // closes the fixed point (MinLinkDelayInWindow is non-increasing in
-        // `to`, so probing the wider window can only shrink the answer back
-        // to a self-consistent span), and capping afterwards is sound for
-        // the same monotonicity reason.
-        SimDuration cap = engine_shardable ? engine_floor : Milliseconds(500);
-        if (clients_shardable) {
-          cap = std::min(cap, Milliseconds(500));
-        }
-        sim.SetLookaheadProvider([&net, lookahead, cap](SimTime head) {
-          const SimDuration first =
-              net.MinLinkDelayInWindow(head, head + lookahead);
-          SimDuration span = first;
-          if (first > lookahead) {
-            span = std::min(first, net.MinLinkDelayInWindow(head, head + first));
-          }
-          return std::min(span, cap);
-        });
-      }
-    }
-  }
 
   chain->Start();
   for (const auto& secondary : secondaries) {

@@ -25,24 +25,11 @@ void Secondary::Start() {
     while (last < schedule_.size() && schedule_[last].time < second_start + kSecond) {
       ++last;
     }
-    if (sharded_) {
-      // Shard 0 belongs to the consensus engine; secondaries take 1..C so a
-      // sharded engine and the client drivers spread across workers without
-      // colliding on a shard.
-      sim_->ScheduleAtOn(static_cast<uint32_t>(index_) + 1, second_start,
-                         [this, first, last] { SubmitBatch(first, last); });
-    } else {
-      sim_->ScheduleAt(second_start,
-                       [this, first, last] { SubmitBatch(first, last); });
-    }
+    sim_->ScheduleAt(second_start, [this, first, last] { SubmitBatch(first, last); });
     first = last;
   }
 }
 
-// Runs on a worker thread when sharding is enabled: touches only this
-// secondary's state, its client, and the per-transaction slots the schedule
-// assigned to it. Now() reads the event's own timestamp in either mode.
-// detlint: parallel-phase(begin, client-submit)
 void Secondary::SubmitBatch(size_t first, size_t last) {
   const SimTime now = sim_->Now();
   for (size_t i = first; i < last; ++i) {
@@ -54,6 +41,5 @@ void Secondary::SubmitBatch(size_t first, size_t last) {
     ++submitted_;
   }
 }
-// detlint: parallel-phase(end)
 
 }  // namespace diablo

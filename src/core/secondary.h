@@ -25,12 +25,6 @@ class Secondary {
   // Start, times need not be sorted).
   void Assign(SimTime submit_time, TxId tx);
 
-  // Tags this secondary's submission events with its index as their shard, so
-  // the windowed scheduler may run different secondaries' batches on parallel
-  // workers. Requires the client to be parallel-phase safe (owned RNG stream,
-  // no shared mutable state). Must be called before Start.
-  void EnableSharding() { sharded_ = true; }
-
   // Schedules the submission events.
   void Start();
 
@@ -53,7 +47,6 @@ class Secondary {
   Simulation* sim_;
   std::unique_ptr<BlockchainClient> client_;
   std::vector<Planned> schedule_;
-  bool sharded_ = false;
   size_t submitted_ = 0;
   size_t behind_schedule_ = 0;
 };

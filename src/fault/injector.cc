@@ -131,17 +131,6 @@ bool FaultInjector::Install(std::string* error) {
         if (event.until >= 0) {
           sim->ScheduleAt(event.until, [set_extra] { set_extra(0); });
         }
-        // Mirror the scheduled mutations in the network's spike registry so
-        // the windowed scheduler's window-aware lookahead can account for
-        // the spike. Registration order matches the push order of the
-        // onset/heal events above, which is what MinLinkDelayInWindow's
-        // writer replay assumes for same-instant ties.
-        if (event.region_pair) {
-          net->AddDelaySpikeWindow(event.pair_a, event.pair_b, event.at,
-                                   event.until, extra);
-        } else {
-          net->AddDelaySpikeWindow(event.at, event.until, extra);
-        }
         break;
       }
       case FaultKind::kStraggler: {

@@ -26,9 +26,6 @@ HostId Network::AddHost(Region region) {
 }
 
 SimDuration Network::DelaySample(HostId from, HostId to, int64_t bytes) {
-  // Draws from the network's shared jitter stream; sharded callers that are
-  // not the owning shard must use DelaySampleFrom with a stream they own.
-  guard_.AssertAccess();
   return DelaySampleFrom(&rng_, from, to, bytes);
 }
 
@@ -58,107 +55,9 @@ SimDuration Network::DelaySampleFrom(Rng* rng, HostId from, HostId to,
   return delay;
 }
 
-SimDuration Network::MinLinkDelay() const {
-  std::array<uint32_t, kRegionCount> counts{};
-  for (const Region region : regions_) {
-    ++counts[static_cast<size_t>(region)];
-  }
-  SimDuration best = std::numeric_limits<SimDuration>::max();
-  for (int a = 0; a < kRegionCount; ++a) {
-    if (counts[static_cast<size_t>(a)] == 0) {
-      continue;
-    }
-    for (int b = 0; b < kRegionCount; ++b) {
-      if (counts[static_cast<size_t>(b)] == 0) {
-        continue;
-      }
-      if (a == b && counts[static_cast<size_t>(a)] < 2) {
-        continue;  // no distinct pair lives on this self-link
-      }
-      const SimDuration bound =
-          Topology::Link(static_cast<Region>(a), static_cast<Region>(b)).propagation +
-          ExtraDelay(static_cast<Region>(a), static_cast<Region>(b));
-      best = std::min(best, bound);
-    }
-  }
-  return best == std::numeric_limits<SimDuration>::max() ? 0 : best;
-}
-
-SimDuration Network::MinLinkDelayInWindow(SimTime from, SimTime to) const {
-  std::array<uint32_t, kRegionCount> counts{};
-  for (const Region region : regions_) {
-    ++counts[static_cast<size_t>(region)];
-  }
-  // One (time, value) writer per spike edge: the onset writes `extra`, the
-  // heal writes 0. Collected in registration order and stable-sorted by
-  // time, the sequence reproduces the serial execution order of the
-  // injector's SetExtraDelay events (equal-time writers keep their push
-  // order, exactly like equal-time events in the queue).
-  struct Writer {
-    SimTime time;
-    SimDuration value;
-  };
-  std::vector<Writer> writers;
-  SimDuration best = std::numeric_limits<SimDuration>::max();
-  for (int a = 0; a < kRegionCount; ++a) {
-    if (counts[static_cast<size_t>(a)] == 0) {
-      continue;
-    }
-    for (int b = 0; b < kRegionCount; ++b) {
-      if (counts[static_cast<size_t>(b)] == 0) {
-        continue;
-      }
-      if (a == b && counts[static_cast<size_t>(a)] < 2) {
-        continue;  // no distinct pair lives on this self-link
-      }
-      const Region ra = static_cast<Region>(a);
-      const Region rb = static_cast<Region>(b);
-      writers.clear();
-      for (const SpikeWindow& spike : spike_windows_) {
-        const bool applies =
-            spike.all_pairs || (spike.a == ra && spike.b == rb) ||
-            (spike.a == rb && spike.b == ra);
-        if (!applies) {
-          continue;
-        }
-        writers.push_back(Writer{spike.at, spike.extra});
-        if (spike.until != std::numeric_limits<SimTime>::max()) {
-          writers.push_back(Writer{spike.until, 0});
-        }
-      }
-      std::stable_sort(writers.begin(), writers.end(),
-                       [](const Writer& x, const Writer& y) {
-                         return x.time < y.time;
-                       });
-      // Extra delay in force at `from`: the last writer at or before it (a
-      // heal at exactly `from` counts — it is a serial event and serial
-      // events run before any window headed at the same instant). Then the
-      // floor over [from, to) is the minimum of that and every writer that
-      // lands strictly inside the span.
-      SimDuration value_at_from = 0;
-      for (const Writer& w : writers) {
-        if (w.time <= from) {
-          value_at_from = w.value;
-        }
-      }
-      SimDuration floor = value_at_from;
-      for (const Writer& w : writers) {
-        if (w.time > from && w.time < to) {
-          floor = std::min(floor, w.value);
-        }
-      }
-      const SimDuration bound =
-          Topology::Link(ra, rb).propagation + floor;
-      best = std::min(best, bound);
-    }
-  }
-  return best == std::numeric_limits<SimDuration>::max() ? 0 : best;
-}
-
 void Network::FillPairwiseDelays(const std::vector<HostId>& hosts,
                                  int64_t message_bytes,
                                  std::vector<SimDuration>* out) {
-  guard_.AssertAccess();
   const size_t n = hosts.size();
   if (PairwiseDelayCountOverflows(n)) {
     // n² wrapped size_t: assigning the wrapped count would silently build a
@@ -219,7 +118,6 @@ void Network::FillPairwiseDelays(const std::vector<HostId>& hosts,
 }
 
 void Network::Send(HostId from, HostId to, int64_t bytes, EventFn fn) {
-  guard_.AssertAccess();
   ++stats_.sends;
   const SimDuration delay = DelaySample(from, to, bytes);
   if (delay == kUnreachable) {
@@ -243,7 +141,6 @@ std::vector<SimDuration> Network::BroadcastDelays(HostId origin,
 void Network::BroadcastDelaysInto(HostId origin, const std::vector<HostId>& recipients,
                                   int64_t bytes, int fanout, BroadcastScratch* scratch,
                                   std::vector<SimDuration>* out) {
-  guard_.AssertAccess();
   std::vector<SimDuration>& result = *out;
   result.assign(recipients.size(), kUnreachable);
   if (fanout < 1) {
@@ -337,23 +234,6 @@ void Network::AddLossWindow(Region a, Region b, SimTime from, SimTime to,
   window.b = b;
 }
 
-void Network::AddDelaySpikeWindow(SimTime at, SimTime until, SimDuration extra) {
-  SpikeWindow window;
-  window.at = at;
-  window.until = until < 0 ? std::numeric_limits<SimTime>::max() : until;
-  window.extra = extra;
-  spike_windows_.push_back(window);
-}
-
-void Network::AddDelaySpikeWindow(Region a, Region b, SimTime at, SimTime until,
-                                  SimDuration extra) {
-  AddDelaySpikeWindow(at, until, extra);
-  SpikeWindow& window = spike_windows_.back();
-  window.all_pairs = false;
-  window.a = a;
-  window.b = b;
-}
-
 StreamedDelays::StreamedDelays(Network* net, const std::vector<HostId>& hosts,
                                int64_t message_bytes)
     : jitter_frac_(net->jitter_frac_), jitter_seed_(net->rng_.NextU64()) {
@@ -375,33 +255,6 @@ StreamedDelays::StreamedDelays(Network* net, const std::vector<HostId>& hosts,
       entry.prop = static_cast<double>(link.propagation);
     }
   }
-}
-
-SimDuration StreamedDelays::MinLinkDelay() const {
-  std::array<uint32_t, kRegionCount> counts{};
-  for (size_t i = 0; i < region_.size(); ++i) {
-    if (partitioned_[i] == 0) {
-      ++counts[region_[i]];
-    }
-  }
-  SimDuration best = std::numeric_limits<SimDuration>::max();
-  for (int a = 0; a < kRegionCount; ++a) {
-    if (counts[static_cast<size_t>(a)] == 0) {
-      continue;
-    }
-    for (int b = 0; b < kRegionCount; ++b) {
-      if (counts[static_cast<size_t>(b)] == 0) {
-        continue;
-      }
-      if (a == b && counts[static_cast<size_t>(a)] < 2) {
-        continue;
-      }
-      best = std::min(
-          best,
-          base_[static_cast<size_t>(a) * kRegionCount + static_cast<size_t>(b)].base);
-    }
-  }
-  return best == std::numeric_limits<SimDuration>::max() ? 0 : best;
 }
 
 SimDuration StreamedDelays::at(size_t from, size_t to) const {
@@ -491,10 +344,6 @@ SimDuration QuorumArrivalLargeN(const StreamedDelays& delays, const uint32_t* se
 }
 
 bool Network::LossDrop(Region a, Region b) {
-  // Shared fault stream and loss counter; loss schedules force clients off
-  // the sharded path (primary.cc), so only the owner or serial code lands
-  // here.
-  guard_.AssertAccess();
   const SimTime now = sim_->Now();
   for (const LossWindow& window : loss_windows_) {
     if (now < window.from || now >= window.to) {

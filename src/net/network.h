@@ -17,7 +17,6 @@
 #include "src/net/topology.h"
 #include "src/sim/simulation.h"
 #include "src/support/rng.h"
-#include "src/support/shard_guard.h"
 
 namespace diablo {
 
@@ -68,13 +67,6 @@ class StreamedDelays {
   // deterministic per (model seed, from, to). kUnreachable when either
   // endpoint was partitioned at construction.
   SimDuration at(size_t from, size_t to) const;
-
-  // Lower bound on at(i, j) over all distinct non-partitioned index pairs:
-  // the minimum deterministic base (propagation + transmission + extra) over
-  // populated region pairs, jitter being non-negative. 0 when fewer than two
-  // hosts can form a pair. Used as the conservative lookahead of the windowed
-  // parallel scheduler.
-  SimDuration MinLinkDelay() const;
 
   // Bytes owned by this model; the fig3-XL memory-budget tests assert this
   // stays linear in the host count with a small constant.
@@ -142,34 +134,12 @@ class Network {
   SimDuration DelaySample(HostId from, HostId to, int64_t bytes);
 
   // DelaySample with the jitter draw taken from a caller-owned generator
-  // instead of this network's shared stream. Components that run inside a
-  // parallel window (detlint rule D6) must use this form with a stream they
-  // own: arithmetic and semantics are identical sample for sample, only the
-  // generator differs.
+  // instead of this network's shared stream: arithmetic and semantics are
+  // identical sample for sample, only the generator differs. Clients sample
+  // with their own forked stream, which keeps client jitter off the shared
+  // stream the engines draw from — moving it back would shift every engine
+  // sample and with it the golden report hashes.
   SimDuration DelaySampleFrom(Rng* rng, HostId from, HostId to, int64_t bytes);
-
-  // Lower bound on any delay DelaySample can return for a pair of *distinct*
-  // hosts (self-delivery is always 0): the minimum propagation + extra delay
-  // over region pairs that currently have enough hosts to form a distinct
-  // pair. Transmission and jitter are non-negative, so they never lower it.
-  // Returns 0 when fewer than two hosts exist. This is the conservative
-  // lookahead bound of the windowed parallel scheduler.
-  SimDuration MinLinkDelay() const;
-
-  // Window-aware form: a lower bound on any distinct-pair delay sampled at a
-  // simulation time in [from, to), accounting for registered delay-spike
-  // windows (AddDelaySpikeWindow). Per populated region pair it replays the
-  // spike onset/heal writers in their serial execution order — the value in
-  // force at `from` (a heal landing exactly at `from` already applies: the
-  // heal is a serial event that runs before any window headed there) and the
-  // minimum over writers strictly inside (from, to) — and takes propagation
-  // plus that floor. Never below MinLinkDelay() computed with zero extras,
-  // and never above the true minimum: writers the registry does not know
-  // about (e.g. direct SetExtraDelay calls) are treated as zero, which only
-  // lowers the bound. Pure function of (from, to) and the registrations.
-  SimDuration MinLinkDelayInWindow(SimTime from, SimTime to) const;
-
-  bool HasDelaySpikeWindows() const { return !spike_windows_.empty(); }
 
   // Fills `out` (resized to n*n, row-major: out[from*n+to]) with one delay
   // sample per ordered host pair — exactly the samples DelaySample would
@@ -212,27 +182,7 @@ class Network {
   void AddLossWindow(SimTime from, SimTime to, double rate);
   void AddLossWindow(Region a, Region b, SimTime from, SimTime to, double rate);
 
-  // Delay-spike window registration: records that `extra` is written onto
-  // every link (or one region pair, both directions) at time `at` and healed
-  // back to zero at `until` (`until` < 0 leaves the spike active to the end
-  // of the run). Registration is bookkeeping only — the actual SetExtraDelay
-  // mutations stay scheduled as serial events by the fault injector — but it
-  // lets MinLinkDelayInWindow widen the parallel scheduler's lookahead while
-  // a spike is in force. Register in the same order the mutations are
-  // scheduled so same-time onset/heal writers replay in execution order.
-  void AddDelaySpikeWindow(SimTime at, SimTime until, SimDuration extra);
-  void AddDelaySpikeWindow(Region a, Region b, SimTime at, SimTime until,
-                           SimDuration extra);
-
   const NetworkStats& stats() const { return stats_; }
-
-  // Checked build: window-time owner of the shared jitter stream, the fault
-  // stream and the message counters. Send, DelaySample, BroadcastDelaysInto,
-  // FillPairwiseDelays and LossDrop assert the caller runs on the owning
-  // shard (or serial); DelaySampleFrom stays unguarded on its caller-owned
-  // draw path because that is exactly the form sharded clients may use.
-  // Bound by ChainContext::BindShardOwners.
-  shard_guard::ShardOwner& shard_owner() { return guard_; }
 
   Simulation* sim() { return sim_; }
 
@@ -250,15 +200,6 @@ class Network {
     Region b = Region::kOhio;
   };
 
-  struct SpikeWindow {
-    SimTime at = 0;
-    SimTime until = 0;  // heal instant; open windows store SimTime max
-    SimDuration extra = 0;
-    bool all_pairs = true;
-    Region a = Region::kOhio;
-    Region b = Region::kOhio;
-  };
-
   SimDuration ExtraDelay(Region a, Region b) const {
     return extra_delays_[static_cast<size_t>(a) * kRegionCount +
                          static_cast<size_t>(b)];
@@ -270,7 +211,6 @@ class Network {
 
   Simulation* sim_;
   double jitter_frac_;
-  shard_guard::ShardOwner guard_;
   Rng rng_;
   std::vector<Region> regions_;
   std::vector<bool> partitioned_;
@@ -279,7 +219,6 @@ class Network {
   // scan over the configured faults.
   std::vector<SimDuration> extra_delays_;
   std::vector<LossWindow> loss_windows_;
-  std::vector<SpikeWindow> spike_windows_;
   // Forked lazily (see AddLossWindow); meaningful only when loss windows
   // exist.
   Rng fault_rng_{0};

@@ -14,18 +14,13 @@ constexpr size_t kInitialCapacity = 1024;
 EventQueue::EventQueue() { heap_.reserve(kInitialCapacity); }
 
 void EventQueue::Push(SimTime time, EventFn fn) {
-  Push(time, kSerialShard, std::move(fn));
-}
-
-void EventQueue::Push(SimTime time, uint32_t shard, EventFn fn) {
-  heap_.push_back(Entry{time, next_seq_++, shard, std::move(fn)});
+  heap_.push_back(Entry{time, next_seq_++, std::move(fn)});
   SiftUp(heap_.size() - 1);
 }
 
-EventFn EventQueue::Pop(SimTime* time, uint32_t* shard) {
+EventFn EventQueue::Pop(SimTime* time) {
   Entry top = std::move(heap_.front());
   *time = top.time;
-  *shard = top.shard;
 #if defined(DIABLO_CHECKED)
   DIABLO_CHECK(!popped_any_ || top.time > last_pop_time_ ||
                    (top.time == last_pop_time_ && top.seq > last_pop_seq_),

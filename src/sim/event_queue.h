@@ -3,13 +3,6 @@
 // Events at equal timestamps fire in insertion order (a monotonically
 // increasing sequence number breaks ties) so runs are deterministic
 // regardless of heap internals.
-//
-// Every entry also carries a shard tag. kSerialShard (the default) marks an
-// event that must run on the simulation's serial loop; any other value names
-// the logical shard (e.g. a secondary index) the event belongs to, which the
-// windowed parallel scheduler in Simulation uses to fan a lookahead window of
-// consecutive sharded events across workers. The tag never participates in
-// ordering — pop order is the (time, seq) total order alone.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
@@ -22,15 +15,11 @@
 
 namespace diablo {
 
-// Shard tag of events that must execute on the serial loop.
-inline constexpr uint32_t kSerialShard = 0xffffffffu;
-
 class EventQueue {
  public:
   EventQueue();
 
   void Push(SimTime time, EventFn fn);
-  void Push(SimTime time, uint32_t shard, EventFn fn);
 
   // Pre-sizes the heap so a known burst of Push calls never reallocates.
   void Reserve(size_t events) { heap_.reserve(events); }
@@ -41,16 +30,8 @@ class EventQueue {
   // Time of the earliest pending event; undefined when empty.
   SimTime PeekTime() const { return heap_.front().time; }
 
-  // Shard tag of the earliest pending event; undefined when empty.
-  uint32_t PeekShard() const { return heap_.front().shard; }
-
-  // Removes and returns the earliest event's callback, setting *time (and
-  // *shard in the tagged overload).
-  EventFn Pop(SimTime* time) {
-    uint32_t shard = kSerialShard;
-    return Pop(time, &shard);
-  }
-  EventFn Pop(SimTime* time, uint32_t* shard);
+  // Removes and returns the earliest event's callback, setting *time.
+  EventFn Pop(SimTime* time);
 
   void Clear();
 
@@ -58,7 +39,6 @@ class EventQueue {
   struct Entry {
     SimTime time;
     uint64_t seq;
-    uint32_t shard;
     EventFn fn;
 
     bool operator>(const Entry& other) const {
@@ -68,6 +48,9 @@ class EventQueue {
       return seq > other.seq;
     }
   };
+  // time + seq + a 40-byte EventFn: under one cache line. A new field is a
+  // deliberate trade against sift cost, so the size is pinned.
+  static_assert(sizeof(Entry) == 56, "EventQueue::Entry layout changed");
 
   // Heap fan-out. 4 halves the depth of a binary heap and keeps the
   // sibling scan within one or two cache lines of contiguous entries.

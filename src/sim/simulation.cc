@@ -1,111 +1,25 @@
 #include "src/sim/simulation.h"
 
-#include <algorithm>
-#include <future>
-#include <iterator>
 #include <utility>
 
 #include "src/support/check.h"
 #include "src/support/profile.h"
-#include "src/support/shard_guard.h"
-#include "src/support/thread_pool.h"
 
 namespace diablo {
 
-namespace {
-
-// Binding of the current thread to a parallel window. While set (sim !=
-// nullptr), Now() reads the executing event's own timestamp and every
-// Schedule* call is buffered on the owning worker instead of touching the
-// shared heap. The main thread binds itself for its own slice and unbinds at
-// the barrier; pool threads rebind at the start of every slice they run.
-struct TlsWorker {
-  const void* sim = nullptr;
-  int worker = 0;
-  SimTime now = 0;
-  uint32_t drain_index = 0;
-};
-
-thread_local TlsWorker tls_worker;
-
-}  // namespace
-
 Simulation::Simulation(uint64_t seed) : rng_(seed) {}
 
-Simulation::~Simulation() {
-  profile::AddEvents(events_executed_);
-  profile::AddWindowBarriers(window_barriers_);
-  for (size_t w = 0; w < worker_state_.size(); ++w) {
-    profile::AddWorkerEvents(static_cast<int>(w), worker_state_[w]->executed);
-  }
-  profile::AddSerialLoopEvents(serial_loop_events_);
-  profile::AddWindowHistogram(window_hist_,
-                              static_cast<int>(std::size(window_hist_)));
-}
+Simulation::~Simulation() { profile::AddEvents(events_executed_); }
 
 void Simulation::Schedule(SimDuration delay, EventFn fn) {
-  ScheduleOn(kSerialShard, delay, std::move(fn));
+  ScheduleAt(now_ + (delay < 0 ? 0 : delay), std::move(fn));
 }
 
 void Simulation::ScheduleAt(SimTime time, EventFn fn) {
-  ScheduleAtOn(kSerialShard, time, std::move(fn));
-}
-
-void Simulation::ScheduleOn(uint32_t shard, SimDuration delay, EventFn fn) {
-  ScheduleAtOn(shard, Now() + (delay < 0 ? 0 : delay), std::move(fn));
-}
-
-void Simulation::ScheduleAtOn(uint32_t shard, SimTime time, EventFn fn) {
-  if (tls_worker.sim == this) {
-    // Called from inside a parallel window: buffer on the owning worker.
-    // The barrier merge re-pushes these in canonical order, so the shared
-    // heap is never touched concurrently.
-    Worker& w = *worker_state_[tls_worker.worker];
-    if (time < tls_worker.now) {
-      time = tls_worker.now;
-    }
-    w.pushes.push_back(
-        BufferedPush{tls_worker.drain_index, shard, time, std::move(fn)});
-    return;
-  }
-  queue_.Push(time < now_ ? now_ : time, shard, std::move(fn));
-}
-
-void Simulation::ConfigureCellWorkers(int workers, SimDuration lookahead) {
-  DIABLO_CHECK(workers >= 1, "cell worker count must be at least 1");
-  DIABLO_CHECK(lookahead > 0, "windowed scheduling needs positive lookahead");
-  if (workers < 1) {
-    workers = 1;
-  }
-  workers_ = workers;
-  lookahead_ = lookahead;
-  windowed_ = true;
-  worker_state_.clear();
-  worker_state_.reserve(static_cast<size_t>(workers_));
-  for (int w = 0; w < workers_; ++w) {
-    worker_state_.push_back(std::make_unique<Worker>());
-  }
-  // The main thread executes slice 0 itself, so the pool only needs the
-  // remaining workers.
-  pool_ = workers_ > 1 ? std::make_unique<ThreadPool>(workers_ - 1) : nullptr;
-}
-
-Arena& Simulation::scratch_arena() {
-  if (tls_worker.sim == this) {
-    return worker_state_[tls_worker.worker]->arena;
-  }
-  return serial_arena_;
-}
-
-SimTime Simulation::WorkerNow() const {
-  return tls_worker.sim == this ? tls_worker.now : now_;
+  queue_.Push(time < now_ ? now_ : time, std::move(fn));
 }
 
 uint64_t Simulation::RunUntil(SimTime until) {
-  return windowed_ ? RunUntilWindowed(until) : RunUntilLegacy(until);
-}
-
-uint64_t Simulation::RunUntilLegacy(SimTime until) {
   stopped_ = false;
   uint64_t executed = 0;
   while (!queue_.empty() && !stopped_) {
@@ -120,169 +34,13 @@ uint64_t Simulation::RunUntilLegacy(SimTime until) {
     ++executed;
   }
   events_executed_ += executed;
-  AdvanceToHorizon(until);
-  return executed;
-}
-
-uint64_t Simulation::RunUntilWindowed(SimTime until) {
-  stopped_ = false;
-  uint64_t executed = 0;
-  while (!queue_.empty() && !stopped_) {
-    if (queue_.PeekTime() > until) {
-      break;
-    }
-    if (queue_.PeekShard() == kSerialShard) {
-      // Serial events run exactly as on the legacy loop.
-      SimTime time = 0;
-      EventFn fn = queue_.Pop(&time);
-      DIABLO_CHECK(time >= now_, "simulated time ran backwards");
-      now_ = time;
-      fn();
-      ++executed;
-      ++serial_loop_events_;
-    } else {
-      executed += RunWindow(until);
-    }
-  }
-  events_executed_ += executed;
-  AdvanceToHorizon(until);
-  return executed;
-}
-
-// One conservative time window: drain every consecutive sharded event within
-// `lookahead_` of the window head, execute the batch across workers (each
-// shard pinned to shard % workers_), then merge the buffered pushes back
-// into the heap in canonical order.
-//
-// The merge sorts by drain_index — the source event's position in the drain
-// order — with a stable sort. All pushes sharing a drain_index come from
-// exactly one worker, already in program order, and concatenation preserves
-// that order, so the merged sequence is exactly the push order of a serial
-// run. Sequence numbers, and with them every future tie-break, are therefore
-// identical at any worker count.
-uint64_t Simulation::RunWindow(SimTime until) {
-  const SimTime head = queue_.PeekTime();
-  SimDuration span = lookahead_;
-  if (lookahead_provider_) {
-    // Window-aware lookahead: the provider may widen this window (never
-    // shrink it) when the instantaneous minimum link delay exceeds the
-    // static floor, e.g. while every link sits inside a delay-spike window.
-    const SimDuration dynamic = lookahead_provider_(head);
-    if (dynamic > span) {
-      span = dynamic;
-    }
-  }
-  const SimTime window_end = head + span;
-  batch_.clear();
-  while (!queue_.empty() && queue_.PeekShard() != kSerialShard &&
-         queue_.PeekTime() < window_end && queue_.PeekTime() <= until) {
-    SimTime time = 0;
-    uint32_t shard = kSerialShard;
-    EventFn fn = queue_.Pop(&time, &shard);
-    DIABLO_CHECK(time >= now_, "simulated time ran backwards");
-    batch_.push_back(BatchEntry{time, shard, std::move(fn)});
-  }
-  if (workers_ > 1 && batch_.size() > 1) {
-    std::vector<std::future<void>> pending;
-    pending.reserve(static_cast<size_t>(workers_) - 1);
-    for (int w = 1; w < workers_; ++w) {
-      pending.push_back(pool_->Submit([this, w] { ExecuteSlice(w); }));
-    }
-    ExecuteSlice(0);
-    for (std::future<void>& f : pending) {
-      f.get();
-    }
-  } else {
-    ExecuteAllInline();
-  }
-  // Barrier: single-threaded from here. Merge buffered pushes canonically.
-  merge_.clear();
-  for (std::unique_ptr<Worker>& w : worker_state_) {
-    for (BufferedPush& push : w->pushes) {
-      merge_.push_back(std::move(push));
-    }
-    w->pushes.clear();
-    w->arena.Reset();
-  }
-  std::stable_sort(merge_.begin(), merge_.end(),
-                   [](const BufferedPush& a, const BufferedPush& b) {
-                     return a.drain_index < b.drain_index;
-                   });
-  for (BufferedPush& push : merge_) {
-    // Conservatism invariant: a window's events may only schedule work at or
-    // past the window end, otherwise the batch we just executed was not
-    // causally closed and the windowed order could diverge from serial.
-    DIABLO_CHECK(push.time >= window_end,
-                 "parallel window event scheduled inside its own window "
-                 "(lookahead bound violated)");
-    queue_.Push(push.time, push.shard, std::move(push.fn));
-  }
-  merge_.clear();
-  now_ = batch_.back().time;
-  ++window_barriers_;
-  // Histogram bucket = floor(log2(batch size)), folded into the last slot.
-  size_t bucket = 0;
-  for (size_t n = batch_.size(); n > 1; n >>= 1) {
-    ++bucket;
-  }
-  if (bucket >= std::size(window_hist_)) {
-    bucket = std::size(window_hist_) - 1;
-  }
-  ++window_hist_[bucket];
-  return batch_.size();
-}
-
-// Worker `worker`'s share of the current window: every batch entry whose
-// shard maps to it, in drain order, with Now() pinned to each event's own
-// timestamp and all pushes buffered.
-void Simulation::ExecuteSlice(int worker) {
-  tls_worker.sim = this;
-  tls_worker.worker = worker;
-  Worker& w = *worker_state_[static_cast<size_t>(worker)];
-  const uint32_t stride = static_cast<uint32_t>(workers_);
-  uint64_t ran = 0;
-  for (uint32_t i = 0; i < static_cast<uint32_t>(batch_.size()); ++i) {
-    BatchEntry& entry = batch_[i];
-    if (entry.shard % stride != static_cast<uint32_t>(worker)) {
-      continue;
-    }
-    tls_worker.now = entry.time;
-    tls_worker.drain_index = i;
-    shard_guard::EnterEvent(entry.shard);
-    entry.fn();
-    shard_guard::ExitEvent();
-    ++ran;
-  }
-  w.executed += ran;
-  tls_worker.sim = nullptr;
-}
-
-// Single-worker (or single-event) window: run the whole batch in drain order
-// on worker 0's context. Buffering and merging still go through the same
-// path, so the schedule is identical to the multi-worker one by construction.
-void Simulation::ExecuteAllInline() {
-  tls_worker.sim = this;
-  tls_worker.worker = 0;
-  Worker& w = *worker_state_[0];
-  for (uint32_t i = 0; i < static_cast<uint32_t>(batch_.size()); ++i) {
-    BatchEntry& entry = batch_[i];
-    tls_worker.now = entry.time;
-    tls_worker.drain_index = i;
-    shard_guard::EnterEvent(entry.shard);
-    entry.fn();
-    shard_guard::ExitEvent();
-  }
-  w.executed += batch_.size();
-  tls_worker.sim = nullptr;
-}
-
-void Simulation::AdvanceToHorizon(SimTime until) {
   // When stopping because the horizon was reached, advance the clock to it so
   // subsequent scheduling is relative to the horizon.
   if (!stopped_ && (queue_.empty() || queue_.PeekTime() > until) &&
       until != std::numeric_limits<SimTime>::max() && now_ < until) {
     now_ = until;
   }
+  return executed;
 }
 
 }  // namespace diablo

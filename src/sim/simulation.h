@@ -1,51 +1,20 @@
-// The simulation driver: an event loop over simulated time.
+// The simulation driver: a single-threaded event loop over simulated time.
 //
 // Every component (blockchain node, diablo secondary, the network) schedules
 // closures against this loop. The loop is deterministic: same seed, same
-// schedule, same results.
-//
-// By default the loop is single-threaded. ConfigureCellWorkers() engages
-// conservative time-window parallel execution *inside* the cell: events
-// tagged with a shard (ScheduleOn / ScheduleAtOn) that sit within one
-// lookahead window of each other are executed concurrently by a fixed worker
-// pool, one shard never splitting across workers. The lookahead bound is the
-// network's minimum link delay, so a window's events can only schedule work
-// at or past the window end — which makes the windowed schedule equivalent
-// to the serial one. Cross-worker pushes are buffered per worker and merged
-// at the window barrier in canonical (source drain order, program order), so
-// sequence numbers — and therefore every tie-break and every downstream draw
-// — come out byte-identical to a serial run at any worker count.
-//
-// The lookahead bound may also be *window-aware*: SetLookaheadProvider()
-// installs a callback queried at each window head that may return a larger
-// bound than the configured floor (e.g. when every link is inside an active
-// delay-spike window, the effective minimum link delay is higher). The
-// provider can only enlarge windows, never shrink them below the configured
-// lookahead, so the conservatism argument is unchanged; regime changes
-// (spike onset/heal) are serial events, so no window ever spans one.
-//
-// Contract for sharded events (asserted under DIABLO_CHECKED):
-//   - they only touch state owned by their shard, plus frozen shared state;
-//   - every draw comes from a stream owned by the shard (detlint rule D6);
-//   - everything they schedule targets time >= window end (conservatism);
-//   - they never call Stop().
+// schedule, same results. Parallelism lives one level up, across independent
+// cells (see ParallelRunner); each cell owns its own Simulation.
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <memory>
-#include <vector>
 
 #include "src/sim/event_queue.h"
-#include "src/support/arena.h"
 #include "src/support/rng.h"
 #include "src/support/time.h"
 
 namespace diablo {
-
-class ThreadPool;
 
 class Simulation {
  public:
@@ -55,42 +24,14 @@ class Simulation {
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  // Current simulated time. Inside a parallel window each worker observes
-  // the executing event's own timestamp, exactly as a serial run would.
-  SimTime Now() const { return windowed_ ? WorkerNow() : now_; }
+  // Current simulated time.
+  SimTime Now() const { return now_; }
 
   // Schedules `fn` to run `delay` from now (delay < 0 clamps to now).
   void Schedule(SimDuration delay, EventFn fn);
 
   // Schedules `fn` at an absolute time (past times clamp to now).
   void ScheduleAt(SimTime time, EventFn fn);
-
-  // Shard-tagged variants: the event may execute on a parallel worker when
-  // cell workers are configured (it runs on the serial loop otherwise, in
-  // exactly the same order).
-  void ScheduleOn(uint32_t shard, SimDuration delay, EventFn fn);
-  void ScheduleAtOn(uint32_t shard, SimTime time, EventFn fn);
-
-  // Engages time-window parallel execution for sharded events with the given
-  // worker count (>= 1; 1 runs the canonical windowed algorithm inline) and
-  // conservative lookahead bound (> 0, normally Network::MinLinkDelay()).
-  // Must be called before RunUntil. Never calling it keeps the legacy
-  // single-threaded loop, bit-identical to previous releases.
-  void ConfigureCellWorkers(int workers, SimDuration lookahead);
-
-  int cell_workers() const { return workers_; }
-  SimDuration lookahead() const { return lookahead_; }
-
-  // Installs a window-aware lookahead bound, queried once per window with the
-  // window head time. The effective span of a window is
-  // max(lookahead(), provider(head)) — the provider can widen windows when
-  // the instantaneous minimum link delay exceeds the static floor (delay
-  // spikes), but can never shrink them, so a provider that misbehaves costs
-  // correctness nothing. Must be a pure function of its argument and frozen
-  // network state (it runs on the serial loop between windows).
-  void SetLookaheadProvider(std::function<SimDuration(SimTime)> provider) {
-    lookahead_provider_ = std::move(provider);
-  }
 
   // Runs events until the queue drains or simulated time would pass `until`.
   // Returns the number of events executed.
@@ -99,7 +40,7 @@ class Simulation {
   // Runs until the queue drains. Returns the number of events executed.
   uint64_t Run() { return RunUntil(std::numeric_limits<SimTime>::max()); }
 
-  // Requests that the loop stop after the current event. Serial events only.
+  // Requests that the loop stop after the current event.
   void Stop() { stopped_ = true; }
 
   // Pre-sizes the event heap for a known number of in-flight events.
@@ -108,75 +49,16 @@ class Simulation {
   uint64_t events_executed() const { return events_executed_; }
   size_t pending_events() const { return queue_.size(); }
 
-  // Window barriers crossed so far (0 outside windowed mode).
-  uint64_t window_barriers() const { return window_barriers_; }
-
-  // Scratch arena for the currently executing event: each parallel worker
-  // owns one (reset at every window barrier), serial events share one owned
-  // by the loop. Allocations must not outlive the window.
-  Arena& scratch_arena();
-
   // Root generator; components should call ForkRng() once at construction to
   // obtain an independent stream.
   Rng ForkRng() { return rng_.Fork(); }
   Rng& rng() { return rng_; }
 
  private:
-  // One buffered Push from a parallel window. `drain_index` is the position
-  // of the source event in the window's drain order; merging by it (stably)
-  // re-creates the exact sequence-number assignment of a serial run.
-  struct BufferedPush {
-    uint32_t drain_index;
-    uint32_t shard;
-    SimTime time;
-    EventFn fn;
-  };
-
-  struct BatchEntry {
-    SimTime time;
-    uint32_t shard;
-    EventFn fn;
-  };
-
-  // Per-worker owned state; workers never touch each other's.
-  struct Worker {
-    std::vector<BufferedPush> pushes;  // kept warm across windows
-    Arena arena{256};                  // reset at every barrier
-    uint64_t executed = 0;
-  };
-
-  uint64_t RunUntilLegacy(SimTime until);
-  uint64_t RunUntilWindowed(SimTime until);
-  // Drains and executes one parallel window; returns events executed.
-  uint64_t RunWindow(SimTime until);
-  // Executes this worker's slice of batch_ (entries with shard % workers_ ==
-  // worker) in drain order, buffering every push.
-  void ExecuteSlice(int worker);
-  // Executes the whole batch in drain order on worker 0 (single-worker or
-  // single-event windows).
-  void ExecuteAllInline();
-  void AdvanceToHorizon(SimTime until);
-  SimTime WorkerNow() const;
-
   EventQueue queue_;
   SimTime now_ = 0;
   bool stopped_ = false;
-  bool windowed_ = false;
-  int workers_ = 0;
-  SimDuration lookahead_ = 0;
   uint64_t events_executed_ = 0;
-  uint64_t window_barriers_ = 0;
-  // Occupancy accounting for windowed runs, fed to the profile counters at
-  // destruction: events that ran on the serial loop (window breakers) and a
-  // histogram of window batch sizes bucketed by floor(log2(size)).
-  uint64_t serial_loop_events_ = 0;
-  uint64_t window_hist_[16] = {};
-  std::function<SimDuration(SimTime)> lookahead_provider_;
-  std::vector<std::unique_ptr<Worker>> worker_state_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<BatchEntry> batch_;    // kept warm across windows
-  std::vector<BufferedPush> merge_;  // kept warm across windows
-  Arena serial_arena_{256};
   Rng rng_;
 };
 

@@ -20,10 +20,6 @@ std::atomic<uint64_t> g_vote_rounds{0};
 std::atomic<uint64_t> g_vm_ops{0};
 std::atomic<int64_t> g_arena_live{0};
 std::atomic<int64_t> g_arena_hwm{0};
-std::atomic<uint64_t> g_window_barriers{0};
-std::atomic<uint64_t> g_worker_events[kMaxProfiledWorkers]{};
-std::atomic<uint64_t> g_serial_loop_events{0};
-std::atomic<uint64_t> g_window_hist[kWindowHistBuckets]{};
 
 // detlint: allow(D2, profiling layer: wall time feeds only the stderr summary, never simulation state)
 const std::chrono::steady_clock::time_point g_start = std::chrono::steady_clock::now();
@@ -41,53 +37,6 @@ void PrintSummary() {
                g_vote_rounds.load(std::memory_order_relaxed),
                g_vm_ops.load(std::memory_order_relaxed), wall, PeakRssBytes(),
                g_arena_hwm.load(std::memory_order_relaxed));
-  const uint64_t barriers = g_window_barriers.load(std::memory_order_relaxed);
-  if (barriers > 0) {
-    std::fprintf(stderr, "[profile] window_barriers=%" PRIu64 " worker_events=",
-                 barriers);
-    const char* sep = "";
-    for (int w = 0; w < kMaxProfiledWorkers; ++w) {
-      const uint64_t n = g_worker_events[w].load(std::memory_order_relaxed);
-      if (n == 0) {
-        continue;
-      }
-      std::fprintf(stderr, "%s%d:%" PRIu64, sep, w, n);
-      sep = ",";
-    }
-    std::fprintf(stderr, "\n");
-    // Window occupancy: how much of the windowed runs' work stayed on the
-    // serial loop (events that break windows) versus inside parallel
-    // windows, plus the events-per-window histogram. Serial residency is the
-    // shard-balance regression signal: it bounds the multicore speedup.
-    const uint64_t serial = g_serial_loop_events.load(std::memory_order_relaxed);
-    uint64_t windowed = 0;
-    for (int w = 0; w < kMaxProfiledWorkers; ++w) {
-      windowed += g_worker_events[w].load(std::memory_order_relaxed);
-    }
-    const uint64_t total = serial + windowed;
-    std::fprintf(stderr,
-                 "[profile] serial_loop_events=%" PRIu64 " windowed_events=%" PRIu64
-                 " serial_residency=%.1f%%\n",
-                 serial, windowed,
-                 total > 0 ? 100.0 * static_cast<double>(serial) /
-                                 static_cast<double>(total)
-                           : 0.0);
-    std::fprintf(stderr, "[profile] events_per_window_hist=");
-    const char* hsep = "";
-    for (int b = 0; b < kWindowHistBuckets; ++b) {
-      const uint64_t n = g_window_hist[b].load(std::memory_order_relaxed);
-      if (n == 0) {
-        continue;
-      }
-      // Bucket b covers window sizes in [2^b, 2^(b+1)); the last bucket is
-      // open-ended.
-      std::fprintf(stderr, "%s[%llu%s:%" PRIu64 "]", hsep,
-                   static_cast<unsigned long long>(1ULL << b),
-                   b + 1 < kWindowHistBuckets ? "" : "+", n);
-      hsep = " ";
-    }
-    std::fprintf(stderr, "\n");
-  }
 }
 
 bool InitEnabled() {
@@ -107,50 +56,8 @@ bool Enabled() { return g_enabled; }
 
 void AddEvents(uint64_t n) { g_events.fetch_add(n, std::memory_order_relaxed); }
 void AddSends(uint64_t n) { g_sends.fetch_add(n, std::memory_order_relaxed); }
-// detlint: allow(D7, stderr-only profiling counter: relaxed atomic read once at process exit, never during a run, so it cannot perturb simulation state)
 void CountVoteRound() { g_vote_rounds.fetch_add(1, std::memory_order_relaxed); }
 void AddVmOps(uint64_t n) { g_vm_ops.fetch_add(n, std::memory_order_relaxed); }
-
-void AddWindowBarriers(uint64_t n) {
-  g_window_barriers.fetch_add(n, std::memory_order_relaxed);
-}
-
-void AddWorkerEvents(int worker, uint64_t n) {
-  if (worker < 0) {
-    worker = 0;
-  }
-  if (worker >= kMaxProfiledWorkers) {
-    worker = kMaxProfiledWorkers - 1;
-  }
-  g_worker_events[worker].fetch_add(n, std::memory_order_relaxed);
-}
-
-void AddSerialLoopEvents(uint64_t n) {
-  g_serial_loop_events.fetch_add(n, std::memory_order_relaxed);
-}
-
-void AddWindowHistogram(const uint64_t* buckets, int count) {
-  if (count > kWindowHistBuckets) {
-    count = kWindowHistBuckets;
-  }
-  for (int b = 0; b < count; ++b) {
-    if (buckets[b] != 0) {
-      g_window_hist[b].fetch_add(buckets[b], std::memory_order_relaxed);
-    }
-  }
-}
-
-uint64_t SerialLoopEvents() {
-  return g_serial_loop_events.load(std::memory_order_relaxed);
-}
-
-uint64_t WindowedWorkerEvents() {
-  uint64_t total = 0;
-  for (int w = 0; w < kMaxProfiledWorkers; ++w) {
-    total += g_worker_events[w].load(std::memory_order_relaxed);
-  }
-  return total;
-}
 
 void AddArenaBytes(int64_t delta) {
   const int64_t live =

@@ -22,33 +22,6 @@ void AddSends(uint64_t n);
 void CountVoteRound();
 void AddVmOps(uint64_t n);
 
-// Windowed parallel scheduler accounting: barriers crossed and events
-// executed per cell worker (workers beyond kMaxProfiledWorkers fold into the
-// last slot). Both land in the exit summary only when any barrier was
-// crossed, so single-threaded runs keep the historical summary line.
-inline constexpr int kMaxProfiledWorkers = 16;
-void AddWindowBarriers(uint64_t n);
-void AddWorkerEvents(int worker, uint64_t n);
-
-// Window-occupancy accounting. Serial-loop events are the events a windowed
-// run still executes on the single-threaded loop (they break windows, so
-// they bound the achievable parallelism); the histogram buckets window batch
-// sizes by floor(log2(size)) — bucket 0 holds single-event windows, the last
-// bucket folds everything >= 2^(kWindowHistBuckets-1). Both are fed at cold
-// points (the Simulation destructor) and always accumulate, so benchmarks
-// can read occupancy deltas programmatically whether or not DIABLO_PROFILE
-// is set; the stderr summary alone is gated on the environment variable.
-inline constexpr int kWindowHistBuckets = 16;
-void AddSerialLoopEvents(uint64_t n);
-void AddWindowHistogram(const uint64_t* buckets, int count);
-
-// Programmatic occupancy readbacks (process-wide totals so far): events run
-// on the serial loop of windowed runs, and events run inside parallel
-// windows (summed over workers). Serial residency is the ratio of the first
-// to the sum.
-uint64_t SerialLoopEvents();
-uint64_t WindowedWorkerEvents();
-
 // Arena memory accounting: arenas report chunk creation (positive delta) and
 // destruction (negative); the high-water mark of live arena bytes lands in
 // the exit summary so the fig3-XL memory claims are observable.

@@ -4,7 +4,6 @@
 
 #include "src/config/spec.h"
 #include "src/core/interface.h"
-#include "src/core/parallel_runner.h"
 #include "src/core/results.h"
 #include "src/core/runner.h"
 
@@ -176,28 +175,6 @@ TEST(RunnerTest, ScaleFromEnvParsesAndClamps) {
   setenv("DIABLO_SCALE", "garbage", 1);
   EXPECT_DOUBLE_EQ(ScaleFromEnv(), 1.0);
   unsetenv("DIABLO_SCALE");
-}
-
-TEST(RunnerTest, PoolThreadsForSplitsJobsBeforeCellClamp) {
-  // No intra-cell workers: the pool takes min(jobs, cells), as before.
-  EXPECT_EQ(ParallelRunner::PoolThreadsFor(8, 0, 16), 8);
-  EXPECT_EQ(ParallelRunner::PoolThreadsFor(8, 1, 3), 3);
-  // The job budget is divided by the per-cell worker count *before* the cell
-  // clamp: 3 cells on a 16-thread budget with 4 workers each afford all
-  // three cells in flight (the old clamp-first order ran one at a time).
-  EXPECT_EQ(ParallelRunner::PoolThreadsFor(16, 4, 3), 3);
-  EXPECT_EQ(ParallelRunner::PoolThreadsFor(16, 4, 16), 4);
-  // Rounding never oversubscribes: pool × workers stays within the budget.
-  EXPECT_EQ(ParallelRunner::PoolThreadsFor(7, 2, 16), 3);
-  EXPECT_EQ(ParallelRunner::PoolThreadsFor(9, 4, 16), 2);
-  // Floor of one cell in flight, even when a single cell's workers already
-  // exceed the budget (cell workers are a separate knob the runner cannot
-  // shrink).
-  EXPECT_EQ(ParallelRunner::PoolThreadsFor(2, 4, 16), 1);
-  EXPECT_EQ(ParallelRunner::PoolThreadsFor(1, 64, 1), 1);
-  // Degenerate cell counts clamp sanely.
-  EXPECT_EQ(ParallelRunner::PoolThreadsFor(8, 2, 0), 1);
-  EXPECT_EQ(ParallelRunner::PoolThreadsFor(8, 2, 1), 1);
 }
 
 TEST(PrimaryTest, SpecDrivenRun) {

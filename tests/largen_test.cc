@@ -101,54 +101,6 @@ TEST(StreamedDelaysTest, PartitionSnapshotIsUnreachable) {
   EXPECT_NE(model.at(0, 1), kUnreachable);
 }
 
-TEST(StreamedDelaysTest, MinLinkDelayMatchesBruteForceAtZeroJitter) {
-  Simulation sim(7);
-  Network net(&sim, /*jitter_frac=*/0.0);
-  const std::vector<HostId> hosts = MakeHosts(&net, SmallXl(40));
-  StreamedDelays model(&net, hosts, 256);
-  // Zero jitter makes at() the pure per-pair base, so the streamed bound must
-  // equal the brute-force minimum over every random access.
-  SimDuration brute = std::numeric_limits<SimDuration>::max();
-  for (size_t i = 0; i < hosts.size(); ++i) {
-    for (size_t j = 0; j < hosts.size(); ++j) {
-      if (i != j) {
-        brute = std::min(brute, model.at(i, j));
-      }
-    }
-  }
-  EXPECT_GT(model.MinLinkDelay(), 0);
-  EXPECT_EQ(model.MinLinkDelay(), brute);
-}
-
-TEST(StreamedDelaysTest, MinLinkDelayLowerBoundsEveryAccessWithJitter) {
-  Simulation sim(7);
-  Network net(&sim, 0.05);
-  const std::vector<HostId> hosts = MakeHosts(&net, SmallXl(40));
-  StreamedDelays model(&net, hosts, 256);
-  const SimDuration bound = model.MinLinkDelay();
-  ASSERT_GT(bound, 0);
-  for (size_t i = 0; i < hosts.size(); ++i) {
-    for (size_t j = 0; j < hosts.size(); ++j) {
-      if (i != j) {
-        EXPECT_LE(bound, model.at(i, j)) << i << "," << j;
-      }
-    }
-  }
-}
-
-TEST(StreamedDelaysTest, MinLinkDelayExcludesPartitionedSnapshot) {
-  Simulation sim(7);
-  Network net(&sim, 0.05);
-  std::vector<HostId> hosts;
-  hosts.push_back(net.AddHost(Region::kOhio));
-  hosts.push_back(net.AddHost(Region::kOhio));
-  net.SetPartitioned(hosts[1], true);
-  StreamedDelays model(&net, hosts, 256);
-  // One reachable host leaves no link to bound; the frozen snapshot drops
-  // the partitioned peer entirely.
-  EXPECT_EQ(model.MinLinkDelay(), 0);
-}
-
 TEST(StreamedDelaysTest, ApproxBytesIsLinear) {
   Simulation sim(7);
   Network net(&sim, 0.05);

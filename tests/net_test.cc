@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 
 #include "src/net/deployment.h"
 #include "src/net/network.h"
@@ -338,206 +337,6 @@ TEST(NetworkTest, BroadcastFanoutBelowOneBecomesChain) {
   std::sort(actual.begin(), actual.end());
   const std::vector<SimDuration> expected = {p + t, 2 * p + 2 * t};
   EXPECT_EQ(actual, expected);
-}
-
-// --- MinLinkDelay: the windowed scheduler's lookahead bound -----------------
-// The conservative time-window scheduler uses Network::MinLinkDelay() as its
-// lookahead, so these tests pin the two properties the scheduler's
-// correctness rests on: the bound equals the true minimum over populated
-// links (no slack lost), and no sample — any pair, any payload, jitter on —
-// ever lands below it (conservatism).
-
-TEST(NetworkTest, MinLinkDelayMatchesBruteForceMinimum) {
-  Simulation sim(3);
-  Network net(&sim, /*jitter_frac=*/0.0);
-  const DeploymentConfig devnet = GetDeployment("devnet");
-  std::vector<HostId> hosts;
-  for (int i = 0; i < 20; ++i) {
-    hosts.push_back(net.AddHost(devnet.NodeRegion(i)));
-  }
-  // Zero jitter and zero payload make DelaySample exactly propagation+extra,
-  // the quantity MinLinkDelay minimises.
-  SimDuration brute = std::numeric_limits<SimDuration>::max();
-  for (const HostId a : hosts) {
-    for (const HostId b : hosts) {
-      if (a != b) {
-        brute = std::min(brute, net.DelaySample(a, b, 0));
-      }
-    }
-  }
-  EXPECT_GT(net.MinLinkDelay(), 0);
-  EXPECT_EQ(net.MinLinkDelay(), brute);
-}
-
-TEST(NetworkTest, MinLinkDelayLowerBoundsEverySample) {
-  Simulation sim(5);
-  Network net(&sim);  // default jitter fraction
-  const DeploymentConfig devnet = GetDeployment("devnet");
-  std::vector<HostId> hosts;
-  for (int i = 0; i < 12; ++i) {
-    hosts.push_back(net.AddHost(devnet.NodeRegion(i)));
-  }
-  const SimDuration bound = net.MinLinkDelay();
-  ASSERT_GT(bound, 0);
-  for (const HostId a : hosts) {
-    for (const HostId b : hosts) {
-      if (a == b) {
-        continue;
-      }
-      for (const int64_t bytes : {int64_t{0}, int64_t{1000}, int64_t{100000}}) {
-        EXPECT_LE(bound, net.DelaySample(a, b, bytes)) << a << "->" << b;
-      }
-    }
-  }
-}
-
-TEST(NetworkTest, MinLinkDelayAccountsForExtraDelay) {
-  Simulation sim(5);
-  Network net(&sim, /*jitter_frac=*/0.0);
-  net.AddHost(Region::kOhio);
-  net.AddHost(Region::kOhio);
-  const SimDuration base = net.MinLinkDelay();
-  EXPECT_GT(base, 0);
-  net.SetExtraDelay(Region::kOhio, Region::kOhio, Seconds(1));
-  EXPECT_EQ(net.MinLinkDelay(), base + Seconds(1));
-}
-
-TEST(NetworkTest, MinLinkDelayZeroWithoutALink) {
-  Simulation sim(5);
-  Network net(&sim);
-  EXPECT_EQ(net.MinLinkDelay(), 0);  // no hosts
-  net.AddHost(Region::kOhio);
-  EXPECT_EQ(net.MinLinkDelay(), 0);  // one host: no pair to bound
-  net.AddHost(Region::kTokyo);
-  EXPECT_GT(net.MinLinkDelay(), 0);
-}
-
-// --- MinLinkDelayInWindow: the window-aware lookahead bound -----------------
-// Delay-spike schedules raise the true minimum link delay while a spike is
-// in force; MinLinkDelayInWindow replays the registered onset/heal writers
-// to bound any sample taken at a time in [from, to). The reference below is
-// a brute force over dense time samples: extra(t) is the value of the last
-// writer at or before t (writers carry absolute values, mirroring the
-// injector's SetExtraDelay calls), and the floor of a window is the minimum
-// of extra(t) over every millisecond of it.
-
-namespace {
-
-struct SpikeWriter {
-  SimTime time;
-  SimDuration value;
-};
-
-SimDuration BruteForceFloor(std::vector<SpikeWriter> writers, SimTime from,
-                            SimTime to) {
-  // Serial events execute in time order; same-instant writers keep their
-  // registration (scheduling) order.
-  std::stable_sort(writers.begin(), writers.end(),
-                   [](const SpikeWriter& a, const SpikeWriter& b) {
-                     return a.time < b.time;
-                   });
-  auto extra_at = [&](SimTime t) {
-    SimDuration value = 0;
-    for (const SpikeWriter& w : writers) {
-      if (w.time <= t) {
-        value = w.value;
-      }
-    }
-    return value;
-  };
-  SimDuration floor = extra_at(from);
-  for (SimTime t = from; t < to; t += Milliseconds(1)) {
-    floor = std::min(floor, extra_at(t));
-  }
-  return floor;
-}
-
-}  // namespace
-
-TEST(NetworkTest, MinLinkDelayInWindowMatchesBruteForceOverSpikeSchedule) {
-  Simulation sim(7);
-  Network net(&sim, /*jitter_frac=*/0.0);
-  net.AddHost(Region::kOhio);
-  net.AddHost(Region::kTokyo);
-  const SimDuration base = net.MinLinkDelay();
-  ASSERT_GT(base, 0);
-
-  // Two overlapping all-pairs spikes. The second onset overwrites the first
-  // spike's extra and the first heal zeroes it mid-flight — exactly the
-  // last-writer-wins semantics of the injector's serial SetExtraDelay
-  // events, which the registry replays in registration order.
-  net.AddDelaySpikeWindow(Milliseconds(100), Milliseconds(300), Milliseconds(50));
-  net.AddDelaySpikeWindow(Milliseconds(250), Milliseconds(400), Milliseconds(20));
-  const std::vector<SpikeWriter> writers = {
-      {Milliseconds(100), Milliseconds(50)},
-      {Milliseconds(300), 0},
-      {Milliseconds(250), Milliseconds(20)},
-      {Milliseconds(400), 0},
-  };
-
-  for (SimTime from = 0; from <= Milliseconds(500); from += Milliseconds(25)) {
-    for (const SimDuration span :
-         {Milliseconds(10), Milliseconds(60), Milliseconds(200)}) {
-      const SimTime to = from + span;
-      const SimDuration got = net.MinLinkDelayInWindow(from, to);
-      EXPECT_EQ(got, base + BruteForceFloor(writers, from, to))
-          << "window [" << from << ", " << to << ")";
-      EXPECT_GE(got, base);  // never below the zero-extra minimum
-    }
-  }
-}
-
-TEST(NetworkTest, MinLinkDelayInWindowHealInstantBoundary) {
-  Simulation sim(7);
-  Network net(&sim, /*jitter_frac=*/0.0);
-  net.AddHost(Region::kOhio);
-  net.AddHost(Region::kTokyo);
-  const SimDuration base = net.MinLinkDelay();
-  net.AddDelaySpikeWindow(Milliseconds(100), Milliseconds(300), Milliseconds(50));
-
-  // A window headed exactly at the heal instant already sees the healed
-  // value: the heal is a serial event, and serial events run before any
-  // window that starts at their timestamp.
-  EXPECT_EQ(net.MinLinkDelayInWindow(Milliseconds(300), Milliseconds(350)), base);
-  // One tick earlier the spike is still fully in force (the heal at 300 is
-  // not strictly inside [299, 300)).
-  EXPECT_EQ(net.MinLinkDelayInWindow(Milliseconds(299), Milliseconds(300)),
-            base + Milliseconds(50));
-  // A window spanning the heal takes the healed floor.
-  EXPECT_EQ(net.MinLinkDelayInWindow(Milliseconds(250), Milliseconds(301)), base);
-  // An onset strictly inside the window lowers it to the pre-onset value —
-  // here zero extra before 100 — but never below base.
-  EXPECT_EQ(net.MinLinkDelayInWindow(Milliseconds(50), Milliseconds(150)), base);
-  // Fully inside the spike.
-  EXPECT_EQ(net.MinLinkDelayInWindow(Milliseconds(150), Milliseconds(200)),
-            base + Milliseconds(50));
-}
-
-TEST(NetworkTest, MinLinkDelayInWindowOpenWindowAndRegionScope) {
-  Simulation sim(7);
-  Network net(&sim, /*jitter_frac=*/0.0);
-  const HostId ohio_a = net.AddHost(Region::kOhio);
-  const HostId ohio_b = net.AddHost(Region::kOhio);
-  const HostId tokyo = net.AddHost(Region::kTokyo);
-  const SimDuration intra = net.DelaySample(ohio_a, ohio_b, 0);
-  const SimDuration cross = net.DelaySample(ohio_a, tokyo, 0);
-  ASSERT_LT(intra, cross);
-  ASSERT_EQ(net.MinLinkDelay(), intra);
-
-  // A spike scoped to the cross-region pair cannot raise the bound: the
-  // intra-Ohio pair stays the minimum.
-  net.AddDelaySpikeWindow(Region::kOhio, Region::kTokyo, Milliseconds(100),
-                          /*until=*/-1, Seconds(1));
-  EXPECT_EQ(net.MinLinkDelayInWindow(Milliseconds(200), Milliseconds(250)), intra);
-
-  // Spiking the minimal pair raises the bound, capped by the next-cheapest
-  // pair; until < 0 keeps the spike active forever.
-  net.AddDelaySpikeWindow(Region::kOhio, Region::kOhio, Milliseconds(100),
-                          /*until=*/-1, Milliseconds(50));
-  EXPECT_EQ(net.MinLinkDelayInWindow(Seconds(10), Seconds(11)),
-            std::min(intra + Milliseconds(50), cross + Seconds(1)));
-  // Before both onsets the zero-extra minimum still applies.
-  EXPECT_EQ(net.MinLinkDelayInWindow(0, Milliseconds(50)), intra);
 }
 
 TEST(NetworkTest, BroadcastDeterministicPerSeed) {

@@ -83,17 +83,6 @@ TEST(ParallelRunnerTest, JobsFromEnvParsesOverride) {
   EXPECT_EQ(ParallelRunner::JobsFromEnv(), ThreadPool::HardwareConcurrency());
 }
 
-TEST(ParallelRunnerTest, CellWorkersFromEnvParsesOverride) {
-  ASSERT_EQ(setenv("DIABLO_CELL_WORKERS", "3", 1), 0);
-  EXPECT_EQ(ParallelRunner::CellWorkersFromEnv(), 3);
-  ASSERT_EQ(setenv("DIABLO_CELL_WORKERS", "bogus", 1), 0);
-  EXPECT_EQ(ParallelRunner::CellWorkersFromEnv(), 0);
-  ASSERT_EQ(setenv("DIABLO_CELL_WORKERS", "0", 1), 0);
-  EXPECT_EQ(ParallelRunner::CellWorkersFromEnv(), 0);
-  ASSERT_EQ(unsetenv("DIABLO_CELL_WORKERS"), 0);
-  EXPECT_EQ(ParallelRunner::CellWorkersFromEnv(), 0);
-}
-
 TEST(ParallelRunnerTest, ResultsComeBackInCellOrder) {
   ParallelRunner runner(4);
   std::vector<ExperimentCell> cells;
@@ -203,154 +192,67 @@ TEST(DeterminismTest, ParallelResultsInvariantToJobCount) {
   }
 }
 
-TEST(DeterminismTest, InvariantToCellWorkersTimesJobsMatrix) {
-  // The full composition knob cross-product: intra-cell workers
-  // (DIABLO_CELL_WORKERS, windowed scheduler) x inter-cell jobs
-  // (ParallelRunner). Every combination must reproduce the baseline
-  // fingerprints computed with both knobs off.
-  ASSERT_EQ(unsetenv("DIABLO_CELL_WORKERS"), 0);
-  const std::vector<std::string> chains = {"algorand", "solana"};
-  auto build_cells = [&chains] {
-    std::vector<ExperimentCell> cells;
-    for (size_t c = 0; c < chains.size(); ++c) {
-      const std::string chain = chains[c];
-      const uint64_t seed = CellSeed(/*base_seed=*/5, c);
-      cells.push_back(
-          {chain, [chain, seed] { return RunDeterminismCell(chain, seed); }});
-    }
-    return cells;
-  };
-
-  std::vector<std::string> baseline;
-  for (ExperimentCell& cell : build_cells()) {
-    baseline.push_back(Fingerprint(cell.run()));
-  }
-
-  for (const char* workers : {"1", "2", "4"}) {
-    ASSERT_EQ(setenv("DIABLO_CELL_WORKERS", workers, 1), 0);
-    for (const int jobs : {1, 4}) {
-      ParallelRunner runner(jobs);
-      const std::vector<RunResult> got = runner.Run(build_cells());
-      ASSERT_EQ(got.size(), baseline.size());
-      for (size_t i = 0; i < baseline.size(); ++i) {
-        EXPECT_EQ(Fingerprint(got[i]), baseline[i])
-            << "workers=" << workers << " jobs=" << jobs << " cell " << i;
-      }
-    }
-  }
-  ASSERT_EQ(unsetenv("DIABLO_CELL_WORKERS"), 0);
-}
-
 TEST(DeterminismTest, FaultCellsInvariantToJobCount) {
-  // Fault-schedule runs (crash + restart, loss window, retries) must be
-  // byte-identical serially and across DIABLO_JOBS, like healthy cells —
-  // the injector draws only from the cell's own deterministic streams.
-  const FaultSchedule faults = FaultScheduleBuilder()
-                                   .Crash(0, Seconds(2), Seconds(5))
-                                   .Loss(0.1, Seconds(6), Seconds(8))
-                                   .Build();
+  // Fault-schedule runs must be byte-identical serially and across
+  // DIABLO_JOBS, like healthy cells — the injector draws only from the
+  // cell's own deterministic streams. Two schedules cover every network and
+  // node fault kind: crash + loss with client retries, and crash + partition
+  // + delay spike without retries.
+  struct Schedule {
+    const char* name;
+    FaultSchedule faults;
+    RetryPolicy retry;
+    uint64_t base_seed;
+  };
   RetryPolicy retry;
   retry.max_attempts = 3;
   retry.timeout = Seconds(1);
-  const std::vector<std::string> chains = {"quorum", "solana"};
-  auto build_cells = [&] {
-    std::vector<ExperimentCell> cells;
-    for (size_t c = 0; c < chains.size(); ++c) {
-      const std::string chain = chains[c];
-      const uint64_t seed = CellSeed(/*base_seed=*/3, c);
-      cells.push_back({chain + "+faults", [chain, seed, faults, retry] {
-                         return RunFaultBenchmark(chain, "testnet", 30, 10,
-                                                  faults, retry, seed);
-                       }});
-    }
-    return cells;
+  const std::vector<Schedule> schedules = {
+      {"crash+loss+retry",
+       FaultScheduleBuilder()
+           .Crash(0, Seconds(2), Seconds(5))
+           .Loss(0.1, Seconds(6), Seconds(8))
+           .Build(),
+       retry, 3},
+      {"crash+partition+spike",
+       FaultScheduleBuilder()
+           .Crash(0, Seconds(2), Seconds(5))
+           .Partition({1}, Seconds(3), Seconds(6))
+           .DelaySpike(Milliseconds(80), Seconds(6), Seconds(8))
+           .Build(),
+       RetryPolicy(), 9},
   };
-
-  std::vector<std::string> serial;
-  for (ExperimentCell& cell : build_cells()) {
-    serial.push_back(Fingerprint(cell.run()));
-  }
-  ParallelRunner four_jobs(4);
-  const std::vector<RunResult> parallel = four_jobs.Run(build_cells());
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(Fingerprint(parallel[i]), serial[i]) << "cell " << i;
-    // The resilience fields ride in the fingerprint's JSON: make sure they
-    // are actually populated rather than trivially equal-and-empty.
-    EXPECT_NE(serial[i].find("time_to_recovery_s"), std::string::npos);
-  }
-}
-
-TEST(DeterminismTest, FaultedCellsInvariantToCellWorkersTimesJobsMatrix) {
-  // Faulted runs are shard-eligible: crash / partition / delay-spike
-  // mutations publish as serial events at window barriers, so a schedule of
-  // all three (previously forced onto the serial loop wholesale) must stay
-  // byte-identical across the full workers x jobs matrix. The spike window
-  // also exercises the window-aware lookahead provider.
-  ASSERT_EQ(unsetenv("DIABLO_CELL_WORKERS"), 0);
-  const FaultSchedule faults = FaultScheduleBuilder()
-                                   .Crash(0, Seconds(2), Seconds(5))
-                                   .Partition({1}, Seconds(3), Seconds(6))
-                                   .DelaySpike(Milliseconds(80), Seconds(6), Seconds(8))
-                                   .Build();
-  const RetryPolicy no_retry;
   const std::vector<std::string> chains = {"quorum", "solana"};
-  auto build_cells = [&] {
-    std::vector<ExperimentCell> cells;
-    for (size_t c = 0; c < chains.size(); ++c) {
-      const std::string chain = chains[c];
-      const uint64_t seed = CellSeed(/*base_seed=*/9, c);
-      cells.push_back({chain + "+faults", [chain, seed, faults, no_retry] {
-                         return RunFaultBenchmark(chain, "testnet", 30, 10,
-                                                  faults, no_retry, seed);
-                       }});
-    }
-    return cells;
-  };
-
-  std::vector<std::string> baseline;
-  for (ExperimentCell& cell : build_cells()) {
-    baseline.push_back(Fingerprint(cell.run()));
-  }
-
-  for (const char* workers : {"1", "2", "4"}) {
-    ASSERT_EQ(setenv("DIABLO_CELL_WORKERS", workers, 1), 0);
-    for (const int jobs : {1, 4}) {
-      ParallelRunner runner(jobs);
-      const std::vector<RunResult> got = runner.Run(build_cells());
-      ASSERT_EQ(got.size(), baseline.size());
-      for (size_t i = 0; i < baseline.size(); ++i) {
-        EXPECT_EQ(Fingerprint(got[i]), baseline[i])
-            << "workers=" << workers << " jobs=" << jobs << " cell " << i;
+  for (const Schedule& schedule : schedules) {
+    auto build_cells = [&] {
+      std::vector<ExperimentCell> cells;
+      for (size_t c = 0; c < chains.size(); ++c) {
+        const std::string chain = chains[c];
+        const uint64_t seed = CellSeed(schedule.base_seed, c);
+        cells.push_back({chain + "+faults", [chain, seed, &schedule] {
+                           return RunFaultBenchmark(chain, "testnet", 30, 10,
+                                                    schedule.faults, schedule.retry,
+                                                    seed);
+                         }});
       }
+      return cells;
+    };
+
+    std::vector<std::string> serial;
+    for (ExperimentCell& cell : build_cells()) {
+      serial.push_back(Fingerprint(cell.run()));
+    }
+    ParallelRunner four_jobs(4);
+    const std::vector<RunResult> parallel = four_jobs.Run(build_cells());
+    ASSERT_EQ(parallel.size(), serial.size()) << schedule.name;
+    for (size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(Fingerprint(parallel[i]), serial[i]) << schedule.name << " cell " << i;
+      // The resilience fields ride in the fingerprint's JSON: make sure they
+      // are actually populated rather than trivially equal-and-empty.
+      EXPECT_NE(serial[i].find("time_to_recovery_s"), std::string::npos)
+          << schedule.name;
     }
   }
-  ASSERT_EQ(unsetenv("DIABLO_CELL_WORKERS"), 0);
-}
-
-TEST(DeterminismTest, LossAndRetryCellsShardEngineOnlyAndStayIdentical) {
-  // Loss windows and retry policies keep the *clients* on the serial loop
-  // (their submissions feed shared loss draws and retry stats), but the
-  // consensus engine still shards. The output must not notice.
-  ASSERT_EQ(unsetenv("DIABLO_CELL_WORKERS"), 0);
-  const FaultSchedule faults = FaultScheduleBuilder()
-                                   .Crash(0, Seconds(2), Seconds(5))
-                                   .Loss(0.1, Seconds(6), Seconds(8))
-                                   .Build();
-  RetryPolicy retry;
-  retry.max_attempts = 3;
-  retry.timeout = Seconds(1);
-  auto run_cell = [&] {
-    return RunFaultBenchmark("quorum", "testnet", 30, 10, faults, retry,
-                             CellSeed(/*base_seed=*/13, 0));
-  };
-
-  const std::string baseline = Fingerprint(run_cell());
-  for (const char* workers : {"2", "4"}) {
-    ASSERT_EQ(setenv("DIABLO_CELL_WORKERS", workers, 1), 0);
-    EXPECT_EQ(Fingerprint(run_cell()), baseline) << "workers=" << workers;
-  }
-  ASSERT_EQ(unsetenv("DIABLO_CELL_WORKERS"), 0);
 }
 
 TEST(RunnerStatsTest, JsonRoundTripKeepsOtherBinaries) {

@@ -2,15 +2,12 @@
 
 #include <array>
 #include <memory>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "src/sim/event_queue.h"
 #include "src/sim/simulation.h"
-#include "src/support/check.h"
 #include "src/support/rng.h"
-#include "src/support/shard_guard.h"
 
 namespace diablo {
 namespace {
@@ -253,226 +250,6 @@ TEST(SimulationTest, EventCountTracked) {
   }
   sim.Run();
   EXPECT_EQ(sim.events_executed(), 7u);
-}
-
-// --- Windowed (intra-cell parallel) scheduler ---
-
-// One scenario, parameterised only by the worker count: four shards firing
-// six rounds of events close enough in time to share lookahead windows. Each
-// sharded event logs its own clock and a draw from its shard-owned stream,
-// and pushes a serial recorder whose order is decided by the barrier merge.
-// Every observable must be identical at any worker count — including the
-// legacy single-threaded loop (workers == 0, ConfigureCellWorkers never
-// called).
-struct ShardScenarioResult {
-  std::vector<std::vector<std::pair<SimTime, uint64_t>>> shard_logs;
-  std::vector<std::tuple<SimTime, int, int>> serial_log;  // time, shard, round
-  uint64_t events = 0;
-  uint64_t barriers = 0;
-  SimTime end_now = 0;
-
-  bool operator==(const ShardScenarioResult& o) const {
-    return shard_logs == o.shard_logs && serial_log == o.serial_log &&
-           events == o.events && end_now == o.end_now;
-  }
-};
-
-ShardScenarioResult RunShardScenario(int workers) {
-  constexpr int kShards = 4;
-  constexpr int kRounds = 6;
-  ShardScenarioResult out;
-  out.shard_logs.resize(kShards);
-  std::vector<Rng> rngs;
-  for (int s = 0; s < kShards; ++s) {
-    rngs.emplace_back(1000 + static_cast<uint64_t>(s));
-  }
-  Simulation sim(7);
-  if (workers > 0) {
-    sim.ConfigureCellWorkers(workers, Milliseconds(10));
-  }
-  for (int s = 0; s < kShards; ++s) {
-    for (int r = 0; r < kRounds; ++r) {
-      // Shards s=0..3 land at 20r..20r+3 ms: all four fit one 10 ms window.
-      const SimTime at = Milliseconds(20 * r + s);
-      sim.ScheduleAtOn(static_cast<uint32_t>(s), at, [&, s, r, at] {
-        out.shard_logs[static_cast<size_t>(s)].emplace_back(sim.Now(),
-                                                            rngs[static_cast<size_t>(s)].NextU64());
-        // +15 ms is past the window end (20r + 10 ms): conservatism holds.
-        sim.ScheduleAt(at + Milliseconds(15), [&out, &sim, s, r] {
-          out.serial_log.emplace_back(sim.Now(), s, r);
-        });
-      });
-    }
-  }
-  sim.RunUntil(Seconds(1));
-  out.events = sim.events_executed();
-  out.barriers = sim.window_barriers();
-  out.end_now = sim.Now();
-  return out;
-}
-
-TEST(WindowedSimulationTest, TrajectoryIsWorkerCountInvariant) {
-  const ShardScenarioResult legacy = RunShardScenario(0);
-  ASSERT_EQ(legacy.serial_log.size(), 24u);
-  EXPECT_EQ(legacy.barriers, 0u);
-  for (const int workers : {1, 2, 4}) {
-    const ShardScenarioResult got = RunShardScenario(workers);
-    EXPECT_TRUE(got == legacy) << "workers=" << workers;
-    EXPECT_GT(got.barriers, 0u) << "workers=" << workers;
-  }
-}
-
-TEST(WindowedSimulationTest, BarrierMergePreservesSerialPushOrder) {
-  for (const int workers : {1, 2, 4}) {
-    Simulation sim(3);
-    sim.ConfigureCellWorkers(workers, Milliseconds(5));
-    std::vector<int> order;
-    for (int s = 0; s < 4; ++s) {
-      // All four recorders land at the same timestamp, so their relative
-      // order is decided purely by the canonical (drain-order) merge.
-      sim.ScheduleAtOn(static_cast<uint32_t>(s), Milliseconds(1), [&sim, &order, s] {
-        sim.ScheduleAt(Milliseconds(10), [&order, s] { order.push_back(s); });
-      });
-    }
-    sim.Run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3})) << "workers=" << workers;
-  }
-}
-
-TEST(WindowedSimulationTest, WorkerNowIsTheEventsOwnTimestamp) {
-  Simulation sim(2);
-  sim.ConfigureCellWorkers(2, Milliseconds(10));
-  std::array<SimTime, 2> seen{-1, -1};
-  sim.ScheduleAtOn(0, Milliseconds(1), [&] { seen[0] = sim.Now(); });
-  sim.ScheduleAtOn(1, Milliseconds(2), [&] { seen[1] = sim.Now(); });
-  sim.Run();
-  EXPECT_EQ(seen[0], Milliseconds(1));
-  EXPECT_EQ(seen[1], Milliseconds(2));
-}
-
-TEST(WindowedSimulationTest, ScheduleOnFromWorkerIsRelativeToEventTime) {
-  Simulation sim(2);
-  sim.ConfigureCellWorkers(2, Milliseconds(5));
-  SimTime second = -1;
-  sim.ScheduleAtOn(0, Milliseconds(1), [&] {
-    sim.ScheduleOn(0, Milliseconds(8), [&] { second = sim.Now(); });
-  });
-  sim.Run();
-  EXPECT_EQ(second, Milliseconds(9));
-}
-
-TEST(WindowedSimulationTest, ScratchArenaIsWorkerOwnedDuringWindows) {
-  Simulation sim(5);
-  sim.ConfigureCellWorkers(4, Milliseconds(5));
-  std::array<bool, 4> intact{};
-  for (int s = 0; s < 4; ++s) {
-    sim.ScheduleAtOn(static_cast<uint32_t>(s), Milliseconds(1), [&sim, &intact, s] {
-      uint32_t* data = sim.scratch_arena().AllocateArray<uint32_t>(64);
-      for (uint32_t i = 0; i < 64; ++i) {
-        data[i] = static_cast<uint32_t>(s) * 1000 + i;
-      }
-      bool good = true;
-      for (uint32_t i = 0; i < 64; ++i) {
-        good = good && data[i] == static_cast<uint32_t>(s) * 1000 + i;
-      }
-      intact[static_cast<size_t>(s)] = good;
-    });
-  }
-  sim.Run();
-  for (const bool good : intact) {
-    EXPECT_TRUE(good);
-  }
-  // Outside any window the serial fallback arena serves allocations.
-  EXPECT_NE(sim.scratch_arena().AllocateArray<uint32_t>(4), nullptr);
-}
-
-TEST(WindowedSimulationTest, RunUntilHorizonSemanticsMatchLegacy) {
-  Simulation sim(1);
-  sim.ConfigureCellWorkers(2, Milliseconds(5));
-  int fired = 0;
-  sim.ScheduleAtOn(0, Seconds(1), [&] { ++fired; });
-  sim.ScheduleAtOn(1, Seconds(10), [&] { ++fired; });
-  const uint64_t executed = sim.RunUntil(Seconds(5));
-  EXPECT_EQ(executed, 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.Now(), Seconds(5));
-  EXPECT_EQ(sim.pending_events(), 1u);
-  sim.Run();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(WindowedSimulationDeathTest, LookaheadViolationTripsCheckedBuild) {
-  if (!kCheckedBuild) {
-    GTEST_SKIP() << "invariant assertions are compiled out of this build";
-  }
-  ASSERT_DEATH(
-      {
-        Simulation sim(1);
-        sim.ConfigureCellWorkers(1, Milliseconds(10));
-        sim.ScheduleAtOn(0, Milliseconds(1), [&sim] {
-          // Scheduling inside the event's own window breaks conservatism.
-          sim.ScheduleAt(Milliseconds(2), [] {});
-        });
-        sim.Run();
-      },
-      "lookahead");
-}
-
-TEST(ShardGuardTest, OwnedAndSerialAccessesPass) {
-  // The tracker's allow conditions: owner-shard access inside a window,
-  // serial access outside any window, and any access while unbound. All
-  // three must be silent at any worker count.
-  Simulation sim(1);
-  sim.ConfigureCellWorkers(2, Milliseconds(10));
-  shard_guard::ShardOwner owner;
-  owner.AssertAccess();  // unbound: always allowed
-  owner.Bind(3, "test structure");
-  owner.AssertAccess();  // serial context: allowed
-  int touched = 0;
-  sim.ScheduleAtOn(3, Milliseconds(1), [&] {
-    owner.AssertAccess();  // owning shard inside a window: allowed
-    ++touched;
-  });
-  sim.Run();
-  EXPECT_EQ(touched, 1);
-}
-
-TEST(ShardGuardDeathTest, CrossShardAccessTripsCheckedBuild) {
-  if (!kCheckedBuild) {
-    GTEST_SKIP() << "shard-ownership tracking is compiled out of this build";
-  }
-  ASSERT_DEATH(
-      {
-        Simulation sim(1);
-        sim.ConfigureCellWorkers(1, Milliseconds(10));
-        shard_guard::ShardOwner owner;
-        owner.Bind(0, "test structure");
-        // An event on shard 1 touching shard 0's structure is exactly the
-        // cross-shard write the windowed scheduler cannot tolerate. One
-        // worker is enough: ownership is compared shard-to-shard, so the
-        // violation fires even when both shards map to the same thread.
-        sim.ScheduleAtOn(1, Milliseconds(1), [&owner] { owner.AssertAccess(); });
-        sim.Run();
-      },
-      "shard-guard");
-}
-
-TEST(ShardGuardDeathTest, SerialOnlyBindingRejectsWindowedAccess) {
-  if (!kCheckedBuild) {
-    GTEST_SKIP() << "shard-ownership tracking is compiled out of this build";
-  }
-  ASSERT_DEATH(
-      {
-        Simulation sim(1);
-        sim.ConfigureCellWorkers(1, Milliseconds(10));
-        shard_guard::ShardOwner owner;
-        // kUnowned as an explicit owner means serial-only (the
-        // clients-sharded/engine-serial configuration in primary.cc).
-        owner.Bind(shard_guard::kUnowned, "test structure");
-        sim.ScheduleAtOn(2, Milliseconds(1), [&owner] { owner.AssertAccess(); });
-        sim.Run();
-      },
-      "serial-only");
 }
 
 TEST(SimulationTest, DeterministicAcrossRuns) {

@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -28,29 +24,25 @@ struct Allow {
   std::string reason;
 };
 
-struct PhaseMark {
-  int line = 0;
-  bool is_begin = false;
-  std::string name;  // optional region label from parallel-phase(begin, name)
-};
-
 // Per-line suppressions collected while lexing; standalone comment lines are
 // re-attached to the next code line after lexing.
 struct LexOutput {
   std::vector<Token> tokens;
   std::map<int, std::vector<Allow>> allows;       // line -> allows
   std::vector<std::pair<int, Allow>> standalone;  // comment line, allow
-  std::vector<PhaseMark> phase_marks;             // region markers (D6/D7/D8)
   std::vector<Finding> comment_findings;          // malformed allow()
 };
 
 bool IsIdentStart(char c) { return std::isalpha(static_cast<unsigned char>(c)) || c == '_'; }
 bool IsIdentChar(char c) { return std::isalnum(static_cast<unsigned char>(c)) || c == '_'; }
-bool IsIdentToken(const std::string& t) { return !t.empty() && IsIdentStart(t[0]); }
 
-// Parses every detlint comment directive: `allow(RULE, reason)` suppressions
-// and the `parallel-phase(begin[, name])` / `parallel-phase(end)` region
-// markers that scope rule D6 and seed the D7/D8 reachability roots.
+// Rule ids an allow() may name: the rules themselves plus the `all`/`*`
+// wildcards. Anything else suppresses nothing and is reported as SUP, so a
+// stale allow() for a retired rule cannot linger unnoticed.
+const std::set<std::string> kSuppressibleRules = {"D1", "D2", "D3", "D4",
+                                                  "D5", "all", "*"};
+
+// Parses every allow(RULE, reason) suppression directive in a comment.
 void ParseAllows(const std::string& comment, int line, bool standalone,
                  const std::string& file, LexOutput* out) {
   auto strip = [](std::string& s) {
@@ -60,31 +52,6 @@ void ParseAllows(const std::string& comment, int line, bool standalone,
   size_t pos = 0;
   while ((pos = comment.find("detlint:", pos)) != std::string::npos) {
     pos += 8;
-    // Region markers come right after the marker word; they must be matched
-    // here because the allow() search below breaks out when absent.
-    size_t marker = pos;
-    while (marker < comment.size() &&
-           std::isspace(static_cast<unsigned char>(comment[marker]))) {
-      ++marker;
-    }
-    if (comment.compare(marker, 15, "parallel-phase(") == 0) {
-      const size_t body_begin = marker + 15;
-      const size_t body_end = comment.find(')', body_begin);
-      if (body_end == std::string::npos) {
-        break;
-      }
-      std::string body = comment.substr(body_begin, body_end - body_begin);
-      const size_t comma = body.find(',');
-      std::string kind = body.substr(0, comma == std::string::npos ? body.size() : comma);
-      std::string name = comma == std::string::npos ? std::string() : body.substr(comma + 1);
-      strip(kind);
-      strip(name);
-      if (kind == "begin" || kind == "end") {
-        out->phase_marks.push_back(PhaseMark{line, kind == "begin", name});
-      }
-      pos = body_end + 1;
-      continue;
-    }
     size_t open = comment.find("allow(", pos);
     if (open == std::string::npos) {
       break;
@@ -103,12 +70,14 @@ void ParseAllows(const std::string& comment, int line, bool standalone,
     strip(reason);
     if (reason.empty()) {
       out->comment_findings.push_back(Finding{
-          file, line, "SUP",
-          "suppression allow(" + rule + ") carries no reason",
+          file, line, "SUP", "suppression allow(" + rule + ") carries no reason",
           "write `// detlint: allow(" + rule + ", <why this site is deterministic>)`",
-          false,
-          {},
-          {}});
+          false, {}});
+    } else if (kSuppressibleRules.count(rule) == 0) {
+      out->comment_findings.push_back(Finding{
+          file, line, "SUP", "suppression allow(" + rule + ") names no detlint rule",
+          "detlint has rules D1-D5; delete the stale allow() or correct the rule id",
+          false, {}});
     } else if (standalone) {
       out->standalone.emplace_back(line, Allow{rule, reason});
     } else {
@@ -315,616 +284,26 @@ const std::set<std::string> kPointerCastTargets = {"uintptr_t", "intptr_t", "siz
 // per-chain stream.
 const std::set<std::string> kForkedRngReceivers = {"ctx", "ctx_"};
 
-// Keywords that can precede a parenthesized group followed by `{` without
-// the group being a parameter list.
-const std::set<std::string> kControlKeywords = {"if",     "for",   "while",
-                                                "switch", "catch", "constexpr"};
-// Identifiers that end the backward search for a function header: seeing one
-// of these in return-type / trailer position proves the `{` opens a plain
-// block or initializer, not a function body.
-const std::set<std::string> kHeaderStoppers = {
-    "return", "else", "do", "case", "goto", "throw", "break", "continue",
-    "new",    "delete"};
-// Callee names never recorded as call-graph edges (language keywords and
-// cast-like constructs that lex as `name (`).
-const std::set<std::string> kNotCallees = {
-    "if",          "for",         "while",       "switch",     "catch",
-    "return",      "sizeof",      "alignof",     "decltype",   "new",
-    "delete",      "throw",       "assert",      "static_cast",
-    "dynamic_cast", "const_cast", "reinterpret_cast", "defined", "alignas",
-    "noexcept",    "typeid"};
-
-// Serial-only APIs for rule D8. Exact callee-name match; `ScheduleOn`,
-// `ScheduleAtOn`, `ScheduleEngine` and `ScheduleEngineAt` deliberately do
-// not appear — those are the shard-owned alternatives.
-const std::set<std::string> kSerialScheduleApis = {"Schedule", "ScheduleAt"};
-const std::set<std::string> kReportApis = {"BuildReport", "AddResilienceMetrics"};
-const std::set<std::string> kFaultMutatorApis = {
-    "Install",         "SetNodeDown",       "SetCpuFactor",
-    "SetAdversary",    "SetCensoredSigners", "SetExtraDelay",
-    "SetPartitioned",  "AddLossWindow",      "AddDelaySpikeWindow",
-    "Stop"};
-const std::set<std::string> kStdoutCalls = {"printf", "puts", "putchar"};
-const std::set<std::string> kStreamStdoutCalls = {"fprintf", "fputs", "fwrite"};
-
-// Matches the D6(b) global-write pattern at token index `i`; on a match
-// returns true and names the mutating operator. Shared between the per-file
-// D6 scan (region-scoped) and the project indexer (region-free, for D7).
-bool MatchGlobalWrite(const std::vector<Token>& tokens, size_t i, std::string* op) {
-  auto tok = [&](size_t j) -> const std::string& {
-    static const std::string kEmpty;
-    return j < tokens.size() ? tokens[j].text : kEmpty;
-  };
-  const std::string& text = tokens[i].text;
-  if (text.size() <= 2 || text.compare(0, 2, "g_") != 0 || !IsIdentStart(text[0])) {
-    return false;
-  }
-  const std::string& next = tok(i + 1);
-  if (next == "=" && tok(i + 2) != "=") {
-    // Plain assignment; `g_x == y` lexes as `=` `=` and is skipped.
-    *op = "=";
-    return true;
-  }
-  if (next == "+=" || next == "-=") {
-    *op = next;
-    return true;
-  }
-  if ((next == "*" || next == "/" || next == "%" || next == "&" || next == "|" ||
-       next == "^") &&
-      tok(i + 2) == "=" && tok(i + 3) != "=") {
-    // Compound ops the lexer splits (`*=` → `*` `=`). `<`/`>` are excluded:
-    // `g_x <= y` would lex identically to a split `<=`.
-    *op = next + "=";
-    return true;
-  }
-  if (next == "+" && tok(i + 2) == "+" && !tok(i + 3).empty() &&
-      !IsIdentStart(tok(i + 3)[0])) {
-    // Postfix ++ (the lexer splits it); the trailing guard keeps
-    // `g_x + +y` quiet.
-    *op = "++";
-    return true;
-  }
-  if (next == "-" && tok(i + 2) == "-" && !tok(i + 3).empty() &&
-      !IsIdentStart(tok(i + 3)[0])) {
-    *op = "--";
-    return true;
-  }
-  if (i >= 2 && ((tok(i - 2) == "+" && tok(i - 1) == "+") ||
-                 (tok(i - 2) == "-" && tok(i - 1) == "-"))) {
-    // Prefix ++/--; the leading guard keeps `a + +g_x` (unary plus on an
-    // operand after a binary +) quiet: before a genuine prefix increment
-    // the previous token cannot end an expression.
-    const std::string& before = i >= 3 ? tok(i - 3) : std::string();
-    const bool ends_expression =
-        !before.empty() && (IsIdentStart(before[0]) || before == ")" ||
-                            before == "]" || (before[0] >= '0' && before[0] <= '9'));
-    if (!ends_expression) {
-      *op = tok(i - 1) == "+" ? "++" : "--";
-      return true;
-    }
-  }
-  if ((next == "." || next == "->") &&
-      (tok(i + 2) == "store" || tok(i + 2) == "exchange" ||
-       tok(i + 2) == "fetch_add" || tok(i + 2) == "fetch_sub") &&
-      tok(i + 3) == "(") {
-    // Atomic mutation is still a cross-shard effect ordered by the memory
-    // model, not the window barrier.
-    *op = tok(i + 2) + "()";
-    return true;
-  }
-  return false;
-}
-
-// Matches the accessor-RNG-draw pattern `recv->rng().NextFoo(` (or `.`, or
-// bare `rng().NextFoo(`) at token index `i`; fills the receiver spelling
-// ("this" when bare) and the Next* method name. Shared by D4, D6 and the
-// project indexer (D7).
-bool MatchRngAccessorDraw(const std::vector<Token>& tokens, size_t i,
-                          std::string* receiver, std::string* method) {
-  auto tok = [&](size_t j) -> const std::string& {
-    static const std::string kEmpty;
-    return j < tokens.size() ? tokens[j].text : kEmpty;
-  };
-  if (tokens[i].text != "rng" || tok(i + 1) != "(" || tok(i + 2) != ")" ||
-      tok(i + 3) != "." || tok(i + 4).compare(0, 4, "Next") != 0) {
-    return false;
-  }
-  receiver->clear();
-  if (i >= 2 && (tok(i - 1) == "->" || tok(i - 1) == ".")) {
-    *receiver = tok(i - 2);
-  }
-  *method = tok(i + 4);
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Pass 1: per-TU index — function definitions, call edges, hazard sites.
-// ---------------------------------------------------------------------------
-
-struct CallSite {
-  std::string callee;  // last name component at the call site
-  int line = 0;
-};
-
-enum class HazardKind { kRngAccessor, kGlobalWrite, kSerialApi };
-
-struct HazardSite {
-  HazardKind kind;
-  std::string detail;  // receiver / global name / API name
-  std::string extra;   // Next* method, write operator, or API class
-  int line = 0;
-};
-
-struct FuncDef {
-  std::string name;  // last component, e.g. "Trigger"
-  std::string qual;  // e.g. "SimClient::Trigger"
-  int file_index = -1;
-  int line_begin = 0;  // line of the header's opening brace
-  int line_end = 0;    // line of the closing brace
-  std::vector<CallSite> calls;
-  std::vector<HazardSite> hazards;
-};
-
-struct PhaseRegion {
-  int begin = 0;
-  int end = 0;
-  std::string name;
-};
-
-// Folds lexer phase marks into inclusive [begin, end] line ranges. Markers
-// arrive in source order; an unmatched begin keeps its region open to the
-// end of the file (conservative: more code is scanned), and a stray end is
-// ignored.
-std::vector<PhaseRegion> BuildPhaseRegions(const std::vector<PhaseMark>& marks) {
-  std::vector<PhaseRegion> regions;
-  int open_line = 0;
-  std::string open_name;
-  for (const PhaseMark& mark : marks) {
-    if (mark.is_begin) {
-      if (open_line == 0) {
-        open_line = mark.line;
-        open_name = mark.name;
-      }
-    } else if (open_line != 0) {
-      regions.push_back(PhaseRegion{open_line, mark.line, open_name});
-      open_line = 0;
-      open_name.clear();
-    }
-  }
-  if (open_line != 0) {
-    regions.push_back(
-        PhaseRegion{open_line, std::numeric_limits<int>::max(), open_name});
-  }
-  return regions;
-}
-
-bool LineInRegions(const std::vector<PhaseRegion>& regions, int line) {
-  for (const PhaseRegion& r : regions) {
-    if (line >= r.begin && line <= r.end) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// Extracts every function/method definition in a token stream along with the
-// call edges and hazard sites inside each body. Token-level heuristic: a `{`
-// is a function body when walking backward over a plausible header —
-// trailing cv/ref/noexcept tokens, constructor init-list groups, a balanced
-// parameter list, then a (possibly qualified) name that is not a control
-// keyword. Lambdas and plain blocks attribute their contents to the nearest
-// enclosing named function; `TEST(F, N) {` macro bodies index as functions
-// named after the macro, which is harmless (nothing calls them by name).
-class TuIndexer {
- public:
-  TuIndexer(int file_index, const std::vector<Token>& tokens)
-      : file_index_(file_index), tokens_(tokens) {}
-
-  std::vector<FuncDef> Index() {
-    struct Scope {
-      enum Kind { kNamespace, kClass, kFunction, kBlock } kind;
-      std::string name;   // class name for kClass
-      int func = -1;      // index into funcs_ for kFunction
-    };
-    std::vector<Scope> scopes;
-    auto innermost_func = [&]() -> int {
-      for (size_t s = scopes.size(); s-- > 0;) {
-        if (scopes[s].kind == Scope::kFunction) {
-          return scopes[s].func;
-        }
-      }
-      return -1;
-    };
-    for (size_t i = 0; i < tokens_.size(); ++i) {
-      const std::string& t = tokens_[i].text;
-      if (t == "{") {
-        Scope scope{Scope::kBlock, "", -1};
-        std::string name;
-        std::vector<std::string> components;
-        if (IsNamespaceBrace(i, &name)) {
-          scope.kind = Scope::kNamespace;
-        } else if (IsClassBrace(i, &name)) {
-          scope.kind = Scope::kClass;
-          scope.name = name;
-        } else if (innermost_func() < 0 && MatchFunctionHeader(i, &components)) {
-          scope.kind = Scope::kFunction;
-          FuncDef def;
-          def.name = components.back();
-          def.qual = Qualify(scopes, components);
-          def.file_index = file_index_;
-          def.line_begin = tokens_[i].line;
-          def.line_end = tokens_[i].line;  // patched when the brace closes
-          scope.func = static_cast<int>(funcs_.size());
-          funcs_.push_back(std::move(def));
-        }
-        scopes.push_back(std::move(scope));
-        continue;
-      }
-      if (t == "}") {
-        if (!scopes.empty()) {
-          if (scopes.back().kind == Scope::kFunction && scopes.back().func >= 0) {
-            funcs_[scopes.back().func].line_end = tokens_[i].line;
-          }
-          scopes.pop_back();
-        }
-        continue;
-      }
-      const int fn = innermost_func();
-      if (fn < 0) {
-        continue;
-      }
-      CollectSites(i, &funcs_[fn]);
-    }
-    return std::move(funcs_);
-  }
-
- private:
-  const Token& Tok(size_t i) const {
-    static const Token kEnd{"", 0};
-    return i < tokens_.size() ? tokens_[i] : kEnd;
-  }
-
-  // `namespace foo {` / `namespace {`.
-  bool IsNamespaceBrace(size_t brace, std::string* name) const {
-    if (brace >= 1 && Tok(brace - 1).text == "namespace") {
-      name->clear();
-      return true;
-    }
-    if (brace >= 2 && IsIdentToken(Tok(brace - 1).text) &&
-        Tok(brace - 2).text == "namespace") {
-      *name = Tok(brace - 1).text;
-      return true;
-    }
-    return false;
-  }
-
-  // `class X {`, `struct X final : public Y<Z> {`, `enum class X : T {`,
-  // anonymous `struct {` / `union {`. Walks back over the base clause; any
-  // token outside the clause grammar aborts the class interpretation.
-  bool IsClassBrace(size_t brace, std::string* name) const {
-    static const std::set<std::string> kClauseTokens = {
-        "public", "private", "protected", "virtual", "final",
-        "::",     "<",       ">",         ",",       ":"};
-    size_t j = brace;
-    int budget = 48;
-    while (j > 0 && budget-- > 0) {
-      const std::string& t = Tok(j - 1).text;
-      if (t == "class" || t == "struct" || t == "union" || t == "enum") {
-        // First identifier after the keyword names the type (may be absent
-        // for anonymous aggregates). `enum class X` resolves via the inner
-        // `class` first, which is fine: the name is the same.
-        name->clear();
-        if (IsIdentToken(Tok(j).text) && kClauseTokens.count(Tok(j).text) == 0) {
-          *name = Tok(j).text;
-        }
-        return true;
-      }
-      if (IsIdentToken(t) || kClauseTokens.count(t) != 0) {
-        --j;
-        continue;
-      }
-      return false;
-    }
-    return false;
-  }
-
-  // Matches a balanced group backward: `close_idx` indexes the closing
-  // token; returns the index of the matching opener, or SIZE_MAX on failure.
-  size_t MatchGroupBack(size_t close_idx, const char* open, const char* close) const {
-    int depth = 0;
-    for (size_t j = close_idx + 1; j-- > 0;) {
-      const std::string& t = Tok(j).text;
-      if (t == close) {
-        ++depth;
-      } else if (t == open) {
-        if (--depth == 0) {
-          return j;
-        }
-      }
-      if (close_idx - j > 512) {
-        break;  // runaway; not a header
-      }
-    }
-    return static_cast<size_t>(-1);
-  }
-
-  // Walks a qualified name ending at `last` backward: `Foo::Bar::baz`,
-  // `~Foo`, `operator()`/`operator<`. Fills components root-first and
-  // returns the index of the first token of the name, or SIZE_MAX.
-  size_t WalkQualifiedNameBack(size_t last, std::vector<std::string>* components) const {
-    components->clear();
-    size_t j = last;
-    if (!IsIdentToken(Tok(j).text)) {
-      return static_cast<size_t>(-1);
-    }
-    components->push_back(Tok(j).text);
-    while (j >= 2 && Tok(j - 1).text == "::" && IsIdentToken(Tok(j - 2).text)) {
-      components->insert(components->begin(), Tok(j - 2).text);
-      j -= 2;
-    }
-    if (j >= 1 && Tok(j - 1).text == "~") {
-      components->back().insert(0, "~");
-      --j;
-    }
-    return j;
-  }
-
-  // Backward function-header matcher from the `{` at `brace`. Grammar
-  // (right to left): optional trailer (cv/ref/noexcept/trailing return
-  // type), optional constructor init-list groups `name(...)` / `name{...}`
-  // separated by `,` and introduced by `:`, then the parameter list
-  // `( ... )` preceded by the function's (possibly qualified) name.
-  bool MatchFunctionHeader(size_t brace, std::vector<std::string>* out) const {
-    static const std::set<std::string> kTrailerTokens = {
-        "const", "noexcept", "override", "final", "mutable",
-        "&",     "*",        "->",       "::",    "try"};
-    if (brace == 0) {
-      return false;
-    }
-    size_t j = brace - 1;
-    int budget = 96;
-    // Phase A: consume trailer tokens until the first group closer.
-    while (budget-- > 0) {
-      const std::string& t = Tok(j).text;
-      if (kTrailerTokens.count(t) != 0) {
-        if (j == 0) return false;
-        --j;
-        continue;
-      }
-      if (t == ">") {
-        const size_t open = MatchGroupBack(j, "<", ">");
-        if (open == static_cast<size_t>(-1) || open == 0) return false;
-        j = open - 1;
-        continue;
-      }
-      if (IsIdentToken(t)) {
-        if (kHeaderStoppers.count(t) != 0) return false;
-        if (j == 0) return false;
-        --j;
-        continue;
-      }
-      if (t == ")" || t == "}") {
-        break;  // first group found
-      }
-      return false;
-    }
-    // Phase B: groups right-to-left — init-list groups, then the parameter
-    // list whose preceding name is the function name.
-    bool saw_init_list = false;
-    while (budget-- > 0) {
-      const std::string& t = Tok(j).text;
-      size_t open;
-      if (t == ")") {
-        open = MatchGroupBack(j, "(", ")");
-      } else if (t == "}" && !saw_init_list) {
-        open = MatchGroupBack(j, "{", "}");  // brace-init in an init list
-      } else {
-        return false;
-      }
-      if (open == static_cast<size_t>(-1) || open == 0) {
-        return false;
-      }
-      size_t pre = open - 1;
-      // `operator()` / `operator<` etc.: the group may sit right after the
-      // operator keyword (with up to two symbol tokens in between, since
-      // the lexer splits most multi-char operators).
-      for (size_t back = 0; back <= 2 && pre - back < tokens_.size(); ++back) {
-        if (Tok(pre - back).text == "operator") {
-          out->clear();
-          out->push_back("operator");
-          return true;
-        }
-        if (IsIdentToken(Tok(pre - back).text)) {
-          break;
-        }
-        if (pre - back == 0) {
-          return false;
-        }
-      }
-      if (Tok(pre).text == "noexcept") {
-        // `noexcept(expr)` trailer; resume looking for the next group.
-        if (pre == 0) return false;
-        j = pre - 1;
-        continue;
-      }
-      std::vector<std::string> components;
-      const size_t name_begin = WalkQualifiedNameBack(pre, &components);
-      if (name_begin == static_cast<size_t>(-1)) {
-        return false;
-      }
-      if (kControlKeywords.count(components.back()) != 0 ||
-          kHeaderStoppers.count(components.back()) != 0) {
-        return false;
-      }
-      const std::string& before =
-          name_begin > 0 ? Tok(name_begin - 1).text : std::string();
-      if (before == ",") {
-        // Another constructor init-list group to the left.
-        if (name_begin < 2) return false;
-        saw_init_list = true;
-        j = name_begin - 2;
-        continue;
-      }
-      if (before == ":" && Tok(name_begin - 2).text != ":") {
-        // Start of the init list (a single `:`; `::` lexes fused). The
-        // parameter list must close immediately to the left.
-        if (name_begin < 2 || Tok(name_begin - 2).text != ")") return false;
-        saw_init_list = true;
-        j = name_begin - 2;
-        continue;
-      }
-      if (before == "." || before == "->") {
-        return false;  // member access expression, not a definition
-      }
-      *out = std::move(components);
-      return true;
-    }
-    return false;
-  }
-
-  // Builds the qualified display name: enclosing class scopes joined with
-  // the header's own (possibly already qualified) components. Namespace
-  // names are dropped — class qualification is what the entry-point roots
-  // and chain messages key on.
-  template <typename Scopes>
-  std::string Qualify(const Scopes& scopes, const std::vector<std::string>& components) const {
-    std::string qual;
-    if (components.size() == 1) {
-      for (const auto& scope : scopes) {
-        if (scope.kind == std::decay_t<decltype(scope)>::kClass && !scope.name.empty()) {
-          qual += scope.name + "::";
-        }
-      }
-    }
-    for (size_t k = 0; k < components.size(); ++k) {
-      qual += components[k];
-      if (k + 1 < components.size()) {
-        qual += "::";
-      }
-    }
-    return qual;
-  }
-
-  // Records call edges and hazard sites at token `i` into `def`.
-  void CollectSites(size_t i, FuncDef* def) {
-    const std::string& text = tokens_[i].text;
-    const int line = tokens_[i].line;
-    std::string receiver;
-    std::string method;
-    if (MatchRngAccessorDraw(tokens_, i, &receiver, &method)) {
-      def->hazards.push_back(HazardSite{HazardKind::kRngAccessor,
-                                        receiver.empty() ? "this" : receiver,
-                                        method, line});
-    }
-    std::string op;
-    if (MatchGlobalWrite(tokens_, i, &op)) {
-      def->hazards.push_back(HazardSite{HazardKind::kGlobalWrite, text, op, line});
-    }
-    if (text == "cout" && (i == 0 || Tok(i - 1).text != ".")) {
-      def->hazards.push_back(
-          HazardSite{HazardKind::kSerialApi, "cout", "stdout", line});
-    }
-    if (!IsIdentToken(text) || Tok(i + 1).text != "(") {
-      return;
-    }
-    if (kSerialScheduleApis.count(text) != 0) {
-      def->hazards.push_back(
-          HazardSite{HazardKind::kSerialApi, text, "serial-shard scheduling", line});
-      return;  // do not also record an edge: serial APIs are not traversed
-    }
-    if (kReportApis.count(text) != 0) {
-      def->hazards.push_back(
-          HazardSite{HazardKind::kSerialApi, text, "report construction", line});
-      return;
-    }
-    if (kFaultMutatorApis.count(text) != 0) {
-      def->hazards.push_back(
-          HazardSite{HazardKind::kSerialApi, text, "fault-plane mutation", line});
-      return;
-    }
-    if (kStdoutCalls.count(text) != 0) {
-      def->hazards.push_back(HazardSite{HazardKind::kSerialApi, text, "stdout", line});
-      return;
-    }
-    if (kStreamStdoutCalls.count(text) != 0) {
-      // Only a finding when the stream argument is stdout; stderr is the
-      // sanctioned diagnostics channel.
-      int depth = 0;
-      for (size_t j = i + 1; j < tokens_.size() && j < i + 64; ++j) {
-        const std::string& a = tokens_[j].text;
-        if (a == "(") {
-          ++depth;
-        } else if (a == ")") {
-          if (--depth == 0) break;
-        } else if (a == "stdout") {
-          def->hazards.push_back(
-              HazardSite{HazardKind::kSerialApi, text, "stdout", line});
-          break;
-        }
-      }
-      return;
-    }
-    if (kNotCallees.count(text) != 0) {
-      return;
-    }
-    def->calls.push_back(CallSite{text, line});
-  }
-
-  int file_index_;
-  const std::vector<Token>& tokens_;
-  std::vector<FuncDef> funcs_;
-};
-
-// ---------------------------------------------------------------------------
-// Per-file rules D1-D6 (v1 behavior, unchanged).
-// ---------------------------------------------------------------------------
-
 class Linter {
  public:
   Linter(std::string file, LexOutput lex)
       : file_(std::move(file)), lex_(std::move(lex)), tokens_(lex_.tokens) {}
 
-  // Collects the per-file findings (D1-D6 + malformed suppressions).
-  // Project-level passes may then AddFinding() D7/D8 results before
-  // Finish() sorts and applies suppressions.
-  void Analyze() {
+  // Collects the findings (D1-D5 + malformed suppressions) in line order,
+  // with suppressions applied.
+  LintResult Run() {
     AttachStandaloneAllows();
-    phase_regions_ = BuildPhaseRegions(lex_.phase_marks);
     CollectDeclarations();
     Scan();
     for (Finding& f : lex_.comment_findings) {
       findings_.push_back(std::move(f));
     }
-  }
-
-  void AddFinding(Finding f) { findings_.push_back(std::move(f)); }
-
-  LintResult Finish() {
     std::stable_sort(findings_.begin(), findings_.end(),
                      [](const Finding& a, const Finding& b) { return a.line < b.line; });
     ApplySuppressions();
     LintResult result;
     result.findings = std::move(findings_);
     return result;
-  }
-
-  const std::vector<Token>& tokens() const { return tokens_; }
-  const std::vector<PhaseRegion>& phase_regions() const { return phase_regions_; }
-  const std::string& file() const { return file_; }
-
-  // True when `line` carries an allow() for `rule` (or a wildcard). Used by
-  // the shard report to mark state entries already under review.
-  bool HasAllowFor(int line, const std::string& rule) const {
-    const auto it = lex_.allows.find(line);
-    if (it == lex_.allows.end()) {
-      return false;
-    }
-    for (const Allow& allow : it->second) {
-      if (allow.rule == rule || allow.rule == "all" || allow.rule == "*") {
-        return true;
-      }
-    }
-    return false;
   }
 
  private:
@@ -952,8 +331,6 @@ class Linter {
       lex_.allows[comment_line].push_back(allow);
     }
   }
-
-  bool InParallelPhase(int line) const { return LineInRegions(phase_regions_, line); }
 
   // Skips a balanced <...> starting at the `<` token index; returns the index
   // one past the matching `>`, and the token range of the first template
@@ -1030,8 +407,6 @@ class Linter {
       ScanD2(i);
       ScanD3Cast(i);
       ScanD4(i);
-      ScanD6(i);
-      ScanD6GlobalWrite(i);
     }
   }
 
@@ -1159,16 +534,18 @@ class Linter {
     // x->rng().NextFoo(...) / x.rng().NextFoo(...) / bare rng().NextFoo(...):
     // drawing through an accessor means the draw site cannot prove the stream
     // is private. Fork-derived accessors are allowlisted by receiver name.
-    std::string receiver;
-    std::string method;
-    if (MatchRngAccessorDraw(tokens_, i, &receiver, &method)) {
+    if (tokens_[i].text == "rng" && Tok(i + 1).text == "(" && Tok(i + 2).text == ")" &&
+        Tok(i + 3).text == "." && Tok(i + 4).text.compare(0, 4, "Next") == 0) {
+      const bool has_receiver =
+          i >= 2 && (Tok(i - 1).text == "->" || Tok(i - 1).text == ".");
+      const std::string receiver = has_receiver ? Tok(i - 2).text : std::string();
       if (kForkedRngReceivers.count(receiver) != 0) {
         return;
       }
       Report(tokens_[i].line, "D4",
              "direct draw from a shared RNG stream (" +
-                 (receiver.empty() ? std::string("this") : receiver) +
-                 "->rng()." + method + ")",
+                 (receiver.empty() ? std::string("this") : receiver) + "->rng()." +
+                 Tok(i + 4).text + ")",
              "fork a private stream once at construction (Rng::Fork / "
              "Simulation::ForkRng) and draw from the fork");
       return;
@@ -1184,52 +561,9 @@ class Linter {
     }
   }
 
-  void ScanD6(size_t i) {
-    // Any accessor-reached RNG draw inside a parallel-phase region: code that
-    // may run on a windowed worker must draw from a stream the shard owns
-    // (a forked member), never through an accessor — even the accessors D4
-    // allowlists, since those streams are shared across shards. Owned member
-    // draws (`rng_.NextFoo(...)`) stay quiet.
-    std::string receiver;
-    std::string method;
-    if (MatchRngAccessorDraw(tokens_, i, &receiver, &method) &&
-        InParallelPhase(tokens_[i].line)) {
-      Report(tokens_[i].line, "D6",
-             "RNG accessor draw inside a parallel-phase region (" +
-                 (receiver.empty() ? std::string("this") : receiver) +
-                 "->rng()." + method + ")",
-             "a parallel-phase shard must draw from a stream it owns; fork one at "
-             "construction and draw from the member, or pass the owned Rng* "
-             "explicitly (e.g. Network::DelaySampleFrom)");
-    }
-  }
-
-  void ScanD6GlobalWrite(size_t i) {
-    // Writes to namespace-scope mutables inside a parallel-phase region: a
-    // shard may mutate only state it owns, and by this codebase's naming
-    // convention namespace-scope mutables are spelled `g_...`. Token-level
-    // heuristic over that prefix — reads stay quiet, and the lexer splits
-    // `==` into two `=` tokens, so comparisons don't match the assignment
-    // pattern. Blind spots (by design, like every rule here): globals not
-    // named `g_*`, writes through references/pointers taken earlier.
-    if (!InParallelPhase(tokens_[i].line)) {
-      return;
-    }
-    std::string op;
-    if (!MatchGlobalWrite(tokens_, i, &op)) {
-      return;
-    }
-    Report(tokens_[i].line, "D6",
-           "write to non-shard-owned global '" + tokens_[i].text + "' (" + op +
-               ") inside a parallel-phase region",
-           "a parallel phase may mutate only shard-owned state; buffer the "
-           "effect through the barrier push lists or accumulate per-worker "
-           "and merge at the barrier");
-  }
-
   void Report(int line, const char* rule, std::string message, std::string hint) {
     findings_.push_back(
-        Finding{file_, line, rule, std::move(message), std::move(hint), false, {}, {}});
+        Finding{file_, line, rule, std::move(message), std::move(hint), false, {}});
   }
 
   void ApplySuppressions() {
@@ -1254,228 +588,10 @@ class Linter {
   std::string file_;
   LexOutput lex_;
   const std::vector<Token>& tokens_;
-  std::vector<PhaseRegion> phase_regions_;
   std::set<std::string> unordered_names_;
   std::set<std::string> float_names_;
   std::vector<Finding> findings_;
 };
-
-// ---------------------------------------------------------------------------
-// Pass 2: project graph — reachability fixpoint from parallel-phase roots.
-// ---------------------------------------------------------------------------
-
-// Built-in worker entry points: functions the windowed scheduler invokes on
-// worker threads even without a lexical region marker around them.
-const std::set<std::string> kBuiltinRootQuals = {"SimClient::Trigger",
-                                                 "Secondary::SubmitBatch"};
-
-// Top-level directory of a path, used to keep unrelated helpers out of
-// production reachability: an edge into a file under tests/, bench/,
-// examples/ or tools/ resolves only when the caller lives under the same
-// top-level directory. Everything else (src/, bare filenames) is one shared
-// category so production roots still reach all production code.
-std::string PathCategory(const std::string& path) {
-  size_t start = 0;
-  // Normalize leading "./".
-  while (path.compare(start, 2, "./") == 0) {
-    start += 2;
-  }
-  const size_t slash = path.find('/', start);
-  if (slash == std::string::npos) {
-    return "";
-  }
-  const std::string top = path.substr(start, slash - start);
-  if (top == "tests" || top == "bench" || top == "examples" || top == "tools") {
-    return top;
-  }
-  return "";
-}
-
-struct ProjectGraph {
-  std::vector<FuncDef> funcs;                    // all files, stable order
-  std::vector<std::string> categories;           // per file
-  std::vector<std::string> paths;                // per file
-  std::map<std::string, std::vector<int>> by_name;  // last component -> funcs
-  std::vector<int> roots;                        // indices into funcs
-  std::vector<std::string> root_regions;         // region label per root ("" if none)
-};
-
-ProjectGraph BuildProjectGraph(const std::vector<SourceFile>& files,
-                               const std::vector<Linter>& linters) {
-  ProjectGraph graph;
-  for (size_t f = 0; f < files.size(); ++f) {
-    graph.paths.push_back(files[f].path);
-    graph.categories.push_back(PathCategory(files[f].path));
-    TuIndexer indexer(static_cast<int>(f), linters[f].tokens());
-    for (FuncDef& def : indexer.Index()) {
-      graph.funcs.push_back(std::move(def));
-    }
-  }
-  for (size_t i = 0; i < graph.funcs.size(); ++i) {
-    graph.by_name[graph.funcs[i].name].push_back(static_cast<int>(i));
-  }
-  // Roots: functions overlapping a parallel-phase region in their own file,
-  // plus the scheduler's built-in worker entry points.
-  for (size_t i = 0; i < graph.funcs.size(); ++i) {
-    const FuncDef& def = graph.funcs[i];
-    const auto& regions = linters[def.file_index].phase_regions();
-    std::string region_label;
-    bool is_root = false;
-    for (const PhaseRegion& r : regions) {
-      if (def.line_end >= r.begin && def.line_begin <= r.end) {
-        is_root = true;
-        region_label = r.name;
-        break;
-      }
-    }
-    if (!is_root && kBuiltinRootQuals.count(def.qual) != 0) {
-      is_root = true;
-    }
-    if (is_root) {
-      graph.roots.push_back(static_cast<int>(i));
-      graph.root_regions.push_back(region_label);
-    }
-  }
-  return graph;
-}
-
-// BFS over name-resolved call edges from `start` (inclusive). Fills
-// `parent` with the BFS tree (-1 for unreached / the start) so chains can
-// be reconstructed; returns reached indices in BFS order. Deterministic:
-// adjacency is ordered by call-site order, name resolution by function
-// index (itself file-order stable).
-std::vector<int> Reach(const ProjectGraph& graph, const std::vector<int>& starts,
-                       std::vector<int>* parent) {
-  parent->assign(graph.funcs.size(), -1);
-  std::vector<char> seen(graph.funcs.size(), 0);
-  std::deque<int> queue;
-  std::vector<int> order;
-  for (int s : starts) {
-    if (!seen[s]) {
-      seen[s] = 1;
-      queue.push_back(s);
-    }
-  }
-  while (!queue.empty()) {
-    const int u = queue.front();
-    queue.pop_front();
-    order.push_back(u);
-    const std::string& from_cat = graph.categories[graph.funcs[u].file_index];
-    for (const CallSite& call : graph.funcs[u].calls) {
-      const auto it = graph.by_name.find(call.callee);
-      if (it == graph.by_name.end()) {
-        continue;
-      }
-      for (int v : it->second) {
-        if (seen[v]) {
-          continue;
-        }
-        const std::string& to_cat = graph.categories[graph.funcs[v].file_index];
-        if (!to_cat.empty() && to_cat != from_cat) {
-          continue;  // production code never reaches test/bench helpers
-        }
-        seen[v] = 1;
-        (*parent)[v] = u;
-        queue.push_back(v);
-      }
-    }
-  }
-  return order;
-}
-
-std::vector<std::string> ChainFor(const ProjectGraph& graph,
-                                  const std::vector<int>& parent, int func) {
-  std::vector<std::string> chain;
-  for (int v = func; v != -1; v = parent[v]) {
-    chain.push_back(graph.funcs[v].qual);
-  }
-  std::reverse(chain.begin(), chain.end());
-  return chain;
-}
-
-// Emits D7/D8 findings into the per-file linters. D7: RNG-accessor draws and
-// `g_` writes in functions reachable from a parallel-phase root but outside
-// any marked region (in-region sites are D6's). D8: serial-only API calls in
-// any reachable function, in-region included.
-void EmitReachabilityFindings(const ProjectGraph& graph, std::vector<Linter>* linters) {
-  std::vector<int> parent;
-  const std::vector<int> reached = Reach(graph, graph.roots, &parent);
-  std::set<std::string> emitted;  // file:line:rule:detail dedup
-  for (const int u : reached) {
-    const FuncDef& def = graph.funcs[u];
-    Linter& linter = (*linters)[def.file_index];
-    const bool is_root = parent[u] == -1;
-    const std::vector<std::string> chain = ChainFor(graph, parent, u);
-    for (const HazardSite& site : def.hazards) {
-      const bool in_region = LineInRegions(linter.phase_regions(), site.line);
-      std::string rule;
-      std::string message;
-      std::string hint;
-      switch (site.kind) {
-        case HazardKind::kRngAccessor:
-          if (in_region) {
-            continue;  // D6 already reports it at the site
-          }
-          rule = "D7";
-          message = "RNG accessor draw (" + site.detail + "->rng()." + site.extra +
-                    ") reachable from parallel-phase root '" + chain.front() + "'";
-          hint =
-              "code reachable from a parallel phase must draw from a stream the "
-              "shard owns; fork a member stream or pass the owned Rng* down the "
-              "call chain";
-          break;
-        case HazardKind::kGlobalWrite:
-          if (in_region) {
-            continue;
-          }
-          rule = "D7";
-          message = "write to global '" + site.detail + "' (" + site.extra +
-                    ") reachable from parallel-phase root '" + chain.front() + "'";
-          hint =
-              "a parallel phase may mutate only shard-owned state, including "
-              "through helpers; accumulate per-worker and merge at the barrier";
-          break;
-        case HazardKind::kSerialApi:
-          rule = "D8";
-          message = "serial-only API '" + site.detail + "' (" + site.extra +
-                    ") reachable from parallel-phase root '" + chain.front() + "'";
-          hint =
-              site.extra == "serial-shard scheduling"
-                  ? "schedule onto an owned shard instead: ScheduleEngine/"
-                    "ScheduleEngineAt for engine work, ScheduleOn/ScheduleAtOn "
-                    "otherwise"
-                  : (site.extra == "stdout"
-                         ? "windowed code must not write stdout; diagnostics go to "
-                           "stderr, results flow through the report"
-                         : "this API assumes serial context; defer it to a "
-                           "barrier-published serial event");
-          break;
-      }
-      const std::string key = graph.paths[def.file_index] + ":" +
-                              std::to_string(site.line) + ":" + rule + ":" +
-                              site.detail;
-      if (!emitted.insert(key).second) {
-        continue;
-      }
-      Finding finding{linter.file(), site.line,      rule, std::move(message),
-                      std::move(hint), false, {}, {}};
-      if (!is_root || site.kind == HazardKind::kSerialApi) {
-        finding.chain = chain;
-      }
-      linter.AddFinding(std::move(finding));
-    }
-  }
-}
-
-std::vector<Linter> AnalyzeFiles(const std::vector<SourceFile>& files) {
-  std::vector<Linter> linters;
-  linters.reserve(files.size());
-  for (const SourceFile& file : files) {
-    linters.emplace_back(file.path, Lex(file.path, file.source));
-    linters.back().Analyze();
-  }
-  return linters;
-}
 
 void AppendJsonString(const std::string& s, std::string* out) {
   out->push_back('"');
@@ -1509,22 +625,8 @@ void AppendJsonString(const std::string& s, std::string* out) {
 
 }  // namespace
 
-LintResult LintProject(const std::vector<SourceFile>& files) {
-  std::vector<Linter> linters = AnalyzeFiles(files);
-  const ProjectGraph graph = BuildProjectGraph(files, linters);
-  EmitReachabilityFindings(graph, &linters);
-  LintResult result;
-  for (Linter& linter : linters) {
-    LintResult file_result = linter.Finish();
-    for (Finding& f : file_result.findings) {
-      result.findings.push_back(std::move(f));
-    }
-  }
-  return result;
-}
-
 LintResult LintSource(const std::string& path_label, const std::string& source) {
-  return LintProject({SourceFile{path_label, source}});
+  return Linter(path_label, Lex(path_label, source)).Run();
 }
 
 LintResult LintFile(const std::string& path) {
@@ -1532,89 +634,12 @@ LintResult LintFile(const std::string& path) {
   if (!file) {
     LintResult result;
     result.findings.push_back(
-        Finding{path, 0, "SUP", "cannot read file", "check the path", false, {}, {}});
+        Finding{path, 0, "SUP", "cannot read file", "check the path", false, {}});
     return result;
   }
   std::ostringstream buffer;
   buffer << file.rdbuf();
   return LintSource(path, buffer.str());
-}
-
-std::string ShardReport(const std::vector<SourceFile>& files) {
-  std::vector<Linter> linters = AnalyzeFiles(files);
-  const ProjectGraph graph = BuildProjectGraph(files, linters);
-  // Order roots by (path, qualified name, body start) for a stable report.
-  std::vector<size_t> root_order(graph.roots.size());
-  for (size_t i = 0; i < root_order.size(); ++i) {
-    root_order[i] = i;
-  }
-  std::sort(root_order.begin(), root_order.end(), [&](size_t a, size_t b) {
-    const FuncDef& fa = graph.funcs[graph.roots[a]];
-    const FuncDef& fb = graph.funcs[graph.roots[b]];
-    return std::tie(graph.paths[fa.file_index], fa.qual, fa.line_begin) <
-           std::tie(graph.paths[fb.file_index], fb.qual, fb.line_begin);
-  });
-  std::ostringstream out;
-  out << "# detlint shard report\n"
-      << "# One section per parallel-phase root: transitive callees and the\n"
-      << "# shared state reachable from the root. Regenerate with\n"
-      << "#   detlint --shard-report <paths> > tools/detlint/shard_report.baseline\n"
-      << "# Line numbers are deliberately absent so reformatting does not\n"
-      << "# churn the baseline; adding/removing calls or shared-state touches\n"
-      << "# does, and that is the review signal.\n";
-  for (const size_t idx : root_order) {
-    const int root = graph.roots[idx];
-    const FuncDef& def = graph.funcs[root];
-    out << "\nroot " << def.qual << " (" << graph.paths[def.file_index] << ")";
-    if (!graph.root_regions[idx].empty()) {
-      out << " region=" << graph.root_regions[idx];
-    }
-    out << "\n";
-    std::vector<int> parent;
-    const std::vector<int> reached = Reach(graph, {root}, &parent);
-    // Callees: everything reached except the root itself.
-    std::set<std::string> callees;
-    std::set<std::string> state;
-    for (const int u : reached) {
-      const FuncDef& fn = graph.funcs[u];
-      if (u != root) {
-        callees.insert(fn.qual + " (" + graph.paths[fn.file_index] + ")");
-      }
-      const Linter& linter = linters[fn.file_index];
-      for (const HazardSite& site : fn.hazards) {
-        std::string entry;
-        std::string rule;
-        switch (site.kind) {
-          case HazardKind::kRngAccessor:
-            entry = "rng-accessor " + site.detail + "->rng()." + site.extra;
-            rule = LineInRegions(linter.phase_regions(), site.line) ? "D6" : "D7";
-            break;
-          case HazardKind::kGlobalWrite:
-            entry = "global-write " + site.detail;
-            rule = LineInRegions(linter.phase_regions(), site.line) ? "D6" : "D7";
-            break;
-          case HazardKind::kSerialApi:
-            entry = "serial-api " + site.detail;
-            rule = "D8";
-            break;
-        }
-        entry += " (" + graph.paths[fn.file_index] + ")";
-        if (linter.HasAllowFor(site.line, rule)) {
-          entry += " [suppressed]";
-        }
-        state.insert(entry);
-      }
-    }
-    out << "  calls:" << (callees.empty() ? " none\n" : "\n");
-    for (const std::string& callee : callees) {
-      out << "    " << callee << "\n";
-    }
-    out << "  state:" << (state.empty() ? " none\n" : "\n");
-    for (const std::string& entry : state) {
-      out << "    " << entry << "\n";
-    }
-  }
-  return out.str();
 }
 
 size_t CountUnsuppressed(const LintResult& result) {
@@ -1632,16 +657,6 @@ std::string FormatFinding(const Finding& finding) {
     out += " [suppressed: " + finding.suppress_reason + "]";
   } else if (!finding.hint.empty()) {
     out += " (hint: " + finding.hint + ")";
-  }
-  if (!finding.chain.empty()) {
-    out += " [via ";
-    for (size_t i = 0; i < finding.chain.size(); ++i) {
-      if (i != 0) {
-        out += " -> ";
-      }
-      out += finding.chain[i];
-    }
-    out += "]";
   }
   return out;
 }
@@ -1666,14 +681,7 @@ std::string FindingsAsJson(const LintResult& result) {
     out += f.suppressed ? "true" : "false";
     out += ",\"reason\":";
     AppendJsonString(f.suppress_reason, &out);
-    out += ",\"chain\":[";
-    for (size_t c = 0; c < f.chain.size(); ++c) {
-      if (c != 0) {
-        out += ",";
-      }
-      AppendJsonString(f.chain[c], &out);
-    }
-    out += "]}";
+    out += "}";
   }
   out += "]}";
   return out;

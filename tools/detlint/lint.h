@@ -1,23 +1,14 @@
 // detlint: a determinism lint for this codebase.
 //
 // The simulator's one non-negotiable property is bit-determinism: the same
-// seed must produce byte-identical output regardless of DIABLO_JOBS,
-// DIABLO_CELL_WORKERS, host, or standard library. The golden-output tests
-// catch violations after they ship; detlint catches the hazard *classes* at
-// lint time, before a run is ever needed. It is a token-level scanner
+// seed must produce byte-identical output regardless of DIABLO_JOBS, host,
+// or standard library. The golden-output tests catch violations after they
+// ship; detlint catches the hazard *classes* at lint time, before a run is
+// ever needed. It is a token-level scanner
 // (comments, strings and preprocessor lines are stripped; no libclang),
 // which keeps it fast, dependency-free and honest about what it can see —
 // each rule is a syntactic pattern with a documented blind spot, not a
 // soundness proof.
-//
-// Since v2 the lint is project-wide and call-graph-aware: pass 1 indexes
-// every translation unit (function and method definitions, call edges,
-// RNG-accessor draw sites, `g_` global writes, serial-only API calls), and
-// pass 2 computes a fixpoint of parallel-phase reachability from the marked
-// `parallel-phase` regions plus the scheduler's worker entry points
-// (`SimClient::Trigger`, `Secondary::SubmitBatch`). Rules D4/D6 therefore
-// apply transitively through helper calls via the two reachability rules
-// D7/D8 below.
 //
 // Rules:
 //   D1  iteration over std::unordered_map / std::unordered_set declared in
@@ -43,57 +34,13 @@
 //   D5  floating-point accumulation (+=/-= on a float/double) inside a
 //       range-for over an unordered container: FP addition is not
 //       associative, so an unspecified reduction order changes the sum.
-//   D6  parallel-phase hazards — inside a region bracketed by the
-//       standalone markers `// detlint: parallel-phase(begin)` and
-//       `// detlint: parallel-phase(end)`, which mark functions the
-//       windowed scheduler may run on a worker thread (an unmatched begin
-//       extends to the end of the file; `parallel-phase(begin, <name>)`
-//       names the region for `--shard-report`):
-//       (a) RNG draws through an accessor (x->rng().NextFoo(...)).
-//           Stricter than D4: even the accessors D4 allowlists are shared
-//           across shards, so a parallel phase must draw only from streams
-//           it owns (forked members, or an owned Rng* passed explicitly).
-//       (b) writes to namespace-scope mutables, matched by this codebase's
-//           `g_` naming convention: assignment (plain and compound,
-//           including the forms the lexer splits, `*=` et al.), `++`/`--`,
-//           and atomic mutators (.store/.exchange/.fetch_add/.fetch_sub).
-//           A shard may mutate only state it owns; global effects belong in
-//           the barrier push lists or per-worker accumulators merged at the
-//           barrier. Reads, and `<<=`/`>>=`/`<=`-adjacent forms the lexer
-//           cannot distinguish from comparisons, are out of scope.
-//   D7  transitive parallel-phase hazards: an RNG-accessor draw or a `g_`
-//       global write inside a function *reachable* from a parallel-phase
-//       root through the call graph, even though the function itself is
-//       outside every marked region. This is the transitive closure of
-//       D4/D6 — the helper a marked region calls is as much parallel code
-//       as the region itself. The finding carries the full call chain
-//       (root -> ... -> enclosing function). Sites lexically inside a
-//       region are D6's business and are not re-reported.
-//   D8  serial-only APIs reachable from a parallel phase: serial-shard
-//       scheduling (`Schedule` / `ScheduleAt` — use `ScheduleEngine*` or
-//       `ScheduleOn`/`ScheduleAtOn` on an owned shard instead), Report
-//       construction (`BuildReport`, `AddResilienceMetrics`), fault-plane
-//       mutation (`FaultInjector::Install`, `SetNodeDown`, `SetAdversary`,
-//       ... — injector mutations must stay barrier-published serial
-//       events), `Simulation::Stop`, and stdout writes (printf/puts/
-//       std::cout/fprintf(stdout,...)). These APIs assume serial context;
-//       calling them from windowed code races the barrier. Unlike D7, D8
-//       also fires on sites lexically inside a region. Call edges are not
-//       followed *into* a serial-only API's own implementation.
-//
-// Call-graph blind spots (by design, like every rule here): edges are
-// resolved by callee name (last `::` component) against every project
-// definition of that name, so unrelated same-named functions over-connect
-// (conservative) and calls through function pointers / std::function are
-// invisible (unsound). Definitions in tests/, bench/, examples/ and tools/
-// are only reachable from their own top-level directory so production roots
-// never drag test helpers into the fixpoint.
 //
 // Suppression: `// detlint: allow(D2, <reason>)` on the finding's line, or
 // standalone on the line above (it then applies to the next code line).
-// The reason is mandatory; an allow() without one is itself reported (rule
-// id "SUP"). Suppressed findings are kept in the result with `suppressed`
-// set so tests and tooling can audit them.
+// The reason is mandatory, and RULE must be one of D1-D5 (or `all`); an
+// allow() without a reason or naming no rule is itself reported (rule id
+// "SUP") and suppresses nothing. Suppressed findings are kept in the result
+// with `suppressed` set so tests and tooling can audit them.
 #ifndef TOOLS_DETLINT_LINT_H_
 #define TOOLS_DETLINT_LINT_H_
 
@@ -105,55 +52,33 @@ namespace diablo::detlint {
 struct Finding {
   std::string file;
   int line = 0;
-  std::string rule;     // "D1".."D8" or "SUP"
+  std::string rule;     // "D1".."D5" or "SUP"
   std::string message;  // what was matched
   std::string hint;     // how to fix it
   bool suppressed = false;
   std::string suppress_reason;  // set when suppressed
-  // For D7/D8: the call chain from the parallel-phase root to the function
-  // enclosing the site, as qualified names (root first). Empty otherwise.
-  std::vector<std::string> chain;
 };
 
 struct LintResult {
   std::vector<Finding> findings;  // in file then line order, suppressed included
 };
 
-// An in-memory translation unit handed to the project-wide passes.
-struct SourceFile {
-  std::string path;    // used for Finding::file and reachability categories
-  std::string source;  // full file contents
-};
-
 // Lints an in-memory translation unit; `path_label` is used only for the
-// Finding::file field. Single-file shorthand for LintProject.
+// Finding::file field.
 LintResult LintSource(const std::string& path_label, const std::string& source);
 
 // Reads and lints a file; returns a single SUP finding when unreadable.
 LintResult LintFile(const std::string& path);
 
-// Project-wide lint: runs the per-file rules D1-D6 on every file, then the
-// two-pass call-graph analysis (D7/D8) across all of them. Findings are
-// ordered by file (in input order) then line.
-LintResult LintProject(const std::vector<SourceFile>& files);
-
-// Deterministic per-region shard-safety inventory: one section per
-// parallel-phase root function listing its transitive callees and the
-// shared state (RNG accessors, `g_` globals, serial-only APIs) reachable
-// from it. Stable under reformatting (no line numbers) so it can be
-// committed as a review baseline and diffed in CI.
-std::string ShardReport(const std::vector<SourceFile>& files);
-
 // Number of findings that are not suppressed.
 size_t CountUnsuppressed(const LintResult& result);
 
-// One formatted line per finding: "file:line: [rule] message (hint: ...)",
-// with " [via a -> b -> c]" appended for chain-carrying findings.
+// One formatted line per finding: "file:line: [rule] message (hint: ...)".
 std::string FormatFinding(const Finding& finding);
 
 // Machine-readable dump of every finding:
 // {"findings":[{"file":...,"line":...,"rule":...,"message":...,
-//   "hint":...,"suppressed":...,"reason":...,"chain":[...]}, ...]}
+//   "hint":...,"suppressed":...,"reason":...}, ...]}
 std::string FindingsAsJson(const LintResult& result);
 
 }  // namespace diablo::detlint

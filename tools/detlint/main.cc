@@ -1,7 +1,5 @@
-// detlint CLI: lints C++ sources for determinism hazards (rules D1-D8, see
-// lint.h) and exits nonzero when unsuppressed findings remain. The whole
-// file set is analyzed as one project so the call-graph rules (D7/D8) see
-// edges that cross translation units.
+// detlint CLI: lints C++ sources for determinism hazards (rules D1-D5, see
+// lint.h) and exits nonzero when unsuppressed findings remain.
 //
 // Usage: detlint [MODE] [--exclude SUBSTR]... PATH...
 //   PATH        a file, or a directory scanned recursively for .h/.cc/.cpp
@@ -17,19 +15,13 @@
 //   --github    additionally emit GitHub Actions workflow commands
 //               (::error file=F,line=L::msg) for unsuppressed findings so CI
 //               surfaces them as PR annotations
-//   --shard-report
-//               print the deterministic per-region shard-safety inventory
-//               (transitive callees + shared state per parallel-phase root)
-//               and exit 0; with --baseline FILE, compare against the
-//               committed baseline instead and exit 1 on drift
-//   --baseline FILE
-//               baseline file for --shard-report drift checking
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tools/detlint/lint.h"
@@ -67,12 +59,10 @@ std::string GithubEscape(const std::string& s) {
 int main(int argc, char** argv) {
   std::vector<std::string> roots;
   std::vector<std::string> excludes;
-  std::string baseline;
   bool quiet = false;
   bool audit = false;
   bool json = false;
   bool github = false;
-  bool shard_report = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quiet") {
@@ -83,10 +73,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (arg == "--github") {
       github = true;
-    } else if (arg == "--shard-report") {
-      shard_report = true;
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline = argv[++i];
     } else if (arg == "--exclude" && i + 1 < argc) {
       excludes.push_back(argv[++i]);
     } else if (!arg.empty() && arg[0] == '-') {
@@ -99,8 +85,7 @@ int main(int argc, char** argv) {
   if (roots.empty()) {
     std::fprintf(stderr,
                  "usage: detlint [--quiet] [--audit] [--json] [--github] "
-                 "[--shard-report [--baseline FILE]] [--exclude SUBSTR]... "
-                 "PATH...\n");
+                 "[--exclude SUBSTR]... PATH...\n");
     return 2;
   }
 
@@ -123,8 +108,8 @@ int main(int argc, char** argv) {
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  // Load every kept file up front: the project passes need all TUs at once.
-  std::vector<diablo::detlint::SourceFile> sources;
+  diablo::detlint::LintResult result;
+  size_t linted = 0;
   size_t unreadable = 0;
   for (const std::string& file : files) {
     bool skip = false;
@@ -145,57 +130,12 @@ int main(int argc, char** argv) {
     }
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    sources.push_back(diablo::detlint::SourceFile{file, buffer.str()});
+    ++linted;
+    for (diablo::detlint::Finding& finding :
+         diablo::detlint::LintSource(file, buffer.str()).findings) {
+      result.findings.push_back(std::move(finding));
+    }
   }
-
-  if (shard_report) {
-    const std::string report = diablo::detlint::ShardReport(sources);
-    if (baseline.empty()) {
-      std::fputs(report.c_str(), stdout);
-      return unreadable == 0 ? 0 : 1;
-    }
-    std::ifstream in(baseline);
-    if (!in) {
-      std::fprintf(stderr, "detlint: cannot read baseline %s\n", baseline.c_str());
-      return 1;
-    }
-    std::ostringstream committed;
-    committed << in.rdbuf();
-    if (committed.str() == report) {
-      std::printf("detlint shard-report: baseline %s is current\n",
-                  baseline.c_str());
-      return unreadable == 0 ? 0 : 1;
-    }
-    // Line-level diff so the drift is reviewable straight from CI logs.
-    std::fprintf(stderr,
-                 "detlint shard-report: baseline %s is stale; regenerate with\n"
-                 "  detlint --shard-report <paths> > %s\n",
-                 baseline.c_str(), baseline.c_str());
-    std::istringstream want(committed.str());
-    std::istringstream got(report);
-    std::string want_line;
-    std::string got_line;
-    int line_no = 0;
-    while (true) {
-      const bool have_want = static_cast<bool>(std::getline(want, want_line));
-      const bool have_got = static_cast<bool>(std::getline(got, got_line));
-      if (!have_want && !have_got) {
-        break;
-      }
-      ++line_no;
-      if (!have_want) {
-        std::fprintf(stderr, "  +%d: %s\n", line_no, got_line.c_str());
-      } else if (!have_got) {
-        std::fprintf(stderr, "  -%d: %s\n", line_no, want_line.c_str());
-      } else if (want_line != got_line) {
-        std::fprintf(stderr, "  -%d: %s\n  +%d: %s\n", line_no,
-                     want_line.c_str(), line_no, got_line.c_str());
-      }
-    }
-    return 1;
-  }
-
-  const diablo::detlint::LintResult result = diablo::detlint::LintProject(sources);
   size_t suppressed = 0;
   size_t unsuppressed = 0;
   size_t bad_suppressions = 0;
@@ -232,13 +172,13 @@ int main(int argc, char** argv) {
     if (!json) {
       std::printf("detlint audit: %zu file(s), %zu suppression(s), "
                   "%zu malformed\n",
-                  sources.size(), suppressed, bad_suppressions);
+                  linted, suppressed, bad_suppressions);
     }
     return bad_suppressions == 0 && unreadable == 0 ? 0 : 1;
   }
   if (!json) {
     std::printf("detlint: %zu file(s), %zu finding(s), %zu suppressed\n",
-                sources.size(), unsuppressed, suppressed);
+                linted, unsuppressed, suppressed);
   }
   return unsuppressed == 0 && unreadable == 0 ? 0 : 1;
 }
