@@ -20,25 +20,26 @@ inline void PrintHeader(const std::string& title) {
   std::printf("================================================================\n");
 }
 
-// Runs `cells` on `runner`, announcing the fan-out (so a user watching a
-// slow sweep knows how many cells are in flight on how many workers).
+// Runs `cells` on `runner`, announcing the fan-out on stderr (so a user
+// watching a slow sweep knows how many cells are in flight on how many
+// workers, while stdout carries results only).
 inline std::vector<RunResult> RunCells(ParallelRunner& runner,
                                        std::vector<ExperimentCell> cells) {
-  std::printf("[runner] %zu cells on %d worker%s (DIABLO_JOBS)\n", cells.size(),
-              runner.jobs(), runner.jobs() == 1 ? "" : "s");
-  std::fflush(stdout);
+  std::fprintf(stderr, "[runner] %zu cells on %d worker%s (DIABLO_JOBS)\n",
+               cells.size(), runner.jobs(), runner.jobs() == 1 ? "" : "s");
   return runner.Run(std::move(cells));
 }
 
 // Records the binary's runner stats into BENCH_runner.json (cwd), keeping
 // other binaries' entries under the shared schema_version stamp
-// (kRunnerStatsSchemaVersion), and prints the one-line summary. Every
-// figure/table binary calls this, so a full suite pass leaves one entry per
-// binary in the file.
+// (kRunnerStatsSchemaVersion), and prints the one-line summary to stderr.
+// Every figure/table binary calls this, so a full suite pass leaves one
+// entry per binary in the file.
 inline void FinishRunnerReport(const std::string& binary,
                                const ParallelRunner& runner) {
   const RunnerStats& stats = runner.stats();
-  std::printf(
+  std::fprintf(
+      stderr,
       "[runner] %s: %zu cells in %.2f s wall, %llu events (%.0f events/s) "
       "with %d jobs (schema v%d)\n",
       binary.c_str(), stats.cells, stats.wall_seconds,

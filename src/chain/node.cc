@@ -24,7 +24,12 @@ ChainContext::ChainContext(Simulation* sim, Network* net, DeploymentConfig deplo
   // matrix at paper scale, the streamed model at fig3-XL scale.
   vote_delays_ = std::make_unique<VoteDelays>(net_, hosts_, /*message_bytes=*/256);
   exec_model_.gas_per_second_per_vcpu = params_.gas_per_sec_per_vcpu;
+  sim_->SetArrivalHandler([this](const Simulation::Arrival& arrival) {
+    SubmitAtEndpoint(arrival.tx, static_cast<int>(arrival.endpoint), arrival.time);
+  });
 }
+
+ChainContext::~ChainContext() { sim_->SetArrivalHandler(nullptr); }
 
 double ChainContext::RecentArrivalRate(SimTime now) const {
   const size_t second = static_cast<size_t>(now / kSecond);

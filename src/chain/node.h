@@ -111,8 +111,11 @@ struct ChainStats {
 
 class ChainContext {
  public:
+  // Registers the context as `sim`'s arrival handler: lane arrivals go to
+  // SubmitAtEndpoint. The destructor removes it.
   ChainContext(Simulation* sim, Network* net, DeploymentConfig deployment,
                ChainParams params);
+  ~ChainContext();
 
   ChainContext(const ChainContext&) = delete;
   ChainContext& operator=(const ChainContext&) = delete;
@@ -143,8 +146,7 @@ class ChainContext {
 
   // Pre-sizes transaction storage, the mempool side tables and the block-tx
   // pool for a run expected to carry `expected_txs` transactions, so the
-  // steady-state submission/assembly path never reallocates. The event
-  // queue gets the same treatment in Primary.
+  // steady-state submission/assembly path never reallocates.
   void ReserveTxs(size_t expected_txs) {
     txs_.Reserve(expected_txs);
     mempool_.Reserve(expected_txs);

@@ -312,7 +312,6 @@ void QuorumArrivalAllInto(const PairwiseDelays& delays,
                           std::vector<SimDuration>* result, int hint_slot) {
   const size_t n = send_times.size();
   result->assign(n, kUnreachable);
-  profile::CountVoteRound();
   if (quorum == 0) {
     return;
   }
@@ -474,6 +473,7 @@ SimDuration QuorumArrivalInto(const VoteDelays& delays,
                               const std::vector<SimDuration>& send_times,
                               size_t receiver, size_t quorum, double hop_scale,
                               MessagePlaneScratch* scratch, int hint_slot) {
+  profile::CountVoteRound();
   if (delays.dense()) {
     return QuorumArrivalInto(delays.matrix(), send_times, receiver, quorum,
                              hop_scale, scratch, hint_slot);
@@ -494,6 +494,7 @@ void QuorumArrivalAllInto(const VoteDelays& delays,
                           const std::vector<SimDuration>& send_times, size_t quorum,
                           double hop_scale, MessagePlaneScratch* scratch,
                           std::vector<SimDuration>* result, int hint_slot) {
+  profile::CountVoteRound();
   if (delays.dense()) {
     QuorumArrivalAllInto(delays.matrix(), send_times, quorum, hop_scale, scratch,
                          result, hint_slot);
@@ -501,7 +502,6 @@ void QuorumArrivalAllInto(const VoteDelays& delays,
   }
   const size_t n = send_times.size();
   result->assign(n, kUnreachable);
-  profile::CountVoteRound();
   if (quorum == 0) {
     return;
   }

@@ -247,7 +247,8 @@ SimDuration MedianDelayInto(const std::vector<SimDuration>& delays,
 // bit-identical to calling them directly); streamed deployments run the
 // large-N kernels, which never touch an n×n matrix. In checked builds the
 // streamed answers are cross-checked against the dense kernels over a
-// materialised copy of the model at small n.
+// materialised copy of the model at small n. Each facade call counts one
+// vote round in DIABLO_PROFILE's summary; the kernels above count nothing.
 
 SimDuration QuorumArrivalInto(const VoteDelays& delays,
                               const std::vector<SimDuration>& send_times,

@@ -78,10 +78,10 @@ class SimClient : public BlockchainClient {
       return;
     }
 
-    const SimTime arrival = submit_time + delay;
-    ctx.sim()->ScheduleAt(arrival, [&ctx, encoded, endpoint, arrival] {
-      ctx.SubmitAtEndpoint(encoded, endpoint, arrival);
-    });
+    // The arrival goes on the simulation's lane, whose handler is this
+    // chain's SubmitAtEndpoint.
+    ctx.sim()->ScheduleArrival(submit_time + delay, encoded,
+                               static_cast<uint32_t>(endpoint));
   }
 
  private:

@@ -222,7 +222,7 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
   // Pre-sign and partition every stream. Arrivals are expanded for all
   // streams first so transaction storage, the mempool side tables and the
   // block-tx pool can be sized once for the whole run before encoding
-  // begins — the same up-front treatment the event heap gets below.
+  // begins.
   size_t total_txs = 0;
   std::vector<std::vector<SimTime>> stream_arrivals(streams.size());
   for (size_t i = 0; i < streams.size(); ++i) {
@@ -261,9 +261,6 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
   for (const WorkStream& stream : streams) {
     duration = std::max(duration, stream.trace.duration_seconds());
   }
-  // Heavy workloads momentarily hold tens of thousands of in-flight events;
-  // size the heap up-front so the hot loop never reallocates mid-burst.
-  sim.Reserve(std::min<size_t>(total_txs, 65536));
   DIABLO_LOG(LogLevel::kInfo,
              StrFormat("primary: %zu txs over %zu s on %s/%s (%zu streams)", total_txs,
                        duration, params.name.c_str(), setup_.deployment.c_str(),

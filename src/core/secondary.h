@@ -1,8 +1,11 @@
 // A diablo Secondary (§4): holds a pre-encoded transaction schedule, spawns
 // logical worker clients and submits each transaction at its scheduled
-// time, warning when it falls behind. Submissions are batched one event per
-// second to keep the event queue small at tens of thousands of TPS; each
-// transaction still carries its exact scheduled submission timestamp.
+// time, warning when it falls behind. Submissions are batched: one heap
+// event per second of schedule triggers that second's transactions, each
+// with its exact scheduled submission timestamp. A one-shot client puts
+// each transaction's arrival at its endpoint on the simulation's arrival
+// lane, not the event heap; only retrying clients schedule heap events per
+// attempt.
 #ifndef SRC_CORE_SECONDARY_H_
 #define SRC_CORE_SECONDARY_H_
 

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/support/check.h"
-#include "src/support/profile.h"
 
 namespace diablo {
 
@@ -16,8 +15,6 @@ Network::Network(Simulation* sim, double jitter_frac)
       jitter_frac_(jitter_frac),
       rng_(sim->ForkRng()),
       extra_delays_(kRegionCount * kRegionCount, 0) {}
-
-Network::~Network() { profile::AddSends(stats_.sends); }
 
 HostId Network::AddHost(Region region) {
   regions_.push_back(region);

@@ -120,7 +120,6 @@ class Network {
  public:
   // `jitter_frac` scales a half-normal jitter term added to propagation.
   explicit Network(Simulation* sim, double jitter_frac = 0.05);
-  ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;

@@ -21,14 +21,6 @@ void EventQueue::Push(SimTime time, EventFn fn) {
 EventFn EventQueue::Pop(SimTime* time) {
   Entry top = std::move(heap_.front());
   *time = top.time;
-#if defined(DIABLO_CHECKED)
-  DIABLO_CHECK(!popped_any_ || top.time > last_pop_time_ ||
-                   (top.time == last_pop_time_ && top.seq > last_pop_seq_),
-               "event pops must follow the (time, seq) total order");
-  last_pop_time_ = top.time;
-  last_pop_seq_ = top.seq;
-  popped_any_ = true;
-#endif
   if (heap_.size() > 1) {
     heap_.front() = std::move(heap_.back());
     heap_.pop_back();
@@ -42,7 +34,6 @@ EventFn EventQueue::Pop(SimTime* time) {
 void EventQueue::Clear() {
   heap_.clear();
   next_seq_ = 0;
-  DIABLO_CHECKED_ONLY(popped_any_ = false; last_pop_time_ = 0; last_pop_seq_ = 0;)
 }
 
 // The heap is 4-ary (children of i are 4i+1..4i+4): half the depth of a

@@ -2,7 +2,9 @@
 //
 // Events at equal timestamps fire in insertion order (a monotonically
 // increasing sequence number breaks ties) so runs are deterministic
-// regardless of heap internals.
+// regardless of heap internals. Simulation's arrival lane draws its
+// sequence numbers from the same counter (TakeSeq), so the two queues share
+// one (time, seq) total order.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
@@ -10,7 +12,6 @@
 #include <vector>
 
 #include "src/sim/event_fn.h"
-#include "src/support/check.h"
 #include "src/support/time.h"
 
 namespace diablo {
@@ -27,8 +28,13 @@ class EventQueue {
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
 
-  // Time of the earliest pending event; undefined when empty.
+  // Time and sequence number of the earliest pending event; undefined when
+  // empty.
   SimTime PeekTime() const { return heap_.front().time; }
+  uint64_t PeekSeq() const { return heap_.front().seq; }
+
+  // Consumes the next sequence number without pushing an event.
+  uint64_t TakeSeq() { return next_seq_++; }
 
   // Removes and returns the earliest event's callback, setting *time.
   EventFn Pop(SimTime* time);
@@ -61,11 +67,6 @@ class EventQueue {
 
   std::vector<Entry> heap_;
   uint64_t next_seq_ = 0;
-  // Checked build: the (time, seq) total order must come out of Pop
-  // monotonically — any heap bug that reorders events shows up as a
-  // nonmonotone pop long before it shows up as wrong golden output.
-  DIABLO_CHECKED_ONLY(SimTime last_pop_time_ = 0; uint64_t last_pop_seq_ = 0;
-                      bool popped_any_ = false;)
 };
 
 }  // namespace diablo

@@ -1,7 +1,7 @@
 // Checked-build invariant assertions: the dynamic counterpart of detlint.
 //
 // Configuring with -DDIABLO_CHECKED=ON compiles consistency checks into the
-// sim/chain/net hot paths — event pop monotonicity, mempool SoA table
+// sim/chain/net hot paths — event dispatch order, mempool SoA table
 // agreement, block (tx_begin, tx_count) ranges, windowed order-statistic
 // results cross-checked against nth_element, ledger header continuity. The
 // checks give detlint's hazard classes runtime teeth: a rule the lint can

@@ -15,7 +15,7 @@ namespace diablo::profile {
 namespace {
 
 std::atomic<uint64_t> g_events{0};
-std::atomic<uint64_t> g_sends{0};
+std::atomic<uint64_t> g_arrivals{0};
 std::atomic<uint64_t> g_vote_rounds{0};
 std::atomic<uint64_t> g_vm_ops{0};
 std::atomic<int64_t> g_arena_live{0};
@@ -28,15 +28,13 @@ void PrintSummary() {
   const double wall =
       // detlint: allow(D2, profiling layer: wall time feeds only the stderr summary, never simulation state)
       std::chrono::duration<double>(std::chrono::steady_clock::now() - g_start).count();
+  const Counters totals = Totals();
   std::fprintf(stderr,
-               "[profile] events=%" PRIu64 " net_sends=%" PRIu64 " vote_rounds=%" PRIu64
+               "[profile] events=%" PRIu64 " arrivals=%" PRIu64 " vote_rounds=%" PRIu64
                " vm_ops=%" PRIu64 " wall=%.2fs rss_peak=%" PRId64 "B arena_hwm=%" PRId64
                "B\n",
-               g_events.load(std::memory_order_relaxed),
-               g_sends.load(std::memory_order_relaxed),
-               g_vote_rounds.load(std::memory_order_relaxed),
-               g_vm_ops.load(std::memory_order_relaxed), wall, PeakRssBytes(),
-               g_arena_hwm.load(std::memory_order_relaxed));
+               totals.events, totals.arrivals, totals.vote_rounds, totals.vm_ops, wall,
+               PeakRssBytes(), g_arena_hwm.load(std::memory_order_relaxed));
 }
 
 bool InitEnabled() {
@@ -55,9 +53,18 @@ const bool g_enabled = InitEnabled();
 bool Enabled() { return g_enabled; }
 
 void AddEvents(uint64_t n) { g_events.fetch_add(n, std::memory_order_relaxed); }
-void AddSends(uint64_t n) { g_sends.fetch_add(n, std::memory_order_relaxed); }
+void AddArrivals(uint64_t n) { g_arrivals.fetch_add(n, std::memory_order_relaxed); }
 void CountVoteRound() { g_vote_rounds.fetch_add(1, std::memory_order_relaxed); }
 void AddVmOps(uint64_t n) { g_vm_ops.fetch_add(n, std::memory_order_relaxed); }
+
+Counters Totals() {
+  Counters totals;
+  totals.events = g_events.load(std::memory_order_relaxed);
+  totals.arrivals = g_arrivals.load(std::memory_order_relaxed);
+  totals.vote_rounds = g_vote_rounds.load(std::memory_order_relaxed);
+  totals.vm_ops = g_vm_ops.load(std::memory_order_relaxed);
+  return totals;
+}
 
 void AddArenaBytes(int64_t delta) {
   const int64_t live =

@@ -1,12 +1,12 @@
 // Lightweight per-subsystem counters behind DIABLO_PROFILE=1.
 //
-// Every binary accumulates events executed, network sends, vote rounds and VM
-// ops into process-wide relaxed atomics; when the environment variable
-// DIABLO_PROFILE=1 is set, a summary line is printed to stderr at process
-// exit. stdout is never touched, so profiled runs stay byte-identical to
-// unprofiled ones. Counters are fed at cold points (simulation/network
-// destructors, once per vote round, once per contract execution) — the hot
-// loops themselves carry no instrumentation.
+// Every binary accumulates events executed, arrival-lane deliveries, vote
+// rounds and VM ops into process-wide relaxed atomics; when the environment
+// variable DIABLO_PROFILE=1 is set, a summary line is printed to stderr at
+// process exit. stdout is never touched, so profiled runs stay
+// byte-identical to unprofiled ones. Counters are fed at cold points (the
+// simulation destructor, once per vote-round kernel call, once per contract
+// execution) — the hot loops themselves carry no instrumentation.
 #ifndef SRC_SUPPORT_PROFILE_H_
 #define SRC_SUPPORT_PROFILE_H_
 
@@ -18,9 +18,18 @@ namespace diablo::profile {
 bool Enabled();
 
 void AddEvents(uint64_t n);
-void AddSends(uint64_t n);
+void AddArrivals(uint64_t n);
 void CountVoteRound();
 void AddVmOps(uint64_t n);
+
+// The process-wide totals so far, as the exit summary prints them.
+struct Counters {
+  uint64_t events = 0;
+  uint64_t arrivals = 0;
+  uint64_t vote_rounds = 0;
+  uint64_t vm_ops = 0;
+};
+Counters Totals();
 
 // Arena memory accounting: arenas report chunk creation (positive delta) and
 // destruction (negative); the high-water mark of live arena bytes lands in

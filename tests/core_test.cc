@@ -6,6 +6,7 @@
 #include "src/core/interface.h"
 #include "src/core/results.h"
 #include "src/core/runner.h"
+#include "src/support/profile.h"
 
 namespace diablo {
 namespace {
@@ -357,6 +358,20 @@ TEST(DeterminismTest, FullRunReproducible) {
   const RunResult c = RunNativeBenchmark("solana", "devnet", 200, 10, 78);
   // A different seed perturbs jitter; latency will not be bit-identical.
   EXPECT_NE(a.report.avg_latency, c.report.avg_latency);
+}
+
+// DIABLO_PROFILE's counters on a HotStuff (diem) cell: its quorum
+// certificates come from the single-receiver vote kernel, which counts vote
+// rounds too, and every one-shot submission reaches its endpoint through
+// the simulation's arrival lane.
+TEST(ProfileTest, HotStuffCellCountsVoteRoundsAndArrivals) {
+  const profile::Counters before = profile::Totals();
+  const RunResult result = RunNativeBenchmark("diem", "testnet", 50, 10, 1);
+  const profile::Counters after = profile::Totals();
+  ASSERT_GT(result.report.submitted, 0u);
+  EXPECT_GT(after.vote_rounds, before.vote_rounds);
+  EXPECT_EQ(after.arrivals - before.arrivals, result.report.submitted);
+  EXPECT_EQ(after.events - before.events, result.events_executed);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <utility>
@@ -7,6 +8,7 @@
 
 #include "src/sim/event_queue.h"
 #include "src/sim/simulation.h"
+#include "src/support/check.h"
 #include "src/support/rng.h"
 
 namespace diablo {
@@ -265,6 +267,188 @@ TEST(SimulationTest, DeterministicAcrossRuns) {
   };
   EXPECT_EQ(run(99), run(99));
   EXPECT_NE(run(99), run(100));
+}
+
+// --- the arrival lane ---------------------------------------------------------
+
+// Records every dispatch as (time, id): lane arrivals carry their tx field,
+// heap events the id they were scheduled with.
+struct DispatchLog {
+  std::vector<std::pair<SimTime, uint32_t>> entries;
+
+  void Attach(Simulation* sim) {
+    sim->SetArrivalHandler([this](const Simulation::Arrival& arrival) {
+      entries.emplace_back(arrival.time, arrival.tx);
+    });
+  }
+  EventFn Event(Simulation* sim, uint32_t id) {
+    return [this, sim, id] { entries.emplace_back(sim->Now(), id); };
+  }
+  std::vector<uint32_t> ids() const {
+    std::vector<uint32_t> out;
+    for (const auto& entry : entries) {
+      out.push_back(entry.second);
+    }
+    return out;
+  }
+};
+
+TEST(ArrivalLaneTest, TiesWithHeapEventsFireInSchedulingOrder) {
+  Simulation sim(1);
+  DispatchLog log;
+  log.Attach(&sim);
+  // Arrival scheduled first, then a heap event at the same time; then the
+  // other way round.
+  sim.ScheduleArrival(Seconds(1), 1, 0);
+  sim.ScheduleAt(Seconds(1), log.Event(&sim, 2));
+  sim.ScheduleAt(Seconds(2), log.Event(&sim, 3));
+  sim.ScheduleArrival(Seconds(2), 4, 0);
+  sim.Run();
+  EXPECT_EQ(log.ids(), (std::vector<uint32_t>{1, 2, 3, 4}));
+}
+
+TEST(ArrivalLaneTest, OneEventsArrivalsComeOutSorted) {
+  Simulation sim(1);
+  DispatchLog log;
+  log.Attach(&sim);
+  // Nearly sorted (the insertion-sort path), with a tie that must keep
+  // scheduling order.
+  sim.ScheduleAt(0, [&sim] {
+    sim.ScheduleArrival(Milliseconds(30), 3, 0);
+    sim.ScheduleArrival(Milliseconds(10), 1, 0);
+    sim.ScheduleArrival(Milliseconds(20), 2, 0);
+    sim.ScheduleArrival(Milliseconds(30), 4, 0);
+  });
+  // Fully reversed (past the insertion-sort budget).
+  sim.ScheduleAt(Seconds(1), [&sim] {
+    for (uint32_t i = 0; i < 500; ++i) {
+      sim.ScheduleArrival(Seconds(2) - Milliseconds(i), 1000 + i, 0);
+    }
+  });
+  sim.Run();
+  std::vector<uint32_t> want = {1, 2, 3, 4};
+  for (uint32_t i = 500; i-- > 0;) {
+    want.push_back(1000 + i);
+  }
+  EXPECT_EQ(log.ids(), want);
+  EXPECT_TRUE(std::is_sorted(log.entries.begin(), log.entries.end(),
+                             [](const auto& a, const auto& b) { return a.first < b.first; }));
+}
+
+TEST(ArrivalLaneTest, RunsFromSeveralEventsInterleave) {
+  Simulation sim(1);
+  DispatchLog log;
+  log.Attach(&sim);
+  // Three batches whose arrivals overlap in time, plus heap events between
+  // them.
+  for (uint32_t batch = 0; batch < 3; ++batch) {
+    sim.ScheduleAt(Milliseconds(batch), [&sim, batch] {
+      for (uint32_t k = 0; k < 4; ++k) {
+        sim.ScheduleArrival(Milliseconds(10 + 10 * k + batch), 100 * batch + k, 0);
+      }
+    });
+  }
+  sim.ScheduleAt(Milliseconds(25), log.Event(&sim, 7));
+  sim.Run();
+  EXPECT_EQ(log.ids(), (std::vector<uint32_t>{0, 100, 200, 1, 101, 201, 7, 2, 102, 202, 3,
+                                              103, 203}));
+}
+
+TEST(ArrivalLaneTest, MatchesOneHeapEventPerArrival) {
+  // The same random schedule twice: arrivals on the lane, then arrivals as
+  // plain heap events. Millisecond times make ties common.
+  auto run = [](bool lane) {
+    Simulation sim(1);
+    DispatchLog log;
+    log.Attach(&sim);
+    Rng rng(42);
+    uint32_t next_id = 0;
+    auto arrive = [&](SimTime at) {
+      const uint32_t id = next_id++;
+      if (lane) {
+        sim.ScheduleArrival(at, id, 0);
+      } else {
+        sim.ScheduleAt(at, [&log, at, id] { log.entries.emplace_back(at, id); });
+      }
+    };
+    for (int second = 0; second < 5; ++second) {
+      sim.ScheduleAt(Seconds(second), [&, second] {
+        for (int k = 0; k < 200; ++k) {
+          arrive(Seconds(second) + Milliseconds(static_cast<int64_t>(rng.NextBelow(1500))));
+        }
+      });
+      for (int k = 0; k < 20; ++k) {
+        const uint32_t id = next_id++;
+        sim.ScheduleAt(Milliseconds(static_cast<int64_t>(rng.NextBelow(6000))), [&, id] {
+          log.entries.emplace_back(sim.Now(), id);
+          arrive(sim.Now() + Milliseconds(static_cast<int64_t>(rng.NextBelow(3))));
+        });
+      }
+    }
+    sim.Run();
+    return log.entries;
+  };
+  const auto with_lane = run(true);
+  EXPECT_EQ(with_lane.size(), 5u * 200 + 5 * 20 * 2);
+  EXPECT_EQ(with_lane, run(false));
+}
+
+TEST(ArrivalLaneTest, ArrivalsPastTheHorizonStayPending) {
+  Simulation sim(1);
+  DispatchLog log;
+  log.Attach(&sim);
+  sim.ScheduleArrival(Seconds(1), 1, 0);
+  sim.ScheduleArrival(Seconds(9), 2, 0);
+  EXPECT_EQ(sim.RunUntil(Seconds(5)), 1u);
+  EXPECT_EQ(sim.Now(), Seconds(5));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.RunUntil(Seconds(10)), 1u);
+  EXPECT_EQ(log.entries, (std::vector<std::pair<SimTime, uint32_t>>{{Seconds(1), 1},
+                                                                    {Seconds(9), 2}}));
+}
+
+TEST(ArrivalLaneTest, StopInsideTheHandlerStopsTheLoop) {
+  Simulation sim(1);
+  std::vector<uint32_t> delivered;
+  sim.SetArrivalHandler([&](const Simulation::Arrival& arrival) {
+    delivered.push_back(arrival.tx);
+    sim.Stop();
+  });
+  sim.ScheduleArrival(Seconds(1), 1, 0);
+  sim.ScheduleArrival(Seconds(2), 2, 0);
+  EXPECT_EQ(sim.Run(), 1u);
+  EXPECT_EQ(delivered, (std::vector<uint32_t>{1}));
+  EXPECT_EQ(sim.Now(), Seconds(1));
+  sim.Run();
+  EXPECT_EQ(delivered, (std::vector<uint32_t>{1, 2}));
+}
+
+TEST(ArrivalLaneTest, EventCountsIncludeArrivals) {
+  Simulation sim(1);
+  DispatchLog log;
+  log.Attach(&sim);
+  sim.ScheduleAt(Seconds(1), [&sim] {
+    sim.ScheduleArrival(Seconds(2), 1, 0);
+    sim.ScheduleArrival(Seconds(3), 2, 0);
+  });
+  sim.ScheduleArrival(Seconds(4), 3, 0);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.RunUntil(Seconds(1));
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_EQ(sim.Run(), 3u);
+  EXPECT_EQ(sim.events_executed(), 4u);
+  EXPECT_EQ(sim.arrivals_delivered(), 3u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(ArrivalLaneDeathTest, SecondHandlerAbortsUnderCheckedBuild) {
+  if (!kCheckedBuild) {
+    GTEST_SKIP() << "checks compile to no-ops without DIABLO_CHECKED";
+  }
+  Simulation sim(1);
+  sim.SetArrivalHandler([](const Simulation::Arrival&) {});
+  EXPECT_DEATH(sim.SetArrivalHandler([](const Simulation::Arrival&) {}),
+               "one arrival handler at a time");
 }
 
 }  // namespace
