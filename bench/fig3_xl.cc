@@ -6,8 +6,9 @@
 //
 // Deployments this large take the streamed O(n)-byte delay model (see
 // docs/performance.md) instead of the n×n matrix: at 10k validators the
-// matrix alone would cost ~1.6 GB, more than the whole 1-vCPU container.
-// DIABLO_XL_MAX_N caps the validator axis (CI smoke runs use 1000).
+// matrix alone would cost ~1.6 GB for a single cell.
+// DIABLO_XL_MAX_N caps the validator axis (the ctest smoke and CI's TSan and
+// bench runs use 1000).
 #include <cstdlib>
 #include <vector>
 

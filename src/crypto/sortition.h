@@ -1,6 +1,8 @@
 // Cryptographic sortition in the style of Algorand's VRF-based committee
 // selection: a deterministic, seed-keyed uniform draw per (round, step,
-// participant) decides membership and proposer priority.
+// participant) decides membership and proposer priority. SelectCommitteeInto
+// and SelectProposer hash eight participants per SHA-256 compression; their
+// draws are bit-identical to SortitionDraw, the per-participant definition.
 #ifndef SRC_CRYPTO_SORTITION_H_
 #define SRC_CRYPTO_SORTITION_H_
 
@@ -10,7 +12,8 @@
 namespace diablo {
 
 // Uniform double in [0, 1) derived from SHA-256 of the inputs. Acts as the
-// published VRF output: all honest parties compute the same value.
+// published VRF output: all honest parties compute the same value. This is
+// the reference the batched selection below is tested against.
 double SortitionDraw(uint64_t seed, uint64_t round, uint64_t step, uint64_t participant);
 
 // Selects a committee of expected size `expected` from `population`

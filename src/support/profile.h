@@ -1,12 +1,13 @@
 // Lightweight per-subsystem counters behind DIABLO_PROFILE=1.
 //
 // Every binary accumulates events executed, arrival-lane deliveries, vote
-// rounds and VM ops into process-wide relaxed atomics; when the environment
-// variable DIABLO_PROFILE=1 is set, a summary line is printed to stderr at
-// process exit. stdout is never touched, so profiled runs stay
-// byte-identical to unprofiled ones. Counters are fed at cold points (the
-// simulation destructor, once per vote-round kernel call, once per contract
-// execution) — the hot loops themselves carry no instrumentation.
+// rounds, sortition draws and VM ops into process-wide relaxed atomics; when
+// the environment variable DIABLO_PROFILE=1 is set, a summary line is
+// printed to stderr at process exit. stdout is never touched, so profiled
+// runs stay byte-identical to unprofiled ones. Counters are fed at cold
+// points (the simulation destructor, once per vote-round kernel call, once
+// per committee or proposer selection, once per contract execution) — the
+// hot loops themselves carry no instrumentation.
 #ifndef SRC_SUPPORT_PROFILE_H_
 #define SRC_SUPPORT_PROFILE_H_
 
@@ -20,6 +21,8 @@ bool Enabled();
 void AddEvents(uint64_t n);
 void AddArrivals(uint64_t n);
 void CountVoteRound();
+// Participants drawn by one SelectCommitteeInto or SelectProposer call.
+void AddSortitionDraws(uint64_t n);
 void AddVmOps(uint64_t n);
 
 // The process-wide totals so far, as the exit summary prints them.
@@ -27,6 +30,7 @@ struct Counters {
   uint64_t events = 0;
   uint64_t arrivals = 0;
   uint64_t vote_rounds = 0;
+  uint64_t sortition_draws = 0;
   uint64_t vm_ops = 0;
 };
 Counters Totals();

@@ -374,5 +374,22 @@ TEST(ProfileTest, HotStuffCellCountsVoteRoundsAndArrivals) {
   EXPECT_EQ(after.events - before.events, result.events_executed);
 }
 
+// sortition_draws: every committee or proposer selection adds its whole
+// population, so an Algorand cell at 1,000 validators adds a positive
+// multiple of 1,000 and a cell whose engine has no sortition adds nothing.
+TEST(ProfileTest, SortitionDrawsCountAlgorandSelections) {
+  const profile::Counters before = profile::Totals();
+  const RunResult algorand = RunNativeBenchmark("algorand", "xl-1000", 20, 10, 1);
+  const profile::Counters after = profile::Totals();
+  ASSERT_GT(algorand.report.submitted, 0u);
+  const uint64_t draws = after.sortition_draws - before.sortition_draws;
+  EXPECT_GT(draws, 0u);
+  EXPECT_EQ(draws % 1000, 0u) << draws;
+
+  const RunResult quorum = RunNativeBenchmark("quorum", "consortium", 20, 10, 1);
+  ASSERT_GT(quorum.report.submitted, 0u);
+  EXPECT_EQ(profile::Totals().sortition_draws, after.sortition_draws);
+}
+
 }  // namespace
 }  // namespace diablo

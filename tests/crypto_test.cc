@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/crypto/merkle.h"
 #include "src/crypto/sha256.h"
@@ -126,6 +128,8 @@ TEST(SignatureTest, CostModelShape) {
 
 TEST(SortitionTest, DrawsAreDeterministicAndUniform) {
   EXPECT_DOUBLE_EQ(SortitionDraw(1, 2, 3, 4), SortitionDraw(1, 2, 3, 4));
+  // Pinned bit for bit, so the reference cannot drift with Sha256's rounds.
+  EXPECT_EQ(SortitionDraw(1, 2, 3, 4), 0x1.b72122c388038p-2);
   EXPECT_NE(SortitionDraw(1, 2, 3, 4), SortitionDraw(1, 2, 3, 5));
   double sum = 0;
   const int n = 5000;
@@ -136,6 +140,45 @@ TEST(SortitionTest, DrawsAreDeterministicAndUniform) {
     sum += draw;
   }
   EXPECT_NEAR(sum / n, 0.5, 0.02);
+}
+
+// Selection hashes participants in batches of eight; its committees and
+// proposers must equal the ones rebuilt from per-participant SortitionDraw.
+// The populations cover every tail shape of the last batch, rounds past
+// 2^32 and both the dense and the streamed scale.
+TEST(SortitionTest, BatchedSelectionMatchesPerParticipantDraws) {
+  std::vector<uint32_t> committee = {99};  // SelectCommitteeInto clears it
+  for (const uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{0xdeadbeefcafebabe}}) {
+    for (const uint64_t round : {uint64_t{1}, uint64_t{77}, (uint64_t{1} << 32) + 5}) {
+      for (const uint32_t population : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 200u, 10000u}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " round " << round
+                                        << " population " << population);
+        // A committee near Algorand's 60, and one where expected ≥ population.
+        const double sizes[] = {std::min(60.0, 0.4 * population), 2.0 * population};
+        for (uint64_t step = 0; step < 3; ++step) {
+          std::vector<double> draws;
+          for (uint32_t p = 0; p < population; ++p) {
+            draws.push_back(SortitionDraw(seed, round, step, p));
+          }
+          for (const double expected : sizes) {
+            std::vector<uint32_t> reference;
+            for (uint32_t p = 0; p < population; ++p) {
+              if (draws[p] < expected / population) {
+                reference.push_back(p);
+              }
+            }
+            SelectCommitteeInto(seed, round, step, population, expected, &committee);
+            EXPECT_EQ(committee, reference) << "step " << step << " expected " << expected;
+          }
+          if (step == 0) {
+            const uint32_t proposer = static_cast<uint32_t>(
+                std::min_element(draws.begin(), draws.end()) - draws.begin());
+            EXPECT_EQ(SelectProposer(seed, round, population), proposer);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SortitionTest, CommitteeSizeNearExpected) {
