@@ -843,12 +843,14 @@ SimDuration SeedMedianDelay(const std::vector<SimDuration>& delays) {
   return reachable[mid];
 }
 
-// A 200-validator message plane (the fig3 upper end): jittered delay matrix,
-// Byzantine quorum, gossip hop scale 4.0, and 64 pre-generated send-time
-// rounds so consecutive reductions see realistically similar distributions
-// (that similarity is what the carried selection windows exploit).
+// A 200-validator message plane shaped like the paper's consortium (200
+// machines over 10 regions): jittered delay matrix, Byzantine quorum, gossip
+// hop scale 4.0, and 64 pre-generated send-time rounds, each a leader's
+// proposal broadcast plus a fixed build time — the first vote stage of an
+// IBFT round.
 struct PlaneFixture {
   static constexpr int kNodes = 200;
+  static constexpr SimDuration kBuildTime = Milliseconds(5);
   Simulation sim{11};
   Network net{&sim};
   std::vector<HostId> hosts;
@@ -859,22 +861,22 @@ struct PlaneFixture {
   double hop_scale = 1.0;
 
   PlaneFixture() {
-    const DeploymentConfig testnet = GetDeployment("testnet");
+    const DeploymentConfig consortium = GetDeployment("consortium");
     for (int i = 0; i < kNodes; ++i) {
-      hosts.push_back(net.AddHost(testnet.NodeRegion(i)));
+      hosts.push_back(net.AddHost(consortium.NodeRegion(i)));
     }
     delays = std::make_unique<PairwiseDelays>(&net, hosts, 256);
     quorum = static_cast<size_t>(ByzantineQuorum(kNodes));
     hop_scale = GossipHopScale(kNodes);
-    Rng rng(99);
     rounds.resize(64);
-    for (auto& sends : rounds) {
-      sends.resize(kNodes);
-      for (auto& s : sends) {
-        s = rng.NextBelow(16) == 0
-                ? kUnreachable
-                : Milliseconds(50) + static_cast<SimDuration>(rng.NextBelow(
-                                         static_cast<uint64_t>(Milliseconds(200))));
+    for (size_t r = 0; r < rounds.size(); ++r) {
+      std::vector<SimDuration>& sends = rounds[r];
+      net.BroadcastDelaysInto(hosts[r % hosts.size()], hosts, /*bytes=*/50'000,
+                              /*fanout=*/8, &plane.broadcast, &sends);
+      for (SimDuration& s : sends) {
+        if (s != kUnreachable) {
+          s += kBuildTime;
+        }
       }
     }
   }
@@ -888,9 +890,9 @@ struct PlaneFixture {
 // plus the commit median — the per-block work every engine performs.
 SimDuration RoundReductionCurrent(PlaneFixture& f, const std::vector<SimDuration>& sends) {
   QuorumArrivalAllInto(*f.delays, sends, f.quorum, f.hop_scale, &f.plane,
-                       &f.plane.stage_b, /*hint_slot=*/0);
+                       &f.plane.stage_b);
   QuorumArrivalAllInto(*f.delays, f.plane.stage_b, f.quorum, f.hop_scale, &f.plane,
-                       &f.plane.stage_c, /*hint_slot=*/1);
+                       &f.plane.stage_c);
   return MedianDelayInto(f.plane.stage_c, &f.plane);
 }
 

@@ -1,7 +1,9 @@
 #include "src/chain/vote_round.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #if defined(DIABLO_CHECKED)
 #include <atomic>
@@ -14,8 +16,7 @@ namespace diablo {
 namespace {
 
 // Exact selection of the k-th smallest (0-based) of v[0..cnt) by insertion
-// sort; the branch-predictable choice for the short inputs (committees,
-// devnet-sized deployments) where partitioning overhead dominates.
+// sort; the cheapest choice once a selection is down to a few dozen values.
 SimDuration InsertionSelect(SimDuration* v, size_t cnt, size_t k) {
   for (size_t i = 1; i < cnt; ++i) {
     const SimDuration x = v[i];
@@ -28,85 +29,88 @@ SimDuration InsertionSelect(SimDuration* v, size_t cnt, size_t k) {
   return v[k];
 }
 
-// Selection within an already-filtered window: the k-th overall sits kk deep
-// in the w values of [center-span, center+span]. Exact regardless of how the
-// window was produced; also recenters/retunes the hint for the next round.
-SimDuration SelectFromWindow(SimDuration* win, size_t w, size_t kk, SelectionHint& hint) {
-  SimDuration ans;
-  if (w <= 32) {
-    ans = InsertionSelect(win, w, kk);
-  } else {
-    std::nth_element(win, win + static_cast<long>(kk), win + static_cast<long>(w));
-    ans = win[kk];
-  }
-  hint.center = ans;
-  // Proportional control on the window population: (w, span) measures the
-  // local density directly, so steer the next span toward capturing ~20
-  // values — big enough to absorb drift between consecutive selections,
-  // small enough that selection stays in cheap insertion-sort territory.
-  hint.span = hint.span * 20 / static_cast<SimDuration>(w) + 512;
-  return ans;
-}
+// The bucket step of BucketSelect: 2^kBucketBits buckets over a value range,
+// and the count at or below which InsertionSelect finishes the job.
+constexpr int kBucketBits = 7;
+constexpr size_t kBuckets = size_t{1} << kBucketBits;
+constexpr size_t kInsertionMax = 32;
 
-// nth_element fallback (first round, regime change), reseeding the window
-// from the local spread above the answer so the first carried round already
-// has a tight-but-safe span.
-SimDuration SelectFallback(SimDuration* buf, size_t cnt, size_t k, SelectionHint& hint) {
-  std::nth_element(buf, buf + static_cast<long>(k), buf + static_cast<long>(cnt));
-  const SimDuration ans = buf[k];
-  const size_t hi_i = std::min(k + 12, cnt - 1);
-  if (hi_i > k) {
-    std::nth_element(buf + static_cast<long>(k) + 1, buf + static_cast<long>(hi_i),
-                     buf + static_cast<long>(cnt));
-  }
-  hint.center = ans;
-  hint.span = 2 * (buf[hi_i] - ans) + 1024;
-  hint.valid = true;
-  return ans;
-}
-
-// Exact k-th smallest with a carried value window. nth_element on
-// fresh-per-round data is branch-misprediction bound; consecutive rounds of
-// the same vote stage select from near-identical distributions, so we keep a
-// [center-span, center+span] window around the last answer, copy only the
-// values inside it (a predictable streaming pass), and select within. When
-// the window misses (first round, regime change) we fall back to nth_element
-// and re-derive the window from the freshly partitioned buffer. The returned
-// value is the exact order statistic either way — the hint only decides how
-// much data the selection touches.
-SimDuration WindowSelect(SimDuration* buf, size_t cnt, size_t k, SimDuration* win,
-                         SelectionHint& hint) {
-  if (cnt <= 24) {
-    return InsertionSelect(buf, cnt, k);
-  }
-  if (hint.valid) {
-    const SimDuration lo = hint.center - hint.span;
-    const SimDuration hi = hint.center + hint.span;
+// Exact k-th smallest (0-based) of v[0..cnt), every value of which lies in
+// [lo, hi]; `spare` has room for cnt values and both buffers are clobbered.
+// A histogram of (v − lo) >> shift over kBuckets buckets finds the bucket
+// holding rank k, only that bucket's values are compacted into the other
+// buffer, and the step repeats on the bucket's own range until at most
+// kInsertionMax values remain or all of them are equal. The passes over the
+// values are branch-free — a counter increment, a conditional cursor
+// advance — so the cost does not depend on how the arrivals are ordered, and
+// the k-th smallest is a value, so no tie-breaking can change the result.
+SimDuration BucketSelect(SimDuration* v, size_t cnt, size_t k, SimDuration lo,
+                         SimDuration hi, SimDuration* spare) {
+  while (cnt > kInsertionMax && lo < hi) {
+    const int shift = std::max(
+        0, static_cast<int>(std::bit_width(static_cast<uint64_t>(hi - lo))) - kBucketBits);
+    uint32_t hist[kBuckets] = {};
+    for (size_t i = 0; i < cnt; ++i) {
+      ++hist[static_cast<uint64_t>(v[i] - lo) >> shift];
+    }
+    // The bucket holding rank k is the number of buckets whose running count
+    // stays at or below k; `below` counts the values in front of it.
+    size_t bucket = 0;
     size_t below = 0;
+    size_t running = 0;
+    for (size_t b = 0; b < kBuckets; ++b) {
+      running += hist[b];
+      const bool before = running <= k;
+      bucket += static_cast<size_t>(before);
+      below = before ? running : below;
+    }
+    const SimDuration bucket_lo = lo + (static_cast<SimDuration>(bucket) << shift);
+    const SimDuration bucket_hi =
+        std::min(hi, bucket_lo + ((SimDuration{1} << shift) - 1));
     size_t w = 0;
     for (size_t i = 0; i < cnt; ++i) {
-      const SimDuration v = buf[i];
-      below += v < lo;
-      win[w] = v;
-      w += static_cast<size_t>((v >= lo) & (v <= hi));
+      const SimDuration x = v[i];
+      spare[w] = x;
+      w += static_cast<size_t>((x >= bucket_lo) & (x <= bucket_hi));
     }
-    if (k >= below && k - below < w) {
-      return SelectFromWindow(win, w, k - below, hint);
-    }
-    hint.valid = false;
+    std::swap(v, spare);
+    cnt = w;
+    k -= below;
+    lo = bucket_lo;
+    hi = bucket_hi;
   }
-  return SelectFallback(buf, cnt, k, hint);
+  return lo == hi ? lo : InsertionSelect(v, cnt, k);
 }
 
-// Fills buf with the arrival times of all reachable votes at `receiver` and
-// returns how many there are. The hop_scale multiply runs in integer
-// arithmetic when that is provably bit-exact (integral scale, products below
-// 2^52 so the double rounding the reference formula goes through is the
-// identity); the community/consortium scales (1.0, 4.0) qualify, so the
-// common scans vectorize.
-size_t ScanArrivals(const PairwiseDelays& delays,
-                    const std::vector<SimDuration>& send_times, size_t receiver,
-                    double hop_scale, SimDuration* buf) {
+// The reachable values of one scan, compacted to the front of a buffer,
+// with their smallest and largest value.
+struct Arrivals {
+  size_t cnt = 0;
+  SimDuration lo = 0;
+  SimDuration hi = 0;
+};
+
+// Min and max of the cnt compacted values at the front of buf: a pass of its
+// own over kept values only, so neither needs a per-value mask and the loop
+// stays branch-free.
+Arrivals Bound(const SimDuration* buf, size_t cnt) {
+  Arrivals arrivals{cnt, std::numeric_limits<SimDuration>::max(),
+                    std::numeric_limits<SimDuration>::min()};
+  for (size_t i = 0; i < cnt; ++i) {
+    arrivals.lo = std::min(arrivals.lo, buf[i]);
+    arrivals.hi = std::max(arrivals.hi, buf[i]);
+  }
+  return arrivals;
+}
+
+// Fills buf with the arrival times of all reachable votes at `receiver`. The
+// hop_scale multiply runs in integer arithmetic when that is provably
+// bit-exact (integral scale, products below 2^52 so the double rounding the
+// reference formula goes through is the identity); the community/consortium
+// scales (1.0, 4.0) qualify.
+Arrivals ScanArrivals(const PairwiseDelays& delays,
+                      const std::vector<SimDuration>& send_times, size_t receiver,
+                      double hop_scale, SimDuration* buf) {
   const size_t n = send_times.size();
   const SimDuration* col = delays.column(receiver);
   const SimDuration* sends = send_times.data();
@@ -117,7 +121,7 @@ size_t ScanArrivals(const PairwiseDelays& delays,
   // Both loops compact branchlessly: every element is computed and written,
   // the write cursor only advances for reachable pairs. Unreachable lanes
   // (kUnreachable == -1) produce small garbage values that the next write
-  // overwrites, so there is no overflow hazard and the loops vectorize.
+  // overwrites, so there is no overflow hazard.
   if (integral && delays.max_delay() <= (int64_t{1} << 52) / int_scale) {
     for (size_t j = 0; j < n; ++j) {
       const SimDuration s = sends[j];
@@ -125,7 +129,7 @@ size_t ScanArrivals(const PairwiseDelays& delays,
       buf[cnt] = s + hop * int_scale;
       cnt += static_cast<size_t>((s != kUnreachable) & (hop != kUnreachable));
     }
-    return cnt;
+    return Bound(buf, cnt);
   }
   for (size_t j = 0; j < n; ++j) {
     const SimDuration s = sends[j];
@@ -133,66 +137,15 @@ size_t ScanArrivals(const PairwiseDelays& delays,
     buf[cnt] = s + static_cast<SimDuration>(static_cast<double>(hop) * hop_scale);
     cnt += static_cast<size_t>((s != kUnreachable) & (hop != kUnreachable));
   }
-  return cnt;
-}
-
-// Fused scan + window filter for the all-receivers reduction: one lean pass
-// over the senders counts reachable arrivals, counts values below the carried
-// window, and compacts the in-window values into win — without materialising
-// the full arrival set. On a window hit (the steady-state case) that single
-// pass is all the data movement a receiver costs; only a window miss pays a
-// second, plain scan to fill buf for the nth_element fallback.
-struct WindowedScan {
-  size_t cnt = 0;
-  size_t below = 0;
-  size_t w = 0;
-};
-
-WindowedScan ScanArrivalsWindowed(const PairwiseDelays& delays,
-                                  const std::vector<SimDuration>& send_times,
-                                  size_t receiver, double hop_scale, SimDuration* win,
-                                  SimDuration lo, SimDuration hi) {
-  const size_t n = send_times.size();
-  const SimDuration* col = delays.column(receiver);
-  const SimDuration* sends = send_times.data();
-  WindowedScan scan;
-  const double floor_scale = std::floor(hop_scale);
-  const bool integral = hop_scale == floor_scale && hop_scale >= 1.0 && hop_scale < 65536.0;
-  const SimDuration int_scale = integral ? static_cast<SimDuration>(hop_scale) : 1;
-  if (integral && delays.max_delay() <= (int64_t{1} << 52) / int_scale) {
-    for (size_t j = 0; j < n; ++j) {
-      const SimDuration s = sends[j];
-      const SimDuration hop = col[j];
-      const SimDuration v = s + hop * int_scale;
-      const size_t keep =
-          static_cast<size_t>((s != kUnreachable) & (hop != kUnreachable));
-      scan.cnt += keep;
-      scan.below += keep & static_cast<size_t>(v < lo);
-      win[scan.w] = v;
-      scan.w += keep & static_cast<size_t>((v >= lo) & (v <= hi));
-    }
-    return scan;
-  }
-  for (size_t j = 0; j < n; ++j) {
-    const SimDuration s = sends[j];
-    const SimDuration hop = col[j];
-    const SimDuration v = s + static_cast<SimDuration>(static_cast<double>(hop) * hop_scale);
-    const size_t keep = static_cast<size_t>((s != kUnreachable) & (hop != kUnreachable));
-    scan.cnt += keep;
-    scan.below += keep & static_cast<size_t>(v < lo);
-    win[scan.w] = v;
-    scan.w += keep & static_cast<size_t>((v >= lo) & (v <= hi));
-  }
-  return scan;
+  return Bound(buf, cnt);
 }
 
 #if defined(DIABLO_CHECKED)
-// Sampled cross-check of the adaptive-window selector: the carried hints are
-// pure accelerators, so every answer must equal a from-scratch nth_element
-// over a fresh arrival scan. The tick is process-wide (cells run on worker
-// threads in parallel sweeps), relaxed, and never feeds back into results,
-// so a nondeterministic sampling pattern is harmless. 257 is prime to avoid
-// phase-locking with common validator counts.
+// Sampled cross-check of every dense selection against a from-scratch
+// nth_element over the same values. The tick is process-wide (cells run on
+// worker threads in parallel sweeps), relaxed, and never feeds back into
+// results, so a nondeterministic sampling pattern is harmless. 257 is prime
+// to avoid phase-locking with common validator counts.
 std::atomic<uint64_t> g_select_tick{0};
 constexpr uint64_t kSelectCheckCadence = 257;
 
@@ -200,19 +153,35 @@ bool SelectCheckDue() {
   return g_select_tick.fetch_add(1, std::memory_order_relaxed) % kSelectCheckCadence ==
          0;
 }
-
-void CheckQuorumSelection(const PairwiseDelays& delays,
-                          const std::vector<SimDuration>& send_times, size_t receiver,
-                          double hop_scale, size_t k, SimDuration got) {
-  std::vector<SimDuration> ref(send_times.size());
-  const size_t cnt = ScanArrivals(delays, send_times, receiver, hop_scale, ref.data());
-  DIABLO_CHECK(k < cnt, "selection rank escaped the reachable arrival set");
-  ref.resize(cnt);
-  std::nth_element(ref.begin(), ref.begin() + static_cast<long>(k), ref.end());
-  DIABLO_CHECK(ref[k] == got,
-               "windowed quorum selection disagrees with nth_element reference");
-}
 #endif
+
+// The one selection step of every dense kernel: the exact k-th smallest
+// (0-based, k < arrivals.cnt) of the scanned values in buf.
+SimDuration SelectArrival(SimDuration* buf, const Arrivals& arrivals, size_t k,
+                          SimDuration* spare) {
+#if defined(DIABLO_CHECKED)
+  std::vector<SimDuration> ref;
+  const bool check = SelectCheckDue();
+  if (check) {
+    ref.assign(buf, buf + arrivals.cnt);
+    for (const SimDuration v : ref) {
+      DIABLO_CHECK(arrivals.lo <= v && v <= arrivals.hi,
+                   "scanned arrival outside the scan's min/max");
+    }
+  }
+#endif
+  const SimDuration selected =
+      BucketSelect(buf, arrivals.cnt, k, arrivals.lo, arrivals.hi, spare);
+#if defined(DIABLO_CHECKED)
+  if (check) {
+    DIABLO_CHECK(k < ref.size(), "selection rank escaped the reachable arrival set");
+    std::nth_element(ref.begin(), ref.begin() + static_cast<long>(k), ref.end());
+    DIABLO_CHECK(ref[k] == selected,
+                 "bucket selection disagrees with nth_element reference");
+  }
+#endif
+  return selected;
+}
 
 }  // namespace
 
@@ -274,27 +243,19 @@ SimDuration QuorumArrival(const PairwiseDelays& delays,
 SimDuration QuorumArrivalInto(const PairwiseDelays& delays,
                               const std::vector<SimDuration>& send_times,
                               size_t receiver, size_t quorum, double hop_scale,
-                              MessagePlaneScratch* scratch, int hint_slot) {
+                              MessagePlaneScratch* scratch) {
   if (quorum == 0) {
     return kUnreachable;
   }
   const size_t n = send_times.size();
   scratch->buf.resize(n);
-  scratch->win.resize(n);
-  const size_t cnt = ScanArrivals(delays, send_times, receiver, hop_scale,
-                                  scratch->buf.data());
-  if (cnt < quorum) {
+  scratch->spare.resize(n);
+  const Arrivals arrivals =
+      ScanArrivals(delays, send_times, receiver, hop_scale, scratch->buf.data());
+  if (arrivals.cnt < quorum) {
     return kUnreachable;
   }
-  const SimDuration selected =
-      WindowSelect(scratch->buf.data(), cnt, quorum - 1, scratch->win.data(),
-                   scratch->quorum_hint[hint_slot]);
-#if defined(DIABLO_CHECKED)
-  if (SelectCheckDue()) {
-    CheckQuorumSelection(delays, send_times, receiver, hop_scale, quorum - 1, selected);
-  }
-#endif
-  return selected;
+  return SelectArrival(scratch->buf.data(), arrivals, quorum - 1, scratch->spare.data());
 }
 
 std::vector<SimDuration> QuorumArrivalAll(const PairwiseDelays& delays,
@@ -309,79 +270,23 @@ std::vector<SimDuration> QuorumArrivalAll(const PairwiseDelays& delays,
 void QuorumArrivalAllInto(const PairwiseDelays& delays,
                           const std::vector<SimDuration>& send_times, size_t quorum,
                           double hop_scale, MessagePlaneScratch* scratch,
-                          std::vector<SimDuration>* result, int hint_slot) {
+                          std::vector<SimDuration>* result) {
   const size_t n = send_times.size();
   result->assign(n, kUnreachable);
   if (quorum == 0) {
     return;
   }
   scratch->buf.resize(n);
-  scratch->win.resize(n);
-  SelectionHint& hint = scratch->quorum_hint[hint_slot];
+  scratch->spare.resize(n);
   SimDuration* buf = scratch->buf.data();
-  SimDuration* win = scratch->win.data();
+  SimDuration* spare = scratch->spare.data();
   SimDuration* out = result->data();
-  const size_t k = quorum - 1;
   for (size_t receiver = 0; receiver < n; ++receiver) {
-    if (!hint.valid) {
-      const size_t cnt = ScanArrivals(delays, send_times, receiver, hop_scale, buf);
-      if (cnt < quorum) {
-        continue;
-      }
-      out[receiver] = WindowSelect(buf, cnt, k, win, hint);
-      continue;
+    const Arrivals arrivals = ScanArrivals(delays, send_times, receiver, hop_scale, buf);
+    if (arrivals.cnt >= quorum) {
+      out[receiver] = SelectArrival(buf, arrivals, quorum - 1, spare);
     }
-    WindowedScan scan = ScanArrivalsWindowed(
-        delays, send_times, receiver, hop_scale, win,
-        hint.center - hint.span, hint.center + hint.span);
-    if (scan.cnt < quorum) {
-      continue;
-    }
-    if (scan.cnt > 24) {
-      SimDuration span_cap = 0;
-      if (k < scan.below || k - scan.below >= scan.w) {
-        // Window missed the target rank: widen once and rescan. A second
-        // lean pass is far cheaper than materialising the full arrival set
-        // for the nth_element fallback, and the widened window nearly always
-        // recaptures the rank since the distribution drifts slowly. The
-        // widening is transient — the span is capped back after selection so
-        // one outlier does not inflate every later window.
-        span_cap = hint.span * 2 + 1024;
-        hint.span = hint.span * 4 + 4096;
-        scan = ScanArrivalsWindowed(delays, send_times, receiver, hop_scale, win,
-                                    hint.center - hint.span, hint.center + hint.span);
-      }
-      if (k >= scan.below && k - scan.below < scan.w) {
-        out[receiver] = SelectFromWindow(win, scan.w, k - scan.below, hint);
-        if (span_cap != 0 && hint.span > span_cap) {
-          hint.span = span_cap;
-        }
-        continue;
-      }
-    }
-    // Window miss (or tiny arrival set): pay a second scan to materialise the
-    // full arrival set, then select exactly as the cold path would.
-    const size_t cnt = ScanArrivals(delays, send_times, receiver, hop_scale, buf);
-    if (cnt <= 24) {
-      out[receiver] = InsertionSelect(buf, cnt, k);
-      continue;
-    }
-    hint.valid = false;
-    out[receiver] = SelectFallback(buf, cnt, k, hint);
   }
-#if defined(DIABLO_CHECKED)
-  // Second pass so every assignment path above (windowed hit, widened retry,
-  // insertion select, fallback) funnels through one reference comparison.
-  for (size_t receiver = 0; receiver < n; ++receiver) {
-    if (out[receiver] == kUnreachable) {
-      continue;
-    }
-    if (!SelectCheckDue()) {
-      continue;
-    }
-    CheckQuorumSelection(delays, send_times, receiver, hop_scale, k, out[receiver]);
-  }
-#endif
 }
 
 double GossipHopScale(int n) {
@@ -405,7 +310,7 @@ SimDuration MedianDelayInto(const std::vector<SimDuration>& delays,
                             MessagePlaneScratch* scratch) {
   const size_t n = delays.size();
   scratch->buf.resize(n);
-  scratch->win.resize(n);
+  scratch->spare.resize(n);
   SimDuration* buf = scratch->buf.data();
   size_t cnt = 0;
   for (const SimDuration d : delays) {
@@ -415,24 +320,7 @@ SimDuration MedianDelayInto(const std::vector<SimDuration>& delays,
   if (cnt == 0) {
     return kUnreachable;
   }
-  const SimDuration median =
-      WindowSelect(buf, cnt, cnt / 2, scratch->win.data(), scratch->median_hint);
-#if defined(DIABLO_CHECKED)
-  if (SelectCheckDue()) {
-    std::vector<SimDuration> ref;
-    ref.reserve(delays.size());
-    for (const SimDuration d : delays) {
-      if (d != kUnreachable) {
-        ref.push_back(d);
-      }
-    }
-    std::nth_element(ref.begin(), ref.begin() + static_cast<long>(ref.size() / 2),
-                     ref.end());
-    DIABLO_CHECK(ref[ref.size() / 2] == median,
-                 "windowed median disagrees with nth_element reference");
-  }
-#endif
-  return median;
+  return SelectArrival(buf, Bound(buf, cnt), cnt / 2, scratch->spare.data());
 }
 
 namespace {
@@ -472,11 +360,12 @@ void CheckStreamedQuorum(const StreamedDelays& model,
 SimDuration QuorumArrivalInto(const VoteDelays& delays,
                               const std::vector<SimDuration>& send_times,
                               size_t receiver, size_t quorum, double hop_scale,
-                              MessagePlaneScratch* scratch, int hint_slot) {
+                              MessagePlaneScratch* scratch) {
   profile::CountVoteRound();
+  profile::AddVoteReceivers(quorum > 0 ? 1 : 0);
   if (delays.dense()) {
     return QuorumArrivalInto(delays.matrix(), send_times, receiver, quorum,
-                             hop_scale, scratch, hint_slot);
+                             hop_scale, scratch);
   }
   const SimDuration got =
       QuorumArrivalLargeN(delays.streamed(), send_times.data(), send_times.size(),
@@ -493,11 +382,12 @@ SimDuration QuorumArrivalInto(const VoteDelays& delays,
 void QuorumArrivalAllInto(const VoteDelays& delays,
                           const std::vector<SimDuration>& send_times, size_t quorum,
                           double hop_scale, MessagePlaneScratch* scratch,
-                          std::vector<SimDuration>* result, int hint_slot) {
+                          std::vector<SimDuration>* result) {
   profile::CountVoteRound();
+  profile::AddVoteReceivers(quorum > 0 ? send_times.size() : 0);
   if (delays.dense()) {
     QuorumArrivalAllInto(delays.matrix(), send_times, quorum, hop_scale, scratch,
-                         result, hint_slot);
+                         result);
     return;
   }
   const size_t n = send_times.size();
@@ -530,7 +420,7 @@ void QuorumArrivalCommitteeInto(const VoteDelays& delays,
                                 const std::vector<uint32_t>& receivers, size_t n,
                                 size_t quorum, double hop_scale,
                                 MessagePlaneScratch* scratch,
-                                std::vector<SimDuration>* result, int hint_slot) {
+                                std::vector<SimDuration>* result) {
   result->assign(n, kUnreachable);
   profile::CountVoteRound();
   if (quorum == 0) {
@@ -550,8 +440,9 @@ void QuorumArrivalCommitteeInto(const VoteDelays& delays,
         continue;
       }
       (*result)[r] = QuorumArrivalInto(delays.matrix(), scratch->expanded, r,
-                                       quorum, hop_scale, scratch, hint_slot);
+                                       quorum, hop_scale, scratch);
     }
+    profile::AddVoteReceivers(seen.Count());
     return;
   }
   for (const uint32_t r : receivers) {
@@ -572,6 +463,7 @@ void QuorumArrivalCommitteeInto(const VoteDelays& delays,
     }
 #endif
   }
+  profile::AddVoteReceivers(seen.Count());
 }
 
 }  // namespace diablo

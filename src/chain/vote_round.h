@@ -9,11 +9,12 @@
 //
 // The reduction itself is the hot loop of every consensus engine, so it runs
 // over caller-owned scratch (MessagePlaneScratch) instead of allocating per
-// receiver: steady-state vote rounds perform zero heap allocations. The
-// selection step is exact — a k-th order statistic is a value, not an
-// algorithm — so the adaptive-window selector below produces bit-identical
-// results to a plain sort-and-index while skipping most of the partitioning
-// work on the (highly similar) rounds that follow one another.
+// receiver: steady-state vote rounds perform zero heap allocations. Every
+// dense kernel selects with one bucket selector that keeps no state between
+// receivers or rounds: one scan collects the reachable arrivals with their
+// min and max, a histogram finds the bucket holding the wanted rank, and only
+// that bucket is sorted. A k-th order statistic is a value, not an
+// algorithm, so the result is bit-identical to a plain sort-and-index.
 #ifndef SRC_CHAIN_VOTE_ROUND_H_
 #define SRC_CHAIN_VOTE_ROUND_H_
 
@@ -158,27 +159,15 @@ class VoteDelays {
   std::unique_ptr<StreamedDelays> streamed_;
 };
 
-// Carry-over state for the adaptive-window selector. Purely an accelerator:
-// whatever the hint holds, the selected value is exact, so this state never
-// influences simulation output — only how fast it is produced.
-struct SelectionHint {
-  SimDuration center = 0;
-  SimDuration span = 0;
-  bool valid = false;
-};
-
 // Reusable working memory for one engine's message plane: order-statistic
 // buffers, per-round stage vectors, and broadcast scratch. Allocated once per
 // ChainContext and warm after the first round.
 struct MessagePlaneScratch {
-  // Selection working buffers (sized to the validator count on first use).
+  // Selection working buffers, sized to the validator count on first use:
+  // the scanned arrivals, and the second buffer a bucket step compacts into.
+  // They hold nothing between calls.
   std::vector<SimDuration> buf;
-  std::vector<SimDuration> win;
-  // One hint per vote stage: the two QuorumArrivalAll stages of a
-  // PBFT-style round see different delay distributions, so they track
-  // separate windows. The median has its own.
-  SelectionHint quorum_hint[2];
-  SelectionHint median_hint;
+  std::vector<SimDuration> spare;
   // Per-round vectors the engines refill each round.
   std::vector<SimDuration> stage_a;
   std::vector<SimDuration> stage_b;
@@ -214,17 +203,15 @@ std::vector<SimDuration> QuorumArrivalAll(const PairwiseDelays& delays,
                                           size_t quorum, double hop_scale = 1.0);
 
 // Allocation-free forms over caller scratch; results are bit-identical to the
-// allocating versions. `hint_slot` (0 or 1) picks which carried selection
-// window to use — engines pass 0 for their first vote stage and 1 for the
-// second.
+// allocating versions.
 SimDuration QuorumArrivalInto(const PairwiseDelays& delays,
                               const std::vector<SimDuration>& send_times,
                               size_t receiver, size_t quorum, double hop_scale,
-                              MessagePlaneScratch* scratch, int hint_slot = 0);
+                              MessagePlaneScratch* scratch);
 void QuorumArrivalAllInto(const PairwiseDelays& delays,
                           const std::vector<SimDuration>& send_times, size_t quorum,
                           double hop_scale, MessagePlaneScratch* scratch,
-                          std::vector<SimDuration>* result, int hint_slot = 0);
+                          std::vector<SimDuration>* result);
 
 // Expected relay hops for flooding a vote through a p2p mesh of n nodes
 // with ~25 direct peers: 1 + log2(n / 25), at least 1.
@@ -243,22 +230,24 @@ SimDuration MedianDelayInto(const std::vector<SimDuration>& delays,
                             MessagePlaneScratch* scratch);
 
 // --- facade kernels over either delay representation ------------------------
-// Dense deployments dispatch to the exact windowed kernels above (results are
+// Dense deployments dispatch to the exact kernels above (results are
 // bit-identical to calling them directly); streamed deployments run the
 // large-N kernels, which never touch an n×n matrix. In checked builds the
 // streamed answers are cross-checked against the dense kernels over a
 // materialised copy of the model at small n. Each facade call counts one
-// vote round in DIABLO_PROFILE's summary; the kernels above count nothing.
+// vote round in DIABLO_PROFILE's summary, plus the receivers it evaluates
+// (all n, one, or the distinct listed receivers; none when quorum is 0); the
+// kernels above count nothing.
 
 SimDuration QuorumArrivalInto(const VoteDelays& delays,
                               const std::vector<SimDuration>& send_times,
                               size_t receiver, size_t quorum, double hop_scale,
-                              MessagePlaneScratch* scratch, int hint_slot = 0);
+                              MessagePlaneScratch* scratch);
 
 void QuorumArrivalAllInto(const VoteDelays& delays,
                           const std::vector<SimDuration>& send_times, size_t quorum,
                           double hop_scale, MessagePlaneScratch* scratch,
-                          std::vector<SimDuration>* result, int hint_slot = 0);
+                          std::vector<SimDuration>* result);
 
 // Committee-sampled round: the arrival of `quorum` of the listed senders'
 // votes, evaluated only at the listed receivers. `result` is sized to n with
@@ -272,7 +261,7 @@ void QuorumArrivalCommitteeInto(const VoteDelays& delays,
                                 const std::vector<uint32_t>& receivers, size_t n,
                                 size_t quorum, double hop_scale,
                                 MessagePlaneScratch* scratch,
-                                std::vector<SimDuration>* result, int hint_slot = 0);
+                                std::vector<SimDuration>* result);
 
 }  // namespace diablo
 

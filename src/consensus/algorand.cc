@@ -62,7 +62,7 @@ void AlgorandEngine::Round() {
   const SimDuration verify = ctx_->ExecAndVerifyTime(built.gas, built.tx_count);
 
   auto vote_step = [&](uint64_t step, const std::vector<SimDuration>& start_times,
-                       std::vector<SimDuration>* voted, int hint_slot) {
+                       std::vector<SimDuration>* voted) {
     std::vector<uint32_t>& committee = plane->committee;
     SelectCommitteeInto(seed_, height_, step, n, expected, &committee);
     // BA* step timers are sequential: the soft vote fires after one λ, the
@@ -88,7 +88,7 @@ void AlgorandEngine::Round() {
         1, static_cast<size_t>(std::ceil(0.685 * static_cast<double>(committee.size()))));
     // Votes flood through the gossip network (multi-hop on large meshes).
     QuorumArrivalAllInto(ctx_->vote_delays(), senders, threshold,
-                         GossipHopScale(static_cast<int>(n)), plane, voted, hint_slot);
+                         GossipHopScale(static_cast<int>(n)), plane, voted);
   };
 
   std::vector<SimDuration>& have_proposal = bcast;  // arrival + verify, in place
@@ -113,7 +113,7 @@ void AlgorandEngine::Round() {
     const double hops = GossipHopScale(static_cast<int>(n));
     auto sampled_step = [&](uint64_t step, const std::vector<uint32_t>& committee,
                             const std::vector<SimDuration>& start_times,
-                            std::vector<SimDuration>* voted, int hint_slot) {
+                            std::vector<SimDuration>* voted) {
       const SimDuration step_floor =
           params.step_timeout * static_cast<SimDuration>(step);
       std::vector<SimDuration>& times = plane->senders;
@@ -131,13 +131,13 @@ void AlgorandEngine::Round() {
           1, static_cast<size_t>(
                  std::ceil(0.685 * static_cast<double>(committee.size()))));
       QuorumArrivalCommitteeInto(ctx_->vote_delays(), committee, times, committee2,
-                                 n, threshold, hops, plane, voted, hint_slot);
+                                 n, threshold, hops, plane, voted);
     };
-    sampled_step(/*step=*/1, committee1, have_proposal, &soft, /*hint_slot=*/0);
-    sampled_step(/*step=*/2, committee2, soft, &cert, /*hint_slot=*/1);
+    sampled_step(/*step=*/1, committee1, have_proposal, &soft);
+    sampled_step(/*step=*/2, committee2, soft, &cert);
   } else {
-    vote_step(/*step=*/1, have_proposal, &soft, /*hint_slot=*/0);
-    vote_step(/*step=*/2, soft, &cert, /*hint_slot=*/1);
+    vote_step(/*step=*/1, have_proposal, &soft);
+    vote_step(/*step=*/2, soft, &cert);
   }
 
   const SimDuration round_latency = MedianDelayInto(cert, plane);

@@ -71,12 +71,10 @@ void DbftEngine::Round() {
   ctx_->ApplyVoteAdversaries(&delivered);
   const double hops = GossipHopScale(n);
   std::vector<SimDuration>& echoed = plane->stage_b;
-  QuorumArrivalAllInto(ctx_->vote_delays(), delivered, quorum, hops, plane, &echoed,
-                       /*hint_slot=*/0);
+  QuorumArrivalAllInto(ctx_->vote_delays(), delivered, quorum, hops, plane, &echoed);
   ctx_->ApplyVoteAdversaries(&echoed);
   std::vector<SimDuration>& decided = plane->stage_c;
-  QuorumArrivalAllInto(ctx_->vote_delays(), echoed, quorum, hops, plane, &decided,
-                       /*hint_slot=*/1);
+  QuorumArrivalAllInto(ctx_->vote_delays(), echoed, quorum, hops, plane, &decided);
 
   const SimDuration round_latency = MedianDelayInto(decided, plane);
   if (round_latency == kUnreachable) {

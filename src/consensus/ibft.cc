@@ -81,11 +81,11 @@ void IbftEngine::Round() {
   const double hops = GossipHopScale(n);
   std::vector<SimDuration>& prepared = plane->stage_b;
   QuorumArrivalAllInto(ctx_->vote_delays(), preprepared, quorum, hops, plane,
-                       &prepared, /*hint_slot=*/0);
+                       &prepared);
   ctx_->ApplyVoteAdversaries(&prepared);
   std::vector<SimDuration>& committed = plane->stage_c;
   QuorumArrivalAllInto(ctx_->vote_delays(), prepared, quorum, hops, plane,
-                       &committed, /*hint_slot=*/1);
+                       &committed);
 
   const SimDuration round_latency = MedianDelayInto(committed, plane);
   if (round_latency == kUnreachable) {

@@ -17,6 +17,7 @@ namespace {
 std::atomic<uint64_t> g_events{0};
 std::atomic<uint64_t> g_arrivals{0};
 std::atomic<uint64_t> g_vote_rounds{0};
+std::atomic<uint64_t> g_vote_receivers{0};
 std::atomic<uint64_t> g_sortition_draws{0};
 std::atomic<uint64_t> g_vm_ops{0};
 std::atomic<int64_t> g_arena_live{0};
@@ -32,10 +33,10 @@ void PrintSummary() {
   const Counters totals = Totals();
   std::fprintf(stderr,
                "[profile] events=%" PRIu64 " arrivals=%" PRIu64 " vote_rounds=%" PRIu64
-               " sortition_draws=%" PRIu64 " vm_ops=%" PRIu64 " wall=%.2fs rss_peak=%" PRId64
-               "B arena_hwm=%" PRId64 "B\n",
-               totals.events, totals.arrivals, totals.vote_rounds, totals.sortition_draws,
-               totals.vm_ops, wall, PeakRssBytes(),
+               " vote_receivers=%" PRIu64 " sortition_draws=%" PRIu64 " vm_ops=%" PRIu64
+               " wall=%.2fs rss_peak=%" PRId64 "B arena_hwm=%" PRId64 "B\n",
+               totals.events, totals.arrivals, totals.vote_rounds, totals.vote_receivers,
+               totals.sortition_draws, totals.vm_ops, wall, PeakRssBytes(),
                g_arena_hwm.load(std::memory_order_relaxed));
 }
 
@@ -57,6 +58,9 @@ bool Enabled() { return g_enabled; }
 void AddEvents(uint64_t n) { g_events.fetch_add(n, std::memory_order_relaxed); }
 void AddArrivals(uint64_t n) { g_arrivals.fetch_add(n, std::memory_order_relaxed); }
 void CountVoteRound() { g_vote_rounds.fetch_add(1, std::memory_order_relaxed); }
+void AddVoteReceivers(uint64_t n) {
+  g_vote_receivers.fetch_add(n, std::memory_order_relaxed);
+}
 void AddSortitionDraws(uint64_t n) {
   g_sortition_draws.fetch_add(n, std::memory_order_relaxed);
 }
@@ -67,6 +71,7 @@ Counters Totals() {
   totals.events = g_events.load(std::memory_order_relaxed);
   totals.arrivals = g_arrivals.load(std::memory_order_relaxed);
   totals.vote_rounds = g_vote_rounds.load(std::memory_order_relaxed);
+  totals.vote_receivers = g_vote_receivers.load(std::memory_order_relaxed);
   totals.sortition_draws = g_sortition_draws.load(std::memory_order_relaxed);
   totals.vm_ops = g_vm_ops.load(std::memory_order_relaxed);
   return totals;

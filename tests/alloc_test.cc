@@ -70,10 +70,9 @@ SimDuration EngineStyleRound(Network* net, const std::vector<HostId>& hosts,
     }
   }
   std::vector<SimDuration>& prepared = plane->stage_b;
-  QuorumArrivalAllInto(delays, bcast, quorum, 1.0, plane, &prepared, /*hint_slot=*/0);
+  QuorumArrivalAllInto(delays, bcast, quorum, 1.0, plane, &prepared);
   std::vector<SimDuration>& committed = plane->stage_c;
-  QuorumArrivalAllInto(delays, prepared, quorum, 1.0, plane, &committed,
-                       /*hint_slot=*/1);
+  QuorumArrivalAllInto(delays, prepared, quorum, 1.0, plane, &committed);
   return MedianDelayInto(committed, plane);
 }
 

@@ -482,51 +482,141 @@ TEST(VoteRoundTest, PairwiseDelaysDeterministicPerSeed) {
 }
 
 TEST(VoteRoundTest, QuorumArrivalMatchesSortReference) {
-  // The exactness lock: for a multi-region jittered matrix and send times
-  // with unreachable holes, QuorumArrival must return exactly the
-  // (quorum-1)-th order statistic of {send[j] + trunc(hop * scale)} over
-  // reachable (sender, edge) pairs — for every receiver, quorum and scale.
-  Simulation sim(1234);
-  Network net(&sim);
-  const DeploymentConfig devnet = GetDeployment("devnet");
-  const int n = 37;
-  std::vector<HostId> hosts;
-  for (int i = 0; i < n; ++i) {
-    hosts.push_back(net.AddHost(devnet.NodeRegion(i)));
-  }
-  PairwiseDelays delays(&net, hosts, 256);
-
-  Rng rng(7);
-  std::vector<SimDuration> sends(static_cast<size_t>(n));
-  for (auto& s : sends) {
-    s = rng.NextBelow(8) == 0
-            ? kUnreachable
-            : static_cast<SimDuration>(rng.NextBelow(static_cast<uint64_t>(Seconds(2))));
-  }
-
-  for (const double hop_scale : {1.0, 2.0, 4.0, 1.0 + std::log2(37.0 / 25.0)}) {
-    const std::vector<SimDuration> all =
-        QuorumArrivalAll(delays, sends, /*quorum=*/25, hop_scale);
-    ASSERT_EQ(all.size(), sends.size());
-    for (size_t receiver = 0; receiver < sends.size(); ++receiver) {
-      std::vector<SimDuration> arrivals;
-      for (size_t j = 0; j < sends.size(); ++j) {
-        if (sends[j] == kUnreachable || delays.at(j, receiver) == kUnreachable) {
-          continue;
+  // The exactness lock: QuorumArrival must return exactly the (quorum-1)-th
+  // order statistic of {send[j] + trunc(hop * scale)} over reachable
+  // (sender, edge) pairs — for every receiver, quorum and scale — and
+  // QuorumArrivalAll and MedianDelay must agree with the same sorted
+  // reference. The inputs cover jittered and zero-jitter (tied) matrices,
+  // sender holes, unreachable edges, and the selector's corner cases.
+  auto check = [](const char* label, const PairwiseDelays& delays,
+                  const std::vector<SimDuration>& sends) {
+    const size_t n = sends.size();
+    const size_t f = (n - 1) / 3;
+    for (const double hop_scale : {1.0, 2.0, 4.0, 1.0 + std::log2(37.0 / 25.0)}) {
+      std::vector<std::vector<SimDuration>> sorted(n);
+      for (size_t receiver = 0; receiver < n; ++receiver) {
+        for (size_t j = 0; j < n; ++j) {
+          if (sends[j] == kUnreachable || delays.at(j, receiver) == kUnreachable) {
+            continue;
+          }
+          sorted[receiver].push_back(
+              sends[j] + static_cast<SimDuration>(
+                             static_cast<double>(delays.at(j, receiver)) * hop_scale));
         }
-        arrivals.push_back(sends[j] +
-                           static_cast<SimDuration>(
-                               static_cast<double>(delays.at(j, receiver)) * hop_scale));
+        std::sort(sorted[receiver].begin(), sorted[receiver].end());
       }
-      std::sort(arrivals.begin(), arrivals.end());
-      for (const size_t quorum : {size_t{1}, size_t{13}, size_t{25}, arrivals.size()}) {
-        const SimDuration expected =
-            quorum == 0 || arrivals.size() < quorum ? kUnreachable : arrivals[quorum - 1];
-        EXPECT_EQ(QuorumArrival(delays, sends, receiver, quorum, hop_scale), expected)
-            << "receiver " << receiver << " quorum " << quorum << " scale " << hop_scale;
+      for (const size_t quorum : {size_t{1}, f + 1, 2 * f + 1, n}) {
+        const std::vector<SimDuration> all =
+            QuorumArrivalAll(delays, sends, quorum, hop_scale);
+        ASSERT_EQ(all.size(), n);
+        std::vector<SimDuration> reachable;
+        for (size_t receiver = 0; receiver < n; ++receiver) {
+          const std::vector<SimDuration>& arrivals = sorted[receiver];
+          const SimDuration expected =
+              arrivals.size() < quorum ? kUnreachable : arrivals[quorum - 1];
+          EXPECT_EQ(all[receiver], expected) << label << " receiver " << receiver
+                                             << " quorum " << quorum << " scale "
+                                             << hop_scale;
+          if (expected != kUnreachable) {
+            reachable.push_back(expected);
+          }
+          // The per-receiver kernel at this quorum and at the two ends of the
+          // receiver's own arrival set: k = 0 and k = cnt - 1.
+          for (const size_t q : {quorum, size_t{1}, arrivals.size()}) {
+            const SimDuration want =
+                q == 0 || arrivals.size() < q ? kUnreachable : arrivals[q - 1];
+            EXPECT_EQ(QuorumArrival(delays, sends, receiver, q, hop_scale), want)
+                << label << " receiver " << receiver << " quorum " << q << " scale "
+                << hop_scale;
+          }
+        }
+        std::sort(reachable.begin(), reachable.end());
+        EXPECT_EQ(MedianDelay(all),
+                  reachable.empty() ? kUnreachable : reachable[reachable.size() / 2])
+            << label << " quorum " << quorum << " scale " << hop_scale;
       }
-      EXPECT_EQ(all[receiver], QuorumArrival(delays, sends, receiver, 25, hop_scale));
     }
+  };
+  Rng rng(7);
+  auto random_sends = [&rng](size_t n, uint64_t hole_one_in, SimDuration spread) {
+    std::vector<SimDuration> sends(n);
+    for (auto& s : sends) {
+      s = rng.NextBelow(hole_one_in) == 0
+              ? kUnreachable
+              : static_cast<SimDuration>(rng.NextBelow(static_cast<uint64_t>(spread)));
+    }
+    return sends;
+  };
+  auto hosts_of = [](Network* net, const DeploymentConfig& deployment) {
+    std::vector<HostId> hosts;
+    for (int i = 0; i < deployment.node_count; ++i) {
+      hosts.push_back(net->AddHost(deployment.NodeRegion(i)));
+    }
+    return hosts;
+  };
+  {
+    // 37 devnet hosts, jittered, with sender holes.
+    Simulation sim(1234);
+    Network net(&sim);
+    DeploymentConfig devnet = GetDeployment("devnet");
+    devnet.node_count = 37;
+    const PairwiseDelays delays(&net, hosts_of(&net, devnet), 256);
+    check("devnet-37", delays, random_sends(37, 8, Seconds(2)));
+  }
+  const DeploymentConfig consortium = GetDeployment("consortium");
+  ASSERT_EQ(consortium.node_count, 200);
+  {
+    // The paper's consortium: 200 hosts over 10 regions, jittered.
+    Simulation sim(1234);
+    Network net(&sim);
+    const PairwiseDelays delays(&net, hosts_of(&net, consortium), 256);
+    check("consortium", delays, random_sends(200, 8, Seconds(2)));
+  }
+  {
+    // Zero jitter: every region pair has one delay, so equal send times make
+    // long runs of tied arrivals; every seventh sender is silent.
+    Simulation sim(1234);
+    Network net(&sim, /*jitter_frac=*/0.0);
+    const PairwiseDelays delays(&net, hosts_of(&net, consortium), 256);
+    std::vector<SimDuration> sends(200, Seconds(3));
+    for (size_t j = 0; j < sends.size(); j += 7) {
+      sends[j] = kUnreachable;
+    }
+    check("consortium-zero-jitter", delays, sends);
+  }
+  // Explicit row-major matrices: delays[from * n + to].
+  auto explicit_matrix = [&rng](size_t n, uint64_t cut_one_in, SimDuration spread) {
+    std::vector<SimDuration> row_major(n * n);
+    for (size_t from = 0; from < n; ++from) {
+      for (size_t to = 0; to < n; ++to) {
+        SimDuration& d = row_major[from * n + to];
+        if (from == to) {
+          d = 0;
+        } else if (cut_one_in != 0 && rng.NextBelow(cut_one_in) == 0) {
+          d = kUnreachable;
+        } else {
+          d = static_cast<SimDuration>(rng.NextBelow(static_cast<uint64_t>(spread)));
+        }
+      }
+    }
+    return PairwiseDelays(n, std::move(row_major));
+  };
+  // One edge in ten cut, on top of sender holes.
+  check("explicit-unreachable", explicit_matrix(200, 10, Milliseconds(200)),
+        random_sends(200, 8, Seconds(2)));
+  // Every arrival equal: zero delays everywhere and one send time.
+  check("all-equal", PairwiseDelays(64, std::vector<SimDuration>(64 * 64, 0)),
+        std::vector<SimDuration>(64, Seconds(3)));
+  {
+    // Two clusters far apart: a third of the senders start 1000 s late, and
+    // every value sits within a microsecond of its cluster. A first bucket
+    // step lands each cluster in one bucket of more than 32 values, so the
+    // selection must repeat on the bucket's own range.
+    std::vector<SimDuration> sends = random_sends(200, 1'000'000, Microseconds(1));
+    for (size_t j = 0; j < sends.size(); j += 3) {
+      sends[j] += Seconds(1000);
+    }
+    check("two-clusters", explicit_matrix(200, 0, 64), sends);
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "src/config/spec.h"
 #include "src/core/primary.h"
+#include "src/core/runner.h"
 #include "src/crypto/sha256.h"
 #include "src/support/check.h"
 #include "src/workload/trace.h"
@@ -185,6 +186,33 @@ TEST(ShippedConfigTest, CheckedBuildDoesNotPerturbResults) {
             "a59ebe9091ff08e84e38855b5b020655604cb9872ab61a82f73f493f1aca56cb")
       << "report text changed; if intentional, update the golden hash "
          "(kCheckedBuild=" << kCheckedBuild << ")";
+}
+
+TEST(ShippedConfigTest, ConsortiumGoldenReportsAreStable) {
+  // The goldens above run testnet (10 nodes in one region), where no vote
+  // selection sees more than ten arrivals and none reaches the bucket step.
+  // These pin the 200-node, 10-region dense vote plane behind the paper's
+  // consortium results: IBFT, DBFT and dense BA* rounds over a 200×200 delay
+  // matrix. Each hash was produced by an unchecked build and must hold with
+  // kCheckedBuild on.
+  struct Golden {
+    const char* chain;
+    const char* digest;
+  };
+  const Golden goldens[] = {
+      {"quorum", "38636dbad5bf6e2738671a8f01ddb364be28ddd4869e5a6af90916d14fabc075"},
+      {"redbelly", "19a3e1f8aa5fc9dd96bb294d9d0e30c59943f0c3b8006d769783e2bdb61616bc"},
+      {"algorand", "35af7b70f888cd04d6cada91c5c9a3307619fa9af139d6176890a3913bc7d67d"},
+  };
+  for (const Golden& golden : goldens) {
+    const RunResult result =
+        RunNativeBenchmark(golden.chain, "consortium", /*tps=*/100, /*seconds=*/20);
+    ASSERT_TRUE(result.failure_reason.empty()) << result.failure_reason;
+    EXPECT_GT(result.report.committed, 0u) << golden.chain;
+    EXPECT_EQ(DigestHex(Sha256Digest(result.report.ToText())), golden.digest)
+        << golden.chain << " consortium report text changed; if intentional, "
+        << "update the golden hash (kCheckedBuild=" << kCheckedBuild << ")";
+  }
 }
 
 TEST(TraceCsvTest, RoundTrip) {

@@ -391,5 +391,21 @@ TEST(ProfileTest, SortitionDrawsCountAlgorandSelections) {
   EXPECT_EQ(profile::Totals().sortition_draws, after.sortition_draws);
 }
 
+// vote_receivers: each vote-round kernel call adds the receivers it
+// evaluates. IBFT (quorum) rounds are all-receivers calls, so on the 200-node
+// consortium every round adds exactly 200 and the total is a positive
+// multiple of 200.
+TEST(ProfileTest, VoteReceiversCountConsortiumRounds) {
+  const profile::Counters before = profile::Totals();
+  const RunResult result = RunNativeBenchmark("quorum", "consortium", 20, 10, 1);
+  const profile::Counters after = profile::Totals();
+  ASSERT_GT(result.report.submitted, 0u);
+  const uint64_t rounds = after.vote_rounds - before.vote_rounds;
+  const uint64_t receivers = after.vote_receivers - before.vote_receivers;
+  EXPECT_GT(receivers, 0u);
+  EXPECT_EQ(receivers % 200, 0u) << receivers;
+  EXPECT_EQ(receivers, 200 * rounds);
+}
+
 }  // namespace
 }  // namespace diablo
