@@ -60,7 +60,7 @@ bool ChainContext::SubmitAtEndpoint(TxId id, int endpoint, SimTime arrival,
   const int peer = static_cast<int>(rng_.NextBelow(static_cast<uint64_t>(node_count())));
   SimDuration gossip = net_->DelaySample(hosts_[static_cast<size_t>(endpoint)],
                                          hosts_[static_cast<size_t>(peer)],
-                                         tx.size_bytes + 64);
+                                         int64_t{tx.size_bytes} + 64);
   if (gossip == kUnreachable) {
     gossip = Milliseconds(500);
   }

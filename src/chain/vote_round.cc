@@ -233,13 +233,6 @@ size_t VoteDelays::ApproxBytes() const {
   return sizeof(*this) + streamed_->ApproxBytes();
 }
 
-SimDuration QuorumArrival(const PairwiseDelays& delays,
-                          const std::vector<SimDuration>& send_times, size_t receiver,
-                          size_t quorum, double hop_scale) {
-  MessagePlaneScratch scratch;
-  return QuorumArrivalInto(delays, send_times, receiver, quorum, hop_scale, &scratch);
-}
-
 SimDuration QuorumArrivalInto(const PairwiseDelays& delays,
                               const std::vector<SimDuration>& send_times,
                               size_t receiver, size_t quorum, double hop_scale,
@@ -256,15 +249,6 @@ SimDuration QuorumArrivalInto(const PairwiseDelays& delays,
     return kUnreachable;
   }
   return SelectArrival(scratch->buf.data(), arrivals, quorum - 1, scratch->spare.data());
-}
-
-std::vector<SimDuration> QuorumArrivalAll(const PairwiseDelays& delays,
-                                          const std::vector<SimDuration>& send_times,
-                                          size_t quorum, double hop_scale) {
-  MessagePlaneScratch scratch;
-  std::vector<SimDuration> result;
-  QuorumArrivalAllInto(delays, send_times, quorum, hop_scale, &scratch, &result);
-  return result;
 }
 
 void QuorumArrivalAllInto(const PairwiseDelays& delays,
@@ -299,11 +283,6 @@ double GossipHopScale(int n) {
 int ByzantineQuorum(int n) {
   const int f = (n - 1) / 3;
   return 2 * f + 1;
-}
-
-SimDuration MedianDelay(const std::vector<SimDuration>& delays) {
-  MessagePlaneScratch scratch;
-  return MedianDelayInto(delays, &scratch);
 }
 
 SimDuration MedianDelayInto(const std::vector<SimDuration>& delays,

@@ -192,22 +192,14 @@ struct MessagePlaneScratch {
 // instant). `hop_scale` multiplies each vote's network delay: on large
 // deployments votes relay through a bounded-degree p2p mesh instead of
 // travelling one hop (see GossipHopScale). Returns kUnreachable when fewer
-// than `quorum` senders vote.
-SimDuration QuorumArrival(const PairwiseDelays& delays,
-                          const std::vector<SimDuration>& send_times, size_t receiver,
-                          size_t quorum, double hop_scale = 1.0);
-
-// QuorumArrival for every receiver at once.
-std::vector<SimDuration> QuorumArrivalAll(const PairwiseDelays& delays,
-                                          const std::vector<SimDuration>& send_times,
-                                          size_t quorum, double hop_scale = 1.0);
-
-// Allocation-free forms over caller scratch; results are bit-identical to the
-// allocating versions.
+// than `quorum` senders vote, or when `quorum` is 0. Works in `scratch`, so
+// a warm scratch makes the call allocation-free.
 SimDuration QuorumArrivalInto(const PairwiseDelays& delays,
                               const std::vector<SimDuration>& send_times,
                               size_t receiver, size_t quorum, double hop_scale,
                               MessagePlaneScratch* scratch);
+
+// QuorumArrivalInto for every receiver at once, into `result` (resized to n).
 void QuorumArrivalAllInto(const PairwiseDelays& delays,
                           const std::vector<SimDuration>& send_times, size_t quorum,
                           double hop_scale, MessagePlaneScratch* scratch,
@@ -221,11 +213,9 @@ double GossipHopScale(int n);
 // n-node deployment; quorum is 2f + 1.
 int ByzantineQuorum(int n);
 
-// Median of a delay vector, ignoring kUnreachable entries; kUnreachable when
-// every entry is unreachable.
-SimDuration MedianDelay(const std::vector<SimDuration>& delays);
-
-// Allocation-free MedianDelay over caller scratch; bit-identical result.
+// Median of a delay vector, ignoring kUnreachable entries: the element at
+// index size/2 of the sorted reachable entries (the upper median), or
+// kUnreachable when every entry is unreachable. Works in `scratch`.
 SimDuration MedianDelayInto(const std::vector<SimDuration>& delays,
                             MessagePlaneScratch* scratch);
 

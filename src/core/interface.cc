@@ -1,5 +1,6 @@
 #include "src/core/interface.h"
 
+#include <cstdint>
 #include <utility>
 
 #include "src/contracts/contracts.h"
@@ -56,7 +57,7 @@ class SimClient : public BlockchainClient {
     const int endpoint = endpoints_[next_endpoint_++ % endpoints_.size()];
     const HostId endpoint_host = ctx.hosts()[static_cast<size_t>(endpoint)];
     SimDuration delay = ctx.net()->DelaySampleFrom(&rng_, client_host_,
-                                                   endpoint_host, tx.size_bytes + 128);
+                                                   endpoint_host, int64_t{tx.size_bytes} + 128);
     if (delay == kUnreachable) {
       delay = Milliseconds(500);
     }
@@ -97,7 +98,7 @@ class SimClient : public BlockchainClient {
     const int endpoint = endpoints_[next_endpoint_++ % endpoints_.size()];
     const HostId endpoint_host = ctx.hosts()[static_cast<size_t>(endpoint)];
     const SimDuration delay = ctx.net()->DelaySampleFrom(
-        &rng_, client_host_, endpoint_host, tx.size_bytes + 128);
+        &rng_, client_host_, endpoint_host, int64_t{tx.size_bytes} + 128);
     if (delay == kUnreachable) {
       // The request vanished (endpoint crashed or partitioned); the client
       // only learns after its submission timeout.
@@ -213,13 +214,17 @@ TxId SimConnector::Encode(const InteractionSpec& spec, const Resource& accounts,
     tx.gas = profile.gas;
     tx.exec_status = profile.status;
     // Payload-bearing calls (e.g. youtube upload) carry their data on the
-    // wire as well.
+    // wire as well. The payload comes from the caller's arguments, so the
+    // total is range-checked before it narrows to the int32 wire size.
     int64_t payload = 0;
     if (!spec.args.empty() && spec.function == "upload") {
       payload = spec.args[0];
     }
-    tx.size_bytes =
-        kNativeTransferBytes + profile.calldata_bytes + static_cast<int32_t>(payload);
+    const int64_t envelope = kNativeTransferBytes + profile.calldata_bytes;
+    if (payload < -envelope || payload > INT32_MAX - envelope) {
+      return kInvalidTx;
+    }
+    tx.size_bytes = static_cast<int32_t>(envelope + payload);
   }
   return ctx.txs().Add(tx);
 }

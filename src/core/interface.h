@@ -97,7 +97,9 @@ class BlockchainConnector {
   // this chain (e.g. a contract the chain's VM cannot host, §5.2).
   virtual bool CreateResource(const ResourceSpec& spec, Resource* out) = 0;
 
-  // encode(φ^i, r, t): pre-signs and encodes; returns an opaque handle.
+  // encode(φ^i, r, t): pre-signs and encodes; returns an opaque handle, or
+  // kInvalidTx when the interaction has no valid encoding (its wire size is
+  // negative or over INT32_MAX bytes).
   virtual TxId Encode(const InteractionSpec& spec, const Resource& accounts,
                       SimTime scheduled_time) = 0;
 };

@@ -72,11 +72,12 @@ uint64_t CellSeed(uint64_t base_seed, uint64_t cell_index);
 
 // Version stamp of the BENCH_runner.json layout. Version 2 added the
 // top-level "schema_version" key itself; version 3 added the "kernels" entry
-// (micro-kernel speedups vs in-binary seed replicas, written by
-// micro_benchmarks) alongside the per-runner-binary stats. Bump it when an
-// entry field is added, removed or changes meaning, so perf-trajectory
-// tooling comparing files across PRs can tell layouts apart.
-inline constexpr int kRunnerStatsSchemaVersion = 3;
+// (message-plane kernel times written by micro_benchmarks) alongside the
+// per-runner-binary stats; version 4 keeps only each kernel's "current_ns"
+// in it. Bump it when an entry field is added, removed or changes meaning,
+// so perf-trajectory tooling comparing files across PRs can tell layouts
+// apart.
+inline constexpr int kRunnerStatsSchemaVersion = 4;
 
 // Writes (or updates) `path` — a JSON object with a "schema_version" stamp
 // plus one member per benchmark binary mapping to its runner stats —
@@ -87,7 +88,7 @@ bool WriteRunnerStatsJson(const std::string& path, const std::string& binary,
 
 // Same merge-and-rewrite, but with a caller-provided pre-serialized JSON
 // value for `key` — used for entries that are not RunnerStats, like the
-// micro-kernel speedup summary.
+// micro-kernel summary.
 bool WriteRunnerJsonEntry(const std::string& path, const std::string& key,
                           const std::string& entry_json);
 

@@ -246,6 +246,10 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
         spec.args = invocation.args;
       }
       const TxId tx = connector.Encode(spec, accounts, arrivals[k]);
+      if (tx == kInvalidTx) {
+        result.failure_reason = "invocation " + spec.function + ": wire size out of range";
+        return result;
+      }
       const auto& set = stream_secondaries[i];
       secondaries[set[k % set.size()]]->Assign(arrivals[k], tx);
       if (k == 0 && !stream.contract.empty() && result.failure_reason.empty()) {

@@ -126,15 +126,6 @@ void Network::Send(HostId from, HostId to, int64_t bytes, EventFn fn) {
   sim_->Schedule(delay, std::move(fn));
 }
 
-std::vector<SimDuration> Network::BroadcastDelays(HostId origin,
-                                                  const std::vector<HostId>& recipients,
-                                                  int64_t bytes, int fanout) {
-  BroadcastScratch scratch;
-  std::vector<SimDuration> result;
-  BroadcastDelaysInto(origin, recipients, bytes, fanout, &scratch, &result);
-  return result;
-}
-
 void Network::BroadcastDelaysInto(HostId origin, const std::vector<HostId>& recipients,
                                   int64_t bytes, int fanout, BroadcastScratch* scratch,
                                   std::vector<SimDuration>* out) {

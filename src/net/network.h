@@ -91,9 +91,9 @@ class StreamedDelays {
 // holds votes from `quorum` of the `count` senders, where sender j starts at
 // send_times[j] (kUnreachable = never votes) and each vote travels
 // hop_scale relayed hops of the streamed delay model. Exactly the dense
-// QuorumArrival reduction, but the receiver's delay column is derived on the
-// fly — no n² matrix exists. `scratch` carries the arrival buffer across
-// calls so steady-state rounds do not allocate.
+// QuorumArrivalInto reduction, but the receiver's delay column is derived
+// on the fly — no n² matrix exists. `scratch` carries the arrival buffer
+// across calls so steady-state rounds do not allocate.
 SimDuration QuorumArrivalLargeN(const StreamedDelays& delays,
                                 const SimDuration* send_times, size_t count,
                                 size_t receiver, size_t quorum, double hop_scale,
@@ -153,15 +153,10 @@ class Network {
   // message silently when unreachable (like a real network would).
   void Send(HostId from, HostId to, int64_t bytes, EventFn fn);
 
-  // Delay from `origin` to each entry of `recipients` when `bytes` are
-  // disseminated through a gossip tree with the given fanout. recipients[i]
-  // may equal origin (delay 0). Unreachable hosts get kUnreachable.
-  std::vector<SimDuration> BroadcastDelays(HostId origin,
-                                           const std::vector<HostId>& recipients,
-                                           int64_t bytes, int fanout);
-
-  // BroadcastDelays into caller-owned buffers: identical tree, identical RNG
-  // draws, zero allocations once `scratch` and `result` are warm.
+  // Delay from `origin` to each entry of `recipients`, written to `result`,
+  // when `bytes` are disseminated through a gossip tree with the given
+  // fanout. recipients[i] may equal origin (delay 0). Unreachable hosts get
+  // kUnreachable. Zero allocations once `scratch` and `result` are warm.
   void BroadcastDelaysInto(HostId origin, const std::vector<HostId>& recipients,
                            int64_t bytes, int fanout, BroadcastScratch* scratch,
                            std::vector<SimDuration>* result);

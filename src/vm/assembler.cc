@@ -129,7 +129,6 @@ AssembleResult Assemble(std::string_view name, std::string_view source) {
     }
   }
 
-  result.program.Predecode();
   result.ok = true;
   return result;
 }

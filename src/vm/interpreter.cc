@@ -16,16 +16,33 @@ constexpr size_t kMaxMemoryWords = 4096;
 // dialects; far above any legitimate contract in this suite.
 constexpr int64_t kMaxOps = 100'000'000;
 
+// Little-endian immediate; an 8-byte one is a full two's-complement word,
+// narrower ones are unsigned.
 int64_t ReadImmediate(const std::vector<uint8_t>& code, size_t pc, int width) {
-  int64_t value = 0;
+  uint64_t value = 0;
   for (int i = 0; i < width; ++i) {
-    value |= static_cast<int64_t>(code[pc + static_cast<size_t>(i)]) << (8 * i);
+    value |= static_cast<uint64_t>(code[pc + static_cast<size_t>(i)]) << (8 * i);
   }
-  if (width == 8) {
-    return value;  // full word, already sign-complete
-  }
-  return value;  // unsigned small immediates
+  return static_cast<int64_t>(value);
 }
+
+// Add, sub and mul wrap in two's complement; computing them in uint64_t
+// keeps the overflow defined.
+int64_t WrappingAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) + static_cast<uint64_t>(b));
+}
+int64_t WrappingSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) - static_cast<uint64_t>(b));
+}
+int64_t WrappingMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) * static_cast<uint64_t>(b));
+}
+
+// Signed division and remainder as the EVM's SDIV and SMOD define them:
+// INT64_MIN / -1 is INT64_MIN and INT64_MIN % -1 is 0, where the hardware
+// instruction would trap. The caller has rejected a zero divisor.
+int64_t SignedDiv(int64_t a, int64_t b) { return b == -1 ? WrappingSub(0, a) : a / b; }
+int64_t SignedMod(int64_t a, int64_t b) { return b == -1 ? 0 : a % b; }
 
 struct WordWrite {
   uint64_t key;
@@ -69,10 +86,9 @@ std::string_view VmStatusName(VmStatus status) {
 
 namespace {
 
-// Reference interpreter: decodes each instruction from the raw byte stream as
-// it executes. Runs hand-built programs (no `decoded` table) and serves as the
-// semantic oracle the decoded path is tested against.
-ExecResult ExecuteBytes(const ExecRequest& request) {
+// Decodes each instruction from the byte stream as it executes, so a jump
+// into the middle of an immediate runs those bytes as instructions.
+ExecResult Interpret(const ExecRequest& request) {
   const DialectLimits& limits = LimitsOf(request.dialect);
   ExecResult result;
   result.gas_used = limits.intrinsic_gas;
@@ -106,6 +122,16 @@ ExecResult ExecuteBytes(const ExecRequest& request) {
     result.status = status;
     return result;
   };
+  // Adds `amount` to the gas used. When the sum does not fit in int64 the
+  // gas saturates at INT64_MAX, so it never decreases, and this returns
+  // false: the call is out of gas.
+  auto charge = [&](int64_t amount) {
+    if (__builtin_add_overflow(result.gas_used, amount, &result.gas_used)) {
+      result.gas_used = INT64_MAX;
+      return false;
+    }
+    return true;
+  };
 
   size_t pc = static_cast<size_t>(entry);
   while (true) {
@@ -118,14 +144,14 @@ ExecResult ExecuteBytes(const ExecRequest& request) {
       return fail(VmStatus::kInvalidOpcode);
     }
     const int width = ImmediateWidth(op);
-    if (pc + 1 + static_cast<size_t>(width) > code.size() + (width == 0 ? 1 : 0)) {
-      if (pc + 1 + static_cast<size_t>(width) > code.size()) {
-        return fail(VmStatus::kInvalidOpcode);
-      }
+    if (pc + 1 + static_cast<size_t>(width) > code.size()) {
+      return fail(VmStatus::kInvalidOpcode);
     }
 
     ++result.ops_executed;
-    result.gas_used += OpcodeGas(op);
+    if (!charge(OpcodeGas(op))) {
+      return fail(VmStatus::kOutOfGas);
+    }
     if (limits.op_budget > 0 && result.ops_executed > limits.op_budget) {
       return fail(VmStatus::kBudgetExceeded);
     }
@@ -188,17 +214,17 @@ ExecResult ExecuteBytes(const ExecRequest& request) {
         break;
       }
       case Opcode::kAdd:
-        if (!binary_op([](int64_t a, int64_t b) { return a + b; })) {
+        if (!binary_op([](int64_t a, int64_t b) { return WrappingAdd(a, b); })) {
           return fail(VmStatus::kStackUnderflow);
         }
         break;
       case Opcode::kSub:
-        if (!binary_op([](int64_t a, int64_t b) { return a - b; })) {
+        if (!binary_op([](int64_t a, int64_t b) { return WrappingSub(a, b); })) {
           return fail(VmStatus::kStackUnderflow);
         }
         break;
       case Opcode::kMul:
-        if (!binary_op([](int64_t a, int64_t b) { return a * b; })) {
+        if (!binary_op([](int64_t a, int64_t b) { return WrappingMul(a, b); })) {
           return fail(VmStatus::kStackUnderflow);
         }
         break;
@@ -209,7 +235,7 @@ ExecResult ExecuteBytes(const ExecRequest& request) {
         if (stack.back() == 0) {
           return fail(VmStatus::kDivisionByZero);
         }
-        binary_op([](int64_t a, int64_t b) { return a / b; });
+        binary_op([](int64_t a, int64_t b) { return SignedDiv(a, b); });
         break;
       case Opcode::kMod:
         if (!need(2)) {
@@ -218,7 +244,7 @@ ExecResult ExecuteBytes(const ExecRequest& request) {
         if (stack.back() == 0) {
           return fail(VmStatus::kDivisionByZero);
         }
-        binary_op([](int64_t a, int64_t b) { return a % b; });
+        binary_op([](int64_t a, int64_t b) { return SignedMod(a, b); });
         break;
       case Opcode::kLt:
         if (!binary_op([](int64_t a, int64_t b) { return static_cast<int64_t>(a < b); })) {
@@ -334,7 +360,13 @@ ExecResult ExecuteBytes(const ExecRequest& request) {
         if (limits.max_kv_bytes > 0 && bytes > limits.max_kv_bytes) {
           return fail(VmStatus::kStateLimitExceeded);
         }
-        result.gas_used += kGasPerStoredByte * (bytes < 0 ? 0 : bytes);
+        // A surcharge that does not fit in int64 is out of gas, never a wrap.
+        int64_t surcharge = 0;
+        if (__builtin_mul_overflow(kGasPerStoredByte, bytes < 0 ? 0 : bytes, &surcharge) ||
+            !charge(surcharge)) {
+          result.gas_used = INT64_MAX;
+          return fail(VmStatus::kOutOfGas);
+        }
         if (limits.gas_budget > 0 && result.gas_used > limits.gas_budget) {
           return fail(VmStatus::kBudgetExceeded);
         }
@@ -370,7 +402,9 @@ ExecResult ExecuteBytes(const ExecRequest& request) {
           return fail(VmStatus::kStackUnderflow);
         }
         stack.resize(stack.size() - values);
-        result.gas_used += kGasPerEmittedValue * static_cast<int64_t>(values);
+        if (!charge(kGasPerEmittedValue * static_cast<int64_t>(values))) {
+          return fail(VmStatus::kOutOfGas);
+        }
         ++result.events_emitted;
         break;
       }
@@ -445,418 +479,10 @@ done:
   return result;
 }
 
-// Fast path over the assembler's pre-decoded instruction stream: opcode, gas
-// cost, operand and fall-through pc come straight from the DecodedInsn table,
-// the operand stack is a flat array, and the per-call scratch (memory and
-// write journals) is thread-local so steady-state calls allocate nothing.
-// Must stay observably identical to ExecuteBytes — including failure statuses,
-// gas/op accounting on every early exit, and the decode-before-charge rule
-// (kBadOp and kEnd charge nothing).
-ExecResult ExecuteDecoded(const ExecRequest& request) {
-  const DialectLimits& limits = LimitsOf(request.dialect);
-  ExecResult result;
-  result.gas_used = limits.intrinsic_gas;
-
-  const int64_t entry =
-      request.entry >= 0 ? request.entry : request.program->EntryOf(request.function);
-  if (entry < 0) {
-    result.status = VmStatus::kNoSuchFunction;
-    return result;
-  }
-
-  const std::vector<uint8_t>& code = request.program->code;
-  const DecodedInsn* const decoded = request.program->decoded.data();
-  const size_t code_size = code.size();
-
-  // Budget caps hoisted out of the loop: a disabled limit becomes an
-  // unreachable sentinel, so the loop body is four predictable compares. The
-  // check ORDER matches ExecuteBytes exactly (op budget, then gas budget,
-  // then gas limit, then the absolute op ceiling).
-  const int64_t op_budget =
-      limits.op_budget > 0 ? limits.op_budget : INT64_MAX;
-  const int64_t gas_budget =
-      limits.gas_budget > 0 ? limits.gas_budget : INT64_MAX;
-  const int64_t gas_limit =
-      request.gas_limit > 0 ? request.gas_limit : INT64_MAX;
-
-  int64_t stack[kMaxStackDepth];
-  size_t sp = 0;
-  uint32_t call_stack[kMaxCallDepth];
-  size_t csp = 0;
-
-  thread_local std::vector<int64_t> memory;
-  thread_local std::vector<WordWrite> word_journal;
-  thread_local std::vector<BlobWrite> blob_journal;
-  memory.clear();
-  word_journal.clear();
-  blob_journal.clear();
-
-  auto journaled_load = [&](uint64_t key) -> int64_t {
-    for (auto it = word_journal.rbegin(); it != word_journal.rend(); ++it) {
-      if (it->key == key) {
-        return it->value;
-      }
-    }
-    return request.state != nullptr ? request.state->Load(key) : 0;
-  };
-
-  auto fail = [&](VmStatus status) {
-    result.status = status;
-    return result;
-  };
-
-  size_t pc = static_cast<size_t>(entry);
-  if (pc >= code_size) {
-    // Entry at or past the end: clean stop, same as the byte path's loop
-    // guard (also keeps `decoded[pc]` in bounds for malformed entries).
-    goto done;
-  }
-
-  while (true) {
-    const DecodedInsn& insn = decoded[pc];
-    if (insn.kind != DecodedInsn::kOp) {
-      if (insn.kind == DecodedInsn::kEnd) {
-        break;  // ran off the end: clean stop, nothing charged
-      }
-      return fail(VmStatus::kInvalidOpcode);  // kBadOp: charged nothing
-    }
-
-    ++result.ops_executed;
-    result.gas_used += insn.gas;
-    if (result.ops_executed > op_budget) {
-      return fail(VmStatus::kBudgetExceeded);
-    }
-    if (result.gas_used > gas_budget) {
-      return fail(VmStatus::kBudgetExceeded);
-    }
-    if (result.gas_used > gas_limit) {
-      return fail(VmStatus::kOutOfGas);
-    }
-    if (result.ops_executed > kMaxOps) {
-      return fail(VmStatus::kBudgetExceeded);
-    }
-
-    const int64_t imm = insn.imm;
-    size_t next_pc = insn.next;
-
-    switch (static_cast<Opcode>(insn.op)) {
-      case Opcode::kStop:
-        goto done;
-      case Opcode::kPush:
-        if (sp >= kMaxStackDepth) {
-          return fail(VmStatus::kStackOverflow);
-        }
-        stack[sp++] = imm;
-        break;
-      case Opcode::kPop:
-        if (sp < 1) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        --sp;
-        break;
-      case Opcode::kDup: {
-        const size_t depth = static_cast<size_t>(imm);
-        if (sp < depth + 1) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        if (sp >= kMaxStackDepth) {
-          return fail(VmStatus::kStackOverflow);
-        }
-        stack[sp] = stack[sp - 1 - depth];
-        ++sp;
-        break;
-      }
-      case Opcode::kSwap: {
-        const size_t depth = static_cast<size_t>(imm);
-        if (depth == 0 || sp < depth + 1) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        std::swap(stack[sp - 1], stack[sp - 1 - depth]);
-        break;
-      }
-      case Opcode::kAdd:
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        --sp;
-        stack[sp - 1] += stack[sp];
-        break;
-      case Opcode::kSub:
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        --sp;
-        stack[sp - 1] -= stack[sp];
-        break;
-      case Opcode::kMul:
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        --sp;
-        stack[sp - 1] *= stack[sp];
-        break;
-      case Opcode::kDiv:
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        if (stack[sp - 1] == 0) {
-          return fail(VmStatus::kDivisionByZero);
-        }
-        --sp;
-        stack[sp - 1] /= stack[sp];
-        break;
-      case Opcode::kMod:
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        if (stack[sp - 1] == 0) {
-          return fail(VmStatus::kDivisionByZero);
-        }
-        --sp;
-        stack[sp - 1] %= stack[sp];
-        break;
-      case Opcode::kLt:
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        --sp;
-        stack[sp - 1] = static_cast<int64_t>(stack[sp - 1] < stack[sp]);
-        break;
-      case Opcode::kGt:
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        --sp;
-        stack[sp - 1] = static_cast<int64_t>(stack[sp - 1] > stack[sp]);
-        break;
-      case Opcode::kLe:
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        --sp;
-        stack[sp - 1] = static_cast<int64_t>(stack[sp - 1] <= stack[sp]);
-        break;
-      case Opcode::kGe:
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        --sp;
-        stack[sp - 1] = static_cast<int64_t>(stack[sp - 1] >= stack[sp]);
-        break;
-      case Opcode::kEq:
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        --sp;
-        stack[sp - 1] = static_cast<int64_t>(stack[sp - 1] == stack[sp]);
-        break;
-      case Opcode::kNeq:
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        --sp;
-        stack[sp - 1] = static_cast<int64_t>(stack[sp - 1] != stack[sp]);
-        break;
-      case Opcode::kNot:
-        if (sp < 1) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        stack[sp - 1] = stack[sp - 1] == 0 ? 1 : 0;
-        break;
-      case Opcode::kAnd:
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        --sp;
-        stack[sp - 1] = static_cast<int64_t>(stack[sp - 1] != 0 && stack[sp] != 0);
-        break;
-      case Opcode::kOr:
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        --sp;
-        stack[sp - 1] = static_cast<int64_t>(stack[sp - 1] != 0 || stack[sp] != 0);
-        break;
-      case Opcode::kShl:
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        --sp;
-        stack[sp - 1] =
-            stack[sp] < 0 || stack[sp] > 63
-                ? 0
-                : static_cast<int64_t>(static_cast<uint64_t>(stack[sp - 1]) << stack[sp]);
-        break;
-      case Opcode::kShr:
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        --sp;
-        stack[sp - 1] =
-            stack[sp] < 0 || stack[sp] > 63
-                ? 0
-                : static_cast<int64_t>(static_cast<uint64_t>(stack[sp - 1]) >> stack[sp]);
-        break;
-      case Opcode::kJump:
-        if (static_cast<size_t>(imm) > code_size) {
-          return fail(VmStatus::kInvalidJump);
-        }
-        next_pc = static_cast<size_t>(imm);
-        break;
-      case Opcode::kJumpI: {
-        if (sp < 1) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        const int64_t condition = stack[--sp];
-        if (condition != 0) {
-          if (static_cast<size_t>(imm) > code_size) {
-            return fail(VmStatus::kInvalidJump);
-          }
-          next_pc = static_cast<size_t>(imm);
-        }
-        break;
-      }
-      case Opcode::kSload: {
-        if (sp < 1) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        stack[sp - 1] = journaled_load(static_cast<uint64_t>(stack[sp - 1]));
-        break;
-      }
-      case Opcode::kSstore: {
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        const int64_t value = stack[--sp];
-        const uint64_t key = static_cast<uint64_t>(stack[--sp]);
-        word_journal.push_back(WordWrite{key, value});
-        break;
-      }
-      case Opcode::kSstoreBytes: {
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        const int64_t bytes = stack[--sp];
-        const uint64_t key = static_cast<uint64_t>(stack[--sp]);
-        if (limits.max_kv_bytes > 0 && bytes > limits.max_kv_bytes) {
-          return fail(VmStatus::kStateLimitExceeded);
-        }
-        result.gas_used += kGasPerStoredByte * (bytes < 0 ? 0 : bytes);
-        if (result.gas_used > gas_budget) {
-          return fail(VmStatus::kBudgetExceeded);
-        }
-        if (result.gas_used > gas_limit) {
-          return fail(VmStatus::kOutOfGas);
-        }
-        blob_journal.push_back(BlobWrite{key, bytes});
-        break;
-      }
-      case Opcode::kCaller:
-        if (sp >= kMaxStackDepth) {
-          return fail(VmStatus::kStackOverflow);
-        }
-        stack[sp++] = static_cast<int64_t>(request.caller);
-        break;
-      case Opcode::kArg: {
-        const size_t index = static_cast<size_t>(imm);
-        if (sp >= kMaxStackDepth) {
-          return fail(VmStatus::kStackOverflow);
-        }
-        stack[sp++] = index < request.args.size() ? request.args[index] : 0;
-        break;
-      }
-      case Opcode::kArgCount:
-        if (sp >= kMaxStackDepth) {
-          return fail(VmStatus::kStackOverflow);
-        }
-        stack[sp++] = static_cast<int64_t>(request.args.size());
-        break;
-      case Opcode::kEmit: {
-        const size_t values = static_cast<size_t>(imm);
-        if (sp < values) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        sp -= values;
-        result.gas_used += kGasPerEmittedValue * static_cast<int64_t>(values);
-        ++result.events_emitted;
-        break;
-      }
-      case Opcode::kReturn:
-        if (sp < 1) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        result.return_value = stack[sp - 1];
-        goto done;
-      case Opcode::kRevert:
-        return fail(VmStatus::kReverted);
-      case Opcode::kCall:
-        if (static_cast<size_t>(imm) > code_size) {
-          return fail(VmStatus::kInvalidJump);
-        }
-        if (csp >= kMaxCallDepth) {
-          return fail(VmStatus::kStackOverflow);
-        }
-        call_stack[csp++] = insn.next;
-        next_pc = static_cast<size_t>(imm);
-        break;
-      case Opcode::kRet:
-        if (csp == 0) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        next_pc = call_stack[--csp];
-        break;
-      case Opcode::kMload: {
-        if (sp < 1) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        const uint64_t address = static_cast<uint64_t>(stack[sp - 1]);
-        if (address >= kMaxMemoryWords) {
-          return fail(VmStatus::kInvalidJump);
-        }
-        stack[sp - 1] = address < memory.size() ? memory[address] : 0;
-        break;
-      }
-      case Opcode::kMstore: {
-        if (sp < 2) {
-          return fail(VmStatus::kStackUnderflow);
-        }
-        const int64_t value = stack[--sp];
-        const uint64_t address = static_cast<uint64_t>(stack[--sp]);
-        if (address >= kMaxMemoryWords) {
-          return fail(VmStatus::kInvalidJump);
-        }
-        if (address >= memory.size()) {
-          memory.resize(address + 1, 0);
-        }
-        memory[address] = value;
-        break;
-      }
-      case Opcode::kOpcodeCount:
-        return fail(VmStatus::kInvalidOpcode);
-    }
-    pc = next_pc;
-  }
-
-done:
-  if (request.state != nullptr) {
-    for (const WordWrite& write : word_journal) {
-      request.state->Store(write.key, write.value);
-    }
-    for (const BlobWrite& write : blob_journal) {
-      request.state->StoreBytes(write.key, write.bytes, limits.max_kv_bytes);
-    }
-  }
-  return result;
-}
-
 }  // namespace
 
 ExecResult Execute(const ExecRequest& request) {
-  // Assembled programs carry a pre-decoded table (one entry per byte offset
-  // plus the end sentinel); hand-built programs fall back to byte decoding.
-  const bool predecoded =
-      request.program->decoded.size() == request.program->code.size() + 1;
-  ExecResult result = predecoded ? ExecuteDecoded(request) : ExecuteBytes(request);
+  ExecResult result = Interpret(request);
   profile::AddVmOps(static_cast<uint64_t>(result.ops_executed));
   return result;
 }

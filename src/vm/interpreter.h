@@ -2,6 +2,12 @@
 //
 // State writes are journaled and applied only on success, so reverts and
 // budget failures leave storage untouched (transaction semantics).
+//
+// Every integer input has a defined result: add, sub and mul wrap in two's
+// complement; INT64_MIN / -1 is INT64_MIN and INT64_MIN % -1 is 0, as the
+// EVM's SDIV and SMOD define them; a charge that would take gas past
+// INT64_MAX fails the call out of gas with gas saturated there, so gas never
+// decreases.
 #ifndef SRC_VM_INTERPRETER_H_
 #define SRC_VM_INTERPRETER_H_
 

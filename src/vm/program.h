@@ -16,33 +16,10 @@ struct FunctionEntry {
   uint32_t offset = 0;
 };
 
-// One pre-decoded instruction per *byte offset* of the code (plus an end
-// sentinel), so any pc a jump can legally reach — including the middle of an
-// immediate — has its decode ready: opcode, gas, operand value and fall-
-// through target are resolved once at assembly time instead of per step.
-struct DecodedInsn {
-  enum Kind : uint8_t {
-    kOp = 0,     // a valid instruction
-    kEnd = 1,    // one past the last byte: clean stop, nothing charged
-    kBadOp = 2,  // unknown opcode byte or truncated immediate
-  };
-  uint8_t op = 0;
-  uint8_t kind = kBadOp;
-  int32_t gas = 0;
-  uint32_t next = 0;  // fall-through pc (pc + 1 + immediate width)
-  int64_t imm = 0;
-};
-
 struct Program {
   std::string name;
   std::vector<uint8_t> code;
   std::vector<FunctionEntry> functions;
-  // code.size() + 1 entries when predecoded (by the assembler); empty for
-  // hand-built programs, which run through the byte-decoding interpreter.
-  std::vector<DecodedInsn> decoded;
-
-  // Builds `decoded` from `code`. Idempotent; called by the assembler.
-  void Predecode();
 
   // Entry offset of `function`, or -1 when not exported.
   int64_t EntryOf(std::string_view function) const {

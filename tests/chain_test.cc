@@ -397,29 +397,32 @@ TEST(VoteRoundTest, QuorumArrivalBasics) {
   PairwiseDelays delays(&net, hosts, 256);
   // Everyone sends at t=0; quorum of 3 at receiver 0 is the 3rd earliest
   // arrival (self-vote at 0 counts).
+  MessagePlaneScratch scratch;
   std::vector<SimDuration> sends(4, 0);
-  const SimDuration q3 = QuorumArrival(delays, sends, 0, 3);
+  const SimDuration q3 = QuorumArrivalInto(delays, sends, 0, 3, 1.0, &scratch);
   EXPECT_GT(q3, 0);
   EXPECT_LT(q3, Milliseconds(5));
   // Quorum of all 4 is later or equal.
-  EXPECT_LE(q3, QuorumArrival(delays, sends, 0, 4));
+  EXPECT_LE(q3, QuorumArrivalInto(delays, sends, 0, 4, 1.0, &scratch));
   // Unreachable senders reduce the vote count.
   sends[1] = kUnreachable;
   sends[2] = kUnreachable;
-  EXPECT_EQ(QuorumArrival(delays, sends, 0, 3), kUnreachable);
+  EXPECT_EQ(QuorumArrivalInto(delays, sends, 0, 3, 1.0, &scratch), kUnreachable);
 }
 
 TEST(VoteRoundTest, MedianDelay) {
-  EXPECT_EQ(MedianDelay({}), kUnreachable);
-  EXPECT_EQ(MedianDelay({Seconds(5)}), Seconds(5));
-  EXPECT_EQ(MedianDelay({Seconds(1), kUnreachable, Seconds(3), Seconds(2)}), Seconds(2));
+  MessagePlaneScratch scratch;
+  EXPECT_EQ(MedianDelayInto({}, &scratch), kUnreachable);
+  EXPECT_EQ(MedianDelayInto({Seconds(5)}, &scratch), Seconds(5));
+  EXPECT_EQ(MedianDelayInto({Seconds(1), kUnreachable, Seconds(3), Seconds(2)}, &scratch),
+            Seconds(2));
 }
 
 // --- semantics locks for the vote-round reduction plane --------------------
-// These pin the exact arithmetic of PairwiseDelays / QuorumArrival[All] /
-// MedianDelay / GossipHopScale — order statistics, hop-scale rounding,
-// unreachable filtering — so a scratch-buffer rewrite of the message plane
-// is observably identical to this reference implementation.
+// These pin the exact arithmetic of PairwiseDelays / QuorumArrival[All]Into /
+// MedianDelayInto / GossipHopScale — order statistics, hop-scale rounding,
+// unreachable filtering — so any rewrite of the message plane stays
+// observably identical.
 
 TEST(VoteRoundTest, GossipHopScaleExactValues) {
   EXPECT_DOUBLE_EQ(GossipHopScale(1), 1.0);
@@ -482,14 +485,17 @@ TEST(VoteRoundTest, PairwiseDelaysDeterministicPerSeed) {
 }
 
 TEST(VoteRoundTest, QuorumArrivalMatchesSortReference) {
-  // The exactness lock: QuorumArrival must return exactly the (quorum-1)-th
-  // order statistic of {send[j] + trunc(hop * scale)} over reachable
-  // (sender, edge) pairs — for every receiver, quorum and scale — and
-  // QuorumArrivalAll and MedianDelay must agree with the same sorted
-  // reference. The inputs cover jittered and zero-jitter (tied) matrices,
-  // sender holes, unreachable edges, and the selector's corner cases.
-  auto check = [](const char* label, const PairwiseDelays& delays,
-                  const std::vector<SimDuration>& sends) {
+  // The exactness lock: QuorumArrivalInto must return exactly the
+  // (quorum-1)-th order statistic of {send[j] + trunc(hop * scale)} over
+  // reachable (sender, edge) pairs — for every receiver, quorum and scale —
+  // and QuorumArrivalAllInto and MedianDelayInto must agree with the same
+  // sorted reference. The inputs cover jittered and zero-jitter (tied)
+  // matrices, sender holes, unreachable edges, and the selector's corner
+  // cases. One scratch serves every call, as it does in an engine.
+  MessagePlaneScratch scratch;
+  std::vector<SimDuration> all;
+  auto check = [&scratch, &all](const char* label, const PairwiseDelays& delays,
+                                const std::vector<SimDuration>& sends) {
     const size_t n = sends.size();
     const size_t f = (n - 1) / 3;
     for (const double hop_scale : {1.0, 2.0, 4.0, 1.0 + std::log2(37.0 / 25.0)}) {
@@ -506,8 +512,7 @@ TEST(VoteRoundTest, QuorumArrivalMatchesSortReference) {
         std::sort(sorted[receiver].begin(), sorted[receiver].end());
       }
       for (const size_t quorum : {size_t{1}, f + 1, 2 * f + 1, n}) {
-        const std::vector<SimDuration> all =
-            QuorumArrivalAll(delays, sends, quorum, hop_scale);
+        QuorumArrivalAllInto(delays, sends, quorum, hop_scale, &scratch, &all);
         ASSERT_EQ(all.size(), n);
         std::vector<SimDuration> reachable;
         for (size_t receiver = 0; receiver < n; ++receiver) {
@@ -525,13 +530,13 @@ TEST(VoteRoundTest, QuorumArrivalMatchesSortReference) {
           for (const size_t q : {quorum, size_t{1}, arrivals.size()}) {
             const SimDuration want =
                 q == 0 || arrivals.size() < q ? kUnreachable : arrivals[q - 1];
-            EXPECT_EQ(QuorumArrival(delays, sends, receiver, q, hop_scale), want)
+            EXPECT_EQ(QuorumArrivalInto(delays, sends, receiver, q, hop_scale, &scratch), want)
                 << label << " receiver " << receiver << " quorum " << q << " scale "
                 << hop_scale;
           }
         }
         std::sort(reachable.begin(), reachable.end());
-        EXPECT_EQ(MedianDelay(all),
+        EXPECT_EQ(MedianDelayInto(all, &scratch),
                   reachable.empty() ? kUnreachable : reachable[reachable.size() / 2])
             << label << " quorum " << quorum << " scale " << hop_scale;
       }
@@ -633,11 +638,12 @@ TEST(VoteRoundTest, QuorumArrivalHopScaleAppliesToNetworkDelayOnly) {
   PairwiseDelays delays(&net, hosts, 256);
   const SimDuration h = delays.at(0, 1);
   ASSERT_GT(h, 0);
+  MessagePlaneScratch scratch;
   const std::vector<SimDuration> sends(5, Seconds(3));
-  EXPECT_EQ(QuorumArrival(delays, sends, 0, 1, 2.5), Seconds(3));
-  EXPECT_EQ(QuorumArrival(delays, sends, 0, 2, 2.5),
+  EXPECT_EQ(QuorumArrivalInto(delays, sends, 0, 1, 2.5, &scratch), Seconds(3));
+  EXPECT_EQ(QuorumArrivalInto(delays, sends, 0, 2, 2.5, &scratch),
             Seconds(3) + static_cast<SimDuration>(static_cast<double>(h) * 2.5));
-  EXPECT_EQ(QuorumArrival(delays, sends, 0, 2, 1.0), Seconds(3) + h);
+  EXPECT_EQ(QuorumArrivalInto(delays, sends, 0, 2, 1.0, &scratch), Seconds(3) + h);
 }
 
 TEST(VoteRoundTest, QuorumArrivalEdgeCases) {
@@ -648,26 +654,34 @@ TEST(VoteRoundTest, QuorumArrivalEdgeCases) {
     hosts.push_back(net.AddHost(Region::kOhio));
   }
   PairwiseDelays delays(&net, hosts, 256);
+  MessagePlaneScratch scratch;
   const std::vector<SimDuration> sends(4, 0);
   // Quorum zero is defined as unreachable (no "instant" quorum).
-  EXPECT_EQ(QuorumArrival(delays, sends, 0, 0), kUnreachable);
+  EXPECT_EQ(QuorumArrivalInto(delays, sends, 0, 0, 1.0, &scratch), kUnreachable);
   // Quorum above the voter count can never assemble.
-  EXPECT_EQ(QuorumArrival(delays, sends, 0, 5), kUnreachable);
+  EXPECT_EQ(QuorumArrivalInto(delays, sends, 0, 5, 1.0, &scratch), kUnreachable);
   // All senders dark: every receiver is unreachable.
   const std::vector<SimDuration> dark(4, kUnreachable);
-  for (const SimDuration d : QuorumArrivalAll(delays, dark, 1)) {
+  std::vector<SimDuration> all;
+  QuorumArrivalAllInto(delays, dark, 1, 1.0, &scratch, &all);
+  ASSERT_EQ(all.size(), 4u);
+  for (const SimDuration d : all) {
     EXPECT_EQ(d, kUnreachable);
   }
 }
 
 TEST(VoteRoundTest, MedianDelayUpperMedianLock) {
+  MessagePlaneScratch scratch;
   // Even-sized inputs take the element at index size/2 — the upper median.
-  EXPECT_EQ(MedianDelay({Seconds(1), Seconds(2), Seconds(3), Seconds(4)}), Seconds(3));
-  EXPECT_EQ(MedianDelay({Seconds(4), Seconds(3), Seconds(2), Seconds(1)}), Seconds(3));
+  EXPECT_EQ(MedianDelayInto({Seconds(1), Seconds(2), Seconds(3), Seconds(4)}, &scratch),
+            Seconds(3));
+  EXPECT_EQ(MedianDelayInto({Seconds(4), Seconds(3), Seconds(2), Seconds(1)}, &scratch),
+            Seconds(3));
   // Unreachable entries are filtered before the median is taken.
-  EXPECT_EQ(MedianDelay({kUnreachable, Seconds(9), kUnreachable, Seconds(1), Seconds(5)}),
+  EXPECT_EQ(MedianDelayInto(
+                {kUnreachable, Seconds(9), kUnreachable, Seconds(1), Seconds(5)}, &scratch),
             Seconds(5));
-  EXPECT_EQ(MedianDelay({kUnreachable, kUnreachable}), kUnreachable);
+  EXPECT_EQ(MedianDelayInto({kUnreachable, kUnreachable}, &scratch), kUnreachable);
 }
 
 TEST(ExecutionModelTest, ScalesWithVcpus) {

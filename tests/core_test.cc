@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "src/config/spec.h"
@@ -7,6 +8,7 @@
 #include "src/core/results.h"
 #include "src/core/runner.h"
 #include "src/support/profile.h"
+#include "src/support/strings.h"
 
 namespace diablo {
 namespace {
@@ -115,6 +117,44 @@ TEST(ConnectorTest, EncodeRotatesAccounts) {
   EXPECT_EQ(txs.at(a).account, txs.at(d).account);
 }
 
+TEST(ConnectorTest, EncodeRejectsWireSizesOutsideInt32) {
+  // An upload carries its payload on the wire, so its argument sets the
+  // transaction's int32 wire size. Sizes from 0 to INT32_MAX encode; one
+  // byte either side has no encoding.
+  Simulation sim(1);
+  Network net(&sim);
+  const auto chain = BuildChain("quorum", GetDeployment("testnet"), &sim, &net);
+  SimConnector connector(chain.get());
+  ResourceSpec accounts_spec;
+  accounts_spec.kind = ResourceSpec::Kind::kAccounts;
+  accounts_spec.account_count = 1;
+  Resource accounts;
+  ASSERT_TRUE(connector.CreateResource(accounts_spec, &accounts));
+  ResourceSpec contract_spec;
+  contract_spec.kind = ResourceSpec::Kind::kContract;
+  contract_spec.contract_name = "youtube";
+  Resource contract;
+  ASSERT_TRUE(connector.CreateResource(contract_spec, &contract));
+  InteractionSpec upload;
+  upload.type = InteractionSpec::Type::kInvoke;
+  upload.contract_index = contract.contract_index;
+  upload.function = "upload";
+  auto encode = [&](int64_t payload) {
+    upload.args = {payload};
+    return connector.Encode(upload, accounts, 0);
+  };
+  const TxStore& txs = chain->context().txs();
+  const int64_t envelope = txs.at(encode(1024)).size_bytes - 1024;
+  ASSERT_GT(envelope, 0);
+  EXPECT_EQ(txs.at(encode(INT32_MAX - envelope)).size_bytes, INT32_MAX);
+  EXPECT_EQ(txs.at(encode(-envelope)).size_bytes, 0);
+  EXPECT_EQ(encode(INT32_MAX - envelope + 1), kInvalidTx);
+  EXPECT_EQ(encode(-envelope - 1), kInvalidTx);
+  EXPECT_EQ(encode(INT64_MAX), kInvalidTx);
+  EXPECT_EQ(encode(INT64_MIN), kInvalidTx);
+  EXPECT_EQ(txs.size(), 3u);
+}
+
 TEST(RunnerTest, QuickstartNativeRun) {
   // The artifact's first experiment: a light native-transfer workload.
   const RunResult result = RunNativeBenchmark("algorand", "testnet", 10, 20);
@@ -199,6 +239,37 @@ TEST(PrimaryTest, SpecDrivenRun) {
   const RunResult result = primary.RunSpec(spec.spec);
   EXPECT_EQ(result.report.submitted, 200u);  // 2 clients x 10 TPS x 10 s
   EXPECT_GT(result.report.committed, 150u);
+}
+
+TEST(PrimaryTest, SpecUploadOutsideTheWireSizeFailsBeforeTheRun) {
+  // A payload argument that does not fit the int32 wire size fails the run
+  // before it starts, instead of narrowing to a negative size whose negative
+  // transmission delay lands arrivals before t = 0.
+  for (const char* function : {"upload(3000000000)", "upload(-3000000000)"}) {
+    const SpecResult spec = ParseWorkloadSpec(StrFormat(R"(workloads:
+  - number: 1
+    client:
+      behavior:
+        - interaction: !invoke
+            from: { sample: !account { number: 100 } }
+            contract: { sample: !contract { name: "youtube" } }
+            function: "%s"
+          load:
+            0: 10
+            30: 0
+)",
+                                                        function));
+    ASSERT_TRUE(spec.ok) << spec.error;
+    BenchmarkSetup setup;
+    setup.chain = "quorum";
+    setup.deployment = "testnet";
+    Primary primary(setup);
+    const RunResult result = primary.RunSpec(spec.spec);
+    EXPECT_EQ(result.failure_reason, "invocation upload: wire size out of range")
+        << function;
+    EXPECT_FALSE(result.unsupported) << function;
+    EXPECT_EQ(result.report.submitted, 0u) << function;
+  }
 }
 
 TEST(PrimaryTest, MultiBehaviorSpecRunsEveryStream) {

@@ -53,9 +53,10 @@ TEST_P(VmFuzzTest, RandomValidProgramsTerminate) {
   // Assemble random but well-formed instruction streams (no jumps, so they
   // always terminate) and check stack errors are reported, never UB.
   Rng rng(GetParam() ^ 0xabcdef);
-  const char* ops[] = {"push 1", "push -3", "pop",  "dup 0", "swap 1", "add",
-                       "sub",    "mul",     "lt",   "gt",    "eq",     "not",
-                       "caller", "arg 0",   "argcount"};
+  const char* ops[] = {"push 1", "push -3", "pop",    "dup 0", "swap 1",   "add",
+                       "sub",    "mul",     "div",    "mod",   "lt",       "gt",
+                       "eq",     "not",     "caller", "arg 0", "argcount", "push -1",
+                       "push -9223372036854775808"};
   for (int round = 0; round < 200; ++round) {
     std::string source = ".func f\n";
     const size_t length = 1 + rng.NextBelow(30);

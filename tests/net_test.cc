@@ -223,7 +223,9 @@ TEST(NetworkTest, BroadcastReachesEveryone) {
   for (int i = 0; i < devnet.node_count; ++i) {
     hosts.push_back(net.AddHost(devnet.NodeRegion(i)));
   }
-  const auto delays = net.BroadcastDelays(hosts[0], hosts, 1000, /*fanout=*/3);
+  BroadcastScratch scratch;
+  std::vector<SimDuration> delays;
+  net.BroadcastDelaysInto(hosts[0], hosts, 1000, /*fanout=*/3, &scratch, &delays);
   ASSERT_EQ(delays.size(), hosts.size());
   EXPECT_EQ(delays[0], 0);  // origin
   for (size_t i = 1; i < delays.size(); ++i) {
@@ -240,7 +242,9 @@ TEST(NetworkTest, BroadcastSkipsPartitioned) {
     hosts.push_back(net.AddHost(Region::kOhio));
   }
   net.SetPartitioned(hosts[3], true);
-  const auto delays = net.BroadcastDelays(hosts[0], hosts, 100, 2);
+  BroadcastScratch scratch;
+  std::vector<SimDuration> delays;
+  net.BroadcastDelaysInto(hosts[0], hosts, 100, 2, &scratch, &delays);
   EXPECT_EQ(delays[3], kUnreachable);
   EXPECT_NE(delays[1], kUnreachable);
 }
@@ -252,8 +256,11 @@ TEST(NetworkTest, LargePayloadBroadcastSlowerThanSmall) {
   for (int i = 0; i < 50; ++i) {
     hosts.push_back(net.AddHost(static_cast<Region>(i % kRegionCount)));
   }
-  const auto small = net.BroadcastDelays(hosts[0], hosts, 1000, 4);
-  const auto large = net.BroadcastDelays(hosts[0], hosts, 4000000, 4);
+  BroadcastScratch scratch;
+  std::vector<SimDuration> small;
+  std::vector<SimDuration> large;
+  net.BroadcastDelaysInto(hosts[0], hosts, 1000, 4, &scratch, &small);
+  net.BroadcastDelaysInto(hosts[0], hosts, 4000000, 4, &scratch, &large);
   double small_max = 0;
   double large_max = 0;
   for (size_t i = 0; i < hosts.size(); ++i) {
@@ -273,8 +280,11 @@ TEST(NetworkTest, GeoBroadcastSlowerThanLan) {
     lan.push_back(net.AddHost(Region::kOhio));
     wan.push_back(net2.AddHost(static_cast<Region>(i % kRegionCount)));
   }
-  const auto lan_delays = net.BroadcastDelays(lan[0], lan, 10000, 4);
-  const auto wan_delays = net2.BroadcastDelays(wan[0], wan, 10000, 4);
+  BroadcastScratch scratch;
+  std::vector<SimDuration> lan_delays;
+  std::vector<SimDuration> wan_delays;
+  net.BroadcastDelaysInto(lan[0], lan, 10000, 4, &scratch, &lan_delays);
+  net2.BroadcastDelaysInto(wan[0], wan, 10000, 4, &scratch, &wan_delays);
   double lan_max = 0;
   double wan_max = 0;
   for (size_t i = 0; i < 20; ++i) {
@@ -305,7 +315,9 @@ TEST(NetworkTest, BroadcastTreeShapeSingleRegionLock) {
   ASSERT_GT(p, 0);
   ASSERT_GT(t, 0);
 
-  auto delays = net.BroadcastDelays(hosts[0], hosts, bytes, /*fanout=*/3);
+  BroadcastScratch scratch;
+  std::vector<SimDuration> delays;
+  net.BroadcastDelaysInto(hosts[0], hosts, bytes, /*fanout=*/3, &scratch, &delays);
   ASSERT_EQ(delays.size(), hosts.size());
   EXPECT_EQ(delays[0], 0);
 
@@ -332,7 +344,9 @@ TEST(NetworkTest, BroadcastFanoutBelowOneBecomesChain) {
   const int64_t bytes = 50000;
   const SimDuration p = net.DelaySample(hosts[0], hosts[1], 0);
   const SimDuration t = net.DelaySample(hosts[0], hosts[1], bytes) - p;
-  const auto delays = net.BroadcastDelays(hosts[0], hosts, bytes, /*fanout=*/0);
+  BroadcastScratch scratch;
+  std::vector<SimDuration> delays;
+  net.BroadcastDelaysInto(hosts[0], hosts, bytes, /*fanout=*/0, &scratch, &delays);
   std::vector<SimDuration> actual(delays.begin() + 1, delays.end());
   std::sort(actual.begin(), actual.end());
   const std::vector<SimDuration> expected = {p + t, 2 * p + 2 * t};
@@ -341,6 +355,7 @@ TEST(NetworkTest, BroadcastFanoutBelowOneBecomesChain) {
 
 TEST(NetworkTest, BroadcastDeterministicPerSeed) {
   const DeploymentConfig devnet = GetDeployment("devnet");
+  BroadcastScratch scratch;
   auto run = [&](uint64_t seed) {
     Simulation sim(seed);
     Network net(&sim);
@@ -348,7 +363,9 @@ TEST(NetworkTest, BroadcastDeterministicPerSeed) {
     for (int i = 0; i < devnet.node_count; ++i) {
       hosts.push_back(net.AddHost(devnet.NodeRegion(i)));
     }
-    return net.BroadcastDelays(hosts[0], hosts, 20000, 3);
+    std::vector<SimDuration> delays;
+    net.BroadcastDelaysInto(hosts[0], hosts, 20000, 3, &scratch, &delays);
+    return delays;
   };
   EXPECT_EQ(run(21), run(21));
   EXPECT_NE(run(21), run(22));

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
 
+#include "src/crypto/sha256.h"
+#include "src/support/strings.h"
 #include "src/vm/assembler.h"
 #include "src/vm/dialect.h"
 #include "src/vm/interpreter.h"
@@ -561,10 +565,11 @@ TEST(VmStatusTest, Names) {
 }
 
 // --- semantics locks for the dispatch loop ----------------------------------
-// These pin edge-case behaviour of the byte interpreter — check ordering,
-// failure statuses, exact gas/op accounting, and the self-modifying-control-
-// flow quirks raw bytecode can reach — so a pre-decoded dispatch rewrite must
-// reproduce them bit for bit.
+// These pin edge-case behaviour of the interpreter — check ordering, failure
+// statuses, exact gas/op accounting, integer edge cases, and the
+// self-modifying-control-flow quirks raw bytecode can reach — as fixed
+// expectations, so any rewrite of the dispatch loop must reproduce them bit
+// for bit.
 
 Program RawProgram(std::vector<uint8_t> code) {
   Program program;
@@ -678,44 +683,151 @@ TEST(VmSemanticsLock, SstoreBytesGasAccounting) {
   EXPECT_EQ(capped.gas_used, base + kGasPerStoredByte * 1000);
 }
 
-// --- decoded-vs-byte dispatch agreement -------------------------------------
-// The assembler attaches a pre-decoded instruction table and Execute dispatches
-// through it; stripping the table forces the byte-decoding reference path.
-// Every observable field must agree between the two.
-
-ExecResult RunForced(Program program, bool use_decoded, std::string_view function,
-                     std::vector<int64_t> args = {}, ContractState* state = nullptr,
-                     VmDialect dialect = VmDialect::kGeth, int64_t gas_limit = 0) {
-  if (use_decoded) {
-    program.Predecode();
-  } else {
-    program.decoded.clear();
-  }
-  return RunVm(program, function, std::move(args), state, dialect, gas_limit);
+TEST(VmSemanticsLock, MemoryAddressRangeBoundary) {
+  // Addresses up to kMaxMemoryWords-1 read as zero; the first out-of-range
+  // address fails with the (historical) kInvalidJump status.
+  const Program program = MustAssemble(R"(
+.func f
+  arg 0
+  mload
+  return
+)");
+  const ExecResult in_range = RunVm(program, "f", {4095});
+  EXPECT_EQ(in_range.status, VmStatus::kOk);
+  EXPECT_EQ(in_range.return_value, 0);
+  EXPECT_EQ(RunVm(program, "f", {4096}).status, VmStatus::kInvalidJump);
 }
 
-void ExpectBothPathsAgree(const std::string& source, std::vector<int64_t> args,
-                          VmDialect dialect, int64_t gas_limit = 0) {
-  const Program program = MustAssemble(source);
-  ContractState byte_state;
-  ContractState decoded_state;
-  const ExecResult byte_result =
-      RunForced(program, false, "f", args, &byte_state, dialect, gas_limit);
-  const ExecResult decoded_result =
-      RunForced(program, true, "f", args, &decoded_state, dialect, gas_limit);
-  EXPECT_EQ(byte_result.status, decoded_result.status) << source;
-  EXPECT_EQ(byte_result.gas_used, decoded_result.gas_used) << source;
-  EXPECT_EQ(byte_result.ops_executed, decoded_result.ops_executed) << source;
-  EXPECT_EQ(byte_result.return_value, decoded_result.return_value) << source;
-  EXPECT_EQ(byte_result.events_emitted, decoded_result.events_emitted) << source;
-  EXPECT_EQ(byte_state.entry_count(), decoded_state.entry_count()) << source;
-  EXPECT_EQ(byte_state.total_blob_bytes(), decoded_state.total_blob_bytes()) << source;
+TEST(VmSemanticsLock, RawCallTargetsAndEmptyCode) {
+  // call 3 lands on its own immediate's zero byte, which is kStop: a clean
+  // stop after two ops. A target past the code end is an invalid jump.
+  ASSERT_EQ(static_cast<uint8_t>(Opcode::kStop), 0);
+  const int64_t intrinsic = LimitsOf(VmDialect::kGeth).intrinsic_gas;
+  const ExecResult into_immediate = RunVm(RawProgram({Raw(Opcode::kCall), 3, 0, 0, 0}), "main");
+  EXPECT_EQ(into_immediate.status, VmStatus::kOk);
+  EXPECT_EQ(into_immediate.ops_executed, 2);
+  EXPECT_EQ(into_immediate.gas_used,
+            intrinsic + OpcodeGas(Opcode::kCall) + OpcodeGas(Opcode::kStop));
+  const ExecResult past_end = RunVm(RawProgram({Raw(Opcode::kCall), 6, 0, 0, 0}), "main");
+  EXPECT_EQ(past_end.status, VmStatus::kInvalidJump);
+  EXPECT_EQ(past_end.ops_executed, 1);
+  // Empty code falls off the end at once: nothing runs beyond intrinsic gas.
+  const ExecResult empty = RunVm(RawProgram({}), "main");
+  EXPECT_EQ(empty.status, VmStatus::kOk);
+  EXPECT_EQ(empty.ops_executed, 0);
+  EXPECT_EQ(empty.gas_used, intrinsic);
+}
+
+TEST(VmSemanticsLock, SignedDivisionOverflowFollowsEvm) {
+  // INT64_MIN / -1 does not fit in int64. Like the EVM's SDIV and SMOD the
+  // quotient wraps to INT64_MIN and the remainder is 0; the host division
+  // would trap.
+  const Program div = MustAssemble(".func f\n  arg 0\n  arg 1\n  div\n  return\n");
+  const Program mod = MustAssemble(".func f\n  arg 0\n  arg 1\n  mod\n  return\n");
+  const ExecResult quotient = RunVm(div, "f", {INT64_MIN, -1});
+  EXPECT_EQ(quotient.status, VmStatus::kOk);
+  EXPECT_EQ(quotient.return_value, INT64_MIN);
+  const ExecResult remainder = RunVm(mod, "f", {INT64_MIN, -1});
+  EXPECT_EQ(remainder.status, VmStatus::kOk);
+  EXPECT_EQ(remainder.return_value, 0);
+  // The same from raw bytes: push INT64_MIN; push -1; div|mod; return.
+  for (const Opcode op : {Opcode::kDiv, Opcode::kMod}) {
+    const ExecResult raw = RunVm(
+        RawProgram({Raw(Opcode::kPush), 0, 0, 0, 0, 0, 0, 0, 0x80,
+                    Raw(Opcode::kPush), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                    Raw(op), Raw(Opcode::kReturn)}),
+        "main");
+    EXPECT_EQ(raw.status, VmStatus::kOk);
+    EXPECT_EQ(raw.return_value, op == Opcode::kDiv ? INT64_MIN : 0);
+  }
+  // Every other quotient truncates toward zero and every remainder takes the
+  // dividend's sign.
+  EXPECT_EQ(RunVm(div, "f", {7, -1}).return_value, -7);
+  EXPECT_EQ(RunVm(mod, "f", {7, -1}).return_value, 0);
+  EXPECT_EQ(RunVm(div, "f", {-7, 2}).return_value, -3);
+  EXPECT_EQ(RunVm(mod, "f", {-7, 2}).return_value, -1);
+  EXPECT_EQ(RunVm(div, "f", {INT64_MIN, 1}).return_value, INT64_MIN);
+}
+
+TEST(VmSemanticsLock, AddSubMulWrapInTwosComplement) {
+  const Program add = MustAssemble(".func f\n  arg 0\n  arg 1\n  add\n  return\n");
+  const Program sub = MustAssemble(".func f\n  arg 0\n  arg 1\n  sub\n  return\n");
+  const Program mul = MustAssemble(".func f\n  arg 0\n  arg 1\n  mul\n  return\n");
+  EXPECT_EQ(RunVm(add, "f", {INT64_MAX, 1}).return_value, INT64_MIN);
+  EXPECT_EQ(RunVm(sub, "f", {INT64_MIN, 1}).return_value, INT64_MAX);
+  EXPECT_EQ(RunVm(mul, "f", {INT64_MIN, -1}).return_value, INT64_MIN);
+  EXPECT_EQ(RunVm(mul, "f", {int64_t{1} << 32, int64_t{1} << 32}).return_value, 0);
+  EXPECT_EQ(RunVm(mul, "f", {INT64_MAX, 2}).return_value, -2);
+}
+
+TEST(VmSemanticsLock, StoredByteSurchargeSaturatesOutOfGas) {
+  // YouTube's upload stores a blob of its argument's size. A surcharge of
+  // 16 gas per byte that does not fit in int64 fails the call out of gas
+  // with gas saturated at INT64_MAX, on a dialect without a gas limit.
+  const Program program = MustAssemble(R"(
+.func f
+  push 40
+  arg 0
+  sstoreb
+  stop
+)");
+  ContractState state;
+  const ExecResult kib = RunVm(program, "f", {1024}, &state);
+  ASSERT_EQ(kib.status, VmStatus::kOk);
+  for (const int64_t bytes :
+       {int64_t{864691128455135232}, int64_t{1} << 60, INT64_MAX / kGasPerStoredByte + 1,
+        INT64_MAX}) {
+    ContractState untouched;
+    const ExecResult huge = RunVm(program, "f", {bytes}, &untouched);
+    EXPECT_EQ(huge.status, VmStatus::kOutOfGas) << bytes;
+    EXPECT_EQ(huge.gas_used, INT64_MAX) << bytes;
+    EXPECT_GT(huge.gas_used, kib.gas_used) << bytes;
+    EXPECT_EQ(untouched.entry_count(), 0u) << bytes;
+  }
+  // A surcharge that fits but leaves less headroom than the next charges:
+  // the op after it saturates gas and fails out of gas. Gas never decreases.
+  const Program then_emit = MustAssemble(R"(
+.func f
+  push 40
+  arg 0
+  sstoreb
+  push 1
+  emit 1
+  stop
+)");
+  const int64_t before_surcharge = LimitsOf(VmDialect::kGeth).intrinsic_gas +
+                                   OpcodeGas(Opcode::kPush) + OpcodeGas(Opcode::kArg) +
+                                   OpcodeGas(Opcode::kSstoreBytes);
+  const ExecResult edge = RunVm(then_emit, "f",
+                                {(INT64_MAX - before_surcharge) / kGasPerStoredByte}, &state);
+  EXPECT_EQ(edge.status, VmStatus::kOutOfGas);
+  EXPECT_EQ(edge.gas_used, INT64_MAX);
+  EXPECT_GE(edge.ops_executed, 4);
+}
+
+// Every observable field of one call on fresh state, as one line: status,
+// gas, ops, return value, events, and the state it left (entry count, blob
+// bytes, words 0..63).
+std::string Outcome(const std::string& source, std::vector<int64_t> args, VmDialect dialect,
+                    int64_t gas_limit = 0) {
+  ContractState state;
+  const ExecResult result =
+      RunVm(MustAssemble(source), "f", std::move(args), &state, dialect, gas_limit);
+  std::string line = StrFormat(
+      "%d %lld %lld %lld %d %zu %lld", static_cast<int>(result.status),
+      static_cast<long long>(result.gas_used), static_cast<long long>(result.ops_executed),
+      static_cast<long long>(result.return_value), result.events_emitted,
+      state.entry_count(), static_cast<long long>(state.total_blob_bytes()));
   for (uint64_t key = 0; key < 64; ++key) {
-    EXPECT_EQ(byte_state.Load(key), decoded_state.Load(key)) << source << " key " << key;
+    line += StrFormat(" %lld", static_cast<long long>(state.Load(key)));
   }
+  return line + "\n";
 }
 
-TEST(VmDecodedAgreement, AssembledProgramsMatch) {
+// Five programs under four dialects and five argument sets, pinned as one
+// digest over every call's outcome: a change to any call's status, gas, ops,
+// return value, events or state moves it.
+TEST(VmSemanticsLock, ProgramGridOutcomesAreStable) {
   const std::string programs[] = {
       // Loop with jumps, memory, and comparisons.
       R"(
@@ -800,17 +912,23 @@ bad:
   const VmDialect dialects[] = {VmDialect::kGeth, VmDialect::kAvm, VmDialect::kMoveVm,
                                 VmDialect::kEbpf};
   const std::vector<int64_t> arg_sets[] = {{0, 0}, {5, 1}, {100, 3}, {1024, 0}, {-5, -1}};
+  std::string outcomes;
   for (const std::string& source : programs) {
     for (const VmDialect dialect : dialects) {
       for (const std::vector<int64_t>& args : arg_sets) {
-        ExpectBothPathsAgree(source, args, dialect);
+        outcomes += Outcome(source, args, dialect);
       }
     }
   }
+  EXPECT_EQ(DigestHex(Sha256Digest(outcomes)),
+            "1f0f26d3c4bd4962f0a7d9bdbdcb1e569b0a48eef30b184bd5530eaa03818e72");
 }
 
-TEST(VmDecodedAgreement, GasLimitEdgesMatch) {
-  const std::string source = R"(
+// A gas limit at every charge point of a blob store and an event: the call
+// runs out of gas at exactly one instruction for each limit. Pinned the same
+// way, as one digest over every call's outcome.
+TEST(VmSemanticsLock, GasLimitSweepOutcomesAreStable) {
+  const std::string blob_then_event = R"(
 .func f
   push 40
   arg 0
@@ -819,63 +937,19 @@ TEST(VmDecodedAgreement, GasLimitEdgesMatch) {
   emit 1
   stop
 )";
-  // Sweep limits across every charge point so both paths run out of gas (or
-  // don't) at exactly the same instruction.
+  std::vector<int64_t> limits;
   for (int64_t limit = 21000; limit < 21100; ++limit) {
-    ExpectBothPathsAgree(source, {128}, VmDialect::kGeth, limit);
+    limits.push_back(limit);
   }
-  for (int64_t limit : {int64_t{23000}, int64_t{23047}, int64_t{23048}, int64_t{23049}}) {
-    ExpectBothPathsAgree(source, {128}, VmDialect::kGeth, limit);
+  for (const int64_t limit : {23000, 23047, 23048, 23049}) {
+    limits.push_back(limit);
   }
-}
-
-TEST(VmDecodedAgreement, RawEdgeCasesMatch) {
-  const std::vector<std::vector<uint8_t>> cases = {
-      {Raw(Opcode::kPush), 5, 0, 0, 0, 0, 0, 0, 0, Raw(Opcode::kJump), 14, 0, 0, 0},
-      {Raw(Opcode::kPush), 5, 0, 0, 0, 0, 0, 0, 0, Raw(Opcode::kJump), 15, 0, 0, 0},
-      {Raw(Opcode::kPush), 30, 0, 0, 0, 0, 0, 0, 0, Raw(Opcode::kJump), 1, 0, 0, 0},
-      {Raw(Opcode::kPush), 0, 0, 0, 0, 0, 0, 0, 0, Raw(Opcode::kJumpI), 255, 0, 0, 0},
-      {Raw(Opcode::kPush)},
-      {Raw(Opcode::kJump), 0},
-      {200},
-      {Raw(Opcode::kCall), 3, 0, 0, 0},  // call past the end: invalid
-      {Raw(Opcode::kRet)},
-      {},
-  };
-  for (const std::vector<uint8_t>& code : cases) {
-    const Program program = RawProgram(code);
-    const ExecResult byte_result = RunForced(program, false, "main");
-    const ExecResult decoded_result = RunForced(program, true, "main");
-    EXPECT_EQ(byte_result.status, decoded_result.status);
-    EXPECT_EQ(byte_result.gas_used, decoded_result.gas_used);
-    EXPECT_EQ(byte_result.ops_executed, decoded_result.ops_executed);
-    EXPECT_EQ(byte_result.return_value, decoded_result.return_value);
+  std::string outcomes;
+  for (const int64_t limit : limits) {
+    outcomes += Outcome(blob_then_event, {128}, VmDialect::kGeth, limit);
   }
-}
-
-TEST(VmDecodedAgreement, AssemblerAttachesDecodedTable) {
-  const Program program = MustAssemble(".func f\n  push 42\n  return\n");
-  ASSERT_EQ(program.decoded.size(), program.code.size() + 1);
-  EXPECT_EQ(program.decoded.back().kind, DecodedInsn::kEnd);
-  // push at offset 0: operand and fall-through resolved at assembly time.
-  EXPECT_EQ(program.decoded[0].kind, DecodedInsn::kOp);
-  EXPECT_EQ(program.decoded[0].imm, 42);
-  EXPECT_EQ(program.decoded[0].next, 9u);
-}
-
-TEST(VmSemanticsLock, MemoryAddressRangeBoundary) {
-  // Addresses up to kMaxMemoryWords-1 read as zero; the first out-of-range
-  // address fails with the (historical) kInvalidJump status.
-  const Program program = MustAssemble(R"(
-.func f
-  arg 0
-  mload
-  return
-)");
-  const ExecResult in_range = RunVm(program, "f", {4095});
-  EXPECT_EQ(in_range.status, VmStatus::kOk);
-  EXPECT_EQ(in_range.return_value, 0);
-  EXPECT_EQ(RunVm(program, "f", {4096}).status, VmStatus::kInvalidJump);
+  EXPECT_EQ(DigestHex(Sha256Digest(outcomes)),
+            "dd4fd01b20651b4c327642c1cda0115236948d745c70338d80f0138e10d89839");
 }
 
 }  // namespace
