@@ -40,11 +40,11 @@ inline void FinishRunnerReport(const std::string& binary,
   const RunnerStats& stats = runner.stats();
   std::fprintf(
       stderr,
-      "[runner] %s: %zu cells in %.2f s wall, %llu events (%.0f events/s) "
-      "with %d jobs (schema v%d)\n",
+      "[runner] %s: %zu cells in %.2f s wall, %llu events (%.0f events/s), "
+      "peak RSS %.1f MB with %d jobs (schema v%d)\n",
       binary.c_str(), stats.cells, stats.wall_seconds,
       static_cast<unsigned long long>(stats.total_events),
-      stats.EventsPerSecond(), stats.jobs, kRunnerStatsSchemaVersion);
+      stats.EventsPerSecond(), stats.peak_rss_mb, stats.jobs, kRunnerStatsSchemaVersion);
   if (!WriteRunnerStatsJson("BENCH_runner.json", binary, stats)) {
     std::fprintf(stderr, "[runner] warning: could not write BENCH_runner.json\n");
   }

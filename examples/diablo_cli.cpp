@@ -12,6 +12,8 @@
 // DApps (exchange, dota, fifa, uber, youtube), a NASDAQ stock burst
 // (google, amazon, facebook, microsoft, apple), or --spec=FILE for a YAML
 // workload specification (§4).
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -50,6 +52,11 @@ bool ParseFlag(const std::string& arg, const std::string& name, std::string* val
   return true;
 }
 
+// A rate or rate multiplier: a finite number >= 0.
+bool ParseRate(const std::string& text, double* out) {
+  return diablo::ParseDouble(text, out) && std::isfinite(*out) && *out >= 0;
+}
+
 bool ParseArgs(int argc, char** argv, Options* options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -72,13 +79,14 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       options->output_json = value;
     } else if (ParseFlag(arg, "csv", &value)) {
       options->output_csv = value;
-    } else if (ParseFlag(arg, "tps", &value) && diablo::ParseDouble(value, &real)) {
+    } else if (ParseFlag(arg, "tps", &value) && ParseRate(value, &real)) {
       options->tps = real;
-    } else if (ParseFlag(arg, "duration", &value) && diablo::ParseInt64(value, &integer)) {
+    } else if (ParseFlag(arg, "duration", &value) && diablo::ParseInt64(value, &integer) &&
+               integer >= 0 && integer <= INT32_MAX) {
       options->duration = static_cast<int>(integer);
     } else if (ParseFlag(arg, "seed", &value) && diablo::ParseInt64(value, &integer)) {
       options->seed = static_cast<uint64_t>(integer);
-    } else if (ParseFlag(arg, "scale", &value) && diablo::ParseDouble(value, &real)) {
+    } else if (ParseFlag(arg, "scale", &value) && ParseRate(value, &real)) {
       options->scale = real;
     } else {
       std::fprintf(stderr, "unknown or malformed argument: %s\n", arg.c_str());

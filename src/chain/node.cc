@@ -197,11 +197,10 @@ void ChainContext::RequeueBlockTail(BuiltBlock* built, uint32_t keep,
   built->tx_count = keep;
   built->gas = 0;
   built->bytes = kBlockHeaderBytes;
-  const int64_t* gas_table = txs_.gas_data();
-  const int32_t* bytes_table = txs_.bytes_data();
   for (const TxId id : BlockTxs(*built)) {
-    built->gas += gas_table[id];
-    built->bytes += bytes_table[id];
+    const Transaction& tx = txs_.at(id);
+    built->gas += tx.gas;
+    built->bytes += tx.size_bytes;
   }
 }
 
@@ -251,12 +250,11 @@ ChainContext::BuiltBlock ChainContext::BuildBlock(SimTime now, int proposer) {
   scratch_arena_.Reset();
   ArenaVector<TxId> expired(&scratch_arena_);
   built.tx_begin = static_cast<uint32_t>(block_txs_.size());
-  const int64_t* gas_table = txs_.gas_data();
-  const int32_t* bytes_table = txs_.bytes_data();
+  const TxStore& txs = txs_;
   mempool_.TakeReady(
       now, gas_limit, params_.max_block_bytes, max_txs,
-      [gas_table](TxId id) { return gas_table[id]; },
-      [bytes_table](TxId id) { return static_cast<int64_t>(bytes_table[id]); },
+      [&txs](TxId id) { return txs.at(id).gas; },
+      [&txs](TxId id) { return static_cast<int64_t>(txs.at(id).size_bytes); },
       &block_txs_, &expired);
   built.tx_count = static_cast<uint32_t>(block_txs_.size()) - built.tx_begin;
   DIABLO_CHECK(built.tx_count <= max_txs,
@@ -301,8 +299,9 @@ ChainContext::BuiltBlock ChainContext::BuildBlock(SimTime now, int proposer) {
   }
 
   for (const TxId id : BlockTxs(built)) {
-    built.gas += gas_table[id];
-    built.bytes += bytes_table[id];
+    const Transaction& tx = txs_.at(id);
+    built.gas += tx.gas;
+    built.bytes += tx.size_bytes;
   }
 
   // Proposer work: scan of the pending set, block execution, signature

@@ -20,8 +20,6 @@ std::string_view TxPhaseName(TxPhase phase) {
 
 TxId TxStore::Add(const Transaction& tx) {
   txs_.push_back(tx);
-  gas_.push_back(tx.gas);
-  bytes_.push_back(tx.size_bytes);
   return static_cast<TxId>(txs_.size() - 1);
 }
 

@@ -59,28 +59,13 @@ class TxStore {
   Transaction& at(TxId id) { return txs_[id]; }
   const Transaction& at(TxId id) const { return txs_[id]; }
   size_t size() const { return txs_.size(); }
-  void Reserve(size_t n) {
-    txs_.reserve(n);
-    gas_.reserve(n);
-    bytes_.reserve(n);
-  }
-
-  // Flat per-transaction cost tables, snapshot at Add (gas and size_bytes
-  // are immutable afterwards): block assembly's gas_of/bytes_of callbacks
-  // become single dense-array loads instead of striding 48-byte Transaction
-  // records.
-  int64_t gas_of(TxId id) const { return gas_[id]; }
-  int32_t bytes_of(TxId id) const { return bytes_[id]; }
-  const int64_t* gas_data() const { return gas_.data(); }
-  const int32_t* bytes_data() const { return bytes_.data(); }
+  void Reserve(size_t n) { txs_.reserve(n); }
 
   // Counts by phase, in TxPhase order.
   std::vector<size_t> PhaseCounts() const;
 
  private:
   std::vector<Transaction> txs_;
-  std::vector<int64_t> gas_;
-  std::vector<int32_t> bytes_;
 };
 
 }  // namespace diablo

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "src/support/strings.h"
 
@@ -72,6 +73,17 @@ bool ParseBehavior(const YamlNode& node, ClientBehavior* behavior, std::string* 
     LoadPoint point;
     if (!ParseDouble(key, &point.at_seconds) || !value.AsDouble(&point.tps)) {
       *error = "malformed load point: " + key;
+      return false;
+    }
+    // Times index the trace's seconds and rates size its arrivals, so both
+    // must be finite and >= 0, and a time at most INT32_MAX seconds (the
+    // CLI's --duration bound).
+    if (!std::isfinite(point.at_seconds) || point.at_seconds < 0 ||
+        point.at_seconds > INT32_MAX || !std::isfinite(point.tps) || point.tps < 0) {
+      *error = StrFormat("load point %s: %s needs a time in [0, INT32_MAX] and a finite "
+                         "rate >= 0 (line %d)",
+                         key.c_str(), value.scalar.c_str(),
+                         value.line > 0 ? value.line : load->line);
       return false;
     }
     behavior->load.push_back(point);

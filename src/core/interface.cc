@@ -191,42 +191,54 @@ bool SimConnector::CreateResource(const ResourceSpec& spec, Resource* out) {
 
 TxId SimConnector::Encode(const InteractionSpec& spec, const Resource& accounts,
                           SimTime scheduled_time) {
+  Transaction row;
+  if (!Resolve(spec, &row)) {
+    return kInvalidTx;
+  }
+  return Stamp(row, accounts, scheduled_time);
+}
+
+bool SimConnector::Resolve(const InteractionSpec& spec, Transaction* row) {
   ChainContext& ctx = chain_->context();
-  Transaction tx;
+  *row = Transaction{};
+  if (spec.type == InteractionSpec::Type::kTransfer) {
+    row->gas = NativeTransferGas(ctx.params().dialect);
+    row->size_bytes = kNativeTransferBytes;
+    return true;
+  }
+  row->read_only = spec.type == InteractionSpec::Type::kQuery;
+  row->contract = static_cast<int16_t>(spec.contract_index);
+  row->function =
+      static_cast<int16_t>(ctx.oracle().FunctionIndex(spec.contract_index, spec.function));
+  const CallProfile& profile =
+      ctx.oracle().Profile(spec.contract_index, spec.function, spec.args);
+  row->gas = profile.gas;
+  row->exec_status = profile.status;
+  // Payload-bearing calls (e.g. youtube upload) carry their data on the
+  // wire as well. The payload comes from the caller's arguments, so the
+  // total is range-checked before it narrows to the int32 wire size.
+  int64_t payload = 0;
+  if (!spec.args.empty() && spec.function == "upload") {
+    payload = spec.args[0];
+  }
+  const int64_t envelope = kNativeTransferBytes + profile.calldata_bytes;
+  if (payload < -envelope || payload > INT32_MAX - envelope) {
+    return false;
+  }
+  row->size_bytes = static_cast<int32_t>(envelope + payload);
+  return true;
+}
+
+TxId SimConnector::Stamp(const Transaction& row, const Resource& accounts,
+                         SimTime scheduled_time) {
+  Transaction tx = row;
   tx.account = accounts.first_account +
                static_cast<uint32_t>(encode_counter_ %
                                      static_cast<uint64_t>(accounts.account_count));
   tx.sequence = static_cast<uint32_t>(encode_counter_);
   ++encode_counter_;
   tx.submit_time = scheduled_time;
-
-  if (spec.type == InteractionSpec::Type::kTransfer) {
-    tx.contract = -1;
-    tx.gas = NativeTransferGas(ctx.params().dialect);
-    tx.size_bytes = kNativeTransferBytes;
-  } else {
-    tx.read_only = spec.type == InteractionSpec::Type::kQuery;
-    tx.contract = static_cast<int16_t>(spec.contract_index);
-    tx.function =
-        static_cast<int16_t>(ctx.oracle().FunctionIndex(spec.contract_index, spec.function));
-    const CallProfile& profile =
-        ctx.oracle().Profile(spec.contract_index, spec.function, spec.args);
-    tx.gas = profile.gas;
-    tx.exec_status = profile.status;
-    // Payload-bearing calls (e.g. youtube upload) carry their data on the
-    // wire as well. The payload comes from the caller's arguments, so the
-    // total is range-checked before it narrows to the int32 wire size.
-    int64_t payload = 0;
-    if (!spec.args.empty() && spec.function == "upload") {
-      payload = spec.args[0];
-    }
-    const int64_t envelope = kNativeTransferBytes + profile.calldata_bytes;
-    if (payload < -envelope || payload > INT32_MAX - envelope) {
-      return kInvalidTx;
-    }
-    tx.size_bytes = static_cast<int32_t>(envelope + payload);
-  }
-  return ctx.txs().Add(tx);
+  return chain_->context().txs().Add(tx);
 }
 
 }  // namespace diablo

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "src/config/json.h"
+#include "src/support/profile.h"
 #include "src/support/rng.h"
 #include "src/support/strings.h"
 #include "src/support/thread_pool.h"
@@ -75,6 +76,7 @@ std::vector<RunResult> ParallelRunner::Run(std::vector<ExperimentCell> cells) {
   for (const RunResult& result : results) {
     stats_.total_events += result.events_executed;
   }
+  stats_.peak_rss_mb = static_cast<double>(profile::PeakRssBytes()) / 1e6;
   return results;
 }
 
@@ -165,10 +167,11 @@ std::string StatsEntryJson(const RunnerStats& stats) {
   std::snprintf(buf, sizeof(buf),
                 "{\"jobs\": %d, \"cells\": %zu, \"wall_seconds\": %.6f, "
                 "\"total_events\": %llu, \"events_per_second\": %.1f, "
-                "\"hardware_threads\": %d}",
+                "\"peak_rss_mb\": %.1f, \"hardware_threads\": %d}",
                 stats.jobs, stats.cells, stats.wall_seconds,
                 static_cast<unsigned long long>(stats.total_events),
-                stats.EventsPerSecond(), ThreadPool::HardwareConcurrency());
+                stats.EventsPerSecond(), stats.peak_rss_mb,
+                ThreadPool::HardwareConcurrency());
   return buf;
 }
 

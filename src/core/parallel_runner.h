@@ -35,6 +35,9 @@ struct RunnerStats {
   size_t cells = 0;
   double wall_seconds = 0;
   uint64_t total_events = 0;  // simulator events summed over all cells
+  // The process's peak resident set (1 MB = 10^6 bytes) when the last Run
+  // returned: the largest cell plus everything alive beside it.
+  double peak_rss_mb = 0;
 
   double EventsPerSecond() const {
     return wall_seconds > 0 ? static_cast<double>(total_events) / wall_seconds : 0;
@@ -74,10 +77,10 @@ uint64_t CellSeed(uint64_t base_seed, uint64_t cell_index);
 // top-level "schema_version" key itself; version 3 added the "kernels" entry
 // (message-plane kernel times written by micro_benchmarks) alongside the
 // per-runner-binary stats; version 4 keeps only each kernel's "current_ns"
-// in it. Bump it when an entry field is added, removed or changes meaning,
-// so perf-trajectory tooling comparing files across PRs can tell layouts
-// apart.
-inline constexpr int kRunnerStatsSchemaVersion = 4;
+// in it; version 5 added each runner binary's "peak_rss_mb". Bump it when an
+// entry field is added, removed or changes meaning, so perf-trajectory
+// tooling comparing files across PRs can tell layouts apart.
+inline constexpr int kRunnerStatsSchemaVersion = 5;
 
 // Writes (or updates) `path` — a JSON object with a "schema_version" stamp
 // plus one member per benchmark binary mapping to its runner stats —

@@ -1,11 +1,13 @@
 #include "src/core/primary.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "src/core/call_table.h"
 #include "src/core/interface.h"
 #include "src/core/results.h"
 #include "src/core/secondary.h"
@@ -90,10 +92,30 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
   if (streams.empty()) {
     return result;
   }
+  // Every entry point's rates, checked after scaling and before anything is
+  // sized from them: ExpandArrivals turns each second's rate into a count
+  // and reserves TotalTxs() + duration_seconds() times per stream, and
+  // every transaction needs a TxId below kInvalidTx.
+  double reserved_txs = 0;
   for (WorkStream& stream : streams) {
     if (setup_.scale != 1.0) {
       stream.trace = stream.trace.Scaled(setup_.scale);
     }
+    for (size_t s = 0; s < stream.trace.tps.size(); ++s) {
+      const double rate = stream.trace.tps[s];
+      if (!std::isfinite(rate) || rate < 0) {
+        result.failure_reason =
+            StrFormat("trace rate %g at second %zu is not a finite rate >= 0", rate, s);
+        return result;
+      }
+    }
+    reserved_txs += stream.trace.TotalTxs() +
+                    static_cast<double>(stream.trace.duration_seconds());
+  }
+  if (reserved_txs >= static_cast<double>(kInvalidTx)) {
+    result.failure_reason =
+        StrFormat("trace total of %.4g transactions exceeds the TxId range", reserved_txs);
+    return result;
   }
 
   Simulation sim(setup_.seed);
@@ -220,39 +242,45 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
   }
 
   // Pre-sign and partition every stream. Arrivals are expanded for all
-  // streams first so transaction storage, the mempool side tables and the
-  // block-tx pool can be sized once for the whole run before encoding
-  // begins.
+  // streams first so transaction storage, the mempool side tables, the
+  // block-tx pool and every Secondary's schedule can be sized once for the
+  // whole run before encoding begins.
   size_t total_txs = 0;
   std::vector<std::vector<SimTime>> stream_arrivals(streams.size());
+  std::vector<size_t> schedule_sizes(secondaries.size(), 0);
   for (size_t i = 0; i < streams.size(); ++i) {
     stream_arrivals[i] = ExpandArrivals(streams[i].trace, ArrivalProcess::kUniform, nullptr);
-    total_txs += stream_arrivals[i].size();
+    const size_t count = stream_arrivals[i].size();
+    total_txs += count;
+    // The loop below deals transaction k to set[k % set.size()].
+    const std::vector<size_t>& set = stream_secondaries[i];
+    for (size_t j = 0; j < set.size(); ++j) {
+      schedule_sizes[set[j]] += count / set.size() + (j < count % set.size() ? 1 : 0);
+    }
   }
   ctx.ReserveTxs(total_txs);
+  for (size_t s = 0; s < secondaries.size(); ++s) {
+    secondaries[s]->Reserve(schedule_sizes[s]);
+  }
   for (size_t i = 0; i < streams.size(); ++i) {
     const WorkStream& stream = streams[i];
     const std::vector<SimTime>& arrivals = stream_arrivals[i];
     DappWorkload mix;  // provides InvocationFor when no fixed invocation
     mix.name = stream.dapp_name.empty() ? stream.contract : stream.dapp_name;
     mix.fixed = stream.fixed;
+    const int contract_index =
+        stream.contract.empty() ? -1 : contracts.at(stream.contract).contract_index;
+    CallTable table(&connector, accounts, mix, contract_index);
+    const std::vector<size_t>& set = stream_secondaries[i];
     for (size_t k = 0; k < arrivals.size(); ++k) {
-      InteractionSpec spec;
-      if (!stream.contract.empty()) {
-        const Invocation invocation = mix.InvocationFor(k);
-        spec.type = InteractionSpec::Type::kInvoke;
-        spec.contract_index = contracts.at(stream.contract).contract_index;
-        spec.function = invocation.function;
-        spec.args = invocation.args;
-      }
-      const TxId tx = connector.Encode(spec, accounts, arrivals[k]);
+      const TxId tx = table.Encode(k, arrivals[k]);
       if (tx == kInvalidTx) {
-        result.failure_reason = "invocation " + spec.function + ": wire size out of range";
+        result.failure_reason =
+            "invocation " + mix.InvocationFor(k).function + ": wire size out of range";
         return result;
       }
-      const auto& set = stream_secondaries[i];
       secondaries[set[k % set.size()]]->Assign(arrivals[k], tx);
-      if (k == 0 && !stream.contract.empty() && result.failure_reason.empty()) {
+      if (k == 0 && contract_index >= 0 && result.failure_reason.empty()) {
         const VmStatus status = ctx.txs().at(tx).exec_status;
         if (status != VmStatus::kOk) {
           result.failure_reason = std::string(VmStatusName(status));

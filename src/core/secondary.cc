@@ -13,8 +13,16 @@ void Secondary::Assign(SimTime submit_time, TxId tx) {
 }
 
 void Secondary::Start() {
-  std::sort(schedule_.begin(), schedule_.end(),
-            [](const Planned& a, const Planned& b) { return a.time < b.time; });
+  // Entries with equal times keep the order std::sort gives them, so only
+  // a strictly increasing schedule (every single-stream run's) skips it.
+  const auto not_increasing = [](const Planned& a, const Planned& b) {
+    return a.time >= b.time;
+  };
+  if (std::adjacent_find(schedule_.begin(), schedule_.end(), not_increasing) !=
+      schedule_.end()) {
+    std::sort(schedule_.begin(), schedule_.end(),
+              [](const Planned& a, const Planned& b) { return a.time < b.time; });
+  }
   // One event per second of schedule; the batch submits every transaction
   // of that second with its precise timestamp.
   size_t first = 0;

@@ -24,11 +24,16 @@ class Secondary {
   int index() const { return index_; }
   Region location() const { return location_; }
 
+  // Sizes the schedule for `count` transactions, so that many Assigns never
+  // reallocate.
+  void Reserve(size_t count) { schedule_.reserve(count); }
+
   // Adds one pre-signed transaction to the schedule (must be called before
   // Start, times need not be sorted).
   void Assign(SimTime submit_time, TxId tx);
 
-  // Schedules the submission events.
+  // Sorts the schedule by time, unless it is already strictly increasing,
+  // and schedules the submission events.
   void Start();
 
   size_t assigned() const { return schedule_.size(); }

@@ -1,5 +1,6 @@
 #include "src/workload/dapps.h"
 
+#include <iterator>
 #include <stdexcept>
 
 #include "src/support/strings.h"
@@ -17,29 +18,41 @@ constexpr struct {
     {"buy_microsoft", 40}, {"buy_apple", 100},
 };
 
-Invocation ExchangeInvocation(uint64_t i) {
+constexpr uint64_t kBuyMixTotal = [] {
   uint64_t total = 0;
   for (const auto& entry : kBuyMix) {
     total += entry.weight;
   }
-  uint64_t slot = (i * 2654435761ULL) % total;
-  for (const auto& entry : kBuyMix) {
-    if (slot < entry.weight) {
-      return Invocation{entry.function, {}};
-    }
-    slot -= entry.weight;
-  }
-  return Invocation{"buy_apple", {}};
-}
+  return total;
+}();
 
 }  // namespace
+
+size_t FunctionMix::count() const { return exchange ? std::size(kBuyMix) : 1; }
+
+size_t FunctionMix::IndexFor(uint64_t i) const {
+  if (!exchange) {
+    return 0;
+  }
+  uint64_t slot = (i * 2654435761ULL) % kBuyMixTotal;
+  size_t index = 0;
+  while (slot >= kBuyMix[index].weight) {
+    slot -= kBuyMix[index].weight;
+    ++index;
+  }
+  return index;
+}
+
+FunctionMix DappWorkload::Functions() const {
+  return FunctionMix{!fixed.has_value() && name == "exchange"};
+}
 
 Invocation DappWorkload::InvocationFor(uint64_t i) const {
   if (fixed.has_value()) {
     return *fixed;
   }
   if (name == "exchange") {
-    return ExchangeInvocation(i);
+    return Invocation{kBuyMix[Functions().IndexFor(i)].function, {}};
   }
   // Per-stock NASDAQ bursts (§6.5): every order buys that one stock.
   for (const char* stock : {"google", "amazon", "facebook", "microsoft", "apple"}) {

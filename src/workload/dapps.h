@@ -18,6 +18,20 @@ struct Invocation {
   std::vector<int64_t> args;
 };
 
+// Which of a workload's distinct functions each call uses. The exchange mix
+// weights five buy orders; every other workload calls one function. Built
+// once per workload, so mapping a call is arithmetic, with no string
+// compare and no allocation.
+struct FunctionMix {
+  // Calls follow the weighted exchange mix; otherwise all use function 0.
+  bool exchange = false;
+
+  // How many distinct functions the calls use.
+  size_t count() const;
+  // The i-th call's function, as an index below count().
+  size_t IndexFor(uint64_t i) const;
+};
+
 struct DappWorkload {
   std::string name;      // "exchange", "dota", "fifa", "uber", "youtube"
   std::string contract;  // contract registry key
@@ -26,7 +40,11 @@ struct DappWorkload {
   // (workload-spec-driven runs).
   std::optional<Invocation> fixed;
 
-  // The invocation the i-th transaction performs. Deterministic in i.
+  // How this workload's calls spread over its functions.
+  FunctionMix Functions() const;
+
+  // The invocation the i-th transaction performs. Deterministic in i; it
+  // calls the function Functions().IndexFor(i) names.
   Invocation InvocationFor(uint64_t i) const;
 };
 

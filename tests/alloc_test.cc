@@ -1,4 +1,4 @@
-// Heap-allocation locks for the per-block hot paths.
+// Heap-allocation locks for the per-block hot paths and for pre-signing.
 //
 // The whole point of MessagePlaneScratch is that steady-state vote rounds
 // run without touching the allocator: broadcast, stage fills, both quorum
@@ -6,22 +6,46 @@
 // same holds for block production: the mempool, the block-tx pool and the
 // per-block arena are sized up front. This binary replaces global operator
 // new/delete with counting wrappers and asserts that, once warm, a full
-// engine-style round and a full overloaded block perform ZERO heap
-// allocations.
+// engine-style round, a full overloaded block and a pre-signed transaction
+// perform ZERO heap allocations; it also holds pre-signing to a byte budget
+// per transaction.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 #include <vector>
+
+// Sanitizer runtimes serve malloc from their own allocator, which glibc's
+// mallinfo2 does not see, so allocator bytes in use are read only without
+// them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DIABLO_SANITIZER_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define DIABLO_SANITIZER_ALLOCATOR 1
+#endif
+#endif
+#if defined(__GLIBC__) && !defined(DIABLO_SANITIZER_ALLOCATOR)
+#define DIABLO_HEAP_IN_USE 1
+#include <malloc.h>
+#endif
 
 #include "src/chain/node.h"
 #include "src/chain/vote_round.h"
 #include "src/chains/params.h"
+#include "src/core/call_table.h"
+#include "src/core/interface.h"
+#include "src/core/secondary.h"
 #include "src/net/deployment.h"
 #include "src/net/network.h"
 #include "src/sim/simulation.h"
 #include "src/support/check.h"
+#include "src/workload/arrival.h"
+#include "src/workload/dapps.h"
 
 namespace {
 
@@ -57,6 +81,15 @@ void operator delete[](void* ptr, const std::nothrow_t&) noexcept { std::free(pt
 
 namespace diablo {
 namespace {
+
+#if defined(DIABLO_HEAP_IN_USE)
+// Allocator bytes in use, process-wide; unlike resident size it falls when
+// memory is freed.
+int64_t HeapInUseBytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<int64_t>(info.uordblks + info.hblkhd);
+}
+#endif
 
 // One PBFT-shaped round over the scratch plane: proposal broadcast, arrival
 // transform in place, two vote stages, commit median. Mirrors what
@@ -187,6 +220,119 @@ TEST(AllocationLock, SteadyStateBlockAssemblyAllocatesNothing) {
   EXPECT_EQ(after - before, 0u) << (after - before) << " heap allocations across "
                                 << kMeasuredBlocks << " steady-state blocks";
   EXPECT_EQ(drafted, kBlockTxs * kMeasuredBlocks);
+}
+
+// The pre-signing half of Primary::RunStreams for one YouTube stream on
+// `deployment`: the chain, its accounts and contract and ten collocated
+// Secondaries, with nothing scheduled yet.
+struct PreSigningCell {
+  static constexpr int kSecondaries = 10;
+
+  explicit PreSigningCell(const std::string& deployment)
+      : sim(1),
+        net(&sim),
+        chain(BuildChain("quorum", GetDeployment(deployment), &sim, &net)),
+        connector(chain.get()),
+        youtube(GetDappWorkload("youtube")) {
+    ResourceSpec accounts_spec;
+    accounts_spec.kind = ResourceSpec::Kind::kAccounts;
+    accounts_spec.account_count = 2000;
+    connector.CreateResource(accounts_spec, &accounts);
+    ResourceSpec contract_spec;
+    contract_spec.kind = ResourceSpec::Kind::kContract;
+    contract_spec.contract_name = youtube.contract;
+    Resource contract;
+    connector.CreateResource(contract_spec, &contract);
+    contract_index = contract.contract_index;
+    const int nodes = chain->context().node_count();
+    for (int s = 0; s < kSecondaries; ++s) {
+      const Region region = GetDeployment(deployment).NodeRegion(s % nodes);
+      secondaries.push_back(std::make_unique<Secondary>(
+          s, region, &sim, connector.CreateClient(region, {s % nodes})));
+    }
+  }
+
+  // Sizes transaction storage and every schedule for `count` transactions,
+  // dealt round-robin as RunStreams deals them.
+  void Reserve(size_t count) {
+    chain->context().ReserveTxs(count);
+    for (size_t s = 0; s < secondaries.size(); ++s) {
+      secondaries[s]->Reserve(count / secondaries.size() +
+                              (s < count % secondaries.size() ? 1 : 0));
+    }
+  }
+
+  void EncodeAndAssign(CallTable* table, uint64_t k, SimTime time) {
+    secondaries[k % secondaries.size()]->Assign(time, table->Encode(k, time));
+  }
+
+  Simulation sim;
+  Network net;
+  std::unique_ptr<ChainInstance> chain;
+  SimConnector connector;
+  DappWorkload youtube;
+  Resource accounts;
+  int contract_index = -1;
+  std::vector<std::unique_ptr<Secondary>> secondaries;
+};
+
+TEST(AllocationLock, PreSigningAllocatesNothing) {
+  if (kCheckedBuild) {
+    GTEST_SKIP() << "allocation lock does not apply under DIABLO_CHECKED";
+  }
+  // Once a stream's call table has resolved its row and the schedules are
+  // sized, pre-signing a transaction and handing it to its Secondary
+  // touches no allocator: no argument vector, no string, no growth.
+  PreSigningCell cell("testnet");
+  ASSERT_GE(cell.contract_index, 0);
+  const std::vector<SimTime> arrivals =
+      ExpandArrivals(cell.youtube.trace.Scaled(0.0216), ArrivalProcess::kUniform, nullptr);
+  ASSERT_GE(arrivals.size(), 100000u);
+  cell.Reserve(arrivals.size());
+  CallTable table(&cell.connector, cell.accounts, cell.youtube, cell.contract_index);
+  // The first call resolves the row: the cost oracle runs upload once.
+  cell.EncodeAndAssign(&table, 0, arrivals[0]);
+
+  const uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
+  for (size_t k = 1; k < arrivals.size(); ++k) {
+    cell.EncodeAndAssign(&table, k, arrivals[k]);
+  }
+  const uint64_t after = g_allocation_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << (after - before) << " heap allocations across "
+                                << arrivals.size() - 1 << " pre-signed transactions";
+  EXPECT_EQ(cell.chain->context().txs().size(), arrivals.size());
+}
+
+TEST(AllocationLock, PreSigningStaysWithinItsBytesPerTransaction) {
+#if defined(DIABLO_HEAP_IN_USE)
+  // Fig. 2's largest cell keeps every pre-signed transaction until it ends.
+  // Allocator bytes in use across arrival expansion, ReserveTxs, encoding
+  // and assignment of ~930k YouTube transactions on consortium, per
+  // transaction: the Transaction (48 B), its schedule entry (16 B), its
+  // arrival time (8 B), the mempool's side tables (13 B) and its block-tx
+  // slot (4 B), plus fixed reservations. 92 B leaves room for those fixed
+  // parts only; a second copy of a per-transaction field does not fit.
+  PreSigningCell cell("consortium");
+  ASSERT_GE(cell.contract_index, 0);
+  const Trace trace = cell.youtube.trace.Scaled(0.2);
+  const int64_t before = HeapInUseBytes();
+  const std::vector<SimTime> arrivals =
+      ExpandArrivals(trace, ArrivalProcess::kUniform, nullptr);
+  cell.Reserve(arrivals.size());
+  CallTable table(&cell.connector, cell.accounts, cell.youtube, cell.contract_index);
+  for (size_t k = 0; k < arrivals.size(); ++k) {
+    cell.EncodeAndAssign(&table, k, arrivals[k]);
+  }
+  const int64_t after = HeapInUseBytes();
+  ASSERT_GT(arrivals.size(), 900000u);
+  const double bytes_per_tx =
+      static_cast<double>(after - before) / static_cast<double>(arrivals.size());
+  EXPECT_LE(bytes_per_tx, 92.0) << arrivals.size() << " transactions";
+  EXPECT_GE(bytes_per_tx, 48.0 + 16.0 + 8.0);
+#else
+  GTEST_SKIP() << "allocator bytes in use are read through glibc's mallinfo2, "
+                  "which sees no sanitizer's allocator";
+#endif
 }
 
 TEST(AllocationLock, CounterSeesOrdinaryAllocations) {

@@ -169,6 +169,35 @@ TEST(SpecTest, Errors) {
   EXPECT_FALSE(ParseWorkloadSpec("workloads:\n  - client:\n      behavior:\n").ok);
 }
 
+TEST(SpecTest, RejectsLoadPointsThatAreNotFiniteAndNonNegative) {
+  // A load time indexes the trace's seconds and a rate sizes its arrivals:
+  // NaN, infinite or negative values would crash the run or silently empty
+  // it, and a time past INT32_MAX seconds would size the trace past any
+  // allocation, so the parser refuses them with the offending line.
+  const std::string head =
+      "workloads:\n  - client:\n      behavior:\n"
+      "        - interaction: !transfer\n";
+  for (const char* load : {"{0: nan, 3: 0}", "{0: -5, 3: 0}", "{0: inf, 3: 0}",
+                           "{-5: 10, 3: 0}", "{nan: 10, 3: 0}", "{0: 10, inf: 0}",
+                           "{0: 10, 1e12: 0}", "{0: 10, 2147483648: 0}",
+                           "{0: 10, 1e20: 0}"}) {
+    const SpecResult result =
+        ParseWorkloadSpec(head + "          load: " + load + "\n");
+    EXPECT_FALSE(result.ok) << load;
+    EXPECT_NE(result.error.find("line 5"), std::string::npos) << load << ": " << result.error;
+  }
+  const SpecResult block = ParseWorkloadSpec(head +
+                                             "          load:\n"
+                                             "            0: 10\n"
+                                             "            2: -1\n"
+                                             "            4: 0\n");
+  EXPECT_FALSE(block.ok);
+  EXPECT_NE(block.error.find("line 7"), std::string::npos) << block.error;
+  // Zero rates, fractional times and a time of INT32_MAX seconds stay valid.
+  EXPECT_TRUE(ParseWorkloadSpec(head + "          load: {0: 0, 1.5: 10, 3: 0}\n").ok);
+  EXPECT_TRUE(ParseWorkloadSpec(head + "          load: {0: 10, 2147483647: 0}\n").ok);
+}
+
 namespace {
 
 // A minimal valid workload the fault tests can hang a `faults:` section on.

@@ -215,6 +215,68 @@ TEST(ShippedConfigTest, ConsortiumGoldenReportsAreStable) {
   }
 }
 
+TEST(DappGoldenTest, SmallDappCellsAreStable) {
+  // The goldens above run native transfers only. These pin small DApp cells
+  // across the four VM dialects (geth, Move, AVM, eBPF): the exchange mix's
+  // five functions, one NASDAQ stock, Uber's per-call arguments, the
+  // YouTube upload payload and the budget failures. Each hash was produced
+  // by the per-call encoder, before the call table, and must hold with
+  // kCheckedBuild on.
+  struct Golden {
+    const char* chain;
+    const char* dapp;
+    double scale;
+    const char* digest;
+  };
+  const Golden goldens[] = {
+      {"quorum", "exchange", 0.05, "62829b606d3151727bce60c9329feff0a6075c554b87f321ca34e515ea2599c2"},
+      {"quorum", "dota", 0.005, "a84e8271a3f53c93f476b10bdeb9e13cb7cd4826cca7ed7d262d40a51d008532"},
+      {"quorum", "fifa", 0.02, "e3dfcab8c004e854a117ddb5683967a2f75c838e086f995a53325fc4e59c2bdf"},
+      {"quorum", "uber", 0.05, "9ab9bd2a31627e7c949d2519a3b3acdebcc9b5b87228117aa4cc4e83d4190984"},
+      {"quorum", "youtube", 0.005, "37486027b6958f05be9e89a8f3e89408dd8a11cef9b3ebf7ef1188f95dbfe403"},
+      {"quorum", "apple", 0.05, "f093f540d92c10898e17da668bdd842b34f371d3c53d6a056bacee3c3dacbe0b"},
+      {"diem", "exchange", 0.05, "ac9e1c4a14906e42b6fb4d28a9d5e650ccc3af2a4d5f6ef8a6c1cc55dcf969d6"},
+      {"diem", "uber", 0.05, "22db29edc2c6f9314e86abcfec5a229c5e28fc1d9f4196ab6e7eba973d52a8be"},
+      {"algorand", "dota", 0.005, "58d41045f7dc3c5ae3db852a43f655aeb84179626a2fbc215119fd7512c33e07"},
+      {"solana", "youtube", 0.005, "e79fc29b904ce2b815c776f6230534c19e05bb0b8c79e2ef11eb25fab6588f49"},
+      {"avalanche", "fifa", 0.02, "7801b80d92e17ed8f83baceb50a94497ad2b41143b59b4f1b1559c4d42ec5402"},
+  };
+  for (const Golden& golden : goldens) {
+    const RunResult result =
+        RunDappBenchmark(golden.chain, "testnet", golden.dapp, /*seed=*/1, golden.scale);
+    EXPECT_GT(result.report.submitted, 0u) << golden.chain << "/" << golden.dapp;
+    const std::string text = result.report.ToText() + result.failure_reason;
+    EXPECT_EQ(DigestHex(Sha256Digest(text)), golden.digest)
+        << golden.chain << "/" << golden.dapp << " report text changed; if "
+        << "intentional, update the golden hash (kCheckedBuild=" << kCheckedBuild << ")";
+  }
+}
+
+TEST(DappGoldenTest, StreamsSharingSecondariesAreStable) {
+  // Two streams on the default Secondaries: the exchange mix and native
+  // transfers whose submit times tie with it every 200 ms. Each Secondary's
+  // schedule interleaves them, so Start sorts it, and the order the sort
+  // leaves tied entries in decides which submission draws jitter first.
+  // The hash was produced before Start learned to skip sorted schedules.
+  BenchmarkSetup setup;
+  setup.chain = "quorum";
+  setup.deployment = "testnet";
+  Primary primary(setup);
+  WorkStream exchange;
+  exchange.trace = ConstantTrace(40, 20);
+  exchange.contract = "exchange";
+  exchange.dapp_name = "exchange";
+  WorkStream native;
+  native.trace = ConstantTrace(25, 20);
+  const RunResult result = primary.RunStreams({exchange, native}, "shared");
+  ASSERT_TRUE(result.failure_reason.empty()) << result.failure_reason;
+  EXPECT_EQ(result.report.submitted, 800u + 500u);
+  EXPECT_EQ(DigestHex(Sha256Digest(result.report.ToText())),
+            "2c2b8fc8f9deb28148ababb727749729e1480e5fe02546862637b853adb9a64a")
+      << "shared-secondary report text changed; if intentional, update the "
+      << "golden hash (kCheckedBuild=" << kCheckedBuild << ")";
+}
+
 TEST(TraceCsvTest, RoundTrip) {
   const Trace original = UberTrace();
   Trace parsed;

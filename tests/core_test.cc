@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/config/spec.h"
+#include "src/core/call_table.h"
 #include "src/core/interface.h"
 #include "src/core/results.h"
 #include "src/core/runner.h"
@@ -120,7 +127,8 @@ TEST(ConnectorTest, EncodeRotatesAccounts) {
 TEST(ConnectorTest, EncodeRejectsWireSizesOutsideInt32) {
   // An upload carries its payload on the wire, so its argument sets the
   // transaction's int32 wire size. Sizes from 0 to INT32_MAX encode; one
-  // byte either side has no encoding.
+  // byte either side has no encoding, and a rejected call uses up no
+  // sequence number.
   Simulation sim(1);
   Network net(&sim);
   const auto chain = BuildChain("quorum", GetDeployment("testnet"), &sim, &net);
@@ -153,6 +161,144 @@ TEST(ConnectorTest, EncodeRejectsWireSizesOutsideInt32) {
   EXPECT_EQ(encode(INT64_MAX), kInvalidTx);
   EXPECT_EQ(encode(INT64_MIN), kInvalidTx);
   EXPECT_EQ(txs.size(), 3u);
+  const TxId next = encode(1024);
+  ASSERT_NE(next, kInvalidTx);
+  EXPECT_EQ(txs.at(next).sequence, 3u);
+  EXPECT_EQ(txs.size(), 4u);
+}
+
+// One simulated chain with the resources Primary::RunStreams creates for a
+// stream: accounts, then the stream's contract when it has one.
+struct EncodeTwin {
+  EncodeTwin(const std::string& chain_name, const std::string& contract)
+      : sim(1), net(&sim), chain(BuildChain(chain_name, GetDeployment("testnet"), &sim, &net)),
+        connector(chain.get()) {
+    ResourceSpec accounts_spec;
+    accounts_spec.kind = ResourceSpec::Kind::kAccounts;
+    accounts_spec.account_count = 7;
+    connector.CreateResource(accounts_spec, &accounts);
+    if (!contract.empty()) {
+      ResourceSpec contract_spec;
+      contract_spec.kind = ResourceSpec::Kind::kContract;
+      contract_spec.contract_name = contract;
+      Resource resource;
+      deployed = connector.CreateResource(contract_spec, &resource);
+      contract_index = resource.contract_index;
+    }
+  }
+
+  Simulation sim;
+  Network net;
+  std::unique_ptr<ChainInstance> chain;
+  SimConnector connector;
+  Resource accounts;
+  int contract_index = -1;
+  bool deployed = true;
+};
+
+TEST(CallTableTest, MatchesPerCallEncodeFieldForField) {
+  // Encoding from the table and encoding call by call, through
+  // InvocationFor and Encode(InteractionSpec), on twin chains: every DApp,
+  // each NASDAQ stock, fixed spec invocations (uploads among them) and
+  // native transfers, on the geth, Move, AVM and eBPF dialects. The stores
+  // must agree field for field and the cost oracles on every profile they
+  // measured, so the table measures the same functions with the same
+  // first-caller arguments in the same order.
+  struct Stream {
+    std::string contract;
+    DappWorkload mix;
+  };
+  std::vector<Stream> streams;
+  for (const std::string& name : AllDappNames()) {
+    const DappWorkload dapp = GetDappWorkload(name);
+    streams.push_back({dapp.contract, DappWorkload{dapp.name, dapp.contract, {}, {}}});
+  }
+  for (const char* stock : {"google", "amazon", "facebook", "microsoft", "apple"}) {
+    streams.push_back({"exchange", DappWorkload{stock, "exchange", {}, {}}});
+  }
+  const struct {
+    const char* contract;
+    Invocation invocation;
+  } fixed[] = {
+      {"youtube", {"upload", {2048}}},   {"youtube", {"upload", {3000000000}}},
+      {"dota", {"update", {2, 3}}},      {"counter", {"get", {}}},
+      {"exchange", {"check_stock", {3}}}, {"uber", {"check_distance", {1, 2}}},
+  };
+  for (const auto& spec : fixed) {
+    streams.push_back({spec.contract, DappWorkload{"spec", spec.contract, {}, spec.invocation}});
+  }
+  streams.push_back({"", DappWorkload{}});
+
+  constexpr uint64_t kCalls = 600;
+  for (const char* chain : {"quorum", "diem", "algorand", "solana"}) {
+    for (const Stream& stream : streams) {
+      const std::string label = std::string(chain) + "/" + stream.mix.name + "/" +
+                                stream.contract;
+      EncodeTwin table_side(chain, stream.contract);
+      EncodeTwin call_side(chain, stream.contract);
+      ASSERT_EQ(table_side.deployed, call_side.deployed) << label;
+      if (!table_side.deployed) {
+        continue;  // YouTube on the AVM
+      }
+      CallTable table(&table_side.connector, table_side.accounts, stream.mix,
+                      table_side.contract_index);
+      for (uint64_t k = 0; k < kCalls; ++k) {
+        const SimTime time = Milliseconds(static_cast<int64_t>(3 * k));
+        InteractionSpec spec;
+        if (!stream.contract.empty()) {
+          const Invocation invocation = stream.mix.InvocationFor(k);
+          spec.type = InteractionSpec::Type::kInvoke;
+          spec.contract_index = call_side.contract_index;
+          spec.function = invocation.function;
+          spec.args = invocation.args;
+        }
+        const TxId expected = call_side.connector.Encode(spec, call_side.accounts, time);
+        ASSERT_EQ(table.Encode(k, time), expected) << label << " call " << k;
+        if (expected == kInvalidTx) {
+          break;  // RunStreams stops the run at the first invalid call
+        }
+      }
+      const TxStore& got = table_side.chain->context().txs();
+      const TxStore& want = call_side.chain->context().txs();
+      ASSERT_EQ(got.size(), want.size()) << label;
+      std::set<int> functions;
+      for (TxId id = 0; id < got.size(); ++id) {
+        const Transaction& a = got.at(id);
+        const Transaction& b = want.at(id);
+        EXPECT_EQ(a.account, b.account) << label << " tx " << id;
+        EXPECT_EQ(a.sequence, b.sequence) << label << " tx " << id;
+        EXPECT_EQ(a.contract, b.contract) << label << " tx " << id;
+        EXPECT_EQ(a.function, b.function) << label << " tx " << id;
+        EXPECT_EQ(a.size_bytes, b.size_bytes) << label << " tx " << id;
+        EXPECT_EQ(a.gas, b.gas) << label << " tx " << id;
+        EXPECT_EQ(a.submit_time, b.submit_time) << label << " tx " << id;
+        EXPECT_EQ(a.commit_time, b.commit_time) << label << " tx " << id;
+        EXPECT_EQ(a.read_only, b.read_only) << label << " tx " << id;
+        EXPECT_EQ(a.phase, b.phase) << label << " tx " << id;
+        EXPECT_EQ(a.exec_status, b.exec_status) << label << " tx " << id;
+        functions.insert(a.function);
+      }
+      if (stream.contract.empty()) {
+        continue;
+      }
+      CostOracle& got_oracle = table_side.chain->context().oracle();
+      CostOracle& want_oracle = call_side.chain->context().oracle();
+      for (const int function : functions) {
+        // Both sides measured these functions already; Profile returns what
+        // the first measurement recorded.
+        const std::string& name = got_oracle.FunctionName(table_side.contract_index, function);
+        const CallProfile& a = got_oracle.Profile(table_side.contract_index, name, {});
+        const CallProfile& b = want_oracle.Profile(call_side.contract_index, name, {});
+        EXPECT_EQ(a.status, b.status) << label << " " << name;
+        EXPECT_EQ(a.gas, b.gas) << label << " " << name;
+        EXPECT_EQ(a.ops, b.ops) << label << " " << name;
+        EXPECT_EQ(a.calldata_bytes, b.calldata_bytes) << label << " " << name;
+      }
+      if (stream.mix.name == "exchange") {
+        EXPECT_EQ(functions.size(), 5u) << label;
+      }
+    }
+  }
 }
 
 TEST(RunnerTest, QuickstartNativeRun) {
@@ -270,6 +416,58 @@ TEST(PrimaryTest, SpecUploadOutsideTheWireSizeFailsBeforeTheRun) {
     EXPECT_FALSE(result.unsupported) << function;
     EXPECT_EQ(result.report.submitted, 0u) << function;
   }
+}
+
+TEST(PrimaryTest, TraceRatesThatAreNotFiniteAndNonNegativeFailBeforeTheRun) {
+  // A NaN or negative rate, from the trace or from the scale, used to size
+  // the arrival vector from a negative or NaN total and abort the process
+  // with std::length_error. It now fails the run before anything is sized.
+  struct Case {
+    double tps;
+    double scale;
+  };
+  for (const Case c : {Case{std::nan(""), 1.0}, Case{-5, 1.0}, Case{100, -1.0},
+                       Case{100, std::nan("")}}) {
+    const RunResult result = RunNativeBenchmark("quorum", "testnet", c.tps, 10, 1, c.scale);
+    EXPECT_NE(result.failure_reason.find("trace rate"), std::string::npos)
+        << c.tps << " x " << c.scale << ": " << result.failure_reason;
+    EXPECT_EQ(result.report.submitted, 0u);
+    EXPECT_EQ(result.events_executed, 0u);
+  }
+  // One bad second among good ones is enough.
+  Trace trace = ConstantTrace(100, 10);
+  trace.tps[7] = -std::numeric_limits<double>::infinity();
+  BenchmarkSetup setup;
+  setup.chain = "quorum";
+  setup.deployment = "testnet";
+  Primary primary(setup);
+  const RunResult result = primary.RunNative(trace);
+  EXPECT_NE(result.failure_reason.find("at second 7"), std::string::npos)
+      << result.failure_reason;
+  EXPECT_EQ(result.report.submitted, 0u);
+}
+
+TEST(PrimaryTest, TraceTotalsBeyondTheTxIdRangeFailBeforeTheRun) {
+  // Every transaction needs a TxId below kInvalidTx. A finite total past
+  // that range used to cast to a meaningless count (1e30 TPS ran with no
+  // transactions) or try to reserve terabytes; it now fails up front.
+  for (const double tps : {1e10, 1e30, std::numeric_limits<double>::max()}) {
+    const RunResult result = RunNativeBenchmark("quorum", "testnet", tps, 60);
+    EXPECT_NE(result.failure_reason.find("exceeds the TxId range"), std::string::npos)
+        << tps << ": " << result.failure_reason;
+    EXPECT_EQ(result.report.submitted, 0u);
+  }
+  // Two streams that each fit can still overflow together.
+  std::vector<WorkStream> streams(2);
+  streams[0].trace = ConstantTrace(3e9, 1);
+  streams[1].trace = ConstantTrace(3e9, 1);
+  BenchmarkSetup setup;
+  setup.chain = "quorum";
+  setup.deployment = "testnet";
+  Primary primary(setup);
+  const RunResult result = primary.RunStreams(std::move(streams), "two");
+  EXPECT_NE(result.failure_reason.find("exceeds the TxId range"), std::string::npos)
+      << result.failure_reason;
 }
 
 TEST(PrimaryTest, MultiBehaviorSpecRunsEveryStream) {

@@ -5,7 +5,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "src/core/interface.h"
 #include "src/core/results.h"
@@ -181,6 +184,57 @@ TEST(SecondaryAccountingTest, SchedulesAndSubmitsEverything) {
   sim.RunUntil(Seconds(10));
   EXPECT_EQ(secondary.submitted(), 50u);
   EXPECT_EQ(secondary.behind_schedule(), 0u);
+}
+
+// Records what a Secondary triggers, in order.
+class RecordingClient : public BlockchainClient {
+ public:
+  explicit RecordingClient(std::vector<std::pair<SimTime, TxId>>* log) : log_(log) {}
+  void Trigger(TxId encoded, SimTime submit_time) override {
+    log_->emplace_back(submit_time, encoded);
+  }
+
+ private:
+  std::vector<std::pair<SimTime, TxId>>* log_;
+};
+
+TEST(SecondaryAccountingTest, SubmitsInTimeOrderWhateverTheAssignmentOrder) {
+  // Start sorts a schedule that is not strictly increasing, as two streams
+  // sharing a Secondary give it, and leaves a strictly increasing one as it
+  // is. Either way every transaction is triggered once, in time order.
+  Simulation sim(4);
+  std::vector<std::pair<SimTime, TxId>> log;
+  Secondary mixed(0, Region::kOhio, &sim, std::make_unique<RecordingClient>(&log));
+  const SimTime times[] = {Milliseconds(2500), Milliseconds(100), Milliseconds(1900),
+                           Milliseconds(100), Milliseconds(2400), Milliseconds(0)};
+  for (TxId id = 0; id < 6; ++id) {
+    mixed.Assign(times[id], id);
+  }
+  mixed.Start();
+  sim.RunUntil(Seconds(5));
+  ASSERT_EQ(log.size(), 6u);
+  for (size_t i = 1; i < log.size(); ++i) {
+    EXPECT_LE(log[i - 1].first, log[i].first) << "trigger " << i;
+  }
+  for (const auto& [time, id] : log) {
+    EXPECT_EQ(time, times[id]);
+  }
+
+  Simulation sim2(4);
+  std::vector<std::pair<SimTime, TxId>> sorted_log;
+  Secondary sorted(1, Region::kOhio, &sim2,
+                   std::make_unique<RecordingClient>(&sorted_log));
+  sorted.Reserve(4);
+  for (TxId id = 0; id < 4; ++id) {
+    sorted.Assign(Milliseconds(700 * static_cast<int64_t>(id)), id);
+  }
+  sorted.Start();
+  sim2.RunUntil(Seconds(5));
+  ASSERT_EQ(sorted_log.size(), 4u);
+  for (TxId id = 0; id < 4; ++id) {
+    EXPECT_EQ(sorted_log[id].second, id);
+  }
+  EXPECT_EQ(sorted.behind_schedule(), 0u);
 }
 
 }  // namespace

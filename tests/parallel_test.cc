@@ -126,6 +126,8 @@ TEST(ParallelRunnerTest, StatsAccumulateEvents) {
   runner.Run(std::move(cells));
   EXPECT_EQ(runner.stats().cells, 2u);
   EXPECT_EQ(runner.stats().total_events, 42u);
+  // The process's peak resident set, read when Run returns.
+  EXPECT_GT(runner.stats().peak_rss_mb, 0);
 }
 
 TEST(CellSeedTest, DistinctAndThreadIndependent) {
@@ -262,6 +264,7 @@ TEST(RunnerStatsTest, JsonRoundTripKeepsOtherBinaries) {
   first.cells = 24;
   first.wall_seconds = 1.5;
   first.total_events = 3000;
+  first.peak_rss_mb = 61.5;
   ASSERT_TRUE(WriteRunnerStatsJson(path, "fig3_scalability", first));
 
   RunnerStats second;
@@ -289,6 +292,7 @@ TEST(RunnerStatsTest, JsonRoundTripKeepsOtherBinaries) {
   EXPECT_EQ(fig3->GetNumber("jobs", 0), 4);
   EXPECT_EQ(table1->GetNumber("total_events", 0), 500);
   EXPECT_GT(fig3->GetNumber("events_per_second", -1), 0);
+  EXPECT_DOUBLE_EQ(fig3->GetNumber("peak_rss_mb", -1), 61.5);
   // The schema stamp is emitted exactly once, never duplicated by the
   // keep-other-entries pass.
   EXPECT_EQ(parsed.value.GetNumber("schema_version", -1), kRunnerStatsSchemaVersion);

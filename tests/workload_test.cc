@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/workload/arrival.h"
 #include "src/workload/dapps.h"
@@ -134,6 +137,45 @@ TEST(DappTest, ExchangeMixCoversAllStocks) {
   EXPECT_TRUE(functions.contains("buy_google"));
 }
 
+TEST(DappTest, FunctionMixNamesEachCallsFunction) {
+  // The exchange mix spreads its calls over five functions; the index
+  // Functions() gives a call names the function InvocationFor calls, one
+  // index per function.
+  const DappWorkload exchange = GetDappWorkload("exchange");
+  const FunctionMix mix = exchange.Functions();
+  ASSERT_EQ(mix.count(), 5u);
+  std::vector<std::string> names(mix.count());
+  for (uint64_t i = 0; i < 2000; ++i) {
+    const size_t index = mix.IndexFor(i);
+    ASSERT_LT(index, mix.count());
+    const std::string function = exchange.InvocationFor(i).function;
+    if (names[index].empty()) {
+      names[index] = function;
+    }
+    EXPECT_EQ(names[index], function) << "call " << i;
+  }
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(), 5u);
+  // Every other workload, each stock burst and any fixed invocation call one
+  // function.
+  std::vector<DappWorkload> single;
+  for (const char* name : {"dota", "fifa", "uber", "youtube"}) {
+    single.push_back(GetDappWorkload(name));
+  }
+  DappWorkload stock = exchange;
+  stock.name = "apple";
+  single.push_back(stock);
+  DappWorkload fixed = exchange;
+  fixed.fixed = Invocation{"buy_google", {}};
+  single.push_back(fixed);
+  for (const DappWorkload& dapp : single) {
+    const FunctionMix one = dapp.Functions();
+    EXPECT_EQ(one.count(), 1u) << dapp.name;
+    for (uint64_t i = 0; i < 100; ++i) {
+      EXPECT_EQ(one.IndexFor(i), 0u) << dapp.name;
+    }
+  }
+}
+
 TEST(DappTest, FixedInvocationOverrides) {
   DappWorkload dapp = GetDappWorkload("dota");
   dapp.fixed = Invocation{"update", {2, 3}};
@@ -171,6 +213,28 @@ TEST(ArrivalTest, FractionalRatesAccumulate) {
   const Trace trace = ConstantTrace(0.5, 10);
   const auto arrivals = ExpandArrivals(trace, ArrivalProcess::kUniform, nullptr);
   EXPECT_EQ(arrivals.size(), 5u);
+}
+
+TEST(ArrivalTest, ExpansionsComeOutSorted) {
+  // ExpandArrivals promises ascending times without sorting them: every
+  // DApp trace, every NASDAQ stock burst and a seeded Poisson expansion.
+  std::vector<Trace> traces;
+  for (const std::string& name : AllDappNames()) {
+    traces.push_back(GetDappWorkload(name).trace);
+  }
+  for (const char* stock : {"google", "amazon", "facebook", "microsoft", "apple"}) {
+    traces.push_back(NasdaqStockTrace(stock));
+  }
+  for (const Trace& trace : traces) {
+    const auto arrivals = ExpandArrivals(trace, ArrivalProcess::kUniform, nullptr);
+    EXPECT_FALSE(arrivals.empty()) << trace.name;
+    EXPECT_TRUE(std::is_sorted(arrivals.begin(), arrivals.end())) << trace.name;
+  }
+  Rng rng(17);
+  const auto poisson =
+      ExpandArrivals(UberTrace().Scaled(3.0), ArrivalProcess::kPoisson, &rng);
+  EXPECT_GT(poisson.size(), 300000u);
+  EXPECT_TRUE(std::is_sorted(poisson.begin(), poisson.end()));
 }
 
 TEST(ArrivalTest, PoissonTotalsApproximate) {
