@@ -1,5 +1,5 @@
 // Micro benchmarks (google-benchmark) for the substrates: event loop
-// throughput, network delay sampling, SHA-256, Merkle trees, VM execution
+// throughput, network delay sampling, SHA-256, VM execution
 // per dialect, mempool operations, block assembly, the vote-round and
 // broadcast kernels, trace generation and YAML parsing.
 #include <benchmark/benchmark.h>
@@ -16,7 +16,6 @@
 #include "src/config/yaml.h"
 #include "src/contracts/contracts.h"
 #include "src/core/parallel_runner.h"
-#include "src/crypto/merkle.h"
 #include "src/crypto/sha256.h"
 #include "src/net/deployment.h"
 #include "src/net/network.h"
@@ -94,18 +93,6 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(65536);
-
-void BM_MerkleRoot(benchmark::State& state) {
-  std::vector<Digest256> leaves;
-  for (int64_t i = 0; i < state.range(0); ++i) {
-    leaves.push_back(Sha256Digest(std::string("tx") + std::to_string(i)));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MerkleRoot(leaves));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_MerkleRoot)->Arg(64)->Arg(1024);
 
 void BM_VmCounterAdd(benchmark::State& state) {
   const Program program = CompileContract(*FindContract("counter"));

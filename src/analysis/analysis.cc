@@ -19,7 +19,7 @@ TimeSeries LoadedResults::CommittedPerSecond() const {
   TimeSeries series;
   for (const TxRecord& tx : transactions) {
     if (tx.status == "committed" && tx.commit >= 0) {
-      series.Add(tx.commit, 1.0);
+      series.Add(tx.commit);
     }
   }
   return series;

@@ -147,26 +147,22 @@ void Mempool::CompactRingIfNeeded() {
   ring_.resize(out);
 }
 
-void Mempool::Requeue(const std::vector<TxId>& txs, const std::vector<uint32_t>& signers,
-                      const std::vector<SimTime>& ingress,
-                      const std::vector<SimTime>& ready) {
-  for (size_t i = 0; i < txs.size(); ++i) {
-    if (config_.per_signer_cap > 0) {
-      if (static_cast<size_t>(signers[i]) >= signer_counts_.size()) {
-        signer_counts_.resize(static_cast<size_t>(signers[i]) + 1, 0);
-      }
-      ++signer_counts_[signers[i]];
+void Mempool::Requeue(TxId id, uint32_t signer, SimTime ingress, SimTime ready) {
+  if (config_.per_signer_cap > 0) {
+    if (static_cast<size_t>(signer) >= signer_counts_.size()) {
+      signer_counts_.resize(static_cast<size_t>(signer) + 1, 0);
     }
-    EnsureTx(txs[i]);
-    state_[txs[i]] = kLive;
-    ingress_[txs[i]] = ingress[i];
-    signer_of_[txs[i]] = signers[i];
-    HeapPush(HeapEntry{ready[i], txs[i]});
-    if (config_.evict_on_full) {
-      ring_.push_back(txs[i]);
-    }
-    ++live_count_;
+    ++signer_counts_[signer];
   }
+  EnsureTx(id);
+  state_[id] = kLive;
+  ingress_[id] = ingress;
+  signer_of_[id] = signer;
+  HeapPush(HeapEntry{ready, id});
+  if (config_.evict_on_full) {
+    ring_.push_back(id);
+  }
+  ++live_count_;
   CheckConsistencySampled();
 }
 

@@ -75,13 +75,12 @@ class Mempool {
   // cumulative gas / wire size stay within `gas_budget` / `byte_budget`
   // (0 = unlimited), oldest first, appending them to *taken. Expired entries
   // encountered along the way are appended to *expired. `gas_of` /
-  // `bytes_of` map TxId to cost. Output containers only need push_back
-  // (std::vector, ArenaVector, ...); neither is cleared first, so callers
+  // `bytes_of` map TxId to cost. Neither output is cleared first, so callers
   // can accumulate straight into long-lived storage.
-  template <typename GasFn, typename BytesFn, typename TakenOut, typename ExpiredOut>
+  template <typename GasFn, typename BytesFn>
   void TakeReady(SimTime now, int64_t gas_budget, int64_t byte_budget,
                  size_t max_txs, GasFn gas_of, BytesFn bytes_of,
-                 TakenOut* taken, ExpiredOut* expired);
+                 std::vector<TxId>* taken, std::vector<TxId>* expired);
 
   // Convenience wrapper returning the taken batch as a fresh vector.
   template <typename GasFn, typename BytesFn>
@@ -89,10 +88,10 @@ class Mempool {
                               size_t max_txs, GasFn gas_of, BytesFn bytes_of,
                               std::vector<TxId>* expired);
 
-  // Returns transactions to the pool (leader failure / fork), preserving
-  // their readiness times.
-  void Requeue(const std::vector<TxId>& txs, const std::vector<uint32_t>& signers,
-               const std::vector<SimTime>& ingress, const std::vector<SimTime>& ready);
+  // Returns a transaction taken earlier to the pool (leader failure, fork,
+  // censorship), with its signer and ingress time; it becomes takeable
+  // again at `ready`.
+  void Requeue(TxId id, uint32_t signer, SimTime ingress, SimTime ready);
 
   size_t size() const { return live_count_; }
   uint64_t admitted() const { return admitted_; }
@@ -189,10 +188,10 @@ class Mempool {
   DIABLO_CHECKED_ONLY(uint64_t check_tick_ = 0;)
 };
 
-template <typename GasFn, typename BytesFn, typename TakenOut, typename ExpiredOut>
+template <typename GasFn, typename BytesFn>
 void Mempool::TakeReady(SimTime now, int64_t gas_budget, int64_t byte_budget,
                         size_t max_txs, GasFn gas_of, BytesFn bytes_of,
-                        TakenOut* taken, ExpiredOut* expired) {
+                        std::vector<TxId>* taken, std::vector<TxId>* expired) {
   int64_t gas = 0;
   int64_t bytes = 0;
   size_t taken_count = 0;

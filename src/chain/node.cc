@@ -101,16 +101,21 @@ void ChainContext::SetCensoredSigners(std::vector<uint32_t> signers) {
   std::sort(censored_signers_.begin(), censored_signers_.end());
 }
 
-void ChainContext::ApplyVoteAdversaries(std::vector<SimDuration>* delays) {
+void ChainContext::ApplyVoteAdversaries(std::vector<SimDuration>* delays,
+                                        const std::vector<uint32_t>* members) {
   if (!validators_.AnyAdversary()) {
     return;
   }
-  for (size_t node = 0; node < delays->size(); ++node) {
+  const size_t count = members == nullptr
+                           ? delays->size()
+                           : std::min(delays->size(), members->size());
+  for (size_t pos = 0; pos < count; ++pos) {
+    const size_t node = members == nullptr ? pos : (*members)[pos];
     const uint8_t bits = validators_.Adversary(static_cast<int>(node));
     if (bits == 0) {
       continue;
     }
-    SimDuration& delay = (*delays)[node];
+    SimDuration& delay = (*delays)[pos];
     if (delay == kUnreachable) {
       continue;  // already down or partitioned; nothing left to withhold
     }
@@ -125,30 +130,6 @@ void ChainContext::ApplyVoteAdversaries(std::vector<SimDuration>* delays) {
   }
 }
 
-void ChainContext::ApplyVoteAdversaries(std::vector<SimDuration>* delays,
-                                        const std::vector<uint32_t>& members) {
-  if (!validators_.AnyAdversary()) {
-    return;
-  }
-  const size_t count = std::min(delays->size(), members.size());
-  for (size_t pos = 0; pos < count; ++pos) {
-    const uint8_t bits = validators_.Adversary(static_cast<int>(members[pos]));
-    if (bits == 0) {
-      continue;
-    }
-    SimDuration& delay = (*delays)[pos];
-    if (delay == kUnreachable) {
-      continue;
-    }
-    if ((bits & kAdversaryWithhold) != 0) {
-      delay = kUnreachable;
-      ++stats_.votes_withheld;
-    } else if ((bits & kAdversaryDoubleVote) != 0) {
-      ++stats_.double_votes_seen;
-    }
-  }
-}
-
 void ChainContext::AbandonBlock(const BuiltBlock& built, SimTime now) {
   ++stats_.blocks_abandoned;
   if (built.tx_count == 0) {
@@ -157,18 +138,10 @@ void ChainContext::AbandonBlock(const BuiltBlock& built, SimTime now) {
   DIABLO_CHECK(static_cast<size_t>(built.tx_begin) + built.tx_count <=
                    block_txs_.size(),
                "abandoned block's (tx_begin, tx_count) range escapes the block-tx pool");
-  abandon_ids_.clear();
-  abandon_signers_.clear();
-  abandon_ingress_.clear();
-  abandon_ready_.clear();
   for (const TxId id : BlockTxs(built)) {
     const Transaction& tx = txs_.at(id);
-    abandon_ids_.push_back(id);
-    abandon_signers_.push_back(tx.account);
-    abandon_ingress_.push_back(tx.submit_time);
-    abandon_ready_.push_back(now);
+    mempool_.Requeue(id, tx.account, tx.submit_time, now);
   }
-  mempool_.Requeue(abandon_ids_, abandon_signers_, abandon_ingress_, abandon_ready_);
 }
 
 void ChainContext::RequeueBlockTail(BuiltBlock* built, uint32_t keep,
@@ -179,20 +152,11 @@ void ChainContext::RequeueBlockTail(BuiltBlock* built, uint32_t keep,
   if (keep >= built->tx_count) {
     return;
   }
-  abandon_ids_.clear();
-  abandon_signers_.clear();
-  abandon_ingress_.clear();
-  abandon_ready_.clear();
   for (size_t i = static_cast<size_t>(built->tx_begin) + keep;
        i < block_txs_.size(); ++i) {
-    const TxId id = block_txs_[i];
-    const Transaction& tx = txs_.at(id);
-    abandon_ids_.push_back(id);
-    abandon_signers_.push_back(tx.account);
-    abandon_ingress_.push_back(tx.submit_time);
-    abandon_ready_.push_back(now);
+    const Transaction& tx = txs_.at(block_txs_[i]);
+    mempool_.Requeue(block_txs_[i], tx.account, tx.submit_time, now);
   }
-  mempool_.Requeue(abandon_ids_, abandon_signers_, abandon_ingress_, abandon_ready_);
   block_txs_.resize(static_cast<size_t>(built->tx_begin) + keep);
   built->tx_count = keep;
   built->gas = 0;
@@ -245,21 +209,20 @@ ChainContext::BuiltBlock ChainContext::BuildBlock(SimTime now, int proposer) {
   }
 
   // Taken ids go straight into the context's flat block-tx pool; the
-  // expired batch is per-block scratch served from the arena. With both
-  // pre-sized, drafting a block performs no heap allocation.
-  scratch_arena_.Reset();
-  ArenaVector<TxId> expired(&scratch_arena_);
+  // expired batch goes to a reused scratch vector. With both warm,
+  // drafting a block performs no heap allocation.
+  expired_.clear();
   built.tx_begin = static_cast<uint32_t>(block_txs_.size());
   const TxStore& txs = txs_;
   mempool_.TakeReady(
       now, gas_limit, params_.max_block_bytes, max_txs,
       [&txs](TxId id) { return txs.at(id).gas; },
       [&txs](TxId id) { return static_cast<int64_t>(txs.at(id).size_bytes); },
-      &block_txs_, &expired);
+      &block_txs_, &expired_);
   built.tx_count = static_cast<uint32_t>(block_txs_.size()) - built.tx_begin;
   DIABLO_CHECK(built.tx_count <= max_txs,
                "TakeReady returned more transactions than the block's cap");
-  for (const TxId id : expired) {
+  for (const TxId id : expired_) {
     ++stats_.txs_expired;
     DropTx(id);
   }
@@ -271,10 +234,6 @@ ChainContext::BuiltBlock ChainContext::BuildBlock(SimTime now, int proposer) {
   if (!censored_signers_.empty() && built.tx_count > 0 &&
       (validators_.Adversary(proposer) & kAdversaryCensor) != 0 &&
       !NodeDown(proposer)) {
-    abandon_ids_.clear();
-    abandon_signers_.clear();
-    abandon_ingress_.clear();
-    abandon_ready_.clear();
     size_t write = built.tx_begin;
     for (size_t i = built.tx_begin; i < block_txs_.size(); ++i) {
       const TxId id = block_txs_[i];
@@ -282,20 +241,13 @@ ChainContext::BuiltBlock ChainContext::BuildBlock(SimTime now, int proposer) {
       if (std::binary_search(censored_signers_.begin(), censored_signers_.end(),
                              tx.account)) {
         ++stats_.txs_censored;
-        abandon_ids_.push_back(id);
-        abandon_signers_.push_back(tx.account);
-        abandon_ingress_.push_back(tx.submit_time);
-        abandon_ready_.push_back(now);
+        mempool_.Requeue(id, tx.account, tx.submit_time, now);
       } else {
         block_txs_[write++] = id;
       }
     }
-    if (!abandon_ids_.empty()) {
-      block_txs_.resize(write);
-      built.tx_count = static_cast<uint32_t>(write) - built.tx_begin;
-      mempool_.Requeue(abandon_ids_, abandon_signers_, abandon_ingress_,
-                       abandon_ready_);
-    }
+    block_txs_.resize(write);
+    built.tx_count = static_cast<uint32_t>(write) - built.tx_begin;
   }
 
   for (const TxId id : BlockTxs(built)) {
@@ -393,9 +345,6 @@ void ChainContext::FinalizeBlock(uint64_t height, int proposer, BuiltBlock&& bui
       tx.phase = TxPhase::kAborted;
     }
     tx.commit_time = commit_time;
-    if (on_tx_complete) {
-      on_tx_complete(id);
-    }
   }
   ledger_.Append(block);
 }
@@ -407,9 +356,6 @@ void ChainContext::DropTx(TxId id, VmStatus reason) {
     tx.exec_status = reason;
   }
   ++stats_.txs_dropped;
-  if (on_tx_complete) {
-    on_tx_complete(id);
-  }
 }
 
 }  // namespace diablo

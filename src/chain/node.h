@@ -1,12 +1,11 @@
 // ChainContext: everything one simulated blockchain deployment owns — the
 // node hosts, the shared transaction arena, the distributed mempool, the
 // ledger — plus the helpers consensus engines use to build, finalize and
-// account blocks. ConsensusEngine is the strategy interface the six
+// account blocks. ConsensusEngine is the strategy interface the seven
 // protocol simulators implement.
 #ifndef SRC_CHAIN_NODE_H_
 #define SRC_CHAIN_NODE_H_
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -22,7 +21,6 @@
 #include "src/net/deployment.h"
 #include "src/net/network.h"
 #include "src/sim/simulation.h"
-#include "src/support/arena.h"
 
 namespace diablo {
 
@@ -195,9 +193,6 @@ class ChainContext {
   bool ProposerEquivocates(int node) const {
     return (AdversaryBits(node) & kAdversaryEquivocate) != 0 && !NodeDown(node);
   }
-  bool VoteWithheld(int node) const {
-    return (AdversaryBits(node) & kAdversaryWithhold) != 0 && !NodeDown(node);
-  }
 
   // Detection bookkeeping: one conflicting-proposal pair witnessed.
   void RecordEquivocation() { ++stats_.equivocations_seen; }
@@ -207,12 +202,11 @@ class ChainContext {
   // (the quorum kernels then exclude them), double-voters are counted as
   // evidence — the duplicate vote itself is discarded, so it never helps a
   // quorum. Early-outs when no adversary is armed; entries already
-  // kUnreachable (down / partitioned) are left untouched.
-  void ApplyVoteAdversaries(std::vector<SimDuration>* delays);
-  // Committee-sampled variant (Algorand's large-N path): `delays` is indexed
-  // by committee position, `members` maps positions to node indices.
+  // kUnreachable (down / partitioned) are left untouched. With `members`
+  // (Algorand's committee-sampled large-N path), `delays` is indexed by
+  // committee position and `members` maps positions to node indices.
   void ApplyVoteAdversaries(std::vector<SimDuration>* delays,
-                            const std::vector<uint32_t>& members);
+                            const std::vector<uint32_t>* members = nullptr);
 
   // --- engine helpers -----------------------------------------------------
   // Transaction ids of drafted blocks live in one flat append-only pool on
@@ -271,9 +265,6 @@ class ChainContext {
   // Leader-side pending-set management cost at the current pool size.
   SimDuration PoolScanTime() const;
 
-  // Completion hook: fired once per transaction when it commits or drops.
-  std::function<void(TxId)> on_tx_complete;
-
  private:
   Simulation* sim_;
   Network* net_;
@@ -292,14 +283,10 @@ class ChainContext {
   std::vector<uint32_t> arrivals_per_second_;
   // Flat pool of every drafted block's transaction ids (see BuiltBlock).
   std::vector<TxId> block_txs_;
-  // Per-block scratch (expired batches); reset at the top of BuildBlock.
-  Arena scratch_arena_;
+  // BuildBlock's expired batch; cleared per block, so after the first
+  // blocks it keeps its capacity and drafting allocates nothing.
+  std::vector<TxId> expired_;
   MessagePlaneScratch plane_;
-  // Reusable AbandonBlock staging (cleared per call, warm across rounds).
-  std::vector<TxId> abandon_ids_;
-  std::vector<uint32_t> abandon_signers_;
-  std::vector<SimTime> abandon_ingress_;
-  std::vector<SimTime> abandon_ready_;
   // Sorted signer ids the active censorship window targets; empty otherwise.
   std::vector<uint32_t> censored_signers_;
   // Checked build: commit-safety witness — FinalizeBlock asserts no two

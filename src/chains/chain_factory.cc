@@ -8,7 +8,6 @@
 #include "src/consensus/dbft.h"
 #include "src/consensus/hotstuff.h"
 #include "src/consensus/ibft.h"
-#include "src/consensus/raft.h"
 #include "src/consensus/solana.h"
 
 namespace diablo {
@@ -19,11 +18,8 @@ std::unique_ptr<ConsensusEngine> MakeEngine(ChainContext* ctx) {
   if (consensus == "Clique") {
     return std::make_unique<CliqueEngine>(ctx);
   }
-  if (consensus == "IBFT" || consensus == "QBFT") {
+  if (consensus == "IBFT") {
     return std::make_unique<IbftEngine>(ctx);
-  }
-  if (consensus == "Raft") {
-    return std::make_unique<RaftEngine>(ctx);
   }
   if (consensus == "DBFT") {
     return std::make_unique<DbftEngine>(ctx);

@@ -274,4 +274,31 @@ class Parser {
 
 JsonResult ParseJson(std::string_view text) { return Parser(text).Run(); }
 
+void AppendJsonString(std::string_view s, std::string* out) {
+  out->push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out->append(StrFormat("\\u%04x", static_cast<unsigned>(c)));
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
 }  // namespace diablo

@@ -46,6 +46,11 @@ struct JsonResult {
 
 JsonResult ParseJson(std::string_view text);
 
+// Appends `s` to *out as a quoted JSON string (RFC 8259): quotes and
+// backslashes escaped, newline and tab by name, every other byte below 0x20
+// as \u00XX. Bytes from 0x20 up pass through unchanged.
+void AppendJsonString(std::string_view s, std::string* out);
+
 }  // namespace diablo
 
 #endif  // SRC_CONFIG_JSON_H_

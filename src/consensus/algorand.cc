@@ -126,7 +126,7 @@ void AlgorandEngine::Round() {
       }
       // `times` is committee-position-indexed; map positions back to node
       // ids to find the withholding members.
-      ctx_->ApplyVoteAdversaries(&times, committee);
+      ctx_->ApplyVoteAdversaries(&times, &committee);
       const size_t threshold = std::max<size_t>(
           1, static_cast<size_t>(
                  std::ceil(0.685 * static_cast<double>(committee.size()))));

@@ -39,9 +39,6 @@ class SimClient : public BlockchainClient {
     if (tx.exec_status != VmStatus::kOk) {
       tx.phase = TxPhase::kAborted;
       tx.commit_time = submit_time + Milliseconds(50);
-      if (ctx.on_tx_complete) {
-        ctx.on_tx_complete(encoded);
-      }
       return;
     }
 
@@ -73,9 +70,6 @@ class SimClient : public BlockchainClient {
       }
       tx.phase = TxPhase::kCommitted;
       tx.commit_time = submit_time + delay + exec + back;
-      if (ctx.on_tx_complete) {
-        ctx.on_tx_complete(encoded);
-      }
       return;
     }
 

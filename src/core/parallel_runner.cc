@@ -89,75 +89,44 @@ uint64_t CellSeed(uint64_t base_seed, uint64_t cell_index) {
 
 namespace {
 
-void AppendJson(const JsonValue& value, std::ostringstream* out);
-
-void AppendJsonString(const std::string& s, std::ostringstream* out) {
-  *out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out << "\\\"";
-        break;
-      case '\\':
-        *out << "\\\\";
-        break;
-      case '\n':
-        *out << "\\n";
-        break;
-      case '\t':
-        *out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out << buf;
-        } else {
-          *out << c;
-        }
-    }
-  }
-  *out << '"';
-}
-
-void AppendJson(const JsonValue& value, std::ostringstream* out) {
+void AppendJson(const JsonValue& value, std::string* out) {
   switch (value.type) {
     case JsonValue::Type::kNull:
-      *out << "null";
+      out->append("null");
       break;
     case JsonValue::Type::kBool:
-      *out << (value.boolean ? "true" : "false");
+      out->append(value.boolean ? "true" : "false");
       break;
     case JsonValue::Type::kNumber: {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%.17g", value.number);
-      *out << buf;
+      out->append(buf);
       break;
     }
     case JsonValue::Type::kString:
       AppendJsonString(value.string, out);
       break;
     case JsonValue::Type::kArray:
-      *out << '[';
+      out->push_back('[');
       for (size_t i = 0; i < value.items.size(); ++i) {
         if (i > 0) {
-          *out << ',';
+          out->push_back(',');
         }
         AppendJson(value.items[i], out);
       }
-      *out << ']';
+      out->push_back(']');
       break;
     case JsonValue::Type::kObject:
-      *out << '{';
+      out->push_back('{');
       for (size_t i = 0; i < value.members.size(); ++i) {
         if (i > 0) {
-          *out << ',';
+          out->push_back(',');
         }
         AppendJsonString(value.members[i].first, out);
-        *out << ':';
+        out->push_back(':');
         AppendJson(value.members[i].second, out);
       }
-      *out << '}';
+      out->push_back('}');
       break;
   }
 }
@@ -199,9 +168,9 @@ bool WriteRunnerJsonEntry(const std::string& path, const std::string& key,
           if (existing == key || existing == "schema_version") {
             continue;
           }
-          std::ostringstream serialized;
+          std::string serialized;
           AppendJson(value, &serialized);
-          entries.emplace_back(existing, serialized.str());
+          entries.emplace_back(existing, std::move(serialized));
         }
       }
     }
@@ -215,9 +184,9 @@ bool WriteRunnerJsonEntry(const std::string& path, const std::string& key,
   out << "{\n";
   out << "  \"schema_version\": " << kRunnerStatsSchemaVersion << ",\n";
   for (size_t i = 0; i < entries.size(); ++i) {
-    std::ostringstream key;
-    AppendJsonString(entries[i].first, &key);
-    out << "  " << key.str() << ": " << entries[i].second;
+    std::string quoted_key;
+    AppendJsonString(entries[i].first, &quoted_key);
+    out << "  " << quoted_key << ": " << entries[i].second;
     out << (i + 1 < entries.size() ? ",\n" : "\n");
   }
   out << "}\n";

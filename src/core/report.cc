@@ -26,7 +26,7 @@ Report BuildReport(const TxStore& txs, SimTime horizon, std::string chain,
       continue;  // never submitted
     }
     ++report.submitted;
-    report.submitted_per_second.Add(ToSeconds(tx.submit_time), 1.0);
+    report.submitted_per_second.Add(ToSeconds(tx.submit_time));
     switch (tx.phase) {
       case TxPhase::kCommitted:
         if (tx.commit_time <= horizon) {
@@ -34,7 +34,7 @@ Report BuildReport(const TxStore& txs, SimTime horizon, std::string chain,
           last_commit = std::max(last_commit, tx.commit_time);
           const double latency = tx.LatencySeconds();
           report.latencies.Add(latency);
-          report.committed_per_second.Add(ToSeconds(tx.commit_time), 1.0);
+          report.committed_per_second.Add(ToSeconds(tx.commit_time));
         } else {
           ++report.pending;
         }

@@ -2,30 +2,27 @@
 
 #include <fstream>
 
+#include "src/config/json.h"
 #include "src/support/strings.h"
 #include "src/vm/interpreter.h"
 
 namespace diablo {
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
+// Appends `"key": "value", ` with the value quoted as a JSON string.
+void AppendStringField(const char* key, const std::string& value, std::string* out) {
+  *out += StrFormat("\"%s\": ", key);
+  AppendJsonString(value, out);
+  *out += ", ";
 }
 
 }  // namespace
 
 std::string ReportToJson(const Report& report) {
   std::string out = "{";
-  out += StrFormat("\"chain\": \"%s\", ", JsonEscape(report.chain).c_str());
-  out += StrFormat("\"deployment\": \"%s\", ", JsonEscape(report.deployment).c_str());
-  out += StrFormat("\"workload\": \"%s\", ", JsonEscape(report.workload).c_str());
+  AppendStringField("chain", report.chain, &out);
+  AppendStringField("deployment", report.deployment, &out);
+  AppendStringField("workload", report.workload, &out);
   out += StrFormat("\"duration_s\": %.1f, ", report.workload_duration);
   out += StrFormat("\"submitted\": %zu, ", report.submitted);
   out += StrFormat("\"committed\": %zu, ", report.committed);

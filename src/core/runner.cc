@@ -1,6 +1,7 @@
 #include "src/core/runner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 #include "src/support/strings.h"
@@ -60,7 +61,7 @@ double ScaleFromEnv() {
     return 1.0;
   }
   double value = 1.0;
-  if (!ParseDouble(raw, &value) || value <= 0.0) {
+  if (!ParseDouble(raw, &value) || !std::isfinite(value) || value <= 0.0) {
     return 1.0;
   }
   return std::min(value, 1.0);

@@ -28,7 +28,8 @@ RunResult RunFaultBenchmark(const std::string& chain, const std::string& deploym
                             double scale = 1.0);
 
 // Reads DIABLO_SCALE from the environment (default 1.0, clamped to
-// (0, 1]); the bench binaries use it to shrink the heaviest workloads.
+// (0, 1]; a value that does not parse, is not finite or is not positive
+// reads as 1.0); the bench binaries use it to shrink the heaviest workloads.
 double ScaleFromEnv();
 
 }  // namespace diablo

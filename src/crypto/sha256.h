@@ -1,6 +1,7 @@
-// SHA-256, implemented from scratch (FIPS 180-4). Used for block hashes,
-// Merkle trees and the sortition "VRF" — everywhere the simulated chains
-// need a real collision-resistant digest.
+// SHA-256, implemented from scratch (FIPS 180-4). Used for the sortition
+// "VRF" and, in checked builds, the ledger's parent-hash chain and the
+// commit-safety digest — everywhere the simulated chains need a real
+// collision-resistant digest.
 #ifndef SRC_CRYPTO_SHA256_H_
 #define SRC_CRYPTO_SHA256_H_
 

@@ -17,15 +17,4 @@ SignatureCost CostOf(SignatureScheme scheme) {
   return SignatureCost{Microseconds(100), Microseconds(100), 64};
 }
 
-Signature Sign(uint64_t key, std::string_view message) {
-  Sha256 hasher;
-  hasher.Update(&key, sizeof(key));
-  hasher.Update(message);
-  return Signature{hasher.Finish()};
-}
-
-bool Verify(uint64_t key, std::string_view message, const Signature& sig) {
-  return Sign(key, message).tag == sig.tag;
-}
-
 }  // namespace diablo

@@ -4,15 +4,12 @@
 // adversary model of the benchmark is load, not forgery — but it does need
 // their *cost*: signing burns client CPU (diablo pre-signs transactions) and
 // verification burns validator CPU. §5.2 recounts Avalanche's RSA4096
-// signing being too slow at scale, which this model reproduces. Tags are
-// SHA-256-based so that verification is a real check in tests.
+// signing being too slow at scale, which this model reproduces.
 #ifndef SRC_CRYPTO_SIGNATURE_H_
 #define SRC_CRYPTO_SIGNATURE_H_
 
 #include <cstdint>
-#include <string_view>
 
-#include "src/crypto/sha256.h"
 #include "src/support/time.h"
 
 namespace diablo {
@@ -32,16 +29,6 @@ struct SignatureCost {
 
 // Cost of the scheme on one reference vCPU.
 SignatureCost CostOf(SignatureScheme scheme);
-
-struct Signature {
-  Digest256 tag;
-};
-
-// "Signs" the message under the (secret, public) = (key, key) toy keypair.
-Signature Sign(uint64_t key, std::string_view message);
-
-// Checks a tag produced by Sign with the same key and message.
-bool Verify(uint64_t key, std::string_view message, const Signature& sig);
 
 }  // namespace diablo
 

@@ -149,13 +149,6 @@ double SortitionDraw(uint64_t seed, uint64_t round, uint64_t step, uint64_t part
   return static_cast<double>(prefix >> 11) * 0x1.0p-53;
 }
 
-std::vector<uint32_t> SelectCommittee(uint64_t seed, uint64_t round, uint64_t step,
-                                      uint32_t population, double expected) {
-  std::vector<uint32_t> committee;
-  SelectCommitteeInto(seed, round, step, population, expected, &committee);
-  return committee;
-}
-
 void SelectCommitteeInto(uint64_t seed, uint64_t round, uint64_t step,
                          uint32_t population, double expected,
                          std::vector<uint32_t>* committee) {

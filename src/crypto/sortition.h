@@ -17,12 +17,9 @@ namespace diablo {
 double SortitionDraw(uint64_t seed, uint64_t round, uint64_t step, uint64_t participant);
 
 // Selects a committee of expected size `expected` from `population`
-// equally-weighted participants. Returns the selected participant indices.
-std::vector<uint32_t> SelectCommittee(uint64_t seed, uint64_t round, uint64_t step,
-                                      uint32_t population, double expected);
-
-// SelectCommittee into a caller-owned vector (cleared first), so per-round
-// selection reuses one allocation.
+// equally-weighted participants into a caller-owned vector (cleared first,
+// then filled with the selected participant indices in ascending order), so
+// per-round selection reuses one allocation.
 void SelectCommitteeInto(uint64_t seed, uint64_t round, uint64_t step,
                          uint32_t population, double expected,
                          std::vector<uint32_t>* committee);

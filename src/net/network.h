@@ -125,7 +125,6 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   HostId AddHost(Region region);
-  Region HostRegion(HostId host) const { return regions_[host]; }
   size_t host_count() const { return regions_.size(); }
 
   // Samples a one-way delay for `bytes` from `from` to `to`. Returns

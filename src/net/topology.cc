@@ -81,12 +81,4 @@ const LinkParams* Topology::LinkTable() {
   return kTable;
 }
 
-SimDuration Topology::PropagationDelay(Region a, Region b) {
-  return Link(a, b).propagation;
-}
-
-SimDuration Topology::TransmissionDelay(Region a, Region b, int64_t bytes) {
-  return TransmissionDelayOn(Link(a, b), bytes);
-}
-
 }  // namespace diablo

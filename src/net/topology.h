@@ -26,20 +26,14 @@ class Topology {
   // Available bandwidth between two regions in Mbps.
   static double BandwidthMbps(Region a, Region b);
 
-  // One-way propagation delay (RTT / 2).
-  static SimDuration PropagationDelay(Region a, Region b);
-
-  // Time to push `bytes` through the (a, b) link.
-  static SimDuration TransmissionDelay(Region a, Region b, int64_t bytes);
-
-  // Flat-table lookup of the (a, b) link, symmetric in its arguments.
+  // Flat-table lookup of the (a, b) link, symmetric in its arguments; its
+  // propagation is the one-way delay (RTT / 2).
   static const LinkParams& Link(Region a, Region b) {
     return LinkTable()[static_cast<size_t>(a) * kRegionCount +
                        static_cast<size_t>(b)];
   }
 
-  // Transmission delay computed from cached LinkParams; bit-identical to
-  // TransmissionDelay (same operations on the same doubles).
+  // Time to push `bytes` through a link.
   static SimDuration TransmissionDelayOn(const LinkParams& link, int64_t bytes) {
     return static_cast<SimDuration>(static_cast<double>(bytes) * 8.0 /
                                     link.bandwidth_bps *

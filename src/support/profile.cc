@@ -20,8 +20,6 @@ std::atomic<uint64_t> g_vote_rounds{0};
 std::atomic<uint64_t> g_vote_receivers{0};
 std::atomic<uint64_t> g_sortition_draws{0};
 std::atomic<uint64_t> g_vm_ops{0};
-std::atomic<int64_t> g_arena_live{0};
-std::atomic<int64_t> g_arena_hwm{0};
 
 // detlint: allow(D2, profiling layer: wall time feeds only the stderr summary, never simulation state)
 const std::chrono::steady_clock::time_point g_start = std::chrono::steady_clock::now();
@@ -34,13 +32,13 @@ void PrintSummary() {
   std::fprintf(stderr,
                "[profile] events=%" PRIu64 " arrivals=%" PRIu64 " vote_rounds=%" PRIu64
                " vote_receivers=%" PRIu64 " sortition_draws=%" PRIu64 " vm_ops=%" PRIu64
-               " wall=%.2fs rss_peak=%" PRId64 "B arena_hwm=%" PRId64 "B\n",
+               " wall=%.2fs rss_peak=%" PRId64 "B\n",
                totals.events, totals.arrivals, totals.vote_rounds, totals.vote_receivers,
-               totals.sortition_draws, totals.vm_ops, wall, PeakRssBytes(),
-               g_arena_hwm.load(std::memory_order_relaxed));
+               totals.sortition_draws, totals.vm_ops, wall, PeakRssBytes());
 }
 
-bool InitEnabled() {
+// Registers the exit summary when DIABLO_PROFILE=1 is set at startup.
+bool RegisterSummary() {
   const char* env = std::getenv("DIABLO_PROFILE");
   const bool on = env != nullptr && std::strcmp(env, "1") == 0;
   if (on) {
@@ -49,11 +47,9 @@ bool InitEnabled() {
   return on;
 }
 
-const bool g_enabled = InitEnabled();
+[[maybe_unused]] const bool g_summary_registered = RegisterSummary();
 
 }  // namespace
-
-bool Enabled() { return g_enabled; }
 
 void AddEvents(uint64_t n) { g_events.fetch_add(n, std::memory_order_relaxed); }
 void AddArrivals(uint64_t n) { g_arrivals.fetch_add(n, std::memory_order_relaxed); }
@@ -76,17 +72,6 @@ Counters Totals() {
   totals.vm_ops = g_vm_ops.load(std::memory_order_relaxed);
   return totals;
 }
-
-void AddArenaBytes(int64_t delta) {
-  const int64_t live =
-      g_arena_live.fetch_add(delta, std::memory_order_relaxed) + delta;
-  int64_t hwm = g_arena_hwm.load(std::memory_order_relaxed);
-  while (live > hwm && !g_arena_hwm.compare_exchange_weak(
-                           hwm, live, std::memory_order_relaxed)) {
-  }
-}
-
-int64_t ArenaHighWater() { return g_arena_hwm.load(std::memory_order_relaxed); }
 
 int64_t PeakRssBytes() {
 #if defined(__unix__) || defined(__APPLE__)

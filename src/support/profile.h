@@ -16,9 +16,6 @@
 
 namespace diablo::profile {
 
-// True when DIABLO_PROFILE=1 was set at startup (read once).
-bool Enabled();
-
 void AddEvents(uint64_t n);
 void AddArrivals(uint64_t n);
 void CountVoteRound();
@@ -38,12 +35,6 @@ struct Counters {
   uint64_t vm_ops = 0;
 };
 Counters Totals();
-
-// Arena memory accounting: arenas report chunk creation (positive delta) and
-// destruction (negative); the high-water mark of live arena bytes lands in
-// the exit summary so the fig3-XL memory claims are observable.
-void AddArenaBytes(int64_t delta);
-int64_t ArenaHighWater();
 
 // Peak resident set size of this process in bytes (getrusage), 0 when the
 // platform cannot report it.

@@ -51,10 +51,6 @@ uint64_t Rng::NextBelow(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-int64_t Rng::NextInRange(int64_t lo, int64_t hi) {
-  return lo + static_cast<int64_t>(NextBelow(static_cast<uint64_t>(hi - lo) + 1));
-}
-
 double Rng::NextDouble() {
   // 53 high bits -> [0, 1).
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
@@ -67,26 +63,6 @@ double Rng::NextExponential(double mean) {
     u = 0x1.0p-53;
   }
   return -mean * std::log(u);
-}
-
-uint64_t Rng::NextPoisson(double mean) {
-  if (mean <= 0.0) {
-    return 0;
-  }
-  if (mean < 64.0) {
-    const double limit = std::exp(-mean);
-    uint64_t count = 0;
-    double product = NextDouble();
-    while (product > limit) {
-      ++count;
-      product *= NextDouble();
-    }
-    return count;
-  }
-  // Normal approximation with continuity correction; adequate for workload
-  // arrival counts where mean is in the hundreds or thousands.
-  const double draw = NextGaussian(mean, std::sqrt(mean)) + 0.5;
-  return draw <= 0.0 ? 0 : static_cast<uint64_t>(draw);
 }
 
 double Rng::NextGaussian(double mean, double stddev) {

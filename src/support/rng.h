@@ -27,18 +27,11 @@ class Rng {
   // Uniform integer in [0, bound), bound > 0. Uses Lemire's method (no modulo bias).
   uint64_t NextBelow(uint64_t bound);
 
-  // Uniform integer in [lo, hi] inclusive, lo <= hi.
-  int64_t NextInRange(int64_t lo, int64_t hi);
-
   // Uniform double in [0, 1).
   double NextDouble();
 
   // Exponentially distributed double with the given mean (> 0).
   double NextExponential(double mean);
-
-  // Poisson-distributed count with the given mean (>= 0). Uses Knuth's method
-  // for small means and a normal approximation above 64 to stay O(1)-ish.
-  uint64_t NextPoisson(double mean);
 
   // Normally distributed double (Box-Muller, one value per call).
   double NextGaussian(double mean, double stddev);

@@ -5,26 +5,6 @@
 
 namespace diablo {
 
-void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 void SampleSet::Add(double x) {
   samples_.push_back(x);
   sorted_ = false;
@@ -88,55 +68,16 @@ std::vector<std::pair<double, double>> SampleSet::CdfSeries(size_t points) const
   return series;
 }
 
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {}
-
-void Histogram::Add(double x) {
-  double idx = (x - lo_) / width_;
-  size_t bucket = 0;
-  if (idx >= static_cast<double>(counts_.size())) {
-    bucket = counts_.size() - 1;
-  } else if (idx > 0.0) {
-    bucket = static_cast<size_t>(idx);
-  }
-  ++counts_[bucket];
-  ++total_;
-}
-
-double Histogram::BucketLow(size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-
-void TimeSeries::Add(double seconds, double value) {
-  if (seconds < 0.0) {
-    seconds = 0.0;
-  }
-  const size_t bucket = static_cast<size_t>(seconds);
-  if (bucket >= sums_.size()) {
-    sums_.resize(bucket + 1, 0.0);
+void TimeSeries::Add(double seconds) {
+  const size_t bucket = seconds > 0.0 ? static_cast<size_t>(seconds) : 0;
+  if (bucket >= counts_.size()) {
     counts_.resize(bucket + 1, 0);
   }
-  sums_[bucket] += value;
   ++counts_[bucket];
-}
-
-double TimeSeries::SumAt(size_t second) const {
-  return second < sums_.size() ? sums_[second] : 0.0;
 }
 
 uint64_t TimeSeries::CountAt(size_t second) const {
   return second < counts_.size() ? counts_[second] : 0;
-}
-
-double TimeSeries::MeanAt(size_t second) const {
-  const uint64_t n = CountAt(second);
-  return n == 0 ? 0.0 : SumAt(second) / static_cast<double>(n);
-}
-
-double TimeSeries::TotalSum() const {
-  double sum = 0.0;
-  for (double s : sums_) {
-    sum += s;
-  }
-  return sum;
 }
 
 uint64_t TimeSeries::TotalCount() const {
@@ -145,17 +86,6 @@ uint64_t TimeSeries::TotalCount() const {
     n += c;
   }
   return n;
-}
-
-std::string AsciiBar(double value, double max_value, int width) {
-  if (max_value <= 0.0 || value < 0.0 || width <= 0) {
-    return std::string();
-  }
-  const int filled = static_cast<int>(
-      std::round(std::min(value / max_value, 1.0) * width));
-  std::string bar(static_cast<size_t>(filled), '#');
-  bar.append(static_cast<size_t>(width - filled), ' ');
-  return bar;
 }
 
 }  // namespace diablo

@@ -1,35 +1,14 @@
-// Statistics primitives used by the result aggregator and the benches:
-// running moments, exact percentiles/CDFs over stored samples, fixed-width
-// histograms and per-second time series.
+// Statistics primitives used by the result aggregator and the analysis
+// library: exact percentiles/CDFs over stored samples and per-second counts.
 #ifndef SRC_SUPPORT_STATS_H_
 #define SRC_SUPPORT_STATS_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace diablo {
-
-// Streaming mean/variance/min/max (Welford). O(1) memory.
-class RunningStats {
- public:
-  void Add(double x);
-
-  size_t count() const { return count_; }
-  double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-
- private:
-  size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 // Stores samples for exact order statistics. Sorting is deferred and cached.
 class SampleSet {
@@ -59,49 +38,22 @@ class SampleSet {
   mutable bool sorted_ = true;
 };
 
-// Fixed-bucket histogram over [lo, hi); out-of-range values clamp to the
-// edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-  uint64_t BucketCount(size_t i) const { return counts_[i]; }
-  size_t buckets() const { return counts_.size(); }
-  double BucketLow(size_t i) const;
-  uint64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
-};
-
-// Per-second buckets of a quantity over the duration of a run, e.g. the
+// Per-second event counts over the duration of a run, e.g. the
 // committed-transactions-per-second series behind throughput plots.
 class TimeSeries {
  public:
-  // Adds `value` at time `seconds` since run start (fractional allowed).
-  void Add(double seconds, double value);
+  // Counts one event at time `seconds` since run start (fractional allowed;
+  // negative times count in second 0).
+  void Add(double seconds);
 
   // Number of buckets (last populated second + 1).
-  size_t size() const { return sums_.size(); }
-  double SumAt(size_t second) const;
+  size_t size() const { return counts_.size(); }
   uint64_t CountAt(size_t second) const;
-  double MeanAt(size_t second) const;
-
-  double TotalSum() const;
   uint64_t TotalCount() const;
 
  private:
-  std::vector<double> sums_;
   std::vector<uint64_t> counts_;
 };
-
-// Renders a crude fixed-width ASCII bar, used by the bench binaries to echo
-// the paper's bar charts in a terminal.
-std::string AsciiBar(double value, double max_value, int width);
 
 }  // namespace diablo
 

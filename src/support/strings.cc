@@ -116,15 +116,4 @@ std::string ToLower(std::string_view s) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) {
-      out.append(sep);
-    }
-    out.append(parts[i]);
-  }
-  return out;
-}
-
 }  // namespace diablo

@@ -34,9 +34,6 @@ bool ParseDouble(std::string_view s, double* out);
 // Lowercases ASCII.
 std::string ToLower(std::string_view s);
 
-// Joins with a separator.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
 }  // namespace diablo
 
 #endif  // SRC_SUPPORT_STRINGS_H_

@@ -133,34 +133,4 @@ AssembleResult Assemble(std::string_view name, std::string_view source) {
   return result;
 }
 
-std::string Disassemble(const Program& program) {
-  std::string out;
-  size_t pc = 0;
-  while (pc < program.code.size()) {
-    for (const FunctionEntry& f : program.functions) {
-      if (f.offset == pc) {
-        out += ".func " + f.name + "\n";
-      }
-    }
-    const Opcode op = static_cast<Opcode>(program.code[pc]);
-    out += StrFormat("%04zu  %s", pc, std::string(OpcodeName(op)).c_str());
-    ++pc;
-    const int width = ImmediateWidth(op);
-    if (width > 0) {
-      int64_t value = 0;
-      for (int i = 0; i < width; ++i) {
-        value |= static_cast<int64_t>(program.code[pc + static_cast<size_t>(i)]) << (8 * i);
-      }
-      if (width == 8) {
-        out += StrFormat(" %lld", static_cast<long long>(value));
-      } else {
-        out += StrFormat(" %lld", static_cast<long long>(value & ((1LL << (8 * width)) - 1)));
-      }
-      pc += static_cast<size_t>(width);
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 }  // namespace diablo

@@ -26,10 +26,6 @@ struct AssembleResult {
 
 AssembleResult Assemble(std::string_view name, std::string_view source);
 
-// Renders bytecode back to source-ish text (labels synthesized); used by
-// tests and debugging.
-std::string Disassemble(const Program& program);
-
 }  // namespace diablo
 
 #endif  // SRC_VM_ASSEMBLER_H_

@@ -3,8 +3,9 @@
 // The whole point of MessagePlaneScratch is that steady-state vote rounds
 // run without touching the allocator: broadcast, stage fills, both quorum
 // reductions and the median all work over warm caller-owned buffers. The
-// same holds for block production: the mempool, the block-tx pool and the
-// per-block arena are sized up front. This binary replaces global operator
+// same holds for block production: the mempool and the block-tx pool are
+// sized up front, and the expired-id scratch keeps its capacity across
+// blocks. This binary replaces global operator
 // new/delete with counting wrappers and asserts that, once warm, a full
 // engine-style round, a full overloaded block and a pre-signed transaction
 // perform ZERO heap allocations; it also holds pre-signing to a byte budget

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "src/analysis/analysis.h"
@@ -95,6 +96,25 @@ TEST(AnalysisTest, JsonRoundTrip) {
   EXPECT_EQ(latencies.count(), report.committed);
   EXPECT_NEAR(latencies.Mean(), report.avg_latency, 1e-3);
   EXPECT_EQ(results.CommittedPerSecond().TotalCount(), report.committed);
+}
+
+TEST(AnalysisTest, JsonRoundTripEscapesControlCharacters) {
+  const TxStore txs = MakeStore();
+  const std::string chain = "quorum\tfork\nb\x01\"\\";
+  const Report report = BuildReport(txs, Seconds(1000), chain, "testnet", "native", 10.0);
+  const std::string summary = ReportToJson(report);
+  EXPECT_NE(summary.find(R"("chain": "quorum\tfork\nb\u0001\"\\")"), std::string::npos)
+      << summary;
+  // RFC 8259: no raw byte below 0x20 inside a string.
+  EXPECT_TRUE(std::none_of(summary.begin(), summary.end(),
+                           [](char c) { return static_cast<unsigned char>(c) < 0x20; }))
+      << summary;
+
+  std::ostringstream out;
+  WriteResultsJson(out, report, txs);
+  const LoadResult loaded = LoadResultsJson(out.str());
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  EXPECT_EQ(loaded.results.chain, chain);
 }
 
 TEST(AnalysisTest, CsvRoundTrip) {

@@ -317,7 +317,7 @@ TEST(MempoolTest, TtlExpiryRacesRequeue) {
 
   // Leader failure: the tx goes back with its ORIGINAL ingress time, so the
   // TTL clock keeps running across the requeue.
-  pool.Requeue({0}, {1}, {Seconds(0)}, {Seconds(6)});
+  pool.Requeue(0, /*signer=*/1, /*ingress=*/Seconds(0), /*ready=*/Seconds(6));
   EXPECT_EQ(pool.size(), 1u);
   // Signer slot is re-held after requeue.
   EXPECT_EQ(pool.Add(7, /*signer=*/1, Seconds(6), Seconds(6)),
@@ -369,8 +369,8 @@ TEST(MempoolTest, RequeuePreservesReadinessOrder) {
                               [](TxId) { return 110; }, &expired);
   ASSERT_EQ(taken.size(), 2u);
   // Requeue in reverse; readiness times still dictate the pop order.
-  pool.Requeue({1, 0}, {2, 1}, {Seconds(0), Seconds(0)},
-               {Seconds(2), Seconds(1)});
+  pool.Requeue(1, 2, Seconds(0), Seconds(2));
+  pool.Requeue(0, 1, Seconds(0), Seconds(1));
   EXPECT_EQ(pool.size(), 2u);
   taken = pool.TakeReady(Seconds(1), 0, 0, 10, [](TxId) { return 1; },
                          [](TxId) { return 110; }, &expired);
@@ -745,9 +745,6 @@ TEST(ChainContextTest, SubmitBuildFinalize) {
     tx.submit_time = 0;
     ids.push_back(ctx.txs().Add(tx));
   }
-  int completions = 0;
-  ctx.on_tx_complete = [&](TxId) { ++completions; };
-
   for (const TxId id : ids) {
     EXPECT_TRUE(ctx.SubmitAtEndpoint(id, 0, 0));
     EXPECT_EQ(ctx.txs().at(id).phase, TxPhase::kSubmitted);
@@ -765,7 +762,7 @@ TEST(ChainContextTest, SubmitBuildFinalize) {
   EXPECT_GT(full.build_time, 0);
 
   ctx.FinalizeBlock(1, 0, std::move(full), Seconds(2), Seconds(3));
-  EXPECT_EQ(completions, 3);
+  EXPECT_EQ(ctx.txs().PhaseCounts()[static_cast<size_t>(TxPhase::kCommitted)], 3u);
   EXPECT_EQ(ctx.stats().txs_committed, 3u);
   EXPECT_EQ(ctx.ledger().block_count(), 1u);
   for (const TxId id : ids) {
@@ -804,8 +801,6 @@ TEST(ChainContextTest, DroppedTxReported) {
   params.mempool.global_cap = 1;
   params.mempool.evict_on_full = false;  // reject instead of replacing
   ChainContext ctx(&sim, &net, GetDeployment("testnet"), params);
-  std::vector<TxId> completed;
-  ctx.on_tx_complete = [&](TxId id) { completed.push_back(id); };
   Transaction tx;
   tx.gas = 21000;
   tx.size_bytes = 110;
@@ -813,8 +808,9 @@ TEST(ChainContextTest, DroppedTxReported) {
   const TxId b = ctx.txs().Add(tx);
   EXPECT_TRUE(ctx.SubmitAtEndpoint(a, 0, 0));
   EXPECT_FALSE(ctx.SubmitAtEndpoint(b, 0, 0));
+  EXPECT_EQ(ctx.txs().at(a).phase, TxPhase::kSubmitted);
   EXPECT_EQ(ctx.txs().at(b).phase, TxPhase::kDropped);
-  EXPECT_EQ(completed, (std::vector<TxId>{b}));
+  EXPECT_EQ(ctx.txs().PhaseCounts()[static_cast<size_t>(TxPhase::kDropped)], 1u);
   EXPECT_EQ(ctx.stats().txs_dropped, 1u);
 }
 

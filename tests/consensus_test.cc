@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -268,6 +269,147 @@ TEST(FactoryTest, BuildsAllSixChains) {
   }
   EXPECT_THROW(BuildChain("bitcoin", GetDeployment("testnet"), &sim, &net),
                std::invalid_argument);
+}
+
+// Fixed-cadence submission driver for the leaderless-DBFT and network
+// fault cases below.
+struct MiniRun {
+  Simulation sim;
+  Network net;
+  std::unique_ptr<ChainInstance> chain;
+
+  MiniRun(const ChainParams& params, const std::string& deployment, uint64_t seed)
+      : sim(seed), net(&sim) {
+    chain = BuildChainFromParams(params, GetDeployment(deployment), &sim, &net);
+  }
+
+  void Submit(int tps, int seconds) {
+    ChainContext& ctx = chain->context();
+    uint32_t seq = 0;
+    for (int s = 0; s < seconds; ++s) {
+      for (int i = 0; i < tps; ++i) {
+        Transaction tx;
+        tx.account = seq % 100;
+        tx.gas = NativeTransferGas(ctx.params().dialect);
+        tx.size_bytes = kNativeTransferBytes;
+        const SimTime when = Seconds(s) + Milliseconds(1000LL * i / tps);
+        tx.submit_time = when;
+        const TxId id = ctx.txs().Add(tx);
+        const int endpoint = static_cast<int>(seq) % ctx.node_count();
+        sim.ScheduleAt(when, [this, id, endpoint] {
+          chain->context().SubmitAtEndpoint(id, endpoint, sim.Now());
+        });
+        ++seq;
+      }
+    }
+  }
+
+  size_t Committed() {
+    return chain->context().txs().PhaseCounts()[static_cast<size_t>(TxPhase::kCommitted)];
+  }
+};
+
+TEST(RedBellyTest, LeaderlessDbftCommitsNormally) {
+  MiniRun run(GetChainParams("redbelly"), "testnet", 3);
+  run.Submit(500, 10);
+  run.chain->Start();
+  run.sim.RunUntil(Seconds(60));
+  EXPECT_GE(run.Committed(), 4500u);
+  EXPECT_EQ(run.chain->context().stats().view_changes, 0u);
+}
+
+TEST(RedBellyTest, ImmuneToTheQuorumCollapse) {
+  // §6.3/§6.6: under the same sustained 10k TPS flood that collapses
+  // Quorum's leader-based IBFT, leaderless DBFT keeps a high throughput.
+  auto run_flood = [](const char* chain) {
+    MiniRun run(GetChainParams(chain), "testnet", 3);
+    run.Submit(10000, 30);
+    run.chain->Start();
+    run.sim.RunUntil(Seconds(120));
+    return run.Committed();
+  };
+  const size_t redbelly = run_flood("redbelly");
+  const size_t quorum = run_flood("quorum");
+  EXPECT_GT(redbelly, 5 * quorum);
+  EXPECT_GT(redbelly, 100000u);
+}
+
+TEST(RedBellyTest, SuperblocksUniteManyProposersWork) {
+  MiniRun run(GetChainParams("redbelly"), "devnet", 3);
+  run.Submit(4000, 10);
+  run.chain->Start();
+  run.sim.RunUntil(Seconds(60));
+  const Ledger& ledger = run.chain->context().ledger();
+  ASSERT_GT(ledger.block_count(), 0u);
+  // Superblocks carry far more than a single leader's mini-block.
+  size_t biggest = 0;
+  for (size_t i = 0; i < ledger.block_count(); ++i) {
+    biggest = std::max<size_t>(biggest, ledger.block(i).tx_count);
+  }
+  EXPECT_GT(biggest, 2000u);
+}
+
+TEST(FaultInjectionTest, IbftStallsWithoutQuorum) {
+  ChainParams params = GetChainParams("quorum");
+  MiniRun run(params, "testnet", 5);
+  run.Submit(100, 20);
+  run.chain->Start();
+  // Partition 4 of 10 nodes at t = 5 s: fewer than 2f+1 = 7 remain.
+  run.sim.ScheduleAt(Seconds(5), [&run] {
+    for (int i = 0; i < 4; ++i) {
+      run.net.SetPartitioned(run.chain->context().hosts()[static_cast<size_t>(i)], true);
+    }
+  });
+  run.sim.RunUntil(Seconds(120));
+  // Only the pre-partition seconds committed.
+  EXPECT_LT(run.Committed(), 900u);
+  EXPECT_GT(run.chain->context().stats().view_changes, 0u);
+}
+
+TEST(FaultInjectionTest, IbftSurvivesMinorityPartition) {
+  ChainParams params = GetChainParams("quorum");
+  MiniRun run(params, "testnet", 5);
+  run.Submit(100, 20);
+  run.chain->Start();
+  // 3 of 10 partitioned: 7 = 2f+1 remain, the protocol keeps committing.
+  run.sim.ScheduleAt(Seconds(5), [&run] {
+    for (int i = 0; i < 3; ++i) {
+      run.net.SetPartitioned(run.chain->context().hosts()[static_cast<size_t>(i)], true);
+    }
+  });
+  run.sim.RunUntil(Seconds(120));
+  // Progress continues, though rounds whose rotating proposer is partitioned
+  // burn a view-change timeout each.
+  EXPECT_GE(run.Committed(), 800u);
+}
+
+TEST(FaultInjectionTest, ExtraDelaySlowsCommits) {
+  auto avg_latency = [](bool degraded) {
+    ChainParams params = GetChainParams("quorum");
+    MiniRun run(params, "devnet", 5);
+    if (degraded) {
+      for (int i = 0; i < kRegionCount; ++i) {
+        for (int j = i + 1; j < kRegionCount; ++j) {
+          run.net.SetExtraDelay(static_cast<Region>(i), static_cast<Region>(j),
+                                Milliseconds(300));
+        }
+      }
+    }
+    run.Submit(100, 10);
+    run.chain->Start();
+    run.sim.RunUntil(Seconds(90));
+    const TxStore& txs = run.chain->context().txs();
+    double sum = 0;
+    size_t n = 0;
+    for (TxId id = 0; id < txs.size(); ++id) {
+      if (txs.at(id).phase == TxPhase::kCommitted) {
+        sum += txs.at(id).LatencySeconds();
+        ++n;
+      }
+    }
+    return n == 0 ? 1e9 : sum / static_cast<double>(n);
+  };
+  EXPECT_GT(avg_latency(true), avg_latency(false) + 0.5);
 }
 
 }  // namespace

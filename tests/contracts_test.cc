@@ -44,19 +44,6 @@ TEST(RegistryTest, AllFiveDAppsPresent) {
   EXPECT_EQ(FindContract("doom"), nullptr);
 }
 
-TEST(RegistryTest, DisassemblyCoversEveryBundledContract) {
-  // Round-trip sanity: disassembling the bundled DApps never hits an
-  // unknown opcode and mentions every exported function.
-  for (const ContractDef& def : AllContracts()) {
-    const Program program = CompileContract(def);
-    const std::string text = Disassemble(program);
-    for (const FunctionEntry& f : program.functions) {
-      EXPECT_NE(text.find(".func " + f.name), std::string::npos)
-          << def.name << "/" << f.name;
-    }
-  }
-}
-
 TEST(RegistryTest, AllContractsAssemble) {
   for (const ContractDef& def : AllContracts()) {
     const Program program = CompileContract(def);

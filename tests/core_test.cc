@@ -361,6 +361,12 @@ TEST(RunnerTest, ScaleFromEnvParsesAndClamps) {
   EXPECT_DOUBLE_EQ(ScaleFromEnv(), 1.0);
   setenv("DIABLO_SCALE", "garbage", 1);
   EXPECT_DOUBLE_EQ(ScaleFromEnv(), 1.0);
+  // Non-finite and non-positive values fall back to full scale instead of
+  // turning every trace rate into NaN or zero.
+  for (const char* bad : {"nan", "inf", "0", "-1"}) {
+    setenv("DIABLO_SCALE", bad, 1);
+    EXPECT_DOUBLE_EQ(ScaleFromEnv(), 1.0) << bad;
+  }
   unsetenv("DIABLO_SCALE");
 }
 

@@ -336,7 +336,6 @@ std::vector<QuorumRule> AllEngineRules() {
       {"hotstuff", 100, static_cast<size_t>(ByzantineQuorum(100))},
       {"ibft", 40, static_cast<size_t>(ByzantineQuorum(40))},
       {"dbft", 52, static_cast<size_t>(ByzantineQuorum(52))},
-      {"raft", 25, 25 / 2 + 1},
       // BA* soft/cert threshold over an expected committee of 60.
       {"algorand", 60, 42},
       // alpha = 0.8 of a k=20 sample.

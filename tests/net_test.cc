@@ -64,12 +64,13 @@ TEST(TopologyTest, IntraRegionIsDatacenterClass) {
 }
 
 TEST(TopologyTest, TransmissionDelayScalesWithBytes) {
-  const SimDuration one = Topology::TransmissionDelay(Region::kOhio, Region::kOregon, 1000);
-  const SimDuration ten = Topology::TransmissionDelay(Region::kOhio, Region::kOregon, 10000);
+  const LinkParams& link = Topology::Link(Region::kOhio, Region::kOregon);
+  const SimDuration one = Topology::TransmissionDelayOn(link, 1000);
+  const SimDuration ten = Topology::TransmissionDelayOn(link, 10000);
   EXPECT_NEAR(static_cast<double>(ten), 10.0 * static_cast<double>(one),
               static_cast<double>(one) * 0.01);
   // 1 MB over 105 Mbps is roughly 76 ms.
-  const SimDuration mb = Topology::TransmissionDelay(Region::kOhio, Region::kOregon, 1000000);
+  const SimDuration mb = Topology::TransmissionDelayOn(link, 1000000);
   EXPECT_NEAR(ToMilliseconds(mb), 76.2, 1.0);
 }
 

@@ -77,21 +77,6 @@ TEST(RngTest, NextBelowCoversAllValues) {
   EXPECT_EQ(seen.size(), 5u);
 }
 
-TEST(RngTest, NextInRangeInclusive) {
-  Rng rng(3);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const int64_t v = rng.NextInRange(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    saw_lo |= v == -2;
-    saw_hi |= v == 2;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(RngTest, DoubleInUnitInterval) {
   Rng rng(5);
   for (int i = 0; i < 1000; ++i) {
@@ -111,34 +96,19 @@ TEST(RngTest, ExponentialMean) {
   EXPECT_NEAR(sum / n, 4.0, 0.15);
 }
 
-TEST(RngTest, PoissonSmallMean) {
-  Rng rng(17);
-  double sum = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    sum += static_cast<double>(rng.NextPoisson(3.0));
-  }
-  EXPECT_NEAR(sum / n, 3.0, 0.1);
-}
-
-TEST(RngTest, PoissonLargeMeanUsesApproximation) {
-  Rng rng(19);
-  double sum = 0;
-  const int n = 5000;
-  for (int i = 0; i < n; ++i) {
-    sum += static_cast<double>(rng.NextPoisson(500.0));
-  }
-  EXPECT_NEAR(sum / n, 500.0, 5.0);
-}
-
 TEST(RngTest, GaussianMoments) {
   Rng rng(23);
-  RunningStats stats;
-  for (int i = 0; i < 20000; ++i) {
-    stats.Add(rng.NextGaussian(10.0, 2.0));
+  double sum = 0;
+  double sum_sq = 0;
+  const int n = 20000;
+  for (int i = 0; i < n; ++i) {
+    const double x = rng.NextGaussian(10.0, 2.0);
+    sum += x;
+    sum_sq += x * x;
   }
-  EXPECT_NEAR(stats.mean(), 10.0, 0.1);
-  EXPECT_NEAR(stats.stddev(), 2.0, 0.1);
+  const double mean = sum / n;
+  EXPECT_NEAR(mean, 10.0, 0.1);
+  EXPECT_NEAR(std::sqrt((sum_sq - n * mean * mean) / (n - 1)), 2.0, 0.1);
 }
 
 TEST(RngTest, BernoulliEdges) {
@@ -163,21 +133,6 @@ TEST(RngTest, ForkIndependence) {
     }
   }
   EXPECT_EQ(same, 0);
-}
-
-TEST(RunningStatsTest, Basics) {
-  RunningStats stats;
-  EXPECT_EQ(stats.count(), 0u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 0.0);
-  stats.Add(2.0);
-  stats.Add(4.0);
-  stats.Add(6.0);
-  EXPECT_EQ(stats.count(), 3u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(stats.min(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 6.0);
-  EXPECT_DOUBLE_EQ(stats.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(stats.stddev(), 2.0);
 }
 
 TEST(SampleSetTest, PercentilesExact) {
@@ -230,47 +185,24 @@ TEST(SampleSetTest, CdfAtValues) {
   EXPECT_DOUBLE_EQ(set.CdfAt(10.0), 1.0);
 }
 
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram hist(0.0, 10.0, 5);
-  hist.Add(-1.0);   // clamps into bucket 0
-  hist.Add(0.5);    // bucket 0
-  hist.Add(5.0);    // bucket 2
-  hist.Add(100.0);  // clamps into last bucket
-  EXPECT_EQ(hist.total(), 4u);
-  EXPECT_EQ(hist.BucketCount(0), 2u);
-  EXPECT_EQ(hist.BucketCount(2), 1u);
-  EXPECT_EQ(hist.BucketCount(4), 1u);
-  EXPECT_DOUBLE_EQ(hist.BucketLow(2), 4.0);
-}
-
 TEST(TimeSeriesTest, PerSecondBuckets) {
   TimeSeries series;
-  series.Add(0.2, 1.0);
-  series.Add(0.9, 2.0);
-  series.Add(3.5, 4.0);
+  series.Add(0.2);
+  series.Add(0.9);
+  series.Add(3.5);
   EXPECT_EQ(series.size(), 4u);
-  EXPECT_DOUBLE_EQ(series.SumAt(0), 3.0);
   EXPECT_EQ(series.CountAt(0), 2u);
-  EXPECT_DOUBLE_EQ(series.MeanAt(0), 1.5);
-  EXPECT_DOUBLE_EQ(series.SumAt(1), 0.0);
-  EXPECT_DOUBLE_EQ(series.SumAt(3), 4.0);
-  EXPECT_DOUBLE_EQ(series.TotalSum(), 7.0);
+  EXPECT_EQ(series.CountAt(1), 0u);
+  EXPECT_EQ(series.CountAt(3), 1u);
   EXPECT_EQ(series.TotalCount(), 3u);
   // Out of range reads are zero.
-  EXPECT_DOUBLE_EQ(series.SumAt(100), 0.0);
+  EXPECT_EQ(series.CountAt(100), 0u);
 }
 
 TEST(TimeSeriesTest, NegativeTimeClampsToZero) {
   TimeSeries series;
-  series.Add(-5.0, 1.0);
+  series.Add(-5.0);
   EXPECT_EQ(series.CountAt(0), 1u);
-}
-
-TEST(AsciiBarTest, Rendering) {
-  EXPECT_EQ(AsciiBar(5.0, 10.0, 10), "#####     ");
-  EXPECT_EQ(AsciiBar(20.0, 10.0, 4), "####");
-  EXPECT_EQ(AsciiBar(0.0, 10.0, 4), "    ");
-  EXPECT_EQ(AsciiBar(1.0, 0.0, 4), "");
 }
 
 TEST(StringsTest, Trim) {
@@ -326,11 +258,9 @@ TEST(StringsTest, ParseDouble) {
   EXPECT_FALSE(ParseDouble("", &v));
 }
 
-TEST(StringsTest, FormatJoinLower) {
+TEST(StringsTest, FormatAndLower) {
   EXPECT_EQ(StrFormat("%d-%s", 3, "x"), "3-x");
   EXPECT_EQ(ToLower("AbC"), "abc");
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({}, ","), "");
 }
 
 TEST(CheckTest, PassingCheckIsSilentInEveryBuild) {

@@ -86,13 +86,6 @@ TEST(AssemblerTest, CommentsAndBlankLines) {
   EXPECT_EQ(RunVm(program, "main").return_value, 5);
 }
 
-TEST(AssemblerTest, DisassembleShowsFunctionsAndImmediates) {
-  const Program program = MustAssemble(".func main\n  push 42\n  return\n");
-  const std::string text = Disassemble(program);
-  EXPECT_NE(text.find(".func main"), std::string::npos);
-  EXPECT_NE(text.find("push 42"), std::string::npos);
-}
-
 
 TEST(AssemblerTest, FunctionNamesAreCallTargets) {
   const Program program = MustAssemble(R"(
