@@ -28,10 +28,8 @@ void Run() {
     if (params.block_interval >= Seconds(1)) {
       std::printf("  period >= %.1f s", ToSeconds(params.block_interval));
     }
-    if (params.slot_duration != Milliseconds(400) || params.name == "solana") {
-      if (params.name == "solana") {
-        std::printf("  %.0f ms slots", ToMilliseconds(params.slot_duration));
-      }
+    if (params.name == "solana") {
+      std::printf("  %.0f ms slots", ToMilliseconds(params.block_interval));
     }
     if (params.confirmation_depth > 0) {
       std::printf("  %d confirmations", params.confirmation_depth);

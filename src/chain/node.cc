@@ -101,6 +101,21 @@ void ChainContext::SetCensoredSigners(std::vector<uint32_t> signers) {
   std::sort(censored_signers_.begin(), censored_signers_.end());
 }
 
+void ChainContext::ApplyVoteAdversary(int node, SimDuration* delay) {
+  const uint8_t bits = validators_.Adversary(node);
+  if (bits == 0 || *delay == kUnreachable) {
+    return;  // honest, or already down or partitioned: nothing to withhold
+  }
+  if ((bits & kAdversaryWithhold) != 0) {
+    *delay = kUnreachable;
+    ++stats_.votes_withheld;
+  } else if ((bits & kAdversaryDoubleVote) != 0) {
+    // The honest vote stands; the duplicate is detected and discarded, so
+    // it contributes evidence but never a second quorum slot.
+    ++stats_.double_votes_seen;
+  }
+}
+
 void ChainContext::ApplyVoteAdversaries(std::vector<SimDuration>* delays,
                                         const std::vector<uint32_t>* members) {
   if (!validators_.AnyAdversary()) {
@@ -111,22 +126,7 @@ void ChainContext::ApplyVoteAdversaries(std::vector<SimDuration>* delays,
                            : std::min(delays->size(), members->size());
   for (size_t pos = 0; pos < count; ++pos) {
     const size_t node = members == nullptr ? pos : (*members)[pos];
-    const uint8_t bits = validators_.Adversary(static_cast<int>(node));
-    if (bits == 0) {
-      continue;
-    }
-    SimDuration& delay = (*delays)[pos];
-    if (delay == kUnreachable) {
-      continue;  // already down or partitioned; nothing left to withhold
-    }
-    if ((bits & kAdversaryWithhold) != 0) {
-      delay = kUnreachable;
-      ++stats_.votes_withheld;
-    } else if ((bits & kAdversaryDoubleVote) != 0) {
-      // The honest vote stands; the duplicate is detected and discarded, so
-      // it contributes evidence but never a second quorum slot.
-      ++stats_.double_votes_seen;
-    }
+    ApplyVoteAdversary(static_cast<int>(node), &(*delays)[pos]);
   }
 }
 

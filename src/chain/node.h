@@ -1,8 +1,8 @@
 // ChainContext: everything one simulated blockchain deployment owns — the
 // node hosts, the shared transaction arena, the distributed mempool, the
 // ledger — plus the helpers consensus engines use to build, finalize and
-// account blocks. ConsensusEngine is the strategy interface the seven
-// protocol simulators implement.
+// account blocks. The engines themselves sit on ConsensusEngine
+// (src/consensus/engine.h).
 #ifndef SRC_CHAIN_NODE_H_
 #define SRC_CHAIN_NODE_H_
 
@@ -36,7 +36,7 @@ struct ChainParams {
   SignatureScheme sig_scheme = SignatureScheme::kEcdsa;
 
   // Block production.
-  SimDuration block_interval = Seconds(1);  // minimum period between blocks
+  SimDuration block_interval = Seconds(1);  // minimum period between rounds
   int64_t block_gas_limit = 0;              // 0 = unlimited
   int64_t max_block_bytes = 0;              // 0 = unlimited (wire-size cap)
   size_t max_block_txs = 10000;
@@ -47,7 +47,6 @@ struct ChainParams {
 
   // Transaction dissemination.
   SimDuration gossip_batch_interval = Milliseconds(200);
-  int gossip_fanout = 8;
 
   // Execution.
   double gas_per_sec_per_vcpu = 100e6;
@@ -74,14 +73,8 @@ struct ChainParams {
   double committee_expected = 0;
   SimDuration step_timeout = 0;
 
-  // Avalanche.
-  int sample_k = 20;
+  // Avalanche: consecutive successful query rounds to decide.
   int beta = 15;
-  double alpha_fraction = 0.8;
-
-  // Solana.
-  SimDuration slot_duration = Milliseconds(400);
-  int leader_window_slots = 4;
 
   // Client-side commit observation (websocket push / polling granularity).
   SimDuration client_poll_interval = Milliseconds(500);
@@ -181,7 +174,6 @@ class ChainContext {
   // validator_table.h) on `node`. The engines consult the bits through the
   // helpers below; a healthy run never allocates the underlying table.
   void SetAdversary(int node, uint8_t bits, bool on);
-  uint8_t AdversaryBits(int node) const { return validators_.Adversary(node); }
   bool AnyAdversary() const { return validators_.AnyAdversary(); }
 
   // Censorship target set: signer ids the censoring proposers refuse.
@@ -189,22 +181,26 @@ class ChainContext {
   void SetCensoredSigners(std::vector<uint32_t> signers);
   void ClearCensoredSigners() { censored_signers_.clear(); }
 
-  // True while `node` is alive and armed with the given behavior.
-  bool ProposerEquivocates(int node) const {
-    return (AdversaryBits(node) & kAdversaryEquivocate) != 0 && !NodeDown(node);
+  // True while `node` is alive and armed to equivocate; each true answer
+  // records one witnessed conflicting-proposal pair as evidence.
+  bool Equivocates(int node) {
+    const bool armed =
+        (validators_.Adversary(node) & kAdversaryEquivocate) != 0 && !NodeDown(node);
+    stats_.equivocations_seen += armed ? 1 : 0;
+    return armed;
   }
 
-  // Detection bookkeeping: one conflicting-proposal pair witnessed.
-  void RecordEquivocation() { ++stats_.equivocations_seen; }
+  // Applies `node`'s armed vote-stage adversary to one vote it casts, due
+  // after *delay: a withheld vote becomes kUnreachable (the quorum kernels
+  // then exclude it); a double vote is counted as evidence — the duplicate
+  // itself is discarded, so it never helps a quorum. A vote already
+  // kUnreachable (down / partitioned) is left untouched.
+  void ApplyVoteAdversary(int node, SimDuration* delay);
 
-  // Applies the armed vote-stage adversaries to one round's arrival-delay
-  // vector (indexed by node): withholding validators become kUnreachable
-  // (the quorum kernels then exclude them), double-voters are counted as
-  // evidence — the duplicate vote itself is discarded, so it never helps a
-  // quorum. Early-outs when no adversary is armed; entries already
-  // kUnreachable (down / partitioned) are left untouched. With `members`
-  // (Algorand's committee-sampled large-N path), `delays` is indexed by
-  // committee position and `members` maps positions to node indices.
+  // ApplyVoteAdversary over one round's arrival-delay vector (indexed by
+  // node); early-outs when no adversary is armed. With `members` (Algorand's
+  // vote committees), `delays` is indexed by committee position and
+  // `members` maps positions to node indices.
   void ApplyVoteAdversaries(std::vector<SimDuration>* delays,
                             const std::vector<uint32_t>* members = nullptr);
 
@@ -212,9 +208,9 @@ class ChainContext {
   // Transaction ids of drafted blocks live in one flat append-only pool on
   // the context (each id is written there once, by TakeReady, and never
   // copied again); BuiltBlock and Block carry (tx_begin, tx_count) ranges
-  // into it. Engines that buffer drafts across rounds (clique's confirmation
-  // window, hotstuff's 3-chain) can hold BuiltBlocks freely — the pool never
-  // shrinks or moves entries within a run.
+  // into it. Engines that buffer drafts across rounds (the FinalityWindow
+  // behind clique's confirmation depth and hotstuff's 3-chain) can hold
+  // BuiltBlocks freely — the pool never shrinks or moves entries within a run.
   struct BuiltBlock {
     uint32_t tx_begin = 0;
     uint32_t tx_count = 0;
@@ -294,23 +290,6 @@ class ChainContext {
   // adversary schedule is armed.
   DIABLO_CHECKED_ONLY(uint64_t last_commit_height_ = 0;
                       Digest256 last_commit_digest_{};)
-};
-
-// Strategy interface: each consensus protocol schedules its own rounds
-// against the context's simulation.
-class ConsensusEngine {
- public:
-  explicit ConsensusEngine(ChainContext* ctx) : ctx_(ctx) {}
-  virtual ~ConsensusEngine() = default;
-
-  ConsensusEngine(const ConsensusEngine&) = delete;
-  ConsensusEngine& operator=(const ConsensusEngine&) = delete;
-
-  // Begins block production; called once after the context is constructed.
-  virtual void Start() = 0;
-
- protected:
-  ChainContext* ctx_;
 };
 
 }  // namespace diablo

@@ -393,7 +393,7 @@ void QuorumArrivalAllInto(const VoteDelays& delays,
 #endif
 }
 
-void QuorumArrivalCommitteeInto(const VoteDelays& delays,
+void QuorumArrivalCommitteeInto(const StreamedDelays& delays,
                                 const std::vector<uint32_t>& senders,
                                 const std::vector<SimDuration>& sender_times,
                                 const std::vector<uint32_t>& receivers, size_t n,
@@ -407,28 +407,11 @@ void QuorumArrivalCommitteeInto(const VoteDelays& delays,
   }
   VoteBitset& seen = scratch->receiver_bits;
   seen.Reset(n);
-  if (delays.dense()) {
-    // Widen the compact sender list into a full send-times vector once, then
-    // run the exact dense single-receiver kernel per listed receiver.
-    scratch->expanded.assign(n, kUnreachable);
-    for (size_t j = 0; j < senders.size(); ++j) {
-      scratch->expanded[senders[j]] = sender_times[j];
-    }
-    for (const uint32_t r : receivers) {
-      if (!seen.Set(r)) {
-        continue;
-      }
-      (*result)[r] = QuorumArrivalInto(delays.matrix(), scratch->expanded, r,
-                                       quorum, hop_scale, scratch);
-    }
-    profile::AddVoteReceivers(seen.Count());
-    return;
-  }
   for (const uint32_t r : receivers) {
     if (!seen.Set(r)) {
       continue;
     }
-    (*result)[r] = QuorumArrivalLargeN(delays.streamed(), senders.data(),
+    (*result)[r] = QuorumArrivalLargeN(delays, senders.data(),
                                        sender_times.data(), senders.size(), r,
                                        quorum, hop_scale, &scratch->buf);
 #if defined(DIABLO_CHECKED)
@@ -437,8 +420,7 @@ void QuorumArrivalCommitteeInto(const VoteDelays& delays,
       for (size_t j = 0; j < senders.size(); ++j) {
         full[senders[j]] = sender_times[j];
       }
-      CheckStreamedQuorum(delays.streamed(), full, r, quorum, hop_scale,
-                          (*result)[r]);
+      CheckStreamedQuorum(delays, full, r, quorum, hop_scale, (*result)[r]);
     }
 #endif
   }

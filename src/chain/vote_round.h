@@ -38,13 +38,11 @@ class VoteBitset {
 
   // Clears to `bits` zero bits (capacity is retained across rounds).
   void Reset(size_t bits) {
-    bits_ = bits;
     count_ = 0;
     words_.assign((bits + 63) / 64, 0);
   }
 
   bool empty() const { return words_.empty(); }
-  size_t size_bits() const { return bits_; }
 
   // Sets bit i; returns true when it was newly set (a first vote).
   bool Set(size_t i) {
@@ -87,7 +85,6 @@ class VoteBitset {
 
  private:
   std::vector<uint64_t> words_;
-  size_t bits_ = 0;
   size_t count_ = 0;
 };
 
@@ -175,13 +172,13 @@ struct MessagePlaneScratch {
   std::vector<SimDuration> senders;
   std::vector<SimDuration> round_trips;
   std::vector<uint32_t> committee;
-  // Second committee for the large-N sampled rounds (BA* selects the next
-  // step's committee up front so each step only evaluates its receivers).
+  // BA*'s second-step committee, selected up front with the first: the
+  // streamed rounds evaluate only its members as receivers.
   std::vector<uint32_t> committee_b;
-  // Receiver de-duplication for the committee-sampled kernels.
+  // Receiver de-duplication for the committee-sampled kernel.
   VoteBitset receiver_bits;
-  // Full-width send-times expansion of a compact sender list (dense
-  // committee path only — the streamed path never widens to n).
+  // Full-width send-times expansion of a committee's votes, for the dense
+  // plane's all-receiver flood (the streamed path never widens to n).
   std::vector<SimDuration> expanded;
   BroadcastScratch broadcast;
 };
@@ -223,10 +220,10 @@ SimDuration MedianDelayInto(const std::vector<SimDuration>& delays,
 // Dense deployments dispatch to the exact kernels above (results are
 // bit-identical to calling them directly); streamed deployments run the
 // large-N kernels, which never touch an n×n matrix. In checked builds the
-// streamed answers are cross-checked against the dense kernels over a
-// materialised copy of the model at small n. Each facade call counts one
-// vote round in DIABLO_PROFILE's summary, plus the receivers it evaluates
-// (all n, one, or the distinct listed receivers; none when quorum is 0); the
+// streamed answers (and the committee kernel's below) are cross-checked
+// against the dense kernels over a materialised copy of the model at small
+// n. Each facade call counts one vote round in DIABLO_PROFILE's summary,
+// plus the receivers it evaluates (all n or one; none when quorum is 0); the
 // kernels above count nothing.
 
 SimDuration QuorumArrivalInto(const VoteDelays& delays,
@@ -239,13 +236,14 @@ void QuorumArrivalAllInto(const VoteDelays& delays,
                           double hop_scale, MessagePlaneScratch* scratch,
                           std::vector<SimDuration>* result);
 
-// Committee-sampled round: the arrival of `quorum` of the listed senders'
-// votes, evaluated only at the listed receivers. `result` is sized to n with
-// kUnreachable everywhere else; duplicated receivers are computed once
-// (tracked in scratch->receiver_bits). This is the O(committee²) round shape
-// the sampling engines use at large N, where evaluating every one of 10k+
-// receivers per step would bring the O(n²) flood back in through compute.
-void QuorumArrivalCommitteeInto(const VoteDelays& delays,
+// Committee-sampled round over the streamed model: the arrival of `quorum`
+// of the listed senders' votes, evaluated only at the listed receivers.
+// `result` is sized to n with kUnreachable everywhere else; duplicated
+// receivers are computed once (tracked in scratch->receiver_bits). This is
+// the O(committee²) round shape BA* uses at large N, where evaluating every
+// one of 10k+ receivers per step would bring the O(n²) flood back in through
+// compute. Counts like a facade call.
+void QuorumArrivalCommitteeInto(const StreamedDelays& delays,
                                 const std::vector<uint32_t>& senders,
                                 const std::vector<SimDuration>& sender_times,
                                 const std::vector<uint32_t>& receivers, size_t n,

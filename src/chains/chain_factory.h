@@ -8,6 +8,7 @@
 
 #include "src/chain/node.h"
 #include "src/chains/params.h"
+#include "src/consensus/engine.h"
 
 namespace diablo {
 

@@ -46,9 +46,7 @@ ChainParams AvalancheParams() {
   p.max_block_txs = 2000;
   p.confirmation_depth = 0;                // decision time modelled explicitly
   p.mempool.global_cap = 9000;             // calibrated: Fig. 6 Apple ~90% committed
-  p.sample_k = 20;                         // Snowball defaults
-  p.beta = 12;
-  p.alpha_fraction = 0.8;
+  p.beta = 12;                             // Snowball, k = 20 and alpha = 0.8
   p.gas_per_sec_per_vcpu = 800e6;
   p.congestion_threshold = 0;              // immune to overload (§6.3)
   return p;
@@ -127,8 +125,7 @@ ChainParams SolanaParams() {
   p.dapp_language = "Solidity";  // via Solang, as the paper's Table 4 lists Solidity
   p.dialect = VmDialect::kEbpf;
   p.sig_scheme = SignatureScheme::kEd25519;
-  p.slot_duration = Milliseconds(400);  // 400 ms slots (§5.2)
-  p.leader_window_slots = 4;
+  p.block_interval = Milliseconds(400);  // 400 ms slots (§5.2)
   p.block_gas_limit = 3'600'000;        // calibrated: ~9000 TPS native ceiling
   p.max_block_bytes = 1'300'000;        // Turbine shred budget per slot
   p.max_block_txs = 4000;

@@ -6,7 +6,9 @@
 #ifndef SRC_CONSENSUS_ALGORAND_H_
 #define SRC_CONSENSUS_ALGORAND_H_
 
-#include "src/chain/node.h"
+#include <vector>
+
+#include "src/consensus/engine.h"
 
 namespace diablo {
 
@@ -14,10 +16,15 @@ class AlgorandEngine : public ConsensusEngine {
  public:
   explicit AlgorandEngine(ChainContext* ctx);
 
-  void Start() override;
-
  private:
-  void Round();
+  void Round() override;
+
+  // BA* step `step`: `committee` votes once its members hold the previous
+  // step's result (`start_times`, node-indexed) and their step timer
+  // expired; `voted` receives when each receiver holds the step's quorum.
+  void VoteStep(uint64_t step, const std::vector<uint32_t>& committee,
+                const std::vector<SimDuration>& start_times,
+                std::vector<SimDuration>* voted);
 
   uint64_t seed_;
   uint64_t height_ = 1;

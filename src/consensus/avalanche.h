@@ -8,7 +8,7 @@
 #ifndef SRC_CONSENSUS_AVALANCHE_H_
 #define SRC_CONSENSUS_AVALANCHE_H_
 
-#include "src/chain/node.h"
+#include "src/consensus/engine.h"
 
 namespace diablo {
 
@@ -16,10 +16,8 @@ class AvalancheEngine : public ConsensusEngine {
  public:
   explicit AvalancheEngine(ChainContext* ctx);
 
-  void Start() override;
-
  private:
-  void ProduceBlock();
+  void Round() override;
 
   // Time for beta consecutive Snowball query rounds from `node`. A
   // `conflicted` decision (equivocating issuer) needs twice the rounds to

@@ -5,9 +5,7 @@
 #ifndef SRC_CONSENSUS_CLIQUE_H_
 #define SRC_CONSENSUS_CLIQUE_H_
 
-#include <deque>
-
-#include "src/chain/node.h"
+#include "src/consensus/engine.h"
 
 namespace diablo {
 
@@ -15,21 +13,10 @@ class CliqueEngine : public ConsensusEngine {
  public:
   explicit CliqueEngine(ChainContext* ctx) : ConsensusEngine(ctx) {}
 
-  void Start() override;
-
  private:
-  struct PendingBlock {
-    uint64_t height;
-    int proposer;
-    ChainContext::BuiltBlock built;
-    SimTime proposed_at;
-    SimTime visible_at;  // block fully propagated to the network
-  };
-
-  void ProduceBlock();
+  void Round() override;
 
   uint64_t height_ = 1;
-  std::deque<PendingBlock> pending_;
 };
 
 }  // namespace diablo

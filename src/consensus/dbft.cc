@@ -8,20 +8,20 @@ namespace diablo {
 DbftEngine::DbftEngine(ChainContext* ctx)
     : ConsensusEngine(ctx), rng_(ctx->sim()->ForkRng()) {}
 
-void DbftEngine::Start() {
-  ctx_->sim()->Schedule(ctx_->params().block_interval, [this] { Round(); });
-}
-
 void DbftEngine::Round() {
   const SimTime t0 = ctx_->sim()->Now();
   const ChainParams& params = ctx_->params();
   const int n = ctx_->node_count();
-  const size_t quorum = static_cast<size_t>(ByzantineQuorum(n));
-  const auto& hosts = ctx_->hosts();
+
+  // One representative proposer, sampled per round, stands for the n
+  // mini-block proposers: its dissemination gates the round, and its
+  // straggler factor and lazy or censoring bits shape the superblock, so an
+  // adversary affects its share of the rounds.
+  const int sampled = static_cast<int>(rng_.NextBelow(static_cast<uint64_t>(n)));
 
   // The superblock is the union of n mini-blocks; drafting and execution
   // are sharded across the proposers, so the per-node work is 1/n of it.
-  ChainContext::BuiltBlock built = ctx_->BuildBlock(t0, /*proposer=*/0);
+  ChainContext::BuiltBlock built = ctx_->BuildBlock(t0, sampled);
   const SimDuration per_node_work =
       built.build_time / static_cast<SimDuration>(std::max(1, n));
 
@@ -29,60 +29,30 @@ void DbftEngine::Round() {
   // binary consensus decides 0 for them, so their share of the superblock is
   // excluded and its transactions return to the pool for the next round.
   if (ctx_->AnyAdversary() && built.tx_count > 0) {
-    int equivocators = 0;
+    uint64_t honest = static_cast<uint64_t>(n);
     for (int i = 0; i < n; ++i) {
-      if (ctx_->ProposerEquivocates(i)) {
-        ++equivocators;
-        ctx_->RecordEquivocation();
-      }
+      honest -= ctx_->Equivocates(i) ? 1 : 0;
     }
-    if (equivocators > 0) {
-      const uint32_t keep = static_cast<uint32_t>(
-          (static_cast<uint64_t>(built.tx_count) *
-           static_cast<uint64_t>(n - equivocators)) /
-          static_cast<uint64_t>(n));
-      ctx_->RequeueBlockTail(&built, keep, t0);
-    }
+    const uint64_t keep =
+        static_cast<uint64_t>(built.tx_count) * honest / static_cast<uint64_t>(n);
+    ctx_->RequeueBlockTail(&built, static_cast<uint32_t>(keep), t0);
   }
 
   // Reliable broadcast of the mini-blocks: every node disseminates ~1/n of
-  // the payload concurrently — no leader uplink on the critical path. The
-  // slowest mini-block dissemination gates the round; sample one
-  // representative proposer per round.
-  const int sampled =
-      static_cast<int>(rng_.NextBelow(static_cast<uint64_t>(n)));
-  MessagePlaneScratch* plane = ctx_->plane();
-  std::vector<SimDuration>& bcast = plane->stage_a;
-  ctx_->net()->BroadcastDelaysInto(
-      hosts[static_cast<size_t>(sampled)], hosts,
-      std::max<int64_t>(kBlockHeaderBytes, built.bytes / n), params.gossip_fanout,
-      &plane->broadcast, &bcast);
-
-  std::vector<SimDuration>& delivered = bcast;  // arrival + sharded work, in place
-  for (int i = 0; i < n; ++i) {
-    if (bcast[static_cast<size_t>(i)] != kUnreachable) {
-      delivered[static_cast<size_t>(i)] = per_node_work + bcast[static_cast<size_t>(i)];
-    }
-  }
-
-  // Binary consensus per proposer, run concurrently: two all-to-all vote
+  // the payload concurrently — no leader uplink on the critical path. Then
+  // binary consensus per proposer, run concurrently: two all-to-all vote
   // rounds over 2f+1 quorums decide the whole batch. Withheld votes leave
   // the sender set; double votes are discarded as evidence.
-  ctx_->ApplyVoteAdversaries(&delivered);
-  const double hops = GossipHopScale(n);
-  std::vector<SimDuration>& echoed = plane->stage_b;
-  QuorumArrivalAllInto(ctx_->vote_delays(), delivered, quorum, hops, plane, &echoed);
-  ctx_->ApplyVoteAdversaries(&echoed);
-  std::vector<SimDuration>& decided = plane->stage_c;
-  QuorumArrivalAllInto(ctx_->vote_delays(), echoed, quorum, hops, plane, &decided);
-
-  const SimDuration round_latency = MedianDelayInto(decided, plane);
+  std::vector<SimDuration>& delivered =
+      ProposalArrivals(sampled, std::max<int64_t>(kBlockHeaderBytes, built.bytes / n),
+                       kGossipFanout, per_node_work, 0);
+  const SimDuration round_latency =
+      TwoVoteRounds(&delivered, static_cast<size_t>(ByzantineQuorum(n)));
   if (round_latency == kUnreachable) {
     // The superblock missed its quorum: every mini-block's transactions
     // return to the pool for the next round.
     ctx_->AbandonBlock(built, t0 + params.round_timeout);
-    ++ctx_->stats().view_changes;
-    ctx_->sim()->Schedule(params.round_timeout, [this] { Round(); });
+    ViewChange(params.round_timeout);
     return;
   }
 
@@ -91,9 +61,7 @@ void DbftEngine::Round() {
       t0 + round_latency + ctx_->ExecAndVerifyTime(built.gas, built.tx_count);
   ctx_->FinalizeBlock(height_, sampled, std::move(built), t0, final_time);
   ++height_;
-
-  const SimTime next = std::max(final_time, t0 + params.block_interval);
-  ctx_->sim()->ScheduleAt(next, [this] { Round(); });
+  NextRound(t0, final_time);
 }
 
 ChainParams RedBellyParams() {

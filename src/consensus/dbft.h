@@ -7,7 +7,7 @@
 #ifndef SRC_CONSENSUS_DBFT_H_
 #define SRC_CONSENSUS_DBFT_H_
 
-#include "src/chain/node.h"
+#include "src/consensus/engine.h"
 
 namespace diablo {
 
@@ -15,10 +15,8 @@ class DbftEngine : public ConsensusEngine {
  public:
   explicit DbftEngine(ChainContext* ctx);
 
-  void Start() override;
-
  private:
-  void Round();
+  void Round() override;
 
   Rng rng_;
   uint64_t height_ = 1;

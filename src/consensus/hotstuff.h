@@ -7,9 +7,7 @@
 #ifndef SRC_CONSENSUS_HOTSTUFF_H_
 #define SRC_CONSENSUS_HOTSTUFF_H_
 
-#include <deque>
-
-#include "src/chain/node.h"
+#include "src/consensus/engine.h"
 
 namespace diablo {
 
@@ -17,21 +15,11 @@ class HotStuffEngine : public ConsensusEngine {
  public:
   explicit HotStuffEngine(ChainContext* ctx) : ConsensusEngine(ctx) {}
 
-  void Start() override;
-
  private:
-  struct PendingBlock {
-    uint64_t height;
-    int proposer;
-    ChainContext::BuiltBlock built;
-    SimTime proposed_at;
-  };
-
-  void Round();
+  void Round() override;
 
   uint64_t round_ = 0;
   uint64_t height_ = 1;
-  std::deque<PendingBlock> pipeline_;  // blocks awaiting the 3-chain rule
 };
 
 }  // namespace diablo

@@ -6,7 +6,7 @@
 #ifndef SRC_CONSENSUS_IBFT_H_
 #define SRC_CONSENSUS_IBFT_H_
 
-#include "src/chain/node.h"
+#include "src/consensus/engine.h"
 
 namespace diablo {
 
@@ -14,10 +14,8 @@ class IbftEngine : public ConsensusEngine {
  public:
   explicit IbftEngine(ChainContext* ctx) : ConsensusEngine(ctx) {}
 
-  void Start() override;
-
  private:
-  void Round();
+  void Round() override;
 
   uint64_t height_ = 1;
   uint64_t round_ = 0;          // increments on view changes too

@@ -835,9 +835,9 @@ TEST(ChainParamsTest, TableFourCharacteristics) {
   EXPECT_GE(avalanche.block_interval, MillisecondsF(1900));  // §5.2
 
   const ChainParams solana = GetChainParams("solana");
-  EXPECT_EQ(solana.confirmation_depth, 30);            // §5.2
-  EXPECT_EQ(solana.slot_duration, Milliseconds(400));  // §5.2
-  EXPECT_EQ(solana.mempool.ttl, Seconds(120));         // §5.2
+  EXPECT_EQ(solana.confirmation_depth, 30);             // §5.2
+  EXPECT_EQ(solana.block_interval, Milliseconds(400));  // §5.2: the slot
+  EXPECT_EQ(solana.mempool.ttl, Seconds(120));          // §5.2
 
   const ChainParams ethereum = GetChainParams("ethereum");
   EXPECT_EQ(ethereum.consensus_name, "Clique");

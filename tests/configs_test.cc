@@ -277,6 +277,101 @@ TEST(DappGoldenTest, StreamsSharingSecondariesAreStable) {
       << "golden hash (kCheckedBuild=" << kCheckedBuild << ")";
 }
 
+// Pins the round flow each engine shares: view changes, abandoned rounds,
+// equivocation and withholding, and (for the leaderless chains) the
+// representative proposer. One testnet schedule for all seven chains: a
+// crash long enough to hit every rotation's turn, a minority partition, a
+// loss window, then an equivocator and a withholder. It arms no lazy,
+// censor or straggler window. Each hash was produced by an unchecked build
+// and must hold with kCheckedBuild on.
+TEST(EngineGoldenTest, FaultAndByzantinePathsAreStable) {
+  const FaultSchedule faults = FaultScheduleBuilder()
+                                   .Crash(1, Seconds(4), Seconds(20))
+                                   .Partition({7, 8}, Seconds(8), Seconds(16))
+                                   .Loss(0.05, Seconds(10), Seconds(18))
+                                   .Equivocate({2}, Seconds(14), Seconds(24))
+                                   .WithholdVotes({3}, Seconds(14), Seconds(24))
+                                   .Build();
+  RetryPolicy retry;
+  retry.max_attempts = 3;
+  retry.timeout = Seconds(1);
+  struct Golden {
+    const char* chain;
+    const char* digest;
+  };
+  const Golden goldens[] = {
+      {"algorand", "98c13c1e1ee0bf3ab57a6781e3e14a90facd0dd4f474d4d7b1cae880da5504a0"},
+      {"avalanche", "a5f4c9a19c37ea4945570295a8fb3663e2b0a4bdfa625b74ffded5db66589f0b"},
+      {"diem", "3055dcf23bee86a0d18cd4adbfe6261102a351c9e7899225ae2e12645a6d5c0d"},
+      {"ethereum", "7858b801a91c61bde4fe6419b4c0e656eb2b83ea4431e0f57e426b0d7e2cf7d3"},
+      {"quorum", "eb13e1a2a185a5f8d00e55954006f1fbf43b9e0042556b8689b26865bd7e00ac"},
+      {"redbelly", "aca83af994086847bca41bfb2364ffd151e9fc51250fc4c5226bf8fd415c18d7"},
+      {"solana", "2202c1c0d80f3dceea57600a9883fd3ad506505b2ba7015da66b9dd6ad3826c1"},
+  };
+  for (const Golden& golden : goldens) {
+    const RunResult result = RunFaultBenchmark(golden.chain, "testnet", /*tps=*/100,
+                                               /*seconds=*/30, faults, retry);
+    ASSERT_TRUE(result.failure_reason.empty()) << result.failure_reason;
+    EXPECT_TRUE(result.report.byzantine) << golden.chain;
+    EXPECT_EQ(DigestHex(Sha256Digest(result.report.ToText())), golden.digest)
+        << golden.chain << " fault report text changed; if intentional, update "
+        << "the golden hash (kCheckedBuild=" << kCheckedBuild << ")";
+  }
+}
+
+TEST(EngineGoldenTest, OverloadViewChangesAreStable) {
+  // QuorumTest.CollapsesUnderSustainedOverload's scaled-down pool scan, at
+  // a rate above both chains' 100-transaction blocks: the leader cannot scan
+  // the pool within the round timeout, so IBFT backs off exponentially and
+  // HotStuff's pacemaker times out.
+  struct Golden {
+    const char* chain;
+    const char* digest;
+  };
+  const Golden goldens[] = {
+      {"quorum", "0cf4004b038075251e1ab26b99e12dc7a3b20873e1c51c0c317edae78a260842"},
+      {"diem", "5372c3e018ef92f5df8a2bc461bf1dfcfc12bfb1f8c79bc63a81b2f66d0fe714"},
+  };
+  for (const Golden& golden : goldens) {
+    ChainParams params = GetChainParams(golden.chain);
+    params.proposal_overhead_per_pending_tx = Milliseconds(2);
+    params.round_timeout = Seconds(2);
+    params.max_block_txs = 100;
+    BenchmarkSetup setup;
+    setup.chain = golden.chain;
+    setup.params = params;
+    Primary primary(setup);
+    const RunResult result = primary.RunNative(ConstantTrace(2000, 20));
+    ASSERT_TRUE(result.failure_reason.empty()) << result.failure_reason;
+    EXPECT_GT(result.chain_stats.view_changes, 0u) << golden.chain;
+    EXPECT_EQ(DigestHex(Sha256Digest(result.report.ToText())), golden.digest)
+        << golden.chain << " overload report text changed; if intentional, "
+        << "update the golden hash (kCheckedBuild=" << kCheckedBuild << ")";
+  }
+}
+
+TEST(EngineGoldenTest, StreamedVotePlanesAreStable) {
+  // 1,000 validators: the streamed delay model, BA*'s committee-sampled
+  // steps and HotStuff's single-receiver certificate.
+  struct Golden {
+    const char* chain;
+    const char* digest;
+  };
+  const Golden goldens[] = {
+      {"algorand", "2a61ddd77a422b8315fdb6359b62f9c30ee3c19f1ab41b3feb123cfbc5272a0b"},
+      {"diem", "a9dd5185ec7b08e1cd11b7289157d6d74194a5b85aee061e04a5806393db753c"},
+  };
+  for (const Golden& golden : goldens) {
+    const RunResult result =
+        RunNativeBenchmark(golden.chain, "xl-1000", /*tps=*/100, /*seconds=*/10);
+    ASSERT_TRUE(result.failure_reason.empty()) << result.failure_reason;
+    EXPECT_GT(result.report.committed, 0u) << golden.chain;
+    EXPECT_EQ(DigestHex(Sha256Digest(result.report.ToText())), golden.digest)
+        << golden.chain << " xl-1000 report text changed; if intentional, "
+        << "update the golden hash (kCheckedBuild=" << kCheckedBuild << ")";
+  }
+}
+
 TEST(TraceCsvTest, RoundTrip) {
   const Trace original = UberTrace();
   Trace parsed;

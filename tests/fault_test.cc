@@ -480,6 +480,46 @@ TEST(FaultInjectorTest, LazyProposersSealEmptyBlocksAndSlowTheChain) {
   EXPECT_GT(latency_with(true), latency_with(false));
 }
 
+// DBFT's superblock takes its proposer-side adversary bits from the round's
+// sampled representative. Runs redbelly with node `lazy_node` lazy from 10 s
+// to 40 s; returns the lazy proposals and sets *window_rounds to the rounds
+// proposed inside the window.
+uint64_t DbftLazyRun(int lazy_node, uint64_t* window_rounds) {
+  MiniRun run("redbelly", 3);
+  run.Submit(100, 50);
+  FaultInjector injector(
+      FaultScheduleBuilder().LazyProposer({lazy_node}, Seconds(10), Seconds(40)).Build(),
+      &run.chain->context());
+  std::string error;
+  EXPECT_TRUE(injector.Install(&error)) << error;
+  run.chain->Start();
+  run.sim.RunUntil(Seconds(60));
+  const Ledger& ledger = run.chain->context().ledger();
+  *window_rounds = 0;
+  for (size_t i = 0; i < ledger.block_count(); ++i) {
+    const SimTime proposed = ledger.block(i).proposed_at;
+    if (proposed >= Seconds(10) && proposed < Seconds(40)) {
+      ++*window_rounds;
+    }
+  }
+  return run.chain->context().stats().lazy_proposals;
+}
+
+TEST(FaultInjectorTest, DbftLazyWindowOnAnyNodeEmptiesSomeRounds) {
+  uint64_t window_rounds = 0;
+  EXPECT_GT(DbftLazyRun(3, &window_rounds), 0u);
+  EXPECT_GT(window_rounds, 0u);
+}
+
+TEST(FaultInjectorTest, DbftLazyNodeEmptiesOnlyTheRoundsItRepresents) {
+  // One lazy node in ten represents about a tenth of the rounds; it must
+  // not blank the whole window.
+  uint64_t window_rounds = 0;
+  const uint64_t lazy = DbftLazyRun(0, &window_rounds);
+  EXPECT_GT(window_rounds, 0u);
+  EXPECT_LT(2 * lazy, window_rounds);
+}
+
 // --- Full-stack fault runs (primary + clients + resilience metrics) ---
 
 TEST(FaultRunTest, PartitionHealYieldsRecoveryMetrics) {

@@ -245,55 +245,52 @@ TEST(VoteDelaysTest, DenseFacadeForwardsBitIdentically) {
   }
 }
 
-TEST(VoteDelaysTest, CommitteeKernelMatchesFullKernelBothRepresentations) {
-  for (const size_t threshold : {size_t{1000}, size_t{1}}) {
-    Simulation sim(23);
-    Network net(&sim, 0.05);
-    const std::vector<HostId> hosts = MakeHosts(&net, SmallXl(60));
-    const VoteDelays delays(&net, hosts, 256, threshold);
-    const size_t n = hosts.size();
+TEST(VoteDelaysTest, CommitteeKernelMatchesFullKernel) {
+  Simulation sim(23);
+  Network net(&sim, 0.05);
+  const std::vector<HostId> hosts = MakeHosts(&net, SmallXl(60));
+  const VoteDelays delays(&net, hosts, 256, /*dense_threshold=*/1);
+  const size_t n = hosts.size();
 
-    Rng rng(9);
-    MessagePlaneScratch scratch;
-    std::vector<SimDuration> committee_result;
-    for (int round = 0; round < 10; ++round) {
-      std::vector<uint32_t> committee;
-      std::vector<SimDuration> times;
-      std::vector<SimDuration> expanded(n, kUnreachable);
-      for (uint32_t i = 0; i < n; ++i) {
-        if (rng.NextBelow(2) == 0) {
-          const SimDuration t =
-              static_cast<SimDuration>(rng.NextBelow(Milliseconds(100)));
-          committee.push_back(i);
-          times.push_back(t);
-          expanded[i] = t;
-        }
+  Rng rng(9);
+  MessagePlaneScratch scratch;
+  std::vector<SimDuration> committee_result;
+  for (int round = 0; round < 10; ++round) {
+    std::vector<uint32_t> committee;
+    std::vector<SimDuration> times;
+    std::vector<SimDuration> expanded(n, kUnreachable);
+    for (uint32_t i = 0; i < n; ++i) {
+      if (rng.NextBelow(2) == 0) {
+        const SimDuration t =
+            static_cast<SimDuration>(rng.NextBelow(Milliseconds(100)));
+        committee.push_back(i);
+        times.push_back(t);
+        expanded[i] = t;
       }
-      if (committee.size() < 2) {
+    }
+    if (committee.size() < 2) {
+      continue;
+    }
+    // Receivers with a duplicate, which the kernel must compute once.
+    std::vector<uint32_t> receivers = {0, static_cast<uint32_t>(n - 1),
+                                       committee[0], 0};
+    const size_t quorum = 1 + committee.size() / 2;
+    QuorumArrivalCommitteeInto(delays.streamed(), committee, times, receivers, n,
+                               quorum, 1.5, &scratch, &committee_result);
+    ASSERT_EQ(committee_result.size(), n);
+    std::vector<bool> listed(n, false);
+    for (const uint32_t r : receivers) {
+      listed[r] = true;
+    }
+    MessagePlaneScratch reference_scratch;
+    for (size_t r = 0; r < n; ++r) {
+      if (!listed[r]) {
+        ASSERT_EQ(committee_result[r], kUnreachable);
         continue;
       }
-      // Receivers with a duplicate, which the kernel must compute once.
-      std::vector<uint32_t> receivers = {0, static_cast<uint32_t>(n - 1),
-                                         committee[0], 0};
-      const size_t quorum = 1 + committee.size() / 2;
-      QuorumArrivalCommitteeInto(delays, committee, times, receivers, n, quorum,
-                                 1.5, &scratch, &committee_result);
-      ASSERT_EQ(committee_result.size(), n);
-      std::vector<bool> listed(n, false);
-      for (const uint32_t r : receivers) {
-        listed[r] = true;
-      }
-      MessagePlaneScratch reference_scratch;
-      for (size_t r = 0; r < n; ++r) {
-        if (!listed[r]) {
-          ASSERT_EQ(committee_result[r], kUnreachable);
-          continue;
-        }
-        const SimDuration want =
-            QuorumArrivalInto(delays, expanded, r, quorum, 1.5, &reference_scratch);
-        ASSERT_EQ(committee_result[r], want)
-            << "threshold " << threshold << " receiver " << r;
-      }
+      const SimDuration want =
+          QuorumArrivalInto(delays, expanded, r, quorum, 1.5, &reference_scratch);
+      ASSERT_EQ(committee_result[r], want) << "receiver " << r;
     }
   }
 }
