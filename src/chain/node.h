@@ -18,6 +18,7 @@
 #include "src/chain/validator_table.h"
 #include "src/chain/vote_round.h"
 #include "src/crypto/signature.h"
+#include "src/fault/schedule.h"
 #include "src/net/deployment.h"
 #include "src/net/network.h"
 #include "src/sim/simulation.h"
@@ -171,7 +172,7 @@ class ChainContext {
 
   // --- adversary hooks (driven by the FaultInjector) ----------------------
   // Arms / disarms one adversary behavior bit (kAdversary* in
-  // validator_table.h) on `node`. The engines consult the bits through the
+  // src/fault/schedule.h) on `node`. The engines consult the bits through the
   // helpers below; a healthy run never allocates the underlying table.
   void SetAdversary(int node, uint8_t bits, bool on);
   bool AnyAdversary() const { return validators_.AnyAdversary(); }

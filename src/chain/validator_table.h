@@ -57,7 +57,8 @@ class ValidatorTable {
   // --- adversary bits ------------------------------------------------------
   // One behavior byte per validator, allocated lazily on the first armed
   // Byzantine window, so healthy runs pay one emptiness check and zero
-  // bytes. Bits combine: a node can equivocate *and* withhold.
+  // bytes. The bits are the kAdversary* of src/fault/schedule.h, and they
+  // combine: a node can equivocate *and* withhold.
   void SetAdversary(int index, uint8_t bits, bool on);
   uint8_t Adversary(int index) const {
     return adversary_.empty() ? 0 : adversary_[static_cast<size_t>(index)];
@@ -81,13 +82,6 @@ class ValidatorTable {
   std::vector<uint8_t> adversary_;
   size_t adversary_count_ = 0;  // validators with a nonzero adversary byte
 };
-
-// Adversary behavior bits for ValidatorTable::SetAdversary.
-inline constexpr uint8_t kAdversaryEquivocate = 1u << 0;
-inline constexpr uint8_t kAdversaryDoubleVote = 1u << 1;
-inline constexpr uint8_t kAdversaryWithhold = 1u << 2;
-inline constexpr uint8_t kAdversaryCensor = 1u << 3;
-inline constexpr uint8_t kAdversaryLazy = 1u << 4;
 
 }  // namespace diablo
 

@@ -95,253 +95,141 @@ bool ParseBehavior(const YamlNode& node, ClientBehavior* behavior, std::string* 
   return true;
 }
 
-// Reads a time field in float seconds. Required fields must be present;
-// optional ones fall back (e.g. `to:` absent = window never closes).
-bool FaultTime(const YamlNode& node, std::string_view key, bool required,
-               SimTime fallback, SimTime* out, std::string* error) {
-  const YamlNode* value = node.Find(key);
-  if (value == nullptr) {
-    if (required) {
-      *error = StrFormat("fault missing '%s'", std::string(key).c_str());
-      return false;
-    }
-    *out = fallback;
-    return true;
+// A fault value as written, for diagnostics: lists as [a, b].
+std::string ValueText(const YamlNode& node) {
+  if (!node.IsList()) {
+    return node.IsMap() ? "{...}" : node.scalar;
   }
-  double seconds = 0;
-  if (!value->AsDouble(&seconds)) {
-    *error = StrFormat("malformed fault time '%s': %s", std::string(key).c_str(),
-                       value->scalar.c_str());
-    return false;
+  std::string text;
+  for (const YamlNode& item : node.items) {
+    text += (text.empty() ? "" : ", ") + ValueText(item);
   }
-  *out = SecondsF(seconds);
-  return true;
+  return "[" + text + "]";
 }
 
-// Resolves a `between: [region-a, region-b]` scope. Absent = all pairs.
-bool FaultPair(const YamlNode& node, bool* scoped, Region* a, Region* b,
-               std::string* error) {
-  const YamlNode* between = node.Find("between");
-  *scoped = false;
-  if (between == nullptr) {
-    return true;
-  }
-  if (!between->IsList() || between->items.size() != 2) {
-    *error = "fault 'between' must list exactly two regions";
+// Reads one key of a `faults:` entry into the FaultEvent field it names.
+// There is one reader per key, whichever kind uses it.
+bool ReadFaultKey(const char* kind, std::string_view key, const YamlNode& value,
+                  int line, FaultEvent* event, std::string* error) {
+  const auto fail = [&](const char* want) {
+    *error = StrFormat("%s fault '%s' = %s: %s (line %d)", kind,
+                       std::string(key).c_str(), ValueText(value).c_str(), want,
+                       line);
     return false;
-  }
-  if (!ParseRegion(between->items[0].scalar, a) ||
-      !ParseRegion(between->items[1].scalar, b)) {
-    *error = "fault 'between' names an unknown region";
-    return false;
-  }
-  *scoped = true;
-  return true;
-}
-
-// Rejects keys a fault kind does not understand, pointing at the offending
-// source line — a typo ("restat:") must fail loudly, not silently fall back
-// to a default.
-bool CheckFaultKeys(const std::string& kind, const YamlNode& body,
-                    std::initializer_list<std::string_view> allowed,
-                    std::string* error) {
-  if (!body.IsMap()) {
-    return true;
-  }
-  for (const auto& [key, value] : body.entries) {
-    bool known = false;
-    for (const std::string_view candidate : allowed) {
-      known = known || key == candidate;
-    }
-    if (!known) {
-      *error = StrFormat("%s fault has unknown key '%s' (line %d)",
-                         kind.c_str(), key.c_str(),
-                         value.line > 0 ? value.line : body.line);
+  };
+  const auto index = [](const YamlNode& node, int* out) {
+    int64_t parsed = 0;
+    if (!node.AsInt64(&parsed)) {
       return false;
     }
-  }
-  return true;
-}
-
-// Byzantine adversary scope: an explicit `nodes:` list or a `fraction:` of
-// the deployment (the injector resolves the fraction deterministically).
-bool FaultAdversaries(const std::string& kind, const YamlNode& body,
-                      FaultEvent* event, std::string* error) {
-  const YamlNode* nodes = body.Find("nodes");
-  const YamlNode* fraction = body.Find("fraction");
-  if (nodes != nullptr) {
-    if (!nodes->IsList()) {
-      *error = kind + " fault 'nodes' must be a list";
+    *out = static_cast<int>(parsed);
+    return true;
+  };
+  const auto index_list = [&](std::vector<int>* out) {
+    if (!value.IsList()) {
       return false;
     }
-    for (const YamlNode& item : nodes->items) {
-      int64_t index = -1;
-      if (!item.AsInt64(&index)) {
-        *error = "malformed " + kind + " node index: " + item.scalar;
+    for (const YamlNode& item : value.items) {
+      if (!index(item, &out->emplace_back())) {
         return false;
       }
-      event->nodes.push_back(static_cast<int>(index));
     }
+    return true;
+  };
+  const auto finite = [&](double* out) {
+    return value.AsDouble(out) && std::isfinite(*out);
+  };
+  if (key == "node") {
+    return index(value, &event->node) || fail("want a node index");
   }
-  if (fraction != nullptr && !fraction->AsDouble(&event->fraction)) {
-    *error = "malformed " + kind + " 'fraction': " + fraction->scalar;
-    return false;
+  if (key == "nodes") {
+    return index_list(&event->nodes) || fail("want a list of node indices");
   }
-  if ((nodes == nullptr) == (fraction == nullptr)) {
-    *error = kind + " fault needs exactly one of 'nodes' or 'fraction'";
-    return false;
+  if (key == "signers") {
+    return index_list(&event->censored_signers) ||
+           fail("want a list of signer ids");
   }
+  if (key == "region") {
+    event->by_region = true;
+    return ParseRegion(value.scalar, &event->region) || fail("unknown region");
+  }
+  if (key == "between") {
+    event->region_pair = true;
+    return (value.IsList() && value.items.size() == 2 &&
+            ParseRegion(value.items[0].scalar, &event->pair_a) &&
+            ParseRegion(value.items[1].scalar, &event->pair_b)) ||
+           fail("want a list of two known regions");
+  }
+  if (key == "rate" || key == "cpu_factor" || key == "fraction") {
+    double* field = key == "rate"         ? &event->loss_rate
+                    : key == "cpu_factor" ? &event->cpu_factor
+                                          : &event->fraction;
+    return finite(field) || fail("want a finite number");
+  }
+  // Delays and times stay within the bound load points and --duration use.
+  double amount = 0;
+  const bool in_range = finite(&amount) && amount >= 0 && amount <= INT32_MAX;
+  if (key == "extra_ms") {
+    if (!in_range) {
+      return fail("want milliseconds in [0, INT32_MAX]");
+    }
+    event->extra_delay = SecondsF(amount / 1000.0);
+    return true;
+  }
+  // The onset key (at, from) or the heal key (restart, to).
+  if (!in_range) {
+    return fail("malformed fault time, want seconds in [0, INT32_MAX]");
+  }
+  (key == "at" || key == "from" ? event->at : event->until) = SecondsF(amount);
   return true;
 }
 
-// One `- kind: { ... }` entry of the top-level `faults:` list.
+// One `- kind: { ... }` entry of the top-level `faults:` list, read through
+// its row of kFaultKindRows.
 bool ParseFaultEntry(const std::string& kind, const YamlNode& body,
                      FaultSchedule* schedule, std::string* error) {
-  FaultEvent event;
-  if (kind == "crash") {
-    event.kind = FaultKind::kCrash;
-    if (!CheckFaultKeys(kind, body, {"node", "at", "restart"}, error)) {
-      return false;
-    }
-    int64_t index = -1;
-    const YamlNode* node = body.Find("node");
-    if (node == nullptr || !node->AsInt64(&index)) {
-      *error = "crash fault missing 'node'";
-      return false;
-    }
-    event.node = static_cast<int>(index);
-    if (!FaultTime(body, "at", true, 0, &event.at, error) ||
-        !FaultTime(body, "restart", false, -1, &event.until, error)) {
-      return false;
-    }
-  } else if (kind == "partition") {
-    event.kind = FaultKind::kPartition;
-    if (!CheckFaultKeys(kind, body, {"nodes", "region", "from", "to"}, error)) {
-      return false;
-    }
-    const YamlNode* region = body.Find("region");
-    const YamlNode* nodes = body.Find("nodes");
-    if (region != nullptr) {
-      event.by_region = true;
-      if (!ParseRegion(region->scalar, &event.region)) {
-        *error = "partition names an unknown region: " + region->scalar;
-        return false;
-      }
-    } else if (nodes != nullptr && nodes->IsList()) {
-      for (const YamlNode& item : nodes->items) {
-        int64_t index = -1;
-        if (!item.AsInt64(&index)) {
-          *error = "malformed partition node index: " + item.scalar;
-          return false;
-        }
-        event.nodes.push_back(static_cast<int>(index));
-      }
-    } else {
-      *error = "partition fault needs 'nodes' or 'region'";
-      return false;
-    }
-    if (!FaultTime(body, "from", true, 0, &event.at, error) ||
-        !FaultTime(body, "to", false, -1, &event.until, error)) {
-      return false;
-    }
-  } else if (kind == "loss") {
-    event.kind = FaultKind::kLoss;
-    if (!CheckFaultKeys(kind, body, {"rate", "between", "from", "to"}, error)) {
-      return false;
-    }
-    const YamlNode* rate = body.Find("rate");
-    if (rate == nullptr || !rate->AsDouble(&event.loss_rate)) {
-      *error = "loss fault missing 'rate'";
-      return false;
-    }
-    if (!FaultPair(body, &event.region_pair, &event.pair_a, &event.pair_b,
-                   error) ||
-        !FaultTime(body, "from", true, 0, &event.at, error) ||
-        !FaultTime(body, "to", false, -1, &event.until, error)) {
-      return false;
-    }
-  } else if (kind == "delay") {
-    event.kind = FaultKind::kDelaySpike;
-    if (!CheckFaultKeys(kind, body, {"extra_ms", "between", "from", "to"},
-                        error)) {
-      return false;
-    }
-    const YamlNode* extra = body.Find("extra_ms");
-    double extra_ms = 0;
-    if (extra == nullptr || !extra->AsDouble(&extra_ms)) {
-      *error = "delay fault missing 'extra_ms'";
-      return false;
-    }
-    event.extra_delay = SecondsF(extra_ms / 1000.0);
-    if (!FaultPair(body, &event.region_pair, &event.pair_a, &event.pair_b,
-                   error) ||
-        !FaultTime(body, "from", true, 0, &event.at, error) ||
-        !FaultTime(body, "to", false, -1, &event.until, error)) {
-      return false;
-    }
-  } else if (kind == "straggler") {
-    event.kind = FaultKind::kStraggler;
-    if (!CheckFaultKeys(kind, body, {"node", "cpu_factor", "from", "to"},
-                        error)) {
-      return false;
-    }
-    int64_t index = -1;
-    const YamlNode* node = body.Find("node");
-    if (node == nullptr || !node->AsInt64(&index)) {
-      *error = "straggler fault missing 'node'";
-      return false;
-    }
-    event.node = static_cast<int>(index);
-    const YamlNode* factor = body.Find("cpu_factor");
-    if (factor == nullptr || !factor->AsDouble(&event.cpu_factor)) {
-      *error = "straggler fault missing 'cpu_factor'";
-      return false;
-    }
-    if (!FaultTime(body, "from", true, 0, &event.at, error) ||
-        !FaultTime(body, "to", false, -1, &event.until, error)) {
-      return false;
-    }
-  } else if (kind == "equivocate" || kind == "double-vote" ||
-             kind == "withhold" || kind == "lazy") {
-    event.kind = kind == "equivocate"    ? FaultKind::kEquivocate
-                 : kind == "double-vote" ? FaultKind::kDoubleVote
-                 : kind == "withhold"    ? FaultKind::kWithholdVotes
-                                         : FaultKind::kLazyProposer;
-    if (!CheckFaultKeys(kind, body, {"nodes", "fraction", "from", "to"},
-                        error) ||
-        !FaultAdversaries(kind, body, &event, error) ||
-        !FaultTime(body, "from", true, 0, &event.at, error) ||
-        !FaultTime(body, "to", false, -1, &event.until, error)) {
-      return false;
-    }
-  } else if (kind == "censor") {
-    event.kind = FaultKind::kCensor;
-    if (!CheckFaultKeys(kind, body,
-                        {"nodes", "fraction", "signers", "from", "to"},
-                        error) ||
-        !FaultAdversaries(kind, body, &event, error)) {
-      return false;
-    }
-    const YamlNode* signers = body.Find("signers");
-    if (signers == nullptr || !signers->IsList()) {
-      *error = "censor fault needs a 'signers' list";
-      return false;
-    }
-    for (const YamlNode& item : signers->items) {
-      int64_t signer = -1;
-      if (!item.AsInt64(&signer)) {
-        *error = "malformed censored signer id: " + item.scalar;
-        return false;
-      }
-      event.censored_signers.push_back(static_cast<int>(signer));
-    }
-    if (!FaultTime(body, "from", true, 0, &event.at, error) ||
-        !FaultTime(body, "to", false, -1, &event.until, error)) {
-      return false;
-    }
-  } else {
+  const auto row =
+      std::find_if(kFaultKindRows.begin(), kFaultKindRows.end(),
+                   [&](const FaultKindRow& candidate) { return kind == candidate.name; });
+  if (row == kFaultKindRows.end()) {
     *error = StrFormat("unknown fault kind: %s (line %d)", kind.c_str(),
                        body.line);
+    return false;
+  }
+  const auto listed = [](const auto& keys, std::string_view key) {
+    return !key.empty() && std::find(keys.begin(), keys.end(), key) != keys.end();
+  };
+  // A typo ("restat:") must fail loudly, not silently fall back to a
+  // default.
+  for (const auto& [key, value] : body.entries) {
+    if (!listed(row->keys, key)) {
+      *error = StrFormat("%s fault has unknown key '%s' (line %d)", row->name,
+                         key.c_str(), value.line > 0 ? value.line : body.line);
+      return false;
+    }
+  }
+  FaultEvent event;
+  event.kind = row->kind;
+  for (const std::string_view key : row->keys) {
+    const YamlNode* value = key.empty() ? nullptr : body.Find(key);
+    if (value == nullptr) {
+      if (listed(row->required, key)) {
+        *error = StrFormat("%s fault missing '%s' (line %d)", row->name,
+                           std::string(key).c_str(), body.line);
+        return false;
+      }
+      continue;
+    }
+    if (!ReadFaultKey(row->name, key, *value,
+                      value->line > 0 ? value->line : body.line, &event, error)) {
+      return false;
+    }
+  }
+  const auto& [first, second] = row->one_of;
+  if (!first.empty() && (body.Find(first) == nullptr) == (body.Find(second) == nullptr)) {
+    *error = StrFormat("%s fault needs exactly one of '%s' or '%s' (line %d)",
+                       row->name, std::string(first).c_str(),
+                       std::string(second).c_str(), body.line);
     return false;
   }
   schedule->events.push_back(std::move(event));

@@ -4,27 +4,6 @@
 #include <utility>
 
 namespace diablo {
-namespace {
-
-// Which ValidatorTable behavior bit a Byzantine fault kind arms.
-uint8_t AdversaryBitsFor(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kEquivocate:
-      return kAdversaryEquivocate;
-    case FaultKind::kDoubleVote:
-      return kAdversaryDoubleVote;
-    case FaultKind::kWithholdVotes:
-      return kAdversaryWithhold;
-    case FaultKind::kCensor:
-      return kAdversaryCensor;
-    case FaultKind::kLazyProposer:
-      return kAdversaryLazy;
-    default:
-      return 0;
-  }
-}
-
-}  // namespace
 
 FaultInjector::FaultInjector(FaultSchedule schedule, ChainContext* ctx)
     : schedule_(std::move(schedule)), ctx_(ctx) {}
@@ -154,7 +133,8 @@ bool FaultInjector::Install(std::string* error) {
         // Byzantine windows arm behavior bits on the resolved adversaries;
         // the consensus engines react to the bits, not to the schedule.
         const std::vector<int> nodes = AdversaryNodes(event);
-        const uint8_t bits = AdversaryBitsFor(event.kind);
+        const uint8_t bits =
+            kFaultKindRows[static_cast<size_t>(event.kind)].adversary_bits;
         const FaultKind kind = event.kind;
         std::vector<uint32_t> signers(event.censored_signers.begin(),
                                       event.censored_signers.end());

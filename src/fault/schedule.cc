@@ -19,10 +19,7 @@ bool Overlaps(const FaultEvent& a, const FaultEvent& b) {
   return a.at < WindowEnd(b) && b.at < WindowEnd(a);
 }
 
-// Whether two events of the same kind act on the same scope, i.e. an
-// overlap between them would be ambiguous (node crashed while crashed,
-// two loss rates on one link).
-// Whether two explicit adversary node sets intersect.
+// Whether two explicit node sets intersect.
 bool NodesIntersect(const std::vector<int>& a, const std::vector<int>& b) {
   for (const int node : a) {
     if (std::find(b.begin(), b.end(), node) != b.end()) {
@@ -32,6 +29,9 @@ bool NodesIntersect(const std::vector<int>& a, const std::vector<int>& b) {
   return false;
 }
 
+// Whether two events of the same kind act on the same scope, i.e. an
+// overlap between them would be ambiguous (node crashed while crashed,
+// two loss rates on one link).
 bool SameScope(const FaultEvent& a, const FaultEvent& b) {
   switch (a.kind) {
     case FaultKind::kCrash:
@@ -54,17 +54,11 @@ bool SameScope(const FaultEvent& a, const FaultEvent& b) {
       return true;
     case FaultKind::kCount:
       return false;
-    case FaultKind::kPartition: {
+    case FaultKind::kPartition:
       if (a.by_region || b.by_region) {
         return a.by_region && b.by_region && a.region == b.region;
       }
-      for (const int node : a.nodes) {
-        if (std::find(b.nodes.begin(), b.nodes.end(), node) != b.nodes.end()) {
-          return true;
-        }
-      }
-      return false;
-    }
+      return NodesIntersect(a.nodes, b.nodes);
     case FaultKind::kLoss:
     case FaultKind::kDelaySpike: {
       if (a.region_pair != b.region_pair) {
@@ -93,45 +87,37 @@ bool EventError(const FaultEvent& event, const std::string& what,
 
 }  // namespace
 
+const std::array<FaultKindRow, kFaultKindCount> kFaultKindRows = {{
+    {FaultKind::kCrash, "crash", {"node", "at", "restart"}, {"node", "at"}, {}, 0},
+    {FaultKind::kPartition, "partition", {"nodes", "region", "from", "to"},
+     {"from"}, {"nodes", "region"}, 0},
+    {FaultKind::kLoss, "loss", {"rate", "between", "from", "to"},
+     {"rate", "from"}, {}, 0},
+    {FaultKind::kDelaySpike, "delay", {"extra_ms", "between", "from", "to"},
+     {"extra_ms", "from"}, {}, 0},
+    {FaultKind::kStraggler, "straggler", {"node", "cpu_factor", "from", "to"},
+     {"node", "cpu_factor", "from"}, {}, 0},
+    {FaultKind::kEquivocate, "equivocate", {"nodes", "fraction", "from", "to"},
+     {"from"}, {"nodes", "fraction"}, kAdversaryEquivocate},
+    {FaultKind::kDoubleVote, "double-vote", {"nodes", "fraction", "from", "to"},
+     {"from"}, {"nodes", "fraction"}, kAdversaryDoubleVote},
+    {FaultKind::kWithholdVotes, "withhold", {"nodes", "fraction", "from", "to"},
+     {"from"}, {"nodes", "fraction"}, kAdversaryWithhold},
+    {FaultKind::kCensor, "censor",
+     {"nodes", "fraction", "signers", "from", "to"}, {"signers", "from"},
+     {"nodes", "fraction"}, kAdversaryCensor},
+    {FaultKind::kLazyProposer, "lazy", {"nodes", "fraction", "from", "to"},
+     {"from"}, {"nodes", "fraction"}, kAdversaryLazy},
+}};
+
 const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kPartition:
-      return "partition";
-    case FaultKind::kLoss:
-      return "loss";
-    case FaultKind::kDelaySpike:
-      return "delay";
-    case FaultKind::kStraggler:
-      return "straggler";
-    case FaultKind::kEquivocate:
-      return "equivocate";
-    case FaultKind::kDoubleVote:
-      return "double-vote";
-    case FaultKind::kWithholdVotes:
-      return "withhold";
-    case FaultKind::kCensor:
-      return "censor";
-    case FaultKind::kLazyProposer:
-      return "lazy";
-    case FaultKind::kCount:
-      break;
-  }
-  return "unknown";
+  return kind < FaultKind::kCount ? kFaultKindRows[static_cast<size_t>(kind)].name
+                                  : "unknown";
 }
 
 bool IsByzantine(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kEquivocate:
-    case FaultKind::kDoubleVote:
-    case FaultKind::kWithholdVotes:
-    case FaultKind::kCensor:
-    case FaultKind::kLazyProposer:
-      return true;
-    default:
-      return false;
-  }
+  return kind < FaultKind::kCount &&
+         kFaultKindRows[static_cast<size_t>(kind)].adversary_bits != 0;
 }
 
 bool FaultSchedule::Validate(int node_count, std::string* error) const {
@@ -168,7 +154,7 @@ bool FaultSchedule::Validate(int node_count, std::string* error) const {
         if (!check_node(event.node)) {
           return false;
         }
-        if (!(event.cpu_factor > 0.0) || event.cpu_factor > 1.0) {
+        if (!(event.cpu_factor > 0.0 && event.cpu_factor <= 1.0)) {
           return EventError(event, "cpu_factor must be in (0, 1]", error);
         }
         break;
@@ -185,7 +171,7 @@ bool FaultSchedule::Validate(int node_count, std::string* error) const {
         }
         break;
       case FaultKind::kLoss:
-        if (event.loss_rate < 0.0 || event.loss_rate > 1.0) {
+        if (!(event.loss_rate >= 0.0 && event.loss_rate <= 1.0)) {
           return EventError(event, "loss rate must be in [0, 1]", error);
         }
         break;
@@ -280,19 +266,6 @@ FaultScheduleBuilder& FaultScheduleBuilder::Partition(std::vector<int> nodes,
   return *this;
 }
 
-FaultScheduleBuilder& FaultScheduleBuilder::PartitionRegion(Region region,
-                                                            SimTime from,
-                                                            SimTime to) {
-  FaultEvent event;
-  event.kind = FaultKind::kPartition;
-  event.by_region = true;
-  event.region = region;
-  event.at = from;
-  event.until = to;
-  schedule_.events.push_back(std::move(event));
-  return *this;
-}
-
 FaultScheduleBuilder& FaultScheduleBuilder::Loss(double rate, SimTime from,
                                                  SimTime to) {
   FaultEvent event;
@@ -304,41 +277,10 @@ FaultScheduleBuilder& FaultScheduleBuilder::Loss(double rate, SimTime from,
   return *this;
 }
 
-FaultScheduleBuilder& FaultScheduleBuilder::LossBetween(Region a, Region b,
-                                                        double rate, SimTime from,
-                                                        SimTime to) {
-  FaultEvent event;
-  event.kind = FaultKind::kLoss;
-  event.region_pair = true;
-  event.pair_a = a;
-  event.pair_b = b;
-  event.loss_rate = rate;
-  event.at = from;
-  event.until = to;
-  schedule_.events.push_back(std::move(event));
-  return *this;
-}
-
 FaultScheduleBuilder& FaultScheduleBuilder::DelaySpike(SimDuration extra,
                                                        SimTime from, SimTime to) {
   FaultEvent event;
   event.kind = FaultKind::kDelaySpike;
-  event.extra_delay = extra;
-  event.at = from;
-  event.until = to;
-  schedule_.events.push_back(std::move(event));
-  return *this;
-}
-
-FaultScheduleBuilder& FaultScheduleBuilder::DelaySpikeBetween(Region a, Region b,
-                                                              SimDuration extra,
-                                                              SimTime from,
-                                                              SimTime to) {
-  FaultEvent event;
-  event.kind = FaultKind::kDelaySpike;
-  event.region_pair = true;
-  event.pair_a = a;
-  event.pair_b = b;
   event.extra_delay = extra;
   event.at = from;
   event.until = to;
@@ -385,13 +327,6 @@ FaultScheduleBuilder& FaultScheduleBuilder::EquivocateFraction(double fraction,
                                                                SimTime to) {
   schedule_.events.push_back(
       ByzantineEvent(FaultKind::kEquivocate, {}, fraction, from, to));
-  return *this;
-}
-
-FaultScheduleBuilder& FaultScheduleBuilder::DoubleVote(std::vector<int> nodes,
-                                                       SimTime from, SimTime to) {
-  schedule_.events.push_back(
-      ByzantineEvent(FaultKind::kDoubleVote, std::move(nodes), 0, from, to));
   return *this;
 }
 

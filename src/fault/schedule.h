@@ -19,7 +19,10 @@
 #ifndef SRC_FAULT_SCHEDULE_H_
 #define SRC_FAULT_SCHEDULE_H_
 
+#include <array>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/net/region.h"
@@ -41,6 +44,32 @@ enum class FaultKind : uint8_t {
   kLazyProposer,   // proposers seal empty blocks
   kCount,          // sentinel — keep last; not a fault kind
 };
+
+inline constexpr size_t kFaultKindCount = static_cast<size_t>(FaultKind::kCount);
+
+// Adversary behavior bits (ValidatorTable::SetAdversary); each Byzantine
+// kind arms one.
+inline constexpr uint8_t kAdversaryEquivocate = 1u << 0;
+inline constexpr uint8_t kAdversaryDoubleVote = 1u << 1;
+inline constexpr uint8_t kAdversaryWithhold = 1u << 2;
+inline constexpr uint8_t kAdversaryCensor = 1u << 3;
+inline constexpr uint8_t kAdversaryLazy = 1u << 4;
+
+// The whole description of one fault kind. The `faults:` reader,
+// FaultKindName, IsByzantine and the injector read these rows, and nothing
+// else maps kinds to names, keys or adversary bits. Unused key slots are
+// empty.
+struct FaultKindRow {
+  FaultKind kind;
+  const char* name;                          // the kind in a `faults:` entry
+  std::array<std::string_view, 5> keys;      // every key its body takes
+  std::array<std::string_view, 3> required;  // the keys its body must have
+  std::array<std::string_view, 2> one_of;    // it must have exactly one of these
+  uint8_t adversary_bits;                    // kAdversary*; 0 = not Byzantine
+};
+
+// Row i describes FaultKind i.
+extern const std::array<FaultKindRow, kFaultKindCount> kFaultKindRows;
 
 const char* FaultKindName(FaultKind kind);
 
@@ -96,17 +125,11 @@ class FaultScheduleBuilder {
   FaultScheduleBuilder& Crash(int node, SimTime at, SimTime restart = -1);
   FaultScheduleBuilder& Partition(std::vector<int> nodes, SimTime from,
                                   SimTime to = -1);
-  FaultScheduleBuilder& PartitionRegion(Region region, SimTime from,
-                                        SimTime to = -1);
   // Uniform loss on every link.
   FaultScheduleBuilder& Loss(double rate, SimTime from, SimTime to = -1);
-  FaultScheduleBuilder& LossBetween(Region a, Region b, double rate,
-                                    SimTime from, SimTime to = -1);
   // Extra one-way delay on every link.
   FaultScheduleBuilder& DelaySpike(SimDuration extra, SimTime from,
                                    SimTime to = -1);
-  FaultScheduleBuilder& DelaySpikeBetween(Region a, Region b, SimDuration extra,
-                                          SimTime from, SimTime to = -1);
   FaultScheduleBuilder& Straggler(int node, double cpu_factor, SimTime from,
                                   SimTime to = -1);
 
@@ -117,8 +140,6 @@ class FaultScheduleBuilder {
                                    SimTime to = -1);
   FaultScheduleBuilder& EquivocateFraction(double fraction, SimTime from,
                                            SimTime to = -1);
-  FaultScheduleBuilder& DoubleVote(std::vector<int> nodes, SimTime from,
-                                   SimTime to = -1);
   FaultScheduleBuilder& DoubleVoteFraction(double fraction, SimTime from,
                                            SimTime to = -1);
   FaultScheduleBuilder& WithholdVotes(std::vector<int> nodes, SimTime from,

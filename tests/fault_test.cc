@@ -3,8 +3,12 @@
 // retries, resilience metrics and determinism of faulty runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "src/chains/chain_factory.h"
 #include "src/chains/params.h"
@@ -106,6 +110,18 @@ TEST(FaultScheduleTest, RejectsOutOfRangeRatesAndFactors) {
                    .Straggler(0, 1.5, Seconds(1))
                    .Build()
                    .Validate(10, &error));
+  // NaN fails every range check: a NaN loss rate would drop nothing.
+  EXPECT_FALSE(
+      FaultScheduleBuilder().Loss(NAN, Seconds(1)).Build().Validate(10, &error));
+  EXPECT_NE(error.find("loss rate"), std::string::npos) << error;
+  EXPECT_FALSE(FaultScheduleBuilder()
+                   .Straggler(0, NAN, Seconds(1))
+                   .Build()
+                   .Validate(10, &error));
+  EXPECT_FALSE(FaultScheduleBuilder()
+                   .EquivocateFraction(NAN, Seconds(1), Seconds(2))
+                   .Build()
+                   .Validate(10, &error));
 }
 
 TEST(FaultScheduleTest, RejectsOverlappingWindowsOnSameScope) {
@@ -148,6 +164,33 @@ TEST(FaultScheduleTest, HealTimesAreSortedHealInstants) {
   ASSERT_EQ(heals.size(), 2u);
   EXPECT_EQ(heals[0], Seconds(15));
   EXPECT_EQ(heals[1], Seconds(40));
+}
+
+TEST(FaultScheduleTest, KindRowsDescribeTheirKindInKindOrder) {
+  uint8_t bits_seen = 0;
+  for (size_t i = 0; i < kFaultKindCount; ++i) {
+    const FaultKindRow& row = kFaultKindRows[i];
+    EXPECT_EQ(row.kind, static_cast<FaultKind>(i)) << row.name;
+    EXPECT_STREQ(FaultKindName(row.kind), row.name);
+    // Every key the row requires, or wants exactly one of, is one it takes.
+    const auto takes = [&](std::string_view key) {
+      return key.empty() ||
+             std::find(row.keys.begin(), row.keys.end(), key) != row.keys.end();
+    };
+    for (const std::string_view key : row.required) {
+      EXPECT_TRUE(takes(key)) << row.name << " " << key;
+    }
+    for (const std::string_view key : row.one_of) {
+      EXPECT_TRUE(takes(key)) << row.name << " " << key;
+    }
+    // A Byzantine kind arms one bit of its own.
+    EXPECT_EQ(IsByzantine(row.kind), row.adversary_bits != 0) << row.name;
+    if (row.adversary_bits != 0) {
+      EXPECT_EQ(std::popcount(row.adversary_bits), 1) << row.name;
+      EXPECT_EQ(bits_seen & row.adversary_bits, 0) << row.name;
+      bits_seen |= row.adversary_bits;
+    }
+  }
 }
 
 // --- Byzantine schedule construction and validation ---

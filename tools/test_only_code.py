@@ -20,10 +20,13 @@ ABI tags stripped, and subtracts every name that a binary under
 BUILD_DIR/{bench,examples,tools}, or simbench, defines. micro_benchmarks is
 left out, so that a micro benchmark alone cannot keep code alive.
 
-What is left is code that only tests link. It must equal the names in
-ALLOWLIST (default tools/test_only_code.txt; one name per line, then
-whitespace and the reason it stays; '#' starts a comment). The script exits
-1 when the two differ in either direction and names each difference.
+What is left is code that no binary links. Of it, every name that no test
+executable under BUILD_DIR/tests links either is dead code, which the script
+names on its own. The rest is code that only tests link, and it must equal
+the names in ALLOWLIST (default tools/test_only_code.txt; one name per line,
+then whitespace and the reason it stays; '#' starts a comment). The script
+exits 1 when there is dead code or when the two differ in either direction,
+and names each difference.
 
 What it cannot see:
   - functions defined inline in headers, which are weak (`W`) symbols of
@@ -90,9 +93,9 @@ def is_elf_executable(path):
         return f.read(4) == b"\x7fELF"
 
 
-def binaries(build_dir):
+def binaries(build_dir, subdirs):
     found = []
-    for sub in BINARY_DIRS:
+    for sub in subdirs:
         base = os.path.join(build_dir, sub)
         if not os.path.isdir(base):
             sys.exit(f"test_only_code: no {base}; build the repository first")
@@ -101,6 +104,13 @@ def binaries(build_dir):
             if entry not in EXCLUDED_BINARIES and is_elf_executable(path):
                 found.append(path)
     return found
+
+
+def linked_by(paths):
+    names = set()
+    for path in paths:
+        names |= symbols(path)
+    return names
 
 
 def load_allowlist(path):
@@ -133,30 +143,37 @@ def main(argv):
     for lib in libs:
         library |= {n for n in symbols(lib, {"T"}) if n.startswith("diablo::")}
 
-    bins = binaries(build_dir)
+    bins = binaries(build_dir, BINARY_DIRS)
     if not is_elf_executable(simbench):
         sys.exit(f"test_only_code: {simbench} is not an executable")
     bins.append(simbench)
-    linked = set()
-    for b in bins:
-        linked |= symbols(b)
+    tests = binaries(build_dir, ["tests"])
+    if not tests:
+        sys.exit(f"test_only_code: no test executables under {build_dir}/tests")
 
-    test_only = library - linked
+    unlinked = library - linked_by(bins)
+    dead = unlinked - linked_by(tests)
+    test_only = unlinked - dead
     expected = load_allowlist(allowlist)
     print(f"test_only_code: {len(library)} library functions, {len(bins)} "
-          f"binaries, {len(test_only)} linked only by tests")
+          f"binaries, {len(tests)} tests, {len(test_only)} linked only by "
+          f"tests, {len(dead)} by nothing")
 
     unlisted = sorted(test_only - expected.keys())
-    stale = sorted(expected.keys() - test_only)
+    stale = sorted(expected.keys() - test_only - dead)
+    for name in sorted(dead):
+        listed = " (listed)" if name in expected else ""
+        print(f"  dead, linked by no binary and no test{listed}: {name}")
     for name in unlisted:
         print(f"  not in {os.path.basename(allowlist)}: {name}")
     for name in stale:
         print(f"  listed but linked by a binary or gone: {name}")
+    if dead:
+        print("test_only_code: delete the dead code and its allowlist entries")
     if unlisted or stale:
         print("test_only_code: delete the unlisted code, or list it with the "
               "reason it stays; drop stale entries")
-        return 1
-    return 0
+    return 1 if dead or unlisted or stale else 0
 
 
 if __name__ == "__main__":
