@@ -158,8 +158,8 @@ BENCHMARK(BM_MempoolChurn);
 // The per-transaction admit/take data path at block-production granularity
 // under geth-style overload (§6.3/§6.5): arrivals are double the pool's
 // global cap, so the back half of every admission wave evicts a random
-// victim, and the drain pops one zombie per taken transaction. This is the
-// regime the admission machinery exists for. Ids are fresh across
+// victim and leaves a zombie heap entry for the purge or the drain to drop.
+// This is the regime the admission machinery exists for. Ids are fresh across
 // iterations (they never recur in real runs), so the bench runs a fixed
 // iteration count over a fixed workload. Items/sec counts transactions
 // through the full admit+take cycle.
@@ -210,6 +210,50 @@ BENCHMARK(BM_MempoolAdmitTake)
     ->Arg(100000)
     ->Iterations(kAdmitTakeIterations)
     ->Unit(benchmark::kMillisecond);
+
+// Ethereum's pool as simbench dapp-flood's YouTube@ethereum cell drives it:
+// cap 5,120 with evict-on-full and no TTL or signer cap (geth's policy),
+// 464,906 admissions of which all but ~13.8k are evicted, and one take per
+// 5 s Clique block of up to 384 transactions (Clique's 2,000 shrunk by the
+// congestion factor 1,200 / (1,200 + 5,120) at a full pool). Readiness
+// trails ingress by up to 200 ms of gossip, so evicted entries pile up
+// between takes. One iteration is the whole cell.
+constexpr int kEvictFloodBlocks = 36;
+constexpr size_t kEvictFloodAdmitsPerBlock = 12'914;
+constexpr size_t kEvictFloodTakePerBlock = 384;
+
+void BM_MempoolEvictFlood(benchmark::State& state) {
+  const MempoolConfig config = GetChainParams("ethereum").mempool;
+  const size_t total = kEvictFloodAdmitsPerBlock * kEvictFloodBlocks;
+  std::vector<TxId> taken;
+  std::vector<TxId> expired;
+  for (auto _ : state) {
+    Rng rng(42);
+    Mempool pool(config, &rng);
+    pool.Reserve(total);
+    taken.clear();
+    TxId next = 0;
+    for (int block = 0; block < kEvictFloodBlocks; ++block) {
+      const SimTime start = Seconds(5) * block;
+      for (size_t k = 0; k < kEvictFloodAdmitsPerBlock; ++k) {
+        const SimTime ingress =
+            start + Seconds(5) * static_cast<SimDuration>(k) /
+                        static_cast<SimDuration>(kEvictFloodAdmitsPerBlock);
+        const SimTime ready = ingress + Microseconds((next * 7919) % 200'000);
+        TxId evicted = kInvalidTx;
+        pool.Add(next, next % 2048, ingress, ready, &evicted);
+        benchmark::DoNotOptimize(evicted);
+        ++next;
+      }
+      pool.TakeReady(start + Seconds(5), 0, 0, kEvictFloodTakePerBlock,
+                     [](TxId) { return 21000; }, [](TxId) { return 110; }, &taken,
+                     &expired);
+    }
+    benchmark::DoNotOptimize(taken.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(total));
+}
+BENCHMARK(BM_MempoolEvictFlood)->Unit(benchmark::kMillisecond);
 
 // Steady-state block production through the real ChainContext under
 // sustained overload: every block admits more transactions than it drains

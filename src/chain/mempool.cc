@@ -2,11 +2,17 @@
 
 namespace diablo {
 
+namespace {
+// A purge costs one pass over the heap plus a make_heap. It runs only once
+// zombies are at least half the heap, so that it removes at least as many
+// entries as it keeps, and at least this many, so that a small pool does not
+// rebuild its heap for a handful of zombies.
+constexpr size_t kPurgeMinZombies = 1024;
+}  // namespace
+
 void Mempool::Reserve(size_t expected_txs) {
   if (expected_txs > state_.size()) {
-    state_.resize(expected_txs, kGone);
-    ingress_.resize(expected_txs, 0);
-    signer_of_.resize(expected_txs, 0);
+    ResizeTables(expected_txs);
   }
   // The pending set is bounded by the cap when there is one; otherwise be
   // generous up to the event queue's pre-sizing convention.
@@ -17,6 +23,16 @@ void Mempool::Reserve(size_t expected_txs) {
   heap_.reserve(pending);
   if (config_.evict_on_full) {
     ring_.reserve(pending * 2);
+  }
+}
+
+void Mempool::ResizeTables(size_t size) {
+  state_.resize(size, kGone);
+  if (config_.ttl > 0) {
+    ingress_.resize(size, 0);
+  }
+  if (config_.per_signer_cap > 0) {
+    signer_of_.resize(size, 0);
   }
 }
 
@@ -99,10 +115,7 @@ AdmitResult Mempool::Add(TxId id, uint32_t signer, SimTime ingress_time,
     }
     ++count;
   }
-  EnsureTx(id);
-  state_[id] = kLive;
-  ingress_[id] = ingress_time;
-  signer_of_[id] = signer;
+  MarkLive(id, signer, ingress_time);
   HeapPush(HeapEntry{ready_time, id});
   if (config_.evict_on_full) {
     ring_.push_back(id);
@@ -125,9 +138,12 @@ TxId Mempool::EvictRandom() {
     }
     // Live victim: mark it a zombie so TakeReady skips its heap entry.
     state_[id] = kZombie;
-    ReleaseSigner(signer_of_[id]);
+    ReleaseSigner(id);
     --live_count_;
     ++evictions_;
+    if (++zombie_count_ >= kPurgeMinZombies && 2 * zombie_count_ >= heap_.size()) {
+      PurgeZombies();
+    }
     return id;
   }
   return kInvalidTx;
@@ -147,6 +163,23 @@ void Mempool::CompactRingIfNeeded() {
   ring_.resize(out);
 }
 
+void Mempool::PurgeZombies() {
+  // Evicted ids went to the caller's drop and never come back, so a purged
+  // entry is gone for good. The eviction ring is left alone: its slot order
+  // decides which victims later draws pick.
+  size_t kept = 0;
+  for (const HeapEntry& entry : heap_) {
+    if (state_[entry.id] == kLive) {
+      heap_[kept++] = entry;
+    } else {
+      state_[entry.id] = kGone;
+    }
+  }
+  heap_.resize(kept);
+  std::make_heap(heap_.begin(), heap_.end(), Later);
+  zombie_count_ = 0;
+}
+
 void Mempool::Requeue(TxId id, uint32_t signer, SimTime ingress, SimTime ready) {
   if (config_.per_signer_cap > 0) {
     if (static_cast<size_t>(signer) >= signer_counts_.size()) {
@@ -154,10 +187,7 @@ void Mempool::Requeue(TxId id, uint32_t signer, SimTime ingress, SimTime ready) 
     }
     ++signer_counts_[signer];
   }
-  EnsureTx(id);
-  state_[id] = kLive;
-  ingress_[id] = ingress;
-  signer_of_[id] = signer;
+  MarkLive(id, signer, ingress);
   HeapPush(HeapEntry{ready, id});
   if (config_.evict_on_full) {
     ring_.push_back(id);
@@ -189,6 +219,8 @@ void Mempool::CheckConsistency() const {
   }
   DIABLO_CHECK(live == live_count_,
                "mempool live_count_ disagrees with the lifecycle table");
+  DIABLO_CHECK(zombie == zombie_count_,
+               "mempool zombie_count_ disagrees with the lifecycle table");
   DIABLO_CHECK(heap_.size() == live + zombie,
                "mempool heap entries must map 1:1 onto live and zombie ids");
   for (const HeapEntry& entry : heap_) {

@@ -10,14 +10,28 @@
 //
 // TxIds and account ids are dense uint32s handed out sequentially, so all
 // per-transaction state lives in struct-of-arrays side tables indexed by
-// TxId — one lifecycle byte, the ingress time, the signer — and per-signer
-// pending counts in a flat vector indexed by account id. Admission,
-// TakeReady, TTL expiry, eviction and Requeue do zero hashing. The ready
-// queue is an implicit binary heap of 16-byte (ready, id) entries popped
-// with a bottom-up sift (unlike the event queue's wide heap, the backlog
-// here is usually small and cache-resident, so comparison count beats tree
-// depth — measured: a 4-ary sift is ~40% slower on a 512-entry drain); the
-// random-eviction candidate ring is a flat TxId vector compacted in place.
+// TxId, and per-signer pending counts in a flat vector indexed by account
+// id. Every pool keeps one lifecycle byte per TxId. The ingress time exists
+// only under a TTL and the signer only under a per-signer cap, because no
+// other policy reads them. Admission, TakeReady, TTL expiry, eviction and
+// Requeue do zero hashing.
+//
+// The ready queue is an implicit binary heap of 16-byte (ready, id) entries
+// popped with a bottom-up sift, which makes fewer comparisons than the event
+// queue's wide heap (a 4-ary sift measured ~40% slower on a 512-entry
+// drain). An eviction leaves its victim's entry behind as a zombie that
+// TakeReady skips; once zombies are at least half the heap, they are purged
+// in one pass. The shapes at simbench dapp-flood scale (Fig. 2's YouTube
+// cells at 0.1x the rate):
+// - Quorum's never-drop heap reaches 446,474 entries but sees only 18,432
+//   pops, so the one large heap is mostly pushed to, not sifted;
+// - Ethereum evicts 451,067 of its 464,906 admissions. With the purge its
+//   heap stays at or below 10,238 entries, about twice the cap, and sees
+//   19,553 pops; without it the heap reached 33,259 entries and every
+//   zombie cost a pop;
+// - EvictRandom draws 1.02 slots of the random-eviction candidate ring (a
+//   flat TxId vector compacted in place) per eviction, so stale slots cost
+//   next to nothing.
 #ifndef SRC_CHAIN_MEMPOOL_H_
 #define SRC_CHAIN_MEMPOOL_H_
 
@@ -129,27 +143,38 @@ class Mempool {
   // Grows the TxId-indexed side tables to cover `id`.
   void EnsureTx(TxId id) {
     if (static_cast<size_t>(id) >= state_.size()) {
-      const size_t grown = std::max<size_t>(
-          static_cast<size_t>(id) + 1, state_.size() + state_.size() / 2 + 16);
-      state_.resize(grown, kGone);
-      ingress_.resize(grown, 0);
-      signer_of_.resize(grown, 0);
+      ResizeTables(std::max<size_t>(static_cast<size_t>(id) + 1,
+                                    state_.size() + state_.size() / 2 + 16));
+    }
+  }
+  void ResizeTables(size_t size);
+
+  // Marks `id` live and records what its pool's policy reads of it: the
+  // ingress time under a TTL, the signer under a per-signer cap.
+  void MarkLive(TxId id, uint32_t signer, SimTime ingress) {
+    EnsureTx(id);
+    state_[id] = kLive;
+    if (config_.ttl > 0) {
+      ingress_[id] = ingress;
+    }
+    if (config_.per_signer_cap > 0) {
+      signer_of_[id] = signer;
     }
   }
 
   // Marks a live queue head gone and removes it from the heap.
   void RemoveHead(TxId id) {
     state_[id] = kGone;
-    ReleaseSigner(signer_of_[id]);
+    ReleaseSigner(id);
     --live_count_;
     HeapPopTop();
   }
 
-  void ReleaseSigner(uint32_t signer) {
+  void ReleaseSigner(TxId id) {
     if (config_.per_signer_cap == 0) {
       return;
     }
-    uint32_t& count = signer_counts_[signer];
+    uint32_t& count = signer_counts_[signer_of_[id]];
     if (count > 0) {
       --count;
     }
@@ -158,10 +183,15 @@ class Mempool {
   // Removes one uniformly random live transaction; returns it.
   TxId EvictRandom();
   void CompactRingIfNeeded();
+  // Drops every zombie entry from the heap at once and re-heapifies the live
+  // ones. Pops follow the total (ready, TxId) order, so any valid heap over
+  // the same live entries pops the same sequence.
+  void PurgeZombies();
 
   // Checked build: full cross-check of the SoA side tables — live_count_
-  // equals the number of kLive lifecycle bytes, the signer count vector sums
-  // back to it, and every heap entry still refers to a live or zombie id.
+  // and zombie_count_ equal the numbers of kLive and kZombie lifecycle
+  // bytes, the signer count vector sums back to the live count, and every
+  // heap entry still refers to a live or zombie id.
   // O(table size), so sampled on a per-pool op cadence; a no-op otherwise.
 #if defined(DIABLO_CHECKED)
   void CheckConsistencySampled();
@@ -173,15 +203,18 @@ class Mempool {
   MempoolConfig config_;
   Rng* rng_;
   std::vector<HeapEntry> heap_;
-  // Struct-of-arrays side tables, indexed by TxId.
-  std::vector<uint8_t> state_;    // TxState
-  std::vector<SimTime> ingress_;  // valid while state != kGone
-  std::vector<uint32_t> signer_of_;
+  // Struct-of-arrays side tables, indexed by TxId. Only the lifecycle byte is
+  // kept for every pool; the others exist only for the policy that reads
+  // them, like the signer counts and the eviction ring below.
+  std::vector<uint8_t> state_;       // TxState
+  std::vector<SimTime> ingress_;     // ttl > 0 only; valid while state != kGone
+  std::vector<uint32_t> signer_of_;  // per_signer_cap > 0 only
   // Pending-count per signer, indexed by account id.
   std::vector<uint32_t> signer_counts_;
   // Random-victim support: candidate slots, possibly stale (state != kLive).
   std::vector<TxId> ring_;
   size_t live_count_ = 0;
+  size_t zombie_count_ = 0;  // kZombie ids, each with one heap entry
   uint64_t admitted_ = 0;
   uint64_t rejected_ = 0;
   uint64_t evictions_ = 0;
@@ -200,6 +233,7 @@ void Mempool::TakeReady(SimTime now, int64_t gas_budget, int64_t byte_budget,
     if (state_[top.id] != kLive) {
       // Evicted earlier (zombie); already accounted.
       state_[top.id] = kGone;
+      --zombie_count_;
       HeapPopTop();
       continue;
     }

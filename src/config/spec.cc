@@ -117,9 +117,11 @@ bool ReadFaultKey(const char* kind, std::string_view key, const YamlNode& value,
                        line);
     return false;
   };
+  // Node and signer indices are ints; a wider value must not wrap onto a
+  // real node (2^32 would crash node 0).
   const auto index = [](const YamlNode& node, int* out) {
     int64_t parsed = 0;
-    if (!node.AsInt64(&parsed)) {
+    if (!node.AsInt64(&parsed) || parsed < 0 || parsed > INT32_MAX) {
       return false;
     }
     *out = static_cast<int>(parsed);
@@ -140,14 +142,15 @@ bool ReadFaultKey(const char* kind, std::string_view key, const YamlNode& value,
     return value.AsDouble(out) && std::isfinite(*out);
   };
   if (key == "node") {
-    return index(value, &event->node) || fail("want a node index");
+    return index(value, &event->node) || fail("want a node index in [0, INT32_MAX]");
   }
   if (key == "nodes") {
-    return index_list(&event->nodes) || fail("want a list of node indices");
+    return index_list(&event->nodes) ||
+           fail("want a list of node indices in [0, INT32_MAX]");
   }
   if (key == "signers") {
     return index_list(&event->censored_signers) ||
-           fail("want a list of signer ids");
+           fail("want a list of signer ids in [0, INT32_MAX]");
   }
   if (key == "region") {
     event->by_region = true;

@@ -67,6 +67,14 @@ class Parser {
     throw std::runtime_error(StrFormat("line %d: %s", line, message.c_str()));
   }
 
+  // Find returns a key's first entry, so a repeated key's later values
+  // would be dropped silently.
+  void RejectRepeatedKey(const YamlNode& map, const std::string& key, int line) {
+    if (map.Find(key) != nullptr) {
+      Fail(line, "repeated key '" + key + "'");
+    }
+  }
+
   void Preprocess(std::string_view text) {
     int number = 0;
     for (const std::string& raw : Split(text, '\n')) {
@@ -156,6 +164,7 @@ class Parser {
         key = key.substr(1, key.size() - 2);
       }
       const std::string rest = Trim(line.content.substr(colon + 1));
+      RejectRepeatedKey(node, key, line.number);
       ++pos;
       node.entries.emplace_back(key, ParseValue(rest, pos, indent + 1, line.number));
     }
@@ -258,6 +267,7 @@ class Parser {
           Fail(line_no, "missing ':' in flow map");
         }
         const std::string key = Unquote(Trim(text.substr(cursor, colon - cursor)));
+        RejectRepeatedKey(node, key, line_no);
         cursor = colon + 1;
         node.entries.emplace_back(key, ParseFlowValue(text, cursor, line_no));
         SkipSpaces(text, cursor);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string_view>
 
 #include "src/chain/block.h"
 #include "src/chain/execution.h"
@@ -378,6 +380,140 @@ TEST(MempoolTest, RequeuePreservesReadinessOrder) {
   taken = pool.TakeReady(Seconds(5), 0, 0, 10, [](TxId) { return 1; },
                          [](TxId) { return 110; }, &expired);
   EXPECT_EQ(taken, (std::vector<TxId>{1}));
+}
+
+// --- seeded pool differential ----------------------------------------------
+// One seeded overload schedule through every shipped chain's pool policy and
+// a cap-64 evict-on-full pool: admission waves past every cap, takes under
+// random gas, byte and count budgets, requeues of a drafted batch's tail, and
+// a 130 s stall after every 16th wave, so that Diem's 20 s and Solana's 120 s
+// TTLs expire entries. The digest folds the taken, evicted, expired and rejected ids in
+// the order the pool reports them. Any change to the pool's internals that
+// moves a drafted block or a drop moves it. Both evict-on-full pools build up
+// thousands of zombie heap entries between takes, enough to purge them.
+
+struct PoolScheduleOutcome {
+  uint64_t digest = 14695981039346656037ull;  // FNV-1a 64 offset basis
+  uint64_t taken = 0;
+  uint64_t evicted = 0;
+  uint64_t expired = 0;
+  uint64_t rejected = 0;
+
+  void Fold(uint8_t kind, TxId id) {
+    const uint8_t bytes[5] = {kind, static_cast<uint8_t>(id), static_cast<uint8_t>(id >> 8),
+                              static_cast<uint8_t>(id >> 16), static_cast<uint8_t>(id >> 24)};
+    for (const uint8_t byte : bytes) {
+      digest = (digest ^ byte) * 1099511628211ull;
+    }
+  }
+};
+
+PoolScheduleOutcome RunPoolSchedule(const MempoolConfig& config, uint64_t seed) {
+  Rng schedule(seed);
+  Rng victims(seed + 1);
+  Mempool pool(config, &victims);
+  PoolScheduleOutcome out;
+  std::vector<uint32_t> signer_of;
+  std::vector<SimTime> ingress_of;
+  std::vector<TxId> taken;
+  std::vector<TxId> expired;
+  const auto gas_of = [](TxId id) {
+    return int64_t{21'000} + static_cast<int64_t>((uint64_t{id} * 2654435761u) % 200'000);
+  };
+  const auto bytes_of = [](TxId id) {
+    return int64_t{110} + static_cast<int64_t>((uint64_t{id} * 40503u) % 400);
+  };
+  TxId next = 0;
+  SimTime wave_start = 0;
+  for (int wave = 0; wave < 48; ++wave) {
+    const SimDuration wave_length = Seconds(4);
+    const uint64_t arrivals = 1000 + schedule.NextBelow(4000);
+    for (uint64_t k = 0; k < arrivals; ++k) {
+      const TxId id = next++;
+      const uint32_t signer = static_cast<uint32_t>(schedule.NextBelow(48));
+      const SimTime ingress =
+          wave_start + wave_length * static_cast<SimDuration>(k) /
+                           static_cast<SimDuration>(arrivals);
+      const SimTime ready =
+          ingress + static_cast<SimDuration>(schedule.NextBelow(Milliseconds(300)));
+      signer_of.push_back(signer);
+      ingress_of.push_back(ingress);
+      TxId evicted = kInvalidTx;
+      if (pool.Add(id, signer, ingress, ready, &evicted) != AdmitResult::kAdmitted) {
+        out.Fold(3, id);
+        ++out.rejected;
+      }
+      if (evicted != kInvalidTx) {
+        out.Fold(1, evicted);
+        ++out.evicted;
+      }
+    }
+    const SimTime now = wave_start + wave_length;
+    const uint64_t blocks = 1 + schedule.NextBelow(3);
+    for (uint64_t block = 0; block < blocks; ++block) {
+      const size_t max_txs = 50 + schedule.NextBelow(400);
+      const uint64_t gas_pick = schedule.NextBelow(8);
+      const int64_t gas_budget = gas_pick == 0   ? 100'000
+                                 : gas_pick < 4 ? 0
+                                                : static_cast<int64_t>(
+                                                      2'000'000 + schedule.NextBelow(4'000'000));
+      const int64_t byte_budget =
+          schedule.NextBelow(2) == 0 ? 0
+                                     : static_cast<int64_t>(60'000 + schedule.NextBelow(100'000));
+      taken.clear();
+      expired.clear();
+      pool.TakeReady(now, gas_budget, byte_budget, max_txs, gas_of, bytes_of, &taken, &expired);
+      for (const TxId id : taken) {
+        out.Fold(0, id);
+      }
+      for (const TxId id : expired) {
+        out.Fold(2, id);
+      }
+      out.taken += taken.size();
+      out.expired += expired.size();
+      // An abandoned or shortened block returns its tail to the pool.
+      if (!taken.empty() && schedule.NextBelow(4) == 0) {
+        for (size_t i = schedule.NextBelow(taken.size()); i < taken.size(); ++i) {
+          pool.Requeue(taken[i], signer_of[taken[i]], ingress_of[taken[i]], now);
+        }
+      }
+    }
+    // A stall with no takes at all: a leader crash, say.
+    wave_start = now + (wave % 16 == 15 ? Seconds(130) : 0);
+  }
+  return out;
+}
+
+TEST(MempoolTest, SeededOverloadScheduleMatchesPinnedDigests) {
+  const struct {
+    const char* pool;
+    uint64_t digest;
+  } kPinned[] = {
+      {"algorand", 0x62a442582ebc0f2cull}, {"avalanche", 0x5e5d5e0f45b201c7ull},
+      {"diem", 0xe7615c9f8f7b76adull},     {"ethereum", 0x5ba6e583e36a2878ull},
+      {"quorum", 0x92cb7cbb0a913ef8ull},   {"solana", 0xef27bcaec2f33d13ull},
+      {"evict-64", 0x824730ee422b0d45ull},
+  };
+  for (const auto& [name, digest] : kPinned) {
+    MempoolConfig config;
+    if (std::string_view(name) == "evict-64") {
+      config.global_cap = 64;
+      config.evict_on_full = true;
+    } else {
+      config = GetChainParams(name).mempool;
+    }
+    const PoolScheduleOutcome out = RunPoolSchedule(config, 2024);
+    EXPECT_EQ(out.digest, digest) << name;
+    // The schedule reaches every policy the pool has: a full pool evicts or
+    // rejects, a capped signer is rejected, and a TTL expires far more than
+    // the few heads that no gas budget fits.
+    EXPECT_GT(out.taken, 0u) << name;
+    EXPECT_EQ(out.evicted > 0, config.evict_on_full) << name;
+    EXPECT_EQ(out.rejected > 0, (config.global_cap > 0 && !config.evict_on_full) ||
+                                    config.per_signer_cap > 0)
+        << name;
+    EXPECT_EQ(out.expired > 1000, config.ttl > 0) << name;
+  }
 }
 
 TEST(VoteRoundTest, ByzantineQuorums) {

@@ -115,6 +115,28 @@ TEST(YamlTest, ErrorsReported) {
   EXPECT_NE(result.error.find("line 2"), std::string::npos);
 }
 
+TEST(YamlTest, RepeatedKeysRejectedWithTheirLine) {
+  // A lookup reads a key's first entry, so a repeated key would drop its
+  // later values silently, in any map.
+  const std::pair<const char*, const char*> cases[] = {
+      {"a: 1\nb: 2\na: 3\n", "line 3: repeated key 'a'"},
+      {"top:\n  x: 1\n  y: 2\n  x: 1\n", "line 4: repeated key 'x'"},
+      {"list:\n  - k: 1\n    k: 2\n", "line 3: repeated key 'k'"},
+      {"a: 1\nb: { number: 100, number: 5 }\n", "line 2: repeated key 'number'"},
+      {"a: [{ x: 1 }, { y: 1, y: 2 }]\n", "line 1: repeated key 'y'"},
+      {"\"a\": 1\na: 2\n", "line 2: repeated key 'a'"},
+  };
+  for (const auto& [text, message] : cases) {
+    const YamlResult result = ParseYaml(text);
+    EXPECT_FALSE(result.ok) << text;
+    EXPECT_EQ(result.error, message) << text;
+  }
+  // The same key in sibling maps, or in a map and its child, is fine.
+  const YamlResult ok = ParseYaml("a: { x: 1 }\nb: { x: 2 }\nx:\n  x: 3\n");
+  ASSERT_TRUE(ok.ok) << ok.error;
+  EXPECT_EQ(ok.root.Find("b")->GetInt("x", 0), 2);
+}
+
 TEST(SpecTest, ParsesPaperExample) {
   const SpecResult result = ParseWorkloadSpec(kPaperSpec);
   ASSERT_TRUE(result.ok) << result.error;
@@ -415,6 +437,42 @@ TEST(SpecFaultsTest, RejectsTimesAndDelaysOutsideTheirRange) {
       "  - delay: { extra_ms: 2147483647, from: 0 }\n"));
   ASSERT_TRUE(bounds.ok) << bounds.error;
   EXPECT_EQ(bounds.spec.faults.events[0].until, Seconds(INT32_MAX));
+}
+
+TEST(SpecFaultsTest, RejectsARepeatedKeyWithItsLine) {
+  // The first `at` used to win, so this crash started at 1 s.
+  const SpecResult result = ParseWorkloadSpec(
+      WithFaults("faults:\n  - crash: { node: 1, at: 1, at: 50 }\n"));
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error, "line 9: repeated key 'at'");
+}
+
+TEST(SpecFaultsTest, RejectsNodeAndSignerIndicesOutsideInt32) {
+  // An index is an int in [0, INT32_MAX]. Narrowing a wider one wrapped it:
+  // node 4294967296 crashed node 0, and node 2147483648 became negative and
+  // failed later as a missing index.
+  const std::pair<const char*, const char*> cases[] = {
+      {"crash: { node: 4294967296, at: 1, restart: 20 }", "'node'"},
+      {"crash: { node: 2147483648, at: 1, restart: 20 }", "'node'"},
+      {"crash: { node: -1, at: 1, restart: 20 }", "'node'"},
+      {"partition: { nodes: [1, 4294967297], from: 1, to: 5 }", "'nodes'"},
+      {"censor: { nodes: [0], signers: [2147483648], from: 1, to: 2 }", "'signers'"},
+  };
+  for (const auto& [entry, key] : cases) {
+    const SpecResult result =
+        ParseWorkloadSpec(WithFaults(std::string("faults:\n  - ") + entry + "\n"));
+    EXPECT_FALSE(result.ok) << entry;
+    EXPECT_NE(result.error.find(key), std::string::npos) << result.error;
+    EXPECT_NE(result.error.find("[0, INT32_MAX] (line 9)"), std::string::npos)
+        << result.error;
+  }
+  const SpecResult bounds = ParseWorkloadSpec(WithFaults(
+      "faults:\n  - crash: { node: 2147483647, at: 1 }\n"
+      "  - censor: { nodes: [0], signers: [2147483647], from: 1, to: 2 }\n"));
+  ASSERT_TRUE(bounds.ok) << bounds.error;
+  EXPECT_EQ(bounds.spec.faults.events[0].node, INT32_MAX);
+  EXPECT_EQ(bounds.spec.faults.events[1].censored_signers,
+            (std::vector<int>{INT32_MAX}));
 }
 
 namespace {
