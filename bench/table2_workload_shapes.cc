@@ -25,7 +25,7 @@ void Run() {
   }
   std::printf("\nNASDAQ per-stock opening bursts (first second):\n");
   for (const char* stock : {"google", "amazon", "facebook", "microsoft", "apple"}) {
-    const Trace trace = GetTrace(stock);
+    const Trace trace = GetDappWorkload(stock).trace;
     std::printf("%-10s |%s| burst %.0f TPS\n", stock, Sparkline(trace.tps, 60).c_str(),
                 trace.tps[0]);
   }

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -129,63 +130,51 @@ int main(int argc, char** argv) {
                                                  : diablo::LogLevel::kWarn);
   }
 
+  diablo::BenchmarkSetup setup;
+  setup.chain = options.chain;
+  setup.deployment = options.deployment;
+  setup.seed = options.seed;
+  setup.scale = options.scale;
+  setup.results_json_path = options.output_json;
+  setup.results_csv_path = options.output_csv;
+  diablo::Primary primary(setup);
   diablo::RunResult result;
-  if (!options.spec_file.empty()) {
-    std::ifstream file(options.spec_file);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s\n", options.spec_file.c_str());
-      return 1;
-    }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    const diablo::SpecResult spec = diablo::ParseWorkloadSpec(buffer.str());
-    if (!spec.ok) {
-      std::fprintf(stderr, "spec error: %s\n", spec.error.c_str());
-      return 1;
-    }
-    diablo::BenchmarkSetup setup;
-    setup.chain = options.chain;
-    setup.deployment = options.deployment;
-    setup.seed = options.seed;
-    setup.scale = options.scale;
-    setup.results_json_path = options.output_json;
-    setup.results_csv_path = options.output_csv;
-    diablo::Primary primary(setup);
-    result = primary.RunSpec(spec.spec);
-  } else {
-    diablo::BenchmarkSetup setup;
-    setup.chain = options.chain;
-    setup.deployment = options.deployment;
-    setup.seed = options.seed;
-    setup.scale = options.scale;
-    setup.results_json_path = options.output_json;
-    setup.results_csv_path = options.output_csv;
-    diablo::Primary primary(setup);
-    if (options.workload == "native") {
+  try {
+    if (!options.spec_file.empty()) {
+      std::ifstream file(options.spec_file);
+      if (!file) {
+        std::fprintf(stderr, "cannot open %s\n", options.spec_file.c_str());
+        return 1;
+      }
+      std::ostringstream buffer;
+      buffer << file.rdbuf();
+      const diablo::SpecResult spec = diablo::ParseWorkloadSpec(buffer.str());
+      if (!spec.ok) {
+        std::fprintf(stderr, "spec error: %s\n", spec.error.c_str());
+        return 1;
+      }
+      result = primary.RunSpec(spec.spec);
+    } else if (options.workload == "native") {
       result = primary.RunNative(diablo::ConstantTrace(options.tps, options.duration));
     } else {
-      diablo::DappWorkload workload;
-      const std::string key = diablo::ToLower(options.workload);
-      bool stock = false;
-      for (const char* name : {"google", "amazon", "facebook", "microsoft", "apple"}) {
-        if (key == name) {
-          workload = diablo::GetDappWorkload("exchange");
-          workload.name = key;
-          workload.trace = diablo::NasdaqStockTrace(key);
-          stock = true;
-        }
-      }
-      if (!stock) {
-        workload = diablo::GetDappWorkload(options.workload);
-      }
-      result = primary.RunDapp(workload);
+      result = primary.RunDapp(diablo::GetDappWorkload(options.workload));
     }
+  } catch (const std::invalid_argument& error) {
+    // An unknown chain, deployment or workload name.
+    std::fprintf(stderr, "%s\n", error.what());
+    PrintUsage();
+    return 1;
   }
 
   if (result.unsupported) {
     std::printf("workload not supported on %s: %s\n", options.chain.c_str(),
                 result.failure_reason.c_str());
     return 2;
+  }
+  // Rejected before the simulation started: there is no report to print.
+  if (result.events_executed == 0 && !result.failure_reason.empty()) {
+    std::fprintf(stderr, "run rejected: %s\n", result.failure_reason.c_str());
+    return 1;
   }
   std::printf("%s", result.report.ToText().c_str());
   if (!result.failure_reason.empty()) {

@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
   diablo::BenchmarkSetup setup;
   setup.chain = chain;
   setup.deployment = "testnet";
-  setup.accounts = spec.TotalAccounts();
   setup.scale = scale;
   diablo::Primary primary(setup);
   const diablo::RunResult result = primary.RunSpec(spec);

@@ -100,11 +100,6 @@ int CostOracle::FunctionIndex(int contract_index, const std::string& function) {
   return -1;
 }
 
-const std::string& CostOracle::FunctionName(int contract_index, int function_index) const {
-  return deployed_[static_cast<size_t>(contract_index)]
-      ->functions[static_cast<size_t>(function_index)];
-}
-
 const std::string& CostOracle::ContractName(int contract_index) const {
   return deployed_[static_cast<size_t>(contract_index)]->def.name;
 }

@@ -46,18 +46,17 @@ class CostOracle {
  public:
   explicit CostOracle(VmDialect dialect);
 
-  // Deploys (compiles + runs init). Returns the contract index used by
-  // Transaction::contract, or -1 when the contract cannot be deployed on
-  // this dialect (e.g. DecentralizedYoutube on the AVM, §5.2).
+  // Deploys (compiles + runs init). Returns the contract index Profile
+  // takes, or -1 when the contract cannot be deployed on this dialect (e.g.
+  // DecentralizedYoutube on the AVM, §5.2).
   int Deploy(const ContractDef& def);
 
   // Profile of calling `function` with `args`; measured on first use.
   const CallProfile& Profile(int contract_index, const std::string& function,
                              const std::vector<int64_t>& args);
 
-  // Function-name table per contract (Transaction::function indexes it).
+  // The function's index in the contract's function table; -1 when absent.
   int FunctionIndex(int contract_index, const std::string& function);
-  const std::string& FunctionName(int contract_index, int function_index) const;
 
   VmDialect dialect() const { return dialect_; }
   size_t contract_count() const { return deployed_.size(); }

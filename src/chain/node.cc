@@ -349,12 +349,8 @@ void ChainContext::FinalizeBlock(uint64_t height, int proposer, BuiltBlock&& bui
   ledger_.Append(block);
 }
 
-void ChainContext::DropTx(TxId id, VmStatus reason) {
-  Transaction& tx = txs_.at(id);
-  tx.phase = TxPhase::kDropped;
-  if (reason != VmStatus::kOk) {
-    tx.exec_status = reason;
-  }
+void ChainContext::DropTx(TxId id) {
+  txs_.at(id).phase = TxPhase::kDropped;
   ++stats_.txs_dropped;
 }
 

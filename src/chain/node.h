@@ -250,7 +250,7 @@ class ChainContext {
   // from a superblock.
   void RequeueBlockTail(BuiltBlock* built, uint32_t keep, SimTime now);
 
-  void DropTx(TxId id, VmStatus reason = VmStatus::kOk);
+  void DropTx(TxId id);
 
   // Submissions seen in the most recent completed one-second window.
   double RecentArrivalRate(SimTime now) const;

@@ -29,14 +29,12 @@ enum class TxPhase : uint8_t {
 std::string_view TxPhaseName(TxPhase phase);
 
 struct Transaction {
-  uint32_t account = 0;    // signer
-  uint32_t sequence = 0;   // per-signer sequence number
-  int16_t contract = -1;   // index into the run's deployed contracts; -1 = native transfer
-  int16_t function = -1;   // index into the contract's function table
-  int32_t size_bytes = 0;  // wire size
   int64_t gas = 0;         // execution cost, including intrinsic gas
   SimTime submit_time = -1;
   SimTime commit_time = -1;
+  uint32_t account = 0;    // signer
+  uint32_t sequence = 0;   // per-signer sequence number
+  int32_t size_bytes = 0;  // wire size
   // Read-only calls (e.g. the exchange DApp's checkStock) are served by the
   // endpoint directly and never enter consensus.
   bool read_only = false;
@@ -50,8 +48,8 @@ struct Transaction {
   }
 };
 // One record per transaction, tens of millions per Fig. 2 run: the field
-// order above leaves no padding hole, and the size is pinned.
-static_assert(sizeof(Transaction) == 48, "Transaction layout changed");
+// order above leaves one byte of tail padding, and the size is pinned.
+static_assert(sizeof(Transaction) == 40, "Transaction layout changed");
 
 class TxStore {
  public:

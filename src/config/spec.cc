@@ -299,25 +299,33 @@ int WorkloadSpec::TotalAccounts() const {
   return total;
 }
 
+Trace ClientBehavior::Ramp(int clients) const {
+  Trace trace;
+  trace.name = "spec";
+  if (load.empty()) {
+    return trace;
+  }
+  trace.tps.assign(static_cast<size_t>(load.back().at_seconds), 0.0);
+  for (size_t i = 0; i + 1 < load.size(); ++i) {
+    for (size_t s = static_cast<size_t>(load[i].at_seconds);
+         s < static_cast<size_t>(load[i + 1].at_seconds) && s < trace.tps.size(); ++s) {
+      trace.tps[s] = load[i].tps * clients;
+    }
+  }
+  return trace;
+}
+
 Trace WorkloadSpec::ToTrace() const {
   Trace trace;
   trace.name = "spec";
   for (const WorkloadGroup& group : groups) {
     for (const ClientBehavior& behavior : group.behaviors) {
-      if (behavior.load.empty()) {
-        continue;
+      const Trace ramp = behavior.Ramp(group.clients);
+      if (trace.tps.size() < ramp.tps.size()) {
+        trace.tps.resize(ramp.tps.size(), 0.0);
       }
-      const double end = behavior.load.back().at_seconds;
-      if (trace.tps.size() < static_cast<size_t>(end)) {
-        trace.tps.resize(static_cast<size_t>(end), 0.0);
-      }
-      for (size_t i = 0; i + 1 < behavior.load.size(); ++i) {
-        const LoadPoint& from = behavior.load[i];
-        const LoadPoint& to = behavior.load[i + 1];
-        for (size_t s = static_cast<size_t>(from.at_seconds);
-             s < static_cast<size_t>(to.at_seconds) && s < trace.tps.size(); ++s) {
-          trace.tps[s] += from.tps * group.clients;
-        }
+      for (size_t s = 0; s < ramp.tps.size(); ++s) {
+        trace.tps[s] += ramp.tps[s];
       }
     }
   }

@@ -28,6 +28,10 @@ struct ClientBehavior {
   int64_t transfer_amount = 1;      // for transfers
   int accounts = 0;                 // size of the bound !account set
   std::vector<LoadPoint> load;      // ramp, sorted by at_seconds
+
+  // The per-second submission trace `clients` clients following `load`:
+  // each point's rate times `clients`, held until the next point.
+  Trace Ramp(int clients) const;
 };
 
 struct WorkloadGroup {
@@ -45,11 +49,10 @@ struct WorkloadSpec {
   // actual deployment).
   FaultSchedule faults;
 
-  // Total accounts referenced by any behavior.
+  // Total accounts referenced by any behavior; 0 when none binds a set.
   int TotalAccounts() const;
 
-  // Aggregate submission trace: sum over groups of clients x per-client
-  // load, piecewise constant between load points.
+  // Aggregate submission trace: the sum of every behavior's Ramp.
   Trace ToTrace() const;
 
   // First invoked contract (empty when transfers only).

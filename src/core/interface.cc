@@ -201,9 +201,6 @@ bool SimConnector::Resolve(const InteractionSpec& spec, Transaction* row) {
     return true;
   }
   row->read_only = spec.type == InteractionSpec::Type::kQuery;
-  row->contract = static_cast<int16_t>(spec.contract_index);
-  row->function =
-      static_cast<int16_t>(ctx.oracle().FunctionIndex(spec.contract_index, spec.function));
   const CallProfile& profile =
       ctx.oracle().Profile(spec.contract_index, spec.function, spec.args);
   row->gas = profile.gas;

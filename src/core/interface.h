@@ -118,11 +118,11 @@ class SimConnector : public BlockchainConnector {
               SimTime scheduled_time) override;
 
   // Encode in its two halves; Encode is Resolve, then Stamp. Resolve fills
-  // `row` with every field Encode derives from `spec` (contract, function
-  // index, gas, exec status, read-only and wire size), measuring the
-  // function's cost profile on its first use, and returns false when the
-  // call has no valid wire size. Stamp stores a copy of `row` signed by the
-  // next account, with the next sequence number and `scheduled_time`.
+  // `row` with every field Encode derives from `spec` (gas, exec status,
+  // read-only and wire size), measuring the function's cost profile on its
+  // first use, and returns false when the call has no valid wire size.
+  // Stamp stores a copy of `row` signed by the next account, with the next
+  // sequence number and `scheduled_time`.
   bool Resolve(const InteractionSpec& spec, Transaction* row);
   TxId Stamp(const Transaction& row, const Resource& accounts, SimTime scheduled_time);
 

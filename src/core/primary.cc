@@ -22,24 +22,23 @@ Primary::Primary(BenchmarkSetup setup) : setup_(std::move(setup)) {}
 
 RunResult Primary::RunNative(const Trace& trace) {
   WorkStream stream;
-  stream.trace = trace;
+  stream.workload.trace = trace;
   return RunStreams({std::move(stream)}, trace.name);
 }
 
 RunResult Primary::RunDapp(const DappWorkload& dapp) {
   WorkStream stream;
-  stream.trace = dapp.trace;
-  stream.contract = dapp.contract;
-  stream.fixed = dapp.fixed;
-  stream.dapp_name = dapp.name;
+  stream.workload = dapp;
   return RunStreams({std::move(stream)}, dapp.name);
 }
 
 RunResult Primary::RunSpec(const WorkloadSpec& spec) {
-  // A `faults:` section in the workload file configures the run unless the
-  // caller already installed a schedule programmatically.
-  if (setup_.faults.empty() && !spec.faults.empty()) {
-    setup_.faults = spec.faults;
+  BenchmarkSetup setup = setup_;
+  if (setup.faults.empty()) {
+    setup.faults = spec.faults;
+  }
+  if (spec.TotalAccounts() > 0) {
+    setup.accounts = spec.TotalAccounts();
   }
   std::vector<WorkStream> streams;
   std::string workload_name = "spec";
@@ -54,33 +53,19 @@ RunResult Primary::RunSpec(const WorkloadSpec& spec) {
     }
     for (const ClientBehavior& behavior : group.behaviors) {
       WorkStream stream;
+      stream.workload.trace = behavior.Ramp(group.clients);
       stream.locations = locations;
       stream.endpoints = group.endpoints;
-      // Per-client load ramp, scaled by the number of clients in the group.
-      Trace trace;
-      trace.name = "spec";
-      if (!behavior.load.empty()) {
-        const double end = behavior.load.back().at_seconds;
-        trace.tps.assign(static_cast<size_t>(end), 0.0);
-        for (size_t i = 0; i + 1 < behavior.load.size(); ++i) {
-          const LoadPoint& from = behavior.load[i];
-          const LoadPoint& to = behavior.load[i + 1];
-          for (size_t s = static_cast<size_t>(from.at_seconds);
-               s < static_cast<size_t>(to.at_seconds) && s < trace.tps.size(); ++s) {
-            trace.tps[s] = from.tps * group.clients;
-          }
-        }
-      }
-      stream.trace = std::move(trace);
       if (behavior.interaction == "invoke") {
-        stream.contract = behavior.contract;
-        stream.fixed = Invocation{behavior.function, behavior.args};
+        stream.workload.name = behavior.contract;
+        stream.workload.contract = behavior.contract;
+        stream.workload.fixed = Invocation{behavior.function, behavior.args};
         workload_name = "spec-" + behavior.contract;
       }
       streams.push_back(std::move(stream));
     }
   }
-  return RunStreams(std::move(streams), workload_name);
+  return Primary(std::move(setup)).RunStreams(std::move(streams), workload_name);
 }
 
 RunResult Primary::RunStreams(std::vector<WorkStream> streams,
@@ -98,19 +83,19 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
   // every transaction needs a TxId below kInvalidTx.
   double reserved_txs = 0;
   for (WorkStream& stream : streams) {
+    Trace& trace = stream.workload.trace;
     if (setup_.scale != 1.0) {
-      stream.trace = stream.trace.Scaled(setup_.scale);
+      trace = trace.Scaled(setup_.scale);
     }
-    for (size_t s = 0; s < stream.trace.tps.size(); ++s) {
-      const double rate = stream.trace.tps[s];
+    for (size_t s = 0; s < trace.tps.size(); ++s) {
+      const double rate = trace.tps[s];
       if (!std::isfinite(rate) || rate < 0) {
         result.failure_reason =
             StrFormat("trace rate %g at second %zu is not a finite rate >= 0", rate, s);
         return result;
       }
     }
-    reserved_txs += stream.trace.TotalTxs() +
-                    static_cast<double>(stream.trace.duration_seconds());
+    reserved_txs += trace.TotalTxs() + static_cast<double>(trace.duration_seconds());
   }
   if (reserved_txs >= static_cast<double>(kInvalidTx)) {
     result.failure_reason =
@@ -152,16 +137,30 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
   accounts_spec.account_count = account_count;
   Resource accounts;
   connector.CreateResource(accounts_spec, &accounts);
+  // The accounts are the first ones the connector creates, so signer ids
+  // run from 0. A censored signer outside them would censor no one.
+  for (const FaultEvent& event : setup_.faults.events) {
+    for (const int signer : event.censored_signers) {
+      if (signer >= account_count) {
+        result.failure_reason = StrFormat(
+            "fault schedule: %s fault at t=%.3fs: unknown signer: account %d of a "
+            "%d-account run",
+            FaultKindName(event.kind), ToSeconds(event.at), signer, account_count);
+        return result;
+      }
+    }
+  }
 
   // Contracts, deduplicated across streams.
   std::map<std::string, Resource> contracts;
   for (const WorkStream& stream : streams) {
-    if (stream.contract.empty() || contracts.contains(stream.contract)) {
+    const std::string& contract = stream.workload.contract;
+    if (contract.empty() || contracts.contains(contract)) {
       continue;
     }
     ResourceSpec contract_spec;
     contract_spec.kind = ResourceSpec::Kind::kContract;
-    contract_spec.contract_name = stream.contract;
+    contract_spec.contract_name = contract;
     Resource resource;
     if (!connector.CreateResource(contract_spec, &resource)) {
       // E.g. DecentralizedYoutube on the AVM (§5.2): no bar in Fig. 2.
@@ -169,7 +168,7 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
       result.failure_reason = "contract not deployable on " + params.vm_name;
       return result;
     }
-    contracts.emplace(stream.contract, resource);
+    contracts.emplace(contract, resource);
   }
 
   // Secondaries. Streams without explicit locations share a default set
@@ -249,7 +248,8 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
   std::vector<std::vector<SimTime>> stream_arrivals(streams.size());
   std::vector<size_t> schedule_sizes(secondaries.size(), 0);
   for (size_t i = 0; i < streams.size(); ++i) {
-    stream_arrivals[i] = ExpandArrivals(streams[i].trace, ArrivalProcess::kUniform, nullptr);
+    stream_arrivals[i] =
+        ExpandArrivals(streams[i].workload.trace, ArrivalProcess::kUniform, nullptr);
     const size_t count = stream_arrivals[i].size();
     total_txs += count;
     // The loop below deals transaction k to set[k % set.size()].
@@ -263,20 +263,17 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
     secondaries[s]->Reserve(schedule_sizes[s]);
   }
   for (size_t i = 0; i < streams.size(); ++i) {
-    const WorkStream& stream = streams[i];
+    const DappWorkload& workload = streams[i].workload;
     const std::vector<SimTime>& arrivals = stream_arrivals[i];
-    DappWorkload mix;  // provides InvocationFor when no fixed invocation
-    mix.name = stream.dapp_name.empty() ? stream.contract : stream.dapp_name;
-    mix.fixed = stream.fixed;
     const int contract_index =
-        stream.contract.empty() ? -1 : contracts.at(stream.contract).contract_index;
-    CallTable table(&connector, accounts, mix, contract_index);
+        workload.contract.empty() ? -1 : contracts.at(workload.contract).contract_index;
+    CallTable table(&connector, accounts, workload, contract_index);
     const std::vector<size_t>& set = stream_secondaries[i];
     for (size_t k = 0; k < arrivals.size(); ++k) {
       const TxId tx = table.Encode(k, arrivals[k]);
       if (tx == kInvalidTx) {
         result.failure_reason =
-            "invocation " + mix.InvocationFor(k).function + ": wire size out of range";
+            "invocation " + workload.InvocationFor(k).function + ": wire size out of range";
         return result;
       }
       secondaries[set[k % set.size()]]->Assign(arrivals[k], tx);
@@ -291,7 +288,7 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
 
   size_t duration = 0;
   for (const WorkStream& stream : streams) {
-    duration = std::max(duration, stream.trace.duration_seconds());
+    duration = std::max(duration, stream.workload.trace.duration_seconds());
   }
   DIABLO_LOG(LogLevel::kInfo,
              StrFormat("primary: %zu txs over %zu s on %s/%s (%zu streams)", total_txs,

@@ -55,14 +55,12 @@ struct RunResult {
   uint64_t events_executed = 0;
 };
 
-// One independent submission stream: a trace plus what each of its
-// transactions does and where its clients sit. Workload-spec groups map to
-// streams; the simple RunNative / RunDapp entry points build a single one.
+// One independent submission stream: its workload (the trace, and what
+// each transaction does) plus where its clients sit. Workload-spec
+// behaviors map to streams; the simple RunNative / RunDapp entry points
+// build a single one.
 struct WorkStream {
-  Trace trace;
-  std::string contract;              // empty = native transfers
-  std::optional<Invocation> fixed;   // overrides the dapp mix when set
-  std::string dapp_name;             // for the per-index invocation mix
+  DappWorkload workload;             // an empty contract sends native transfers
   std::vector<Region> locations;     // client regions; empty = collocated spread
   // Endpoint view patterns (the spec's `view:`): ".*" = every node, or
   // node indices as decimal strings. Empty = the collocated default.
@@ -80,7 +78,9 @@ class Primary {
   RunResult RunDapp(const DappWorkload& dapp);
 
   // A parsed workload specification file (§4); every group/behavior becomes
-  // its own stream with its own clients and load ramp.
+  // its own stream with its own clients and load ramp. The spec's `!account`
+  // binding, when it has one, sets the run's account count, and its
+  // `faults:` section applies unless the setup already carries a schedule.
   RunResult RunSpec(const WorkloadSpec& spec);
 
   // General entry point: any mix of streams over one chain deployment.

@@ -27,17 +27,6 @@ RunResult RunDappBenchmark(const std::string& chain, const std::string& deployme
   setup.seed = seed;
   setup.scale = scale;
   Primary primary(setup);
-  const std::string key = ToLower(dapp);
-  for (const char* stock : {"google", "amazon", "facebook", "microsoft", "apple"}) {
-    if (key == stock) {
-      // Per-stock NASDAQ bursts invoke the exchange contract's matching
-      // buy function (§6.5).
-      DappWorkload workload = GetDappWorkload("exchange");
-      workload.name = key;
-      workload.trace = NasdaqStockTrace(key);
-      return primary.RunDapp(workload);
-    }
-  }
   return primary.RunDapp(GetDappWorkload(dapp));
 }
 

@@ -13,8 +13,9 @@ RunResult RunNativeBenchmark(const std::string& chain, const std::string& deploy
                              double tps, int seconds, uint64_t seed = 1,
                              double scale = 1.0);
 
-// One of the five §3 DApp workloads: "exchange", "dota", "fifa", "uber",
-// "youtube", or a per-stock NASDAQ burst: "google", "microsoft", "apple", ...
+// One GetDappWorkload name: the five §3 DApp workloads "exchange", "dota",
+// "fifa", "uber", "youtube", or a per-stock NASDAQ burst: "google",
+// "microsoft", "apple", ...
 RunResult RunDappBenchmark(const std::string& chain, const std::string& deployment,
                            const std::string& dapp, uint64_t seed = 1,
                            double scale = 1.0);

@@ -8,14 +8,17 @@
 namespace diablo {
 namespace {
 
-// Stock order frequencies mirror the §3 opening-burst magnitudes:
+// The five NASDAQ stocks and their buy functions. Exchange order
+// frequencies mirror the §3 opening-burst magnitudes:
 // google 800 : amazon 1300 : facebook 3000 : microsoft 4000 : apple 10000.
 constexpr struct {
+  const char* stock;
   const char* function;
   uint64_t weight;
 } kBuyMix[] = {
-    {"buy_google", 8},   {"buy_amazon", 13}, {"buy_facebook", 30},
-    {"buy_microsoft", 40}, {"buy_apple", 100},
+    {"google", "buy_google", 8},       {"amazon", "buy_amazon", 13},
+    {"facebook", "buy_facebook", 30},  {"microsoft", "buy_microsoft", 40},
+    {"apple", "buy_apple", 100},
 };
 
 constexpr uint64_t kBuyMixTotal = [] {
@@ -55,9 +58,9 @@ Invocation DappWorkload::InvocationFor(uint64_t i) const {
     return Invocation{kBuyMix[Functions().IndexFor(i)].function, {}};
   }
   // Per-stock NASDAQ bursts (§6.5): every order buys that one stock.
-  for (const char* stock : {"google", "amazon", "facebook", "microsoft", "apple"}) {
-    if (name == stock) {
-      return Invocation{std::string("buy_") + stock, {}};
+  for (const auto& entry : kBuyMix) {
+    if (name == entry.stock) {
+      return Invocation{entry.function, {}};
     }
   }
   if (name == "dota") {
@@ -97,6 +100,11 @@ DappWorkload GetDappWorkload(std::string_view name) {
   }
   if (key == "youtube") {
     return DappWorkload{"youtube", "youtube", YoutubeTrace(), std::nullopt};
+  }
+  for (const auto& entry : kBuyMix) {
+    if (key == entry.stock) {
+      return DappWorkload{key, "exchange", NasdaqStockTrace(key), std::nullopt};
+    }
   }
   throw std::invalid_argument("unknown DApp workload: " + std::string(name));
 }

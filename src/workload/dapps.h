@@ -33,8 +33,8 @@ struct FunctionMix {
 };
 
 struct DappWorkload {
-  std::string name;      // "exchange", "dota", "fifa", "uber", "youtube"
-  std::string contract;  // contract registry key
+  std::string name;      // "exchange", "dota", "fifa", "uber", "youtube" or a stock
+  std::string contract;  // contract registry key; empty = native transfers
   Trace trace;
   // When set, every transaction performs exactly this invocation
   // (workload-spec-driven runs).
@@ -48,8 +48,11 @@ struct DappWorkload {
   Invocation InvocationFor(uint64_t i) const;
 };
 
-// The five default DIABLO DApps, Table 2 order: exchange/NASDAQ,
-// dota/Dota 2, fifa/FIFA, uber/Uber, youtube/YouTube.
+// Lookup by name, case-insensitive: the five default DIABLO DApps, Table 2
+// order: exchange (also "nasdaq" and "gafam"), dota, fifa, uber, youtube;
+// or one NASDAQ stock's opening burst (§6.5) on the exchange contract:
+// google, amazon, facebook, microsoft, apple. Throws std::invalid_argument
+// on any other name.
 DappWorkload GetDappWorkload(std::string_view name);
 
 const std::vector<std::string>& AllDappNames();

@@ -165,69 +165,4 @@ Trace YoutubeTrace() {
   return trace;
 }
 
-bool TraceFromCsv(std::string_view csv_text, Trace* out) {
-  out->name = "csv";
-  out->tps.clear();
-  for (const std::string& raw : Split(csv_text, '\n')) {
-    const std::string line = Trim(raw);
-    if (line.empty()) {
-      continue;
-    }
-    const std::vector<std::string> fields = Split(line, ',');
-    if (fields.size() != 2) {
-      return false;
-    }
-    int64_t second = 0;
-    double tps = 0;
-    if (!ParseInt64(fields[0], &second)) {
-      // A single header row is tolerated.
-      if (out->tps.empty() && ToLower(Trim(fields[0])) == "second") {
-        continue;
-      }
-      return false;
-    }
-    if (!ParseDouble(fields[1], &tps) || second < 0 || tps < 0) {
-      return false;
-    }
-    if (static_cast<size_t>(second) >= out->tps.size()) {
-      out->tps.resize(static_cast<size_t>(second) + 1, 0.0);
-    }
-    out->tps[static_cast<size_t>(second)] = tps;
-  }
-  return !out->tps.empty();
-}
-
-std::string TraceToCsv(const Trace& trace) {
-  std::string out = "second,tps\n";
-  for (size_t s = 0; s < trace.tps.size(); ++s) {
-    out += StrFormat("%zu,%.3f\n", s, trace.tps[s]);
-  }
-  return out;
-}
-
-Trace GetTrace(std::string_view name) {
-  const std::string key = ToLower(name);
-  if (key == "gafam" || key == "nasdaq") {
-    return NasdaqGafamTrace();
-  }
-  if (key == "dota") {
-    return DotaTrace();
-  }
-  if (key == "fifa") {
-    return FifaTrace();
-  }
-  if (key == "uber") {
-    return UberTrace();
-  }
-  if (key == "youtube") {
-    return YoutubeTrace();
-  }
-  for (const StockSpec& spec : kStocks) {
-    if (key == spec.name) {
-      return NasdaqStockTrace(spec.name);
-    }
-  }
-  throw std::invalid_argument("unknown trace: " + std::string(name));
-}
-
 }  // namespace diablo

@@ -52,16 +52,6 @@ Trace UberTrace();
 // YouTube uploads scaled to 2021: ~38,761 TPS (§3), 120 s.
 Trace YoutubeTrace();
 
-// Lookup by name: "constant" is not included; names are "google", "amazon",
-// "facebook", "microsoft", "apple", "gafam"/"nasdaq", "dota", "fifa",
-// "uber", "youtube". Throws std::invalid_argument on unknown names.
-Trace GetTrace(std::string_view name);
-
-// CSV interchange for external traces: "second,tps" rows (header optional;
-// gaps filled with zero). Returns false on malformed input.
-bool TraceFromCsv(std::string_view csv_text, Trace* out);
-std::string TraceToCsv(const Trace& trace);
-
 }  // namespace diablo
 
 #endif  // SRC_WORKLOAD_TRACE_H_

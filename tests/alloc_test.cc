@@ -309,10 +309,10 @@ TEST(AllocationLock, PreSigningStaysWithinItsBytesPerTransaction) {
   // Fig. 2's largest cell keeps every pre-signed transaction until it ends.
   // Allocator bytes in use across arrival expansion, ReserveTxs, encoding
   // and assignment of ~930k YouTube transactions on consortium, per
-  // transaction: the Transaction (48 B), its schedule entry (16 B), its
+  // transaction: the Transaction (40 B), its schedule entry (16 B), its
   // arrival time (8 B), the mempool's lifecycle byte (1 B; Quorum's pool has
   // no TTL and no signer cap, so it keeps no other side table) and its
-  // block-tx slot (4 B), plus fixed reservations. 80 B leaves room for those
+  // block-tx slot (4 B), plus fixed reservations. 72 B leaves room for those
   // fixed parts only; a second copy of a per-transaction field does not fit.
   PreSigningCell cell("consortium");
   ASSERT_GE(cell.contract_index, 0);
@@ -329,8 +329,8 @@ TEST(AllocationLock, PreSigningStaysWithinItsBytesPerTransaction) {
   ASSERT_GT(arrivals.size(), 900000u);
   const double bytes_per_tx =
       static_cast<double>(after - before) / static_cast<double>(arrivals.size());
-  EXPECT_LE(bytes_per_tx, 80.0) << arrivals.size() << " transactions";
-  EXPECT_GE(bytes_per_tx, 48.0 + 16.0 + 8.0);
+  EXPECT_LE(bytes_per_tx, 72.0) << arrivals.size() << " transactions";
+  EXPECT_GE(bytes_per_tx, 40.0 + 16.0 + 8.0);
 #else
   GTEST_SKIP() << "allocator bytes in use are read through glibc's mallinfo2, "
                   "which sees no sanitizer's allocator";

@@ -24,15 +24,9 @@ std::string ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-// Tests run from build/tests; the configs live at the repository root.
+// tests/CMakeLists.txt sets DIABLO_CONFIG_DIR to the repository's configs/.
 std::string ConfigPath(const std::string& name) {
-  for (const char* prefix : {"../../configs/", "configs/", "../configs/"}) {
-    std::ifstream probe(prefix + name);
-    if (probe) {
-      return prefix + name;
-    }
-  }
-  return "configs/" + name;
+  return std::string(DIABLO_CONFIG_DIR) + "/" + name;
 }
 
 class ShippedConfigTest : public ::testing::TestWithParam<const char*> {};
@@ -263,11 +257,10 @@ TEST(DappGoldenTest, StreamsSharingSecondariesAreStable) {
   setup.deployment = "testnet";
   Primary primary(setup);
   WorkStream exchange;
-  exchange.trace = ConstantTrace(40, 20);
-  exchange.contract = "exchange";
-  exchange.dapp_name = "exchange";
+  exchange.workload = GetDappWorkload("exchange");
+  exchange.workload.trace = ConstantTrace(40, 20);
   WorkStream native;
-  native.trace = ConstantTrace(25, 20);
+  native.workload.trace = ConstantTrace(25, 20);
   const RunResult result = primary.RunStreams({exchange, native}, "shared");
   ASSERT_TRUE(result.failure_reason.empty()) << result.failure_reason;
   EXPECT_EQ(result.report.submitted, 800u + 500u);
@@ -370,35 +363,6 @@ TEST(EngineGoldenTest, StreamedVotePlanesAreStable) {
         << golden.chain << " xl-1000 report text changed; if intentional, "
         << "update the golden hash (kCheckedBuild=" << kCheckedBuild << ")";
   }
-}
-
-TEST(TraceCsvTest, RoundTrip) {
-  const Trace original = UberTrace();
-  Trace parsed;
-  ASSERT_TRUE(TraceFromCsv(TraceToCsv(original), &parsed));
-  ASSERT_EQ(parsed.tps.size(), original.tps.size());
-  for (size_t s = 0; s < original.tps.size(); ++s) {
-    EXPECT_NEAR(parsed.tps[s], original.tps[s], 0.001);
-  }
-}
-
-TEST(TraceCsvTest, GapsFillWithZero) {
-  Trace trace;
-  ASSERT_TRUE(TraceFromCsv("0,100\n3,50\n", &trace));
-  ASSERT_EQ(trace.tps.size(), 4u);
-  EXPECT_DOUBLE_EQ(trace.tps[0], 100.0);
-  EXPECT_DOUBLE_EQ(trace.tps[1], 0.0);
-  EXPECT_DOUBLE_EQ(trace.tps[3], 50.0);
-}
-
-TEST(TraceCsvTest, HeaderToleratedErrorsRejected) {
-  Trace trace;
-  EXPECT_TRUE(TraceFromCsv("second,tps\n0,10\n", &trace));
-  EXPECT_FALSE(TraceFromCsv("", &trace));
-  EXPECT_FALSE(TraceFromCsv("a,b,c\n", &trace));
-  EXPECT_FALSE(TraceFromCsv("0,-5\n", &trace));
-  EXPECT_FALSE(TraceFromCsv("-1,5\n", &trace));
-  EXPECT_FALSE(TraceFromCsv("0,xyz\n", &trace));
 }
 
 }  // namespace

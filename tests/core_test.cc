@@ -204,17 +204,12 @@ TEST(CallTableTest, MatchesPerCallEncodeFieldForField) {
   // must agree field for field and the cost oracles on every profile they
   // measured, so the table measures the same functions with the same
   // first-caller arguments in the same order.
-  struct Stream {
-    std::string contract;
-    DappWorkload mix;
-  };
-  std::vector<Stream> streams;
+  std::vector<DappWorkload> streams;
   for (const std::string& name : AllDappNames()) {
-    const DappWorkload dapp = GetDappWorkload(name);
-    streams.push_back({dapp.contract, DappWorkload{dapp.name, dapp.contract, {}, {}}});
+    streams.push_back(GetDappWorkload(name));
   }
   for (const char* stock : {"google", "amazon", "facebook", "microsoft", "apple"}) {
-    streams.push_back({"exchange", DappWorkload{stock, "exchange", {}, {}}});
+    streams.push_back(GetDappWorkload(stock));
   }
   const struct {
     const char* contract;
@@ -225,14 +220,14 @@ TEST(CallTableTest, MatchesPerCallEncodeFieldForField) {
       {"exchange", {"check_stock", {3}}}, {"uber", {"check_distance", {1, 2}}},
   };
   for (const auto& spec : fixed) {
-    streams.push_back({spec.contract, DappWorkload{"spec", spec.contract, {}, spec.invocation}});
+    streams.push_back(DappWorkload{"spec", spec.contract, {}, spec.invocation});
   }
-  streams.push_back({"", DappWorkload{}});
+  streams.push_back(DappWorkload{});
 
   constexpr uint64_t kCalls = 600;
   for (const char* chain : {"quorum", "diem", "algorand", "solana"}) {
-    for (const Stream& stream : streams) {
-      const std::string label = std::string(chain) + "/" + stream.mix.name + "/" +
+    for (const DappWorkload& stream : streams) {
+      const std::string label = std::string(chain) + "/" + stream.name + "/" +
                                 stream.contract;
       EncodeTwin table_side(chain, stream.contract);
       EncodeTwin call_side(chain, stream.contract);
@@ -240,17 +235,20 @@ TEST(CallTableTest, MatchesPerCallEncodeFieldForField) {
       if (!table_side.deployed) {
         continue;  // YouTube on the AVM
       }
-      CallTable table(&table_side.connector, table_side.accounts, stream.mix,
+      CallTable table(&table_side.connector, table_side.accounts, stream,
                       table_side.contract_index);
+      // Every function the calls name: both oracles have measured these.
+      std::set<std::string> functions;
       for (uint64_t k = 0; k < kCalls; ++k) {
         const SimTime time = Milliseconds(static_cast<int64_t>(3 * k));
         InteractionSpec spec;
         if (!stream.contract.empty()) {
-          const Invocation invocation = stream.mix.InvocationFor(k);
+          const Invocation invocation = stream.InvocationFor(k);
           spec.type = InteractionSpec::Type::kInvoke;
           spec.contract_index = call_side.contract_index;
           spec.function = invocation.function;
           spec.args = invocation.args;
+          functions.insert(invocation.function);
         }
         const TxId expected = call_side.connector.Encode(spec, call_side.accounts, time);
         ASSERT_EQ(table.Encode(k, time), expected) << label << " call " << k;
@@ -261,14 +259,11 @@ TEST(CallTableTest, MatchesPerCallEncodeFieldForField) {
       const TxStore& got = table_side.chain->context().txs();
       const TxStore& want = call_side.chain->context().txs();
       ASSERT_EQ(got.size(), want.size()) << label;
-      std::set<int> functions;
       for (TxId id = 0; id < got.size(); ++id) {
         const Transaction& a = got.at(id);
         const Transaction& b = want.at(id);
         EXPECT_EQ(a.account, b.account) << label << " tx " << id;
         EXPECT_EQ(a.sequence, b.sequence) << label << " tx " << id;
-        EXPECT_EQ(a.contract, b.contract) << label << " tx " << id;
-        EXPECT_EQ(a.function, b.function) << label << " tx " << id;
         EXPECT_EQ(a.size_bytes, b.size_bytes) << label << " tx " << id;
         EXPECT_EQ(a.gas, b.gas) << label << " tx " << id;
         EXPECT_EQ(a.submit_time, b.submit_time) << label << " tx " << id;
@@ -276,17 +271,11 @@ TEST(CallTableTest, MatchesPerCallEncodeFieldForField) {
         EXPECT_EQ(a.read_only, b.read_only) << label << " tx " << id;
         EXPECT_EQ(a.phase, b.phase) << label << " tx " << id;
         EXPECT_EQ(a.exec_status, b.exec_status) << label << " tx " << id;
-        functions.insert(a.function);
-      }
-      if (stream.contract.empty()) {
-        continue;
       }
       CostOracle& got_oracle = table_side.chain->context().oracle();
       CostOracle& want_oracle = call_side.chain->context().oracle();
-      for (const int function : functions) {
-        // Both sides measured these functions already; Profile returns what
-        // the first measurement recorded.
-        const std::string& name = got_oracle.FunctionName(table_side.contract_index, function);
+      for (const std::string& name : functions) {
+        // Profile returns what the first measurement recorded.
         const CallProfile& a = got_oracle.Profile(table_side.contract_index, name, {});
         const CallProfile& b = want_oracle.Profile(call_side.contract_index, name, {});
         EXPECT_EQ(a.status, b.status) << label << " " << name;
@@ -294,7 +283,7 @@ TEST(CallTableTest, MatchesPerCallEncodeFieldForField) {
         EXPECT_EQ(a.ops, b.ops) << label << " " << name;
         EXPECT_EQ(a.calldata_bytes, b.calldata_bytes) << label << " " << name;
       }
-      if (stream.mix.name == "exchange") {
+      if (stream.name == "exchange") {
         EXPECT_EQ(functions.size(), 5u) << label;
       }
     }
@@ -424,6 +413,44 @@ TEST(PrimaryTest, SpecUploadOutsideTheWireSizeFailsBeforeTheRun) {
   }
 }
 
+TEST(PrimaryTest, SpecSignsFromItsAccountBinding) {
+  // The spec's `!account` set is the run's: the same counter load signed by
+  // one bound account runs exactly as with the setup's count set to 1. Diem
+  // holds at most 100 pending transactions per signer, so one account drops
+  // most of a load that 2,000 accounts commit in full.
+  const auto spec_text = [](const char* from) {
+    return StrFormat(R"(workloads:
+  - number: 1
+    client:
+      behavior:
+        - interaction: !invoke
+%s            contract: { sample: !contract { name: "counter" } }
+            function: "add"
+          load:
+            0: 3000
+            10: 0
+)",
+                     from);
+  };
+  const SpecResult bound =
+      ParseWorkloadSpec(spec_text("            from: { sample: !account { number: 1 } }\n"));
+  const SpecResult unbound = ParseWorkloadSpec(spec_text(""));
+  ASSERT_TRUE(bound.ok && unbound.ok) << bound.error << unbound.error;
+  ASSERT_EQ(bound.spec.TotalAccounts(), 1);
+  ASSERT_EQ(unbound.spec.TotalAccounts(), 0);
+  BenchmarkSetup setup;
+  setup.chain = "diem";
+  setup.deployment = "testnet";
+  const RunResult from_spec = Primary(setup).RunSpec(bound.spec);
+  const RunResult two_thousand = Primary(setup).RunSpec(unbound.spec);
+  setup.accounts = 1;
+  const RunResult from_setup = Primary(setup).RunSpec(unbound.spec);
+  EXPECT_EQ(from_spec.report.ToText(), from_setup.report.ToText());
+  EXPECT_EQ(from_spec.report.submitted, 30000u);
+  EXPECT_LT(from_spec.report.committed, 30000u / 2);
+  EXPECT_EQ(two_thousand.report.committed, 30000u);
+}
+
 TEST(PrimaryTest, TraceRatesThatAreNotFiniteAndNonNegativeFailBeforeTheRun) {
   // A NaN or negative rate, from the trace or from the scale, used to size
   // the arrival vector from a negative or NaN total and abort the process
@@ -465,8 +492,8 @@ TEST(PrimaryTest, TraceTotalsBeyondTheTxIdRangeFailBeforeTheRun) {
   }
   // Two streams that each fit can still overflow together.
   std::vector<WorkStream> streams(2);
-  streams[0].trace = ConstantTrace(3e9, 1);
-  streams[1].trace = ConstantTrace(3e9, 1);
+  streams[0].workload.trace = ConstantTrace(3e9, 1);
+  streams[1].workload.trace = ConstantTrace(3e9, 1);
   BenchmarkSetup setup;
   setup.chain = "quorum";
   setup.deployment = "testnet";
@@ -520,10 +547,10 @@ TEST(PrimaryTest, EndpointViewPatternsResolve) {
   setup.deployment = "testnet";
   Primary primary(setup);
   WorkStream all_nodes;
-  all_nodes.trace = ConstantTrace(40, 5);
+  all_nodes.workload.trace = ConstantTrace(40, 5);
   all_nodes.endpoints = {".*"};
   WorkStream pinned;
-  pinned.trace = ConstantTrace(10, 5);
+  pinned.workload.trace = ConstantTrace(10, 5);
   pinned.endpoints = {"3"};
   const RunResult result = primary.RunStreams({all_nodes, pinned}, "views");
   EXPECT_EQ(result.report.submitted, 200u + 50u);
@@ -536,11 +563,9 @@ TEST(PrimaryTest, StreamsApiMixesDappsAndNative) {
   setup.deployment = "testnet";
   Primary primary(setup);
   WorkStream dapp;
-  dapp.trace = ConstantTrace(10, 5);
-  dapp.contract = "counter";
-  dapp.fixed = Invocation{"add", {}};
+  dapp.workload = DappWorkload{"counter", "counter", ConstantTrace(10, 5), Invocation{"add", {}}};
   WorkStream native;
-  native.trace = ConstantTrace(30, 5);
+  native.workload.trace = ConstantTrace(30, 5);
   native.locations = {Region::kTokyo};
   const RunResult result =
       primary.RunStreams({dapp, native}, "mixed");

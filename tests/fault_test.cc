@@ -12,9 +12,11 @@
 
 #include "src/chains/chain_factory.h"
 #include "src/chains/params.h"
+#include "src/config/spec.h"
 #include "src/core/runner.h"
 #include "src/fault/injector.h"
 #include "src/fault/schedule.h"
+#include "src/support/strings.h"
 
 namespace diablo {
 namespace {
@@ -603,7 +605,7 @@ TEST(FaultRunTest, RetriesImproveCommitRatioUnderEndpointCrash) {
     setup.retry = retry;
     Primary primary(setup);
     WorkStream stream;
-    stream.trace = ConstantTrace(100, 30);
+    stream.workload.trace = ConstantTrace(100, 30);
     stream.endpoints = {".*"};
     std::vector<WorkStream> streams;
     streams.push_back(std::move(stream));
@@ -639,6 +641,48 @@ TEST(FaultRunTest, InvalidScheduleSurfacesAsFailureReason) {
                                              RetryPolicy{}, /*seed=*/1);
   EXPECT_NE(result.failure_reason.find("unknown host"), std::string::npos)
       << result.failure_reason;
+}
+
+TEST(FaultRunTest, CensoredSignersOutsideTheRunsAccountsFailBeforeTheRun) {
+  // A signer id past the run's accounts used to censor no one silently: this
+  // run committed 6,000 of 6,000. The file binds 100 accounts, but only an
+  // !invoke behavior reads `from:`, so the transfers sign from the setup's
+  // 2,000 accounts, and 2,000 is the first id outside them.
+  for (const int signer : {999999, 2000}) {
+    const SpecResult spec = ParseWorkloadSpec(StrFormat(R"(let:
+  - &acc { sample: !account { number: 100 } }
+workloads:
+  - number: 1
+    client:
+      view: { sample: !endpoint [ ".*" ] }
+      behavior:
+        - interaction: !transfer
+          load:
+            0: 100
+            60: 0
+faults:
+  - censor: { nodes: [0], signers: [%d], from: 1, to: 50 }
+)",
+                                                        signer));
+    ASSERT_TRUE(spec.ok) << spec.error;
+    BenchmarkSetup setup;
+    setup.chain = "quorum";
+    setup.deployment = "testnet";
+    const RunResult result = Primary(setup).RunSpec(spec.spec);
+    EXPECT_EQ(result.failure_reason,
+              StrFormat("fault schedule: censor fault at t=1.000s: unknown signer: "
+                        "account %d of a 2000-account run",
+                        signer));
+    EXPECT_EQ(result.report.submitted, 0u);
+    EXPECT_EQ(result.events_executed, 0u);
+  }
+  // The last account is a signer the run has.
+  const FaultSchedule faults =
+      FaultScheduleBuilder().Censor({0}, {1999}, Seconds(1), Seconds(5)).Build();
+  const RunResult result =
+      RunFaultBenchmark("quorum", "testnet", 20, 5, faults, RetryPolicy{}, /*seed=*/1);
+  EXPECT_TRUE(result.failure_reason.empty()) << result.failure_reason;
+  EXPECT_EQ(result.report.submitted, 100u);
 }
 
 TEST(FaultRunTest, FaultRunsAreDeterministic) {

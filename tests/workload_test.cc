@@ -41,7 +41,7 @@ TEST(TraceTest, NasdaqStockBurstsMatchPaper) {
                    {"microsoft", 4000},
                    {"apple", 10000}};
   for (const auto& expected : kExpected) {
-    const Trace trace = NasdaqStockTrace(expected.stock);
+    const Trace trace = GetDappWorkload(expected.stock).trace;
     EXPECT_DOUBLE_EQ(trace.tps[0], expected.peak) << expected.stock;
     EXPECT_EQ(trace.duration_seconds(), 180u);
     // Low tail after the burst (sized so the accumulated tail sits in the
@@ -51,7 +51,7 @@ TEST(TraceTest, NasdaqStockBurstsMatchPaper) {
       EXPECT_LE(trace.tps[s], 16.0) << expected.stock << " @" << s;
     }
   }
-  EXPECT_THROW(NasdaqStockTrace("tesla"), std::invalid_argument);
+  EXPECT_THROW(GetDappWorkload("tesla"), std::invalid_argument);
 }
 
 TEST(TraceTest, GafamAccumulation) {
@@ -102,10 +102,11 @@ TEST(TraceTest, YoutubeVeryDemanding) {
 }
 
 TEST(TraceTest, LookupByName) {
-  EXPECT_EQ(GetTrace("dota").name, "dota");
-  EXPECT_EQ(GetTrace("NASDAQ").name, "gafam");
-  EXPECT_EQ(GetTrace("apple").tps[0], 10000.0);
-  EXPECT_THROW(GetTrace("minecraft"), std::invalid_argument);
+  // A trace is looked up by its workload's name.
+  EXPECT_EQ(GetDappWorkload("dota").trace.name, "dota");
+  EXPECT_EQ(GetDappWorkload("NASDAQ").trace.name, "gafam");
+  EXPECT_EQ(GetDappWorkload("apple").trace.tps[0], 10000.0);
+  EXPECT_THROW(GetDappWorkload("minecraft"), std::invalid_argument);
 }
 
 TEST(TraceTest, Deterministic) {
@@ -124,6 +125,22 @@ TEST(DappTest, FiveWorkloads) {
     EXPECT_FALSE(invocation.function.empty()) << name;
   }
   EXPECT_THROW(GetDappWorkload("tiktok"), std::invalid_argument);
+}
+
+TEST(DappTest, StockBurstsBuyTheirStockOnTheExchange) {
+  // §6.5: each stock's opening burst, every order buying that one stock.
+  for (const char* stock : {"google", "amazon", "facebook", "microsoft", "apple"}) {
+    const DappWorkload dapp = GetDappWorkload(stock);
+    EXPECT_EQ(dapp.name, stock);
+    EXPECT_EQ(dapp.contract, "exchange") << stock;
+    EXPECT_FALSE(dapp.fixed.has_value()) << stock;
+    EXPECT_EQ(dapp.trace.name, stock);
+    EXPECT_EQ(dapp.trace.duration_seconds(), 180u) << stock;
+    for (uint64_t i = 0; i < 50; ++i) {
+      EXPECT_EQ(dapp.InvocationFor(i).function, std::string("buy_") + stock);
+    }
+  }
+  EXPECT_EQ(GetDappWorkload("Apple").name, "apple");
 }
 
 TEST(DappTest, ExchangeMixCoversAllStocks) {
@@ -161,9 +178,7 @@ TEST(DappTest, FunctionMixNamesEachCallsFunction) {
   for (const char* name : {"dota", "fifa", "uber", "youtube"}) {
     single.push_back(GetDappWorkload(name));
   }
-  DappWorkload stock = exchange;
-  stock.name = "apple";
-  single.push_back(stock);
+  single.push_back(GetDappWorkload("apple"));
   DappWorkload fixed = exchange;
   fixed.fixed = Invocation{"buy_google", {}};
   single.push_back(fixed);
@@ -223,7 +238,7 @@ TEST(ArrivalTest, ExpansionsComeOutSorted) {
     traces.push_back(GetDappWorkload(name).trace);
   }
   for (const char* stock : {"google", "amazon", "facebook", "microsoft", "apple"}) {
-    traces.push_back(NasdaqStockTrace(stock));
+    traces.push_back(GetDappWorkload(stock).trace);
   }
   for (const Trace& trace : traces) {
     const auto arrivals = ExpandArrivals(trace, ArrivalProcess::kUniform, nullptr);
