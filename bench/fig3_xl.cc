@@ -6,40 +6,20 @@
 //
 // Deployments this large take the streamed O(n)-byte delay model (see
 // docs/performance.md) instead of the n×n matrix: at 10k validators the
-// matrix alone would cost ~1.6 GB for a single cell.
-// DIABLO_XL_MAX_N caps the validator axis (the ctest smoke and CI's TSan and
-// bench runs use 1000).
-#include <cstdlib>
+// matrix alone would cost ~800 MB for a single cell.
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/support/strings.h"
 
 namespace diablo {
 namespace {
-
-int64_t MaxNFromEnv() {
-  const char* raw = std::getenv("DIABLO_XL_MAX_N");
-  int64_t value = 0;
-  if (raw != nullptr && ParseInt64(raw, &value) && value > 0) {
-    return value;
-  }
-  return 10000;
-}
 
 void Run() {
   PrintHeader(
       "Figure 3-XL — validator-axis scalability: 100 TPS native transfers, 30 s\n"
       "(throughput TPS / latency s per validator count)");
   const double scale = ScaleFromEnv();
-  const int64_t max_n = MaxNFromEnv();
-  const std::vector<int> counts_all = {1000, 5000, 10000};
-  std::vector<int> counts;
-  for (const int n : counts_all) {
-    if (n <= max_n) {
-      counts.push_back(n);
-    }
-  }
+  const std::vector<int> counts = {1000, 5000, 10000};
   // diem = HotStuff, per Table 4.
   const std::vector<std::string> chains = {"diem", "algorand", "avalanche"};
 

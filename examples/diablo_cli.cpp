@@ -12,6 +12,7 @@
 // DApps (exchange, dota, fifa, uber, youtube), a NASDAQ stock burst
 // (google, amazon, facebook, microsoft, apple), or --spec=FILE for a YAML
 // workload specification (§4).
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -182,12 +183,20 @@ int main(int argc, char** argv) {
   }
 
   // The primary wrote the full documents (summary + per-transaction
-  // records) itself; see src/analysis/ for loading them back.
-  if (!options.output_json.empty()) {
-    std::printf("wrote %s\n", options.output_json.c_str());
+  // records) itself; see src/analysis/ for loading them back. A results
+  // file it could not write fails the run.
+  int status = 0;
+  for (const std::string& path : {options.output_json, options.output_csv}) {
+    if (path.empty()) {
+      continue;
+    }
+    if (std::find(result.unwritten_files.begin(), result.unwritten_files.end(), path) !=
+        result.unwritten_files.end()) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      status = 1;
+    } else {
+      std::printf("wrote %s\n", path.c_str());
+    }
   }
-  if (!options.output_csv.empty()) {
-    std::printf("wrote %s\n", options.output_csv.c_str());
-  }
-  return 0;
+  return status;
 }

@@ -35,9 +35,6 @@ struct Transaction {
   uint32_t account = 0;    // signer
   uint32_t sequence = 0;   // per-signer sequence number
   int32_t size_bytes = 0;  // wire size
-  // Read-only calls (e.g. the exchange DApp's checkStock) are served by the
-  // endpoint directly and never enter consensus.
-  bool read_only = false;
   TxPhase phase = TxPhase::kCreated;
   VmStatus exec_status = VmStatus::kOk;
 
@@ -48,7 +45,7 @@ struct Transaction {
   }
 };
 // One record per transaction, tens of millions per Fig. 2 run: the field
-// order above leaves one byte of tail padding, and the size is pinned.
+// order above leaves two bytes of tail padding, and the size is pinned.
 static_assert(sizeof(Transaction) == 40, "Transaction layout changed");
 
 class TxStore {

@@ -140,8 +140,18 @@ Arrivals ScanArrivals(const PairwiseDelays& delays,
   return Bound(buf, cnt);
 }
 
+// Largest reachable entry of a delay matrix, or 0: kUnreachable (-1) never
+// raises it.
+SimDuration MaxReachable(const std::vector<SimDuration>& delays) {
+  SimDuration max_delay = 0;
+  for (const SimDuration d : delays) {
+    max_delay = std::max(max_delay, d);
+  }
+  return max_delay;
+}
+
 #if defined(DIABLO_CHECKED)
-// Sampled cross-check of every dense selection against a from-scratch
+// Sampled cross-check of every selection against a from-scratch
 // nth_element over the same values. The tick is process-wide (cells run on
 // worker threads in parallel sweeps), relaxed, and never feeds back into
 // results, so a nondeterministic sampling pattern is harmless. 257 is prime
@@ -155,8 +165,8 @@ bool SelectCheckDue() {
 }
 #endif
 
-// The one selection step of every dense kernel: the exact k-th smallest
-// (0-based, k < arrivals.cnt) of the scanned values in buf.
+// The one selection step of every kernel, dense or streamed: the exact k-th
+// smallest (0-based, k < arrivals.cnt) of the scanned values in buf.
 SimDuration SelectArrival(SimDuration* buf, const Arrivals& arrivals, size_t k,
                           SimDuration* spare) {
 #if defined(DIABLO_CHECKED)
@@ -188,30 +198,23 @@ SimDuration SelectArrival(SimDuration* buf, const Arrivals& arrivals, size_t k,
 PairwiseDelays::PairwiseDelays(Network* net, const std::vector<HostId>& hosts,
                                int64_t message_bytes)
     : n_(hosts.size()) {
-  net->FillPairwiseDelays(hosts, message_bytes, &delays_);
-  BuildTranspose();
+  net->FillPairwiseDelays(hosts, message_bytes, &by_receiver_);
+  max_delay_ = MaxReachable(by_receiver_);
 }
 
-PairwiseDelays::PairwiseDelays(size_t n, std::vector<SimDuration> row_major)
-    : n_(n), delays_(std::move(row_major)) {
-  if (delays_.size() != n_ * n_) {
+PairwiseDelays::PairwiseDelays(size_t n, const std::vector<SimDuration>& row_major)
+    : n_(n) {
+  if (row_major.size() != n_ * n_) {
     CheckFailed(__FILE__, __LINE__, "row_major.size() == n * n",
                 "explicit pairwise matrix has the wrong element count");
   }
-  BuildTranspose();
-}
-
-void PairwiseDelays::BuildTranspose() {
   by_receiver_.resize(n_ * n_);
-  for (size_t i = 0; i < n_; ++i) {
-    for (size_t j = 0; j < n_; ++j) {
-      const SimDuration d = delays_[i * n_ + j];
-      by_receiver_[j * n_ + i] = d;
-      if (d != kUnreachable && d > max_delay_) {
-        max_delay_ = d;
-      }
+  for (size_t from = 0; from < n_; ++from) {
+    for (size_t to = 0; to < n_; ++to) {
+      by_receiver_[to * n_ + from] = row_major[from * n_ + to];
     }
   }
+  max_delay_ = MaxReachable(by_receiver_);
 }
 
 VoteDelays::VoteDelays(Network* net, const std::vector<HostId>& hosts,
@@ -226,9 +229,8 @@ VoteDelays::VoteDelays(Network* net, const std::vector<HostId>& hosts,
 
 size_t VoteDelays::ApproxBytes() const {
   if (matrix_ != nullptr) {
-    // Row-major matrix plus its transpose.
-    return sizeof(*this) + sizeof(PairwiseDelays) +
-           2 * n_ * n_ * sizeof(SimDuration);
+    // One receiver-major n×n matrix.
+    return sizeof(*this) + sizeof(PairwiseDelays) + n_ * n_ * sizeof(SimDuration);
   }
   return sizeof(*this) + streamed_->ApproxBytes();
 }
@@ -302,6 +304,34 @@ SimDuration MedianDelayInto(const std::vector<SimDuration>& delays,
   return SelectArrival(buf, Bound(buf, cnt), cnt / 2, scratch->spare.data());
 }
 
+SimDuration QuorumArrivalLargeN(const StreamedDelays& delays, const uint32_t* senders,
+                                const SimDuration* sender_times, size_t count,
+                                size_t receiver, size_t quorum, double hop_scale,
+                                MessagePlaneScratch* scratch) {
+  if (quorum == 0) {
+    return kUnreachable;
+  }
+  scratch->buf.resize(count);
+  scratch->spare.resize(count);
+  SimDuration* buf = scratch->buf.data();
+  size_t cnt = 0;
+  for (size_t j = 0; j < count; ++j) {
+    const SimDuration s = sender_times[j];
+    if (s == kUnreachable) {
+      continue;  // the jitter derivation is skipped for silent senders
+    }
+    const SimDuration hop = delays.at(senders != nullptr ? senders[j] : j, receiver);
+    if (hop == kUnreachable) {
+      continue;
+    }
+    buf[cnt++] = s + static_cast<SimDuration>(static_cast<double>(hop) * hop_scale);
+  }
+  if (cnt < quorum) {
+    return kUnreachable;
+  }
+  return SelectArrival(buf, Bound(buf, cnt), quorum - 1, scratch->spare.data());
+}
+
 namespace {
 
 #if defined(DIABLO_CHECKED)
@@ -325,7 +355,7 @@ void CheckStreamedQuorum(const StreamedDelays& model,
       dense[i * n + j] = model.at(i, j);
     }
   }
-  const PairwiseDelays matrix(n, std::move(dense));
+  const PairwiseDelays matrix(n, dense);
   MessagePlaneScratch scratch;
   const SimDuration ref =
       QuorumArrivalInto(matrix, send_times, receiver, quorum, hop_scale, &scratch);
@@ -347,8 +377,8 @@ SimDuration QuorumArrivalInto(const VoteDelays& delays,
                              hop_scale, scratch);
   }
   const SimDuration got =
-      QuorumArrivalLargeN(delays.streamed(), send_times.data(), send_times.size(),
-                          receiver, quorum, hop_scale, &scratch->buf);
+      QuorumArrivalLargeN(delays.streamed(), nullptr, send_times.data(),
+                          send_times.size(), receiver, quorum, hop_scale, scratch);
 #if defined(DIABLO_CHECKED)
   if (quorum > 0 && SelectCheckDue()) {
     CheckStreamedQuorum(delays.streamed(), send_times, receiver, quorum, hop_scale,
@@ -376,8 +406,8 @@ void QuorumArrivalAllInto(const VoteDelays& delays,
   }
   for (size_t receiver = 0; receiver < n; ++receiver) {
     (*result)[receiver] =
-        QuorumArrivalLargeN(delays.streamed(), send_times.data(), n, receiver,
-                            quorum, hop_scale, &scratch->buf);
+        QuorumArrivalLargeN(delays.streamed(), nullptr, send_times.data(), n, receiver,
+                            quorum, hop_scale, scratch);
   }
 #if defined(DIABLO_CHECKED)
   for (size_t receiver = 0; receiver < n; ++receiver) {
@@ -411,9 +441,8 @@ void QuorumArrivalCommitteeInto(const StreamedDelays& delays,
     if (!seen.Set(r)) {
       continue;
     }
-    (*result)[r] = QuorumArrivalLargeN(delays, senders.data(),
-                                       sender_times.data(), senders.size(), r,
-                                       quorum, hop_scale, &scratch->buf);
+    (*result)[r] = QuorumArrivalLargeN(delays, senders.data(), sender_times.data(),
+                                       senders.size(), r, quorum, hop_scale, scratch);
 #if defined(DIABLO_CHECKED)
     if ((*result)[r] != kUnreachable && SelectCheckDue()) {
       std::vector<SimDuration> full(n, kUnreachable);

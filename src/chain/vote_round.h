@@ -10,11 +10,12 @@
 // The reduction itself is the hot loop of every consensus engine, so it runs
 // over caller-owned scratch (MessagePlaneScratch) instead of allocating per
 // receiver: steady-state vote rounds perform zero heap allocations. Every
-// dense kernel selects with one bucket selector that keeps no state between
-// receivers or rounds: one scan collects the reachable arrivals with their
-// min and max, a histogram finds the bucket holding the wanted rank, and only
-// that bucket is sorted. A k-th order statistic is a value, not an
-// algorithm, so the result is bit-identical to a plain sort-and-index.
+// kernel, dense or streamed, selects with one bucket selector that keeps no
+// state between receivers or rounds: one scan collects the reachable
+// arrivals with their min and max, a histogram finds the bucket holding the
+// wanted rank, and only that bucket is sorted. A k-th order statistic is a
+// value, not an algorithm, so the result is bit-identical to a plain
+// sort-and-index.
 #ifndef SRC_CHAIN_VOTE_ROUND_H_
 #define SRC_CHAIN_VOTE_ROUND_H_
 
@@ -89,20 +90,20 @@ class VoteBitset {
 };
 
 // One-way delays for fixed-size messages between every pair of hosts,
-// sampled once at construction (jitter baked in). Kept in both row-major
-// (sender-major, `at`) and column-major (receiver-major, `column`) layouts:
-// the quorum reduction reads all senders for one receiver, which is a strided
-// walk in the row-major matrix but contiguous in the transpose.
+// sampled once at construction (jitter baked in). Stored receiver-major: the
+// quorum reduction reads all senders for one receiver, so each receiver's
+// column is contiguous.
 class PairwiseDelays {
  public:
   PairwiseDelays(Network* net, const std::vector<HostId>& hosts, int64_t message_bytes);
 
-  // Builds directly from an explicit row-major matrix of n·n entries. Used
-  // by the checked-build cross-check and by tests to run the dense kernels
-  // over delays sampled elsewhere (e.g. a StreamedDelays model).
-  PairwiseDelays(size_t n, std::vector<SimDuration> row_major);
+  // Builds from an explicit row-major matrix of n·n entries
+  // (row_major[from * n + to]), transposed once. Used by the checked-build
+  // cross-check and by tests to run the dense kernels over delays sampled
+  // elsewhere (e.g. a StreamedDelays model).
+  PairwiseDelays(size_t n, const std::vector<SimDuration>& row_major);
 
-  SimDuration at(size_t from, size_t to) const { return delays_[from * n_ + to]; }
+  SimDuration at(size_t from, size_t to) const { return by_receiver_[to * n_ + from]; }
   size_t size() const { return n_; }
 
   // All senders' delays into `to`, contiguous. column(to)[from] == at(from, to).
@@ -111,11 +112,7 @@ class PairwiseDelays {
   SimDuration max_delay() const { return max_delay_; }
 
  private:
-  // Builds the column-major copy and max_delay_ from delays_.
-  void BuildTranspose();
-
   size_t n_;
-  std::vector<SimDuration> delays_;
   std::vector<SimDuration> by_receiver_;
   SimDuration max_delay_ = 0;
 };
@@ -216,11 +213,25 @@ int ByzantineQuorum(int n);
 SimDuration MedianDelayInto(const std::vector<SimDuration>& delays,
                             MessagePlaneScratch* scratch);
 
+// Streaming quorum-arrival kernel for large N: the time at which `receiver`
+// holds votes from `quorum` of the `count` senders, where sender j is host
+// index senders[j] (j itself when `senders` is null), starts at
+// sender_times[j] (kUnreachable = never votes), and each vote travels
+// hop_scale relayed hops of the streamed delay model. Exactly the dense
+// QuorumArrivalInto reduction and selection, but the receiver's delay column
+// is derived on the fly — no n² matrix exists — and a committee's sender
+// list costs O(committee), independent of the deployment size. Works in
+// `scratch`, like the dense kernels.
+SimDuration QuorumArrivalLargeN(const StreamedDelays& delays, const uint32_t* senders,
+                                const SimDuration* sender_times, size_t count,
+                                size_t receiver, size_t quorum, double hop_scale,
+                                MessagePlaneScratch* scratch);
+
 // --- facade kernels over either delay representation ------------------------
 // Dense deployments dispatch to the exact kernels above (results are
-// bit-identical to calling them directly); streamed deployments run the
-// large-N kernels, which never touch an n×n matrix. In checked builds the
-// streamed answers (and the committee kernel's below) are cross-checked
+// bit-identical to calling them directly); streamed deployments run
+// QuorumArrivalLargeN, which never touches an n×n matrix. In checked builds
+// the streamed answers (and the committee kernel's below) are cross-checked
 // against the dense kernels over a materialised copy of the model at small
 // n. Each facade call counts one vote round in DIABLO_PROFILE's summary,
 // plus the receivers it evaluates (all n or one; none when quorum is 0); the

@@ -46,22 +46,21 @@ bool ParseBehavior(const YamlNode& node, ClientBehavior* behavior, std::string* 
         return false;
       }
     }
-    const YamlNode* from = interaction->Find("from");
-    if (from != nullptr) {
-      const YamlNode* sample = from->Find("sample");
-      if (sample != nullptr && sample->tag == "account") {
-        behavior->accounts = static_cast<int>(sample->GetInt("number", 0));
-      }
-    }
   } else if (interaction->tag == "transfer" || interaction->IsNull() ||
              interaction->IsScalar()) {
     behavior->interaction = "transfer";
-    if (interaction->IsMap()) {
-      behavior->transfer_amount = interaction->GetInt("amount", 1);
-    }
   } else {
     *error = "unknown interaction tag: !" + interaction->tag;
     return false;
+  }
+  // The signing account set, under either interaction:
+  // { sample: !account { number: N } }.
+  const YamlNode* from = interaction->Find("from");
+  if (from != nullptr) {
+    const YamlNode* sample = from->Find("sample");
+    if (sample != nullptr && sample->tag == "account") {
+      behavior->accounts = static_cast<int>(sample->GetInt("number", 0));
+    }
   }
 
   const YamlNode* load = node.Find("load");
@@ -315,34 +314,6 @@ Trace ClientBehavior::Ramp(int clients) const {
   return trace;
 }
 
-Trace WorkloadSpec::ToTrace() const {
-  Trace trace;
-  trace.name = "spec";
-  for (const WorkloadGroup& group : groups) {
-    for (const ClientBehavior& behavior : group.behaviors) {
-      const Trace ramp = behavior.Ramp(group.clients);
-      if (trace.tps.size() < ramp.tps.size()) {
-        trace.tps.resize(ramp.tps.size(), 0.0);
-      }
-      for (size_t s = 0; s < ramp.tps.size(); ++s) {
-        trace.tps[s] += ramp.tps[s];
-      }
-    }
-  }
-  return trace;
-}
-
-std::string WorkloadSpec::PrimaryContract() const {
-  for (const WorkloadGroup& group : groups) {
-    for (const ClientBehavior& behavior : group.behaviors) {
-      if (behavior.interaction == "invoke" && !behavior.contract.empty()) {
-        return behavior.contract;
-      }
-    }
-  }
-  return std::string();
-}
-
 SpecResult ParseWorkloadSpec(std::string_view yaml_text) {
   SpecResult result;
   const YamlResult yaml = ParseYaml(yaml_text);
@@ -353,6 +324,11 @@ SpecResult ParseWorkloadSpec(std::string_view yaml_text) {
   const YamlNode* workloads = yaml.root.Find("workloads");
   if (workloads == nullptr || !workloads->IsList()) {
     result.error = "missing 'workloads' list";
+    return result;
+  }
+  // A spec that runs nothing is a mistake, not an all-zero benchmark.
+  if (workloads->items.empty()) {
+    result.error = StrFormat("'workloads' list is empty (line %d)", workloads->line);
     return result;
   }
   const YamlNode* faults = yaml.root.Find("faults");
@@ -381,6 +357,10 @@ SpecResult ParseWorkloadSpec(std::string_view yaml_text) {
     const YamlNode* behaviors = client->Find("behavior");
     if (behaviors == nullptr || !behaviors->IsList()) {
       result.error = "client missing 'behavior' list";
+      return result;
+    }
+    if (behaviors->items.empty()) {
+      result.error = StrFormat("client 'behavior' list is empty (line %d)", behaviors->line);
       return result;
     }
     for (const YamlNode& entry : behaviors->items) {

@@ -25,7 +25,6 @@ struct ClientBehavior {
   std::string contract;             // registry key, e.g. "dota"
   std::string function;             // e.g. "update"
   std::vector<int64_t> args;        // parsed from "update(1, 1)"
-  int64_t transfer_amount = 1;      // for transfers
   int accounts = 0;                 // size of the bound !account set
   std::vector<LoadPoint> load;      // ramp, sorted by at_seconds
 
@@ -51,12 +50,6 @@ struct WorkloadSpec {
 
   // Total accounts referenced by any behavior; 0 when none binds a set.
   int TotalAccounts() const;
-
-  // Aggregate submission trace: the sum of every behavior's Ramp.
-  Trace ToTrace() const;
-
-  // First invoked contract (empty when transfers only).
-  std::string PrimaryContract() const;
 };
 
 struct SpecResult {

@@ -1,5 +1,6 @@
 #include "src/core/interface.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 
@@ -10,8 +11,8 @@ namespace {
 
 // Client bound to a secondary location; submissions travel over the
 // simulated network to the collocated endpoint. With a retry policy
-// enabled, failed write submissions rotate endpoints and back off
-// exponentially until the attempt budget runs out.
+// enabled, failed submissions rotate endpoints and back off exponentially
+// until the attempt budget runs out.
 //
 // Each client owns its delay-jitter stream (rng_, forked once at creation)
 // and samples through Network::DelaySampleFrom, so client jitter stays off
@@ -42,11 +43,9 @@ class SimClient : public BlockchainClient {
       return;
     }
 
-    // Writes under a retry policy go through the attempt loop; everything
-    // else (the paper's fire-and-forget clients, and reads, which a client
-    // simply re-issues elsewhere at application level) keeps the one-shot
-    // path below.
-    if (policy_->enabled() && !tx.read_only) {
+    // Under a retry policy submissions go through the attempt loop; the
+    // paper's fire-and-forget clients keep the one-shot path below.
+    if (policy_->enabled()) {
       Attempt(encoded, /*attempt=*/0, submit_time);
       return;
     }
@@ -57,20 +56,6 @@ class SimClient : public BlockchainClient {
                                                    endpoint_host, int64_t{tx.size_bytes} + 128);
     if (delay == kUnreachable) {
       delay = Milliseconds(500);
-    }
-
-    // Read-only calls: the endpoint executes against its local state and
-    // replies — request travels there, execution runs, response returns.
-    if (tx.read_only) {
-      const SimDuration exec = ctx.ExecAndVerifyTime(tx.gas, 1);
-      SimDuration back =
-          ctx.net()->DelaySampleFrom(&rng_, endpoint_host, client_host_, 256);
-      if (back == kUnreachable) {
-        back = Milliseconds(500);
-      }
-      tx.phase = TxPhase::kCommitted;
-      tx.commit_time = submit_time + delay + exec + back;
-      return;
     }
 
     // The arrival goes on the simulation's lane, whose handler is this
@@ -144,17 +129,7 @@ class SimClient : public BlockchainClient {
 }  // namespace
 
 SimDuration RetryPolicy::BackoffAfter(int attempt) const {
-  double wait = static_cast<double>(backoff);
-  for (int i = 0; i < attempt; ++i) {
-    wait *= backoff_multiplier;
-    if (wait >= static_cast<double>(max_backoff)) {
-      return max_backoff;
-    }
-  }
-  if (wait >= static_cast<double>(max_backoff)) {
-    return max_backoff;
-  }
-  return static_cast<SimDuration>(wait);
+  return std::min(SaturatingBackoff(backoff, attempt), Seconds(30));
 }
 
 SimConnector::SimConnector(ChainInstance* chain) : chain_(chain) {}
@@ -200,7 +175,6 @@ bool SimConnector::Resolve(const InteractionSpec& spec, Transaction* row) {
     row->size_bytes = kNativeTransferBytes;
     return true;
   }
-  row->read_only = spec.type == InteractionSpec::Type::kQuery;
   const CallProfile& profile =
       ctx.oracle().Profile(spec.contract_index, spec.function, spec.args);
   row->gas = profile.gas;

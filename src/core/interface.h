@@ -31,12 +31,10 @@ struct Resource {
   int contract_index = -1;
 };
 
-// φ^i: one interaction type instance — transfer_X, invoke_D_Xs, or a
-// read-only query served without consensus (§4).
+// φ^i: one interaction type instance — a native transfer, or invoke_D_Xs (§4).
 struct InteractionSpec {
-  enum class Type { kTransfer, kInvoke, kQuery };
+  enum class Type { kTransfer, kInvoke };
   Type type = Type::kTransfer;
-  int64_t amount = 1;                 // transfer_X
   int contract_index = -1;            // invoke_D_Xs
   std::string function;
   std::vector<int64_t> args;
@@ -53,13 +51,11 @@ struct RetryPolicy {
   // long before the client moves on.
   SimDuration timeout = Seconds(5);
   SimDuration backoff = Milliseconds(500);  // before attempt 2
-  double backoff_multiplier = 2.0;
-  SimDuration max_backoff = Seconds(30);
 
   bool enabled() const { return max_attempts > 1; }
 
-  // Wait after failed attempt number `attempt` (0-based), exponential with
-  // a ceiling.
+  // Wait after failed attempt number `attempt` (0-based): `backoff`,
+  // doubled per attempt, capped at 30 s.
   SimDuration BackoffAfter(int attempt) const;
 };
 
@@ -118,8 +114,8 @@ class SimConnector : public BlockchainConnector {
               SimTime scheduled_time) override;
 
   // Encode in its two halves; Encode is Resolve, then Stamp. Resolve fills
-  // `row` with every field Encode derives from `spec` (gas, exec status,
-  // read-only and wire size), measuring the function's cost profile on its
+  // `row` with every field Encode derives from `spec` (gas, exec status and
+  // wire size), measuring the function's cost profile on its
   // first use, and returns false when the call has no valid wire size.
   // Stamp stores a copy of `row` signed by the next account, with the next
   // sequence number and `scheduled_time`.

@@ -332,11 +332,13 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
     result.report.txs_censored = ctx.stats().txs_censored;
     result.report.lazy_proposals = ctx.stats().lazy_proposals;
   }
-  if (!setup_.results_json_path.empty()) {
-    WriteResultsJsonFile(setup_.results_json_path, result.report, ctx.txs());
+  if (!setup_.results_json_path.empty() &&
+      !WriteResultsJsonFile(setup_.results_json_path, result.report, ctx.txs())) {
+    result.unwritten_files.push_back(setup_.results_json_path);
   }
-  if (!setup_.results_csv_path.empty()) {
-    WriteResultsCsvFile(setup_.results_csv_path, ctx.txs());
+  if (!setup_.results_csv_path.empty() &&
+      !WriteResultsCsvFile(setup_.results_csv_path, ctx.txs())) {
+    result.unwritten_files.push_back(setup_.results_csv_path);
   }
   return result;
 }

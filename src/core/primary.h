@@ -53,6 +53,9 @@ struct RunResult {
   // Simulator events executed by this run; the parallel runner aggregates
   // these into its events/sec figure.
   uint64_t events_executed = 0;
+  // The setup's results_json_path / results_csv_path that could not be
+  // written.
+  std::vector<std::string> unwritten_files;
 };
 
 // One independent submission stream: its workload (the trace, and what

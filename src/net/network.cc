@@ -1,7 +1,5 @@
 #include "src/net/network.h"
 
-#include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -9,6 +7,17 @@
 #include "src/support/check.h"
 
 namespace diablo {
+namespace {
+
+// The jitter term of every sampled delay: the link's propagation in ticks
+// scaled by jitter_frac·|gauss|, truncated to ticks. The association is part
+// of the determinism contract: any other order can move a last bit, and with
+// it every golden hash.
+inline SimDuration JitterTicks(double prop, double jitter_frac, double gauss) {
+  return static_cast<SimDuration>(prop * (jitter_frac * std::abs(gauss)));
+}
+
+}  // namespace
 
 Network::Network(Simulation* sim, double jitter_frac)
     : sim_(sim),
@@ -39,13 +48,9 @@ SimDuration Network::DelaySampleFrom(Rng* rng, HostId from, HostId to,
   if (!loss_windows_.empty() && LossDrop(a, b)) {
     return kUnreachable;
   }
-  const LinkParams& link = Topology::Link(a, b);
-  const SimDuration prop = link.propagation;
-  const SimDuration trans = Topology::TransmissionDelayOn(link, bytes);
-  const double jitter_scale = jitter_frac_ * std::abs(rng->NextGaussian(0.0, 1.0));
-  const SimDuration jitter =
-      static_cast<SimDuration>(static_cast<double>(prop) * jitter_scale);
-  const SimDuration delay = prop + trans + jitter + ExtraDelay(a, b);
+  const LinkBase link = LinkBaseOf(a, b, bytes);
+  const SimDuration delay =
+      link.base + JitterTicks(link.prop, jitter_frac_, rng->NextGaussian(0.0, 1.0));
   // |jitter| and extra delays are non-negative, so a negative sample can only
   // mean arithmetic overflow — which would reorder deliveries silently.
   DIABLO_CHECK(delay >= 0, "sampled link delay went negative (overflow?)");
@@ -66,52 +71,58 @@ void Network::FillPairwiseDelays(const std::vector<HostId>& hosts,
   out->assign(n * n, 0);
   // Topology, extra delays and partitions are fixed for the duration of this
   // call, so the deterministic part of a sample is a pure function of the
-  // region pair. Memoise it and pay only the jitter draw per entry. Entries
-  // are visited in the same row-major order — and draw the RNG under exactly
-  // the same conditions — as a DelaySample-per-pair loop, keeping the stream
-  // bit-identical.
-  struct BaseEntry {
-    SimDuration base = 0;
-    double prop = 0.0;
-    bool ready = false;
-  };
-  std::array<BaseEntry, kRegionCount * kRegionCount> cache{};
-  SimDuration* row = out->data();
-  for (size_t i = 0; i < n; ++i, row += n) {
+  // region pair: read it from the table and pay only the jitter draw per
+  // entry. Pairs are visited in the same sender-major order — and draw the
+  // RNG under exactly the same conditions — as a DelaySample-per-pair loop,
+  // keeping the stream bit-identical; each sample lands in its receiver's
+  // column.
+  const LinkBaseTable bases = LinkBases(message_bytes);
+  SimDuration* const matrix = out->data();
+  for (size_t i = 0; i < n; ++i) {
     const HostId from = hosts[i];
     const bool from_partitioned = partitioned_[from];
     for (size_t j = 0; j < n; ++j) {
       if (i == j) {
         continue;  // assign() zeroed the diagonal
       }
+      SimDuration& entry = matrix[j * n + i];
       const HostId to = hosts[j];
       if (from_partitioned || partitioned_[to]) {
-        row[j] = kUnreachable;
+        entry = kUnreachable;
         continue;
       }
       if (from == to) {
-        row[j] = 0;
-        continue;
+        continue;  // one host listed twice: zero, as DelaySample returns
       }
       const Region a = regions_[from];
       const Region b = regions_[to];
       if (!loss_windows_.empty() && LossDrop(a, b)) {
-        row[j] = kUnreachable;
+        entry = kUnreachable;
         continue;
       }
-      BaseEntry& entry =
-          cache[static_cast<size_t>(a) * kRegionCount + static_cast<size_t>(b)];
-      if (!entry.ready) {
-        const LinkParams& link = Topology::Link(a, b);
-        entry.base = link.propagation + Topology::TransmissionDelayOn(link, message_bytes) +
-                     ExtraDelay(a, b);
-        entry.prop = static_cast<double>(link.propagation);
-        entry.ready = true;
-      }
-      const double jitter_scale = jitter_frac_ * std::abs(rng_.NextGaussian(0.0, 1.0));
-      row[j] = entry.base + static_cast<SimDuration>(entry.prop * jitter_scale);
+      const LinkBase& link =
+          bases[static_cast<size_t>(a) * kRegionCount + static_cast<size_t>(b)];
+      entry = link.base + JitterTicks(link.prop, jitter_frac_, rng_.NextGaussian(0.0, 1.0));
     }
   }
+}
+
+LinkBase Network::LinkBaseOf(Region a, Region b, int64_t bytes) const {
+  const LinkParams& link = Topology::Link(a, b);
+  return LinkBase{link.propagation + Topology::TransmissionDelayOn(link, bytes) +
+                      ExtraDelay(a, b),
+                  static_cast<double>(link.propagation)};
+}
+
+LinkBaseTable Network::LinkBases(int64_t bytes) const {
+  LinkBaseTable table;
+  for (int a = 0; a < kRegionCount; ++a) {
+    for (int b = 0; b < kRegionCount; ++b) {
+      table[static_cast<size_t>(a) * kRegionCount + static_cast<size_t>(b)] =
+          LinkBaseOf(static_cast<Region>(a), static_cast<Region>(b), bytes);
+    }
+  }
+  return table;
 }
 
 void Network::Send(HostId from, HostId to, int64_t bytes, EventFn fn) {
@@ -177,9 +188,8 @@ void Network::BroadcastDelaysInto(HostId origin, const std::vector<HostId>& reci
       const SimDuration slot =
           Topology::TransmissionDelayOn(link, bytes) * static_cast<SimDuration>(k + 1);
       const SimDuration prop = link.propagation;
-      const double jitter_scale = jitter_frac_ * std::abs(rng_.NextGaussian(0.0, 1.0));
-      const SimDuration jitter =
-          static_cast<SimDuration>(static_cast<double>(prop) * jitter_scale);
+      const SimDuration jitter = JitterTicks(static_cast<double>(prop), jitter_frac_,
+                                             rng_.NextGaussian(0.0, 1.0));
       const SimDuration arrival =
           parent.ready + slot + prop + jitter + ExtraDelay(pr, cr);
       result[idx] = arrival;
@@ -224,24 +234,14 @@ void Network::AddLossWindow(Region a, Region b, SimTime from, SimTime to,
 
 StreamedDelays::StreamedDelays(Network* net, const std::vector<HostId>& hosts,
                                int64_t message_bytes)
-    : jitter_frac_(net->jitter_frac_), jitter_seed_(net->rng_.NextU64()) {
+    : base_(net->LinkBases(message_bytes)),
+      jitter_frac_(net->jitter_frac_),
+      jitter_seed_(net->rng_.NextU64()) {
   region_.reserve(hosts.size());
   partitioned_.reserve(hosts.size());
   for (const HostId host : hosts) {
     region_.push_back(static_cast<uint8_t>(net->regions_[host]));
     partitioned_.push_back(net->partitioned_[host] ? 1 : 0);
-  }
-  for (int a = 0; a < kRegionCount; ++a) {
-    for (int b = 0; b < kRegionCount; ++b) {
-      const LinkParams& link =
-          Topology::Link(static_cast<Region>(a), static_cast<Region>(b));
-      Base& entry =
-          base_[static_cast<size_t>(a) * kRegionCount + static_cast<size_t>(b)];
-      entry.base = link.propagation +
-                   Topology::TransmissionDelayOn(link, message_bytes) +
-                   net->ExtraDelay(static_cast<Region>(a), static_cast<Region>(b));
-      entry.prop = static_cast<double>(link.propagation);
-    }
   }
 }
 
@@ -252,7 +252,7 @@ SimDuration StreamedDelays::at(size_t from, size_t to) const {
   if ((partitioned_[from] | partitioned_[to]) != 0) {
     return kUnreachable;
   }
-  const Base& entry =
+  const LinkBase& link =
       base_[static_cast<size_t>(region_[from]) * kRegionCount + region_[to]];
   // Counter-based half-normal jitter: two splitmix64 outputs keyed on
   // (model seed, from, to) feed the same Box-Muller arithmetic as
@@ -266,69 +266,7 @@ SimDuration StreamedDelays::at(size_t from, size_t to) const {
     u1 = 0x1.0p-53;
   }
   const double gauss = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-  const double jitter_scale = jitter_frac_ * std::abs(gauss);
-  return entry.base + static_cast<SimDuration>(entry.prop * jitter_scale);
-}
-
-namespace {
-
-// Shared tail of both QuorumArrivalLargeN forms: exact k-th smallest of the
-// collected arrivals.
-SimDuration SelectQuorum(std::vector<SimDuration>* arrivals, size_t quorum) {
-  if (arrivals->size() < quorum) {
-    return kUnreachable;
-  }
-  std::nth_element(arrivals->begin(), arrivals->begin() + static_cast<long>(quorum - 1),
-                   arrivals->end());
-  return (*arrivals)[quorum - 1];
-}
-
-}  // namespace
-
-SimDuration QuorumArrivalLargeN(const StreamedDelays& delays,
-                                const SimDuration* send_times, size_t count,
-                                size_t receiver, size_t quorum, double hop_scale,
-                                std::vector<SimDuration>* scratch) {
-  if (quorum == 0) {
-    return kUnreachable;
-  }
-  scratch->clear();
-  for (size_t j = 0; j < count; ++j) {
-    const SimDuration s = send_times[j];
-    if (s == kUnreachable) {
-      continue;  // the jitter derivation is skipped for silent senders
-    }
-    const SimDuration hop = delays.at(j, receiver);
-    if (hop == kUnreachable) {
-      continue;
-    }
-    scratch->push_back(
-        s + static_cast<SimDuration>(static_cast<double>(hop) * hop_scale));
-  }
-  return SelectQuorum(scratch, quorum);
-}
-
-SimDuration QuorumArrivalLargeN(const StreamedDelays& delays, const uint32_t* senders,
-                                const SimDuration* sender_times, size_t count,
-                                size_t receiver, size_t quorum, double hop_scale,
-                                std::vector<SimDuration>* scratch) {
-  if (quorum == 0) {
-    return kUnreachable;
-  }
-  scratch->clear();
-  for (size_t j = 0; j < count; ++j) {
-    const SimDuration s = sender_times[j];
-    if (s == kUnreachable) {
-      continue;
-    }
-    const SimDuration hop = delays.at(senders[j], receiver);
-    if (hop == kUnreachable) {
-      continue;
-    }
-    scratch->push_back(
-        s + static_cast<SimDuration>(static_cast<double>(hop) * hop_scale));
-  }
-  return SelectQuorum(scratch, quorum);
+  return link.base + JitterTicks(link.prop, jitter_frac_, gauss);
 }
 
 bool Network::LossDrop(Region a, Region b) {

@@ -45,16 +45,26 @@ struct BroadcastScratch {
 
 class Network;
 
+// The deterministic part of a one-way delay on one ordered region pair for
+// a fixed message size: propagation + transmission + injected extra delay,
+// and the propagation (in ticks) that scales the pair's jitter draw. The
+// dense fill and the streamed model both read a table of these.
+struct LinkBase {
+  SimDuration base = 0;
+  double prop = 0.0;
+};
+using LinkBaseTable = std::array<LinkBase, kRegionCount * kRegionCount>;
+
 // Snapshot delay model for large deployments: O(hosts + regions²) bytes.
 //
-// The dense PairwiseDelays matrix costs 2·8·n bytes *per validator*; at
-// 10,000 validators that is ~160 KB each — 1.6 GB for the cell — before a
+// The dense PairwiseDelays matrix costs 8·n bytes *per validator*; at
+// 10,000 validators that is ~80 KB each — 800 MB for the cell — before a
 // single event runs. This model stores two bytes per host (region, partition
-// snapshot) plus the memoised per-region-pair deterministic base, and
-// re-derives the jitter term of any ordered pair on demand from a
-// counter-based half-normal draw keyed on (seed, from, to). Every at(i, j)
-// is a pure function, so the model supports random access (Avalanche's peer
-// sampling) and streaming column scans (quorum kernels) without ever
+// snapshot) plus the per-region-pair LinkBase table, and re-derives the
+// jitter term of any ordered pair on demand from a counter-based half-normal
+// draw keyed on (seed, from, to). Every at(i, j) is a pure function, so the
+// model supports random access (Avalanche's peer sampling) and streaming
+// column scans (the quorum kernels in src/chain/vote_round.h) without ever
 // materialising n² state. Like the dense matrix, it snapshots topology,
 // extra delays and partitions at construction time.
 class StreamedDelays {
@@ -75,37 +85,12 @@ class StreamedDelays {
   }
 
  private:
-  struct Base {
-    SimDuration base = 0;  // propagation + transmission + extra delay
-    double prop = 0.0;     // propagation in ticks, scales the jitter draw
-  };
-
   std::vector<uint8_t> region_;       // region byte per host index
   std::vector<uint8_t> partitioned_;  // partition snapshot per host index
-  std::array<Base, kRegionCount * kRegionCount> base_{};
+  LinkBaseTable base_;
   double jitter_frac_ = 0.0;
   uint64_t jitter_seed_ = 0;
 };
-
-// Streaming quorum-arrival kernel for large N: the time at which `receiver`
-// holds votes from `quorum` of the `count` senders, where sender j starts at
-// send_times[j] (kUnreachable = never votes) and each vote travels
-// hop_scale relayed hops of the streamed delay model. Exactly the dense
-// QuorumArrivalInto reduction, but the receiver's delay column is derived
-// on the fly — no n² matrix exists. `scratch` carries the arrival buffer
-// across calls so steady-state rounds do not allocate.
-SimDuration QuorumArrivalLargeN(const StreamedDelays& delays,
-                                const SimDuration* send_times, size_t count,
-                                size_t receiver, size_t quorum, double hop_scale,
-                                std::vector<SimDuration>* scratch);
-
-// Sender-list form for committee-sampled rounds: senders[j] is the host
-// index of the j-th committee member and sender_times[j] its vote start.
-// Cost is O(committee), independent of the deployment size.
-SimDuration QuorumArrivalLargeN(const StreamedDelays& delays, const uint32_t* senders,
-                                const SimDuration* sender_times, size_t count,
-                                size_t receiver, size_t quorum, double hop_scale,
-                                std::vector<SimDuration>* scratch);
 
 // Per-network message accounting, so fault runs are observable: how many
 // point-to-point sends happened, how many were dropped because an endpoint
@@ -139,12 +124,11 @@ class Network {
   // sample and with it the golden report hashes.
   SimDuration DelaySampleFrom(Rng* rng, HostId from, HostId to, int64_t bytes);
 
-  // Fills `out` (resized to n*n, row-major: out[from*n+to]) with one delay
-  // sample per ordered host pair — exactly the samples DelaySample would
-  // return pair by pair in row-major order, jitter draws included. The
-  // deterministic part of each sample (propagation + transmission +
-  // extra delay) is memoised per region pair, so only the jitter draw runs
-  // per entry.
+  // Fills `out` (resized to n*n, receiver-major: out[to*n+from]) with one
+  // delay sample per ordered host pair — exactly the samples DelaySample
+  // would return pair by pair in sender-major order, jitter draws included.
+  // The deterministic part of each sample comes from one LinkBaseTable, so
+  // only the jitter draw runs per entry.
   void FillPairwiseDelays(const std::vector<HostId>& hosts, int64_t message_bytes,
                           std::vector<SimDuration>* out);
 
@@ -180,7 +164,7 @@ class Network {
   Simulation* sim() { return sim_; }
 
  private:
-  // Reads the memoised link bases, the partition vector and one seed draw at
+  // Reads the link bases, the partition vector and one seed draw at
   // construction time.
   friend class StreamedDelays;
 
@@ -197,6 +181,11 @@ class Network {
     return extra_delays_[static_cast<size_t>(a) * kRegionCount +
                          static_cast<size_t>(b)];
   }
+
+  // The LinkBase of the ordered pair (a, b) for `bytes`, and the table of
+  // every pair's, indexed a * kRegionCount + b.
+  LinkBase LinkBaseOf(Region a, Region b, int64_t bytes) const;
+  LinkBaseTable LinkBases(int64_t bytes) const;
 
   // True when a message between the two regions drops under an active loss
   // window at the current simulation time. Draws from fault_rng_.

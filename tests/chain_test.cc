@@ -740,7 +740,7 @@ TEST(VoteRoundTest, QuorumArrivalMatchesSortReference) {
         }
       }
     }
-    return PairwiseDelays(n, std::move(row_major));
+    return PairwiseDelays(n, row_major);
   };
   // One edge in ten cut, on top of sender holes.
   check("explicit-unreachable", explicit_matrix(200, 10, Milliseconds(200)),

@@ -160,13 +160,13 @@ TEST(SpecTest, ParsesPaperExample) {
   EXPECT_DOUBLE_EQ(behavior.load[1].at_seconds, 50);
   EXPECT_DOUBLE_EQ(behavior.load[2].tps, 0);
   EXPECT_EQ(spec.TotalAccounts(), 2000);
-  EXPECT_EQ(spec.PrimaryContract(), "dota");
 }
 
 TEST(SpecTest, TraceAggregatesClients) {
   const SpecResult result = ParseWorkloadSpec(kPaperSpec);
   ASSERT_TRUE(result.ok) << result.error;
-  const Trace trace = result.spec.ToTrace();
+  const WorkloadGroup& group = result.spec.groups[0];
+  const Trace trace = group.behaviors[0].Ramp(group.clients);
   // §4: 3 clients at 4432 TPS for 50 s, then 4438 TPS until 120 s.
   ASSERT_EQ(trace.duration_seconds(), 120u);
   EXPECT_DOUBLE_EQ(trace.tps[0], 3 * 4432.0);
@@ -186,8 +186,10 @@ TEST(SpecTest, TransferWorkload) {
             120: 0
 )");
   ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.spec.PrimaryContract(), "");
-  const Trace trace = result.spec.ToTrace();
+  const WorkloadGroup& group = result.spec.groups[0];
+  EXPECT_EQ(group.behaviors[0].interaction, "transfer");
+  EXPECT_EQ(result.spec.TotalAccounts(), 0);
+  const Trace trace = group.behaviors[0].Ramp(group.clients);
   EXPECT_DOUBLE_EQ(trace.tps[0], 1000.0);
   EXPECT_EQ(trace.duration_seconds(), 120u);
 }
@@ -195,6 +197,13 @@ TEST(SpecTest, TransferWorkload) {
 TEST(SpecTest, Errors) {
   EXPECT_FALSE(ParseWorkloadSpec("nothing: here\n").ok);
   EXPECT_FALSE(ParseWorkloadSpec("workloads:\n  - client:\n      behavior:\n").ok);
+  // No workload group, or a client with no behavior, would run an all-zero
+  // benchmark.
+  EXPECT_EQ(ParseWorkloadSpec("# nothing to run\nworkloads: []\n").error,
+            "'workloads' list is empty (line 2)");
+  EXPECT_EQ(ParseWorkloadSpec("workloads:\n  - number: 2\n    client:\n      behavior: []\n")
+                .error,
+            "client 'behavior' list is empty (line 4)");
 }
 
 TEST(SpecTest, RejectsLoadPointsThatAreNotFiniteAndNonNegative) {

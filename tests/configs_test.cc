@@ -34,8 +34,13 @@ class ShippedConfigTest : public ::testing::TestWithParam<const char*> {};
 TEST_P(ShippedConfigTest, ParsesAndAggregates) {
   const SpecResult result = ParseWorkloadSpec(ReadFile(ConfigPath(GetParam())));
   ASSERT_TRUE(result.ok) << GetParam() << ": " << result.error;
-  EXPECT_FALSE(result.spec.groups.empty());
-  EXPECT_GT(result.spec.ToTrace().TotalTxs(), 0.0);
+  ASSERT_FALSE(result.spec.groups.empty());
+  for (const WorkloadGroup& group : result.spec.groups) {
+    ASSERT_FALSE(group.behaviors.empty());
+    for (const ClientBehavior& behavior : group.behaviors) {
+      EXPECT_GT(behavior.Ramp(group.clients).TotalTxs(), 0.0) << GetParam();
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFiles, ShippedConfigTest,

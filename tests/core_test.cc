@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/config/spec.h"
@@ -66,41 +67,15 @@ TEST(ConnectorTest, FourPortingFunctions) {
   EXPECT_EQ(chain->context().mempool().size(), 1u);
 }
 
-TEST(ConnectorTest, ReadOnlyQueriesSkipConsensus) {
-  Simulation sim(1);
-  Network net(&sim);
-  const auto chain = BuildChain("quorum", GetDeployment("testnet"), &sim, &net);
-  SimConnector connector(chain.get());
-  ResourceSpec accounts_spec;
-  accounts_spec.kind = ResourceSpec::Kind::kAccounts;
-  accounts_spec.account_count = 5;
-  Resource accounts;
-  connector.CreateResource(accounts_spec, &accounts);
-  ResourceSpec contract_spec;
-  contract_spec.kind = ResourceSpec::Kind::kContract;
-  contract_spec.contract_name = "exchange";
-  Resource contract;
-  ASSERT_TRUE(connector.CreateResource(contract_spec, &contract));
-
-  // checkStock is a query: answered by the endpoint without a block.
-  InteractionSpec query;
-  query.type = InteractionSpec::Type::kQuery;
-  query.contract_index = contract.contract_index;
-  query.function = "check_stock";
-  query.args = {1};
-  const TxId q = connector.Encode(query, accounts, Seconds(1));
-  const auto client = connector.CreateClient(Region::kOhio, {0});
-  client->Trigger(q, Seconds(1));
-  sim.RunUntil(Seconds(5));
-
-  ChainContext& ctx = chain->context();
-  const Transaction& tx = ctx.txs().at(q);
-  EXPECT_TRUE(tx.read_only);
-  EXPECT_EQ(tx.phase, TxPhase::kCommitted);
-  // Round trip + execution, orders of magnitude below block latency.
-  EXPECT_LT(tx.LatencySeconds(), 0.1);
-  EXPECT_EQ(ctx.mempool().size(), 0u);     // never pooled
-  EXPECT_EQ(ctx.stats().blocks_produced, 0u);  // chain not even started
+TEST(RetryPolicyTest, BackoffDoublesUpToThirtySeconds) {
+  RetryPolicy policy;
+  EXPECT_EQ(policy.BackoffAfter(0), Milliseconds(500));
+  EXPECT_EQ(policy.BackoffAfter(1), Seconds(1));
+  EXPECT_EQ(policy.BackoffAfter(5), Seconds(16));
+  EXPECT_EQ(policy.BackoffAfter(6), Seconds(30));
+  EXPECT_EQ(policy.BackoffAfter(1000), Seconds(30));
+  policy.backoff = Seconds(45);
+  EXPECT_EQ(policy.BackoffAfter(0), Seconds(30));
 }
 
 TEST(ConnectorTest, EncodeRotatesAccounts) {
@@ -268,7 +243,6 @@ TEST(CallTableTest, MatchesPerCallEncodeFieldForField) {
         EXPECT_EQ(a.gas, b.gas) << label << " tx " << id;
         EXPECT_EQ(a.submit_time, b.submit_time) << label << " tx " << id;
         EXPECT_EQ(a.commit_time, b.commit_time) << label << " tx " << id;
-        EXPECT_EQ(a.read_only, b.read_only) << label << " tx " << id;
         EXPECT_EQ(a.phase, b.phase) << label << " tx " << id;
         EXPECT_EQ(a.exec_status, b.exec_status) << label << " tx " << id;
       }
@@ -414,41 +388,47 @@ TEST(PrimaryTest, SpecUploadOutsideTheWireSizeFailsBeforeTheRun) {
 }
 
 TEST(PrimaryTest, SpecSignsFromItsAccountBinding) {
-  // The spec's `!account` set is the run's: the same counter load signed by
-  // one bound account runs exactly as with the setup's count set to 1. Diem
-  // holds at most 100 pending transactions per signer, so one account drops
-  // most of a load that 2,000 accounts commit in full.
-  const auto spec_text = [](const char* from) {
+  // The spec's `!account` set is the run's, under !invoke and !transfer
+  // alike: the same load signed by one bound account runs exactly as with
+  // the setup's count set to 1. Diem holds at most 100 pending transactions
+  // per signer, so one account drops most of a load that 2,000 accounts
+  // commit in full.
+  const auto spec_text = [](const char* interaction, const char* from) {
     return StrFormat(R"(workloads:
   - number: 1
     client:
       behavior:
-        - interaction: !invoke
-%s            contract: { sample: !contract { name: "counter" } }
-            function: "add"
-          load:
+        - interaction: %s
+%s          load:
             0: 3000
             10: 0
 )",
-                     from);
+                     interaction, from);
   };
-  const SpecResult bound =
-      ParseWorkloadSpec(spec_text("            from: { sample: !account { number: 1 } }\n"));
-  const SpecResult unbound = ParseWorkloadSpec(spec_text(""));
-  ASSERT_TRUE(bound.ok && unbound.ok) << bound.error << unbound.error;
-  ASSERT_EQ(bound.spec.TotalAccounts(), 1);
-  ASSERT_EQ(unbound.spec.TotalAccounts(), 0);
-  BenchmarkSetup setup;
-  setup.chain = "diem";
-  setup.deployment = "testnet";
-  const RunResult from_spec = Primary(setup).RunSpec(bound.spec);
-  const RunResult two_thousand = Primary(setup).RunSpec(unbound.spec);
-  setup.accounts = 1;
-  const RunResult from_setup = Primary(setup).RunSpec(unbound.spec);
-  EXPECT_EQ(from_spec.report.ToText(), from_setup.report.ToText());
-  EXPECT_EQ(from_spec.report.submitted, 30000u);
-  EXPECT_LT(from_spec.report.committed, 30000u / 2);
-  EXPECT_EQ(two_thousand.report.committed, 30000u);
+  const char* const kBinding = "            from: { sample: !account { number: 1 } }\n";
+  const std::string kCall =
+      "            contract: { sample: !contract { name: \"counter\" } }\n"
+      "            function: \"add\"\n";
+  for (const auto& [interaction, call] :
+       {std::pair<std::string, std::string>{"!invoke", kCall}, {"!transfer", ""}}) {
+    const SpecResult bound =
+        ParseWorkloadSpec(spec_text(interaction.c_str(), (kBinding + call).c_str()));
+    const SpecResult unbound = ParseWorkloadSpec(spec_text(interaction.c_str(), call.c_str()));
+    ASSERT_TRUE(bound.ok && unbound.ok) << bound.error << unbound.error;
+    ASSERT_EQ(bound.spec.TotalAccounts(), 1) << interaction;
+    ASSERT_EQ(unbound.spec.TotalAccounts(), 0) << interaction;
+    BenchmarkSetup setup;
+    setup.chain = "diem";
+    setup.deployment = "testnet";
+    const RunResult from_spec = Primary(setup).RunSpec(bound.spec);
+    const RunResult two_thousand = Primary(setup).RunSpec(unbound.spec);
+    setup.accounts = 1;
+    const RunResult from_setup = Primary(setup).RunSpec(unbound.spec);
+    EXPECT_EQ(from_spec.report.ToText(), from_setup.report.ToText()) << interaction;
+    EXPECT_EQ(from_spec.report.submitted, 30000u) << interaction;
+    EXPECT_LT(from_spec.report.committed, 30000u / 2) << interaction;
+    EXPECT_EQ(two_thousand.report.committed, 30000u) << interaction;
+  }
 }
 
 TEST(PrimaryTest, TraceRatesThatAreNotFiniteAndNonNegativeFailBeforeTheRun) {

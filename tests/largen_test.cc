@@ -120,7 +120,7 @@ PairwiseDelays Materialize(const StreamedDelays& model) {
       dense[i * n + j] = model.at(i, j);
     }
   }
-  return PairwiseDelays(n, std::move(dense));
+  return PairwiseDelays(n, dense);
 }
 
 TEST(StreamedQuorumTest, MatchesDenseKernelOverMaterializedMatrix) {
@@ -133,7 +133,7 @@ TEST(StreamedQuorumTest, MatchesDenseKernelOverMaterializedMatrix) {
   Rng rng(42);
   const size_t n = hosts.size();
   MessagePlaneScratch dense_scratch;
-  std::vector<SimDuration> streamed_scratch;
+  MessagePlaneScratch streamed_scratch;
   for (int round = 0; round < 50; ++round) {
     std::vector<SimDuration> sends(n);
     for (size_t j = 0; j < n; ++j) {
@@ -147,7 +147,7 @@ TEST(StreamedQuorumTest, MatchesDenseKernelOverMaterializedMatrix) {
         const SimDuration want = QuorumArrivalInto(dense, sends, receiver, quorum,
                                                    hop_scale, &dense_scratch);
         const SimDuration got =
-            QuorumArrivalLargeN(model, sends.data(), n, receiver, quorum,
+            QuorumArrivalLargeN(model, nullptr, sends.data(), n, receiver, quorum,
                                 hop_scale, &streamed_scratch);
         ASSERT_EQ(got, want) << "round " << round << " q " << quorum << " r "
                              << receiver << " scale " << hop_scale;
@@ -164,8 +164,8 @@ TEST(StreamedQuorumTest, SenderListFormMatchesExpandedForm) {
 
   Rng rng(7);
   const size_t n = hosts.size();
-  std::vector<SimDuration> scratch_a;
-  std::vector<SimDuration> scratch_b;
+  MessagePlaneScratch scratch_a;
+  MessagePlaneScratch scratch_b;
   for (int round = 0; round < 30; ++round) {
     // A sorted unique committee, the shape sortition produces.
     std::vector<uint32_t> committee;
@@ -184,7 +184,7 @@ TEST(StreamedQuorumTest, SenderListFormMatchesExpandedForm) {
     }
     const size_t quorum = 1 + committee.size() / 2;
     for (const size_t receiver : {size_t{0}, n - 1}) {
-      const SimDuration want = QuorumArrivalLargeN(model, expanded.data(), n,
+      const SimDuration want = QuorumArrivalLargeN(model, nullptr, expanded.data(), n,
                                                    receiver, quorum, 2.0, &scratch_a);
       const SimDuration got =
           QuorumArrivalLargeN(model, committee.data(), times.data(),
