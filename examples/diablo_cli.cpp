@@ -4,7 +4,7 @@
 // Usage:
 //   diablo_cli --chain=quorum --deployment=testnet --workload=native
 //              --tps=100 --duration=60 [--seed=1] [--scale=1.0]
-//              [--output=results.json] [--csv=results.csv] [-v|-vv|-vvv]
+//              [--output=results.json] [--csv=results.csv] [-v]
 //   diablo_cli --chain=solana --deployment=consortium --workload=fifa
 //   diablo_cli --spec=workload.yaml --chain=quorum
 //
@@ -25,7 +25,6 @@
 #include "src/config/spec.h"
 #include "src/core/results.h"
 #include "src/core/runner.h"
-#include "src/support/log.h"
 #include "src/support/strings.h"
 
 namespace {
@@ -41,7 +40,7 @@ struct Options {
   int duration = 60;
   uint64_t seed = 1;
   double scale = 1.0;
-  int verbosity = 0;
+  bool verbose = false;
   bool help = false;
 };
 
@@ -68,7 +67,7 @@ bool ParseArgs(int argc, char** argv, Options* options) {
     if (arg == "--help" || arg == "-h") {
       options->help = true;
     } else if (arg == "-v" || arg == "-vv" || arg == "-vvv") {
-      options->verbosity = static_cast<int>(arg.size()) - 1;
+      options->verbose = true;
     } else if (ParseFlag(arg, "chain", &value)) {
       options->chain = value;
     } else if (ParseFlag(arg, "deployment", &value)) {
@@ -110,7 +109,7 @@ void PrintUsage() {
       "  --seed=N --scale=F  determinism and downscaling controls\n"
       "  --output=FILE.json  write summary + per-transaction records\n"
       "  --csv=FILE.csv      write per-transaction CSV\n"
-      "  -v|-vv|-vvv         verbosity\n");
+      "  -v|-vv|-vvv         print the run's size to stderr\n");
 }
 
 }  // namespace
@@ -125,12 +124,6 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 0;
   }
-  if (options.verbosity >= 1) {
-    diablo::SetLogLevel(options.verbosity >= 3   ? diablo::LogLevel::kDebug
-                        : options.verbosity == 2 ? diablo::LogLevel::kInfo
-                                                 : diablo::LogLevel::kWarn);
-  }
-
   diablo::BenchmarkSetup setup;
   setup.chain = options.chain;
   setup.deployment = options.deployment;
@@ -176,6 +169,11 @@ int main(int argc, char** argv) {
   if (result.events_executed == 0 && !result.failure_reason.empty()) {
     std::fprintf(stderr, "run rejected: %s\n", result.failure_reason.c_str());
     return 1;
+  }
+  if (options.verbose) {
+    const diablo::Report& report = result.report;
+    std::fprintf(stderr, "primary: %zu txs over %.0f s on %s/%s\n", report.submitted,
+                 report.workload_duration, report.chain.c_str(), report.deployment.c_str());
   }
   std::printf("%s", result.report.ToText().c_str());
   if (!result.failure_reason.empty()) {

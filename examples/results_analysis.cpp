@@ -1,29 +1,40 @@
 // Post-mortem analysis example, mirroring the artifact's results pipeline
 // (§A.3: unpack results, convert to CSV, inspect latencies):
 //
-//   1. runs two benchmarks writing full results documents,
+//   1. runs two benchmarks writing full results documents into a fresh
+//      temporary directory, removed when done,
 //   2. loads them back through the analysis library,
 //   3. recomputes the latency distribution from the raw records and prints
 //      a side-by-side comparison.
 //
 //   ./results_analysis [chain_a] [chain_b]
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
 
 #include "src/analysis/analysis.h"
 #include "src/core/runner.h"
 
 namespace {
 
-diablo::LoadedResults RunAndReload(const std::string& chain, const std::string& path) {
+// Runs 100 TPS x 30 s on `chain`, writing its results document to `path`,
+// and loads the document back. Returns false, naming the path on stderr,
+// when the run cannot write it or the loader cannot read it.
+bool RunAndReload(const std::string& chain, const std::string& path,
+                  diablo::LoadedResults* out) {
   diablo::BenchmarkSetup setup;
   setup.chain = chain;
   setup.deployment = "testnet";
   setup.results_json_path = path;
   diablo::Primary primary(setup);
-  primary.RunNative(diablo::ConstantTrace(100, 30));
+  if (!primary.RunNative(diablo::ConstantTrace(100, 30)).unwritten_files.empty()) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
 
   std::ifstream file(path);
   std::ostringstream buffer;
@@ -32,9 +43,10 @@ diablo::LoadedResults RunAndReload(const std::string& chain, const std::string& 
   if (!loaded.ok) {
     std::fprintf(stderr, "failed to reload %s: %s\n", path.c_str(),
                  loaded.error.c_str());
-    std::exit(1);
+    return false;
   }
-  return loaded.results;
+  *out = loaded.results;
+  return true;
 }
 
 }  // namespace
@@ -45,8 +57,22 @@ int main(int argc, char** argv) {
 
   std::printf("running 100 TPS x 30 s on %s and %s, writing results JSON...\n\n",
               chain_a.c_str(), chain_b.c_str());
-  const diablo::LoadedResults a = RunAndReload(chain_a, "/tmp/diablo_a.json");
-  const diablo::LoadedResults b = RunAndReload(chain_b, "/tmp/diablo_b.json");
+  // A fresh directory per process, so concurrent runs never share a file.
+  std::error_code error;
+  std::string dir =
+      (std::filesystem::temp_directory_path(error) / "diablo_results_XXXXXX").string();
+  if (error || mkdtemp(dir.data()) == nullptr) {
+    std::fprintf(stderr, "cannot create %s\n", dir.c_str());
+    return 1;
+  }
+  diablo::LoadedResults a;
+  diablo::LoadedResults b;
+  const bool reloaded = RunAndReload(chain_a, dir + "/a.json", &a) &&
+                        RunAndReload(chain_b, dir + "/b.json", &b);
+  std::filesystem::remove_all(dir);
+  if (!reloaded) {
+    return 1;
+  }
 
   std::printf("%s\n", diablo::CompareRuns({a, b}).c_str());
 

@@ -31,7 +31,6 @@ void Ledger::Append(Block block) {
   DIABLO_CHECK(block.finalized_at < 0 || block.finalized_at >= block.proposed_at,
                "a block cannot finalize before it was proposed");
   DIABLO_CHECK(block.proposed_at >= 0, "block proposal times are simulation times");
-  total_txs_ += block.tx_count;
   blocks_.push_back(block);
 #if defined(DIABLO_CHECKED)
   head_digest_ = ChainLink(head_digest_, block);

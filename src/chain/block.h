@@ -44,13 +44,6 @@ class Ledger {
 
   size_t block_count() const { return blocks_.size(); }
   const Block& block(size_t i) const { return blocks_[i]; }
-  Block& block(size_t i) { return blocks_[i]; }
-  const Block& last() const { return blocks_.back(); }
-  bool empty() const { return blocks_.empty(); }
-
-  uint64_t next_height() const { return blocks_.empty() ? 1 : blocks_.back().height + 1; }
-
-  size_t total_txs() const { return total_txs_; }
 
   // Header-chain digest over (height, proposer, tx count) triples; gives
   // tests a cheap integrity check without hashing every transaction.
@@ -58,7 +51,6 @@ class Ledger {
 
  private:
   std::vector<Block> blocks_;
-  size_t total_txs_ = 0;
   // Checked build: a parent-hash chain over the appended headers. Append
   // extends it incrementally; on a sampled cadence the whole chain is
   // re-derived from the stored blocks and compared, so any retroactive edit

@@ -1,12 +1,13 @@
-// Execution cost model and the contract cost oracle.
+// The contract cost oracle.
 //
-// Nodes execute blocks at a per-chain rate of gas per second per vCPU. To
-// keep the discrete-event simulation tractable at millions of transactions,
-// contract calls are NOT interpreted per transaction: the CostOracle runs
-// each (contract, function, dialect) once in the real VM, caches the
-// measured gas / op count / status, and the chain charges the cached cost
-// thereafter. Unit tests and the micro benches exercise the interpreter
-// directly; all contracts in the suite have call-invariant cost profiles.
+// Nodes execute blocks at a per-chain rate of gas per second per vCPU
+// (ChainContext::ExecAndVerifyTime). To keep the discrete-event simulation
+// tractable at millions of transactions, contract calls are NOT interpreted
+// per transaction: the CostOracle runs each (contract, function, dialect)
+// once in the real VM, caches the measured gas / op count / status, and the
+// chain charges the cached cost thereafter. Unit tests and the micro benches
+// exercise the interpreter directly; all contracts in the suite have
+// call-invariant cost profiles.
 #ifndef SRC_CHAIN_EXECUTION_H_
 #define SRC_CHAIN_EXECUTION_H_
 
@@ -15,22 +16,10 @@
 #include <vector>
 
 #include "src/contracts/contracts.h"
-#include "src/support/time.h"
 #include "src/vm/interpreter.h"
 #include "src/vm/state.h"
 
 namespace diablo {
-
-struct ExecutionModel {
-  // Chain-specific execution speed on one reference vCPU.
-  double gas_per_second_per_vcpu = 100e6;
-
-  SimDuration ExecTime(int64_t gas, int vcpus) const {
-    const double seconds =
-        static_cast<double>(gas) / (gas_per_second_per_vcpu * static_cast<double>(vcpus));
-    return SecondsF(seconds);
-  }
-};
 
 // Cost profile of one contract function under one dialect.
 struct CallProfile {
@@ -58,8 +47,6 @@ class CostOracle {
   // The function's index in the contract's function table; -1 when absent.
   int FunctionIndex(int contract_index, const std::string& function);
 
-  VmDialect dialect() const { return dialect_; }
-  size_t contract_count() const { return deployed_.size(); }
   const std::string& ContractName(int contract_index) const;
 
  private:

@@ -23,7 +23,6 @@ ChainContext::ChainContext(Simulation* sim, Network* net, DeploymentConfig deplo
   // Delay plane for consensus votes (small fixed-size messages): a dense
   // matrix at paper scale, the streamed model at fig3-XL scale.
   vote_delays_ = std::make_unique<VoteDelays>(net_, hosts_, /*message_bytes=*/256);
-  exec_model_.gas_per_second_per_vcpu = params_.gas_per_sec_per_vcpu;
   sim_->SetArrivalHandler([this](const Simulation::Arrival& arrival) {
     SubmitAtEndpoint(arrival.tx, static_cast<int>(arrival.endpoint), arrival.time);
   });
@@ -281,7 +280,8 @@ SimDuration ChainContext::PoolScanTime() const {
 
 SimDuration ChainContext::ExecAndVerifyTime(int64_t gas, size_t tx_count) const {
   const int vcpus = deployment_.machine.vcpus;
-  const SimDuration exec = exec_model_.ExecTime(gas, vcpus);
+  const SimDuration exec = SecondsF(static_cast<double>(gas) /
+                                    (params_.gas_per_sec_per_vcpu * static_cast<double>(vcpus)));
   const SimDuration verify =
       CostOf(params_.sig_scheme).verify * static_cast<SimDuration>(tx_count) / vcpus;
   return exec + verify;
@@ -337,14 +337,13 @@ void ChainContext::FinalizeBlock(uint64_t height, int proposer, BuiltBlock&& bui
     const SimDuration observe =
         Milliseconds(1) + static_cast<SimDuration>(rng_.NextBelow(
                               static_cast<uint64_t>(params_.client_poll_interval) + 1));
-    const SimTime commit_time = final_time + observe;
-    if (tx.exec_status == VmStatus::kOk) {
-      tx.phase = TxPhase::kCommitted;
-      ++stats_.txs_committed;
-    } else {
-      tx.phase = TxPhase::kAborted;
-    }
-    tx.commit_time = commit_time;
+    // The client's pre-flight aborts every call its VM rejects, so only
+    // executable transactions reach a block.
+    DIABLO_CHECK(tx.exec_status == VmStatus::kOk,
+                 "a transaction that fails execution reached a block");
+    tx.phase = TxPhase::kCommitted;
+    ++stats_.txs_committed;
+    tx.commit_time = final_time + observe;
   }
   ledger_.Append(block);
 }

@@ -134,7 +134,6 @@ class ChainContext {
   Mempool& mempool() { return mempool_; }
   Ledger& ledger() { return ledger_; }
   ChainStats& stats() { return stats_; }
-  const ChainStats& stats() const { return stats_; }
 
   // Pre-sizes transaction storage, the mempool side tables and the block-tx
   // pool for a run expected to carry `expected_txs` transactions, so the
@@ -276,7 +275,6 @@ class ChainContext {
   Mempool mempool_;
   Ledger ledger_;
   ChainStats stats_;
-  ExecutionModel exec_model_;
   std::vector<uint32_t> arrivals_per_second_;
   // Flat pool of every drafted block's transaction ids (see BuiltBlock).
   std::vector<TxId> block_txs_;

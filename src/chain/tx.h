@@ -23,7 +23,8 @@ enum class TxPhase : uint8_t {
   kSubmitted,     // sent by a secondary, in flight or pending in a mempool
   kCommitted,     // included in a final block, executed successfully
   kDropped,       // rejected or evicted by a mempool, or expired
-  kAborted,       // included but execution failed (revert / budget exceeded)
+  kAborted,       // refused at the client's pre-flight: the call fails (revert /
+                  // budget exceeded), so it never reaches a block
 };
 
 std::string_view TxPhaseName(TxPhase phase);

@@ -80,7 +80,6 @@ class VoteBitset {
 
   // Distinct set bits; maintained incrementally, never recounted.
   size_t Count() const { return count_; }
-  bool HasQuorum(size_t quorum) const { return count_ >= quorum; }
 
   size_t ApproxBytes() const { return sizeof(*this) + words_.capacity() * 8; }
 

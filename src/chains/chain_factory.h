@@ -21,7 +21,6 @@ class ChainInstance {
   void Start() { engine_->Start(); }
 
   ChainContext& context() { return *ctx_; }
-  const ChainParams& params() const { return ctx_->params(); }
 
  private:
   std::unique_ptr<ChainContext> ctx_;

@@ -24,7 +24,6 @@ class JsonValue {
   std::vector<JsonValue> items;                            // kArray
   std::vector<std::pair<std::string, JsonValue>> members;  // kObject, ordered
 
-  bool IsNull() const { return type == Type::kNull; }
   bool IsNumber() const { return type == Type::kNumber; }
   bool IsString() const { return type == Type::kString; }
   bool IsArray() const { return type == Type::kArray; }

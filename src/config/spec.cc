@@ -3,11 +3,33 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "src/support/strings.h"
 
 namespace diablo {
 namespace {
+
+// Fails on the first key of `map` that is not in `keys`, naming `what`, the
+// key and its line: a typo ("form:", "lod:") must fail loudly, not drop what
+// it meant silently.
+bool OnlyKeys(const YamlNode& map, std::span<const std::string_view> keys,
+              const std::string& what, std::string* error) {
+  for (const auto& [key, value] : map.entries) {
+    if (key.empty() || std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      *error = StrFormat("%s has unknown key '%s' (line %d)", what.c_str(), key.c_str(),
+                         value.line);
+      return false;
+    }
+  }
+  return true;
+}
+
+constexpr std::string_view kTopKeys[] = {"let", "workloads", "faults"};
+constexpr std::string_view kWorkloadKeys[] = {"number", "client"};
+constexpr std::string_view kClientKeys[] = {"location", "view", "behavior"};
+constexpr std::string_view kBehaviorKeys[] = {"interaction", "load"};
+constexpr std::string_view kInteractionKeys[] = {"from", "contract", "function"};
 
 std::vector<std::string> StringList(const YamlNode& node) {
   std::vector<std::string> out;
@@ -22,9 +44,15 @@ std::vector<std::string> StringList(const YamlNode& node) {
 }
 
 bool ParseBehavior(const YamlNode& node, ClientBehavior* behavior, std::string* error) {
+  if (!OnlyKeys(node, kBehaviorKeys, "behavior", error)) {
+    return false;
+  }
   const YamlNode* interaction = node.Find("interaction");
   if (interaction == nullptr) {
     *error = "behavior missing 'interaction'";
+    return false;
+  }
+  if (!OnlyKeys(*interaction, kInteractionKeys, "interaction", error)) {
     return false;
   }
   if (interaction->tag == "invoke") {
@@ -81,8 +109,7 @@ bool ParseBehavior(const YamlNode& node, ClientBehavior* behavior, std::string* 
         point.at_seconds > INT32_MAX || !std::isfinite(point.tps) || point.tps < 0) {
       *error = StrFormat("load point %s: %s needs a time in [0, INT32_MAX] and a finite "
                          "rate >= 0 (line %d)",
-                         key.c_str(), value.scalar.c_str(),
-                         value.line > 0 ? value.line : load->line);
+                         key.c_str(), value.scalar.c_str(), value.line);
       return false;
     }
     behavior->load.push_back(point);
@@ -109,11 +136,11 @@ std::string ValueText(const YamlNode& node) {
 // Reads one key of a `faults:` entry into the FaultEvent field it names.
 // There is one reader per key, whichever kind uses it.
 bool ReadFaultKey(const char* kind, std::string_view key, const YamlNode& value,
-                  int line, FaultEvent* event, std::string* error) {
+                  FaultEvent* event, std::string* error) {
   const auto fail = [&](const char* want) {
     *error = StrFormat("%s fault '%s' = %s: %s (line %d)", kind,
                        std::string(key).c_str(), ValueText(value).c_str(), want,
-                       line);
+                       value.line);
     return false;
   };
   // Node and signer indices are ints; a wider value must not wrap onto a
@@ -201,17 +228,12 @@ bool ParseFaultEntry(const std::string& kind, const YamlNode& body,
   const auto listed = [](const auto& keys, std::string_view key) {
     return !key.empty() && std::find(keys.begin(), keys.end(), key) != keys.end();
   };
-  // A typo ("restat:") must fail loudly, not silently fall back to a
-  // default.
-  for (const auto& [key, value] : body.entries) {
-    if (!listed(row->keys, key)) {
-      *error = StrFormat("%s fault has unknown key '%s' (line %d)", row->name,
-                         key.c_str(), value.line > 0 ? value.line : body.line);
-      return false;
-    }
+  if (!OnlyKeys(body, row->keys, std::string(row->name) + " fault", error)) {
+    return false;
   }
   FaultEvent event;
   event.kind = row->kind;
+  event.line = body.line;
   for (const std::string_view key : row->keys) {
     const YamlNode* value = key.empty() ? nullptr : body.Find(key);
     if (value == nullptr) {
@@ -222,8 +244,7 @@ bool ParseFaultEntry(const std::string& kind, const YamlNode& body,
       }
       continue;
     }
-    if (!ReadFaultKey(row->name, key, *value,
-                      value->line > 0 ? value->line : body.line, &event, error)) {
+    if (!ReadFaultKey(row->name, key, *value, &event, error)) {
       return false;
     }
   }
@@ -321,6 +342,9 @@ SpecResult ParseWorkloadSpec(std::string_view yaml_text) {
     result.error = yaml.error;
     return result;
   }
+  if (!OnlyKeys(yaml.root, kTopKeys, "workload file", &result.error)) {
+    return result;
+  }
   const YamlNode* workloads = yaml.root.Find("workloads");
   if (workloads == nullptr || !workloads->IsList()) {
     result.error = "missing 'workloads' list";
@@ -337,11 +361,17 @@ SpecResult ParseWorkloadSpec(std::string_view yaml_text) {
     return result;
   }
   for (const YamlNode& item : workloads->items) {
+    if (!OnlyKeys(item, kWorkloadKeys, "workload", &result.error)) {
+      return result;
+    }
     WorkloadGroup group;
     group.clients = static_cast<int>(item.GetInt("number", 1));
     const YamlNode* client = item.Find("client");
     if (client == nullptr || !client->IsMap()) {
       result.error = "workload missing 'client'";
+      return result;
+    }
+    if (!OnlyKeys(*client, kClientKeys, "client", &result.error)) {
       return result;
     }
     const YamlNode* location = client->Find("location");

@@ -214,9 +214,9 @@ class Parser {
       value.scalar = Unquote(rest);
     }
 
-    if (value.line == 0) {
-      value.line = line_no;
-    }
+    // The line of the key or list item the value belongs to, so that an
+    // alias or a nested block names where it is used.
+    value.line = line_no;
     if (!tag.empty()) {
       value.tag = tag;
     }
@@ -315,7 +315,9 @@ class Parser {
       if (it == anchors_.end()) {
         Fail(line_no, "unknown alias '*" + name + "'");
       }
-      return it->second;
+      YamlNode alias = it->second;
+      alias.line = line_no;
+      return alias;
     }
     if (cursor < text.size() && (text[cursor] == '[' || text[cursor] == '{')) {
       return ParseFlow(text, cursor, line_no);

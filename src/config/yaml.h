@@ -18,7 +18,8 @@ class YamlNode {
   enum class Type { kNull, kScalar, kList, kMap };
 
   Type type = Type::kNull;
-  int line = 0;        // 1-based source line this node started on; 0 = unknown
+  int line = 0;        // 1-based line of its key or list item (the root's: its
+                       // first line); 0 = unknown
   std::string tag;     // without the '!', empty when untagged
   std::string scalar;  // valid when kScalar
   std::vector<YamlNode> items;                             // kList
@@ -36,7 +37,6 @@ class YamlNode {
   // requested shape.
   bool AsInt64(int64_t* out) const;
   bool AsDouble(double* out) const;
-  const std::string& AsString() const { return scalar; }
 
   // Convenience: child scalar with default.
   int64_t GetInt(std::string_view key, int64_t fallback) const;

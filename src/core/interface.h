@@ -124,7 +124,6 @@ class SimConnector : public BlockchainConnector {
 
   // Applies to every client created afterwards; call before CreateClient.
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_; }
 
   // Submission accounting summed over all clients of this connector.
   const ClientStats& client_stats() const { return client_stats_; }

@@ -1,13 +1,14 @@
 #include "src/core/parallel_runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
-#include <future>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "src/config/json.h"
@@ -37,34 +38,34 @@ int ParallelRunner::JobsFromEnv() {
 std::vector<RunResult> ParallelRunner::Run(std::vector<ExperimentCell> cells) {
   // detlint: allow(D2, wall time feeds only RunnerStats::wall_seconds, a profiling observable outside every report)
   const auto start = std::chrono::steady_clock::now();
-  std::vector<RunResult> results(cells.size());
-
-  if (jobs_ == 1 || cells.size() <= 1) {
-    for (size_t i = 0; i < cells.size(); ++i) {
-      results[i] = cells[i].run();
-    }
-  } else {
-    ThreadPool pool(std::min<int>(jobs_, static_cast<int>(cells.size())));
-    std::vector<std::future<void>> futures;
-    futures.reserve(cells.size());
-    for (size_t i = 0; i < cells.size(); ++i) {
-      futures.push_back(
-          pool.Submit([&cells, &results, i] { results[i] = cells[i].run(); }));
-    }
-    // Wait for every cell before rethrowing, so one failure cannot leave
-    // workers writing into a destroyed results vector.
-    std::exception_ptr first_error;
-    for (std::future<void>& future : futures) {
+  const size_t count = cells.size();
+  std::vector<RunResult> results(count);
+  std::vector<std::exception_ptr> errors(count);
+  // Each worker claims the next unclaimed cell until none is left, so one
+  // worker runs the cells in cell order.
+  std::atomic<size_t> next{0};
+  const auto work = [&] {
+    for (size_t i = next++; i < count; i = next++) {
       try {
-        future.get();
+        results[i] = cells[i].run();
       } catch (...) {
-        if (!first_error) {
-          first_error = std::current_exception();
-        }
+        errors[i] = std::current_exception();
       }
     }
-    if (first_error) {
-      std::rethrow_exception(first_error);
+  };
+  {
+    // A jthread joins when destroyed, so every helper has finished before
+    // this block ends, even when starting one of them throws.
+    std::vector<std::jthread> helpers;
+    for (size_t w = 1; w < std::min(static_cast<size_t>(jobs_), count); ++w) {
+      helpers.emplace_back(work);
+    }
+    work();
+  }
+  // Every cell has finished; the first failure in cell order propagates.
+  for (const std::exception_ptr& error : errors) {
+    if (error) {
+      std::rethrow_exception(error);
     }
   }
 

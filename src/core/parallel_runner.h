@@ -3,8 +3,8 @@
 // The paper's evaluation is a grid of independent (chain, workload,
 // deployment, scale, seed) cells; each cell owns its own Simulation, Network
 // and RNG streams, so cells can run on any thread in any order without
-// perturbing each other. The runner fans cells across a ThreadPool and
-// returns results in submission order.
+// perturbing each other. The runner fans cells across worker threads and
+// returns results in cell order.
 //
 // Determinism contract: a cell's seed is a pure function of the experiment
 // grid (base seed and cell position — see CellSeed), never of thread
@@ -49,10 +49,10 @@ class ParallelRunner {
   // jobs <= 0 means JobsFromEnv().
   explicit ParallelRunner(int jobs = 0);
 
-  // Runs every cell and returns their results in cell order. jobs == 1 runs
-  // inline on the calling thread (no pool); otherwise cells are dispatched
-  // FIFO to a pool of min(jobs, cells) workers. Exceptions from a cell
-  // propagate out after all other cells finished.
+  // Runs every cell and returns their results in cell order. min(jobs,
+  // cells) workers, the calling thread among them, claim cells in cell
+  // order until none is left. Once every cell has finished, the exception
+  // of the first failed cell in cell order, if any, propagates.
   std::vector<RunResult> Run(std::vector<ExperimentCell> cells);
 
   int jobs() const { return jobs_; }

@@ -12,7 +12,6 @@
 #include "src/core/results.h"
 #include "src/core/secondary.h"
 #include "src/fault/injector.h"
-#include "src/support/log.h"
 #include "src/support/strings.h"
 #include "src/workload/arrival.h"
 
@@ -142,10 +141,10 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
   for (const FaultEvent& event : setup_.faults.events) {
     for (const int signer : event.censored_signers) {
       if (signer >= account_count) {
-        result.failure_reason = StrFormat(
-            "fault schedule: %s fault at t=%.3fs: unknown signer: account %d of a "
-            "%d-account run",
-            FaultKindName(event.kind), ToSeconds(event.at), signer, account_count);
+        result.failure_reason =
+            "fault schedule: " +
+            FaultEventError(event, StrFormat("unknown signer: account %d of a %d-account run",
+                                             signer, account_count));
         return result;
       }
     }
@@ -290,11 +289,6 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
   for (const WorkStream& stream : streams) {
     duration = std::max(duration, stream.workload.trace.duration_seconds());
   }
-  DIABLO_LOG(LogLevel::kInfo,
-             StrFormat("primary: %zu txs over %zu s on %s/%s (%zu streams)", total_txs,
-                       duration, params.name.c_str(), setup_.deployment.c_str(),
-                       streams.size()));
-
   chain->Start();
   for (const auto& secondary : secondaries) {
     secondary->Start();

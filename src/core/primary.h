@@ -90,8 +90,6 @@ class Primary {
   RunResult RunStreams(std::vector<WorkStream> streams,
                        const std::string& workload_name);
 
-  const BenchmarkSetup& setup() const { return setup_; }
-
  private:
   BenchmarkSetup setup_;
 };

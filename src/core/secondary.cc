@@ -4,9 +4,9 @@
 
 namespace diablo {
 
-Secondary::Secondary(int index, Region location, Simulation* sim,
+Secondary::Secondary(int /*index*/, Region /*location*/, Simulation* sim,
                      std::unique_ptr<BlockchainClient> client)
-    : index_(index), location_(location), sim_(sim), client_(std::move(client)) {}
+    : sim_(sim), client_(std::move(client)) {}
 
 void Secondary::Assign(SimTime submit_time, TxId tx) {
   schedule_.push_back(Planned{submit_time, tx});
@@ -46,7 +46,6 @@ void Secondary::SubmitBatch(size_t first, size_t last) {
       ++behind_schedule_;
     }
     client_->Trigger(planned.tx, planned.time);
-    ++submitted_;
   }
 }
 

@@ -18,11 +18,11 @@ namespace diablo {
 
 class Secondary {
  public:
+  // `client` submits every transaction. The index and location name the
+  // Secondary in the paper's terms; the client already sits at the location,
+  // so the Secondary keeps neither.
   Secondary(int index, Region location, Simulation* sim,
             std::unique_ptr<BlockchainClient> client);
-
-  int index() const { return index_; }
-  Region location() const { return location_; }
 
   // Sizes the schedule for `count` transactions, so that many Assigns never
   // reallocate.
@@ -36,8 +36,6 @@ class Secondary {
   // and schedules the submission events.
   void Start();
 
-  size_t assigned() const { return schedule_.size(); }
-  size_t submitted() const { return submitted_; }
   // Submissions that ran later than their scheduled second (the Secondary's
   // "too late" warning counter).
   size_t behind_schedule() const { return behind_schedule_; }
@@ -50,12 +48,9 @@ class Secondary {
 
   void SubmitBatch(size_t first, size_t last);
 
-  int index_;
-  Region location_;
   Simulation* sim_;
   std::unique_ptr<BlockchainClient> client_;
   std::vector<Planned> schedule_;
-  size_t submitted_ = 0;
   size_t behind_schedule_ = 0;
 };
 

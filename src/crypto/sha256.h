@@ -21,7 +21,6 @@ class Sha256 {
   Sha256();
 
   void Update(const void* data, size_t len);
-  void Update(std::string_view s) { Update(s.data(), s.size()); }
 
   // Finalizes and returns the digest; the hasher must not be reused after.
   Digest256 Finish();

@@ -44,7 +44,6 @@ class FaultInjector {
   bool Install(std::string* error);
 
   const FaultStats& stats() const { return stats_; }
-  const FaultSchedule& schedule() const { return schedule_; }
 
  private:
   // Node indices a partition event covers (explicit set or whole region).

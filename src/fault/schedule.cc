@@ -80,12 +80,20 @@ bool SameScope(const FaultEvent& a, const FaultEvent& b) {
 
 bool EventError(const FaultEvent& event, const std::string& what,
                 std::string* error) {
-  *error = StrFormat("%s fault at t=%.3fs: %s", FaultKindName(event.kind),
-                     ToSeconds(event.at), what.c_str());
+  *error = FaultEventError(event, what);
   return false;
 }
 
 }  // namespace
+
+std::string FaultEventError(const FaultEvent& event, const std::string& what) {
+  std::string message = StrFormat("%s fault at t=%.3fs: %s", FaultKindName(event.kind),
+                                  ToSeconds(event.at), what.c_str());
+  if (event.line > 0) {
+    message += StrFormat(" (line %d)", event.line);
+  }
+  return message;
+}
 
 const std::array<FaultKindRow, kFaultKindCount> kFaultKindRows = {{
     {FaultKind::kCrash, "crash", {"node", "at", "restart"}, {"node", "at"}, {}, 0},

@@ -94,7 +94,12 @@ struct FaultEvent {
   // by `fraction` of the deployment in (0, 1); exactly one must be given.
   double fraction = 0;
   std::vector<int> censored_signers;  // kCensor: signer ids to refuse
+  int line = 0;  // line of its `faults:` entry; 0 for an event built in code
 };
+
+// "<kind> fault at t=<onset>s: <what>", and " (line N)" when the event came
+// from a `faults:` entry: the message of every error about one event.
+std::string FaultEventError(const FaultEvent& event, const std::string& what);
 
 struct FaultSchedule {
   std::vector<FaultEvent> events;

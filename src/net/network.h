@@ -110,7 +110,6 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   HostId AddHost(Region region);
-  size_t host_count() const { return regions_.size(); }
 
   // Samples a one-way delay for `bytes` from `from` to `to`. Returns
   // kUnreachable when either endpoint is partitioned off.
@@ -161,7 +160,6 @@ class Network {
 
   const NetworkStats& stats() const { return stats_; }
 
-  Simulation* sim() { return sim_; }
 
  private:
   // Reads the link bases, the partition vector and one seed draw at

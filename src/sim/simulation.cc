@@ -79,10 +79,9 @@ void Simulation::SetArrivalHandler(ArrivalHandler handler) {
 }
 
 uint64_t Simulation::RunUntil(SimTime until) {
-  stopped_ = false;
   SealRun();
   uint64_t executed = 0;
-  while (!stopped_) {
+  while (true) {
     const bool has_event = !queue_.empty();
     if (!has_event && run_heap_.empty()) {
       break;
@@ -122,7 +121,7 @@ uint64_t Simulation::RunUntil(SimTime until) {
   events_executed_ += executed;
   // When stopping because the horizon was reached, advance the clock to it so
   // subsequent scheduling is relative to the horizon.
-  if (!stopped_ && until != std::numeric_limits<SimTime>::max() && now_ < until) {
+  if (until != std::numeric_limits<SimTime>::max() && now_ < until) {
     now_ = until;
   }
   return executed;

@@ -73,9 +73,6 @@ class Simulation {
   // Runs until the queue drains. Returns the number of events executed.
   uint64_t Run() { return RunUntil(std::numeric_limits<SimTime>::max()); }
 
-  // Requests that the loop stop after the current event.
-  void Stop() { stopped_ = true; }
-
   // Pre-sizes the event heap for a known number of in-flight events.
   void Reserve(size_t events) { queue_.Reserve(events); }
 
@@ -87,7 +84,6 @@ class Simulation {
   // Root generator; components should call ForkRng() once at construction to
   // obtain an independent stream.
   Rng ForkRng() { return rng_.Fork(); }
-  Rng& rng() { return rng_; }
 
  private:
   // The arrivals one event scheduled, sorted by (time, seq) and consumed
@@ -111,7 +107,6 @@ class Simulation {
 
   EventQueue queue_;
   SimTime now_ = 0;
-  bool stopped_ = false;
   uint64_t events_executed_ = 0;
   Rng rng_;
 

@@ -17,7 +17,6 @@ inline constexpr SimDuration kMicrosecond = 1000 * kNanosecond;
 inline constexpr SimDuration kMillisecond = 1000 * kMicrosecond;
 inline constexpr SimDuration kSecond = 1000 * kMillisecond;
 
-constexpr SimDuration Nanoseconds(int64_t n) { return n; }
 constexpr SimDuration Microseconds(int64_t n) { return n * kMicrosecond; }
 constexpr SimDuration Milliseconds(int64_t n) { return n * kMillisecond; }
 constexpr SimDuration Seconds(int64_t n) { return n * kSecond; }

@@ -37,9 +37,6 @@ enum class VmStatus : uint8_t {
 
 std::string_view VmStatusName(VmStatus status);
 
-// Statuses that terminate the call but still consume the gas spent so far.
-constexpr bool IsFailure(VmStatus status) { return status != VmStatus::kOk; }
-
 struct ExecResult {
   VmStatus status = VmStatus::kOk;
   int64_t gas_used = 0;    // includes intrinsic gas

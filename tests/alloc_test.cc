@@ -114,13 +114,21 @@ SimDuration EngineStyleRound(Network* net, const std::vector<HostId>& hosts,
   return MedianDelayInto(committed, plane);
 }
 
-TEST(AllocationLock, SteadyStateVoteRoundAllocatesNothing) {
-  if (kCheckedBuild) {
-    // Checked builds sample nth_element cross-checks inside the vote plane,
-    // and those intentionally allocate reference buffers. The zero-allocation
-    // guarantee is a property of the unchecked production build.
-    GTEST_SKIP() << "allocation lock does not apply under DIABLO_CHECKED";
+// The locks are properties of the unchecked production build: checked
+// builds sample nth_element cross-checks inside the vote plane, and those
+// intentionally allocate reference buffers. The skip sits here rather than
+// at the top of each test, so that a checked build still compiles every
+// test body and links what it calls.
+class AllocationLock : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (kCheckedBuild) {
+      GTEST_SKIP() << "allocation lock does not apply under DIABLO_CHECKED";
+    }
   }
+};
+
+TEST_F(AllocationLock, SteadyStateVoteRoundAllocatesNothing) {
   Simulation sim(42);
   Network net(&sim);
   const DeploymentConfig testnet = GetDeployment("testnet");
@@ -151,10 +159,7 @@ TEST(AllocationLock, SteadyStateVoteRoundAllocatesNothing) {
   EXPECT_GT(latest, 0);
 }
 
-TEST(AllocationLock, SteadyStateBlockAssemblyAllocatesNothing) {
-  if (kCheckedBuild) {
-    GTEST_SKIP() << "allocation lock does not apply under DIABLO_CHECKED";
-  }
+TEST_F(AllocationLock, SteadyStateBlockAssemblyAllocatesNothing) {
   // micro_benchmarks' BM_BlockAssembly shape: geth-style overload on the
   // quorum chain. Every block admits 640 transactions and drafts 512, the
   // pool sits at its global cap, and each admission past it evicts a
@@ -277,10 +282,7 @@ struct PreSigningCell {
   std::vector<std::unique_ptr<Secondary>> secondaries;
 };
 
-TEST(AllocationLock, PreSigningAllocatesNothing) {
-  if (kCheckedBuild) {
-    GTEST_SKIP() << "allocation lock does not apply under DIABLO_CHECKED";
-  }
+TEST_F(AllocationLock, PreSigningAllocatesNothing) {
   // Once a stream's call table has resolved its row and the schedules are
   // sized, pre-signing a transaction and handing it to its Secondary
   // touches no allocator: no argument vector, no string, no growth.
@@ -304,7 +306,7 @@ TEST(AllocationLock, PreSigningAllocatesNothing) {
   EXPECT_EQ(cell.chain->context().txs().size(), arrivals.size());
 }
 
-TEST(AllocationLock, PreSigningStaysWithinItsBytesPerTransaction) {
+TEST_F(AllocationLock, PreSigningStaysWithinItsBytesPerTransaction) {
 #if defined(DIABLO_HEAP_IN_USE)
   // Fig. 2's largest cell keeps every pre-signed transaction until it ends.
   // Allocator bytes in use across arrival expansion, ReserveTxs, encoding
@@ -337,7 +339,7 @@ TEST(AllocationLock, PreSigningStaysWithinItsBytesPerTransaction) {
 #endif
 }
 
-TEST(AllocationLock, CounterSeesOrdinaryAllocations) {
+TEST_F(AllocationLock, CounterSeesOrdinaryAllocations) {
   // Sanity check that the counting allocator is actually installed.
   const uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
   std::vector<int>* v = new std::vector<int>(1000);

@@ -35,7 +35,7 @@ TEST(JsonTest, NestedStructures) {
   ASSERT_EQ(a->items.size(), 3u);
   EXPECT_DOUBLE_EQ(a->items[1].number, 2.0);
   EXPECT_EQ(a->items[2].GetString("b", ""), "x");
-  EXPECT_TRUE(root.Find("c")->Find("d")->IsNull());
+  EXPECT_EQ(root.Find("c")->Find("d")->type, JsonValue::Type::kNull);
   EXPECT_FALSE(root.Find("e")->boolean);
   EXPECT_EQ(root.Find("zzz"), nullptr);
 }

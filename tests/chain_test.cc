@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string_view>
+#include <utility>
 
 #include "src/chain/block.h"
 #include "src/chain/execution.h"
@@ -45,15 +46,13 @@ TEST(TxTest, PhaseNames) {
 
 TEST(LedgerTest, AppendAndDigest) {
   Ledger ledger;
-  EXPECT_TRUE(ledger.empty());
-  EXPECT_EQ(ledger.next_height(), 1u);
+  EXPECT_EQ(ledger.block_count(), 0u);
   Block block;
   block.height = 1;
   block.tx_count = 3;
   ledger.Append(block);
   EXPECT_EQ(ledger.block_count(), 1u);
-  EXPECT_EQ(ledger.total_txs(), 3u);
-  EXPECT_EQ(ledger.next_height(), 2u);
+  EXPECT_EQ(ledger.block(0).tx_count, 3u);
   const Digest256 d1 = ledger.HeaderChainDigest();
   Block second;
   second.height = 2;
@@ -821,10 +820,17 @@ TEST(VoteRoundTest, MedianDelayUpperMedianLock) {
 }
 
 TEST(ExecutionModelTest, ScalesWithVcpus) {
-  ExecutionModel model;
-  model.gas_per_second_per_vcpu = 100e6;
-  EXPECT_EQ(model.ExecTime(100'000'000, 1), Seconds(1));
-  EXPECT_EQ(model.ExecTime(100'000'000, 4), Milliseconds(250));
+  // Execution time alone: no signatures to verify.
+  ChainParams params = GetChainParams("quorum");
+  params.gas_per_sec_per_vcpu = 100e6;
+  for (const auto& [vcpus, want] : {std::pair{1, Seconds(1)}, std::pair{4, Milliseconds(250)}}) {
+    Simulation sim(1);
+    Network net(&sim);
+    DeploymentConfig deployment = GetDeployment("testnet");
+    deployment.machine.vcpus = vcpus;
+    const ChainContext ctx(&sim, &net, deployment, params);
+    EXPECT_EQ(ctx.ExecAndVerifyTime(100'000'000, 0), want) << vcpus << " vCPUs";
+  }
 }
 
 TEST(CostOracleTest, DeploysAndProfiles) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -235,6 +236,45 @@ TEST(SpecTest, RejectsLoadPointsThatAreNotFiniteAndNonNegative) {
   EXPECT_TRUE(ParseWorkloadSpec(head + "          load: {0: 10, 2147483647: 0}\n").ok);
 }
 
+TEST(SpecTest, RejectsKeysItDoesNotRead) {
+  // A misspelled key used to drop what it meant silently: with `form:` for
+  // `from:` this one-account spec signed from the default 2,000 accounts,
+  // and a stray `lod:` beside `load:` went unread. Every map the reader
+  // reads names the first key it does not know, with the key's line.
+  const std::string spec = R"(let:
+  - &acc { sample: !account { number: 1 } }
+workloads:
+  - number: 1
+    client:
+      view: { sample: !endpoint [ ".*" ] }
+      behavior:
+        - interaction: !transfer
+            from: *acc
+          load:
+            0: 3000
+            10: 0
+)";
+  const SpecResult good = ParseWorkloadSpec(spec);
+  ASSERT_TRUE(good.ok) << good.error;
+  EXPECT_EQ(good.spec.TotalAccounts(), 1);
+  const std::tuple<const char*, const char*, const char*> typos[] = {
+      {"let:", "lett:", "workload file has unknown key 'lett' (line 1)"},
+      {"- number: 1", "- numbr: 1", "workload has unknown key 'numbr' (line 4)"},
+      {"view:", "veiw:", "client has unknown key 'veiw' (line 6)"},
+      {"load:", "lod:", "behavior has unknown key 'lod' (line 10)"},
+      {"from:", "form:", "interaction has unknown key 'form' (line 9)"},
+  };
+  for (const auto& [key, typo, error] : typos) {
+    std::string bad = spec;
+    bad.replace(bad.find(key), std::string(key).size(), typo);
+    EXPECT_EQ(ParseWorkloadSpec(bad).error, error) << typo;
+  }
+  // A stray key beside the right one fails the same way.
+  std::string stray = spec;
+  stray.replace(stray.find("          load:"), 0, "          lod: { 0: 1 }\n");
+  EXPECT_EQ(ParseWorkloadSpec(stray).error, "behavior has unknown key 'lod' (line 10)");
+}
+
 namespace {
 
 // A minimal valid workload the fault tests can hang a `faults:` section on.
@@ -324,7 +364,8 @@ TEST(SpecFaultsTest, RejectsInvalidSchedulesAtParseTime) {
   SpecResult result = ParseWorkloadSpec(
       WithFaults("faults:\n  - crash: { node: 0, at: 30, restart: 10 }\n"));
   EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("heal time"), std::string::npos) << result.error;
+  EXPECT_EQ(result.error,
+            "crash fault at t=30.000s: heal time must be after onset (line 9)");
 
   // Overlapping windows on the same scope.
   result = ParseWorkloadSpec(WithFaults(

@@ -265,7 +265,7 @@ TEST(FactoryTest, BuildsAllSixChains) {
   for (const std::string& name : AllChainNames()) {
     const auto chain = BuildChain(name, GetDeployment("testnet"), &sim, &net);
     ASSERT_NE(chain, nullptr) << name;
-    EXPECT_EQ(chain->params().name, name);
+    EXPECT_EQ(chain->context().params().name, name);
   }
   EXPECT_THROW(BuildChain("bitcoin", GetDeployment("testnet"), &sim, &net),
                std::invalid_argument);

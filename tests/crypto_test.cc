@@ -27,7 +27,7 @@ TEST(Sha256Test, MillionAs) {
   Sha256 hasher;
   const std::string chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) {
-    hasher.Update(chunk);
+    hasher.Update(chunk.data(), chunk.size());
   }
   EXPECT_EQ(DigestHex(hasher.Finish()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
@@ -35,8 +35,8 @@ TEST(Sha256Test, MillionAs) {
 
 TEST(Sha256Test, IncrementalMatchesOneShot) {
   Sha256 hasher;
-  hasher.Update("hello ");
-  hasher.Update("world");
+  hasher.Update("hello ", 6);
+  hasher.Update("world", 5);
   EXPECT_EQ(hasher.Finish(), Sha256Digest("hello world"));
 }
 

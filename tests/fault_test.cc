@@ -671,7 +671,7 @@ faults:
     const RunResult result = Primary(setup).RunSpec(spec.spec);
     EXPECT_EQ(result.failure_reason,
               StrFormat("fault schedule: censor fault at t=1.000s: unknown signer: "
-                        "account %d of a 2000-account run",
+                        "account %d of a 2000-account run (line 13)",
                         signer));
     EXPECT_EQ(result.report.submitted, 0u);
     EXPECT_EQ(result.events_executed, 0u);

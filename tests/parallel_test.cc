@@ -1,15 +1,18 @@
-// ThreadPool unit tests plus the determinism regression contract of the
+// ParallelRunner unit tests plus the determinism regression contract of the
 // parallel experiment runner: same seed => bit-identical results, serially
 // and under any DIABLO_JOBS.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/config/json.h"
@@ -21,53 +24,39 @@
 namespace diablo {
 namespace {
 
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(pool.Submit([&counter] { ++counter; }));
-  }
-  for (auto& future : futures) {
-    future.get();
-  }
-  EXPECT_EQ(counter.load(), 16);
-}
-
-TEST(ThreadPoolTest, SingleWorkerPreservesSubmissionOrder) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.Submit([&order, i] { order.push_back(i); }));
-  }
-  for (auto& future : futures) {
-    future.get();
-  }
-  ASSERT_EQ(order.size(), 32u);
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(order[static_cast<size_t>(i)], i);
-  }
-}
-
 TEST(ThreadPoolTest, PropagatesExceptions) {
-  ThreadPool pool(2);
-  auto ok = pool.Submit([] {});
-  auto bad = pool.Submit([] { throw std::runtime_error("cell exploded"); });
-  ok.get();
-  EXPECT_THROW(bad.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, ShutdownDrainsPendingTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&ran] { ++ran; });
+  // The runner's workers are the pool. Each of two cells at two jobs waits
+  // until the other has started, so they run on different threads, and the
+  // one on the helper thread throws: its exception must reach Run's caller,
+  // and the cell on the calling thread must still finish.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  std::promise<void> both_started;
+  const std::shared_future<void> rendezvous = both_started.get_future().share();
+  const auto cell = [&]() -> RunResult {
+    if (++started == 2) {
+      both_started.set_value();
     }
-    // Destructor must finish every queued task before joining.
+    if (rendezvous.wait_for(std::chrono::seconds(30)) == std::future_status::ready &&
+        std::this_thread::get_id() != caller) {
+      throw std::runtime_error("helper cell failed");
+    }
+    ++finished;
+    return RunResult();
+  };
+  ParallelRunner runner(2);
+  std::vector<ExperimentCell> cells;
+  cells.push_back({"a", cell});
+  cells.push_back({"b", cell});
+  try {
+    runner.Run(std::move(cells));
+    ADD_FAILURE() << "no exception propagated from the helper thread";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "helper cell failed");
   }
-  EXPECT_EQ(ran.load(), 64);
+  EXPECT_EQ(started.load(), 2);
+  EXPECT_EQ(finished.load(), 1);
 }
 
 TEST(ThreadPoolTest, HardwareConcurrencyIsPositive) {
@@ -101,13 +90,29 @@ TEST(ParallelRunnerTest, ResultsComeBackInCellOrder) {
 }
 
 TEST(ParallelRunnerTest, CellExceptionPropagates) {
-  ParallelRunner runner(2);
-  std::vector<ExperimentCell> cells;
-  cells.push_back({"ok", [] { return RunResult(); }});
-  cells.push_back({"bad", []() -> RunResult {
-                     throw std::runtime_error("cell failed");
-                   }});
-  EXPECT_THROW(runner.Run(std::move(cells)), std::runtime_error);
+  // Cells 2 and 5 throw. Whatever the job count, every cell runs, and the
+  // first failure in cell order is the one rethrown.
+  for (const int jobs : {1, 2, 4}) {
+    ParallelRunner runner(jobs);
+    std::vector<int> ran(8, 0);
+    std::vector<ExperimentCell> cells;
+    for (int i = 0; i < 8; ++i) {
+      cells.push_back({"cell" + std::to_string(i), [i, &ran]() -> RunResult {
+                         ran[static_cast<size_t>(i)] = 1;
+                         if (i == 2 || i == 5) {
+                           throw std::runtime_error("cell " + std::to_string(i) + " failed");
+                         }
+                         return RunResult();
+                       }});
+    }
+    try {
+      runner.Run(std::move(cells));
+      ADD_FAILURE() << "jobs " << jobs << ": no exception propagated";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "cell 2 failed") << "jobs " << jobs;
+    }
+    EXPECT_EQ(ran, std::vector<int>(8, 1)) << "jobs " << jobs;
+  }
 }
 
 TEST(ParallelRunnerTest, StatsAccumulateEvents) {

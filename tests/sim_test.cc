@@ -212,21 +212,6 @@ TEST(SimulationTest, RunUntilStopsAtHorizon) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(SimulationTest, StopHaltsLoop) {
-  Simulation sim(1);
-  int fired = 0;
-  sim.Schedule(Seconds(1), [&] {
-    ++fired;
-    sim.Stop();
-  });
-  sim.Schedule(Seconds(2), [&] { ++fired; });
-  sim.Run();
-  EXPECT_EQ(fired, 1);
-  // A later Run resumes with the remaining events.
-  sim.Run();
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(SimulationTest, PastSchedulesClampToNow) {
   Simulation sim(1);
   SimTime when = -1;
@@ -405,22 +390,6 @@ TEST(ArrivalLaneTest, ArrivalsPastTheHorizonStayPending) {
   EXPECT_EQ(sim.RunUntil(Seconds(10)), 1u);
   EXPECT_EQ(log.entries, (std::vector<std::pair<SimTime, uint32_t>>{{Seconds(1), 1},
                                                                     {Seconds(9), 2}}));
-}
-
-TEST(ArrivalLaneTest, StopInsideTheHandlerStopsTheLoop) {
-  Simulation sim(1);
-  std::vector<uint32_t> delivered;
-  sim.SetArrivalHandler([&](const Simulation::Arrival& arrival) {
-    delivered.push_back(arrival.tx);
-    sim.Stop();
-  });
-  sim.ScheduleArrival(Seconds(1), 1, 0);
-  sim.ScheduleArrival(Seconds(2), 2, 0);
-  EXPECT_EQ(sim.Run(), 1u);
-  EXPECT_EQ(delivered, (std::vector<uint32_t>{1}));
-  EXPECT_EQ(sim.Now(), Seconds(1));
-  sim.Run();
-  EXPECT_EQ(delivered, (std::vector<uint32_t>{1, 2}));
 }
 
 TEST(ArrivalLaneTest, EventCountsIncludeArrivals) {

@@ -553,8 +553,6 @@ TEST(StateTest, Basics) {
 TEST(VmStatusTest, Names) {
   EXPECT_EQ(VmStatusName(VmStatus::kOk), "ok");
   EXPECT_EQ(VmStatusName(VmStatus::kBudgetExceeded), "budget exceeded");
-  EXPECT_FALSE(IsFailure(VmStatus::kOk));
-  EXPECT_TRUE(IsFailure(VmStatus::kReverted));
 }
 
 // --- semantics locks for the dispatch loop ----------------------------------

@@ -10,34 +10,44 @@ executable built from simbench/ as its own project. Both must be configured
 with
 
   -DCMAKE_BUILD_TYPE=Debug -DDIABLO_CHECKED=ON
-  -DCMAKE_CXX_FLAGS="-O0 -ffunction-sections -fdata-sections"
+  -DCMAKE_CXX_FLAGS="-O0 -ffunction-sections -fdata-sections
+                     -fkeep-inline-functions"
   -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections
 
-so that each function sits in its own section and the linker drops every
-function no binary reaches. The script takes the global text (`T`) symbols
-in namespace diablo of BUILD_DIR/src/*.a, demangled, with parameter lists and
-ABI tags stripped, and subtracts every name that a binary under
-BUILD_DIR/{bench,examples,tools}, or simbench, defines. micro_benchmarks is
-left out, so that a micro benchmark alone cannot keep code alive.
+so that each function sits in its own section, every object that includes
+a header emits each inline function the header defines, called or not, and
+the linker drops every function no binary reaches. The script takes the
+functions in namespace diablo that BUILD_DIR/src/*.a define: the global text
+(`T`) symbols, and the weak (`W`) symbols of inline functions other than
+constructors, destructors, assignment operators (mostly compiler-generated)
+and template instantiations. It subtracts every function that a binary
+under BUILD_DIR/{bench,examples,tools}, or simbench, defines; functions are
+compared by demangled signature, so each overload counts on its own.
+micro_benchmarks is left out, so that a micro benchmark alone cannot keep
+code alive.
 
-What is left is code that no binary links. Of it, every name that no test
-executable under BUILD_DIR/tests links either is dead code, which the script
-names on its own. The rest is code that only tests link, and it must equal
-the names in ALLOWLIST (default tools/test_only_code.txt; one name per line,
-then whitespace and the reason it stays; '#' starts a comment). The script
+What is left is code that no binary links. Of it, every function that no
+test executable under BUILD_DIR/tests links either is dead code, which the
+script names on its own. The rest is code that only tests link; its names
+(signatures without parameter lists and ABI tags) must equal the names in
+ALLOWLIST (default tools/test_only_code.txt; one name per line, then at
+least two spaces and the reason it stays; '#' starts a comment). A listed
+name covers every overload of that name that only tests link. The script
 exits 1 when there is dead code or when the two differ in either direction,
 and names each difference.
 
 What it cannot see:
-  - functions defined inline in headers, which are weak (`W`) symbols of
-    whichever object uses them, not text symbols of a library;
   - code reachable only through a string-dispatched factory or a virtual
     table: the binaries link the factory, so they link every class it can
     construct, whether or not a chain sheet, spec or flag ever selects it;
-  - overloads: names are compared without parameter lists, so one linked
-    overload keeps every overload of that name off the list.
+  - inline constructors, destructors and assignment operators, and
+    template instantiations;
+  - a call a test compiles out: a test body the compiler folds away (code
+    after a constant-true early return, such as a skip on a constexpr
+    flag) links nothing, so its callees can read as dead.
 """
 import os
+import re
 import subprocess
 import sys
 
@@ -45,6 +55,13 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 BINARY_DIRS = ["bench", "examples", "tools"]
 EXCLUDED_BINARIES = {"micro_benchmarks"}
 QUALIFIERS = (" const", " volatile", " &&", " &", " noexcept")
+
+
+def without_abi_tags(signature):
+    while "[abi:" in signature:
+        start = signature.index("[abi:")
+        signature = signature[:start] + signature[signature.index("]", start) + 1:]
+    return signature
 
 
 def strip_name(demangled):
@@ -67,23 +84,42 @@ def strip_name(demangled):
                 if depth == 0:
                     name = name[:i]
                     break
-    while "[abi:" in name:
-        start = name.index("[abi:")
-        name = name[:start] + name[name.index("]", start) + 1:]
-    return name
+    return without_abi_tags(name)
 
 
-def symbols(path, types=None):
-    """Stripped demangled names of the symbols path defines, only those of
-    an nm type in types when it is given."""
+def defined(path):
+    """(nm type, demangled signature) of each symbol path defines."""
     out = subprocess.run(["nm", "-C", "--defined-only", path],
                          capture_output=True, text=True, check=True).stdout
-    names = set()
     for line in out.splitlines():
         parts = line.split(" ", 2)
-        if len(parts) == 3 and (types is None or parts[1] in types):
-            names.add(strip_name(parts[2]))
-    return names
+        if len(parts) == 3:
+            yield parts[1], parts[2]
+
+
+def is_audited_inline(signature):
+    """Whether a weak symbol is an inline function the audit reads: not a
+    constructor, destructor or assignment operator, and not a template
+    instantiation (whose demangled name carries template arguments, or a
+    return type before the name)."""
+    name = strip_name(signature)
+    # An operator's name may hold '<' and spaces of its own.
+    head = name.split("::operator", 1)[0]
+    if "<" in head or " " in head or "{lambda" in head:
+        return False
+    scope, _, last = name.rpartition("::")
+    cls = scope.rpartition("::")[2]
+    return last not in (cls, "~" + cls, "operator=")
+
+
+def library_functions(libs):
+    functions = set()
+    for lib in libs:
+        for kind, signature in defined(lib):
+            if signature.startswith("diablo::") and (
+                    kind == "T" or (kind == "W" and is_audited_inline(signature))):
+                functions.add(signature)
+    return functions
 
 
 def is_elf_executable(path):
@@ -107,10 +143,10 @@ def binaries(build_dir, subdirs):
 
 
 def linked_by(paths):
-    names = set()
+    signatures = set()
     for path in paths:
-        names |= symbols(path)
-    return names
+        signatures |= {signature for _, signature in defined(path)}
+    return signatures
 
 
 def load_allowlist(path):
@@ -120,7 +156,9 @@ def load_allowlist(path):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split(None, 1)
+            # A name may hold one space ("operator bool"); two or more
+            # spaces, or a tab, end it.
+            parts = re.split(r"\s{2,}|\t", line, maxsplit=1)
             if len(parts) < 2:
                 sys.exit(f"{path}:{number}: '{parts[0]}' has no reason")
             names[parts[0]] = parts[1]
@@ -139,9 +177,7 @@ def main(argv):
                   if f.endswith(".a"))
     if not libs:
         sys.exit(f"test_only_code: no libraries under {src_dir}")
-    library = set()
-    for lib in libs:
-        library |= {n for n in symbols(lib, {"T"}) if n.startswith("diablo::")}
+    library = library_functions(libs)
 
     bins = binaries(build_dir, BINARY_DIRS)
     if not is_elf_executable(simbench):
@@ -153,17 +189,19 @@ def main(argv):
 
     unlinked = library - linked_by(bins)
     dead = unlinked - linked_by(tests)
-    test_only = unlinked - dead
+    test_only = {strip_name(signature) for signature in unlinked - dead}
     expected = load_allowlist(allowlist)
     print(f"test_only_code: {len(library)} library functions, {len(bins)} "
-          f"binaries, {len(tests)} tests, {len(test_only)} linked only by "
-          f"tests, {len(dead)} by nothing")
+          f"binaries, {len(tests)} tests, {len(unlinked) - len(dead)} linked "
+          f"only by tests, {len(dead)} by nothing")
 
     unlisted = sorted(test_only - expected.keys())
-    stale = sorted(expected.keys() - test_only - dead)
-    for name in sorted(dead):
-        listed = " (listed)" if name in expected else ""
-        print(f"  dead, linked by no binary and no test{listed}: {name}")
+    stale = sorted(expected.keys() - test_only -
+                   {strip_name(signature) for signature in dead})
+    for signature in sorted(dead):
+        listed = " (listed)" if strip_name(signature) in expected else ""
+        print(f"  dead, linked by no binary and no test{listed}: "
+              f"{without_abi_tags(signature)}")
     for name in unlisted:
         print(f"  not in {os.path.basename(allowlist)}: {name}")
     for name in stale:
