@@ -32,9 +32,10 @@ inline std::vector<RunResult> RunCells(ParallelRunner& runner,
 
 // Records the binary's runner stats into BENCH_runner.json (cwd), keeping
 // other binaries' entries under the shared schema_version stamp
-// (kRunnerStatsSchemaVersion), and prints the one-line summary to stderr.
-// Every figure/table binary calls this, so a full suite pass leaves one
-// entry per binary in the file.
+// (kRunnerStatsSchemaVersion), and prints two lines to stderr: the timed
+// summary, then the cells' summed counts, which carry no timing and so read
+// the same at any DIABLO_JOBS. Every figure/table binary calls this, so a
+// full suite pass leaves one entry per binary in the file.
 inline void FinishRunnerReport(const std::string& binary,
                                const ParallelRunner& runner) {
   const RunnerStats& stats = runner.stats();
@@ -45,6 +46,8 @@ inline void FinishRunnerReport(const std::string& binary,
       binary.c_str(), stats.cells, stats.wall_seconds,
       static_cast<unsigned long long>(stats.total_events),
       stats.EventsPerSecond(), stats.peak_rss_mb, stats.jobs, kRunnerStatsSchemaVersion);
+  std::fprintf(stderr, "[runner] %s counts: %s\n", binary.c_str(),
+               CountsText(stats.total_events, stats.counts).c_str());
   if (!WriteRunnerStatsJson("BENCH_runner.json", binary, stats)) {
     std::fprintf(stderr, "[runner] warning: could not write BENCH_runner.json\n");
   }

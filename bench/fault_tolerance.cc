@@ -37,7 +37,8 @@ Outcome RunWithPartition(const std::string& chain_name, int partitioned) {
       const TxId id = ctx.txs().Add(tx);
       const int endpoint =
           static_cast<int>(seq % static_cast<uint32_t>(ctx.node_count()));
-      // Submit through live endpoints only once the partition hits.
+      // From t = 0, every submission meant for a node the partition will
+      // cut (node i < k, k = `partitioned`) goes to node k % n instead.
       sim.ScheduleAt(tx.submit_time, [&ctx, id, endpoint, partitioned] {
         const int target = endpoint < partitioned
                                ? partitioned % ctx.node_count()

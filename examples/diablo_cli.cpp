@@ -109,7 +109,7 @@ void PrintUsage() {
       "  --seed=N --scale=F  determinism and downscaling controls\n"
       "  --output=FILE.json  write summary + per-transaction records\n"
       "  --csv=FILE.csv      write per-transaction CSV\n"
-      "  -v|-vv|-vvv         print the run's size to stderr\n");
+      "  -v|-vv|-vvv         print the run's size and counts to stderr\n");
 }
 
 }  // namespace
@@ -174,6 +174,8 @@ int main(int argc, char** argv) {
     const diablo::Report& report = result.report;
     std::fprintf(stderr, "primary: %zu txs over %.0f s on %s/%s\n", report.submitted,
                  report.workload_duration, report.chain.c_str(), report.deployment.c_str());
+    std::fprintf(stderr, "primary: %s\n",
+                 diablo::CountsText(result.events_executed, result.counts).c_str());
   }
   std::printf("%s", result.report.ToText().c_str());
   if (!result.failure_reason.empty()) {

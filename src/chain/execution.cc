@@ -27,7 +27,7 @@ int CostOracle::Deploy(const ContractDef& def) {
     request.caller = 0;
     request.state = &deployed->state;
     request.dialect = dialect_;
-    const ExecResult result = Execute(request);
+    const ExecResult result = Run(request);
     // Deployment fails when init itself cannot run (never the case for the
     // bundled contracts; init paths fit every dialect's budget).
     if (result.status != VmStatus::kOk && result.status != VmStatus::kBudgetExceeded) {
@@ -38,12 +38,12 @@ int CostOracle::Deploy(const ContractDef& def) {
       // splits those, so charge it as successful but note nothing.
       ExecRequest retry = request;
       retry.dialect = VmDialect::kGeth;
-      if (Execute(retry).status != VmStatus::kOk) {
+      if (Run(retry).status != VmStatus::kOk) {
         return -1;
       }
       // Re-run the init writes under geth rules so state is populated.
       deployed->state = ContractState();
-      Execute(retry);
+      Run(retry);
     }
   }
 
@@ -80,7 +80,7 @@ const CallProfile& CostOracle::Profile(int contract_index, const std::string& fu
     request.caller = 1;
     request.state = &deployed.state;
     request.dialect = dialect_;
-    const ExecResult result = Execute(request);
+    const ExecResult result = Run(request);
     profile.status = result.status;
     profile.gas = result.gas_used;
     profile.ops = result.ops_executed;
@@ -98,6 +98,12 @@ int CostOracle::FunctionIndex(int contract_index, const std::string& function) {
     }
   }
   return -1;
+}
+
+ExecResult CostOracle::Run(const ExecRequest& request) {
+  ExecResult result = Execute(request);
+  vm_ops_ += static_cast<uint64_t>(result.ops_executed);
+  return result;
 }
 
 const std::string& CostOracle::ContractName(int contract_index) const {

@@ -30,7 +30,8 @@ struct CallProfile {
 };
 
 // Deploys contracts for one chain instance (dialect-specific) and serves
-// cached per-function cost profiles.
+// cached per-function cost profiles. It counts the VM ops of every execution
+// it runs, deployment included.
 class CostOracle {
  public:
   explicit CostOracle(VmDialect dialect);
@@ -49,6 +50,8 @@ class CostOracle {
 
   const std::string& ContractName(int contract_index) const;
 
+  uint64_t vm_ops() const { return vm_ops_; }
+
  private:
   struct Deployed {
     ContractDef def;
@@ -59,8 +62,12 @@ class CostOracle {
     std::vector<bool> measured;
   };
 
+  // Execute, with the ops it ran added to vm_ops_.
+  ExecResult Run(const ExecRequest& request);
+
   VmDialect dialect_;
   std::vector<std::unique_ptr<Deployed>> deployed_;
+  uint64_t vm_ops_ = 0;
 };
 
 // Intrinsic gas of a native transfer (no VM execution) and its wire size.

@@ -5,12 +5,7 @@
 #include <cmath>
 #include <limits>
 
-#if defined(DIABLO_CHECKED)
-#include <atomic>
-#endif
-
 #include "src/support/check.h"
-#include "src/support/profile.h"
 
 namespace diablo {
 namespace {
@@ -152,26 +147,26 @@ SimDuration MaxReachable(const std::vector<SimDuration>& delays) {
 
 #if defined(DIABLO_CHECKED)
 // Sampled cross-check of every selection against a from-scratch
-// nth_element over the same values. The tick is process-wide (cells run on
-// worker threads in parallel sweeps), relaxed, and never feeds back into
-// results, so a nondeterministic sampling pattern is harmless. 257 is prime
-// to avoid phase-locking with common validator counts.
-std::atomic<uint64_t> g_select_tick{0};
+// nth_element over the same values: the first of every 257 selections made
+// through one scratch. The tick lives on the scratch, so a cell checks the
+// same selections whichever thread runs it, and a failure seen at any
+// DIABLO_JOBS reproduces at 1. 257 is prime to avoid phase-locking with
+// common validator counts.
 constexpr uint64_t kSelectCheckCadence = 257;
 
-bool SelectCheckDue() {
-  return g_select_tick.fetch_add(1, std::memory_order_relaxed) % kSelectCheckCadence ==
-         0;
+bool SelectCheckDue(MessagePlaneScratch* scratch) {
+  return scratch->select_tick++ % kSelectCheckCadence == 0;
 }
 #endif
 
 // The one selection step of every kernel, dense or streamed: the exact k-th
-// smallest (0-based, k < arrivals.cnt) of the scanned values in buf.
+// smallest (0-based, k < arrivals.cnt) of the scanned values in buf, with
+// scratch->spare as the bucket step's second buffer.
 SimDuration SelectArrival(SimDuration* buf, const Arrivals& arrivals, size_t k,
-                          SimDuration* spare) {
+                          MessagePlaneScratch* scratch) {
 #if defined(DIABLO_CHECKED)
   std::vector<SimDuration> ref;
-  const bool check = SelectCheckDue();
+  const bool check = SelectCheckDue(scratch);
   if (check) {
     ref.assign(buf, buf + arrivals.cnt);
     for (const SimDuration v : ref) {
@@ -181,7 +176,7 @@ SimDuration SelectArrival(SimDuration* buf, const Arrivals& arrivals, size_t k,
   }
 #endif
   const SimDuration selected =
-      BucketSelect(buf, arrivals.cnt, k, arrivals.lo, arrivals.hi, spare);
+      BucketSelect(buf, arrivals.cnt, k, arrivals.lo, arrivals.hi, scratch->spare.data());
 #if defined(DIABLO_CHECKED)
   if (check) {
     DIABLO_CHECK(k < ref.size(), "selection rank escaped the reachable arrival set");
@@ -250,7 +245,7 @@ SimDuration QuorumArrivalInto(const PairwiseDelays& delays,
   if (arrivals.cnt < quorum) {
     return kUnreachable;
   }
-  return SelectArrival(scratch->buf.data(), arrivals, quorum - 1, scratch->spare.data());
+  return SelectArrival(scratch->buf.data(), arrivals, quorum - 1, scratch);
 }
 
 void QuorumArrivalAllInto(const PairwiseDelays& delays,
@@ -265,12 +260,11 @@ void QuorumArrivalAllInto(const PairwiseDelays& delays,
   scratch->buf.resize(n);
   scratch->spare.resize(n);
   SimDuration* buf = scratch->buf.data();
-  SimDuration* spare = scratch->spare.data();
   SimDuration* out = result->data();
   for (size_t receiver = 0; receiver < n; ++receiver) {
     const Arrivals arrivals = ScanArrivals(delays, send_times, receiver, hop_scale, buf);
     if (arrivals.cnt >= quorum) {
-      out[receiver] = SelectArrival(buf, arrivals, quorum - 1, spare);
+      out[receiver] = SelectArrival(buf, arrivals, quorum - 1, scratch);
     }
   }
 }
@@ -301,7 +295,7 @@ SimDuration MedianDelayInto(const std::vector<SimDuration>& delays,
   if (cnt == 0) {
     return kUnreachable;
   }
-  return SelectArrival(buf, Bound(buf, cnt), cnt / 2, scratch->spare.data());
+  return SelectArrival(buf, Bound(buf, cnt), cnt / 2, scratch);
 }
 
 SimDuration QuorumArrivalLargeN(const StreamedDelays& delays, const uint32_t* senders,
@@ -329,7 +323,7 @@ SimDuration QuorumArrivalLargeN(const StreamedDelays& delays, const uint32_t* se
   if (cnt < quorum) {
     return kUnreachable;
   }
-  return SelectArrival(buf, Bound(buf, cnt), quorum - 1, scratch->spare.data());
+  return SelectArrival(buf, Bound(buf, cnt), quorum - 1, scratch);
 }
 
 namespace {
@@ -370,8 +364,8 @@ SimDuration QuorumArrivalInto(const VoteDelays& delays,
                               const std::vector<SimDuration>& send_times,
                               size_t receiver, size_t quorum, double hop_scale,
                               MessagePlaneScratch* scratch) {
-  profile::CountVoteRound();
-  profile::AddVoteReceivers(quorum > 0 ? 1 : 0);
+  ++scratch->vote_rounds;
+  scratch->vote_receivers += quorum > 0 ? 1 : 0;
   if (delays.dense()) {
     return QuorumArrivalInto(delays.matrix(), send_times, receiver, quorum,
                              hop_scale, scratch);
@@ -380,7 +374,7 @@ SimDuration QuorumArrivalInto(const VoteDelays& delays,
       QuorumArrivalLargeN(delays.streamed(), nullptr, send_times.data(),
                           send_times.size(), receiver, quorum, hop_scale, scratch);
 #if defined(DIABLO_CHECKED)
-  if (quorum > 0 && SelectCheckDue()) {
+  if (quorum > 0 && SelectCheckDue(scratch)) {
     CheckStreamedQuorum(delays.streamed(), send_times, receiver, quorum, hop_scale,
                         got);
   }
@@ -392,8 +386,8 @@ void QuorumArrivalAllInto(const VoteDelays& delays,
                           const std::vector<SimDuration>& send_times, size_t quorum,
                           double hop_scale, MessagePlaneScratch* scratch,
                           std::vector<SimDuration>* result) {
-  profile::CountVoteRound();
-  profile::AddVoteReceivers(quorum > 0 ? send_times.size() : 0);
+  ++scratch->vote_rounds;
+  scratch->vote_receivers += quorum > 0 ? send_times.size() : 0;
   if (delays.dense()) {
     QuorumArrivalAllInto(delays.matrix(), send_times, quorum, hop_scale, scratch,
                          result);
@@ -414,7 +408,7 @@ void QuorumArrivalAllInto(const VoteDelays& delays,
     if ((*result)[receiver] == kUnreachable) {
       continue;
     }
-    if (!SelectCheckDue()) {
+    if (!SelectCheckDue(scratch)) {
       continue;
     }
     CheckStreamedQuorum(delays.streamed(), send_times, receiver, quorum, hop_scale,
@@ -431,7 +425,7 @@ void QuorumArrivalCommitteeInto(const StreamedDelays& delays,
                                 MessagePlaneScratch* scratch,
                                 std::vector<SimDuration>* result) {
   result->assign(n, kUnreachable);
-  profile::CountVoteRound();
+  ++scratch->vote_rounds;
   if (quorum == 0) {
     return;
   }
@@ -444,7 +438,7 @@ void QuorumArrivalCommitteeInto(const StreamedDelays& delays,
     (*result)[r] = QuorumArrivalLargeN(delays, senders.data(), sender_times.data(),
                                        senders.size(), r, quorum, hop_scale, scratch);
 #if defined(DIABLO_CHECKED)
-    if ((*result)[r] != kUnreachable && SelectCheckDue()) {
+    if ((*result)[r] != kUnreachable && SelectCheckDue(scratch)) {
       std::vector<SimDuration> full(n, kUnreachable);
       for (size_t j = 0; j < senders.size(); ++j) {
         full[senders[j]] = sender_times[j];
@@ -453,7 +447,7 @@ void QuorumArrivalCommitteeInto(const StreamedDelays& delays,
     }
 #endif
   }
-  profile::AddVoteReceivers(seen.Count());
+  scratch->vote_receivers += seen.Count();
 }
 
 }  // namespace diablo

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/net/network.h"
+#include "src/support/check.h"
 #include "src/support/time.h"
 
 namespace diablo {
@@ -154,7 +155,8 @@ class VoteDelays {
 
 // Reusable working memory for one engine's message plane: order-statistic
 // buffers, per-round stage vectors, and broadcast scratch. Allocated once per
-// ChainContext and warm after the first round.
+// ChainContext and warm after the first round. It also keeps the plane's
+// counts for its cell's RunResult.
 struct MessagePlaneScratch {
   // Selection working buffers, sized to the validator count on first use:
   // the scanned arrivals, and the second buffer a bucket step compacts into.
@@ -177,6 +179,15 @@ struct MessagePlaneScratch {
   // plane's all-receiver flood (the streamed path never widens to n).
   std::vector<SimDuration> expanded;
   BroadcastScratch broadcast;
+  // Vote rounds (facade calls) and the receivers they evaluated, counted by
+  // the facade kernels; participants drawn by Algorand's sortition, counted
+  // by its engine.
+  uint64_t vote_rounds = 0;
+  uint64_t vote_receivers = 0;
+  uint64_t sortition_draws = 0;
+  // Checked build: selections made through this scratch, so its sampled
+  // cross-checks fall on the same selections at any DIABLO_JOBS.
+  DIABLO_CHECKED_ONLY(uint64_t select_tick = 0;)
 };
 
 // Time at which `receiver` holds votes from `quorum` distinct senders, when
@@ -232,9 +243,9 @@ SimDuration QuorumArrivalLargeN(const StreamedDelays& delays, const uint32_t* se
 // QuorumArrivalLargeN, which never touches an n×n matrix. In checked builds
 // the streamed answers (and the committee kernel's below) are cross-checked
 // against the dense kernels over a materialised copy of the model at small
-// n. Each facade call counts one vote round in DIABLO_PROFILE's summary,
-// plus the receivers it evaluates (all n or one; none when quorum is 0); the
-// kernels above count nothing.
+// n. Each facade call counts one vote round on its scratch, plus the
+// receivers it evaluates (all n or one; none when quorum is 0); the kernels
+// above count nothing.
 
 SimDuration QuorumArrivalInto(const VoteDelays& delays,
                               const std::vector<SimDuration>& send_times,

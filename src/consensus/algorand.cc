@@ -62,8 +62,11 @@ void AlgorandEngine::Round() {
   // winner simply never proposes; an equivocating one gossips two
   // credentialed proposals, the soft vote splits between them and
   // certification fails. Either way the round times out and the next seed
-  // picks a fresh proposer.
+  // picks a fresh proposer. Each selection draws all n participants, which
+  // the plane counts.
+  MessagePlaneScratch* plane = ctx_->plane();
   const int proposer = static_cast<int>(SelectProposer(seed_, height_, n));
+  plane->sortition_draws += n;
   if (ctx_->NodeDown(proposer) || ctx_->Equivocates(proposer)) {
     ++height_;
     ViewChange(retry);
@@ -77,13 +80,13 @@ void AlgorandEngine::Round() {
       ProposalArrivals(proposer, built.bytes, kGossipFanout, built.build_time,
                        ctx_->ExecAndVerifyTime(built.gas, built.tx_count));
 
-  MessagePlaneScratch* plane = ctx_->plane();
   const double expected =
       params.committee_expected > 0
           ? std::min<double>(params.committee_expected, static_cast<double>(n))
           : static_cast<double>(n);
   SelectCommitteeInto(seed_, height_, /*step=*/1, n, expected, &plane->committee);
   SelectCommitteeInto(seed_, height_, /*step=*/2, n, expected, &plane->committee_b);
+  plane->sortition_draws += 2 * static_cast<uint64_t>(n);
   VoteStep(/*step=*/1, plane->committee, have_proposal, &plane->stage_b);
   VoteStep(/*step=*/2, plane->committee_b, plane->stage_b, &plane->stage_c);
 

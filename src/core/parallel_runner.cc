@@ -76,6 +76,7 @@ std::vector<RunResult> ParallelRunner::Run(std::vector<ExperimentCell> cells) {
   stats_.wall_seconds += elapsed.count();
   for (const RunResult& result : results) {
     stats_.total_events += result.events_executed;
+    stats_.counts += result.counts;
   }
   stats_.peak_rss_mb = static_cast<double>(profile::PeakRssBytes()) / 1e6;
   return results;
@@ -133,16 +134,21 @@ void AppendJson(const JsonValue& value, std::string* out) {
 }
 
 std::string StatsEntryJson(const RunnerStats& stats) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\"jobs\": %d, \"cells\": %zu, \"wall_seconds\": %.6f, "
-                "\"total_events\": %llu, \"events_per_second\": %.1f, "
-                "\"peak_rss_mb\": %.1f, \"hardware_threads\": %d}",
-                stats.jobs, stats.cells, stats.wall_seconds,
-                static_cast<unsigned long long>(stats.total_events),
-                stats.EventsPerSecond(), stats.peak_rss_mb,
-                ThreadPool::HardwareConcurrency());
-  return buf;
+  const RunCounts& counts = stats.counts;
+  return StrFormat(
+      "{\"jobs\": %d, \"cells\": %zu, \"wall_seconds\": %.6f, "
+      "\"total_events\": %llu, \"events_per_second\": %.1f, "
+      "\"peak_rss_mb\": %.1f, \"hardware_threads\": %d, \"arrivals\": %llu, "
+      "\"vote_rounds\": %llu, \"vote_receivers\": %llu, \"sortition_draws\": %llu, "
+      "\"vm_ops\": %llu}",
+      stats.jobs, stats.cells, stats.wall_seconds,
+      static_cast<unsigned long long>(stats.total_events), stats.EventsPerSecond(),
+      stats.peak_rss_mb, ThreadPool::HardwareConcurrency(),
+      static_cast<unsigned long long>(counts.arrivals),
+      static_cast<unsigned long long>(counts.vote_rounds),
+      static_cast<unsigned long long>(counts.vote_receivers),
+      static_cast<unsigned long long>(counts.sortition_draws),
+      static_cast<unsigned long long>(counts.vm_ops));
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 //
 // Determinism contract: a cell's seed is a pure function of the experiment
 // grid (base seed and cell position — see CellSeed), never of thread
-// identity or scheduling, so results are bit-identical to a serial run and
+// identity or scheduling, and cells share no mutable state: every count a
+// cell makes, its checked builds' sampling ticks included, lives in objects
+// the cell owns. So results and counts are bit-identical to a serial run and
 // invariant to DIABLO_JOBS.
 #ifndef SRC_CORE_PARALLEL_RUNNER_H_
 #define SRC_CORE_PARALLEL_RUNNER_H_
@@ -35,6 +37,7 @@ struct RunnerStats {
   size_t cells = 0;
   double wall_seconds = 0;
   uint64_t total_events = 0;  // simulator events summed over all cells
+  RunCounts counts;           // the cells' other counts, summed
   // The process's peak resident set (1 MB = 10^6 bytes) when the last Run
   // returned: the largest cell plus everything alive beside it.
   double peak_rss_mb = 0;
@@ -77,10 +80,12 @@ uint64_t CellSeed(uint64_t base_seed, uint64_t cell_index);
 // top-level "schema_version" key itself; version 3 added the "kernels" entry
 // (message-plane kernel times written by micro_benchmarks) alongside the
 // per-runner-binary stats; version 4 keeps only each kernel's "current_ns"
-// in it; version 5 added each runner binary's "peak_rss_mb". Bump it when an
+// in it; version 5 added each runner binary's "peak_rss_mb"; version 6 added
+// its summed counts ("arrivals", "vote_rounds", "vote_receivers",
+// "sortition_draws", "vm_ops"). Bump it when an
 // entry field is added, removed or changes meaning, so perf-trajectory
 // tooling comparing files across PRs can tell layouts apart.
-inline constexpr int kRunnerStatsSchemaVersion = 5;
+inline constexpr int kRunnerStatsSchemaVersion = 6;
 
 // Writes (or updates) `path` — a JSON object with a "schema_version" stamp
 // plus one member per benchmark binary mapping to its runner stats —

@@ -67,6 +67,26 @@ RunResult Primary::RunSpec(const WorkloadSpec& spec) {
   return Primary(std::move(setup)).RunStreams(std::move(streams), workload_name);
 }
 
+RunCounts& RunCounts::operator+=(const RunCounts& other) {
+  arrivals += other.arrivals;
+  vote_rounds += other.vote_rounds;
+  vote_receivers += other.vote_receivers;
+  sortition_draws += other.sortition_draws;
+  vm_ops += other.vm_ops;
+  return *this;
+}
+
+std::string CountsText(uint64_t events, const RunCounts& counts) {
+  return StrFormat("events=%llu arrivals=%llu vote_rounds=%llu vote_receivers=%llu "
+                   "sortition_draws=%llu vm_ops=%llu",
+                   static_cast<unsigned long long>(events),
+                   static_cast<unsigned long long>(counts.arrivals),
+                   static_cast<unsigned long long>(counts.vote_rounds),
+                   static_cast<unsigned long long>(counts.vote_receivers),
+                   static_cast<unsigned long long>(counts.sortition_draws),
+                   static_cast<unsigned long long>(counts.vm_ops));
+}
+
 RunResult Primary::RunStreams(std::vector<WorkStream> streams,
                               const std::string& workload_name) {
   RunResult result;
@@ -112,6 +132,15 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
   SimConnector connector(chain.get());
   connector.set_retry_policy(setup_.retry);
   result.report.chain = params.name;
+  // Every return from here on carries what the run's own objects counted,
+  // the contract deployments of a run rejected before it starts included.
+  const auto counted = [&] {
+    const MessagePlaneScratch& plane = *ctx.plane();
+    result.events_executed = sim.events_executed();
+    result.counts = {sim.arrivals_delivered(), plane.vote_rounds, plane.vote_receivers,
+                     plane.sortition_draws, ctx.oracle().vm_ops()};
+    return std::move(result);
+  };
 
   // The injector lives on the stack for the whole run; Install only
   // schedules events when the schedule is non-empty.
@@ -120,7 +149,7 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
     std::string error;
     if (!injector.Install(&error)) {
       result.failure_reason = "fault schedule: " + error;
-      return result;
+      return counted();
     }
   }
 
@@ -145,7 +174,7 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
             "fault schedule: " +
             FaultEventError(event, StrFormat("unknown signer: account %d of a %d-account run",
                                              signer, account_count));
-        return result;
+        return counted();
       }
     }
   }
@@ -165,7 +194,7 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
       // E.g. DecentralizedYoutube on the AVM (§5.2): no bar in Fig. 2.
       result.unsupported = true;
       result.failure_reason = "contract not deployable on " + params.vm_name;
-      return result;
+      return counted();
     }
     contracts.emplace(contract, resource);
   }
@@ -273,7 +302,7 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
       if (tx == kInvalidTx) {
         result.failure_reason =
             "invocation " + workload.InvocationFor(k).function + ": wire size out of range";
-        return result;
+        return counted();
       }
       secondaries[set[k % set.size()]]->Assign(arrivals[k], tx);
       if (k == 0 && contract_index >= 0 && result.failure_reason.empty()) {
@@ -296,7 +325,6 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
 
   const SimTime horizon = Seconds(static_cast<int64_t>(duration)) + setup_.drain;
   sim.RunUntil(horizon);
-  result.events_executed = sim.events_executed();
 
   result.report = BuildReport(ctx.txs(), horizon, params.name, setup_.deployment,
                               workload_name, static_cast<double>(duration));
@@ -334,7 +362,7 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
       !WriteResultsCsvFile(setup_.results_csv_path, ctx.txs())) {
     result.unwritten_files.push_back(setup_.results_csv_path);
   }
-  return result;
+  return counted();
 }
 
 }  // namespace diablo

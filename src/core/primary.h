@@ -41,6 +41,22 @@ struct BenchmarkSetup {
   RetryPolicy retry;
 };
 
+// Work one run's own objects counted. Each count is exact and belongs to the
+// run alone, so a sum over a grid of runs does not depend on DIABLO_JOBS.
+struct RunCounts {
+  uint64_t arrivals = 0;         // lane arrivals its Simulation delivered
+  uint64_t vote_rounds = 0;      // vote-round facade calls on its message plane
+  uint64_t vote_receivers = 0;   // receivers those calls evaluated
+  uint64_t sortition_draws = 0;  // participants its Algorand selections drew
+  uint64_t vm_ops = 0;           // ops its CostOracle's executions ran
+
+  RunCounts& operator+=(const RunCounts& other);
+};
+
+// "events=… arrivals=… vote_rounds=… vote_receivers=… sortition_draws=…
+// vm_ops=…", as the runner's and diablo_cli's stderr lines print counts.
+std::string CountsText(uint64_t events, const RunCounts& counts);
+
 struct RunResult {
   Report report;
   ChainStats chain_stats;
@@ -50,9 +66,10 @@ struct RunResult {
   // (Fig. 5's X marks).
   std::string failure_reason;
   size_t behind_schedule = 0;
-  // Simulator events executed by this run; the parallel runner aggregates
-  // these into its events/sec figure.
+  // Simulator events executed by this run, lane arrivals included; the
+  // parallel runner aggregates these into its events/sec figure.
   uint64_t events_executed = 0;
+  RunCounts counts;
   // The setup's results_json_path / results_csv_path that could not be
   // written.
   std::vector<std::string> unwritten_files;

@@ -3,14 +3,9 @@
 #include <algorithm>
 #include <cstring>
 
-#if defined(DIABLO_CHECKED)
-#include <atomic>
-#endif
-
 #include "src/crypto/sha256.h"
 #include "src/crypto/sha256_compress.h"
 #include "src/support/check.h"
-#include "src/support/profile.h"
 
 namespace diablo {
 namespace {
@@ -98,7 +93,6 @@ void DrawLanes(LaneBlocks& blocks, uint64_t first, double (&draws)[kLanes]) {
 template <typename Fn>
 void ForEachDraw(uint64_t seed, uint64_t round, uint64_t step, uint32_t population,
                  Fn&& fn) {
-  profile::AddSortitionDraws(population);
   LaneBlocks blocks = SortitionBlocks(seed, round, step);
   double draws[kLanes] = {};
   for (uint64_t first = 0; first < population; first += kLanes) {
@@ -112,17 +106,12 @@ void ForEachDraw(uint64_t seed, uint64_t round, uint64_t step, uint32_t populati
 
 #if defined(DIABLO_CHECKED)
 // Sampled cross-check of the batched kernel against the per-participant
-// reference. The tick is process-wide and relaxed, like vote_round.cc's
-// selection check: the sampling pattern may vary with thread interleaving,
-// but a check only reads, so results never do.
-std::atomic<uint64_t> g_sortition_tick{0};
+// reference, keyed on the call's own round: round 1, a run's first, and
+// every 257th after it. Which selections are checked is a function of the
+// inputs alone, so a failure reproduces at any DIABLO_JOBS.
 constexpr uint64_t kSortitionCheckCadence = 257;
 
-bool SortitionCheckDue() {
-  return g_sortition_tick.fetch_add(1, std::memory_order_relaxed) %
-             kSortitionCheckCadence ==
-         0;
-}
+bool SortitionCheckDue(uint64_t round) { return round % kSortitionCheckCadence == 1; }
 
 // Re-derives `participant`'s batched draw in its lane and returns the
 // reference SortitionDraw after checking the two agree.
@@ -163,7 +152,7 @@ void SelectCommitteeInto(uint64_t seed, uint64_t round, uint64_t step,
     }
   });
 #if defined(DIABLO_CHECKED)
-  if (SortitionCheckDue()) {
+  if (SortitionCheckDue(round)) {
     const uint32_t p = static_cast<uint32_t>(round % population);
     const bool member = std::binary_search(committee->begin(), committee->end(), p);
     DIABLO_CHECK(member == (CheckedDraw(seed, round, step, p) < probability),
@@ -182,7 +171,7 @@ uint32_t SelectProposer(uint64_t seed, uint64_t round, uint32_t population) {
     }
   });
 #if defined(DIABLO_CHECKED)
-  if (population > 0 && SortitionCheckDue()) {
+  if (population > 0 && SortitionCheckDue(round)) {
     DIABLO_CHECK(CheckedDraw(seed, round, 0, best) == best_draw,
                  "batched proposer draw disagrees with SortitionDraw");
     // The lowest draw wins and the lowest index breaks ties.

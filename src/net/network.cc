@@ -125,18 +125,6 @@ LinkBaseTable Network::LinkBases(int64_t bytes) const {
   return table;
 }
 
-void Network::Send(HostId from, HostId to, int64_t bytes, EventFn fn) {
-  ++stats_.sends;
-  const SimDuration delay = DelaySample(from, to, bytes);
-  if (delay == kUnreachable) {
-    // Dropped like a real network would drop it — but counted, so fault
-    // runs can report how much traffic the failure destroyed.
-    ++stats_.unreachable_drops;
-    return;
-  }
-  sim_->Schedule(delay, std::move(fn));
-}
-
 void Network::BroadcastDelaysInto(HostId origin, const std::vector<HostId>& recipients,
                                   int64_t bytes, int fanout, BroadcastScratch* scratch,
                                   std::vector<SimDuration>* out) {

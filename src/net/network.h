@@ -93,12 +93,13 @@ class StreamedDelays {
 };
 
 // Per-network message accounting, so fault runs are observable: how many
-// point-to-point sends happened, how many were dropped because an endpoint
-// was unreachable, and how many fell to an injected loss window.
+// messages fell to an injected loss window. Nothing increments `sends` or
+// `unreachable_drops`, so both read 0; they stay because simbench's traced
+// cell reads them.
 struct NetworkStats {
-  uint64_t sends = 0;              // Send() calls
-  uint64_t unreachable_drops = 0;  // Send() drops: endpoint partitioned/lost
-  uint64_t loss_drops = 0;         // messages dropped by a loss window
+  uint64_t sends = 0;
+  uint64_t unreachable_drops = 0;
+  uint64_t loss_drops = 0;  // messages dropped by a loss window
 };
 
 class Network {
@@ -130,10 +131,6 @@ class Network {
   // only the jitter draw runs per entry.
   void FillPairwiseDelays(const std::vector<HostId>& hosts, int64_t message_bytes,
                           std::vector<SimDuration>* out);
-
-  // Schedules `fn` at the destination after a sampled delay; drops the
-  // message silently when unreachable (like a real network would).
-  void Send(HostId from, HostId to, int64_t bytes, EventFn fn);
 
   // Delay from `origin` to each entry of `recipients`, written to `result`,
   // when `bytes` are disseminated through a gossip tree with the given

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/support/profile.h"
-
 namespace diablo {
 
 namespace {
@@ -58,11 +56,6 @@ void SortRun(std::vector<Arrival>* run) {
 }  // namespace
 
 Simulation::Simulation(uint64_t seed) : rng_(seed) {}
-
-Simulation::~Simulation() {
-  profile::AddEvents(events_executed_);
-  profile::AddArrivals(arrivals_delivered_);
-}
 
 void Simulation::Schedule(SimDuration delay, EventFn fn) {
   ScheduleAt(now_ + (delay < 0 ? 0 : delay), std::move(fn));

@@ -40,7 +40,6 @@ class Simulation {
   using ArrivalHandler = std::function<void(const Arrival&)>;
 
   explicit Simulation(uint64_t seed);
-  ~Simulation();
 
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;

@@ -56,15 +56,6 @@ double Rng::NextDouble() {
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
-double Rng::NextExponential(double mean) {
-  double u = NextDouble();
-  // Avoid log(0).
-  if (u <= 0.0) {
-    u = 0x1.0p-53;
-  }
-  return -mean * std::log(u);
-}
-
 double Rng::NextGaussian(double mean, double stddev) {
   double u1 = NextDouble();
   double u2 = NextDouble();

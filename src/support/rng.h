@@ -30,9 +30,6 @@ class Rng {
   // Uniform double in [0, 1).
   double NextDouble();
 
-  // Exponentially distributed double with the given mean (> 0).
-  double NextExponential(double mean);
-
   // Normally distributed double (Box-Muller, one value per call).
   double NextGaussian(double mean, double stddev);
 

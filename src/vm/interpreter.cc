@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/support/profile.h"
 #include "src/vm/opcode.h"
 
 namespace diablo {
@@ -84,11 +83,9 @@ std::string_view VmStatusName(VmStatus status) {
   return "?";
 }
 
-namespace {
-
 // Decodes each instruction from the byte stream as it executes, so a jump
 // into the middle of an immediate runs those bytes as instructions.
-ExecResult Interpret(const ExecRequest& request) {
+ExecResult Execute(const ExecRequest& request) {
   const DialectLimits& limits = LimitsOf(request.dialect);
   ExecResult result;
   result.gas_used = limits.intrinsic_gas;
@@ -476,14 +473,6 @@ done:
       request.state->StoreBytes(write.key, write.bytes, limits.max_kv_bytes);
     }
   }
-  return result;
-}
-
-}  // namespace
-
-ExecResult Execute(const ExecRequest& request) {
-  ExecResult result = Interpret(request);
-  profile::AddVmOps(static_cast<uint64_t>(result.ops_executed));
   return result;
 }
 

@@ -1,14 +1,13 @@
 #include "src/workload/arrival.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/support/check.h"
 
 namespace diablo {
 
-std::vector<SimTime> ExpandArrivals(const Trace& trace, ArrivalProcess process,
-                                    Rng* rng) {
+std::vector<SimTime> ExpandArrivals(const Trace& trace, ArrivalProcess /*process*/,
+                                    Rng* /*rng*/) {
   std::vector<SimTime> arrivals;
   arrivals.reserve(static_cast<size_t>(trace.TotalTxs()) + trace.duration_seconds());
   // Fractional per-second rates accumulate so that e.g. 0.5 TPS sends one
@@ -22,24 +21,13 @@ std::vector<SimTime> ExpandArrivals(const Trace& trace, ArrivalProcess process,
       continue;
     }
     const SimTime base = Seconds(static_cast<int64_t>(s));
-    if (process == ArrivalProcess::kUniform) {
-      const double step = 1e9 / static_cast<double>(count);
-      for (int64_t i = 0; i < count; ++i) {
-        arrivals.push_back(base +
-                           static_cast<SimTime>(step * static_cast<double>(i)));
-      }
-    } else {
-      double t = 0.0;
-      const double mean_gap = 1.0 / static_cast<double>(count);
-      for (int64_t i = 0; i < count; ++i) {
-        t += rng->NextExponential(mean_gap);
-        arrivals.push_back(base + SecondsF(std::min(t, 0.999999)));
-      }
+    const double step = 1e9 / static_cast<double>(count);
+    for (int64_t i = 0; i < count; ++i) {
+      arrivals.push_back(base + static_cast<SimTime>(step * static_cast<double>(i)));
     }
   }
   // Already ascending: each second's times lie in [base, base + 1 s) in
-  // the order they were drawn (a uniform step times i, a Poisson sum that
-  // only grows), and seconds ascend.
+  // the order of i, and seconds ascend.
   DIABLO_CHECK(std::is_sorted(arrivals.begin(), arrivals.end()),
                "ExpandArrivals produced unsorted times");
   return arrivals;

@@ -12,12 +12,11 @@ namespace diablo {
 
 enum class ArrivalProcess {
   kUniform,  // evenly paced within each second (diablo's scheduled workers)
-  kPoisson,  // exponential inter-arrivals at the second's rate
 };
 
 // Submission times for every transaction of the trace, sorted ascending.
-// With kPoisson, `rng` drives the inter-arrival draws (may be null for
-// kUniform).
+// The one process draws nothing, so `rng` is unused and may be null; both
+// parameters stay because simbench passes them.
 std::vector<SimTime> ExpandArrivals(const Trace& trace, ArrivalProcess process,
                                     Rng* rng);
 

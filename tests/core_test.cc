@@ -15,7 +15,6 @@
 #include "src/core/interface.h"
 #include "src/core/results.h"
 #include "src/core/runner.h"
-#include "src/support/profile.h"
 #include "src/support/strings.h"
 
 namespace diablo {
@@ -640,35 +639,33 @@ TEST(DeterminismTest, FullRunReproducible) {
   EXPECT_NE(a.report.avg_latency, c.report.avg_latency);
 }
 
-// DIABLO_PROFILE's counters on a HotStuff (diem) cell: its quorum
-// certificates come from the single-receiver vote kernel, which counts vote
-// rounds too, and every one-shot submission reaches its endpoint through
-// the simulation's arrival lane.
+// A HotStuff (diem) cell's own counts: its quorum certificates come from
+// the single-receiver vote kernel, which counts vote rounds too, and every
+// one-shot submission reaches its endpoint through the simulation's arrival
+// lane.
 TEST(ProfileTest, HotStuffCellCountsVoteRoundsAndArrivals) {
-  const profile::Counters before = profile::Totals();
   const RunResult result = RunNativeBenchmark("diem", "testnet", 50, 10, 1);
-  const profile::Counters after = profile::Totals();
   ASSERT_GT(result.report.submitted, 0u);
-  EXPECT_GT(after.vote_rounds, before.vote_rounds);
-  EXPECT_EQ(after.arrivals - before.arrivals, result.report.submitted);
-  EXPECT_EQ(after.events - before.events, result.events_executed);
+  EXPECT_GT(result.counts.vote_rounds, 0u);
+  EXPECT_EQ(result.counts.arrivals, result.report.submitted);
+  EXPECT_GT(result.events_executed, result.counts.arrivals);
+  EXPECT_EQ(result.counts.sortition_draws, 0u);
+  EXPECT_EQ(result.counts.vm_ops, 0u);  // native transfers run no contract
 }
 
-// sortition_draws: every committee or proposer selection adds its whole
-// population, so an Algorand cell at 1,000 validators adds a positive
-// multiple of 1,000 and a cell whose engine has no sortition adds nothing.
+// sortition_draws: every committee or proposer selection draws its whole
+// population, so an Algorand cell at 1,000 validators counts a positive
+// multiple of 1,000 and a cell whose engine has no sortition counts none.
 TEST(ProfileTest, SortitionDrawsCountAlgorandSelections) {
-  const profile::Counters before = profile::Totals();
   const RunResult algorand = RunNativeBenchmark("algorand", "xl-1000", 20, 10, 1);
-  const profile::Counters after = profile::Totals();
   ASSERT_GT(algorand.report.submitted, 0u);
-  const uint64_t draws = after.sortition_draws - before.sortition_draws;
+  const uint64_t draws = algorand.counts.sortition_draws;
   EXPECT_GT(draws, 0u);
   EXPECT_EQ(draws % 1000, 0u) << draws;
 
   const RunResult quorum = RunNativeBenchmark("quorum", "consortium", 20, 10, 1);
   ASSERT_GT(quorum.report.submitted, 0u);
-  EXPECT_EQ(profile::Totals().sortition_draws, after.sortition_draws);
+  EXPECT_EQ(quorum.counts.sortition_draws, 0u);
 }
 
 // vote_receivers: each vote-round kernel call adds the receivers it
@@ -676,15 +673,24 @@ TEST(ProfileTest, SortitionDrawsCountAlgorandSelections) {
 // consortium every round adds exactly 200 and the total is a positive
 // multiple of 200.
 TEST(ProfileTest, VoteReceiversCountConsortiumRounds) {
-  const profile::Counters before = profile::Totals();
   const RunResult result = RunNativeBenchmark("quorum", "consortium", 20, 10, 1);
-  const profile::Counters after = profile::Totals();
   ASSERT_GT(result.report.submitted, 0u);
-  const uint64_t rounds = after.vote_rounds - before.vote_rounds;
-  const uint64_t receivers = after.vote_receivers - before.vote_receivers;
+  const uint64_t receivers = result.counts.vote_receivers;
   EXPECT_GT(receivers, 0u);
   EXPECT_EQ(receivers % 200, 0u) << receivers;
-  EXPECT_EQ(receivers, 200 * rounds);
+  EXPECT_EQ(receivers, 200 * result.counts.vote_rounds);
+}
+
+// vm_ops: a DApp cell's CostOracle counts the ops of the executions it runs,
+// its contract's deployment and one measured call per function, however
+// many transactions the cell signs.
+TEST(ProfileTest, DappCellCountsItsOraclesVmOps) {
+  const RunResult small = RunDappBenchmark("quorum", "testnet", "uber", 1, 0.01);
+  const RunResult twice = RunDappBenchmark("quorum", "testnet", "uber", 1, 0.02);
+  ASSERT_GT(small.report.submitted, 0u);
+  ASSERT_GT(twice.report.submitted, small.report.submitted);
+  EXPECT_GT(small.counts.vm_ops, 0u);
+  EXPECT_EQ(twice.counts.vm_ops, small.counts.vm_ops);
 }
 
 }  // namespace

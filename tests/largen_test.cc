@@ -296,8 +296,9 @@ TEST(VoteDelaysTest, CommitteeKernelMatchesFullKernel) {
 }
 
 // Exercises the facade's streamed path enough times to hit the checked-build
-// sampled cross-check cadence (every 257th selection), so a DIABLO_CHECKED
-// test run replays streamed answers through the dense matrix path.
+// sampled cross-check cadence (every 257th selection through one scratch),
+// so a DIABLO_CHECKED test run replays streamed answers through the dense
+// matrix path.
 TEST(VoteDelaysTest, StreamedFacadeSurvivesCheckedCrossCheckCadence) {
   Simulation sim(29);
   Network net(&sim, 0.05);

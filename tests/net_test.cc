@@ -107,12 +107,10 @@ TEST(NetworkTest, SendDeliversAfterDelay) {
   Network net(&sim);
   const HostId a = net.AddHost(Region::kOhio);
   const HostId b = net.AddHost(Region::kTokyo);
-  SimTime arrival = -1;
-  net.Send(a, b, 100, [&] { arrival = sim.Now(); });
-  sim.Run();
+  const SimDuration delay = net.DelaySample(a, b, 100);
   // One-way Ohio->Tokyo is at least RTT/2 = 65.9 ms.
-  EXPECT_GE(arrival, MillisecondsF(65.9));
-  EXPECT_LT(arrival, MillisecondsF(100.0));
+  EXPECT_GE(delay, MillisecondsF(65.9));
+  EXPECT_LT(delay, MillisecondsF(100.0));
 }
 
 TEST(NetworkTest, SelfSendIsImmediate) {
@@ -129,14 +127,9 @@ TEST(NetworkTest, PartitionDropsMessages) {
   const HostId b = net.AddHost(Region::kTokyo);
   net.SetPartitioned(b, true);
   EXPECT_EQ(net.DelaySample(a, b, 10), kUnreachable);
-  bool delivered = false;
-  net.Send(a, b, 10, [&] { delivered = true; });
-  sim.Run();
-  EXPECT_FALSE(delivered);
+  EXPECT_EQ(net.DelaySample(b, a, 10), kUnreachable);
   net.SetPartitioned(b, false);
-  net.Send(a, b, 10, [&] { delivered = true; });
-  sim.Run();
-  EXPECT_TRUE(delivered);
+  EXPECT_NE(net.DelaySample(a, b, 10), kUnreachable);
 }
 
 TEST(NetworkTest, ExtraDelayInjection) {
@@ -167,21 +160,6 @@ TEST(NetworkTest, ExtraDelayAppliesBothDirections) {
   EXPECT_EQ(net.DelaySample(b, a, 10), reverse + Seconds(1));
 }
 
-TEST(NetworkTest, SendStatsCountUnreachableDrops) {
-  Simulation sim(1);
-  Network net(&sim);
-  const HostId a = net.AddHost(Region::kOhio);
-  const HostId b = net.AddHost(Region::kTokyo);
-  net.Send(a, b, 10, [] {});
-  EXPECT_EQ(net.stats().sends, 1u);
-  EXPECT_EQ(net.stats().unreachable_drops, 0u);
-  net.SetPartitioned(b, true);
-  net.Send(a, b, 10, [] {});
-  EXPECT_EQ(net.stats().sends, 2u);
-  EXPECT_EQ(net.stats().unreachable_drops, 1u);
-  sim.Run();
-}
-
 TEST(NetworkTest, LossWindowDropsAndCounts) {
   Simulation sim(1);
   Network net(&sim);
@@ -189,19 +167,14 @@ TEST(NetworkTest, LossWindowDropsAndCounts) {
   const HostId b = net.AddHost(Region::kTokyo);
   // Certain loss until t = 10 s; afterwards the link is clean again.
   net.AddLossWindow(0, Seconds(10), 1.0);
-  int delivered = 0;
   for (int i = 0; i < 5; ++i) {
-    net.Send(a, b, 10, [&] { ++delivered; });
+    EXPECT_EQ(net.DelaySample(a, b, 10), kUnreachable);
   }
-  bool late_delivered = false;
-  sim.ScheduleAt(Seconds(11), [&] {
-    net.Send(a, b, 10, [&] { late_delivered = true; });
-  });
+  SimDuration late = kUnreachable;
+  sim.ScheduleAt(Seconds(11), [&] { late = net.DelaySample(a, b, 10); });
   sim.Run();
-  EXPECT_EQ(delivered, 0);
-  EXPECT_TRUE(late_delivered);
+  EXPECT_NE(late, kUnreachable);
   EXPECT_EQ(net.stats().loss_drops, 5u);
-  EXPECT_EQ(net.stats().unreachable_drops, 5u);
 }
 
 TEST(NetworkTest, RegionPairLossLeavesOtherLinksAlone) {

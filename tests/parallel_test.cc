@@ -121,16 +121,21 @@ TEST(ParallelRunnerTest, StatsAccumulateEvents) {
   cells.push_back({"a", [] {
                      RunResult result;
                      result.events_executed = 10;
+                     result.counts.vote_rounds = 3;
                      return result;
                    }});
   cells.push_back({"b", [] {
                      RunResult result;
                      result.events_executed = 32;
+                     result.counts.vote_rounds = 4;
+                     result.counts.vm_ops = 5;
                      return result;
                    }});
   runner.Run(std::move(cells));
   EXPECT_EQ(runner.stats().cells, 2u);
   EXPECT_EQ(runner.stats().total_events, 42u);
+  EXPECT_EQ(runner.stats().counts.vote_rounds, 7u);
+  EXPECT_EQ(runner.stats().counts.vm_ops, 5u);
   // The process's peak resident set, read when Run returns.
   EXPECT_GT(runner.stats().peak_rss_mb, 0);
 }
@@ -144,8 +149,8 @@ TEST(CellSeedTest, DistinctAndThreadIndependent) {
 // Everything the report serializes plus the raw counters; if two runs agree
 // on all of this, they took the same simulated trajectory.
 std::string Fingerprint(const RunResult& result) {
-  return ReportToJson(result.report) + "|events=" +
-         std::to_string(result.events_executed) +
+  return ReportToJson(result.report) + "|" +
+         CountsText(result.events_executed, result.counts) +
          "|behind=" + std::to_string(result.behind_schedule) +
          "|fail=" + result.failure_reason;
 }
@@ -165,25 +170,37 @@ TEST(DeterminismTest, SerialRunsAreBitIdentical) {
 }
 
 TEST(DeterminismTest, ParallelResultsInvariantToJobCount) {
-  // The same 4-cell grid (2 chains x 2 cell-indexed seeds) must produce
-  // bit-identical results serially, with jobs=1 and with jobs=4.
-  const std::vector<std::string> chains = {"algorand", "solana"};
-  auto build_cells = [&chains] {
+  // The same 8-cell grid (4 kinds of cell x 2 cell-indexed seeds) must
+  // produce bit-identical results and counts serially, with jobs=1 and with
+  // jobs=4. Between them the kinds make every count: Algorand draws
+  // sortition, HotStuff (diem) runs single-receiver vote rounds, and the
+  // DApp cell's oracle runs VM ops.
+  const std::vector<std::string> kinds = {"algorand", "solana", "diem", "quorum+uber"};
+  auto build_cells = [&kinds] {
     std::vector<ExperimentCell> cells;
-    for (size_t c = 0; c < chains.size(); ++c) {
+    for (size_t c = 0; c < kinds.size(); ++c) {
       for (uint64_t rep = 0; rep < 2; ++rep) {
-        const std::string chain = chains[c];
+        const std::string kind = kinds[c];
         const uint64_t seed = CellSeed(/*base_seed=*/1, c * 2 + rep);
-        cells.push_back({chain + "#" + std::to_string(rep),
-                         [chain, seed] { return RunDeterminismCell(chain, seed); }});
+        cells.push_back({kind + "#" + std::to_string(rep), [kind, seed] {
+                           return kind == "quorum+uber"
+                                      ? RunDappBenchmark("quorum", "testnet", "uber", seed,
+                                                         /*scale=*/0.01)
+                                      : RunDeterminismCell(kind, seed);
+                         }});
       }
     }
     return cells;
   };
 
   std::vector<std::string> serial;
+  uint64_t serial_events = 0;
+  RunCounts serial_counts;
   for (ExperimentCell& cell : build_cells()) {
-    serial.push_back(Fingerprint(cell.run()));
+    const RunResult result = cell.run();
+    serial.push_back(Fingerprint(result));
+    serial_events += result.events_executed;
+    serial_counts += result.counts;
   }
 
   ParallelRunner one_job(1);
@@ -197,6 +214,17 @@ TEST(DeterminismTest, ParallelResultsInvariantToJobCount) {
     EXPECT_EQ(Fingerprint(with_one[i]), serial[i]) << "cell " << i;
     EXPECT_EQ(Fingerprint(with_four[i]), serial[i]) << "cell " << i;
   }
+  // The runner's sums are the serial sums at any job count, and no count
+  // compares equal only because it is zero.
+  const std::string expected = CountsText(serial_events, serial_counts);
+  EXPECT_EQ(CountsText(one_job.stats().total_events, one_job.stats().counts), expected);
+  EXPECT_EQ(CountsText(four_jobs.stats().total_events, four_jobs.stats().counts),
+            expected);
+  EXPECT_GT(serial_counts.arrivals, 0u);
+  EXPECT_GT(serial_counts.vote_rounds, 0u);
+  EXPECT_GT(serial_counts.vote_receivers, 0u);
+  EXPECT_GT(serial_counts.sortition_draws, 0u);
+  EXPECT_GT(serial_counts.vm_ops, 0u);
 }
 
 TEST(DeterminismTest, FaultCellsInvariantToJobCount) {
@@ -270,6 +298,8 @@ TEST(RunnerStatsTest, JsonRoundTripKeepsOtherBinaries) {
   first.wall_seconds = 1.5;
   first.total_events = 3000;
   first.peak_rss_mb = 61.5;
+  first.counts.arrivals = 2900;
+  first.counts.vm_ops = 7;
   ASSERT_TRUE(WriteRunnerStatsJson(path, "fig3_scalability", first));
 
   RunnerStats second;
@@ -298,6 +328,9 @@ TEST(RunnerStatsTest, JsonRoundTripKeepsOtherBinaries) {
   EXPECT_EQ(table1->GetNumber("total_events", 0), 500);
   EXPECT_GT(fig3->GetNumber("events_per_second", -1), 0);
   EXPECT_DOUBLE_EQ(fig3->GetNumber("peak_rss_mb", -1), 61.5);
+  EXPECT_EQ(fig3->GetNumber("arrivals", -1), 2900);
+  EXPECT_EQ(fig3->GetNumber("vm_ops", -1), 7);
+  EXPECT_EQ(table1->GetNumber("vote_rounds", -1), 0);
   // The schema stamp is emitted exactly once, never duplicated by the
   // keep-other-entries pass.
   EXPECT_EQ(parsed.value.GetNumber("schema_version", -1), kRunnerStatsSchemaVersion);

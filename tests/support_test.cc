@@ -86,16 +86,6 @@ TEST(RngTest, DoubleInUnitInterval) {
   }
 }
 
-TEST(RngTest, ExponentialMean) {
-  Rng rng(13);
-  double sum = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    sum += rng.NextExponential(4.0);
-  }
-  EXPECT_NEAR(sum / n, 4.0, 0.15);
-}
-
 TEST(RngTest, GaussianMoments) {
   Rng rng(23);
   double sum = 0;

@@ -232,7 +232,7 @@ TEST(ArrivalTest, FractionalRatesAccumulate) {
 
 TEST(ArrivalTest, ExpansionsComeOutSorted) {
   // ExpandArrivals promises ascending times without sorting them: every
-  // DApp trace, every NASDAQ stock burst and a seeded Poisson expansion.
+  // DApp trace and every NASDAQ stock burst.
   std::vector<Trace> traces;
   for (const std::string& name : AllDappNames()) {
     traces.push_back(GetDappWorkload(name).trace);
@@ -245,23 +245,6 @@ TEST(ArrivalTest, ExpansionsComeOutSorted) {
     EXPECT_FALSE(arrivals.empty()) << trace.name;
     EXPECT_TRUE(std::is_sorted(arrivals.begin(), arrivals.end())) << trace.name;
   }
-  Rng rng(17);
-  const auto poisson =
-      ExpandArrivals(UberTrace().Scaled(3.0), ArrivalProcess::kPoisson, &rng);
-  EXPECT_GT(poisson.size(), 300000u);
-  EXPECT_TRUE(std::is_sorted(poisson.begin(), poisson.end()));
-}
-
-TEST(ArrivalTest, PoissonTotalsApproximate) {
-  Rng rng(9);
-  const Trace trace = ConstantTrace(1000, 10);
-  const auto arrivals = ExpandArrivals(trace, ArrivalProcess::kPoisson, &rng);
-  EXPECT_EQ(arrivals.size(), 10000u);  // count per second is exact; gaps vary
-  // Sorted and within the trace window.
-  for (size_t i = 1; i < arrivals.size(); ++i) {
-    EXPECT_GE(arrivals[i], arrivals[i - 1]);
-  }
-  EXPECT_LT(arrivals.back(), Seconds(10));
 }
 
 }  // namespace

@@ -17,14 +17,18 @@ with
 so that each function sits in its own section, every object that includes
 a header emits each inline function the header defines, called or not, and
 the linker drops every function no binary reaches. The script takes the
-functions in namespace diablo that BUILD_DIR/src/*.a define: the global text
-(`T`) symbols, and the weak (`W`) symbols of inline functions other than
-constructors, destructors, assignment operators (mostly compiler-generated)
-and template instantiations. It subtracts every function that a binary
-under BUILD_DIR/{bench,examples,tools}, or simbench, defines; functions are
-compared by demangled signature, so each overload counts on its own.
-micro_benchmarks is left out, so that a micro benchmark alone cannot keep
-code alive.
+functions in namespace diablo that the libraries under BUILD_DIR/src define:
+the global text (`T`) symbols, and the weak (`W`) symbols of inline
+functions other than constructors, destructors, assignment operators
+(mostly compiler-generated) and template instantiations. It subtracts every
+function that a binary under BUILD_DIR/{bench,examples,tools}, or simbench,
+defines; functions are compared by demangled signature, so each overload
+counts on its own. Libraries, binaries and tests are the outputs of the
+targets the build is configured with (BUILD_DIR/CMakeFiles/
+TargetDirectories.txt, which the Makefile and Ninja generators both write),
+so a stale file that a reused build tree still holds, of a target since
+deleted, counts for nothing. micro_benchmarks is left out, so that a micro
+benchmark alone cannot keep code alive.
 
 What is left is code that no binary links. Of it, every function that no
 test executable under BUILD_DIR/tests links either is dead code, which the
@@ -129,17 +133,30 @@ def is_elf_executable(path):
         return f.read(4) == b"\x7fELF"
 
 
+def targets(build_dir):
+    """(subdirectory, name) of each target the build is configured with:
+    the `<sub>/CMakeFiles/<name>.dir` lines of its TargetDirectories.txt."""
+    listing = os.path.join(build_dir, "CMakeFiles", "TargetDirectories.txt")
+    if not os.path.isfile(listing):
+        sys.exit(f"test_only_code: no {listing}; configure the build first")
+    root = os.path.realpath(build_dir)
+    with open(listing) as f:
+        for line in f:
+            rel = os.path.relpath(os.path.realpath(line.strip()), root)
+            sub, _, target_dir = rel.partition(os.sep + "CMakeFiles" + os.sep)
+            if target_dir.endswith(".dir"):
+                yield sub, target_dir[:-len(".dir")]
+
+
 def binaries(build_dir, subdirs):
+    """The executables of the configured targets in subdirs."""
     found = []
-    for sub in subdirs:
-        base = os.path.join(build_dir, sub)
-        if not os.path.isdir(base):
-            sys.exit(f"test_only_code: no {base}; build the repository first")
-        for entry in sorted(os.listdir(base)):
-            path = os.path.join(base, entry)
-            if entry not in EXCLUDED_BINARIES and is_elf_executable(path):
-                found.append(path)
-    return found
+    for sub, name in targets(build_dir):
+        path = os.path.join(build_dir, sub, name)
+        if (sub in subdirs and name not in EXCLUDED_BINARIES and
+                is_elf_executable(path)):
+            found.append(path)
+    return sorted(found)
 
 
 def linked_by(paths):
@@ -173,8 +190,9 @@ def main(argv):
         HERE, "test_only_code.txt")
 
     src_dir = os.path.join(build_dir, "src")
-    libs = sorted(os.path.join(src_dir, f) for f in os.listdir(src_dir)
-                  if f.endswith(".a"))
+    libs = sorted(os.path.join(src_dir, f"lib{name}.a")
+                  for sub, name in targets(build_dir) if sub == "src")
+    libs = [lib for lib in libs if os.path.isfile(lib)]
     if not libs:
         sys.exit(f"test_only_code: no libraries under {src_dir}")
     library = library_functions(libs)
