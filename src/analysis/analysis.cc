@@ -69,14 +69,17 @@ LoadResult LoadResultsJson(std::string_view json_text) {
 LoadResult LoadResultsCsv(std::string_view csv_text) {
   LoadResult result;
   bool saw_header = false;
+  int line_number = 0;
   for (const std::string& raw : Split(csv_text, '\n')) {
+    ++line_number;
     const std::string line = Trim(raw);
     if (line.empty()) {
       continue;
     }
     if (!saw_header) {
       if (line != "submit_time,latency,status") {
-        result.error = "unexpected header: " + line;
+        result.error =
+            StrFormat("unexpected header: %s (line %d)", line.c_str(), line_number);
         return result;
       }
       saw_header = true;
@@ -84,13 +87,14 @@ LoadResult LoadResultsCsv(std::string_view csv_text) {
     }
     const std::vector<std::string> fields = Split(line, ',');
     if (fields.size() != 3) {
-      result.error = "malformed row: " + line;
+      result.error = StrFormat("malformed row: %s (line %d)", line.c_str(), line_number);
       return result;
     }
     TxRecord record;
     if (!ParseDouble(fields[0], &record.submit) ||
         !ParseDouble(fields[1], &record.latency)) {
-      result.error = "malformed numbers: " + line;
+      result.error =
+          StrFormat("malformed numbers: %s (line %d)", line.c_str(), line_number);
       return result;
     }
     record.status = fields[2];

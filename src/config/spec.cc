@@ -49,7 +49,7 @@ bool ParseBehavior(const YamlNode& node, ClientBehavior* behavior, std::string* 
   }
   const YamlNode* interaction = node.Find("interaction");
   if (interaction == nullptr) {
-    *error = "behavior missing 'interaction'";
+    *error = StrFormat("behavior missing 'interaction' (line %d)", node.line);
     return false;
   }
   if (!OnlyKeys(*interaction, kInteractionKeys, "interaction", error)) {
@@ -70,7 +70,8 @@ bool ParseBehavior(const YamlNode& node, ClientBehavior* behavior, std::string* 
     const YamlNode* function = interaction->Find("function");
     if (function != nullptr) {
       if (!ParseFunctionRef(function->scalar, &behavior->function, &behavior->args)) {
-        *error = "malformed function reference: " + function->scalar;
+        *error = StrFormat("malformed function reference: %s (line %d)",
+                           function->scalar.c_str(), function->line);
         return false;
       }
     }
@@ -78,7 +79,8 @@ bool ParseBehavior(const YamlNode& node, ClientBehavior* behavior, std::string* 
              interaction->IsScalar()) {
     behavior->interaction = "transfer";
   } else {
-    *error = "unknown interaction tag: !" + interaction->tag;
+    *error = StrFormat("unknown interaction tag: !%s (line %d)", interaction->tag.c_str(),
+                       interaction->line);
     return false;
   }
   // The signing account set, under either interaction:
@@ -93,13 +95,14 @@ bool ParseBehavior(const YamlNode& node, ClientBehavior* behavior, std::string* 
 
   const YamlNode* load = node.Find("load");
   if (load == nullptr || !load->IsMap()) {
-    *error = "behavior missing 'load' map";
+    *error = StrFormat("behavior missing 'load' map (line %d)",
+                       (load != nullptr ? *load : node).line);
     return false;
   }
   for (const auto& [key, value] : load->entries) {
     LoadPoint point;
     if (!ParseDouble(key, &point.at_seconds) || !value.AsDouble(&point.tps)) {
-      *error = "malformed load point: " + key;
+      *error = StrFormat("malformed load point: %s (line %d)", key.c_str(), value.line);
       return false;
     }
     // Times index the trace's seconds and rates size its arrivals, so both
@@ -262,12 +265,13 @@ bool ParseFaultEntry(const std::string& kind, const YamlNode& body,
 bool ParseFaults(const YamlNode& faults, FaultSchedule* schedule,
                  std::string* error) {
   if (!faults.IsList()) {
-    *error = "'faults' must be a list";
+    *error = StrFormat("'faults' must be a list (line %d)", faults.line);
     return false;
   }
   for (const YamlNode& item : faults.items) {
     if (!item.IsMap() || item.entries.size() != 1) {
-      *error = "each fault must be a single '<kind>: {...}' entry";
+      *error = StrFormat("each fault must be a single '<kind>: {...}' entry (line %d)",
+                         item.line);
       return false;
     }
     if (!ParseFaultEntry(item.entries[0].first, item.entries[0].second, schedule,
@@ -347,7 +351,8 @@ SpecResult ParseWorkloadSpec(std::string_view yaml_text) {
   }
   const YamlNode* workloads = yaml.root.Find("workloads");
   if (workloads == nullptr || !workloads->IsList()) {
-    result.error = "missing 'workloads' list";
+    result.error = StrFormat("missing 'workloads' list (line %d)",
+                             (workloads != nullptr ? *workloads : yaml.root).line);
     return result;
   }
   // A spec that runs nothing is a mistake, not an all-zero benchmark.
@@ -368,7 +373,8 @@ SpecResult ParseWorkloadSpec(std::string_view yaml_text) {
     group.clients = static_cast<int>(item.GetInt("number", 1));
     const YamlNode* client = item.Find("client");
     if (client == nullptr || !client->IsMap()) {
-      result.error = "workload missing 'client'";
+      result.error = StrFormat("workload missing 'client' (line %d)",
+                               (client != nullptr ? *client : item).line);
       return result;
     }
     if (!OnlyKeys(*client, kClientKeys, "client", &result.error)) {
@@ -386,7 +392,8 @@ SpecResult ParseWorkloadSpec(std::string_view yaml_text) {
     }
     const YamlNode* behaviors = client->Find("behavior");
     if (behaviors == nullptr || !behaviors->IsList()) {
-      result.error = "client missing 'behavior' list";
+      result.error = StrFormat("client missing 'behavior' list (line %d)",
+                               (behaviors != nullptr ? *behaviors : *client).line);
       return result;
     }
     if (behaviors->items.empty()) {

@@ -52,6 +52,9 @@ class Parser {
     try {
       size_t pos = 0;
       result.root = ParseBlock(pos, /*min_indent=*/0);
+      if (lines_.empty()) {
+        result.root.line = 1;  // so a reader can name where a key is missing
+      }
       if (pos < lines_.size()) {
         Fail(lines_[pos].number, "unexpected content (bad indentation?)");
       }
@@ -64,7 +67,7 @@ class Parser {
 
  private:
   [[noreturn]] void Fail(int line, const std::string& message) {
-    throw std::runtime_error(StrFormat("line %d: %s", line, message.c_str()));
+    throw std::runtime_error(StrFormat("%s (line %d)", message.c_str(), line));
   }
 
   // Find returns a key's first entry, so a repeated key's later values
@@ -131,6 +134,7 @@ class Parser {
       if (rest.empty()) {
         ++pos;
         node.items.push_back(ParseBlock(pos, indent + 1));
+        node.items.back().line = line.number;
         continue;
       }
       // Compact mapping item: "- key: value" opens a map whose keys are

@@ -19,7 +19,7 @@ class YamlNode {
 
   Type type = Type::kNull;
   int line = 0;        // 1-based line of its key or list item (the root's: its
-                       // first line); 0 = unknown
+                       // first line, or 1 in an empty document); 0 = unknown
   std::string tag;     // without the '!', empty when untagged
   std::string scalar;  // valid when kScalar
   std::vector<YamlNode> items;                             // kList
@@ -45,7 +45,7 @@ class YamlNode {
 
 struct YamlResult {
   bool ok = false;
-  std::string error;  // "line N: message"
+  std::string error;  // "message (line N)"
   YamlNode root;
 };
 

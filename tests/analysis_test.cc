@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "src/analysis/analysis.h"
 #include "src/config/json.h"
@@ -131,9 +132,21 @@ TEST(AnalysisTest, CsvRoundTrip) {
 
 TEST(AnalysisTest, CsvErrors) {
   EXPECT_FALSE(LoadResultsCsv("").ok);
-  EXPECT_FALSE(LoadResultsCsv("bad,header,row\n").ok);
-  EXPECT_FALSE(LoadResultsCsv("submit_time,latency,status\n1,2\n").ok);
-  EXPECT_FALSE(LoadResultsCsv("submit_time,latency,status\nx,2,committed\n").ok);
+  EXPECT_EQ(LoadResultsCsv("").error, "empty document");
+  // A malformed line is named by its line number, blank lines counted.
+  const std::pair<const char*, const char*> cases[] = {
+      {"bad,header,row\n", "unexpected header: bad,header,row (line 1)"},
+      {"submit_time,latency,status\n1,2\n", "malformed row: 1,2 (line 2)"},
+      {"submit_time,latency,status\nx,2,committed\n",
+       "malformed numbers: x,2,committed (line 2)"},
+      {"submit_time,latency,status\n1,2,committed\n\n1,x,committed\n",
+       "malformed numbers: 1,x,committed (line 4)"},
+  };
+  for (const auto& [csv, message] : cases) {
+    const LoadResult loaded = LoadResultsCsv(csv);
+    EXPECT_FALSE(loaded.ok) << csv;
+    EXPECT_EQ(loaded.error, message) << csv;
+  }
 }
 
 TEST(AnalysisTest, CompareRendersRows) {

@@ -120,12 +120,12 @@ TEST(YamlTest, RepeatedKeysRejectedWithTheirLine) {
   // A lookup reads a key's first entry, so a repeated key would drop its
   // later values silently, in any map.
   const std::pair<const char*, const char*> cases[] = {
-      {"a: 1\nb: 2\na: 3\n", "line 3: repeated key 'a'"},
-      {"top:\n  x: 1\n  y: 2\n  x: 1\n", "line 4: repeated key 'x'"},
-      {"list:\n  - k: 1\n    k: 2\n", "line 3: repeated key 'k'"},
-      {"a: 1\nb: { number: 100, number: 5 }\n", "line 2: repeated key 'number'"},
-      {"a: [{ x: 1 }, { y: 1, y: 2 }]\n", "line 1: repeated key 'y'"},
-      {"\"a\": 1\na: 2\n", "line 2: repeated key 'a'"},
+      {"a: 1\nb: 2\na: 3\n", "repeated key 'a' (line 3)"},
+      {"top:\n  x: 1\n  y: 2\n  x: 1\n", "repeated key 'x' (line 4)"},
+      {"list:\n  - k: 1\n    k: 2\n", "repeated key 'k' (line 3)"},
+      {"a: 1\nb: { number: 100, number: 5 }\n", "repeated key 'number' (line 2)"},
+      {"a: [{ x: 1 }, { y: 1, y: 2 }]\n", "repeated key 'y' (line 1)"},
+      {"\"a\": 1\na: 2\n", "repeated key 'a' (line 2)"},
   };
   for (const auto& [text, message] : cases) {
     const YamlResult result = ParseYaml(text);
@@ -205,6 +205,38 @@ TEST(SpecTest, Errors) {
   EXPECT_EQ(ParseWorkloadSpec("workloads:\n  - number: 2\n    client:\n      behavior: []\n")
                 .error,
             "client 'behavior' list is empty (line 4)");
+  // Every rejection names the line of the node it rejects, or of the map
+  // that lacks the key.
+  const std::string client = "workloads:\n  - client:\n      behavior:\n";
+  const std::pair<std::string, const char*> cases[] = {
+      {"", "missing 'workloads' list (line 1)"},
+      {"let: 1\n\nworkloads: 3\n", "missing 'workloads' list (line 3)"},
+      {"workloads:\n  - number: 2\n", "workload missing 'client' (line 2)"},
+      {"workloads:\n  - number: 2\n    client: 5\n",
+       "workload missing 'client' (line 3)"},
+      {"workloads:\n  - client:\n      view: [a]\n",
+       "client missing 'behavior' list (line 2)"},
+      {client, "client missing 'behavior' list (line 3)"},
+      {client + "        - load: {0: 1}\n", "behavior missing 'interaction' (line 4)"},
+      {client + "        - interaction: !query {}\n          load: {0: 1}\n",
+       "unknown interaction tag: !query (line 4)"},
+      {client + "        - interaction: !invoke { function: f( }\n          load: {0: 1}\n",
+       "malformed function reference: f( (line 4)"},
+      {client + "        - interaction: !transfer\n",
+       "behavior missing 'load' map (line 4)"},
+      {client + "        - interaction: !transfer\n          load: 5\n",
+       "behavior missing 'load' map (line 5)"},
+      {client + "        - interaction: !transfer\n          load:\n            x: 1\n",
+       "malformed load point: x (line 6)"},
+      {"workloads: [1]\n\nfaults: 3\n", "'faults' must be a list (line 3)"},
+      {"workloads: [1]\nfaults:\n  - 5\n",
+       "each fault must be a single '<kind>: {...}' entry (line 3)"},
+      {"workloads: [1]\nfaults:\n  -\n",
+       "each fault must be a single '<kind>: {...}' entry (line 3)"},
+  };
+  for (const auto& [text, message] : cases) {
+    EXPECT_EQ(ParseWorkloadSpec(text).error, message) << text;
+  }
 }
 
 TEST(SpecTest, RejectsLoadPointsThatAreNotFiniteAndNonNegative) {
@@ -494,7 +526,7 @@ TEST(SpecFaultsTest, RejectsARepeatedKeyWithItsLine) {
   const SpecResult result = ParseWorkloadSpec(
       WithFaults("faults:\n  - crash: { node: 1, at: 1, at: 50 }\n"));
   EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.error, "line 9: repeated key 'at'");
+  EXPECT_EQ(result.error, "repeated key 'at' (line 9)");
 }
 
 TEST(SpecFaultsTest, RejectsNodeAndSignerIndicesOutsideInt32) {

@@ -4,6 +4,7 @@
 // invariants under random operation sequences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -120,6 +121,17 @@ TEST_P(YamlFuzzTest, StructuredMutationsNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, YamlFuzzTest, ::testing::Values(11, 22, 33));
 
+// A rejection of `text` ends in "(line N)", where N is one of its lines.
+void ExpectRejectionNamesALine(const std::string& text, const std::string& error) {
+  const size_t open = error.rfind("(line ");
+  int64_t line = 0;
+  ASSERT_TRUE(open != std::string::npos && error.back() == ')' &&
+              ParseInt64(error.substr(open + 6, error.size() - open - 7), &line))
+      << text << "\n" << error;
+  EXPECT_GE(line, 1) << text << "\n" << error;
+  EXPECT_LE(line, 1 + std::count(text.begin(), text.end(), '\n')) << text << "\n" << error;
+}
+
 class FaultSpecFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FaultSpecFuzzTest, MutatedFaultSectionsNeverCrash) {
@@ -139,7 +151,7 @@ TEST_P(FaultSpecFuzzTest, MutatedFaultSectionsNeverCrash) {
   for (size_t cut = 0; cut < base.size(); cut += 3) {
     const SpecResult result = ParseWorkloadSpec(base.substr(0, cut));
     if (!result.ok) {
-      EXPECT_FALSE(result.error.empty());
+      ExpectRejectionNamesALine(base.substr(0, cut), result.error);
     }
   }
   for (int round = 0; round < 300; ++round) {
@@ -148,7 +160,7 @@ TEST_P(FaultSpecFuzzTest, MutatedFaultSectionsNeverCrash) {
         static_cast<char>(32 + rng.NextBelow(95));
     const SpecResult result = ParseWorkloadSpec(mutated);
     if (!result.ok) {
-      EXPECT_FALSE(result.error.empty());
+      ExpectRejectionNamesALine(mutated, result.error);
     }
   }
 }
@@ -175,7 +187,7 @@ TEST_P(ByzantineFuzzTest, MutatedByzantineSectionsNeverCrash) {
   for (size_t cut = 0; cut < base.size(); cut += 3) {
     const SpecResult result = ParseWorkloadSpec(base.substr(0, cut));
     if (!result.ok) {
-      EXPECT_FALSE(result.error.empty());
+      ExpectRejectionNamesALine(base.substr(0, cut), result.error);
     }
   }
   for (int round = 0; round < 300; ++round) {
@@ -184,7 +196,7 @@ TEST_P(ByzantineFuzzTest, MutatedByzantineSectionsNeverCrash) {
         static_cast<char>(32 + rng.NextBelow(95));
     const SpecResult result = ParseWorkloadSpec(mutated);
     if (!result.ok) {
-      EXPECT_FALSE(result.error.empty());
+      ExpectRejectionNamesALine(mutated, result.error);
     } else {
       std::string error;
       EXPECT_TRUE(result.spec.faults.Validate(-1, &error)) << error;
@@ -229,7 +241,7 @@ TEST_P(ByzantineFuzzTest, RandomSchedulesParseOrRejectCleanly) {
     }
     const SpecResult result = ParseWorkloadSpec(text);
     if (!result.ok) {
-      EXPECT_FALSE(result.error.empty()) << text;
+      ExpectRejectionNamesALine(text, result.error);
     } else {
       std::string error;
       EXPECT_TRUE(result.spec.faults.Validate(-1, &error)) << text << error;
