@@ -5,162 +5,240 @@
 //   C. Avalanche block period: the ~1.9 s throttle vs faster production.
 //   D. Clique block period sweep (Ethereum).
 //   E. Gossip batching interval (dissemination latency vs message count).
+//   F. Signature scheme: the cost of pre-signing the workload (arithmetic,
+//      no run).
+//   G. Leader-based (IBFT) vs leaderless (DBFT) BFT under the same flood.
+//   H. Client commit-detection interval (Algorand polling).
+// Every run is a cell of one grid on the parallel runner, and the sections
+// print once the grid has finished, in the order Run() lists them. B's
+// never-drop run and G's quorum run are one cell: the stock quorum sheet under
+// the flood.
+#include <functional>
+
 #include "bench/bench_util.h"
 #include "src/chains/params.h"
 
 namespace diablo {
 namespace {
 
-RunResult RunWith(const ChainParams& params, const std::string& deployment, double tps,
-                  int seconds, double scale) {
-  BenchmarkSetup setup;
-  setup.chain = params.name;
-  setup.params = params;
-  setup.deployment = deployment;
-  setup.scale = scale;
-  Primary primary(setup);
-  return primary.RunNative(ConstantTrace(tps, seconds));
+// A section's printer, called with the whole grid's results.
+using Section = std::function<void(const std::vector<RunResult>&)>;
+
+// Adds a run of `params` at `tps` for `seconds` on `deployment`, seed 1, and
+// returns the index of its result.
+size_t AddRun(std::vector<ExperimentCell>* cells, const ChainParams& params,
+              const std::string& deployment, double tps, int seconds, double scale) {
+  cells->push_back({params.name + "@" + deployment, [=] {
+                      BenchmarkSetup setup;
+                      setup.chain = params.name;
+                      setup.params = params;
+                      setup.deployment = deployment;
+                      setup.scale = scale;
+                      return Primary(setup).RunNative(ConstantTrace(tps, seconds));
+                    }});
+  return cells->size() - 1;
 }
 
-void AblateSolanaConfirmations(double scale) {
-  std::printf("\nA. Solana commitment depth (datacenter, 1,000 TPS):\n");
-  for (const int depth : {1, 10, 30}) {
+Section AblateSolanaConfirmations(std::vector<ExperimentCell>* cells, double scale) {
+  static constexpr int kDepths[] = {1, 10, 30};
+  const size_t first = cells->size();
+  for (const int depth : kDepths) {
     ChainParams params = GetChainParams("solana");
     params.confirmation_depth = depth;
-    const RunResult result = RunWith(params, "datacenter", 1000, 60, scale);
-    std::printf("  %2d confirmations: latency %6.2f s, throughput %7.1f TPS\n", depth,
-                result.report.avg_latency, result.report.avg_throughput);
+    AddRun(cells, params, "datacenter", 1000, 60, scale);
   }
-  std::printf("  -> the 30-confirmation rule (§5.2), not consensus, dominates the"
-              " ~13 s latency.\n");
+  return [first](const std::vector<RunResult>& results) {
+    std::printf("\nA. Solana commitment depth (datacenter, 1,000 TPS):\n");
+    size_t cell = first;
+    for (const int depth : kDepths) {
+      const RunResult& result = results[cell++];
+      std::printf("  %2d confirmations: latency %6.2f s, throughput %7.1f TPS\n", depth,
+                  result.report.avg_latency, result.report.avg_throughput);
+    }
+    std::printf("  -> the 30-confirmation rule (§5.2), not consensus, dominates the"
+                " ~13 s latency.\n");
+  };
 }
 
-void AblateQuorumMempool(double scale) {
-  std::printf("\nB. Quorum mempool policy under a 10,000 TPS flood (datacenter):\n");
-  {
-    const RunResult result =
-        RunWith(GetChainParams("quorum"), "datacenter", 10000, 120, scale);
+Section AblateQuorumMempool(std::vector<ExperimentCell>* cells, size_t never_drop,
+                            double scale) {
+  ChainParams params = GetChainParams("quorum");
+  params.mempool.global_cap = 20000;  // drop excess instead of hoarding it
+  params.proposal_overhead_quadratic = 0;
+  const size_t bounded = AddRun(cells, params, "datacenter", 10000, 120, scale);
+  return [never_drop, bounded](const std::vector<RunResult>& results) {
+    std::printf("\nB. Quorum mempool policy under a 10,000 TPS flood (datacenter):\n");
     std::printf("  never-drop (IBFT design): throughput %7.1f TPS, %llu view changes\n",
-                result.report.avg_throughput,
-                static_cast<unsigned long long>(result.chain_stats.view_changes));
-  }
-  {
-    ChainParams params = GetChainParams("quorum");
-    params.mempool.global_cap = 20000;  // drop excess instead of hoarding it
-    params.proposal_overhead_quadratic = 0;
-    const RunResult result = RunWith(params, "datacenter", 10000, 120, scale);
+                results[never_drop].report.avg_throughput,
+                static_cast<unsigned long long>(
+                    results[never_drop].chain_stats.view_changes));
     std::printf("  bounded pool (cap 20k):   throughput %7.1f TPS, commit %5.1f%%\n",
-                result.report.avg_throughput, 100.0 * result.report.commit_ratio);
-  }
-  std::printf("  -> never dropping a request is what turns overload into collapse"
-              " (§6.3).\n");
+                results[bounded].report.avg_throughput,
+                100.0 * results[bounded].report.commit_ratio);
+    std::printf("  -> never dropping a request is what turns overload into collapse"
+                " (§6.3).\n");
+  };
 }
 
-void AblateAvalanchePeriod(double scale) {
-  std::printf("\nC. Avalanche block period (datacenter, 1,000 TPS):\n");
-  for (const double period_s : {0.5, 1.9, 5.0}) {
+Section AblateAvalanchePeriod(std::vector<ExperimentCell>* cells, double scale) {
+  static constexpr double kPeriods[] = {0.5, 1.9, 5.0};
+  const size_t first = cells->size();
+  for (const double period_s : kPeriods) {
     ChainParams params = GetChainParams("avalanche");
     params.block_interval = SecondsF(period_s);
-    const RunResult result = RunWith(params, "datacenter", 1000, 60, scale);
-    std::printf("  period %.1f s: throughput %7.1f TPS, latency %6.1f s\n", period_s,
-                result.report.avg_throughput, result.report.avg_latency);
+    AddRun(cells, params, "datacenter", 1000, 60, scale);
   }
-  std::printf("  -> the >=1.9 s throttle plus the 8M-gas cap pins Avalanche's"
-              " ceiling (§6.2).\n");
+  return [first](const std::vector<RunResult>& results) {
+    std::printf("\nC. Avalanche block period (datacenter, 1,000 TPS):\n");
+    size_t cell = first;
+    for (const double period_s : kPeriods) {
+      const RunResult& result = results[cell++];
+      std::printf("  period %.1f s: throughput %7.1f TPS, latency %6.1f s\n", period_s,
+                  result.report.avg_throughput, result.report.avg_latency);
+    }
+    std::printf("  -> the >=1.9 s throttle plus the 8M-gas cap pins Avalanche's"
+                " ceiling (§6.2).\n");
+  };
 }
 
-void AblateCliquePeriod(double scale) {
-  std::printf("\nD. Ethereum Clique block period (testnet, 500 TPS):\n");
-  for (const int period_s : {1, 5, 15}) {
+Section AblateCliquePeriod(std::vector<ExperimentCell>* cells, double scale) {
+  static constexpr int kPeriods[] = {1, 5, 15};
+  const size_t first = cells->size();
+  for (const int period_s : kPeriods) {
     ChainParams params = GetChainParams("ethereum");
     params.block_interval = Seconds(period_s);
-    const RunResult result = RunWith(params, "testnet", 500, 60, scale);
-    std::printf("  period %2d s: throughput %7.1f TPS, latency %6.1f s\n", period_s,
-                result.report.avg_throughput, result.report.avg_latency);
+    AddRun(cells, params, "testnet", 500, 60, scale);
   }
+  return [first](const std::vector<RunResult>& results) {
+    std::printf("\nD. Ethereum Clique block period (testnet, 500 TPS):\n");
+    size_t cell = first;
+    for (const int period_s : kPeriods) {
+      const RunResult& result = results[cell++];
+      std::printf("  period %2d s: throughput %7.1f TPS, latency %6.1f s\n", period_s,
+                  result.report.avg_throughput, result.report.avg_latency);
+    }
+  };
 }
 
-void AblateSignatureScheme(double scale) {
-  std::printf("\nF. Signature scheme (Avalanche, 1,000 TPS x 120 s pre-signing):\n");
-  std::printf("   (the paper's setup initially used RSA4096 as recommended and the\n"
-              "    signing 'was taking too long due to the scale', §5.2)\n");
-  // Diablo pre-signs the whole workload before the benchmark starts: the
-  // wall-clock cost of that setup phase is what broke RSA4096.
-  const double txs = 1000.0 * 120.0 * scale;
-  const double worker_cores = 10 * 4;  // 10 secondaries on c5.xlarge
-  for (const SignatureScheme scheme :
-       {SignatureScheme::kEcdsa, SignatureScheme::kEd25519, SignatureScheme::kRsa4096}) {
-    const SignatureCost cost = CostOf(scheme);
-    const double presign_s = txs * ToSeconds(cost.sign) / worker_cores;
-    std::printf("  %-8s sign %6.2f ms/tx -> pre-signing the workload takes %7.1f s"
-                " (%d-byte signatures)\n",
-                scheme == SignatureScheme::kEcdsa     ? "ECDSA"
-                : scheme == SignatureScheme::kEd25519 ? "Ed25519"
-                                                      : "RSA4096",
-                ToMilliseconds(cost.sign), presign_s, cost.bytes);
-  }
-  std::printf("  -> verification cost barely moves the chain; signing cost breaks"
-              " the harness.\n");
+Section AblateSignatureScheme(double scale) {
+  return [scale](const std::vector<RunResult>&) {
+    std::printf("\nF. Signature scheme (Avalanche, 1,000 TPS x 120 s pre-signing):\n");
+    std::printf("   (the paper's setup initially used RSA4096 as recommended and the\n"
+                "    signing 'was taking too long due to the scale', §5.2)\n");
+    // Diablo pre-signs the whole workload before the benchmark starts: the
+    // wall-clock cost of that setup phase is what broke RSA4096.
+    const double txs = 1000.0 * 120.0 * scale;
+    const double worker_cores = 10 * 4;  // 10 secondaries on c5.xlarge
+    for (const SignatureScheme scheme :
+         {SignatureScheme::kEcdsa, SignatureScheme::kEd25519, SignatureScheme::kRsa4096}) {
+      const SignatureCost cost = CostOf(scheme);
+      const double presign_s = txs * ToSeconds(cost.sign) / worker_cores;
+      std::printf("  %-8s sign %6.2f ms/tx -> pre-signing the workload takes %7.1f s"
+                  " (%d-byte signatures)\n",
+                  scheme == SignatureScheme::kEcdsa     ? "ECDSA"
+                  : scheme == SignatureScheme::kEd25519 ? "Ed25519"
+                                                        : "RSA4096",
+                  ToMilliseconds(cost.sign), presign_s, cost.bytes);
+    }
+    std::printf("  -> verification cost barely moves the chain; signing cost breaks"
+                " the harness.\n");
+  };
 }
 
-void AblateGossipBatching(double scale) {
-  std::printf("\nE. Gossip batch interval (quorum, devnet, 800 TPS):\n");
-  for (const int batch_ms : {10, 200, 1000}) {
+Section AblateGossipBatching(std::vector<ExperimentCell>* cells, double scale) {
+  static constexpr int kBatchesMs[] = {10, 200, 1000};
+  const size_t first = cells->size();
+  for (const int batch_ms : kBatchesMs) {
     ChainParams params = GetChainParams("quorum");
     params.gossip_batch_interval = Milliseconds(batch_ms);
-    const RunResult result = RunWith(params, "devnet", 800, 60, scale);
-    std::printf("  batch %4d ms: latency %5.2f s, throughput %7.1f TPS\n", batch_ms,
-                result.report.avg_latency, result.report.avg_throughput);
+    AddRun(cells, params, "devnet", 800, 60, scale);
   }
-  std::printf("  -> batching adds half an interval of latency; it exists to bound"
-              " message counts.\n");
+  return [first](const std::vector<RunResult>& results) {
+    std::printf("\nE. Gossip batch interval (quorum, devnet, 800 TPS):\n");
+    size_t cell = first;
+    for (const int batch_ms : kBatchesMs) {
+      const RunResult& result = results[cell++];
+      std::printf("  batch %4d ms: latency %5.2f s, throughput %7.1f TPS\n", batch_ms,
+                  result.report.avg_latency, result.report.avg_throughput);
+    }
+    std::printf("  -> batching adds half an interval of latency; it exists to bound"
+                " message counts.\n");
+  };
 }
 
-void AblateCommitDetection(double scale) {
-  std::printf("\nH. Client commit-detection interval (Algorand, testnet, 500 TPS):\n");
-  std::printf("   (§5.2: diablo switched from Algorand's blocking API to polling\n"
-              "    every appended block, 'which improved significantly Algorand's\n"
-              "    performance')\n");
-  for (const int poll_ms : {100, 500, 2000, 5000}) {
+Section AblateCommitDetection(std::vector<ExperimentCell>* cells, double scale) {
+  static constexpr int kPollsMs[] = {100, 500, 2000, 5000};
+  const size_t first = cells->size();
+  for (const int poll_ms : kPollsMs) {
     ChainParams params = GetChainParams("algorand");
     params.client_poll_interval = Milliseconds(poll_ms);
-    const RunResult result = RunWith(params, "testnet", 500, 60, scale);
-    std::printf("  poll %4d ms: observed latency %5.2f s, throughput %6.1f TPS\n",
-                poll_ms, result.report.avg_latency, result.report.avg_throughput);
+    AddRun(cells, params, "testnet", 500, 60, scale);
   }
-  std::printf("  -> a blocking per-transaction wait behaves like a multi-second\n"
-              "     detection interval and inflates every measured latency.\n");
+  return [first](const std::vector<RunResult>& results) {
+    std::printf("\nH. Client commit-detection interval (Algorand, testnet, 500 TPS):\n");
+    std::printf("   (§5.2: diablo switched from Algorand's blocking API to polling\n"
+                "    every appended block, 'which improved significantly Algorand's\n"
+                "    performance')\n");
+    size_t cell = first;
+    for (const int poll_ms : kPollsMs) {
+      const RunResult& result = results[cell++];
+      std::printf("  poll %4d ms: observed latency %5.2f s, throughput %6.1f TPS\n",
+                  poll_ms, result.report.avg_latency, result.report.avg_throughput);
+    }
+    std::printf("  -> a blocking per-transaction wait behaves like a multi-second\n"
+                "     detection interval and inflates every measured latency.\n");
+  };
 }
 
-void AblateLeaderlessBft(double scale) {
-  std::printf("\nG. Leader-based vs leaderless deterministic BFT at 10,000 TPS"
-              " (datacenter):\n");
-  std::printf("   (§6.3/§6.6: Smart Red Belly's leaderless DBFT 'is immune to"
-              " this problem')\n");
-  for (const char* chain : {"quorum", "redbelly"}) {
-    const RunResult result = RunWith(GetChainParams(chain), "datacenter", 10000,
-                                     120, scale);
-    std::printf("  %-9s (%s): throughput %7.1f TPS, latency %6.1f s,"
-                " %llu view changes\n",
-                chain, GetChainParams(chain).consensus_name.c_str(),
-                result.report.avg_throughput, result.report.avg_latency,
-                static_cast<unsigned long long>(result.chain_stats.view_changes));
+Section AblateLeaderlessBft(std::vector<ExperimentCell>* cells, size_t quorum,
+                            double scale) {
+  const size_t redbelly =
+      AddRun(cells, GetChainParams("redbelly"), "datacenter", 10000, 120, scale);
+  return [quorum, redbelly](const std::vector<RunResult>& results) {
+    std::printf("\nG. Leader-based vs leaderless deterministic BFT at 10,000 TPS"
+                " (datacenter):\n");
+    std::printf("   (§6.3/§6.6: Smart Red Belly's leaderless DBFT 'is immune to"
+                " this problem')\n");
+    for (const auto& [chain, cell] : {std::pair<const char*, size_t>{"quorum", quorum},
+                                      {"redbelly", redbelly}}) {
+      const RunResult& result = results[cell];
+      std::printf("  %-9s (%s): throughput %7.1f TPS, latency %6.1f s,"
+                  " %llu view changes\n",
+                  chain, GetChainParams(chain).consensus_name.c_str(),
+                  result.report.avg_throughput, result.report.avg_latency,
+                  static_cast<unsigned long long>(result.chain_stats.view_changes));
+    }
+  };
+}
+
+void Run() {
+  PrintHeader("Ablations — design choices called out in DESIGN.md");
+  const double scale = ScaleFromEnv();
+  std::vector<ExperimentCell> cells;
+  const size_t quorum_flood =
+      AddRun(&cells, GetChainParams("quorum"), "datacenter", 10000, 120, scale);
+  std::vector<Section> sections;
+  sections.push_back(AblateSolanaConfirmations(&cells, scale));
+  sections.push_back(AblateQuorumMempool(&cells, quorum_flood, scale));
+  sections.push_back(AblateAvalanchePeriod(&cells, scale));
+  sections.push_back(AblateCliquePeriod(&cells, scale));
+  sections.push_back(AblateSignatureScheme(scale));
+  sections.push_back(AblateGossipBatching(&cells, scale));
+  sections.push_back(AblateCommitDetection(&cells, scale));
+  sections.push_back(AblateLeaderlessBft(&cells, quorum_flood, scale));
+
+  ParallelRunner runner;
+  const std::vector<RunResult> results = RunCells(runner, std::move(cells));
+  for (const Section& section : sections) {
+    section(results);
   }
+  FinishRunnerReport("ablation_design_choices", runner);
 }
 
 }  // namespace
 }  // namespace diablo
 
 int main() {
-  diablo::PrintHeader("Ablations — design choices called out in DESIGN.md");
-  const double scale = diablo::ScaleFromEnv();
-  diablo::AblateSolanaConfirmations(scale);
-  diablo::AblateQuorumMempool(scale);
-  diablo::AblateAvalanchePeriod(scale);
-  diablo::AblateCliquePeriod(scale);
-  diablo::AblateSignatureScheme(scale);
-  diablo::AblateGossipBatching(scale);
-  diablo::AblateCommitDetection(scale);
-  diablo::AblateLeaderlessBft(scale);
+  diablo::Run();
   return 0;
 }
