@@ -297,8 +297,7 @@ void BM_BlockAssembly(benchmark::State& state) {
   for (size_t i = 0; i < total_txs; ++i) {
     Transaction tx;
     tx.account = static_cast<uint32_t>(i % kAssemblySigners);
-    tx.gas = 21000;
-    tx.size_bytes = 110;
+    tx.row = *ctx.txs().InternRow({21000, 110});
     ctx.txs().Add(tx);
   }
 

@@ -87,8 +87,7 @@ class InstantChainConnector : public BlockchainConnector {
     (void)spec;
     Transaction tx;
     tx.account = accounts.first_account;
-    tx.gas = 21000;
-    tx.size_bytes = kNativeTransferBytes;
+    tx.row = *backing_->context().txs().InternRow({21000, kNativeTransferBytes});
     tx.submit_time = scheduled_time;
     return backing_->context().txs().Add(tx);
   }

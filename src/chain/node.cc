@@ -59,7 +59,7 @@ bool ChainContext::SubmitAtEndpoint(TxId id, int endpoint, SimTime arrival,
   const int peer = static_cast<int>(rng_.NextBelow(static_cast<uint64_t>(node_count())));
   SimDuration gossip = net_->DelaySample(hosts_[static_cast<size_t>(endpoint)],
                                          hosts_[static_cast<size_t>(peer)],
-                                         int64_t{tx.size_bytes} + 64);
+                                         int64_t{txs_.row(id).size_bytes} + 64);
   if (gossip == kUnreachable) {
     gossip = Milliseconds(500);
   }
@@ -161,9 +161,9 @@ void ChainContext::RequeueBlockTail(BuiltBlock* built, uint32_t keep,
   built->gas = 0;
   built->bytes = kBlockHeaderBytes;
   for (const TxId id : BlockTxs(*built)) {
-    const Transaction& tx = txs_.at(id);
-    built->gas += tx.gas;
-    built->bytes += tx.size_bytes;
+    const CallRow& row = txs_.row(id);
+    built->gas += row.gas;
+    built->bytes += row.size_bytes;
   }
 }
 
@@ -215,8 +215,8 @@ ChainContext::BuiltBlock ChainContext::BuildBlock(SimTime now, int proposer) {
   const TxStore& txs = txs_;
   mempool_.TakeReady(
       now, gas_limit, params_.max_block_bytes, max_txs,
-      [&txs](TxId id) { return txs.at(id).gas; },
-      [&txs](TxId id) { return static_cast<int64_t>(txs.at(id).size_bytes); },
+      [&txs](TxId id) { return txs.row(id).gas; },
+      [&txs](TxId id) { return static_cast<int64_t>(txs.row(id).size_bytes); },
       &block_txs_, &expired_);
   built.tx_count = static_cast<uint32_t>(block_txs_.size()) - built.tx_begin;
   DIABLO_CHECK(built.tx_count <= max_txs,
@@ -250,9 +250,9 @@ ChainContext::BuiltBlock ChainContext::BuildBlock(SimTime now, int proposer) {
   }
 
   for (const TxId id : BlockTxs(built)) {
-    const Transaction& tx = txs_.at(id);
-    built.gas += tx.gas;
-    built.bytes += tx.size_bytes;
+    const CallRow& row = txs_.row(id);
+    built.gas += row.gas;
+    built.bytes += row.size_bytes;
   }
 
   // Proposer work: scan of the pending set, block execution, signature

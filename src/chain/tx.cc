@@ -1,5 +1,7 @@
 #include "src/chain/tx.h"
 
+#include <algorithm>
+
 namespace diablo {
 
 std::string_view TxPhaseName(TxPhase phase) {
@@ -21,6 +23,18 @@ std::string_view TxPhaseName(TxPhase phase) {
 TxId TxStore::Add(const Transaction& tx) {
   txs_.push_back(tx);
   return static_cast<TxId>(txs_.size() - 1);
+}
+
+std::optional<uint16_t> TxStore::InternNewRow(const CallRow& row) {
+  auto found = std::find(rows_.begin(), rows_.end(), row);
+  if (found == rows_.end()) {
+    if (rows_.size() == kMaxRows) {
+      return std::nullopt;
+    }
+    found = rows_.insert(rows_.end(), row);
+  }
+  last_row_ = static_cast<uint16_t>(found - rows_.begin());
+  return last_row_;
 }
 
 std::vector<size_t> TxStore::PhaseCounts() const {

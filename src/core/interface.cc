@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <utility>
 
 #include "src/contracts/contracts.h"
@@ -52,8 +53,9 @@ class SimClient : public BlockchainClient {
 
     const int endpoint = endpoints_[next_endpoint_++ % endpoints_.size()];
     const HostId endpoint_host = ctx.hosts()[static_cast<size_t>(endpoint)];
-    SimDuration delay = ctx.net()->DelaySampleFrom(&rng_, client_host_,
-                                                   endpoint_host, int64_t{tx.size_bytes} + 128);
+    SimDuration delay =
+        ctx.net()->DelaySampleFrom(&rng_, client_host_, endpoint_host,
+                                   int64_t{ctx.txs().row(encoded).size_bytes} + 128);
     if (delay == kUnreachable) {
       delay = Milliseconds(500);
     }
@@ -69,7 +71,6 @@ class SimClient : public BlockchainClient {
   // so a client with a multi-node view walks away from a dead node.
   void Attempt(TxId encoded, int attempt, SimTime now) {
     ChainContext& ctx = chain_->context();
-    const Transaction& tx = ctx.txs().at(encoded);
     ++stats_->attempts;
     if (attempt > 0) {
       ++stats_->retries;
@@ -77,7 +78,7 @@ class SimClient : public BlockchainClient {
     const int endpoint = endpoints_[next_endpoint_++ % endpoints_.size()];
     const HostId endpoint_host = ctx.hosts()[static_cast<size_t>(endpoint)];
     const SimDuration delay = ctx.net()->DelaySampleFrom(
-        &rng_, client_host_, endpoint_host, int64_t{tx.size_bytes} + 128);
+        &rng_, client_host_, endpoint_host, int64_t{ctx.txs().row(encoded).size_bytes} + 128);
     if (delay == kUnreachable) {
       // The request vanished (endpoint crashed or partitioned); the client
       // only learns after its submission timeout.
@@ -170,27 +171,33 @@ TxId SimConnector::Encode(const InteractionSpec& spec, const Resource& accounts,
 bool SimConnector::Resolve(const InteractionSpec& spec, Transaction* row) {
   ChainContext& ctx = chain_->context();
   *row = Transaction{};
+  CallRow call;
   if (spec.type == InteractionSpec::Type::kTransfer) {
-    row->gas = NativeTransferGas(ctx.params().dialect);
-    row->size_bytes = kNativeTransferBytes;
-    return true;
+    call.gas = NativeTransferGas(ctx.params().dialect);
+    call.size_bytes = kNativeTransferBytes;
+  } else {
+    const CallProfile& profile =
+        ctx.oracle().Profile(spec.contract_index, spec.function, spec.args);
+    call.gas = profile.gas;
+    row->exec_status = profile.status;
+    // Payload-bearing calls (e.g. youtube upload) carry their data on the
+    // wire as well. The payload comes from the caller's arguments, so the
+    // total is range-checked before it narrows to the int32 wire size.
+    int64_t payload = 0;
+    if (!spec.args.empty() && spec.function == "upload") {
+      payload = spec.args[0];
+    }
+    const int64_t envelope = kNativeTransferBytes + profile.calldata_bytes;
+    if (payload < -envelope || payload > INT32_MAX - envelope) {
+      return false;
+    }
+    call.size_bytes = static_cast<int32_t>(envelope + payload);
   }
-  const CallProfile& profile =
-      ctx.oracle().Profile(spec.contract_index, spec.function, spec.args);
-  row->gas = profile.gas;
-  row->exec_status = profile.status;
-  // Payload-bearing calls (e.g. youtube upload) carry their data on the
-  // wire as well. The payload comes from the caller's arguments, so the
-  // total is range-checked before it narrows to the int32 wire size.
-  int64_t payload = 0;
-  if (!spec.args.empty() && spec.function == "upload") {
-    payload = spec.args[0];
-  }
-  const int64_t envelope = kNativeTransferBytes + profile.calldata_bytes;
-  if (payload < -envelope || payload > INT32_MAX - envelope) {
+  const std::optional<uint16_t> index = ctx.txs().InternRow(call);
+  if (!index.has_value()) {
     return false;
   }
-  row->size_bytes = static_cast<int32_t>(envelope + payload);
+  row->row = *index;
   return true;
 }
 
@@ -200,7 +207,6 @@ TxId SimConnector::Stamp(const Transaction& row, const Resource& accounts,
   tx.account = accounts.first_account +
                static_cast<uint32_t>(encode_counter_ %
                                      static_cast<uint64_t>(accounts.account_count));
-  tx.sequence = static_cast<uint32_t>(encode_counter_);
   ++encode_counter_;
   tx.submit_time = scheduled_time;
   return chain_->context().txs().Add(tx);

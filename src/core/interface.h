@@ -108,17 +108,18 @@ class SimConnector : public BlockchainConnector {
   std::unique_ptr<BlockchainClient> CreateClient(Region location,
                                                  std::vector<int> endpoint_view) override;
   bool CreateResource(const ResourceSpec& spec, Resource* out) override;
-  // A call it rejects is never stamped: it uses up no account or sequence
-  // number, so the next call signs as if the rejected one had not been made.
+  // A call it rejects is never stamped: it uses up no signer account, so
+  // the next call signs as if the rejected one had not been made.
   TxId Encode(const InteractionSpec& spec, const Resource& accounts,
               SimTime scheduled_time) override;
 
   // Encode in its two halves; Encode is Resolve, then Stamp. Resolve fills
-  // `row` with every field Encode derives from `spec` (gas, exec status and
-  // wire size), measuring the function's cost profile on its
-  // first use, and returns false when the call has no valid wire size.
-  // Stamp stores a copy of `row` signed by the next account, with the next
-  // sequence number and `scheduled_time`.
+  // `row` with every field Encode derives from `spec`: its exec status, and
+  // its gas and wire size as a CallRow interned in the chain's TxStore. It
+  // measures the function's cost profile on its first use, and returns false
+  // when the call has no valid wire size or the store holds
+  // TxStore::kMaxRows other rows. Stamp stores a copy of `row` signed by the
+  // next account at `scheduled_time`.
   bool Resolve(const InteractionSpec& spec, Transaction* row);
   TxId Stamp(const Transaction& row, const Resource& accounts, SimTime scheduled_time);
 

@@ -97,9 +97,9 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
     return result;
   }
   // Every entry point's rates, checked after scaling and before anything is
-  // sized from them: ExpandArrivals turns each second's rate into a count
-  // and reserves TotalTxs() + duration_seconds() times per stream, and
-  // every transaction needs a TxId below kInvalidTx.
+  // sized from them: CountArrivals turns each second's rate into a count,
+  // which TotalTxs() + duration_seconds() bounds, and every transaction
+  // needs a TxId below kInvalidTx.
   double reserved_txs = 0;
   for (WorkStream& stream : streams) {
     Trace& trace = stream.workload.trace;
@@ -268,19 +268,17 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
     }
   }
 
-  // Pre-sign and partition every stream. Arrivals are expanded for all
+  // Pre-sign and partition every stream. Arrivals are counted for all
   // streams first so transaction storage, the mempool side tables, the
   // block-tx pool and every Secondary's schedule can be sized once for the
-  // whole run before encoding begins.
+  // whole run before encoding begins; encoding then walks them, so no
+  // stream's times are ever stored but in its Secondaries' schedules.
   size_t total_txs = 0;
-  std::vector<std::vector<SimTime>> stream_arrivals(streams.size());
   std::vector<size_t> schedule_sizes(secondaries.size(), 0);
   for (size_t i = 0; i < streams.size(); ++i) {
-    stream_arrivals[i] =
-        ExpandArrivals(streams[i].workload.trace, ArrivalProcess::kUniform, nullptr);
-    const size_t count = stream_arrivals[i].size();
+    const size_t count = CountArrivals(streams[i].workload.trace);
     total_txs += count;
-    // The loop below deals transaction k to set[k % set.size()].
+    // The walk below deals transaction k to set[k % set.size()].
     const std::vector<size_t>& set = stream_secondaries[i];
     for (size_t j = 0; j < set.size(); ++j) {
       schedule_sizes[set[j]] += count / set.size() + (j < count % set.size() ? 1 : 0);
@@ -292,25 +290,30 @@ RunResult Primary::RunStreams(std::vector<WorkStream> streams,
   }
   for (size_t i = 0; i < streams.size(); ++i) {
     const DappWorkload& workload = streams[i].workload;
-    const std::vector<SimTime>& arrivals = stream_arrivals[i];
     const int contract_index =
         workload.contract.empty() ? -1 : contracts.at(workload.contract).contract_index;
     CallTable table(&connector, accounts, workload, contract_index);
     const std::vector<size_t>& set = stream_secondaries[i];
-    for (size_t k = 0; k < arrivals.size(); ++k) {
-      const TxId tx = table.Encode(k, arrivals[k]);
+    uint64_t k = 0;
+    const bool encoded = ForEachArrival(workload.trace, [&](SimTime time) {
+      const TxId tx = table.Encode(k, time);
       if (tx == kInvalidTx) {
         result.failure_reason =
             "invocation " + workload.InvocationFor(k).function + ": wire size out of range";
-        return counted();
+        return false;
       }
-      secondaries[set[k % set.size()]]->Assign(arrivals[k], tx);
+      secondaries[set[k % set.size()]]->Assign(time, tx);
       if (k == 0 && contract_index >= 0 && result.failure_reason.empty()) {
         const VmStatus status = ctx.txs().at(tx).exec_status;
         if (status != VmStatus::kOk) {
           result.failure_reason = std::string(VmStatusName(status));
         }
       }
+      ++k;
+      return true;
+    });
+    if (!encoded) {
+      return counted();
     }
   }
 

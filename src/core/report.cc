@@ -1,10 +1,18 @@
 #include "src/core/report.h"
 
 #include <algorithm>
+#include <limits>
 
+#include "src/support/check.h"
 #include "src/support/strings.h"
 
 namespace diablo {
+namespace {
+
+// No commit at or after a heal.
+constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+
+}  // namespace
 
 Report BuildReport(const TxStore& txs, SimTime horizon, std::string chain,
                    std::string deployment, std::string workload,
@@ -15,9 +23,14 @@ Report BuildReport(const TxStore& txs, SimTime horizon, std::string chain,
   report.workload = std::move(workload);
   report.workload_duration = workload_duration;
 
-  // One latency sample per committed transaction at most; sizing for the
-  // whole store keeps the aggregation loop reallocation-free.
-  report.latencies.Reserve(txs.size());
+  // One latency sample per transaction committed within the horizon. The
+  // report outlives the cell, so its buffer is sized to exactly those.
+  size_t in_view = 0;
+  for (TxId id = 0; id < txs.size(); ++id) {
+    const Transaction& tx = txs.at(id);
+    in_view += tx.phase == TxPhase::kCommitted && tx.commit_time <= horizon ? 1 : 0;
+  }
+  report.latencies.Reserve(in_view);
 
   SimTime last_commit = 0;
   for (TxId id = 0; id < txs.size(); ++id) {
@@ -81,9 +94,15 @@ void AddResilienceMetrics(Report* report, const TxStore& txs, SimTime horizon,
   // eventually landed. Buckets follow the submit clock, not the commit
   // clock, so a fault window shows up as a dip even when its transactions
   // commit late.
+  //
+  // Time-to-recovery in the same pass: each commit is filed under the last
+  // heal at or before it, keeping the earliest; heal i's first commit at or
+  // after it is then the least filed under heal i or a later one.
+  DIABLO_CHECK(std::is_sorted(heal_times.begin(), heal_times.end()),
+               "heal times must ascend");
   std::vector<uint64_t> offered;
   std::vector<uint64_t> landed;
-  std::vector<SimTime> commits;
+  std::vector<SimTime> first_after(heal_times.size(), kNever);
   for (TxId id = 0; id < txs.size(); ++id) {
     const Transaction& tx = txs.at(id);
     if (tx.phase == TxPhase::kCreated) {
@@ -97,7 +116,13 @@ void AddResilienceMetrics(Report* report, const TxStore& txs, SimTime horizon,
     ++offered[second];
     if (tx.phase == TxPhase::kCommitted && tx.commit_time <= horizon) {
       ++landed[second];
-      commits.push_back(tx.commit_time);
+      const auto after =
+          std::upper_bound(heal_times.begin(), heal_times.end(), tx.commit_time) -
+          heal_times.begin();
+      if (after > 0) {
+        SimTime& filed = first_after[static_cast<size_t>(after - 1)];
+        filed = std::min(filed, tx.commit_time);
+      }
     }
   }
   report->interval_commit_ratio.clear();
@@ -113,14 +138,14 @@ void AddResilienceMetrics(Report* report, const TxStore& txs, SimTime horizon,
         std::min(report->min_interval_commit_ratio, ratio);
   }
 
-  // Time-to-recovery: first commit at or after each heal instant.
-  std::sort(commits.begin(), commits.end());
+  for (size_t i = first_after.size(); i-- > 1;) {
+    first_after[i - 1] = std::min(first_after[i - 1], first_after[i]);
+  }
   report->recoveries.clear();
   report->recoveries.reserve(heal_times.size());
-  for (const SimTime heal : heal_times) {
-    const auto first = std::lower_bound(commits.begin(), commits.end(), heal);
-    report->recoveries.push_back(first == commits.end() ? -1.0
-                                                        : ToSeconds(*first - heal));
+  for (size_t i = 0; i < heal_times.size(); ++i) {
+    const SimTime first = first_after[i];
+    report->recoveries.push_back(first == kNever ? -1.0 : ToSeconds(first - heal_times[i]));
   }
 }
 

@@ -68,8 +68,9 @@ struct Report {
 
 // Fills the fault-run metrics on `report`: the per-submit-second commit
 // ratio series and, for each instant in `heal_times` (partition heals,
-// crash restarts), the time to the first commit at or after it. Marks the
-// report as a resilience report.
+// crash restarts, ascending as FaultSchedule::HealTimes returns them), the
+// time to the first commit at or after it. Marks the report as a resilience
+// report.
 void AddResilienceMetrics(Report* report, const TxStore& txs, SimTime horizon,
                           const std::vector<SimTime>& heal_times);
 

@@ -189,8 +189,7 @@ TEST_F(AllocationLock, SteadyStateBlockAssemblyAllocatesNothing) {
   for (size_t i = 0; i < kAdmitPerBlock * blocks; ++i) {
     Transaction tx;
     tx.account = static_cast<uint32_t>(i % kSigners);
-    tx.gas = 21000;
-    tx.size_bytes = 110;
+    tx.row = *ctx.txs().InternRow({21000, 110});
     ctx.txs().Add(tx);
   }
 
@@ -309,30 +308,33 @@ TEST_F(AllocationLock, PreSigningAllocatesNothing) {
 TEST_F(AllocationLock, PreSigningStaysWithinItsBytesPerTransaction) {
 #if defined(DIABLO_HEAP_IN_USE)
   // Fig. 2's largest cell keeps every pre-signed transaction until it ends.
-  // Allocator bytes in use across arrival expansion, ReserveTxs, encoding
-  // and assignment of ~930k YouTube transactions on consortium, per
-  // transaction: the Transaction (40 B), its schedule entry (16 B), its
-  // arrival time (8 B), the mempool's lifecycle byte (1 B; Quorum's pool has
-  // no TTL and no signer cap, so it keeps no other side table) and its
-  // block-tx slot (4 B), plus fixed reservations. 72 B leaves room for those
-  // fixed parts only; a second copy of a per-transaction field does not fit.
+  // Allocator bytes in use across ReserveTxs, encoding and assignment of
+  // ~930k YouTube transactions on consortium, walking the trace as
+  // RunStreams does, per transaction: the Transaction (24 B), its schedule
+  // entry (16 B), the mempool's lifecycle byte (1 B; Quorum's pool has no
+  // TTL and no signer cap, so it keeps no other side table) and its
+  // block-tx slot (4 B), plus fixed reservations. 48 B leaves room for
+  // those fixed parts only; a stored arrival time (8 B) or a second copy of
+  // a per-transaction field does not fit.
   PreSigningCell cell("consortium");
   ASSERT_GE(cell.contract_index, 0);
   const Trace trace = cell.youtube.trace.Scaled(0.2);
   const int64_t before = HeapInUseBytes();
-  const std::vector<SimTime> arrivals =
-      ExpandArrivals(trace, ArrivalProcess::kUniform, nullptr);
-  cell.Reserve(arrivals.size());
+  const size_t count = CountArrivals(trace);
+  cell.Reserve(count);
   CallTable table(&cell.connector, cell.accounts, cell.youtube, cell.contract_index);
-  for (size_t k = 0; k < arrivals.size(); ++k) {
-    cell.EncodeAndAssign(&table, k, arrivals[k]);
-  }
+  uint64_t k = 0;
+  ForEachArrival(trace, [&](SimTime time) {
+    cell.EncodeAndAssign(&table, k++, time);
+    return true;
+  });
   const int64_t after = HeapInUseBytes();
-  ASSERT_GT(arrivals.size(), 900000u);
+  ASSERT_EQ(k, count);
+  ASSERT_GT(count, 900000u);
   const double bytes_per_tx =
-      static_cast<double>(after - before) / static_cast<double>(arrivals.size());
-  EXPECT_LE(bytes_per_tx, 72.0) << arrivals.size() << " transactions";
-  EXPECT_GE(bytes_per_tx, 40.0 + 16.0 + 8.0);
+      static_cast<double>(after - before) / static_cast<double>(count);
+  EXPECT_LE(bytes_per_tx, 48.0) << count << " transactions";
+  EXPECT_GE(bytes_per_tx, 24.0 + 16.0);
 #else
   GTEST_SKIP() << "allocator bytes in use are read through glibc's mallinfo2, "
                   "which sees no sanitizer's allocator";

@@ -31,6 +31,26 @@ TEST(TxStoreTest, AddAndPhaseCounts) {
   EXPECT_EQ(counts[static_cast<size_t>(TxPhase::kCommitted)], 1u);
 }
 
+TEST(TxStoreTest, InternsOneIndexPerDistinctRow) {
+  // Row 0 is the zero row a Transaction names by default. Every other
+  // distinct row gets the next index, whenever and however often it comes
+  // back.
+  TxStore store;
+  EXPECT_EQ(store.InternRow(CallRow{}), 0);
+  EXPECT_EQ(store.InternRow({21000, 110}), 1);
+  EXPECT_EQ(store.InternRow({21000, 110}), 1);
+  EXPECT_EQ(store.InternRow({21000, 111}), 2);
+  EXPECT_EQ(store.InternRow({21001, 110}), 3);
+  EXPECT_EQ(store.InternRow({21000, 110}), 1);
+  EXPECT_EQ(store.InternRow(CallRow{}), 0);
+  Transaction tx;
+  const TxId plain = store.Add(tx);
+  tx.row = 3;
+  const TxId call = store.Add(tx);
+  EXPECT_EQ(store.row(plain), CallRow{});
+  EXPECT_EQ(store.row(call), (CallRow{21001, 110}));
+}
+
 TEST(TxTest, LatencyComputation) {
   Transaction tx;
   EXPECT_DOUBLE_EQ(tx.LatencySeconds(), -1.0);
@@ -882,8 +902,7 @@ TEST(ChainContextTest, SubmitBuildFinalize) {
   for (int i = 0; i < 3; ++i) {
     Transaction tx;
     tx.account = static_cast<uint32_t>(i);
-    tx.gas = NativeTransferGas(params.dialect);
-    tx.size_bytes = kNativeTransferBytes;
+    tx.row = *ctx.txs().InternRow({NativeTransferGas(params.dialect), kNativeTransferBytes});
     tx.submit_time = 0;
     ids.push_back(ctx.txs().Add(tx));
   }
@@ -925,8 +944,7 @@ TEST(ChainContextTest, CongestionShrinksBlocks) {
   for (int i = 0; i < 1000; ++i) {
     Transaction tx;
     tx.account = static_cast<uint32_t>(i);
-    tx.gas = 1000;
-    tx.size_bytes = 100;
+    tx.row = *ctx.txs().InternRow({1000, 100});
     const TxId id = ctx.txs().Add(tx);
     ASSERT_TRUE(ctx.SubmitAtEndpoint(id, 0, 0));
   }
@@ -944,8 +962,7 @@ TEST(ChainContextTest, DroppedTxReported) {
   params.mempool.evict_on_full = false;  // reject instead of replacing
   ChainContext ctx(&sim, &net, GetDeployment("testnet"), params);
   Transaction tx;
-  tx.gas = 21000;
-  tx.size_bytes = 110;
+  tx.row = *ctx.txs().InternRow({21000, 110});
   const TxId a = ctx.txs().Add(tx);
   const TxId b = ctx.txs().Add(tx);
   EXPECT_TRUE(ctx.SubmitAtEndpoint(a, 0, 0));

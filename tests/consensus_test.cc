@@ -24,15 +24,15 @@ class Driver {
   void SubmitConstant(double tps, int seconds, int accounts = 200) {
     ChainContext& ctx = chain_->context();
     const int n = ctx.node_count();
+    const uint16_t row =
+        *ctx.txs().InternRow({NativeTransferGas(ctx.params().dialect), kNativeTransferBytes});
     uint32_t seq = 0;
     for (int s = 0; s < seconds; ++s) {
       const int count = static_cast<int>(tps);
       for (int i = 0; i < count; ++i) {
         Transaction tx;
         tx.account = seq % static_cast<uint32_t>(accounts);
-        tx.sequence = seq;
-        tx.gas = NativeTransferGas(ctx.params().dialect);
-        tx.size_bytes = kNativeTransferBytes;
+        tx.row = row;
         const SimTime when =
             Seconds(s) + Milliseconds(static_cast<int64_t>(1000.0 * i / count));
         tx.submit_time = when;
@@ -285,13 +285,14 @@ struct MiniRun {
 
   void Submit(int tps, int seconds) {
     ChainContext& ctx = chain->context();
+    const uint16_t row =
+        *ctx.txs().InternRow({NativeTransferGas(ctx.params().dialect), kNativeTransferBytes});
     uint32_t seq = 0;
     for (int s = 0; s < seconds; ++s) {
       for (int i = 0; i < tps; ++i) {
         Transaction tx;
         tx.account = seq % 100;
-        tx.gas = NativeTransferGas(ctx.params().dialect);
-        tx.size_bytes = kNativeTransferBytes;
+        tx.row = row;
         const SimTime when = Seconds(s) + Milliseconds(1000LL * i / tps);
         tx.submit_time = when;
         const TxId id = ctx.txs().Add(tx);

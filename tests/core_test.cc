@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -15,6 +16,7 @@
 #include "src/core/interface.h"
 #include "src/core/results.h"
 #include "src/core/runner.h"
+#include "src/support/rng.h"
 #include "src/support/strings.h"
 
 namespace diablo {
@@ -52,10 +54,10 @@ TEST(ConnectorTest, FourPortingFunctions) {
   invoke.contract_index = contract.contract_index;
   invoke.function = "add";
   const TxId encoded = connector.Encode(invoke, accounts, Seconds(1));
-  const Transaction& tx = chain->context().txs().at(encoded);
-  EXPECT_GT(tx.gas, 0);
-  EXPECT_GT(tx.size_bytes, 0);
-  EXPECT_LT(tx.account, 10u);
+  const TxStore& txs = chain->context().txs();
+  EXPECT_GT(txs.row(encoded).gas, 0);
+  EXPECT_GT(txs.row(encoded).size_bytes, 0);
+  EXPECT_LT(txs.at(encoded).account, 10u);
 
   // create_client + trigger.
   auto client = connector.CreateClient(Region::kOhio, {0});
@@ -101,8 +103,52 @@ TEST(ConnectorTest, EncodeRotatesAccounts) {
 TEST(ConnectorTest, EncodeRejectsWireSizesOutsideInt32) {
   // An upload carries its payload on the wire, so its argument sets the
   // transaction's int32 wire size. Sizes from 0 to INT32_MAX encode; one
-  // byte either side has no encoding, and a rejected call uses up no
-  // sequence number.
+  // byte either side has no encoding, and a rejected call uses up no signer
+  // account.
+  Simulation sim(1);
+  Network net(&sim);
+  const auto chain = BuildChain("quorum", GetDeployment("testnet"), &sim, &net);
+  SimConnector connector(chain.get());
+  ResourceSpec accounts_spec;
+  accounts_spec.kind = ResourceSpec::Kind::kAccounts;
+  accounts_spec.account_count = 10;
+  Resource accounts;
+  ASSERT_TRUE(connector.CreateResource(accounts_spec, &accounts));
+  ResourceSpec contract_spec;
+  contract_spec.kind = ResourceSpec::Kind::kContract;
+  contract_spec.contract_name = "youtube";
+  Resource contract;
+  ASSERT_TRUE(connector.CreateResource(contract_spec, &contract));
+  InteractionSpec upload;
+  upload.type = InteractionSpec::Type::kInvoke;
+  upload.contract_index = contract.contract_index;
+  upload.function = "upload";
+  auto encode = [&](int64_t payload) {
+    upload.args = {payload};
+    return connector.Encode(upload, accounts, 0);
+  };
+  const TxStore& txs = chain->context().txs();
+  const int64_t envelope = txs.row(encode(1024)).size_bytes - 1024;
+  ASSERT_GT(envelope, 0);
+  EXPECT_EQ(txs.row(encode(INT32_MAX - envelope)).size_bytes, INT32_MAX);
+  EXPECT_EQ(txs.row(encode(-envelope)).size_bytes, 0);
+  EXPECT_EQ(encode(INT32_MAX - envelope + 1), kInvalidTx);
+  EXPECT_EQ(encode(-envelope - 1), kInvalidTx);
+  EXPECT_EQ(encode(INT64_MAX), kInvalidTx);
+  EXPECT_EQ(encode(INT64_MIN), kInvalidTx);
+  EXPECT_EQ(txs.size(), 3u);
+  const TxId next = encode(1024);
+  ASSERT_NE(next, kInvalidTx);
+  // The fourth call signs with the fourth account, not the eighth.
+  EXPECT_EQ(txs.at(next).account, accounts.first_account + 3);
+  EXPECT_EQ(txs.size(), 4u);
+}
+
+TEST(ConnectorTest, EncodeRejectsARowPastTheTable) {
+  // Each upload payload is its own wire size, so its own row. The chain's
+  // store holds a row for each of the 65,536 values of a 16-bit index, the
+  // zero row among them, so the 65,536th distinct upload has no row and no
+  // encoding and stores nothing; a payload already seen still encodes.
   Simulation sim(1);
   Network net(&sim);
   const auto chain = BuildChain("quorum", GetDeployment("testnet"), &sim, &net);
@@ -126,19 +172,18 @@ TEST(ConnectorTest, EncodeRejectsWireSizesOutsideInt32) {
     return connector.Encode(upload, accounts, 0);
   };
   const TxStore& txs = chain->context().txs();
-  const int64_t envelope = txs.at(encode(1024)).size_bytes - 1024;
-  ASSERT_GT(envelope, 0);
-  EXPECT_EQ(txs.at(encode(INT32_MAX - envelope)).size_bytes, INT32_MAX);
-  EXPECT_EQ(txs.at(encode(-envelope)).size_bytes, 0);
-  EXPECT_EQ(encode(INT32_MAX - envelope + 1), kInvalidTx);
-  EXPECT_EQ(encode(-envelope - 1), kInvalidTx);
-  EXPECT_EQ(encode(INT64_MAX), kInvalidTx);
-  EXPECT_EQ(encode(INT64_MIN), kInvalidTx);
-  EXPECT_EQ(txs.size(), 3u);
-  const TxId next = encode(1024);
-  ASSERT_NE(next, kInvalidTx);
-  EXPECT_EQ(txs.at(next).sequence, 3u);
-  EXPECT_EQ(txs.size(), 4u);
+  TxId last = kInvalidTx;
+  for (int64_t payload = 1; payload < 65536; ++payload) {
+    last = encode(payload);
+    ASSERT_NE(last, kInvalidTx) << payload;
+  }
+  EXPECT_EQ(txs.at(last).row, 65535);
+  EXPECT_EQ(encode(65536), kInvalidTx);
+  EXPECT_EQ(txs.size(), 65535u);
+  const TxId again = encode(1);
+  ASSERT_NE(again, kInvalidTx);
+  EXPECT_EQ(txs.at(again).row, 1);
+  EXPECT_EQ(txs.size(), 65536u);
 }
 
 // One simulated chain with the resources Primary::RunStreams creates for a
@@ -237,9 +282,8 @@ TEST(CallTableTest, MatchesPerCallEncodeFieldForField) {
         const Transaction& a = got.at(id);
         const Transaction& b = want.at(id);
         EXPECT_EQ(a.account, b.account) << label << " tx " << id;
-        EXPECT_EQ(a.sequence, b.sequence) << label << " tx " << id;
-        EXPECT_EQ(a.size_bytes, b.size_bytes) << label << " tx " << id;
-        EXPECT_EQ(a.gas, b.gas) << label << " tx " << id;
+        EXPECT_EQ(a.row, b.row) << label << " tx " << id;
+        EXPECT_EQ(got.row(id), want.row(id)) << label << " tx " << id;
         EXPECT_EQ(a.submit_time, b.submit_time) << label << " tx " << id;
         EXPECT_EQ(a.commit_time, b.commit_time) << label << " tx " << id;
         EXPECT_EQ(a.phase, b.phase) << label << " tx " << id;
@@ -594,6 +638,54 @@ TEST(ReportTest, PendingAfterHorizon) {
   EXPECT_DOUBLE_EQ(report.commit_ratio, 0.25);
   EXPECT_DOUBLE_EQ(report.avg_latency, 4.0);
   EXPECT_NE(report.ToText().find("committed:    1"), std::string::npos);
+}
+
+TEST(ReportTest, RecoveriesMatchASearchOfSortedCommits) {
+  // A heal's recovery is the time to the first commit within the horizon at
+  // or after it: what one lower_bound per heal over every such commit,
+  // sorted, finds. Random stores, with tied heals, heals at a commit, heals
+  // after the last commit ("never") and commits past the horizon.
+  Rng rng(2027);
+  const SimTime horizon = Seconds(60);
+  for (int trial = 0; trial < 300; ++trial) {
+    TxStore txs;
+    std::vector<SimTime> commits;
+    const uint64_t count = rng.NextBelow(200);
+    for (uint64_t i = 0; i < count; ++i) {
+      Transaction tx;
+      tx.submit_time = static_cast<SimTime>(rng.NextBelow(Seconds(50)));
+      tx.phase = static_cast<TxPhase>(rng.NextBelow(5));
+      if (tx.phase == TxPhase::kCommitted) {
+        tx.commit_time = tx.submit_time + static_cast<SimTime>(rng.NextBelow(Seconds(30)));
+        if (tx.commit_time <= horizon) {
+          commits.push_back(tx.commit_time);
+        }
+      }
+      txs.Add(tx);
+    }
+    std::sort(commits.begin(), commits.end());
+    std::vector<SimTime> heals;
+    for (uint64_t i = rng.NextBelow(5); i > 0; --i) {
+      heals.push_back(static_cast<SimTime>(rng.NextBelow(Seconds(70))));
+      if (rng.NextBernoulli(0.3)) {
+        heals.push_back(heals.back());
+      }
+    }
+    if (!commits.empty()) {
+      heals.push_back(commits[rng.NextBelow(commits.size())]);
+      heals.push_back(commits.back() + 1);
+    }
+    std::sort(heals.begin(), heals.end());
+
+    Report report;
+    AddResilienceMetrics(&report, txs, horizon, heals);
+    ASSERT_EQ(report.recoveries.size(), heals.size()) << "trial " << trial;
+    for (size_t i = 0; i < heals.size(); ++i) {
+      const auto first = std::lower_bound(commits.begin(), commits.end(), heals[i]);
+      const double want = first == commits.end() ? -1.0 : ToSeconds(*first - heals[i]);
+      EXPECT_EQ(report.recoveries[i], want) << "trial " << trial << " heal " << i;
+    }
+  }
 }
 
 TEST(ResultsTest, JsonAndCsvOutput) {

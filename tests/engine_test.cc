@@ -23,13 +23,14 @@ struct EngineRun {
 
   void SubmitConstant(int tps, int seconds) {
     ChainContext& ctx = chain->context();
+    const uint16_t row =
+        *ctx.txs().InternRow({NativeTransferGas(ctx.params().dialect), kNativeTransferBytes});
     uint32_t seq = 0;
     for (int s = 0; s < seconds; ++s) {
       for (int i = 0; i < tps; ++i) {
         Transaction tx;
         tx.account = seq % 500;
-        tx.gas = NativeTransferGas(ctx.params().dialect);
-        tx.size_bytes = kNativeTransferBytes;
+        tx.row = row;
         tx.submit_time = Seconds(s) + Milliseconds(1000LL * i / tps);
         const TxId id = ctx.txs().Add(tx);
         const int endpoint = static_cast<int>(seq) % ctx.node_count();

@@ -32,13 +32,14 @@ struct MiniRun {
 
   void Submit(int tps, int seconds) {
     ChainContext& ctx = chain->context();
+    const uint16_t row =
+        *ctx.txs().InternRow({NativeTransferGas(ctx.params().dialect), kNativeTransferBytes});
     uint32_t seq = 0;
     for (int s = 0; s < seconds; ++s) {
       for (int i = 0; i < tps; ++i) {
         Transaction tx;
         tx.account = seq % 100;
-        tx.gas = NativeTransferGas(ctx.params().dialect);
-        tx.size_bytes = kNativeTransferBytes;
+        tx.row = row;
         const SimTime when = Seconds(s) + Milliseconds(1000LL * i / tps);
         tx.submit_time = when;
         const TxId id = ctx.txs().Add(tx);

@@ -103,8 +103,7 @@ TEST(LedgerConsistencyTest, BlocksCarryMonotoneHeightsAndFinality) {
   for (int i = 0; i < 500; ++i) {
     Transaction tx;
     tx.account = static_cast<uint32_t>(i % 50);
-    tx.gas = 21000;
-    tx.size_bytes = kNativeTransferBytes;
+    tx.row = *ctx.txs().InternRow({21000, kNativeTransferBytes});
     tx.submit_time = Milliseconds(10 * i);
     const TxId id = ctx.txs().Add(tx);
     sim.ScheduleAt(tx.submit_time, [&ctx, id, i] {

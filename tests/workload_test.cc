@@ -247,5 +247,64 @@ TEST(ArrivalTest, ExpansionsComeOutSorted) {
   }
 }
 
+// The expansion the uniform process has always made: each second's rate
+// plus the carried fraction, truncated, evenly spaced from the second's
+// start.
+std::vector<SimTime> ReferenceArrivals(const Trace& trace) {
+  std::vector<SimTime> arrivals;
+  double carry = 0.0;
+  for (size_t s = 0; s < trace.tps.size(); ++s) {
+    const double rate = trace.tps[s] + carry;
+    const int64_t count = static_cast<int64_t>(rate);
+    carry = rate - static_cast<double>(count);
+    const double step = count > 0 ? 1e9 / static_cast<double>(count) : 0.0;
+    for (int64_t i = 0; i < count; ++i) {
+      arrivals.push_back(Seconds(static_cast<int64_t>(s)) +
+                         static_cast<SimTime>(step * static_cast<double>(i)));
+    }
+  }
+  return arrivals;
+}
+
+TEST(ArrivalTest, WalkYieldsTheExpandedTimes) {
+  // Fractional, zero, bursty and scaled traces: the walk yields exactly the
+  // reference expansion, ExpandArrivals stores the same times, and
+  // CountArrivals counts them.
+  std::vector<Trace> traces = {
+      ConstantTrace(0.5, 10),
+      Trace{"carry", {0.3, 0.3, 0.3, 2.7, 0.1, 0.0, 1.9}},
+      ConstantTrace(0, 5),
+      Trace{"empty", {}},
+      Trace{"gaps", {0, 3, 0, 0, 7, 0}},
+      NasdaqStockTrace("apple"),
+      GetDappWorkload("fifa").trace.Scaled(0.013),
+      YoutubeTrace().Scaled(0.0216),
+      ConstantTrace(333.3, 4).Scaled(0.37),
+  };
+  for (const Trace& trace : traces) {
+    const std::vector<SimTime> want = ReferenceArrivals(trace);
+    std::vector<SimTime> walked;
+    EXPECT_TRUE(ForEachArrival(trace, [&walked](SimTime time) {
+      walked.push_back(time);
+      return true;
+    })) << trace.name;
+    EXPECT_EQ(walked, want) << trace.name;
+    EXPECT_EQ(ExpandArrivals(trace, ArrivalProcess::kUniform, nullptr), want) << trace.name;
+    EXPECT_EQ(CountArrivals(trace), want.size()) << trace.name;
+  }
+}
+
+TEST(ArrivalTest, WalkStopsWhenToldTo) {
+  const Trace trace = ConstantTrace(10, 3);
+  std::vector<SimTime> walked;
+  EXPECT_FALSE(ForEachArrival(trace, [&walked](SimTime time) {
+    walked.push_back(time);
+    return walked.size() < 7;
+  }));
+  const std::vector<SimTime> all = ExpandArrivals(trace, ArrivalProcess::kUniform, nullptr);
+  ASSERT_EQ(walked.size(), 7u);
+  EXPECT_TRUE(std::equal(walked.begin(), walked.end(), all.begin()));
+}
+
 }  // namespace
 }  // namespace diablo
