@@ -35,8 +35,8 @@ inline std::vector<RunResult> RunCells(ParallelRunner& runner,
 // (kRunnerStatsSchemaVersion), and prints two lines to stderr: the timed
 // summary, then the cells' summed counts, which carry no timing and so read
 // the same at any DIABLO_JOBS. Every binary that runs chain cells calls this
-// (all but layers and table2-table4), so a full suite pass leaves one entry
-// per runner binary in the file.
+// (twelve; table2-table4 run none), so a full suite pass leaves one entry per
+// runner binary in the file.
 inline void FinishRunnerReport(const std::string& binary,
                                const ParallelRunner& runner) {
   const RunnerStats& stats = runner.stats();

@@ -2,9 +2,10 @@
 // benchmarks, §7): isolate the consensus layer (empty-block cadence and
 // finality), the execution layer (VM gas throughput per dialect) and the
 // data layer (block dissemination time across the WAN).
+#include <vector>
+
 #include "bench/bench_util.h"
 #include "src/chain/vote_round.h"
-#include "src/chains/chain_factory.h"
 #include "src/chains/params.h"
 #include "src/contracts/contracts.h"
 #include "src/vm/interpreter.h"
@@ -12,23 +13,37 @@
 namespace diablo {
 namespace {
 
-void ConsensusLayer() {
+// Each chain runs as a cell with no load for the setup's 120 s drain; the
+// cell reads every block's finality from the ledger before it finishes.
+void ConsensusLayer(ParallelRunner& runner) {
   std::printf("\nconsensus layer — empty-chain block cadence and finality"
               " (consortium, no load):\n");
   std::printf("%-10s %14s %16s\n", "chain", "blocks/min", "median finality");
-  for (const std::string& name : AllChainNames()) {
-    Simulation sim(5);
-    Network net(&sim);
-    const auto chain = BuildChain(name, GetDeployment("consortium"), &sim, &net);
-    chain->Start();
-    sim.RunUntil(Seconds(120));
-    const Ledger& ledger = chain->context().ledger();
-    SampleSet finality;
-    for (size_t i = 0; i < ledger.block_count(); ++i) {
-      finality.Add(ToSeconds(ledger.block(i).finalized_at - ledger.block(i).proposed_at));
-    }
-    std::printf("%-10s %14.1f %14.2f s\n", name.c_str(),
-                static_cast<double>(ledger.block_count()) / 2.0, finality.Median());
+  const std::vector<std::string> chains = AllChainNames();
+  std::vector<SampleSet> finality(chains.size());
+  std::vector<ExperimentCell> cells;
+  for (size_t i = 0; i < chains.size(); ++i) {
+    cells.push_back({chains[i], [&chain = chains[i], &blocks = finality[i]] {
+                       BenchmarkSetup setup;
+                       setup.chain = chain;
+                       setup.deployment = "consortium";
+                       setup.seed = 5;
+                       StreamRun run(setup, {WorkStream{}}, "no load");
+                       if (run.Build() && run.Encode()) {
+                         run.Run();
+                         const Ledger& ledger = run.context().ledger();
+                         for (size_t b = 0; b < ledger.block_count(); ++b) {
+                           const Block& block = ledger.block(b);
+                           blocks.Add(ToSeconds(block.finalized_at - block.proposed_at));
+                         }
+                       }
+                       return run.Finish();
+                     }});
+  }
+  RunCells(runner, std::move(cells));
+  for (size_t i = 0; i < chains.size(); ++i) {
+    std::printf("%-10s %14.1f %14.2f s\n", chains[i].c_str(),
+                static_cast<double>(finality[i].count()) / 2.0, finality[i].Median());
   }
 }
 
@@ -100,8 +115,10 @@ void DataLayer() {
 
 int main() {
   diablo::PrintHeader("Layer breakdown — consensus / execution / data (Blockbench-style)");
-  diablo::ConsensusLayer();
+  diablo::ParallelRunner runner;
+  diablo::ConsensusLayer(runner);
   diablo::ExecutionLayer();
   diablo::DataLayer();
+  diablo::FinishRunnerReport("layers", runner);
   return 0;
 }

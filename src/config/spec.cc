@@ -31,16 +31,12 @@ constexpr std::string_view kClientKeys[] = {"location", "view", "behavior"};
 constexpr std::string_view kBehaviorKeys[] = {"interaction", "load"};
 constexpr std::string_view kInteractionKeys[] = {"from", "contract", "function"};
 
-std::vector<std::string> StringList(const YamlNode& node) {
-  std::vector<std::string> out;
+// A list's items, a scalar as a list of one, or nothing.
+std::span<const YamlNode> Items(const YamlNode& node) {
   if (node.IsList()) {
-    for (const YamlNode& item : node.items) {
-      out.push_back(item.scalar);
-    }
-  } else if (node.IsScalar()) {
-    out.push_back(node.scalar);
+    return node.items;
   }
-  return out;
+  return node.IsScalar() ? std::span<const YamlNode>(&node, 1) : std::span<const YamlNode>();
 }
 
 bool ParseBehavior(const YamlNode& node, ClientBehavior* behavior, std::string* error) {
@@ -284,6 +280,47 @@ bool ParseFaults(const YamlNode& faults, FaultSchedule* schedule,
   return schedule->Validate(/*node_count=*/-1, error);
 }
 
+// A workload's `number` and its client's `location` and `view`: a client
+// count >= 1, regions ParseRegion knows, and ".*" or node indices (checked
+// against the deployment when the run builds its clients).
+bool ParseClients(const YamlNode& workload, const YamlNode& client, WorkloadGroup* group,
+                  std::string* error) {
+  const auto fail = [&](const char* what, const YamlNode& value, const char* want) {
+    *error = StrFormat("%s = %s: %s (line %d)", what, ValueText(value).c_str(), want,
+                       value.line);
+    return false;
+  };
+  const YamlNode* number = workload.Find("number");
+  int64_t clients = 1;
+  if (number != nullptr &&
+      (!number->AsInt64(&clients) || clients < 1 || clients > INT32_MAX)) {
+    return fail("workload 'number'", *number, "want a client count in [1, INT32_MAX]");
+  }
+  group->clients = static_cast<int>(clients);
+  const auto samples = [&](const char* key) {
+    const YamlNode* node = client.Find(key);
+    const YamlNode* sample = node != nullptr ? node->Find("sample") : nullptr;
+    return node == nullptr ? std::span<const YamlNode>()
+                           : Items(sample != nullptr ? *sample : *node);
+  };
+  for (const YamlNode& tag : samples("location")) {
+    Region region;
+    if (!ParseRegion(tag.scalar, &region)) {
+      return fail("client 'location'", tag, "unknown region");
+    }
+    group->locations.push_back(region);
+  }
+  for (const YamlNode& pattern : samples("view")) {
+    int64_t index = 0;
+    if (pattern.scalar != ".*" &&
+        (!pattern.AsInt64(&index) || index < 0 || index > INT32_MAX)) {
+      return fail("client 'view'", pattern, "want \".*\" or a node index in [0, INT32_MAX]");
+    }
+    group->endpoints.push_back(pattern.scalar);
+  }
+  return true;
+}
+
 }  // namespace
 
 bool ParseFunctionRef(std::string_view text, std::string* name,
@@ -370,7 +407,6 @@ SpecResult ParseWorkloadSpec(std::string_view yaml_text) {
       return result;
     }
     WorkloadGroup group;
-    group.clients = static_cast<int>(item.GetInt("number", 1));
     const YamlNode* client = item.Find("client");
     if (client == nullptr || !client->IsMap()) {
       result.error = StrFormat("workload missing 'client' (line %d)",
@@ -379,16 +415,6 @@ SpecResult ParseWorkloadSpec(std::string_view yaml_text) {
     }
     if (!OnlyKeys(*client, kClientKeys, "client", &result.error)) {
       return result;
-    }
-    const YamlNode* location = client->Find("location");
-    if (location != nullptr) {
-      const YamlNode* sample = location->Find("sample");
-      group.locations = StringList(sample != nullptr ? *sample : *location);
-    }
-    const YamlNode* view = client->Find("view");
-    if (view != nullptr) {
-      const YamlNode* sample = view->Find("sample");
-      group.endpoints = StringList(sample != nullptr ? *sample : *view);
     }
     const YamlNode* behaviors = client->Find("behavior");
     if (behaviors == nullptr || !behaviors->IsList()) {
@@ -406,6 +432,9 @@ SpecResult ParseWorkloadSpec(std::string_view yaml_text) {
         return result;
       }
       group.behaviors.push_back(std::move(behavior));
+    }
+    if (!ParseClients(item, *client, &group, &result.error)) {
+      return result;
     }
     result.spec.groups.push_back(std::move(group));
   }

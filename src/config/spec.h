@@ -10,6 +10,7 @@
 
 #include "src/config/yaml.h"
 #include "src/fault/schedule.h"
+#include "src/net/region.h"
 #include "src/workload/trace.h"
 
 namespace diablo {
@@ -34,9 +35,9 @@ struct ClientBehavior {
 };
 
 struct WorkloadGroup {
-  int clients = 1;                       // "number" of worker threads
-  std::vector<std::string> locations;    // secondary location tags
-  std::vector<std::string> endpoints;    // endpoint patterns (".*" = all)
+  int clients = 1;                       // "number" of worker threads, >= 1
+  std::vector<Region> locations;         // secondary locations (AWS zone tags)
+  std::vector<std::string> endpoints;    // ".*" (every node) or node indices
   std::vector<ClientBehavior> behaviors;
 };
 

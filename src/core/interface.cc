@@ -71,7 +71,6 @@ class SimClient : public BlockchainClient {
   // so a client with a multi-node view walks away from a dead node.
   void Attempt(TxId encoded, int attempt, SimTime now) {
     ChainContext& ctx = chain_->context();
-    ++stats_->attempts;
     if (attempt > 0) {
       ++stats_->retries;
     }
@@ -106,7 +105,6 @@ class SimClient : public BlockchainClient {
   // schedules the next one after backoff or gives up.
   void FailAttempt(TxId encoded, int attempt, SimTime known_at) {
     ChainContext& ctx = chain_->context();
-    ++stats_->endpoint_failures;
     if (attempt + 1 >= policy_->max_attempts) {
       ++stats_->aborts;
       ctx.DropTx(encoded);

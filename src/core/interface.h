@@ -60,13 +60,11 @@ struct RetryPolicy {
 };
 
 // Aggregated client-side submission accounting (across all of a
-// connector's clients): how many attempts ran, how many were retries, and
-// how many transactions the clients abandoned after exhausting the policy.
+// connector's clients): how many attempts were retries, and how many
+// transactions the clients abandoned after exhausting the policy.
 struct ClientStats {
-  uint64_t attempts = 0;
   uint64_t retries = 0;
-  uint64_t endpoint_failures = 0;  // timed-out or rejected attempts
-  uint64_t aborts = 0;             // transactions given up on
+  uint64_t aborts = 0;  // transactions given up on
 };
 
 // c.trigger(e): a client bound to one secondary location submitting encoded

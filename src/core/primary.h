@@ -4,6 +4,8 @@
 #ifndef SRC_CORE_PRIMARY_H_
 #define SRC_CORE_PRIMARY_H_
 
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -11,6 +13,8 @@
 #include "src/config/spec.h"
 #include "src/core/interface.h"
 #include "src/core/report.h"
+#include "src/core/secondary.h"
+#include "src/fault/injector.h"
 #include "src/fault/schedule.h"
 #include "src/workload/dapps.h"
 
@@ -87,6 +91,51 @@ struct WorkStream {
   std::vector<std::string> endpoints;
 };
 
+// One run over a chain deployment, as the primary's four steps (§4). Build
+// checks the streams' rates and creates the deployment: the chain, its
+// connector and fault injector, the accounts, the contracts and the
+// Secondaries. Encode pre-signs every transaction and deals it to its
+// Secondary. Run starts the chain and the Secondaries and simulates to the
+// horizon. Finish aggregates. Primary::RunStreams calls the four in order; a
+// harness that reads the chain between them, or measures one, calls them.
+class StreamRun {
+ public:
+  StreamRun(BenchmarkSetup setup, std::vector<WorkStream> streams,
+            std::string workload_name);
+
+  // False when the run is rejected before it starts; Finish carries why.
+  bool Build();
+  // After Build: false when a transaction has no valid encoding.
+  bool Encode();
+  // After Encode.
+  void Run();
+  // The run's result: its report once Run ran, and its counts whenever
+  // Build made the chain.
+  RunResult Finish();
+
+  // Valid once Build has made the chain.
+  ChainContext& context() { return chain_->context(); }
+
+ private:
+  BenchmarkSetup setup_;
+  std::vector<WorkStream> streams_;
+  std::string workload_name_;
+  RunResult result_;
+  // In the order Build makes them, so that they are destroyed in reverse:
+  // the Secondaries first, the simulation last.
+  Simulation sim_;
+  Network net_;
+  std::unique_ptr<ChainInstance> chain_;
+  std::optional<SimConnector> connector_;
+  std::optional<FaultInjector> injector_;
+  Resource accounts_;
+  std::map<std::string, Resource> contracts_;  // deduplicated across streams
+  std::vector<std::unique_ptr<Secondary>> secondaries_;
+  std::vector<std::vector<size_t>> stream_secondaries_;  // per stream, its clients
+  size_t duration_ = 0;           // the longest stream's trace, in seconds
+  std::optional<SimTime> horizon_;  // set once Run ran
+};
+
 class Primary {
  public:
   explicit Primary(BenchmarkSetup setup);
@@ -103,7 +152,8 @@ class Primary {
   // `faults:` section applies unless the setup already carries a schedule.
   RunResult RunSpec(const WorkloadSpec& spec);
 
-  // General entry point: any mix of streams over one chain deployment.
+  // General entry point: any mix of streams over one chain deployment, run
+  // as one StreamRun.
   RunResult RunStreams(std::vector<WorkStream> streams,
                        const std::string& workload_name);
 

@@ -7,9 +7,10 @@
 // sized up front, and the expired-id scratch keeps its capacity across
 // blocks. This binary replaces global operator
 // new/delete with counting wrappers and asserts that, once warm, a full
-// engine-style round, a full overloaded block and a pre-signed transaction
-// perform ZERO heap allocations; it also holds pre-signing to a byte budget
-// per transaction.
+// engine-style round and a full overloaded block perform ZERO heap
+// allocations, and that RunStreams' own Encode step performs none per
+// pre-signed transaction; it also holds that step to a byte budget per
+// transaction.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -38,14 +39,11 @@
 #include "src/chain/node.h"
 #include "src/chain/vote_round.h"
 #include "src/chains/params.h"
-#include "src/core/call_table.h"
-#include "src/core/interface.h"
-#include "src/core/secondary.h"
+#include "src/core/primary.h"
 #include "src/net/deployment.h"
 #include "src/net/network.h"
 #include "src/sim/simulation.h"
 #include "src/support/check.h"
-#include "src/workload/arrival.h"
 #include "src/workload/dapps.h"
 
 namespace {
@@ -227,109 +225,61 @@ TEST_F(AllocationLock, SteadyStateBlockAssemblyAllocatesNothing) {
   EXPECT_EQ(drafted, kBlockTxs * kMeasuredBlocks);
 }
 
-// The pre-signing half of Primary::RunStreams for one YouTube stream on
-// `deployment`: the chain, its accounts and contract and ten collocated
-// Secondaries, with nothing scheduled yet.
-struct PreSigningCell {
-  static constexpr int kSecondaries = 10;
+// RunStreams' run of Quorum under one YouTube stream on `deployment`, at
+// `scale`, built up to its Encode step.
+std::unique_ptr<StreamRun> BuiltYoutubeRun(const std::string& deployment, double scale) {
+  BenchmarkSetup setup;
+  setup.deployment = deployment;
+  setup.scale = scale;
+  WorkStream stream;
+  stream.workload = GetDappWorkload("youtube");
+  auto run = std::make_unique<StreamRun>(setup, std::vector<WorkStream>{stream}, "youtube");
+  EXPECT_TRUE(run->Build());
+  return run;
+}
 
-  explicit PreSigningCell(const std::string& deployment)
-      : sim(1),
-        net(&sim),
-        chain(BuildChain("quorum", GetDeployment(deployment), &sim, &net)),
-        connector(chain.get()),
-        youtube(GetDappWorkload("youtube")) {
-    ResourceSpec accounts_spec;
-    accounts_spec.kind = ResourceSpec::Kind::kAccounts;
-    accounts_spec.account_count = 2000;
-    connector.CreateResource(accounts_spec, &accounts);
-    ResourceSpec contract_spec;
-    contract_spec.kind = ResourceSpec::Kind::kContract;
-    contract_spec.contract_name = youtube.contract;
-    Resource contract;
-    connector.CreateResource(contract_spec, &contract);
-    contract_index = contract.contract_index;
-    const int nodes = chain->context().node_count();
-    for (int s = 0; s < kSecondaries; ++s) {
-      const Region region = GetDeployment(deployment).NodeRegion(s % nodes);
-      secondaries.push_back(std::make_unique<Secondary>(
-          s, region, &sim, connector.CreateClient(region, {s % nodes})));
-    }
-  }
-
-  // Sizes transaction storage and every schedule for `count` transactions,
-  // dealt round-robin as RunStreams deals them.
-  void Reserve(size_t count) {
-    chain->context().ReserveTxs(count);
-    for (size_t s = 0; s < secondaries.size(); ++s) {
-      secondaries[s]->Reserve(count / secondaries.size() +
-                              (s < count % secondaries.size() ? 1 : 0));
-    }
-  }
-
-  void EncodeAndAssign(CallTable* table, uint64_t k, SimTime time) {
-    secondaries[k % secondaries.size()]->Assign(time, table->Encode(k, time));
-  }
-
-  Simulation sim;
-  Network net;
-  std::unique_ptr<ChainInstance> chain;
-  SimConnector connector;
-  DappWorkload youtube;
-  Resource accounts;
-  int contract_index = -1;
-  std::vector<std::unique_ptr<Secondary>> secondaries;
-};
+// Heap allocations of the Encode step of BuiltYoutubeRun("testnet", scale),
+// and the transactions it pre-signed.
+uint64_t EncodeAllocations(double scale, size_t* txs) {
+  const std::unique_ptr<StreamRun> run = BuiltYoutubeRun("testnet", scale);
+  const uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
+  EXPECT_TRUE(run->Encode());
+  const uint64_t after = g_allocation_count.load(std::memory_order_relaxed);
+  *txs = run->context().txs().size();
+  return after - before;
+}
 
 TEST_F(AllocationLock, PreSigningAllocatesNothing) {
-  // Once a stream's call table has resolved its row and the schedules are
-  // sized, pre-signing a transaction and handing it to its Secondary
-  // touches no allocator: no argument vector, no string, no growth.
-  PreSigningCell cell("testnet");
-  ASSERT_GE(cell.contract_index, 0);
-  const std::vector<SimTime> arrivals =
-      ExpandArrivals(cell.youtube.trace.Scaled(0.0216), ArrivalProcess::kUniform, nullptr);
-  ASSERT_GE(arrivals.size(), 100000u);
-  cell.Reserve(arrivals.size());
-  CallTable table(&cell.connector, cell.accounts, cell.youtube, cell.contract_index);
-  // The first call resolves the row: the cost oracle runs upload once.
-  cell.EncodeAndAssign(&table, 0, arrivals[0]);
-
-  const uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
-  for (size_t k = 1; k < arrivals.size(); ++k) {
-    cell.EncodeAndAssign(&table, k, arrivals[k]);
-  }
-  const uint64_t after = g_allocation_count.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u) << (after - before) << " heap allocations across "
-                                << arrivals.size() - 1 << " pre-signed transactions";
-  EXPECT_EQ(cell.chain->context().txs().size(), arrivals.size());
+  // Encode sizes the store and every schedule, and resolves the stream's
+  // row on its first call (the cost oracle runs upload once): a fixed number
+  // of allocations. Pre-signing a transaction and dealing it to its
+  // Secondary touches no allocator, so twice the transactions cost exactly
+  // as many allocations.
+  size_t half = 0;
+  size_t full = 0;
+  const uint64_t half_allocations = EncodeAllocations(0.0108, &half);
+  const uint64_t full_allocations = EncodeAllocations(0.0216, &full);
+  ASSERT_GE(half, 50000u);
+  ASSERT_GE(full, 100000u);
+  EXPECT_EQ(full_allocations, half_allocations)
+      << half << " and " << full << " pre-signed transactions";
 }
 
 TEST_F(AllocationLock, PreSigningStaysWithinItsBytesPerTransaction) {
 #if defined(DIABLO_HEAP_IN_USE)
   // Fig. 2's largest cell keeps every pre-signed transaction until it ends.
-  // Allocator bytes in use across ReserveTxs, encoding and assignment of
-  // ~930k YouTube transactions on consortium, walking the trace as
-  // RunStreams does, per transaction: the Transaction (24 B), its schedule
-  // entry (16 B), the mempool's lifecycle byte (1 B; Quorum's pool has no
-  // TTL and no signer cap, so it keeps no other side table) and its
+  // Allocator bytes in use across the Encode step of ~930k YouTube
+  // transactions on consortium, per transaction: the Transaction (24 B), its
+  // schedule entry (16 B), the mempool's lifecycle byte (1 B; Quorum's pool
+  // has no TTL and no signer cap, so it keeps no other side table) and its
   // block-tx slot (4 B), plus fixed reservations. 48 B leaves room for
   // those fixed parts only; a stored arrival time (8 B) or a second copy of
   // a per-transaction field does not fit.
-  PreSigningCell cell("consortium");
-  ASSERT_GE(cell.contract_index, 0);
-  const Trace trace = cell.youtube.trace.Scaled(0.2);
+  const std::unique_ptr<StreamRun> run = BuiltYoutubeRun("consortium", 0.2);
   const int64_t before = HeapInUseBytes();
-  const size_t count = CountArrivals(trace);
-  cell.Reserve(count);
-  CallTable table(&cell.connector, cell.accounts, cell.youtube, cell.contract_index);
-  uint64_t k = 0;
-  ForEachArrival(trace, [&](SimTime time) {
-    cell.EncodeAndAssign(&table, k++, time);
-    return true;
-  });
+  ASSERT_TRUE(run->Encode());
   const int64_t after = HeapInUseBytes();
-  ASSERT_EQ(k, count);
+  const size_t count = run->context().txs().size();
   ASSERT_GT(count, 900000u);
   const double bytes_per_tx =
       static_cast<double>(after - before) / static_cast<double>(count);

@@ -146,7 +146,7 @@ TEST(SpecTest, ParsesPaperExample) {
   const WorkloadGroup& group = spec.groups[0];
   EXPECT_EQ(group.clients, 3);
   ASSERT_EQ(group.locations.size(), 1u);
-  EXPECT_EQ(group.locations[0], "us-east-2");
+  EXPECT_EQ(group.locations[0], Region::kOhio);
   ASSERT_EQ(group.endpoints.size(), 1u);
   EXPECT_EQ(group.endpoints[0], ".*");
   ASSERT_EQ(group.behaviors.size(), 1u);
@@ -208,6 +208,9 @@ TEST(SpecTest, Errors) {
   // Every rejection names the line of the node it rejects, or of the map
   // that lacks the key.
   const std::string client = "workloads:\n  - client:\n      behavior:\n";
+  const std::string client_map = "workloads:\n  - client:\n";
+  const std::string behavior =
+      "      behavior:\n        - interaction: !transfer\n          load: {0: 1}\n";
   const std::pair<std::string, const char*> cases[] = {
       {"", "missing 'workloads' list (line 1)"},
       {"let: 1\n\nworkloads: 3\n", "missing 'workloads' list (line 3)"},
@@ -233,6 +236,20 @@ TEST(SpecTest, Errors) {
        "each fault must be a single '<kind>: {...}' entry (line 3)"},
       {"workloads: [1]\nfaults:\n  -\n",
        "each fault must be a single '<kind>: {...}' entry (line 3)"},
+      // A client count below 1, a region ParseRegion does not know and a
+      // view pattern that is neither ".*" nor a node index.
+      {"workloads:\n  - number: many\n    client:\n" + behavior,
+       "workload 'number' = many: want a client count in [1, INT32_MAX] (line 2)"},
+      {"workloads:\n\n  - number: -2\n    client:\n" + behavior,
+       "workload 'number' = -2: want a client count in [1, INT32_MAX] (line 3)"},
+      {client_map + "      location: { sample: !location [ \"us-east-3\" ] }\n" + behavior,
+       "client 'location' = us-east-3: unknown region (line 3)"},
+      {client_map + "      location:\n        - ohio\n        - atlantis\n" + behavior,
+       "client 'location' = atlantis: unknown region (line 5)"},
+      {client_map + "      view: { sample: !endpoint [ \".*\", \"node-1\" ] }\n" + behavior,
+       "client 'view' = node-1: want \".*\" or a node index in [0, INT32_MAX] (line 3)"},
+      {client_map + "      view: -1\n" + behavior,
+       "client 'view' = -1: want \".*\" or a node index in [0, INT32_MAX] (line 3)"},
   };
   for (const auto& [text, message] : cases) {
     EXPECT_EQ(ParseWorkloadSpec(text).error, message) << text;

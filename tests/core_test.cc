@@ -580,6 +580,24 @@ TEST(PrimaryTest, EndpointViewPatternsResolve) {
   EXPECT_GT(result.report.committed, 200u);
 }
 
+TEST(PrimaryTest, ViewIndexOutsideTheDeploymentFailsBeforeTheRun) {
+  // A view names only nodes the deployment has: node 10 of testnet's ten
+  // fails the run, whether its clients sit at the default locations or in
+  // a region of their own.
+  BenchmarkSetup setup;
+  setup.deployment = "testnet";
+  for (const std::vector<Region>& locations :
+       {std::vector<Region>{}, std::vector<Region>{Region::kTokyo}}) {
+    WorkStream stream;
+    stream.workload.trace = ConstantTrace(10, 5);
+    stream.locations = locations;
+    stream.endpoints = {".*", "10"};
+    const RunResult result = Primary(setup).RunStreams({stream}, "views");
+    EXPECT_EQ(result.failure_reason, "client view '10' names no node of a 10-node deployment");
+    EXPECT_EQ(result.report.submitted, 0u);
+  }
+}
+
 TEST(PrimaryTest, StreamsApiMixesDappsAndNative) {
   BenchmarkSetup setup;
   setup.chain = "solana";

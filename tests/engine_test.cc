@@ -198,6 +198,25 @@ TEST(IbftEngineTest, RotatesLeaders) {
   EXPECT_GE(proposers.size(), 5u);
 }
 
+TEST(IbftEngineTest, RoundChangeBackoffDoublesUpToSixTimes) {
+  // One pending transaction whose pool scan outlasts every round's timeout:
+  // each round changes view and waits round_timeout x 2^failures, the
+  // exponent capped at 6. With 1 s timeouts the rounds run at 1, 3, 7, 15,
+  // 31, 63, 127, 191 and 255 s; a cap of 5 would add rounds at 95, 159, 223
+  // and 287 s.
+  ChainParams params = GetChainParams("quorum");
+  params.block_interval = Seconds(1);
+  params.round_timeout = Seconds(1);
+  params.proposal_overhead_per_pending_tx = Seconds(100);
+  params.proposal_overhead_quadratic = 0;
+  EngineRun run(params, "testnet");
+  run.SubmitConstant(1, 1);
+  run.Go(300);
+  ChainContext& ctx = run.chain->context();
+  EXPECT_EQ(ctx.stats().view_changes, 9u);
+  EXPECT_EQ(ctx.ledger().block_count(), 0u);
+}
+
 TEST(EngineTest, EmptyChainStillProducesEmptyBlocks) {
   for (const std::string& chain_name : AllChainNames()) {
     EngineRun run(GetChainParams(chain_name), "testnet");
