@@ -23,12 +23,7 @@ ChainContext::ChainContext(Simulation* sim, Network* net, DeploymentConfig deplo
   // Delay plane for consensus votes (small fixed-size messages): a dense
   // matrix at paper scale, the streamed model at fig3-XL scale.
   vote_delays_ = std::make_unique<VoteDelays>(net_, hosts_, /*message_bytes=*/256);
-  sim_->SetArrivalHandler([this](const Simulation::Arrival& arrival) {
-    SubmitAtEndpoint(arrival.tx, static_cast<int>(arrival.endpoint), arrival.time);
-  });
 }
-
-ChainContext::~ChainContext() { sim_->SetArrivalHandler(nullptr); }
 
 double ChainContext::RecentArrivalRate(SimTime now) const {
   const size_t second = static_cast<size_t>(now / kSecond);
@@ -39,14 +34,10 @@ double ChainContext::RecentArrivalRate(SimTime now) const {
   return static_cast<double>(arrivals_per_second_[second - 1]);
 }
 
-bool ChainContext::SubmitAtEndpoint(TxId id, int endpoint, SimTime arrival,
-                                    bool drop_on_reject) {
+bool ChainContext::SubmitAtEndpoint(TxId id, int endpoint, SimTime arrival) {
   Transaction& tx = txs_.at(id);
   if (NodeDown(endpoint)) {
     // The request reached a crashed node's address: nobody answers it.
-    if (drop_on_reject) {
-      DropTx(id);
-    }
     return false;
   }
   const size_t second = static_cast<size_t>(arrival / kSecond);
@@ -73,9 +64,6 @@ bool ChainContext::SubmitAtEndpoint(TxId id, int endpoint, SimTime arrival,
     DropTx(evicted);
   }
   if (result != AdmitResult::kAdmitted) {
-    if (drop_on_reject) {
-      DropTx(id);
-    }
     return false;
   }
   tx.phase = TxPhase::kSubmitted;

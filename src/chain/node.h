@@ -103,11 +103,8 @@ struct ChainStats {
 
 class ChainContext {
  public:
-  // Registers the context as `sim`'s arrival handler: lane arrivals go to
-  // SubmitAtEndpoint. The destructor removes it.
   ChainContext(Simulation* sim, Network* net, DeploymentConfig deployment,
                ChainParams params);
-  ~ChainContext();
 
   ChainContext(const ChainContext&) = delete;
   ChainContext& operator=(const ChainContext&) = delete;
@@ -147,13 +144,10 @@ class ChainContext {
   // --- submission path (called by the diablo core) -----------------------
   // Handles a transaction arriving at endpoint node `endpoint` at time
   // `arrival`. Applies admission control and schedules gossip readiness.
-  // Returns false when the transaction was rejected — because the endpoint
-  // is down or admission control refused it. With `drop_on_reject` (the
-  // default) a rejection also finalizes the transaction as dropped; clients
-  // running a retry policy pass false and keep the transaction alive for
-  // the next attempt.
-  bool SubmitAtEndpoint(TxId id, int endpoint, SimTime arrival,
-                        bool drop_on_reject = true);
+  // Returns false when the transaction was refused, because the endpoint is
+  // down or admission control turned it away; a refused transaction is left
+  // as it was, and its submitter decides what the refusal becomes.
+  bool SubmitAtEndpoint(TxId id, int endpoint, SimTime arrival);
 
   // --- fault hooks (driven by the FaultInjector) --------------------------
   // Marks a node crashed / restarted. A down node is partitioned off the

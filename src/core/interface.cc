@@ -6,9 +6,9 @@
 #include <utility>
 
 #include "src/contracts/contracts.h"
+#include "src/support/check.h"
 
 namespace diablo {
-namespace {
 
 // Client bound to a secondary location; submissions travel over the
 // simulated network to the collocated endpoint. With a retry policy
@@ -21,17 +21,16 @@ namespace {
 // every engine-side delay sample and move the golden report hashes.
 class SimClient : public BlockchainClient {
  public:
-  SimClient(ChainInstance* chain, HostId client_host, std::vector<int> endpoints,
-            const RetryPolicy* policy, ClientStats* stats, Rng rng)
-      : chain_(chain),
+  SimClient(SimConnector* connector, HostId client_host, std::vector<int> endpoints,
+            uint32_t index, Rng rng)
+      : connector_(connector),
         client_host_(client_host),
         endpoints_(std::move(endpoints)),
-        policy_(policy),
-        stats_(stats),
+        index_(index),
         rng_(rng) {}
 
   void Trigger(TxId encoded, SimTime submit_time) override {
-    ChainContext& ctx = chain_->context();
+    ChainContext& ctx = connector_->chain_->context();
     Transaction& tx = ctx.txs().at(encoded);
     tx.submit_time = submit_time;
 
@@ -43,102 +42,125 @@ class SimClient : public BlockchainClient {
       tx.commit_time = submit_time + Milliseconds(50);
       return;
     }
+    Attempt(encoded, /*attempt=*/0, submit_time);
+  }
 
-    // Under a retry policy submissions go through the attempt loop; the
-    // paper's fire-and-forget clients keep the one-shot path below.
-    if (policy_->enabled()) {
-      Attempt(encoded, /*attempt=*/0, submit_time);
-      return;
+  // The endpoint refused attempt `attempt`, which arrived as `arrival`:
+  // admission turned it away (pool full, signer cap) or the node died
+  // while the request was in flight. The rejection reply travels back.
+  void Refused(const Simulation::Arrival& arrival, int attempt) {
+    ChainContext& ctx = connector_->chain_->context();
+    const HostId endpoint_host = ctx.hosts()[arrival.endpoint];
+    SimDuration back = ctx.net()->DelaySampleFrom(&rng_, endpoint_host, client_host_, 256);
+    if (back == kUnreachable) {
+      back = connector_->retry_.timeout;
     }
-
-    const int endpoint = endpoints_[next_endpoint_++ % endpoints_.size()];
-    const HostId endpoint_host = ctx.hosts()[static_cast<size_t>(endpoint)];
-    SimDuration delay =
-        ctx.net()->DelaySampleFrom(&rng_, client_host_, endpoint_host,
-                                   int64_t{ctx.txs().row(encoded).size_bytes} + 128);
-    if (delay == kUnreachable) {
-      delay = Milliseconds(500);
-    }
-
-    // The arrival goes on the simulation's lane, whose handler is this
-    // chain's SubmitAtEndpoint.
-    ctx.sim()->ScheduleArrival(submit_time + delay, encoded,
-                               static_cast<uint32_t>(endpoint));
+    FailAttempt(arrival.tx, attempt, arrival.time + back);
   }
 
  private:
   // One submission attempt issued at `now`. Endpoints rotate per attempt,
   // so a client with a multi-node view walks away from a dead node.
   void Attempt(TxId encoded, int attempt, SimTime now) {
-    ChainContext& ctx = chain_->context();
+    ChainContext& ctx = connector_->chain_->context();
+    const RetryPolicy& policy = connector_->retry_;
     if (attempt > 0) {
-      ++stats_->retries;
+      ++connector_->client_stats_.retries;
     }
     const int endpoint = endpoints_[next_endpoint_++ % endpoints_.size()];
     const HostId endpoint_host = ctx.hosts()[static_cast<size_t>(endpoint)];
-    const SimDuration delay = ctx.net()->DelaySampleFrom(
+    SimDuration delay = ctx.net()->DelaySampleFrom(
         &rng_, client_host_, endpoint_host, int64_t{ctx.txs().row(encoded).size_bytes} + 128);
     if (delay == kUnreachable) {
-      // The request vanished (endpoint crashed or partitioned); the client
-      // only learns after its submission timeout.
-      FailAttempt(encoded, attempt, now + policy_->timeout);
-      return;
-    }
-    const SimTime arrival = now + delay;
-    ctx.sim()->ScheduleAt(arrival, [this, encoded, endpoint, attempt, arrival] {
-      ChainContext& c = chain_->context();
-      if (c.SubmitAtEndpoint(encoded, endpoint, arrival, /*drop_on_reject=*/false)) {
+      if (policy.enabled()) {
+        // The request vanished (endpoint crashed or partitioned); a retrying
+        // client only learns after its submission timeout.
+        FailAttempt(encoded, attempt, now + policy.timeout);
         return;
       }
-      // Admission rejected (pool full, signer cap) or the node died while
-      // the request was in flight; the rejection reply travels back.
-      const HostId ehost = c.hosts()[static_cast<size_t>(endpoint)];
-      SimDuration back = c.net()->DelaySampleFrom(&rng_, ehost, client_host_, 256);
-      if (back == kUnreachable) {
-        back = policy_->timeout;
-      }
-      FailAttempt(encoded, attempt, arrival + back);
-    });
+      // A one-shot client's send arrives 500 ms later instead.
+      delay = Milliseconds(500);
+    }
+    if (policy.enabled()) {
+      connector_->NoteAttempt(encoded, index_, attempt);
+    }
+    // The arrival goes on the simulation's lane, whose handler is the
+    // connector's Deliver.
+    ctx.sim()->ScheduleArrival(now + delay, encoded, static_cast<uint32_t>(endpoint));
   }
 
   // Books a failed attempt known to the client at `known_at` and either
   // schedules the next one after backoff or gives up.
   void FailAttempt(TxId encoded, int attempt, SimTime known_at) {
-    ChainContext& ctx = chain_->context();
-    if (attempt + 1 >= policy_->max_attempts) {
-      ++stats_->aborts;
+    ChainContext& ctx = connector_->chain_->context();
+    const RetryPolicy& policy = connector_->retry_;
+    if (attempt + 1 >= policy.max_attempts) {
+      ++connector_->client_stats_.aborts;
       ctx.DropTx(encoded);
       return;
     }
-    const SimTime next = known_at + policy_->BackoffAfter(attempt);
+    const SimTime next = known_at + policy.BackoffAfter(attempt);
     ctx.sim()->ScheduleAt(next, [this, encoded, attempt, next] {
       Attempt(encoded, attempt + 1, next);
     });
   }
 
-  ChainInstance* chain_;
+  SimConnector* connector_;
   HostId client_host_;
   std::vector<int> endpoints_;
   size_t next_endpoint_ = 0;
-  const RetryPolicy* policy_;
-  ClientStats* stats_;
-  Rng rng_;  // owned jitter stream (see the class comment)
+  uint32_t index_;  // in the connector's retrying_clients_, under a retry policy
+  Rng rng_;         // owned jitter stream (see the class comment)
 };
-
-}  // namespace
 
 SimDuration RetryPolicy::BackoffAfter(int attempt) const {
   return std::min(SaturatingBackoff(backoff, attempt), Seconds(30));
 }
 
-SimConnector::SimConnector(ChainInstance* chain) : chain_(chain) {}
+SimConnector::SimConnector(ChainInstance* chain) : chain_(chain) {
+  chain_->context().sim()->SetArrivalHandler(
+      [this](const Simulation::Arrival& arrival) { Deliver(arrival); });
+}
+
+SimConnector::~SimConnector() { chain_->context().sim()->SetArrivalHandler(nullptr); }
+
+void SimConnector::NoteAttempt(TxId tx, uint32_t client, int attempt) {
+  if (tx >= attempt_of_.size()) {
+    attempt_of_.resize(chain_->context().txs().size());
+  }
+  attempt_of_[tx] =
+      client * static_cast<uint32_t>(retry_.max_attempts) + static_cast<uint32_t>(attempt);
+}
+
+void SimConnector::Deliver(const Simulation::Arrival& arrival) {
+  ChainContext& ctx = chain_->context();
+  if (ctx.SubmitAtEndpoint(arrival.tx, static_cast<int>(arrival.endpoint), arrival.time)) {
+    return;
+  }
+  if (!retry_.enabled()) {
+    // A one-shot client never hears of the refusal: the transaction is
+    // dropped, and no abort is counted.
+    ctx.DropTx(arrival.tx);
+    return;
+  }
+  const auto attempts = static_cast<uint32_t>(retry_.max_attempts);
+  const uint32_t slot = attempt_of_[arrival.tx];
+  retrying_clients_[slot / attempts]->Refused(arrival, static_cast<int>(slot % attempts));
+}
 
 std::unique_ptr<BlockchainClient> SimConnector::CreateClient(
     Region location, std::vector<int> endpoint_view) {
   ChainContext& ctx = chain_->context();
   const HostId host = ctx.net()->AddHost(location);
-  return std::make_unique<SimClient>(chain_, host, std::move(endpoint_view),
-                                     &retry_, &client_stats_, ctx.sim()->ForkRng());
+  const auto index = static_cast<uint32_t>(retrying_clients_.size());
+  auto client = std::make_unique<SimClient>(this, host, std::move(endpoint_view), index,
+                                            ctx.sim()->ForkRng());
+  if (retry_.enabled()) {
+    DIABLO_CHECK(index < UINT32_MAX / static_cast<uint32_t>(retry_.max_attempts),
+                 "client index times max_attempts overflows the attempt table");
+    retrying_clients_.push_back(client.get());
+  }
+  return client;
 }
 
 bool SimConnector::CreateResource(const ResourceSpec& spec, Resource* out) {

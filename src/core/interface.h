@@ -98,10 +98,24 @@ class BlockchainConnector {
                       SimTime scheduled_time) = 0;
 };
 
-// Connector over a simulated ChainInstance.
+class SimClient;
+
+// Connector over a simulated ChainInstance. Its clients put every
+// submission attempt on the simulation's arrival lane, and the connector is
+// the lane's handler: it submits each arrival at its endpoint and decides
+// what a refusal becomes. A one-shot client's refused transaction is
+// dropped; a retrying client's goes back to that client, which books the
+// failed attempt.
 class SimConnector : public BlockchainConnector {
  public:
+  // Registers the connector as the arrival handler of the chain's
+  // simulation, which takes one at a time. The destructor removes it, so
+  // destroy a connector before its chain.
   explicit SimConnector(ChainInstance* chain);
+  ~SimConnector() override;
+
+  SimConnector(const SimConnector&) = delete;
+  SimConnector& operator=(const SimConnector&) = delete;
 
   std::unique_ptr<BlockchainClient> CreateClient(Region location,
                                                  std::vector<int> endpoint_view) override;
@@ -121,18 +135,30 @@ class SimConnector : public BlockchainConnector {
   bool Resolve(const InteractionSpec& spec, Transaction* row);
   TxId Stamp(const Transaction& row, const Resource& accounts, SimTime scheduled_time);
 
-  // Applies to every client created afterwards; call before CreateClient.
+  // Applies to every client; call before CreateClient.
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
 
   // Submission accounting summed over all clients of this connector.
   const ClientStats& client_stats() const { return client_stats_; }
 
  private:
+  friend class SimClient;
+
+  // Under a retry policy: `client` has attempt `attempt` of `tx` in flight.
+  void NoteAttempt(TxId tx, uint32_t client, int attempt);
+  // The lane handler.
+  void Deliver(const Simulation::Arrival& arrival);
+
   ChainInstance* chain_;
   uint32_t next_account_ = 0;
   uint64_t encode_counter_ = 0;
   RetryPolicy retry_;
   ClientStats client_stats_;
+  // Under a retry policy only: the clients in creation order, and for each
+  // TxId a client has attempted, the index of that client times
+  // max_attempts plus the attempt in flight.
+  std::vector<SimClient*> retrying_clients_;
+  std::vector<uint32_t> attempt_of_;
 };
 
 }  // namespace diablo

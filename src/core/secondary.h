@@ -2,10 +2,10 @@
 // logical worker clients and submits each transaction at its scheduled
 // time, warning when it falls behind. Submissions are batched: one heap
 // event per second of schedule triggers that second's transactions, each
-// with its exact scheduled submission timestamp. A one-shot client puts
-// each transaction's arrival at its endpoint on the simulation's arrival
-// lane, not the event heap; only retrying clients schedule heap events per
-// attempt.
+// with its exact scheduled submission timestamp. The client puts each
+// attempt's arrival at its endpoint, first or retry, on the simulation's
+// arrival lane, not the event heap; only a retrying client's backoff waits
+// are heap events.
 #ifndef SRC_CORE_SECONDARY_H_
 #define SRC_CORE_SECONDARY_H_
 

@@ -5,11 +5,11 @@
 // schedule, same results. Parallelism lives one level up, across independent
 // cells (see ParallelRunner); each cell owns its own Simulation.
 //
-// Client→endpoint transaction arrivals, one per transaction, skip the event
-// heap: they go to an arrival lane of 24-byte closure-free entries that
-// RunUntil merges with the heap in (time, seq) order, with seq drawn from
-// the heap's own counter. Dispatch order is therefore exactly what it would
-// be with one heap event per arrival.
+// Client→endpoint transaction arrivals, one per submission attempt, skip
+// the event heap: they go to an arrival lane of 24-byte closure-free entries
+// that RunUntil merges with the heap in (time, seq) order, with seq drawn
+// from the heap's own counter. Dispatch order is therefore exactly what it
+// would be with one heap event per arrival.
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
@@ -54,7 +54,7 @@ class Simulation {
   void ScheduleAt(SimTime time, EventFn fn);
 
   // Installs the callback that delivers lane arrivals. A simulation has at
-  // most one at a time (its chain's); pass nullptr to remove it.
+  // most one at a time (its chain's connector); pass nullptr to remove it.
   void SetArrivalHandler(ArrivalHandler handler);
 
   // Queues an arrival on the lane at `time`, which must not be in the past.

@@ -954,23 +954,42 @@ TEST(ChainContextTest, CongestionShrinksBlocks) {
   EXPECT_GE(block.tx_count, 1u);
 }
 
-TEST(ChainContextTest, DroppedTxReported) {
-  Simulation sim(17);
-  Network net(&sim);
-  ChainParams params = GetChainParams("ethereum");
-  params.mempool.global_cap = 1;
-  params.mempool.evict_on_full = false;  // reject instead of replacing
+TEST(ChainContextTest, GossipBatchWaitSpreadsReadiness) {
+  // A transaction admitted at an endpoint becomes takeable after a batch
+  // wait drawn uniformly from [0, gossip_batch_interval], plus one link
+  // delay to a random peer. On a jitter-free one-region network that delay
+  // is a constant far below the interval, so of many transactions admitted
+  // at one instant about a quarter is takeable a quarter of the way in, and
+  // all of them are by the interval's end plus the link delay.
+  Simulation sim(19);
+  Network net(&sim, 0.0);
+  const ChainParams params = GetChainParams("quorum");
   ChainContext ctx(&sim, &net, GetDeployment("testnet"), params);
-  Transaction tx;
-  tx.row = *ctx.txs().InternRow({21000, 110});
-  const TxId a = ctx.txs().Add(tx);
-  const TxId b = ctx.txs().Add(tx);
-  EXPECT_TRUE(ctx.SubmitAtEndpoint(a, 0, 0));
-  EXPECT_FALSE(ctx.SubmitAtEndpoint(b, 0, 0));
-  EXPECT_EQ(ctx.txs().at(a).phase, TxPhase::kSubmitted);
-  EXPECT_EQ(ctx.txs().at(b).phase, TxPhase::kDropped);
-  EXPECT_EQ(ctx.txs().PhaseCounts()[static_cast<size_t>(TxPhase::kDropped)], 1u);
-  EXPECT_EQ(ctx.stats().txs_dropped, 1u);
+  const SimDuration interval = params.gossip_batch_interval;
+  SimDuration link = 0;
+  for (const HostId peer : ctx.hosts()) {
+    link = std::max(link, net.DelaySample(ctx.hosts()[0], peer, kNativeTransferBytes + 64));
+  }
+  ASSERT_GT(link, 0);
+  ASSERT_LT(link * 8, interval);
+
+  const size_t n = 4000;
+  const uint16_t row = *ctx.txs().InternRow({21000, kNativeTransferBytes});
+  for (size_t i = 0; i < n; ++i) {
+    Transaction tx;
+    tx.account = static_cast<uint32_t>(i);
+    tx.row = row;
+    ASSERT_TRUE(ctx.SubmitAtEndpoint(ctx.txs().Add(tx), 0, 0));
+  }
+  const auto take = [&](SimTime now) {
+    std::vector<TxId> expired;
+    const auto no_cost = [](TxId) { return int64_t{0}; };
+    return ctx.mempool().TakeReady(now, 0, 0, n, no_cost, no_cost, &expired).size();
+  };
+  const size_t by_quarter = take(interval / 4);
+  EXPECT_GT(by_quarter, n / 8);
+  EXPECT_LT(by_quarter, 3 * n / 8);
+  EXPECT_EQ(by_quarter + take(interval + link), n);
 }
 
 TEST(ChainParamsTest, TableFourCharacteristics) {

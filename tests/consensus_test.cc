@@ -39,7 +39,9 @@ class Driver {
         const TxId id = ctx.txs().Add(tx);
         const int endpoint = static_cast<int>(seq % static_cast<uint32_t>(n));
         sim_.ScheduleAt(when, [&ctx, id, endpoint] {
-          ctx.SubmitAtEndpoint(id, endpoint, ctx.sim()->Now());
+          if (!ctx.SubmitAtEndpoint(id, endpoint, ctx.sim()->Now())) {
+            ctx.DropTx(id);  // a one-shot client's refusal is a drop
+          }
         });
         ++seq;
       }
@@ -298,7 +300,10 @@ struct MiniRun {
         const TxId id = ctx.txs().Add(tx);
         const int endpoint = static_cast<int>(seq) % ctx.node_count();
         sim.ScheduleAt(when, [this, id, endpoint] {
-          chain->context().SubmitAtEndpoint(id, endpoint, sim.Now());
+          ChainContext& c = chain->context();
+          if (!c.SubmitAtEndpoint(id, endpoint, sim.Now())) {
+            c.DropTx(id);  // a one-shot client's refusal is a drop
+          }
         });
         ++seq;
       }

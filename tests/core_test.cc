@@ -68,6 +68,60 @@ TEST(ConnectorTest, FourPortingFunctions) {
   EXPECT_EQ(chain->context().mempool().size(), 1u);
 }
 
+TEST(ConnectorTest, OneShotSendToAnUnreachableEndpointArrivesHalfASecondLate) {
+  // Endpoint 0's host is partitioned off while its node stays up. A one-shot
+  // client's send cannot reach it, so it arrives 500 ms after its trigger,
+  // where a retrying client would fail the attempt after its timeout.
+  Simulation sim(1);
+  Network net(&sim);
+  const auto chain = BuildChain("quorum", GetDeployment("testnet"), &sim, &net);
+  ChainContext& ctx = chain->context();
+  SimConnector connector(chain.get());
+  ResourceSpec accounts_spec;
+  accounts_spec.account_count = 1;
+  Resource accounts;
+  ASSERT_TRUE(connector.CreateResource(accounts_spec, &accounts));
+  const TxId tx = connector.Encode(InteractionSpec{}, accounts, Seconds(1));
+  auto client = connector.CreateClient(Region::kOhio, {0});
+  net.SetPartitioned(ctx.hosts()[0], true);
+  sim.ScheduleAt(Seconds(1), [&] { client->Trigger(tx, Seconds(1)); });
+
+  const SimTime arrival = Seconds(1) + Milliseconds(500);
+  sim.RunUntil(arrival - 1);
+  EXPECT_EQ(ctx.txs().at(tx).phase, TxPhase::kCreated);
+  sim.RunUntil(arrival);
+  EXPECT_FALSE(ctx.NodeDown(0));
+  EXPECT_EQ(ctx.txs().at(tx).phase, TxPhase::kSubmitted);
+}
+
+TEST(ChainContextTest, DroppedTxReported) {
+  // A pool of one that rejects instead of replacing: the endpoint refuses a
+  // one-shot client's second transaction, and the connector drops it.
+  Simulation sim(17);
+  Network net(&sim);
+  ChainParams params = GetChainParams("ethereum");
+  params.mempool.global_cap = 1;
+  params.mempool.evict_on_full = false;
+  const auto chain = BuildChainFromParams(params, GetDeployment("testnet"), &sim, &net);
+  ChainContext& ctx = chain->context();
+  SimConnector connector(chain.get());
+  ResourceSpec accounts_spec;
+  accounts_spec.account_count = 2;
+  Resource accounts;
+  ASSERT_TRUE(connector.CreateResource(accounts_spec, &accounts));
+  const TxId a = connector.Encode(InteractionSpec{}, accounts, 0);
+  const TxId b = connector.Encode(InteractionSpec{}, accounts, 0);
+  auto client = connector.CreateClient(Region::kOhio, {0});
+  client->Trigger(a, 0);
+  client->Trigger(b, 0);
+  sim.RunUntil(Seconds(1));
+  EXPECT_EQ(ctx.txs().at(a).phase, TxPhase::kSubmitted);
+  EXPECT_EQ(ctx.txs().at(b).phase, TxPhase::kDropped);
+  EXPECT_EQ(ctx.txs().PhaseCounts()[static_cast<size_t>(TxPhase::kDropped)], 1u);
+  EXPECT_EQ(ctx.stats().txs_dropped, 1u);
+  EXPECT_EQ(connector.client_stats().aborts, 0u);
+}
+
 TEST(RetryPolicyTest, BackoffDoublesUpToThirtySeconds) {
   RetryPolicy policy;
   EXPECT_EQ(policy.BackoffAfter(0), Milliseconds(500));
@@ -77,6 +131,27 @@ TEST(RetryPolicyTest, BackoffDoublesUpToThirtySeconds) {
   EXPECT_EQ(policy.BackoffAfter(1000), Seconds(30));
   policy.backoff = Seconds(45);
   EXPECT_EQ(policy.BackoffAfter(0), Seconds(30));
+}
+
+TEST(RetryPolicyTest, AttemptsRideTheArrivalLane) {
+  // Retrying clients against a pool far too small for their load, with no
+  // fault: every endpoint is reachable, so every refusal comes from
+  // admission, and every attempt, first or retry, reaches its endpoint as
+  // one lane arrival. The event count is the one the same run gave when
+  // each attempt was a heap event.
+  BenchmarkSetup setup;
+  setup.chain = "ethereum";
+  setup.params = GetChainParams("ethereum");
+  setup.params->mempool.global_cap = 64;
+  setup.params->mempool.evict_on_full = false;
+  setup.retry.max_attempts = 3;
+  setup.retry.timeout = Seconds(1);
+  const RunResult result = Primary(setup).RunNative(ConstantTrace(200, 20));
+  ASSERT_TRUE(result.failure_reason.empty()) << result.failure_reason;
+  EXPECT_GT(result.report.client_retries, 0u);
+  EXPECT_GT(result.report.client_aborts, 0u);
+  EXPECT_EQ(result.counts.arrivals, result.report.submitted + result.report.client_retries);
+  EXPECT_EQ(result.events_executed, 19518u);
 }
 
 TEST(ConnectorTest, EncodeRotatesAccounts) {

@@ -35,7 +35,10 @@ struct EngineRun {
         const TxId id = ctx.txs().Add(tx);
         const int endpoint = static_cast<int>(seq) % ctx.node_count();
         sim.ScheduleAt(tx.submit_time, [this, id, endpoint] {
-          chain->context().SubmitAtEndpoint(id, endpoint, sim.Now());
+          ChainContext& c = chain->context();
+          if (!c.SubmitAtEndpoint(id, endpoint, sim.Now())) {
+            c.DropTx(id);  // a one-shot client's refusal is a drop
+          }
         });
         ++seq;
       }

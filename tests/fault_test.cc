@@ -45,7 +45,10 @@ struct MiniRun {
         const TxId id = ctx.txs().Add(tx);
         const int endpoint = static_cast<int>(seq) % ctx.node_count();
         sim.ScheduleAt(when, [this, id, endpoint] {
-          chain->context().SubmitAtEndpoint(id, endpoint, sim.Now());
+          ChainContext& c = chain->context();
+          if (!c.SubmitAtEndpoint(id, endpoint, sim.Now())) {
+            c.DropTx(id);  // a one-shot client's refusal is a drop
+          }
         });
         ++seq;
       }

@@ -107,7 +107,9 @@ TEST(LedgerConsistencyTest, BlocksCarryMonotoneHeightsAndFinality) {
     tx.submit_time = Milliseconds(10 * i);
     const TxId id = ctx.txs().Add(tx);
     sim.ScheduleAt(tx.submit_time, [&ctx, id, i] {
-      ctx.SubmitAtEndpoint(id, i % ctx.node_count(), ctx.sim()->Now());
+      if (!ctx.SubmitAtEndpoint(id, i % ctx.node_count(), ctx.sim()->Now())) {
+        ctx.DropTx(id);  // a one-shot client's refusal is a drop
+      }
     });
   }
   chain->Start();
