@@ -101,7 +101,8 @@ void RunInstantChain() {
   Simulation sim(7);
   Network net(&sim);
   // Borrow a context purely as transaction storage for the demo connector.
-  const auto backing = BuildChain("quorum", GetDeployment("testnet"), &sim, &net);
+  const auto backing =
+      BuildChainFromParams(GetChainParams("quorum"), GetDeployment("testnet"), &sim, &net);
   InstantChainConnector connector(&sim, backing.get());
 
   ResourceSpec accounts_spec;

@@ -27,23 +27,11 @@ int CostOracle::Deploy(const ContractDef& def) {
     request.caller = 0;
     request.state = &deployed->state;
     request.dialect = dialect_;
-    const ExecResult result = Run(request);
-    // Deployment fails when init itself cannot run (never the case for the
-    // bundled contracts; init paths fit every dialect's budget).
-    if (result.status != VmStatus::kOk && result.status != VmStatus::kBudgetExceeded) {
+    // A deployment whose init does not run to completion fails. Every
+    // bundled contract's init fits every dialect's budget
+    // (RegistryTest.EveryInitRunsUnderEveryDialect).
+    if (Run(request).status != VmStatus::kOk) {
       return -1;
-    }
-    if (result.status == VmStatus::kBudgetExceeded) {
-      // AVM-style budgets can reject heavy init paths; deployment tooling
-      // splits those, so charge it as successful but note nothing.
-      ExecRequest retry = request;
-      retry.dialect = VmDialect::kGeth;
-      if (Run(retry).status != VmStatus::kOk) {
-        return -1;
-      }
-      // Re-run the init writes under geth rules so state is populated.
-      deployed->state = ContractState();
-      Run(retry);
     }
   }
 

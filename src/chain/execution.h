@@ -37,8 +37,9 @@ class CostOracle {
   explicit CostOracle(VmDialect dialect);
 
   // Deploys (compiles + runs init). Returns the contract index Profile
-  // takes, or -1 when the contract cannot be deployed on this dialect (e.g.
-  // DecentralizedYoutube on the AVM, §5.2).
+  // takes, or -1 when the contract cannot be deployed on this dialect: its
+  // init does not return kOk, or it cannot store its data (DecentralizedYoutube
+  // on the AVM, §5.2).
   int Deploy(const ContractDef& def);
 
   // Profile of calling `function` with `args`; measured on first use.

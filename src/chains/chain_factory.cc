@@ -48,12 +48,6 @@ ChainInstance::ChainInstance(Simulation* sim, Network* net, DeploymentConfig dep
   engine_ = MakeEngine(ctx_.get());
 }
 
-std::unique_ptr<ChainInstance> BuildChain(std::string_view chain,
-                                          const DeploymentConfig& deployment,
-                                          Simulation* sim, Network* net) {
-  return BuildChainFromParams(GetChainParams(chain), deployment, sim, net);
-}
-
 std::unique_ptr<ChainInstance> BuildChainFromParams(const ChainParams& params,
                                                     const DeploymentConfig& deployment,
                                                     Simulation* sim, Network* net) {

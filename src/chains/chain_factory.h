@@ -4,7 +4,6 @@
 #define SRC_CHAINS_CHAIN_FACTORY_H_
 
 #include <memory>
-#include <string_view>
 
 #include "src/chain/node.h"
 #include "src/chains/params.h"
@@ -27,13 +26,8 @@ class ChainInstance {
   std::unique_ptr<ConsensusEngine> engine_;
 };
 
-// Builds the named chain (see AllChainNames()) on the given deployment.
-std::unique_ptr<ChainInstance> BuildChain(std::string_view chain,
-                                          const DeploymentConfig& deployment,
-                                          Simulation* sim, Network* net);
-
-// Builds a chain from a custom parameter sheet (used by the ablation benches
-// and the custom-blockchain example).
+// Builds a chain from its parameter sheet: GetChainParams(name) for a named
+// chain (see AllChainNames()), or a custom sheet.
 std::unique_ptr<ChainInstance> BuildChainFromParams(const ChainParams& params,
                                                     const DeploymentConfig& deployment,
                                                     Simulation* sim, Network* net);

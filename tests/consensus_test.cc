@@ -4,123 +4,58 @@
 #include <memory>
 #include <string>
 
-#include "src/chains/chain_factory.h"
-#include "src/chains/params.h"
 #include "src/chains/registry.h"
+#include "tests/chain_run.h"
 
 namespace diablo {
 namespace {
 
-// Minimal submission driver: constant-rate native transfers straight into
-// the chain's endpoints (the full diablo primary/secondary path is exercised
-// by the core tests).
-class Driver {
- public:
-  Driver(const ChainParams& params, const std::string& deployment, uint64_t seed)
-      : sim_(seed), net_(&sim_) {
-    chain_ = BuildChainFromParams(params, GetDeployment(deployment), &sim_, &net_);
-  }
-
-  void SubmitConstant(double tps, int seconds, int accounts = 200) {
-    ChainContext& ctx = chain_->context();
-    const int n = ctx.node_count();
-    const uint16_t row =
-        *ctx.txs().InternRow({NativeTransferGas(ctx.params().dialect), kNativeTransferBytes});
-    uint32_t seq = 0;
-    for (int s = 0; s < seconds; ++s) {
-      const int count = static_cast<int>(tps);
-      for (int i = 0; i < count; ++i) {
-        Transaction tx;
-        tx.account = seq % static_cast<uint32_t>(accounts);
-        tx.row = row;
-        const SimTime when =
-            Seconds(s) + Milliseconds(static_cast<int64_t>(1000.0 * i / count));
-        tx.submit_time = when;
-        const TxId id = ctx.txs().Add(tx);
-        const int endpoint = static_cast<int>(seq % static_cast<uint32_t>(n));
-        sim_.ScheduleAt(when, [&ctx, id, endpoint] {
-          if (!ctx.SubmitAtEndpoint(id, endpoint, ctx.sim()->Now())) {
-            ctx.DropTx(id);  // a one-shot client's refusal is a drop
-          }
-        });
-        ++seq;
-      }
+// Committed transactions per second of active commit span (avoids counting
+// post-workload drain as instantaneous throughput).
+double Throughput(const TxStore& txs) {
+  SimTime last_commit = 0;
+  size_t count = 0;
+  for (TxId id = 0; id < txs.size(); ++id) {
+    const Transaction& tx = txs.at(id);
+    if (tx.phase == TxPhase::kCommitted) {
+      last_commit = std::max(last_commit, tx.commit_time);
+      ++count;
     }
-    submitted_ += static_cast<size_t>(seconds) * static_cast<size_t>(tps);
   }
+  return last_commit <= 0 ? 0.0 : static_cast<double>(count) / ToSeconds(last_commit);
+}
 
-  void Run(int horizon_seconds) {
-    chain_->Start();
-    sim_.RunUntil(Seconds(horizon_seconds));
-  }
-
-  size_t submitted() const { return submitted_; }
-
-  size_t Committed() const {
-    return chain_->context().txs().PhaseCounts()[static_cast<size_t>(TxPhase::kCommitted)];
-  }
-
-  size_t Dropped() const {
-    return chain_->context().txs().PhaseCounts()[static_cast<size_t>(TxPhase::kDropped)];
-  }
-
-  // Committed transactions per second of active commit span (avoids counting
-  // post-workload drain as instantaneous throughput).
-  double Throughput() const {
-    const TxStore& txs = chain_->context().txs();
-    SimTime last_commit = 0;
-    size_t count = 0;
-    for (TxId id = 0; id < txs.size(); ++id) {
-      const Transaction& tx = txs.at(id);
-      if (tx.phase == TxPhase::kCommitted) {
-        last_commit = std::max(last_commit, tx.commit_time);
-        ++count;
-      }
+double AvgLatency(const TxStore& txs) {
+  double sum = 0;
+  size_t count = 0;
+  for (TxId id = 0; id < txs.size(); ++id) {
+    const Transaction& tx = txs.at(id);
+    if (tx.phase == TxPhase::kCommitted) {
+      sum += tx.LatencySeconds();
+      ++count;
     }
-    return last_commit <= 0 ? 0.0
-                            : static_cast<double>(count) / ToSeconds(last_commit);
   }
-
-  double AvgLatency() const {
-    const TxStore& txs = chain_->context().txs();
-    double sum = 0;
-    size_t count = 0;
-    for (TxId id = 0; id < txs.size(); ++id) {
-      const Transaction& tx = txs.at(id);
-      if (tx.phase == TxPhase::kCommitted) {
-        sum += tx.LatencySeconds();
-        ++count;
-      }
-    }
-    return count == 0 ? 0.0 : sum / static_cast<double>(count);
-  }
-
-  ChainContext& ctx() { return chain_->context(); }
-
- private:
-  Simulation sim_;
-  Network net_;
-  std::unique_ptr<ChainInstance> chain_;
-  size_t submitted_ = 0;
-};
+  return count == 0 ? 0.0 : sum / static_cast<double>(count);
+}
 
 class AllChainsTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AllChainsTest, CommitsModestLoadOnTestnet) {
-  Driver driver(GetChainParams(GetParam()), "testnet", 42);
-  driver.SubmitConstant(/*tps=*/50, /*seconds=*/20);
-  driver.Run(/*horizon_seconds=*/90);
-  EXPECT_GE(driver.Committed(), driver.submitted() * 8 / 10)
-      << GetParam() << " committed " << driver.Committed() << "/" << driver.submitted();
-  EXPECT_GT(driver.AvgLatency(), 0.0);
-  EXPECT_GT(driver.ctx().stats().blocks_produced, 0u);
+  ChainRun run(GetChainParams(GetParam()), "testnet", 42);
+  run.SubmitTransfers(/*tps=*/50, /*seconds=*/20, /*accounts=*/200);
+  run.Run(/*horizon_seconds=*/90);
+  const TxStore& txs = run.chain->context().txs();
+  EXPECT_GE(run.Committed(), txs.size() * 8 / 10)
+      << GetParam() << " committed " << run.Committed() << "/" << txs.size();
+  EXPECT_GT(AvgLatency(txs), 0.0);
+  EXPECT_GT(run.chain->context().stats().blocks_produced, 0u);
 }
 
 TEST_P(AllChainsTest, LatencyRespectsSubmitOrder) {
-  Driver driver(GetChainParams(GetParam()), "testnet", 7);
-  driver.SubmitConstant(20, 10);
-  driver.Run(90);
-  const TxStore& txs = driver.ctx().txs();
+  ChainRun run(GetChainParams(GetParam()), "testnet", 7);
+  run.SubmitTransfers(20, 10, 200);
+  run.Run(90);
+  const TxStore& txs = run.chain->context().txs();
   for (TxId id = 0; id < txs.size(); ++id) {
     const Transaction& tx = txs.at(id);
     if (tx.phase == TxPhase::kCommitted) {
@@ -130,13 +65,13 @@ TEST_P(AllChainsTest, LatencyRespectsSubmitOrder) {
 }
 
 TEST_P(AllChainsTest, DeterministicAcrossSeeds) {
-  auto run = [&](uint64_t seed) {
-    Driver driver(GetChainParams(GetParam()), "devnet", seed);
-    driver.SubmitConstant(30, 10);
-    driver.Run(60);
-    return std::make_pair(driver.Committed(), driver.ctx().stats().blocks_produced);
+  auto outcome = [&](uint64_t seed) {
+    ChainRun run(GetChainParams(GetParam()), "devnet", seed);
+    run.SubmitTransfers(30, 10, 200);
+    run.Run(60);
+    return std::make_pair(run.Committed(), run.chain->context().stats().blocks_produced);
   };
-  EXPECT_EQ(run(123), run(123));
+  EXPECT_EQ(outcome(123), outcome(123));
 }
 
 INSTANTIATE_TEST_SUITE_P(SixChains, AllChainsTest,
@@ -144,55 +79,59 @@ INSTANTIATE_TEST_SUITE_P(SixChains, AllChainsTest,
                                            "ethereum", "solana"));
 
 TEST(SolanaTest, ThirtyConfirmationLatencyFloor) {
-  Driver driver(GetChainParams("solana"), "testnet", 5);
-  driver.SubmitConstant(100, 10);
-  driver.Run(60);
+  ChainRun run(GetChainParams("solana"), "testnet", 5);
+  run.SubmitTransfers(100, 10, 200);
+  run.Run(60);
   // 30 confirmations at 400 ms slots puts a ~12 s floor under latency (§5.2).
-  EXPECT_GE(driver.AvgLatency(), 12.0);
-  EXPECT_LE(driver.AvgLatency(), 16.0);
+  const double latency = AvgLatency(run.chain->context().txs());
+  EXPECT_GE(latency, 12.0);
+  EXPECT_LE(latency, 16.0);
 }
 
 TEST(SolanaTest, SlotCadenceIndependentOfLoad) {
-  Driver idle(GetChainParams("solana"), "testnet", 5);
+  ChainRun idle(GetChainParams("solana"), "testnet", 5);
   idle.Run(20);
-  Driver busy(GetChainParams("solana"), "testnet", 5);
-  busy.SubmitConstant(1000, 15);
+  ChainRun busy(GetChainParams("solana"), "testnet", 5);
+  busy.SubmitTransfers(1000, 15, 200);
   busy.Run(20);
   // PoH keeps ticking: block (slot) production rate is load-independent.
-  EXPECT_NEAR(static_cast<double>(idle.ctx().stats().blocks_produced),
-              static_cast<double>(busy.ctx().stats().blocks_produced), 2.0);
+  EXPECT_NEAR(static_cast<double>(idle.chain->context().stats().blocks_produced),
+              static_cast<double>(busy.chain->context().stats().blocks_produced), 2.0);
 }
 
 TEST(DiemTest, LowLatencyOnLan) {
-  Driver driver(GetChainParams("diem"), "datacenter", 5);
-  driver.SubmitConstant(500, 10);
-  driver.Run(60);
+  ChainRun run(GetChainParams("diem"), "datacenter", 5);
+  run.SubmitTransfers(500, 10, 200);
+  run.Run(60);
   // §6.2: Diem reaches its lowest latencies (~2 s) on single-datacenter
   // deployments.
-  EXPECT_GE(driver.Committed(), driver.submitted() * 9 / 10);
-  EXPECT_LT(driver.AvgLatency(), 2.5);
+  const TxStore& txs = run.chain->context().txs();
+  EXPECT_GE(run.Committed(), txs.size() * 9 / 10);
+  EXPECT_LT(AvgLatency(txs), 2.5);
 }
 
 TEST(DiemTest, DegradedOnLargeWanDeployment) {
   // §6.2/§6.6: Diem is designed for low-RTT networks; the leader's direct
   // broadcast to 200 geo-distributed validators throttles both throughput
   // and latency on the community configuration.
-  Driver lan(GetChainParams("diem"), "datacenter", 5);
-  lan.SubmitConstant(1000, 10);
+  ChainRun lan(GetChainParams("diem"), "datacenter", 5);
+  lan.SubmitTransfers(1000, 10, 200);
   lan.Run(90);
-  Driver wan(GetChainParams("diem"), "community", 5);
-  wan.SubmitConstant(1000, 10);
+  ChainRun wan(GetChainParams("diem"), "community", 5);
+  wan.SubmitTransfers(1000, 10, 200);
   wan.Run(90);
-  EXPECT_GT(wan.AvgLatency(), 2.0 * lan.AvgLatency());
-  EXPECT_LT(wan.Throughput(), 0.6 * lan.Throughput());
+  const TxStore& lan_txs = lan.chain->context().txs();
+  const TxStore& wan_txs = wan.chain->context().txs();
+  EXPECT_GT(AvgLatency(wan_txs), 2.0 * AvgLatency(lan_txs));
+  EXPECT_LT(Throughput(wan_txs), 0.6 * Throughput(lan_txs));
 }
 
 TEST(DiemTest, PerSignerCapDropsBursts) {
   // One signer floods: the 100-tx per-signer cap rejects the excess (§5.2).
-  Driver driver(GetChainParams("diem"), "testnet", 5);
-  driver.SubmitConstant(1500, 3, /*accounts=*/1);
-  driver.Run(60);
-  EXPECT_GT(driver.Dropped(), 0u);
+  ChainRun run(GetChainParams("diem"), "testnet", 5);
+  run.SubmitTransfers(1500, 3, /*accounts=*/1);
+  run.Run(60);
+  EXPECT_GT(run.Dropped(), 0u);
 }
 
 TEST(QuorumTest, CollapsesUnderSustainedOverload) {
@@ -203,55 +142,55 @@ TEST(QuorumTest, CollapsesUnderSustainedOverload) {
   params.proposal_overhead_per_pending_tx = Milliseconds(2);
   params.round_timeout = Seconds(2);
   params.max_block_txs = 100;
-  Driver driver(params, "testnet", 5);
-  driver.SubmitConstant(500, 20);
-  driver.Run(60);
-  EXPECT_GT(driver.ctx().stats().view_changes, 0u);
-  EXPECT_LT(driver.Committed(), driver.submitted() / 2);
+  ChainRun run(params, "testnet", 5);
+  run.SubmitTransfers(500, 20, 200);
+  run.Run(60);
+  EXPECT_GT(run.chain->context().stats().view_changes, 0u);
+  EXPECT_LT(run.Committed(), run.chain->context().txs().size() / 2);
 }
 
 TEST(QuorumTest, NeverDropsAtAdmission) {
-  Driver driver(GetChainParams("quorum"), "testnet", 5);
-  driver.SubmitConstant(2000, 5);
-  driver.Run(30);
+  ChainRun run(GetChainParams("quorum"), "testnet", 5);
+  run.SubmitTransfers(2000, 5, 200);
+  run.Run(30);
   // Unbounded pool: nothing is rejected on arrival.
-  EXPECT_EQ(driver.ctx().mempool().rejected(), 0u);
-  EXPECT_EQ(driver.Dropped(), 0u);
+  EXPECT_EQ(run.chain->context().mempool().rejected(), 0u);
+  EXPECT_EQ(run.Dropped(), 0u);
 }
 
 TEST(EthereumTest, ConfirmationDepthDelaysFinality) {
-  Driver driver(GetChainParams("ethereum"), "testnet", 5);
-  driver.SubmitConstant(50, 10);
-  driver.Run(120);
+  ChainRun run(GetChainParams("ethereum"), "testnet", 5);
+  run.SubmitTransfers(50, 10, 200);
+  run.Run(120);
   // 6 confirmations at a 5 s period: at least ~30 s before commit.
-  EXPECT_GE(driver.AvgLatency(), 30.0);
+  EXPECT_GE(AvgLatency(run.chain->context().txs()), 30.0);
 }
 
 TEST(EthereumTest, PoolCapDropsFlood) {
-  Driver driver(GetChainParams("ethereum"), "testnet", 5);
-  driver.SubmitConstant(5000, 5);
-  driver.Run(60);
+  ChainRun run(GetChainParams("ethereum"), "testnet", 5);
+  run.SubmitTransfers(5000, 5, 200);
+  run.Run(60);
   // 25k offered against a 5120-entry pool draining ~300 TPS: most rejected.
-  EXPECT_GT(driver.Dropped(), driver.submitted() / 2);
+  EXPECT_GT(run.Dropped(), run.chain->context().txs().size() / 2);
 }
 
 TEST(AvalancheTest, ThroughputCappedByBlockGas) {
-  Driver driver(GetChainParams("avalanche"), "testnet", 5);
-  driver.SubmitConstant(600, 20);
-  driver.Run(120);
+  ChainRun run(GetChainParams("avalanche"), "testnet", 5);
+  run.SubmitTransfers(600, 20, 200);
+  run.Run(120);
   // 8M gas / 21k-gas transfers / 1.9 s >= period: ~200 TPS ceiling (§6.2).
-  const double tput = driver.Throughput();
+  const double tput = Throughput(run.chain->context().txs());
   EXPECT_LT(tput, 280.0);
   EXPECT_GT(tput, 120.0);
 }
 
 TEST(AlgorandTest, RoundTimeFloorsLatency) {
-  Driver driver(GetChainParams("algorand"), "testnet", 5);
-  driver.SubmitConstant(100, 10);
-  driver.Run(90);
+  ChainRun run(GetChainParams("algorand"), "testnet", 5);
+  run.SubmitTransfers(100, 10, 200);
+  run.Run(90);
   // BA* step timers put a multi-second floor under every commit.
-  EXPECT_GE(driver.AvgLatency(), 2.0);
-  EXPECT_GE(driver.Committed(), driver.submitted() * 8 / 10);
+  EXPECT_GE(AvgLatency(run.chain->context().txs()), 2.0);
+  EXPECT_GE(run.Committed(), run.chain->context().txs().size() * 8 / 10);
 }
 
 TEST(RegistryTest, ClaimedFiguresPresent) {
@@ -265,61 +204,20 @@ TEST(FactoryTest, BuildsAllSixChains) {
   Simulation sim(1);
   Network net(&sim);
   for (const std::string& name : AllChainNames()) {
-    const auto chain = BuildChain(name, GetDeployment("testnet"), &sim, &net);
+    const auto chain =
+        BuildChainFromParams(GetChainParams(name), GetDeployment("testnet"), &sim, &net);
     ASSERT_NE(chain, nullptr) << name;
     EXPECT_EQ(chain->context().params().name, name);
   }
-  EXPECT_THROW(BuildChain("bitcoin", GetDeployment("testnet"), &sim, &net),
-               std::invalid_argument);
+  EXPECT_THROW(
+      BuildChainFromParams(GetChainParams("bitcoin"), GetDeployment("testnet"), &sim, &net),
+      std::invalid_argument);
 }
 
-// Fixed-cadence submission driver for the leaderless-DBFT and network
-// fault cases below.
-struct MiniRun {
-  Simulation sim;
-  Network net;
-  std::unique_ptr<ChainInstance> chain;
-
-  MiniRun(const ChainParams& params, const std::string& deployment, uint64_t seed)
-      : sim(seed), net(&sim) {
-    chain = BuildChainFromParams(params, GetDeployment(deployment), &sim, &net);
-  }
-
-  void Submit(int tps, int seconds) {
-    ChainContext& ctx = chain->context();
-    const uint16_t row =
-        *ctx.txs().InternRow({NativeTransferGas(ctx.params().dialect), kNativeTransferBytes});
-    uint32_t seq = 0;
-    for (int s = 0; s < seconds; ++s) {
-      for (int i = 0; i < tps; ++i) {
-        Transaction tx;
-        tx.account = seq % 100;
-        tx.row = row;
-        const SimTime when = Seconds(s) + Milliseconds(1000LL * i / tps);
-        tx.submit_time = when;
-        const TxId id = ctx.txs().Add(tx);
-        const int endpoint = static_cast<int>(seq) % ctx.node_count();
-        sim.ScheduleAt(when, [this, id, endpoint] {
-          ChainContext& c = chain->context();
-          if (!c.SubmitAtEndpoint(id, endpoint, sim.Now())) {
-            c.DropTx(id);  // a one-shot client's refusal is a drop
-          }
-        });
-        ++seq;
-      }
-    }
-  }
-
-  size_t Committed() {
-    return chain->context().txs().PhaseCounts()[static_cast<size_t>(TxPhase::kCommitted)];
-  }
-};
-
 TEST(RedBellyTest, LeaderlessDbftCommitsNormally) {
-  MiniRun run(GetChainParams("redbelly"), "testnet", 3);
-  run.Submit(500, 10);
-  run.chain->Start();
-  run.sim.RunUntil(Seconds(60));
+  ChainRun run(GetChainParams("redbelly"), "testnet", 3);
+  run.SubmitTransfers(500, 10, 100);
+  run.Run(60);
   EXPECT_GE(run.Committed(), 4500u);
   EXPECT_EQ(run.chain->context().stats().view_changes, 0u);
 }
@@ -328,10 +226,9 @@ TEST(RedBellyTest, ImmuneToTheQuorumCollapse) {
   // §6.3/§6.6: under the same sustained 10k TPS flood that collapses
   // Quorum's leader-based IBFT, leaderless DBFT keeps a high throughput.
   auto run_flood = [](const char* chain) {
-    MiniRun run(GetChainParams(chain), "testnet", 3);
-    run.Submit(10000, 30);
-    run.chain->Start();
-    run.sim.RunUntil(Seconds(120));
+    ChainRun run(GetChainParams(chain), "testnet", 3);
+    run.SubmitTransfers(10000, 30, 100);
+    run.Run(120);
     return run.Committed();
   };
   const size_t redbelly = run_flood("redbelly");
@@ -341,10 +238,9 @@ TEST(RedBellyTest, ImmuneToTheQuorumCollapse) {
 }
 
 TEST(RedBellyTest, SuperblocksUniteManyProposersWork) {
-  MiniRun run(GetChainParams("redbelly"), "devnet", 3);
-  run.Submit(4000, 10);
-  run.chain->Start();
-  run.sim.RunUntil(Seconds(60));
+  ChainRun run(GetChainParams("redbelly"), "devnet", 3);
+  run.SubmitTransfers(4000, 10, 100);
+  run.Run(60);
   const Ledger& ledger = run.chain->context().ledger();
   ASSERT_GT(ledger.block_count(), 0u);
   // Superblocks carry far more than a single leader's mini-block.
@@ -356,9 +252,8 @@ TEST(RedBellyTest, SuperblocksUniteManyProposersWork) {
 }
 
 TEST(FaultInjectionTest, IbftStallsWithoutQuorum) {
-  ChainParams params = GetChainParams("quorum");
-  MiniRun run(params, "testnet", 5);
-  run.Submit(100, 20);
+  ChainRun run(GetChainParams("quorum"), "testnet", 5);
+  run.SubmitTransfers(100, 20, 100);
   run.chain->Start();
   // Partition 4 of 10 nodes at t = 5 s: fewer than 2f+1 = 7 remain.
   run.sim.ScheduleAt(Seconds(5), [&run] {
@@ -373,9 +268,8 @@ TEST(FaultInjectionTest, IbftStallsWithoutQuorum) {
 }
 
 TEST(FaultInjectionTest, IbftSurvivesMinorityPartition) {
-  ChainParams params = GetChainParams("quorum");
-  MiniRun run(params, "testnet", 5);
-  run.Submit(100, 20);
+  ChainRun run(GetChainParams("quorum"), "testnet", 5);
+  run.SubmitTransfers(100, 20, 100);
   run.chain->Start();
   // 3 of 10 partitioned: 7 = 2f+1 remain, the protocol keeps committing.
   run.sim.ScheduleAt(Seconds(5), [&run] {
@@ -391,8 +285,7 @@ TEST(FaultInjectionTest, IbftSurvivesMinorityPartition) {
 
 TEST(FaultInjectionTest, ExtraDelaySlowsCommits) {
   auto avg_latency = [](bool degraded) {
-    ChainParams params = GetChainParams("quorum");
-    MiniRun run(params, "devnet", 5);
+    ChainRun run(GetChainParams("quorum"), "devnet", 5);
     if (degraded) {
       for (int i = 0; i < kRegionCount; ++i) {
         for (int j = i + 1; j < kRegionCount; ++j) {
@@ -401,9 +294,8 @@ TEST(FaultInjectionTest, ExtraDelaySlowsCommits) {
         }
       }
     }
-    run.Submit(100, 10);
-    run.chain->Start();
-    run.sim.RunUntil(Seconds(90));
+    run.SubmitTransfers(100, 10, 100);
+    run.Run(90);
     const TxStore& txs = run.chain->context().txs();
     double sum = 0;
     size_t n = 0;

@@ -52,6 +52,28 @@ TEST(RegistryTest, AllContractsAssemble) {
   }
 }
 
+TEST(RegistryTest, EveryInitRunsUnderEveryDialect) {
+  // CostOracle::Deploy fails a contract whose init does not return kOk, so
+  // every bundled init must fit every dialect's budget. Exchange, dota and
+  // uber have one.
+  int inits = 0;
+  for (const ContractDef& def : AllContracts()) {
+    const Program program = CompileContract(def);
+    if (program.EntryOf("init") < 0) {
+      continue;
+    }
+    ++inits;
+    for (const VmDialect dialect :
+         {VmDialect::kGeth, VmDialect::kAvm, VmDialect::kMoveVm, VmDialect::kEbpf}) {
+      ContractState state;
+      EXPECT_EQ(Call(program, "init", def.init_args, &state, dialect, /*caller=*/0).status,
+                VmStatus::kOk)
+          << def.name << " on " << DialectName(dialect);
+    }
+  }
+  EXPECT_EQ(inits, 3);
+}
+
 TEST(ExchangeTest, BuyDecrementsSupply) {
   ContractState state;
   const Program program = Deploy(*FindContract("exchange"), &state);

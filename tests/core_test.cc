@@ -18,22 +18,20 @@
 #include "src/core/runner.h"
 #include "src/support/rng.h"
 #include "src/support/strings.h"
+#include "tests/chain_run.h"
 
 namespace diablo {
 namespace {
 
 TEST(ConnectorTest, FourPortingFunctions) {
-  Simulation sim(1);
-  Network net(&sim);
-  const auto chain = BuildChain("quorum", GetDeployment("testnet"), &sim, &net);
-  SimConnector connector(chain.get());
+  ChainRun run(GetChainParams("quorum"), "testnet", 1);
 
   // create_resource: accounts.
   ResourceSpec accounts_spec;
   accounts_spec.kind = ResourceSpec::Kind::kAccounts;
   accounts_spec.account_count = 10;
   Resource accounts;
-  ASSERT_TRUE(connector.CreateResource(accounts_spec, &accounts));
+  ASSERT_TRUE(run.connector.CreateResource(accounts_spec, &accounts));
   EXPECT_EQ(accounts.account_count, 10);
 
   // create_resource: contract.
@@ -41,55 +39,52 @@ TEST(ConnectorTest, FourPortingFunctions) {
   contract_spec.kind = ResourceSpec::Kind::kContract;
   contract_spec.contract_name = "counter";
   Resource contract;
-  ASSERT_TRUE(connector.CreateResource(contract_spec, &contract));
+  ASSERT_TRUE(run.connector.CreateResource(contract_spec, &contract));
   EXPECT_GE(contract.contract_index, 0);
 
   contract_spec.contract_name = "not-a-contract";
   Resource bogus;
-  EXPECT_FALSE(connector.CreateResource(contract_spec, &bogus));
+  EXPECT_FALSE(run.connector.CreateResource(contract_spec, &bogus));
 
   // encode.
   InteractionSpec invoke;
   invoke.type = InteractionSpec::Type::kInvoke;
   invoke.contract_index = contract.contract_index;
   invoke.function = "add";
-  const TxId encoded = connector.Encode(invoke, accounts, Seconds(1));
-  const TxStore& txs = chain->context().txs();
+  const TxId encoded = run.connector.Encode(invoke, accounts, Seconds(1));
+  const TxStore& txs = run.chain->context().txs();
   EXPECT_GT(txs.row(encoded).gas, 0);
   EXPECT_GT(txs.row(encoded).size_bytes, 0);
   EXPECT_LT(txs.at(encoded).account, 10u);
 
   // create_client + trigger.
-  auto client = connector.CreateClient(Region::kOhio, {0});
+  auto client = run.connector.CreateClient(Region::kOhio, {0});
   ASSERT_NE(client, nullptr);
   client->Trigger(encoded, Seconds(1));
-  sim.RunUntil(Seconds(2));
-  EXPECT_EQ(chain->context().txs().at(encoded).phase, TxPhase::kSubmitted);
-  EXPECT_EQ(chain->context().mempool().size(), 1u);
+  run.sim.RunUntil(Seconds(2));
+  EXPECT_EQ(run.chain->context().txs().at(encoded).phase, TxPhase::kSubmitted);
+  EXPECT_EQ(run.chain->context().mempool().size(), 1u);
 }
 
 TEST(ConnectorTest, OneShotSendToAnUnreachableEndpointArrivesHalfASecondLate) {
   // Endpoint 0's host is partitioned off while its node stays up. A one-shot
   // client's send cannot reach it, so it arrives 500 ms after its trigger,
   // where a retrying client would fail the attempt after its timeout.
-  Simulation sim(1);
-  Network net(&sim);
-  const auto chain = BuildChain("quorum", GetDeployment("testnet"), &sim, &net);
-  ChainContext& ctx = chain->context();
-  SimConnector connector(chain.get());
+  ChainRun run(GetChainParams("quorum"), "testnet", 1);
+  ChainContext& ctx = run.chain->context();
   ResourceSpec accounts_spec;
   accounts_spec.account_count = 1;
   Resource accounts;
-  ASSERT_TRUE(connector.CreateResource(accounts_spec, &accounts));
-  const TxId tx = connector.Encode(InteractionSpec{}, accounts, Seconds(1));
-  auto client = connector.CreateClient(Region::kOhio, {0});
-  net.SetPartitioned(ctx.hosts()[0], true);
-  sim.ScheduleAt(Seconds(1), [&] { client->Trigger(tx, Seconds(1)); });
+  ASSERT_TRUE(run.connector.CreateResource(accounts_spec, &accounts));
+  const TxId tx = run.connector.Encode(InteractionSpec{}, accounts, Seconds(1));
+  auto client = run.connector.CreateClient(Region::kOhio, {0});
+  run.net.SetPartitioned(ctx.hosts()[0], true);
+  client->Trigger(tx, Seconds(1));
 
   const SimTime arrival = Seconds(1) + Milliseconds(500);
-  sim.RunUntil(arrival - 1);
+  run.sim.RunUntil(arrival - 1);
   EXPECT_EQ(ctx.txs().at(tx).phase, TxPhase::kCreated);
-  sim.RunUntil(arrival);
+  run.sim.RunUntil(arrival);
   EXPECT_FALSE(ctx.NodeDown(0));
   EXPECT_EQ(ctx.txs().at(tx).phase, TxPhase::kSubmitted);
 }
@@ -97,29 +92,26 @@ TEST(ConnectorTest, OneShotSendToAnUnreachableEndpointArrivesHalfASecondLate) {
 TEST(ChainContextTest, DroppedTxReported) {
   // A pool of one that rejects instead of replacing: the endpoint refuses a
   // one-shot client's second transaction, and the connector drops it.
-  Simulation sim(17);
-  Network net(&sim);
   ChainParams params = GetChainParams("ethereum");
   params.mempool.global_cap = 1;
   params.mempool.evict_on_full = false;
-  const auto chain = BuildChainFromParams(params, GetDeployment("testnet"), &sim, &net);
-  ChainContext& ctx = chain->context();
-  SimConnector connector(chain.get());
+  ChainRun run(params, "testnet", 17);
+  ChainContext& ctx = run.chain->context();
   ResourceSpec accounts_spec;
   accounts_spec.account_count = 2;
   Resource accounts;
-  ASSERT_TRUE(connector.CreateResource(accounts_spec, &accounts));
-  const TxId a = connector.Encode(InteractionSpec{}, accounts, 0);
-  const TxId b = connector.Encode(InteractionSpec{}, accounts, 0);
-  auto client = connector.CreateClient(Region::kOhio, {0});
+  ASSERT_TRUE(run.connector.CreateResource(accounts_spec, &accounts));
+  const TxId a = run.connector.Encode(InteractionSpec{}, accounts, 0);
+  const TxId b = run.connector.Encode(InteractionSpec{}, accounts, 0);
+  auto client = run.connector.CreateClient(Region::kOhio, {0});
   client->Trigger(a, 0);
   client->Trigger(b, 0);
-  sim.RunUntil(Seconds(1));
+  run.sim.RunUntil(Seconds(1));
   EXPECT_EQ(ctx.txs().at(a).phase, TxPhase::kSubmitted);
   EXPECT_EQ(ctx.txs().at(b).phase, TxPhase::kDropped);
   EXPECT_EQ(ctx.txs().PhaseCounts()[static_cast<size_t>(TxPhase::kDropped)], 1u);
   EXPECT_EQ(ctx.stats().txs_dropped, 1u);
-  EXPECT_EQ(connector.client_stats().aborts, 0u);
+  EXPECT_EQ(run.connector.client_stats().aborts, 0u);
 }
 
 TEST(RetryPolicyTest, BackoffDoublesUpToThirtySeconds) {
@@ -155,21 +147,18 @@ TEST(RetryPolicyTest, AttemptsRideTheArrivalLane) {
 }
 
 TEST(ConnectorTest, EncodeRotatesAccounts) {
-  Simulation sim(1);
-  Network net(&sim);
-  const auto chain = BuildChain("quorum", GetDeployment("testnet"), &sim, &net);
-  SimConnector connector(chain.get());
+  ChainRun run(GetChainParams("quorum"), "testnet", 1);
   ResourceSpec spec;
   spec.kind = ResourceSpec::Kind::kAccounts;
   spec.account_count = 3;
   Resource accounts;
-  connector.CreateResource(spec, &accounts);
+  run.connector.CreateResource(spec, &accounts);
   InteractionSpec transfer;
-  const TxId a = connector.Encode(transfer, accounts, 0);
-  const TxId b = connector.Encode(transfer, accounts, 0);
-  const TxId c = connector.Encode(transfer, accounts, 0);
-  const TxId d = connector.Encode(transfer, accounts, 0);
-  const TxStore& txs = chain->context().txs();
+  const TxId a = run.connector.Encode(transfer, accounts, 0);
+  const TxId b = run.connector.Encode(transfer, accounts, 0);
+  const TxId c = run.connector.Encode(transfer, accounts, 0);
+  const TxId d = run.connector.Encode(transfer, accounts, 0);
+  const TxStore& txs = run.chain->context().txs();
   EXPECT_NE(txs.at(a).account, txs.at(b).account);
   EXPECT_NE(txs.at(b).account, txs.at(c).account);
   EXPECT_EQ(txs.at(a).account, txs.at(d).account);
@@ -180,29 +169,26 @@ TEST(ConnectorTest, EncodeRejectsWireSizesOutsideInt32) {
   // transaction's int32 wire size. Sizes from 0 to INT32_MAX encode; one
   // byte either side has no encoding, and a rejected call uses up no signer
   // account.
-  Simulation sim(1);
-  Network net(&sim);
-  const auto chain = BuildChain("quorum", GetDeployment("testnet"), &sim, &net);
-  SimConnector connector(chain.get());
+  ChainRun run(GetChainParams("quorum"), "testnet", 1);
   ResourceSpec accounts_spec;
   accounts_spec.kind = ResourceSpec::Kind::kAccounts;
   accounts_spec.account_count = 10;
   Resource accounts;
-  ASSERT_TRUE(connector.CreateResource(accounts_spec, &accounts));
+  ASSERT_TRUE(run.connector.CreateResource(accounts_spec, &accounts));
   ResourceSpec contract_spec;
   contract_spec.kind = ResourceSpec::Kind::kContract;
   contract_spec.contract_name = "youtube";
   Resource contract;
-  ASSERT_TRUE(connector.CreateResource(contract_spec, &contract));
+  ASSERT_TRUE(run.connector.CreateResource(contract_spec, &contract));
   InteractionSpec upload;
   upload.type = InteractionSpec::Type::kInvoke;
   upload.contract_index = contract.contract_index;
   upload.function = "upload";
   auto encode = [&](int64_t payload) {
     upload.args = {payload};
-    return connector.Encode(upload, accounts, 0);
+    return run.connector.Encode(upload, accounts, 0);
   };
-  const TxStore& txs = chain->context().txs();
+  const TxStore& txs = run.chain->context().txs();
   const int64_t envelope = txs.row(encode(1024)).size_bytes - 1024;
   ASSERT_GT(envelope, 0);
   EXPECT_EQ(txs.row(encode(INT32_MAX - envelope)).size_bytes, INT32_MAX);
@@ -224,29 +210,26 @@ TEST(ConnectorTest, EncodeRejectsARowPastTheTable) {
   // store holds a row for each of the 65,536 values of a 16-bit index, the
   // zero row among them, so the 65,536th distinct upload has no row and no
   // encoding and stores nothing; a payload already seen still encodes.
-  Simulation sim(1);
-  Network net(&sim);
-  const auto chain = BuildChain("quorum", GetDeployment("testnet"), &sim, &net);
-  SimConnector connector(chain.get());
+  ChainRun run(GetChainParams("quorum"), "testnet", 1);
   ResourceSpec accounts_spec;
   accounts_spec.kind = ResourceSpec::Kind::kAccounts;
   accounts_spec.account_count = 1;
   Resource accounts;
-  ASSERT_TRUE(connector.CreateResource(accounts_spec, &accounts));
+  ASSERT_TRUE(run.connector.CreateResource(accounts_spec, &accounts));
   ResourceSpec contract_spec;
   contract_spec.kind = ResourceSpec::Kind::kContract;
   contract_spec.contract_name = "youtube";
   Resource contract;
-  ASSERT_TRUE(connector.CreateResource(contract_spec, &contract));
+  ASSERT_TRUE(run.connector.CreateResource(contract_spec, &contract));
   InteractionSpec upload;
   upload.type = InteractionSpec::Type::kInvoke;
   upload.contract_index = contract.contract_index;
   upload.function = "upload";
   auto encode = [&](int64_t payload) {
     upload.args = {payload};
-    return connector.Encode(upload, accounts, 0);
+    return run.connector.Encode(upload, accounts, 0);
   };
-  const TxStore& txs = chain->context().txs();
+  const TxStore& txs = run.chain->context().txs();
   TxId last = kInvalidTx;
   for (int64_t payload = 1; payload < 65536; ++payload) {
     last = encode(payload);
@@ -263,10 +246,9 @@ TEST(ConnectorTest, EncodeRejectsARowPastTheTable) {
 
 // One simulated chain with the resources Primary::RunStreams creates for a
 // stream: accounts, then the stream's contract when it has one.
-struct EncodeTwin {
+struct EncodeTwin : ChainRun {
   EncodeTwin(const std::string& chain_name, const std::string& contract)
-      : sim(1), net(&sim), chain(BuildChain(chain_name, GetDeployment("testnet"), &sim, &net)),
-        connector(chain.get()) {
+      : ChainRun(GetChainParams(chain_name), "testnet", 1) {
     ResourceSpec accounts_spec;
     accounts_spec.kind = ResourceSpec::Kind::kAccounts;
     accounts_spec.account_count = 7;
@@ -281,10 +263,6 @@ struct EncodeTwin {
     }
   }
 
-  Simulation sim;
-  Network net;
-  std::unique_ptr<ChainInstance> chain;
-  SimConnector connector;
   Resource accounts;
   int contract_index = -1;
   bool deployed = true;

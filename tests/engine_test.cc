@@ -4,52 +4,11 @@
 
 #include <set>
 
-#include "src/chains/chain_factory.h"
-#include "src/chains/params.h"
 #include "src/support/stats.h"
+#include "tests/chain_run.h"
 
 namespace diablo {
 namespace {
-
-struct EngineRun {
-  Simulation sim;
-  Network net;
-  std::unique_ptr<ChainInstance> chain;
-
-  EngineRun(ChainParams params, const std::string& deployment, uint64_t seed = 3)
-      : sim(seed), net(&sim) {
-    chain = BuildChainFromParams(params, GetDeployment(deployment), &sim, &net);
-  }
-
-  void SubmitConstant(int tps, int seconds) {
-    ChainContext& ctx = chain->context();
-    const uint16_t row =
-        *ctx.txs().InternRow({NativeTransferGas(ctx.params().dialect), kNativeTransferBytes});
-    uint32_t seq = 0;
-    for (int s = 0; s < seconds; ++s) {
-      for (int i = 0; i < tps; ++i) {
-        Transaction tx;
-        tx.account = seq % 500;
-        tx.row = row;
-        tx.submit_time = Seconds(s) + Milliseconds(1000LL * i / tps);
-        const TxId id = ctx.txs().Add(tx);
-        const int endpoint = static_cast<int>(seq) % ctx.node_count();
-        sim.ScheduleAt(tx.submit_time, [this, id, endpoint] {
-          ChainContext& c = chain->context();
-          if (!c.SubmitAtEndpoint(id, endpoint, sim.Now())) {
-            c.DropTx(id);  // a one-shot client's refusal is a drop
-          }
-        });
-        ++seq;
-      }
-    }
-  }
-
-  void Go(int horizon_s) {
-    chain->Start();
-    sim.RunUntil(Seconds(horizon_s));
-  }
-};
 
 TEST(GossipHopScaleTest, GrowsLogarithmically) {
   EXPECT_DOUBLE_EQ(GossipHopScale(10), 1.0);
@@ -61,9 +20,9 @@ TEST(GossipHopScaleTest, GrowsLogarithmically) {
 
 TEST(CliqueEngineTest, BlocksFollowThePeriod) {
   ChainParams params = GetChainParams("ethereum");
-  EngineRun run(params, "testnet");
-  run.SubmitConstant(50, 20);
-  run.Go(60);
+  ChainRun run(params, "testnet", 3);
+  run.SubmitTransfers(50, 20, 500);
+  run.Run(60);
   // ~60 s / 5 s period = ~12 produced; stats count *finalized* blocks, so
   // the 6 still awaiting confirmations are excluded.
   const uint64_t blocks = run.chain->context().stats().blocks_produced;
@@ -75,9 +34,9 @@ TEST(CliqueEngineTest, ConfirmationDepthHoldsBackTheTail) {
   // With depth 6, the last produced blocks are not yet final at any instant,
   // so a fresh transaction's latency is at least depth x period.
   ChainParams params = GetChainParams("ethereum");
-  EngineRun run(params, "testnet");
-  run.SubmitConstant(10, 5);
-  run.Go(120);
+  ChainRun run(params, "testnet", 3);
+  run.SubmitTransfers(10, 5, 500);
+  run.Run(120);
   const TxStore& txs = run.chain->context().txs();
   for (TxId id = 0; id < txs.size(); ++id) {
     if (txs.at(id).phase == TxPhase::kCommitted) {
@@ -89,9 +48,9 @@ TEST(CliqueEngineTest, ConfirmationDepthHoldsBackTheTail) {
 
 TEST(HotStuffEngineTest, ThreeChainLeavesPipelineTail) {
   ChainParams params = GetChainParams("diem");
-  EngineRun run(params, "testnet");
-  run.SubmitConstant(100, 10);
-  run.Go(60);
+  ChainRun run(params, "testnet", 3);
+  run.SubmitTransfers(100, 10, 500);
+  run.Run(60);
   ChainContext& ctx = run.chain->context();
   // Rounds fire every ~block_interval; the last two certified blocks are
   // still in the pipeline (not in the ledger) when the run stops.
@@ -101,11 +60,28 @@ TEST(HotStuffEngineTest, ThreeChainLeavesPipelineTail) {
   EXPECT_GT(ctx.ledger().block_count(), rounds_approx / 2);
 }
 
+TEST(HotStuffEngineTest, BlockIsFinalWhenTheBlockTwoRoundsLaterIsCertified) {
+  // Three-chain commit on a quiet network: rounds start one block_interval
+  // apart, and a block is final when the block two rounds later is
+  // certified, so every block's finality lands two intervals plus one
+  // certificate (under an interval) after its proposal.
+  const ChainParams params = GetChainParams("diem");
+  ChainRun run(params, "testnet", 3, /*jitter=*/0.0);
+  run.Run(60);
+  const Ledger& ledger = run.chain->context().ledger();
+  ASSERT_GT(ledger.block_count(), 0u);
+  for (size_t i = 0; i < ledger.block_count(); ++i) {
+    const SimDuration offset = ledger.block(i).finalized_at - ledger.block(i).proposed_at;
+    EXPECT_GE(offset, 2 * params.block_interval) << "block " << i;
+    EXPECT_LT(offset, 3 * params.block_interval) << "block " << i;
+  }
+}
+
 TEST(AlgorandEngineTest, StepTimersFloorTheRound) {
   ChainParams params = GetChainParams("algorand");
-  EngineRun run(params, "testnet");
-  run.SubmitConstant(50, 20);
-  run.Go(90);
+  ChainRun run(params, "testnet", 3);
+  run.SubmitTransfers(50, 20, 500);
+  run.Run(90);
   ChainContext& ctx = run.chain->context();
   ASSERT_GE(ctx.ledger().block_count(), 2u);
   // Certification cannot precede the sequential soft+certify timers (2λ).
@@ -117,9 +93,9 @@ TEST(AlgorandEngineTest, StepTimersFloorTheRound) {
 
 TEST(AlgorandEngineTest, RotatingSortitionProposers) {
   ChainParams params = GetChainParams("algorand");
-  EngineRun run(params, "testnet");
-  run.SubmitConstant(20, 30);
-  run.Go(120);
+  ChainRun run(params, "testnet", 3);
+  run.SubmitTransfers(20, 30, 500);
+  run.Run(120);
   ChainContext& ctx = run.chain->context();
   std::set<uint32_t> proposers;
   for (size_t i = 0; i < ctx.ledger().block_count(); ++i) {
@@ -133,9 +109,9 @@ TEST(AvalancheEngineTest, DecisionTimeGrowsWithBeta) {
     ChainParams params = GetChainParams("avalanche");
     params.beta = beta;
     params.block_interval = Milliseconds(1);  // expose the decision time
-    EngineRun run(params, "devnet");
-    run.SubmitConstant(50, 10);
-    run.Go(60);
+    ChainRun run(params, "devnet", 3);
+    run.SubmitTransfers(50, 10, 500);
+    run.Run(60);
     const Ledger& ledger = run.chain->context().ledger();
     double total = 0;
     for (size_t i = 0; i < ledger.block_count(); ++i) {
@@ -148,21 +124,37 @@ TEST(AvalancheEngineTest, DecisionTimeGrowsWithBeta) {
 
 TEST(SolanaEngineTest, SlotCountMatchesWallClock) {
   ChainParams params = GetChainParams("solana");
-  EngineRun run(params, "testnet");
-  run.SubmitConstant(100, 10);
-  run.Go(40);
+  ChainRun run(params, "testnet", 3);
+  run.SubmitTransfers(100, 10, 500);
+  run.Run(40);
   // 40 s / 0.4 s slots ≈ 100 slots regardless of load.
   const uint64_t blocks = run.chain->context().stats().blocks_produced;
   EXPECT_GE(blocks, 95u);
   EXPECT_LE(blocks, 101u);
 }
 
+TEST(SolanaEngineTest, BlockIsFinalThirtyOneSlotsAfterItsProposal) {
+  // A slot completes, then confirmation_depth (30) further slots land on
+  // it; on a quiet network its propagation adds under one more slot
+  // (12.400502045 s in all).
+  const ChainParams params = GetChainParams("solana");
+  ChainRun run(params, "testnet", 3, /*jitter=*/0.0);
+  run.Run(60);
+  const Ledger& ledger = run.chain->context().ledger();
+  ASSERT_GT(ledger.block_count(), 0u);
+  for (size_t i = 0; i < ledger.block_count(); ++i) {
+    const SimDuration offset = ledger.block(i).finalized_at - ledger.block(i).proposed_at;
+    EXPECT_GE(offset, (1 + params.confirmation_depth) * params.block_interval) << "block " << i;
+    EXPECT_LT(offset, (2 + params.confirmation_depth) * params.block_interval) << "block " << i;
+  }
+}
+
 TEST(SolanaEngineTest, PartitionedLeaderSkipsItsWindow) {
   ChainParams params = GetChainParams("solana");
-  EngineRun run(params, "testnet");
-  run.SubmitConstant(100, 10);
+  ChainRun run(params, "testnet", 3);
+  run.SubmitTransfers(100, 10, 500);
   run.net.SetPartitioned(run.chain->context().hosts()[0], true);
-  run.Go(40);
+  run.Run(40);
   ChainContext& ctx = run.chain->context();
   // Node 0's slots are skipped (counted as view changes); others produce.
   EXPECT_GT(ctx.stats().view_changes, 0u);
@@ -175,9 +167,9 @@ TEST(SolanaEngineTest, PartitionedLeaderSkipsItsWindow) {
 TEST(IbftEngineTest, LanRoundsFasterThanWan) {
   auto median_round = [](const std::string& deployment) {
     ChainParams params = GetChainParams("quorum");
-    EngineRun run(params, deployment);
-    run.SubmitConstant(100, 10);
-    run.Go(60);
+    ChainRun run(params, deployment, 3);
+    run.SubmitTransfers(100, 10, 500);
+    run.Run(60);
     const Ledger& ledger = run.chain->context().ledger();
     SampleSet rounds;
     for (size_t i = 0; i < ledger.block_count(); ++i) {
@@ -190,9 +182,9 @@ TEST(IbftEngineTest, LanRoundsFasterThanWan) {
 
 TEST(IbftEngineTest, RotatesLeaders) {
   ChainParams params = GetChainParams("quorum");
-  EngineRun run(params, "testnet");
-  run.SubmitConstant(100, 15);
-  run.Go(60);
+  ChainRun run(params, "testnet", 3);
+  run.SubmitTransfers(100, 15, 500);
+  run.Run(60);
   const Ledger& ledger = run.chain->context().ledger();
   std::set<uint32_t> proposers;
   for (size_t i = 0; i < ledger.block_count(); ++i) {
@@ -212,9 +204,9 @@ TEST(IbftEngineTest, RoundChangeBackoffDoublesUpToSixTimes) {
   params.round_timeout = Seconds(1);
   params.proposal_overhead_per_pending_tx = Seconds(100);
   params.proposal_overhead_quadratic = 0;
-  EngineRun run(params, "testnet");
-  run.SubmitConstant(1, 1);
-  run.Go(300);
+  ChainRun run(params, "testnet", 3);
+  run.SubmitTransfers(1, 1, 500);
+  run.Run(300);
   ChainContext& ctx = run.chain->context();
   EXPECT_EQ(ctx.stats().view_changes, 9u);
   EXPECT_EQ(ctx.ledger().block_count(), 0u);
@@ -222,8 +214,8 @@ TEST(IbftEngineTest, RoundChangeBackoffDoublesUpToSixTimes) {
 
 TEST(EngineTest, EmptyChainStillProducesEmptyBlocks) {
   for (const std::string& chain_name : AllChainNames()) {
-    EngineRun run(GetChainParams(chain_name), "testnet");
-    run.Go(90);  // long enough for Clique's 6-deep confirmation window
+    ChainRun run(GetChainParams(chain_name), "testnet", 3);
+    run.Run(90);  // long enough for Clique's 6-deep confirmation window
     const ChainStats& stats = run.chain->context().stats();
     EXPECT_GT(stats.blocks_produced, 0u) << chain_name;
     EXPECT_EQ(stats.txs_committed, 0u) << chain_name;

@@ -10,56 +10,15 @@
 #include <string>
 #include <string_view>
 
-#include "src/chains/chain_factory.h"
-#include "src/chains/params.h"
 #include "src/config/spec.h"
 #include "src/core/runner.h"
 #include "src/fault/injector.h"
 #include "src/fault/schedule.h"
 #include "src/support/strings.h"
+#include "tests/chain_run.h"
 
 namespace diablo {
 namespace {
-
-struct MiniRun {
-  Simulation sim;
-  Network net;
-  std::unique_ptr<ChainInstance> chain;
-
-  MiniRun(const std::string& chain_name, uint64_t seed) : sim(seed), net(&sim) {
-    chain = BuildChain(chain_name, GetDeployment("testnet"), &sim, &net);
-  }
-
-  void Submit(int tps, int seconds) {
-    ChainContext& ctx = chain->context();
-    const uint16_t row =
-        *ctx.txs().InternRow({NativeTransferGas(ctx.params().dialect), kNativeTransferBytes});
-    uint32_t seq = 0;
-    for (int s = 0; s < seconds; ++s) {
-      for (int i = 0; i < tps; ++i) {
-        Transaction tx;
-        tx.account = seq % 100;
-        tx.row = row;
-        const SimTime when = Seconds(s) + Milliseconds(1000LL * i / tps);
-        tx.submit_time = when;
-        const TxId id = ctx.txs().Add(tx);
-        const int endpoint = static_cast<int>(seq) % ctx.node_count();
-        sim.ScheduleAt(when, [this, id, endpoint] {
-          ChainContext& c = chain->context();
-          if (!c.SubmitAtEndpoint(id, endpoint, sim.Now())) {
-            c.DropTx(id);  // a one-shot client's refusal is a drop
-          }
-        });
-        ++seq;
-      }
-    }
-  }
-
-  size_t Committed() {
-    return chain->context().txs().PhaseCounts()[static_cast<size_t>(
-        TxPhase::kCommitted)];
-  }
-};
 
 // --- Schedule validation ---
 
@@ -307,15 +266,14 @@ TEST(FaultScheduleTest, FaultKindNamesAreExhaustiveAndDistinct) {
 // --- Injector execution ---
 
 TEST(FaultInjectorTest, CrashCausesViewChangesThenRecovery) {
-  MiniRun run("quorum", 3);
-  run.Submit(100, 30);
+  ChainRun run(GetChainParams("quorum"), "testnet", 3);
+  run.SubmitTransfers(100, 30, 100);
   FaultInjector injector(
       FaultScheduleBuilder().Crash(0, Seconds(5), Seconds(15)).Build(),
       &run.chain->context());
   std::string error;
   ASSERT_TRUE(injector.Install(&error)) << error;
-  run.chain->Start();
-  run.sim.RunUntil(Seconds(90));
+  run.Run(90);
   EXPECT_EQ(injector.stats().crashes, 1u);
   EXPECT_EQ(injector.stats().restarts, 1u);
   // The dead leader costs round changes, but the rotation keeps committing.
@@ -324,16 +282,15 @@ TEST(FaultInjectorTest, CrashCausesViewChangesThenRecovery) {
 }
 
 TEST(FaultInjectorTest, MajorityPartitionStallsUntilHeal) {
-  MiniRun run("quorum", 3);
-  run.Submit(100, 30);
+  ChainRun run(GetChainParams("quorum"), "testnet", 3);
+  run.SubmitTransfers(100, 30, 100);
   FaultInjector injector(FaultScheduleBuilder()
                              .Partition({0, 1, 2, 3, 4, 5}, Seconds(5), Seconds(20))
                              .Build(),
                          &run.chain->context());
   std::string error;
   ASSERT_TRUE(injector.Install(&error)) << error;
-  run.chain->Start();
-  run.sim.RunUntil(Seconds(90));
+  run.Run(90);
   EXPECT_EQ(injector.stats().partitions, 1u);
   EXPECT_EQ(injector.stats().heals, 1u);
   // No quorum inside the window, full progress after the heal.
@@ -356,36 +313,34 @@ TEST(FaultInjectorTest, MajorityPartitionStallsUntilHeal) {
 }
 
 TEST(FaultInjectorTest, LossWindowRegistersDropsOnTheNetwork) {
-  MiniRun run("quorum", 3);
-  run.Submit(100, 10);
+  ChainRun run(GetChainParams("quorum"), "testnet", 3);
+  run.SubmitTransfers(100, 10, 100);
   FaultInjector injector(
       FaultScheduleBuilder().Loss(0.3, Seconds(2), Seconds(8)).Build(),
       &run.chain->context());
   std::string error;
   ASSERT_TRUE(injector.Install(&error)) << error;
-  run.chain->Start();
-  run.sim.RunUntil(Seconds(60));
+  run.Run(60);
   EXPECT_EQ(injector.stats().loss_windows, 1u);
   EXPECT_GT(run.net.stats().loss_drops, 0u);
   EXPECT_GT(run.Committed(), 0u);
 }
 
 TEST(FaultInjectorTest, StragglerSlowsButDoesNotStopTheChain) {
-  MiniRun run("quorum", 3);
-  run.Submit(100, 10);
+  ChainRun run(GetChainParams("quorum"), "testnet", 3);
+  run.SubmitTransfers(100, 10, 100);
   FaultInjector injector(
       FaultScheduleBuilder().Straggler(0, 0.2, Seconds(0), Seconds(20)).Build(),
       &run.chain->context());
   std::string error;
   ASSERT_TRUE(injector.Install(&error)) << error;
-  run.chain->Start();
-  run.sim.RunUntil(Seconds(60));
+  run.Run(60);
   EXPECT_EQ(injector.stats().stragglers, 1u);
   EXPECT_GE(run.Committed(), 800u);
 }
 
 TEST(FaultInjectorTest, InvalidScheduleFailsToInstall) {
-  MiniRun run("quorum", 3);
+  ChainRun run(GetChainParams("quorum"), "testnet", 3);
   FaultInjector injector(FaultScheduleBuilder().Crash(42, Seconds(1)).Build(),
                          &run.chain->context());
   std::string error;
@@ -396,15 +351,14 @@ TEST(FaultInjectorTest, InvalidScheduleFailsToInstall) {
 // --- Byzantine behavior through the engines ---
 
 TEST(FaultInjectorTest, EquivocatingLeaderForcesViewChangesButCommits) {
-  MiniRun run("quorum", 3);
-  run.Submit(100, 20);
+  ChainRun run(GetChainParams("quorum"), "testnet", 3);
+  run.SubmitTransfers(100, 20, 100);
   FaultInjector injector(
       FaultScheduleBuilder().Equivocate({0}, Seconds(2), Seconds(12)).Build(),
       &run.chain->context());
   std::string error;
   ASSERT_TRUE(injector.Install(&error)) << error;
-  run.chain->Start();
-  run.sim.RunUntil(Seconds(60));
+  run.Run(60);
   EXPECT_EQ(injector.stats().equivocate_windows, 1u);
   const ChainStats& stats = run.chain->context().stats();
   // Every time node 0 held the leader slot in the window, honest replicas
@@ -419,8 +373,8 @@ TEST(FaultInjectorTest, WithholdingMinorityCommitsButMajorityStalls) {
   // IBFT quorum on the 10-node testnet is 7: three silent validators leave
   // 7 voters (commits continue); four leave 6 (no quorum in the window).
   auto committed_inside_window = [](int withholders) {
-    MiniRun run("quorum", 3);
-    run.Submit(100, 20);
+    ChainRun run(GetChainParams("quorum"), "testnet", 3);
+    run.SubmitTransfers(100, 20, 100);
     std::vector<int> nodes;
     for (int i = 0; i < withholders; ++i) {
       nodes.push_back(i);
@@ -431,8 +385,7 @@ TEST(FaultInjectorTest, WithholdingMinorityCommitsButMajorityStalls) {
                            &run.chain->context());
     std::string error;
     EXPECT_TRUE(injector.Install(&error)) << error;
-    run.chain->Start();
-    run.sim.RunUntil(Seconds(60));
+    run.Run(60);
     EXPECT_GT(run.chain->context().stats().votes_withheld, 0u);
     EXPECT_GT(run.Committed(), 0u);  // both recover after the disarm
     const TxStore& txs = run.chain->context().txs();
@@ -452,8 +405,8 @@ TEST(FaultInjectorTest, WithholdingMinorityCommitsButMajorityStalls) {
 
 TEST(FaultInjectorTest, DoubleVotingLeavesEvidenceWithoutChangingCommits) {
   auto run_with = [](bool double_voting) {
-    MiniRun run("quorum", 3);
-    run.Submit(100, 10);
+    ChainRun run(GetChainParams("quorum"), "testnet", 3);
+    run.SubmitTransfers(100, 10, 100);
     std::unique_ptr<FaultInjector> injector;
     if (double_voting) {
       injector = std::make_unique<FaultInjector>(
@@ -464,8 +417,7 @@ TEST(FaultInjectorTest, DoubleVotingLeavesEvidenceWithoutChangingCommits) {
       std::string error;
       EXPECT_TRUE(injector->Install(&error)) << error;
     }
-    run.chain->Start();
-    run.sim.RunUntil(Seconds(60));
+    run.Run(60);
     return std::make_pair(run.Committed(),
                           run.chain->context().stats().double_votes_seen);
   };
@@ -479,8 +431,8 @@ TEST(FaultInjectorTest, DoubleVotingLeavesEvidenceWithoutChangingCommits) {
 }
 
 TEST(FaultInjectorTest, CensorshipDelaysVictimsButHonestProposersRescue) {
-  MiniRun run("quorum", 3);
-  run.Submit(100, 10);  // MiniRun signs with accounts 0..99
+  ChainRun run(GetChainParams("quorum"), "testnet", 3);
+  run.SubmitTransfers(100, 10, 100);  // signed by accounts 0..99
   FaultInjector injector(FaultScheduleBuilder()
                              .Censor({0, 1, 2}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
                                      Seconds(1), Seconds(9))
@@ -488,8 +440,7 @@ TEST(FaultInjectorTest, CensorshipDelaysVictimsButHonestProposersRescue) {
                          &run.chain->context());
   std::string error;
   ASSERT_TRUE(injector.Install(&error)) << error;
-  run.chain->Start();
-  run.sim.RunUntil(Seconds(60));
+  run.Run(60);
   EXPECT_EQ(injector.stats().censor_windows, 1u);
   const ChainStats& stats = run.chain->context().stats();
   EXPECT_GT(stats.txs_censored, 0u);
@@ -500,8 +451,8 @@ TEST(FaultInjectorTest, CensorshipDelaysVictimsButHonestProposersRescue) {
 
 TEST(FaultInjectorTest, LazyProposersSealEmptyBlocksAndSlowTheChain) {
   auto latency_with = [](bool lazy) {
-    MiniRun run("quorum", 3);
-    run.Submit(100, 10);
+    ChainRun run(GetChainParams("quorum"), "testnet", 3);
+    run.SubmitTransfers(100, 10, 100);
     std::unique_ptr<FaultInjector> injector;
     if (lazy) {
       injector = std::make_unique<FaultInjector>(
@@ -512,8 +463,7 @@ TEST(FaultInjectorTest, LazyProposersSealEmptyBlocksAndSlowTheChain) {
       std::string error;
       EXPECT_TRUE(injector->Install(&error)) << error;
     }
-    run.chain->Start();
-    run.sim.RunUntil(Seconds(60));
+    run.Run(60);
     EXPECT_EQ(run.Committed(), 1000u);  // liveness: honest slots catch up
     if (lazy) {
       EXPECT_GT(run.chain->context().stats().lazy_proposals, 0u);
@@ -534,15 +484,14 @@ TEST(FaultInjectorTest, LazyProposersSealEmptyBlocksAndSlowTheChain) {
 // to 40 s; returns the lazy proposals and sets *window_rounds to the rounds
 // proposed inside the window.
 uint64_t DbftLazyRun(int lazy_node, uint64_t* window_rounds) {
-  MiniRun run("redbelly", 3);
-  run.Submit(100, 50);
+  ChainRun run(GetChainParams("redbelly"), "testnet", 3);
+  run.SubmitTransfers(100, 50, 100);
   FaultInjector injector(
       FaultScheduleBuilder().LazyProposer({lazy_node}, Seconds(10), Seconds(40)).Build(),
       &run.chain->context());
   std::string error;
   EXPECT_TRUE(injector.Install(&error)) << error;
-  run.chain->Start();
-  run.sim.RunUntil(Seconds(60));
+  run.Run(60);
   const Ledger& ledger = run.chain->context().ledger();
   *window_rounds = 0;
   for (size_t i = 0; i < ledger.block_count(); ++i) {

@@ -14,6 +14,7 @@
 #include "src/core/results.h"
 #include "src/core/runner.h"
 #include "src/core/secondary.h"
+#include "tests/chain_run.h"
 
 namespace diablo {
 namespace {
@@ -96,25 +97,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(LedgerConsistencyTest, BlocksCarryMonotoneHeightsAndFinality) {
-  Simulation sim(9);
-  Network net(&sim);
-  const auto chain = BuildChain("quorum", GetDeployment("testnet"), &sim, &net);
-  ChainContext& ctx = chain->context();
-  for (int i = 0; i < 500; ++i) {
-    Transaction tx;
-    tx.account = static_cast<uint32_t>(i % 50);
-    tx.row = *ctx.txs().InternRow({21000, kNativeTransferBytes});
-    tx.submit_time = Milliseconds(10 * i);
-    const TxId id = ctx.txs().Add(tx);
-    sim.ScheduleAt(tx.submit_time, [&ctx, id, i] {
-      if (!ctx.SubmitAtEndpoint(id, i % ctx.node_count(), ctx.sim()->Now())) {
-        ctx.DropTx(id);  // a one-shot client's refusal is a drop
-      }
-    });
-  }
-  chain->Start();
-  sim.RunUntil(Seconds(30));
+  ChainRun run(GetChainParams("quorum"), "testnet", 9);
+  run.SubmitTransfers(100, 5, 50);
+  run.Run(30);
 
+  ChainContext& ctx = run.chain->context();
   const Ledger& ledger = ctx.ledger();
   ASSERT_GT(ledger.block_count(), 1u);
   uint64_t prev_height = 0;
@@ -162,27 +149,24 @@ TEST(ResultsRoundTripTest, CsvFileMatchesStore) {
 }
 
 TEST(SecondaryAccountingTest, SchedulesAndSubmitsEverything) {
-  Simulation sim(4);
-  Network net(&sim);
-  const auto chain = BuildChain("solana", GetDeployment("testnet"), &sim, &net);
-  SimConnector connector(chain.get());
+  ChainRun run(GetChainParams("solana"), "testnet", 4);
   ResourceSpec accounts_spec;
   accounts_spec.kind = ResourceSpec::Kind::kAccounts;
   accounts_spec.account_count = 10;
   Resource accounts;
-  connector.CreateResource(accounts_spec, &accounts);
+  run.connector.CreateResource(accounts_spec, &accounts);
 
-  Secondary secondary(0, Region::kOhio, &sim,
-                      connector.CreateClient(Region::kOhio, {0}));
+  Secondary secondary(0, Region::kOhio, &run.sim,
+                      run.connector.CreateClient(Region::kOhio, {0}));
   for (int i = 0; i < 50; ++i) {
-    const TxId id = connector.Encode(InteractionSpec{}, accounts,
-                                     Milliseconds(100 * i));
+    const TxId id = run.connector.Encode(InteractionSpec{}, accounts,
+                                         Milliseconds(100 * i));
     secondary.Assign(Milliseconds(100 * i), id);
   }
   secondary.Start();
-  sim.RunUntil(Seconds(10));
+  run.sim.RunUntil(Seconds(10));
   // Every transaction reached its endpoint.
-  const TxStore& txs = chain->context().txs();
+  const TxStore& txs = run.chain->context().txs();
   ASSERT_EQ(txs.size(), 50u);
   for (TxId id = 0; id < txs.size(); ++id) {
     EXPECT_NE(txs.at(id).phase, TxPhase::kCreated) << id;

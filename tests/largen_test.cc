@@ -448,7 +448,7 @@ TEST(XlBudgetTest, TenThousandValidatorsStayUnder64BytesEach) {
     Simulation sim(1);
     Network net(&sim);
     const DeploymentConfig xl = GetDeployment("xl-10000");
-    auto instance = BuildChain(chain, xl, &sim, &net);
+    auto instance = BuildChainFromParams(GetChainParams(chain), xl, &sim, &net);
     ASSERT_NE(instance, nullptr);
     const ChainContext& ctx = instance->context();
     EXPECT_FALSE(ctx.vote_delays().dense()) << chain;
@@ -461,7 +461,8 @@ TEST(XlBudgetTest, TenThousandValidatorsStayUnder64BytesEach) {
 TEST(XlBudgetTest, SmallDeploymentsKeepTheDenseMatrix) {
   Simulation sim(1);
   Network net(&sim);
-  auto instance = BuildChain("quorum", GetDeployment("community"), &sim, &net);
+  auto instance =
+      BuildChainFromParams(GetChainParams("quorum"), GetDeployment("community"), &sim, &net);
   EXPECT_TRUE(instance->context().vote_delays().dense());
 }
 
