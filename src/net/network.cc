@@ -1,5 +1,6 @@
 #include "src/net/network.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -9,15 +10,83 @@
 namespace diablo {
 namespace {
 
-// The jitter term of every sampled delay: the link's propagation in ticks
-// scaled by jitter_frac·|gauss|, truncated to ticks. The association is part
-// of the determinism contract: any other order can move a last bit, and with
-// it every golden hash.
-inline SimDuration JitterTicks(double prop, double jitter_frac, double gauss) {
-  return static_cast<SimDuration>(prop * (jitter_frac * std::abs(gauss)));
+// π − M_PI, the part of π below M_PI's last bit.
+constexpr double kPiLo = 1.2246467991473532e-16;
+
+// How far glibc's cos(x) may lie from AbsCosEstimate(x). The estimate is
+// within 3.0e-16 of |cos x| on [0, 2π) (measured against 80-bit cosl over
+// 10⁸ draws and 50 ulps either side of each fold point), glibc lists cos
+// at 1 ulp (≤ 1.1e-16 below 1), and rounding c ± kBracket adds half an ulp:
+// under 6e-16 in all, a margin of over 150×.
+constexpr double kBracket = 1e-13;
+
+// |cos x| for x in [0, 2π) with no libm call. x is folded by the nearest
+// multiple of π to r in [−π/2, π/2] (|cos| has period π), the multiple
+// found by an int conversion because std::floor is a libm call on x86-64
+// without SSE4.1. x − k·M_PI is exact there (Sterbenz), so only k·kPiLo
+// rounds. cos r is then its Taylor series through r²⁰ (truncation below
+// 2e-17), a polynomial in z = r² evaluated by Estrin's scheme: the
+// coefficient pairs are independent, so the longest chain of dependent
+// multiplies is five (z, z², z⁴, z⁸ and the last product), where Horner's
+// scheme chains eleven.
+inline double AbsCosEstimate(double x) {
+  const double k = static_cast<double>(static_cast<int>(x * (1.0 / M_PI) + 0.5));
+  const double r = (x - k * M_PI) - k * kPiLo;
+  const double z = r * r;
+  const double z2 = z * z;
+  const double z4 = z2 * z2;
+  const double z8 = z4 * z4;
+  const double p01 = 1.0 + (-1.0 / 2.0) * z;
+  const double p23 = 1.0 / 24.0 + (-1.0 / 720.0) * z;
+  const double p45 = 1.0 / 40320.0 + (-1.0 / 3628800.0) * z;
+  const double p67 = 1.0 / 479001600.0 + (-1.0 / 87178291200.0) * z;
+  const double p89 = 1.0 / 20922789888000.0 + (-1.0 / 6402373705728000.0) * z;
+  const double p03 = p01 + p23 * z2;
+  const double p47 = p45 + p67 * z2;
+  const double p810 = p89 + (1.0 / 2432902008176640000.0) * z2;
+  return std::abs((p03 + p47 * z4) + p810 * z8);
+}
+
+// One Box–Muller jitter term from two uniforms of `rng`, drawn u1 then u2:
+// two statements fix that order, where two call arguments would not.
+SimDuration JitterFrom(Rng* rng, double prop, double jitter_frac) {
+  const double u1 = rng->NextDouble();
+  const double u2 = rng->NextDouble();
+  return JitterTicks(prop, jitter_frac, u1, u2);
 }
 
 }  // namespace
+
+// Contract: returns exactly the jitter every golden hash was recorded with,
+//   (SimDuration)(prop * (jitter_frac * |sqrt(-2·log u1) · cos(2π·u2)|)),
+// u1 ≤ 0 clamped to 2⁻⁵³, with glibc's log, sqrt and cos, in that
+// association: any other order can move a last bit, and with it every hash.
+//
+// Only the cos is found another way. With mag = sqrt(-2·log u1) fixed,
+// T(c) = (SimDuration)(prop * (jitter_frac * (mag * c))) is monotone in c:
+// an IEEE multiply by a fixed factor is, and so is truncation. glibc's
+// |cos x| lies within kBracket of c = AbsCosEstimate(x), so when
+// T(max(0, c − kBracket)) equals T(c + kBracket), that is also T of glibc's
+// value. Only a draw whose bracket straddles a tick boundary asks glibc's
+// cos: about one in 10⁶ at Table 3's propagations and 5% jitter.
+SimDuration JitterTicks(double prop, double jitter_frac, double u1, double u2) {
+  if (u1 <= 0.0) {
+    u1 = 0x1.0p-53;
+  }
+  const double mag = std::sqrt(-2.0 * std::log(u1));
+  const double x = 2.0 * M_PI * u2;
+  const auto ticks = [&](double c) {
+    return static_cast<SimDuration>(prop * (jitter_frac * (mag * c)));
+  };
+  const auto exact = [&] { return ticks(std::abs(std::cos(x))); };
+  const double c = AbsCosEstimate(x);
+  const SimDuration low = ticks(std::max(0.0, c - kBracket));
+  if (low != ticks(c + kBracket)) {
+    return exact();
+  }
+  DIABLO_CHECK(low == exact(), "bracketed jitter differs from the Box-Muller expression");
+  return low;
+}
 
 Network::Network(Simulation* sim, double jitter_frac)
     : sim_(sim),
@@ -49,8 +118,7 @@ SimDuration Network::DelaySampleFrom(Rng* rng, HostId from, HostId to,
     return kUnreachable;
   }
   const LinkBase link = LinkBaseOf(a, b, bytes);
-  const SimDuration delay =
-      link.base + JitterTicks(link.prop, jitter_frac_, rng->NextGaussian(0.0, 1.0));
+  const SimDuration delay = link.base + JitterFrom(rng, link.prop, jitter_frac_);
   // |jitter| and extra delays are non-negative, so a negative sample can only
   // mean arithmetic overflow — which would reorder deliveries silently.
   DIABLO_CHECK(delay >= 0, "sampled link delay went negative (overflow?)");
@@ -102,7 +170,7 @@ void Network::FillPairwiseDelays(const std::vector<HostId>& hosts,
       }
       const LinkBase& link =
           bases[static_cast<size_t>(a) * kRegionCount + static_cast<size_t>(b)];
-      entry = link.base + JitterTicks(link.prop, jitter_frac_, rng_.NextGaussian(0.0, 1.0));
+      entry = link.base + JitterFrom(&rng_, link.prop, jitter_frac_);
     }
   }
 }
@@ -176,8 +244,7 @@ void Network::BroadcastDelaysInto(HostId origin, const std::vector<HostId>& reci
       const SimDuration slot =
           Topology::TransmissionDelayOn(link, bytes) * static_cast<SimDuration>(k + 1);
       const SimDuration prop = link.propagation;
-      const SimDuration jitter = JitterTicks(static_cast<double>(prop), jitter_frac_,
-                                             rng_.NextGaussian(0.0, 1.0));
+      const SimDuration jitter = JitterFrom(&rng_, static_cast<double>(prop), jitter_frac_);
       const SimDuration arrival =
           parent.ready + slot + prop + jitter + ExtraDelay(pr, cr);
       result[idx] = arrival;
@@ -243,18 +310,14 @@ SimDuration StreamedDelays::at(size_t from, size_t to) const {
   const LinkBase& link =
       base_[static_cast<size_t>(region_[from]) * kRegionCount + region_[to]];
   // Counter-based half-normal jitter: two splitmix64 outputs keyed on
-  // (model seed, from, to) feed the same Box-Muller arithmetic as
-  // Rng::NextGaussian, so any pair's jitter is recomputable in O(1) without
-  // storing it — the property that lets the kernels stream.
+  // (model seed, from, to) are the two uniforms of JitterTicks, so any pair's
+  // jitter is recomputable in O(1) without storing it — the property that
+  // lets the kernels stream.
   uint64_t state = jitter_seed_ ^ ((static_cast<uint64_t>(from) << 32) |
                                    static_cast<uint64_t>(to));
-  double u1 = static_cast<double>(SplitMix64(state) >> 11) * 0x1.0p-53;
+  const double u1 = static_cast<double>(SplitMix64(state) >> 11) * 0x1.0p-53;
   const double u2 = static_cast<double>(SplitMix64(state) >> 11) * 0x1.0p-53;
-  if (u1 <= 0.0) {
-    u1 = 0x1.0p-53;
-  }
-  const double gauss = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-  return link.base + JitterTicks(link.prop, jitter_frac_, gauss);
+  return link.base + JitterTicks(link.prop, jitter_frac_, u1, u2);
 }
 
 bool Network::LossDrop(Region a, Region b) {

@@ -45,6 +45,12 @@ struct BroadcastScratch {
 
 class Network;
 
+// The jitter term of one sampled delay: the half-normal Box–Muller draw
+// from the uniforms u1 and u2, scaled by `prop` (the link's propagation in
+// ticks) and `jitter_frac`, truncated to ticks. Every delay the network
+// samples adds one; network.cc states the bit-exactness contract.
+SimDuration JitterTicks(double prop, double jitter_frac, double u1, double u2);
+
 // The deterministic part of a one-way delay on one ordered region pair for
 // a fixed message size: propagation + transmission + injected extra delay,
 // and the propagation (in ticks) that scales the pair's jitter draw. The

@@ -1,7 +1,5 @@
 #include "src/support/rng.h"
 
-#include <cmath>
-
 namespace diablo {
 namespace {
 
@@ -54,16 +52,6 @@ uint64_t Rng::NextBelow(uint64_t bound) {
 double Rng::NextDouble() {
   // 53 high bits -> [0, 1).
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::NextGaussian(double mean, double stddev) {
-  double u1 = NextDouble();
-  double u2 = NextDouble();
-  if (u1 <= 0.0) {
-    u1 = 0x1.0p-53;
-  }
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
 }
 
 bool Rng::NextBernoulli(double p) {

@@ -30,9 +30,6 @@ class Rng {
   // Uniform double in [0, 1).
   double NextDouble();
 
-  // Normally distributed double (Box-Muller, one value per call).
-  double NextGaussian(double mean, double stddev);
-
   // True with probability p (clamped to [0, 1]).
   bool NextBernoulli(double p);
 

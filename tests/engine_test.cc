@@ -193,6 +193,25 @@ TEST(IbftEngineTest, RotatesLeaders) {
   EXPECT_GE(proposers.size(), 5u);
 }
 
+TEST(IbftEngineTest, CrashedLeaderHandsItsHeightToTheNextNode) {
+  // The leader of height h in round r is node (h + r) mod n. Heights start
+  // at 1, so on the 10-node testnet height 10 is crashed node 0's turn: its
+  // round times out and round 1 passes the height to node 1, one
+  // round_timeout after the round began at 10 block intervals. A leader
+  // that ignored the round would stall at node 0's height for good.
+  const ChainParams params = GetChainParams("quorum");
+  ChainRun run(params, "testnet", 3, /*jitter=*/0.0);
+  ChainContext& ctx = run.chain->context();
+  ctx.SetNodeDown(0, true);
+  run.Run(60);
+  const Ledger& ledger = ctx.ledger();
+  ASSERT_EQ(ledger.block_count(), 30u);
+  const Block& handed_over = ledger.block(9);
+  EXPECT_EQ(handed_over.height, 10u);
+  EXPECT_EQ(handed_over.proposer, 1u);
+  EXPECT_EQ(handed_over.proposed_at, 10 * params.block_interval + params.round_timeout);
+}
+
 TEST(IbftEngineTest, RoundChangeBackoffDoublesUpToSixTimes) {
   // One pending transaction whose pool scan outlasts every round's timeout:
   // each round changes view and waits round_timeout x 2^failures, the

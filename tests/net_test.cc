@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "src/net/deployment.h"
 #include "src/net/network.h"
 #include "src/net/region.h"
 #include "src/net/topology.h"
+#include "src/support/rng.h"
 
 namespace diablo {
 namespace {
@@ -343,6 +348,122 @@ TEST(NetworkTest, BroadcastDeterministicPerSeed) {
   };
   EXPECT_EQ(run(21), run(21));
   EXPECT_NE(run(21), run(22));
+}
+
+// |gauss| as every golden hash was recorded with it: Box–Muller through
+// glibc's log, sqrt and cos, with u1 ≤ 0 clamped to 2⁻⁵³.
+double ReferenceAbsGauss(double u1, double u2) {
+  if (u1 <= 0.0) {
+    u1 = 0x1.0p-53;
+  }
+  return std::abs(std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2));
+}
+
+// No propagation, the shortest and the longest link of the Table 3 matrix,
+// and 1 s, where the bracket spans the most ticks.
+std::vector<double> JitterProps() {
+  SimDuration shortest = std::numeric_limits<SimDuration>::max();
+  SimDuration longest = 0;
+  for (int a = 0; a < kRegionCount; ++a) {
+    for (int b = 0; b < kRegionCount; ++b) {
+      const SimDuration prop =
+          Topology::Link(static_cast<Region>(a), static_cast<Region>(b)).propagation;
+      shortest = std::min(shortest, prop);
+      longest = std::max(longest, prop);
+    }
+  }
+  return {0.0, static_cast<double>(shortest), static_cast<double>(longest), 1e9};
+}
+
+constexpr double kJitterFracs[] = {0.0, 0.05, 1.0};
+
+// Compares JitterTicks with the reference jitter, in the association its
+// contract fixes, at every (prop, jitter_frac) pair; returns how many differ
+// and reports each.
+int JitterMismatches(const std::vector<double>& props, double u1, double u2) {
+  const double gauss = ReferenceAbsGauss(u1, u2);
+  int mismatches = 0;
+  for (const double prop : props) {
+    for (const double frac : kJitterFracs) {
+      const SimDuration got = JitterTicks(prop, frac, u1, u2);
+      const auto want = static_cast<SimDuration>(prop * (frac * gauss));
+      if (got != want) {
+        ++mismatches;
+        ADD_FAILURE() << std::hexfloat << "u1=" << u1 << " u2=" << u2 << " prop=" << prop
+                      << " jitter_frac=" << frac << ": " << got << " != " << want;
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(JitterTicksTest, MatchesBoxMullerOnSeededDraws) {
+  const std::vector<double> props = JitterProps();
+  Rng rng(35);
+  int mismatches = 0;
+  for (int i = 0; i < 10'000'000 && mismatches < 10; ++i) {
+    const double u1 = rng.NextDouble();
+    const double u2 = rng.NextDouble();
+    mismatches += JitterMismatches(props, u1, u2);
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(JitterTicksTest, MatchesBoxMullerOnEdgeInputs) {
+  const std::vector<double> props = JitterProps();
+  const double top = 1.0 - 0x1.0p-53;  // NextDouble's largest value
+  std::vector<double> u2s;
+  for (const double u2 : {0.0, 0.25, 0.5, 0.75, top}) {
+    for (const double v : {std::nextafter(u2, -1.0), u2, std::nextafter(u2, 1.0)}) {
+      if (v >= 0.0 && v <= top) {
+        u2s.push_back(v);
+      }
+    }
+  }
+  // The fold points x = 2π·u2 ≈ (k + ½)π, where |cos| touches 0 and the
+  // reduction switches multiples of π: 64 ulps of u2 either side.
+  for (const double fold : {0.25, 0.75}) {
+    double below = fold;
+    double above = fold;
+    for (int i = 0; i < 64; ++i) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, 1.0);
+      u2s.push_back(below);
+      u2s.push_back(above);
+    }
+  }
+  for (const double u1 : {0.0, 0x1.0p-53, top}) {
+    for (const double u2 : u2s) {
+      EXPECT_EQ(JitterMismatches(props, u1, u2), 0);
+    }
+  }
+}
+
+TEST(JitterTicksTest, StraddlingDrawTakesGlibcCos) {
+  // prop is chosen so that the reference product sits within 1e-9 of a tick
+  // boundary N. The bracket around it spans prop·jitter_frac·mag·1e-13 =
+  // N·1e-13/|cos| ≥ 1e-7 ticks on each side, so one end truncates to N − 1
+  // and the other to N: only glibc's cos can tell which side the draw is on.
+  const double frac = 0.05;
+  const SimDuration n = 1'000'000;
+  const double nd = static_cast<double>(n);
+  for (const auto& [u1, u2] : {std::pair{0.3, 0.1}, std::pair{0.9, 0.4},
+                               std::pair{1e-3, 0.7}, std::pair{0.5, 0.95}}) {
+    const double gauss = ReferenceAbsGauss(u1, u2);
+    const auto product = [&](double prop) { return prop * (frac * gauss); };
+    double above = nd / (frac * gauss);
+    while (product(above) <= nd) {
+      above = std::nextafter(above, 2.0 * above);
+    }
+    double below = above;
+    while (product(below) >= nd) {
+      below = std::nextafter(below, 0.0);
+    }
+    ASSERT_LT(product(above) - nd, 1e-9);
+    ASSERT_LT(nd - product(below), 1e-9);
+    EXPECT_EQ(JitterTicks(above, frac, u1, u2), n) << "u1=" << u1 << " u2=" << u2;
+    EXPECT_EQ(JitterTicks(below, frac, u1, u2), n - 1) << "u1=" << u1 << " u2=" << u2;
+  }
 }
 
 }  // namespace

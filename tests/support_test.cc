@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 
 #include "src/support/check.h"
@@ -84,21 +83,6 @@ TEST(RngTest, DoubleInUnitInterval) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
-}
-
-TEST(RngTest, GaussianMoments) {
-  Rng rng(23);
-  double sum = 0;
-  double sum_sq = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.NextGaussian(10.0, 2.0);
-    sum += x;
-    sum_sq += x * x;
-  }
-  const double mean = sum / n;
-  EXPECT_NEAR(mean, 10.0, 0.1);
-  EXPECT_NEAR(std::sqrt((sum_sq - n * mean * mean) / (n - 1)), 2.0, 0.1);
 }
 
 TEST(RngTest, BernoulliEdges) {
